@@ -14,14 +14,15 @@ from .config import GridSizing, RefineConfig, SizingField, check_termination_bou
 from .delaunay import TetMesh, circumcentre_triangle, circumsphere_tet
 from .errors import (GeometryError, MeshError, ParseError, ProtectionError,
                      PscError, ValidationError)
-from .geometry import PiecewiseComplex, SharpFeatureSet, load_complex, \
-    parse_complex, write_complex
+from .geometry import PiecewiseComplex, load_complex, parse_complex, \
+    write_complex
 from .predicates import insphere, orient3d
 from .quality import (QualityReport, area_length, build_report,
                       dihedral_angles, relative_edge_length, triangle_angles,
                       volume_length, write_report)
-from .refine import (Refiner, bad_simplex_1, bad_simplex_2, bad_simplex_3,
-                     protect_sharp_angles, refine, select_refinement_point)
+from .refine import (RefineResult, Refiner, bad_simplex_1, bad_simplex_2,
+                     bad_simplex_3, protect_sharp_angles, refine,
+                     select_refinement_point)
 from .restricted import (classify_edge, classify_facet, classify_tet,
                          element_size, radius_edge_tet, radius_edge_tri,
                          topo_disk_1, topo_disk_2)

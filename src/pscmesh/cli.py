@@ -10,12 +10,13 @@ modes on the same input and prints a side-by-side summary.  Exit codes:
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from .config import GridSizing, RefineConfig, SizingField
 from .errors import PscError, ValidationError
 from .geometry import load_complex
-from .quality import build_report, write_report
-from .refine import Refiner
+from .quality import write_report
+from .refine import refine
 from .vtk_io import write_vtk
 
 
@@ -116,12 +117,12 @@ def _default_paths(args):
     return out, rep, man
 
 
-def _write_manifest(path, args, cfg, status, timings, outputs):
+def _write_manifest(path, args, cfg, result, timings, outputs):
     lines = ["format = pscmesh-manifest-v1",
              f"input = {args.input}",
              f"seed = {cfg.seed}",
              f"mode = {cfg.mode}",
-             f"status = {status}"]
+             f"status = {result.status}"]
     for k in sorted(outputs):
         lines.append(f"output.{k} = {outputs[k]}")
     lines.append(f"cfg.rho_surf = {cfg.rho_surf!r}")
@@ -137,74 +138,65 @@ def _write_manifest(path, args, cfg, status, timings, outputs):
         lines.append("cfg.hfun = gridded")
     for k in sorted(timings):
         lines.append(f"time.{k}_s = {timings[k]:.3f}")
+    for k in sorted(result.stats):
+        lines.append(f"stats.{k} = {result.stats[k]}")
+    for k in sorted(result.audit):
+        lines.append(f"audit.{k} = {int(result.audit[k])}")
+    for i, w in enumerate(result.warnings):
+        lines.append(f"warning.{i} = {w}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def run(args):
     """Load, refine, write outputs; returns the process exit code."""
-    t_load = time.perf_counter()
+    t0 = time.perf_counter()
     geom = load_complex(args.input)
     cfg = make_config(args, geom)
     out, rep, man = _default_paths(args)
-    timings = {"load": time.perf_counter() - t_load}
+    load_s = time.perf_counter() - t0
 
-    refiner = Refiner(geom, cfg)
-    t0 = time.perf_counter()
-    refiner.setup()
-    timings["setup"] = time.perf_counter() - t0
-    for w in refiner.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    t0 = time.perf_counter()
-    status = refiner.run()
-    timings["refine"] = time.perf_counter() - t0
+    result = refine(geom, cfg)
 
     t0 = time.perf_counter()
-    write_vtk(out, refiner.mesh, refiner.rs)
-    report = build_report(refiner.mesh, refiner.rs, cfg.sizing,
-                          wall_time=timings["refine"],
-                          converged=status == "converged")
-    write_report(report, rep)
-    _write_manifest(man, args, cfg, status, timings,
+    write_vtk(out, result.mesh, result.rs)
+    write_report(result.report, rep)
+    timings = dict(result.timings, load=load_s,
+                   write=time.perf_counter() - t0)
+    _write_manifest(man, args, cfg, result, timings,
                     {"mesh": out, "report": rep})
-    timings["write"] = time.perf_counter() - t0
-    print(f"{status}: {report.counts['points']} points, "
-          f"{report.counts['curve_edges']} curve edges, "
-          f"{report.counts['surface_tris']} surface triangles, "
-          f"{report.counts['volume_tets']} tets -> {out}")
-    return 0 if status == "converged" else 2
+    counts = result.report.counts
+    print(f"{result.status}: {counts['points']} points, "
+          f"{counts['curve_edges']} curve edges, "
+          f"{counts['surface_tris']} surface triangles, "
+          f"{counts['volume_tets']} tets -> {out}")
+    return 0 if result.status == "converged" else 2
 
 
 def compare_modes(args):
     """Run both modes on one input and print a side-by-side summary."""
     geom = load_complex(args.input)
-    out, rep, man = _default_paths(args)
+    cfg = make_config(args, geom)
+    out, rep, _man = _default_paths(args)
     results = {}
     for mode in ("classical", "frontal"):
-        args.mode = mode
-        cfg = make_config(args, geom)
-        refiner = Refiner(geom, cfg)
-        t0 = time.perf_counter()
-        status = refiner.run()
-        dt = time.perf_counter() - t0
-        write_vtk(f"{out}.{mode}.vtk", refiner.mesh, refiner.rs)
-        report = build_report(refiner.mesh, refiner.rs, cfg.sizing,
-                              wall_time=dt, converged=status == "converged")
-        write_report(report, f"{rep}.{mode}.txt")
-        results[mode] = (status, report, dt)
+        result = refine(geom, replace(cfg, mode=mode))
+        write_vtk(f"{out}.{mode}.vtk", result.mesh, result.rs)
+        write_report(result.report, f"{rep}.{mode}.txt")
+        results[mode] = result
     print(f"{'':24s}{'classical':>14s}{'frontal':>14s}")
-    rows = [("status", lambda r: r[0]),
-            ("points", lambda r: r[1].counts["points"]),
-            ("surface tris", lambda r: r[1].counts["surface_tris"]),
-            ("volume tets", lambda r: r[1].counts["volume_tets"]),
-            ("mean a(f)", lambda r: f"{r[1].summary['area_length']['mean']:.4f}"),
-            ("mean v(tau)", lambda r: f"{r[1].summary['volume_length']['mean']:.4f}"),
-            ("median h_r", lambda r: f"{r[1].summary['rel_edge_length']['median']:.4f}"),
-            ("time [s]", lambda r: f"{r[2]:.2f}")]
+    rows = [("status", lambda r: r.status),
+            ("points", lambda r: r.report.counts["points"]),
+            ("surface tris", lambda r: r.report.counts["surface_tris"]),
+            ("volume tets", lambda r: r.report.counts["volume_tets"]),
+            ("mean a(f)", lambda r: f"{r.report.summary['area_length']['mean']:.4f}"),
+            ("mean v(tau)", lambda r: f"{r.report.summary['volume_length']['mean']:.4f}"),
+            ("median h_r", lambda r: f"{r.report.summary['rel_edge_length']['median']:.4f}"),
+            ("time [s]", lambda r: f"{r.timings['setup'] + r.timings['refine']:.2f}")]
     for label, fn in rows:
         print(f"{label:24s}{str(fn(results['classical'])):>14s}"
               f"{str(fn(results['frontal'])):>14s}")
-    ok = all(r[0] == "converged" for r in results.values())
+    ok = all(r.status == "converged" for r in results.values())
     return 0 if ok else 2
 
 

@@ -107,8 +107,6 @@ class RefineConfig:
     mode: str = "frontal"
     collar_beta: float = 1.5
     max_points: int = 5_000_000
-    crease_threshold: float = math.radians(30.0)
-    init_samples: int = 8
     seed: int = 0
 
     def __post_init__(self):
@@ -128,8 +126,6 @@ class RefineConfig:
             raise ValidationError("collar spacing factor must be >= 1")
         if self.mode not in ("classical", "frontal"):
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.init_samples < 4:
-            raise ValidationError("need at least 4 initial samples")
 
 
 def check_termination_bounds(cfg, geom):

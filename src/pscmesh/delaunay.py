@@ -130,17 +130,6 @@ class RemoveRecord:
         self.created = created
 
 
-class VoronoiFace:
-    """Ordered dual polygon of a Delaunay edge (circumcentre ring)."""
-
-    __slots__ = ("edge", "polygon", "bounded")
-
-    def __init__(self, edge, polygon, bounded):
-        self.edge = edge
-        self.polygon = polygon
-        self.bounded = bounded
-
-
 class TetMesh:
     def __init__(self, bounds, seed=0, box_scale=10.0):
         lo, hi = bounds
@@ -523,42 +512,6 @@ class TetMesh:
         c, _r2, ok = self.circum[t]
         return c, ok
 
-    def voronoi_edge(self, t, i):
-        """Dual of facet i of tet t: a segment, or a box-clipped ray.
-
-        Returns (p, q, bounded).
-        """
-        c, _ok = self.voronoi_vertex(t)
-        n = self.neigh[t][i]
-        if n != -1:
-            cn, _okn = self.voronoi_vertex(n)
-            return c, cn, True
-        quad = self.tets[t]
-        f = _FACES[i]
-        a = self.points[quad[f[0]]]
-        b = self.points[quad[f[1]]]
-        d = self.points[quad[f[2]]]
-        nx = (b[1] - a[1]) * (d[2] - a[2]) - (b[2] - a[2]) * (d[1] - a[1])
-        ny = (b[2] - a[2]) * (d[0] - a[0]) - (b[0] - a[0]) * (d[2] - a[2])
-        nz = (b[0] - a[0]) * (d[1] - a[1]) - (b[1] - a[1]) * (d[0] - a[0])
-        # _FACES orientation puts the opposite vertex on the positive side,
-        # so the outward dual direction is the negative normal
-        q = self._clip_ray(c, (-nx, -ny, -nz))
-        return c, q, False
-
-    def _clip_ray(self, origin, direction):
-        n = math.sqrt(direction[0] ** 2 + direction[1] ** 2 + direction[2] ** 2)
-        d = (direction[0] / n, direction[1] / n, direction[2] / n)
-        tmax = math.inf
-        for ax in range(3):
-            if d[ax] > 0:
-                tmax = min(tmax, (self.box_hi[ax] - origin[ax]) / d[ax])
-            elif d[ax] < 0:
-                tmax = min(tmax, (self.box_lo[ax] - origin[ax]) / d[ax])
-        tmax = max(tmax, 0.0)
-        return (origin[0] + tmax * d[0], origin[1] + tmax * d[1],
-                origin[2] + tmax * d[2])
-
     def find_tet_with_edge(self, u, w):
         for t in self.tets_around_vertex(u):
             if w in self.tets[t]:
@@ -602,36 +555,6 @@ class TetMesh:
         back, _ = walk(ob, oa)
         back.reverse()
         return back + ring, False
-
-    def voronoi_face(self, u, w):
-        """Dual polygon of Delaunay edge (u, w), box-clipped when open."""
-        ring, closed = self.edge_ring(u, w)
-        poly = [self.voronoi_vertex(t)[0] for t in ring]
-        if not closed:
-            first_dir = self._open_end_dir(ring[0], u, w, poly, 0)
-            last_dir = self._open_end_dir(ring[-1], u, w, poly, -1)
-            poly = ([self._clip_ray(poly[0], first_dir)] + poly
-                    + [self._clip_ray(poly[-1], last_dir)])
-        return VoronoiFace((u, w), poly, closed)
-
-    def _open_end_dir(self, t, u, w, poly, which):
-        # outward dual direction of the hull facet containing (u, w)
-        quad = self.tets[t]
-        for i in range(4):
-            if self.neigh[t][i] == -1:
-                f = _FACES[i]
-                tri = (quad[f[0]], quad[f[1]], quad[f[2]])
-                if u in tri and w in tri:
-                    a, b, c = (self.points[x] for x in tri)
-                    nx = (b[1] - a[1]) * (c[2] - a[2]) - (b[2] - a[2]) * (c[1] - a[1])
-                    ny = (b[2] - a[2]) * (c[0] - a[0]) - (b[0] - a[0]) * (c[2] - a[2])
-                    nz = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-                    return (-nx, -ny, -nz)
-        # no hull facet found (should not happen for an open ring)
-        p = poly[which]
-        return (p[0] - poly[len(poly) // 2][0] or 1.0,
-                p[1] - poly[len(poly) // 2][1],
-                p[2] - poly[len(poly) // 2][2])
 
     def edge_exists(self, u, w):
         return self.find_tet_with_edge(u, w) is not None

@@ -4,8 +4,9 @@ The input domain is a curve network (polyline segments tagged by curve
 id), a surface given as a triangle soup (tagged by patch id) and the
 volume the surface encloses.  Everything downstream is geometry-agnostic
 and interacts with the domain only through the query methods here:
-polygon/curve, segment/surface, sphere/curve and disk/surface
-intersections plus point-in-volume membership.
+segment/surface, sphere/curve and disk/surface intersections plus
+point-in-volume membership, and the curve segment tree that the dual-face
+query of ``restricted`` scans.
 
 A ``PiecewiseComplex`` is immutable after construction and safe for
 concurrent read-only queries; both acceleration trees are built in the
@@ -13,7 +14,6 @@ constructor.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -66,17 +66,6 @@ def _plane_basis(normal):
     e1 = _unit(_cross(normal, seed))
     e2 = _cross(normal, e1)
     return e1, e2
-
-
-class SharpFeatureSet:
-    """Detected creases, corner vertices and acutely meeting curve pairs."""
-
-    def __init__(self, crease_edges, corner_vertices, acute_apexes,
-                 untagged_creases=()):
-        self.crease_edges = set(crease_edges)       # segment ids in the curve net
-        self.corner_vertices = set(corner_vertices)  # vertex ids
-        self.acute_apexes = list(acute_apexes)       # (vertex, (seg_i, seg_j), angle)
-        self.untagged_creases = list(untagged_creases)  # vertex pairs missing from the net
 
 
 class PiecewiseComplex:
@@ -204,41 +193,13 @@ class PiecewiseComplex:
     # ------------------------------------------------------------------
     # feature detection
 
-    def detect_sharp_features(self, dihedral_threshold=math.radians(30.0)):
-        """Creases, corners and acute curve-curve apexes of the input.
+    def detect_sharp_features(self):
+        """Acute curve-curve apexes of the input: ``[(vertex, (seg_i,
+        seg_j), angle), ...]``.
 
-        Crease = surface edge that is a patch boundary, is non-manifold, or
-        whose interior dihedral deviates from flat by more than the
-        threshold.  Corners follow the curve-network topology.  An apex is
-        a vertex where two curve segments subtend an angle of at most 60
-        degrees; those need collar protection before refinement.
+        An apex is a vertex where two curve segments subtend an angle of at
+        most 60 degrees; those need collar protection before refinement.
         """
-        edge_tris = {}
-        for tid, (i, j, k, _p) in enumerate(self.triangles):
-            for e in ((i, j), (j, k), (i, k)):
-                edge_tris.setdefault((min(e), max(e)), []).append(tid)
-        seg_of_pair = {}
-        for sid, (i, j, _c) in enumerate(self.segments):
-            seg_of_pair[(min(i, j), max(i, j))] = sid
-
-        crease_ids = set()
-        untagged = []
-        for pair, tids in edge_tris.items():
-            crease = False
-            if len(tids) != 2:
-                crease = True
-            else:
-                if self._dihedral_deviation(pair, tids[0], tids[1]) > dihedral_threshold:
-                    crease = True
-            if crease:
-                sid = seg_of_pair.get(pair)
-                if sid is not None:
-                    crease_ids.add(sid)
-                else:
-                    untagged.append(pair)
-
-        corners = set(self.feature_vertices)
-
         apexes = []
         for v in sorted(self.segs_at_vertex):
             sids = self.segs_at_vertex[v]
@@ -250,83 +211,15 @@ class PiecewiseComplex:
                     ang = math.atan2(_norm(_cross(u1, u2)), _dot(u1, u2))
                     if ang <= math.pi / 3.0 + 1e-12:
                         apexes.append((v, (sids[x], sids[y]), ang))
-        return SharpFeatureSet(crease_ids, corners, apexes, untagged)
+        return apexes
 
     def _away_dir(self, sid, v, p):
         i, j, _c = self.segments[sid]
         other = self.pts[j] if i == v else self.pts[i]
         return _unit(_sub(other, p))
 
-    def _dihedral_deviation(self, pair, t1, t2):
-        # Hinge angle measured between the in-plane perpendiculars toward
-        # the two opposite vertices; flat surfaces give pi, so the
-        # deviation is pi minus that.  Independent of triangle winding.
-        i, j = pair
-        a = self.pts[i]
-        d = _unit(_sub(self.pts[j], a))
-
-        def perp_toward(tid):
-            tri = self.triangles[tid]
-            opp = next(v for v in tri[:3] if v not in pair)
-            w = _sub(self.pts[opp], a)
-            proj = _dot(w, d)
-            u = (w[0] - proj * d[0], w[1] - proj * d[1], w[2] - proj * d[2])
-            return _unit(u)
-
-        u1 = perp_toward(t1)
-        u2 = perp_toward(t2)
-        hinge = math.atan2(_norm(_cross(u1, u2)), _dot(u1, u2))
-        return math.pi - hinge
-
     # ------------------------------------------------------------------
     # intersection oracle
-
-    def intersect_polygon_curve(self, polygon):
-        """Transversal hits of a convex planar polygon with the curve net.
-
-        Returns ``[(point, curve_id), ...]``.  A zero-area polygon yields an
-        empty result and a warning.
-        """
-        if not self.segments:
-            return []
-        poly = [tuple(map(float, p)) for p in polygon]
-        normal = _newell_normal(poly)
-        if _norm(normal) <= 1e-300:
-            warnings.warn("degenerate polygon in curve query", stacklevel=2)
-            return []
-        normal = _unit(normal)
-        offset = _dot(normal, poly[0])
-        lo = (min(p[0] for p in poly), min(p[1] for p in poly), min(p[2] for p in poly))
-        hi = (max(p[0] for p in poly), max(p[1] for p in poly), max(p[2] for p in poly))
-        pad = self.eps
-        cands = self.seg_tree.query_box(
-            (lo[0] - pad, lo[1] - pad, lo[2] - pad),
-            (hi[0] + pad, hi[1] + pad, hi[2] + pad))
-        e1, e2 = _plane_basis(normal)
-        poly2 = [(_dot(p, e1), _dot(p, e2)) for p in poly]
-        hits = []
-        for sid in sorted(cands):
-            i, j, cid = self.segments[sid]
-            x = self._segment_plane_point(self.pts[i], self.pts[j], normal, offset)
-            if x is None:
-                continue
-            if _point_in_polygon2(( _dot(x, e1), _dot(x, e2)), poly2, self.eps):
-                hits.append((x, cid))
-        return _dedupe_tagged(hits, self.eps)
-
-    def _segment_plane_point(self, p, q, normal, offset):
-        dp = _dot(normal, p) - offset
-        dq = _dot(normal, q) - offset
-        dn = dq - dp
-        if abs(dn) <= 1e-300:
-            return None  # parallel; not a transversal crossing
-        t = -dp / dn
-        if t < -1e-12 or t > 1.0 + 1e-12:
-            return None
-        t = min(max(t, 0.0), 1.0)
-        return (p[0] + t * (q[0] - p[0]),
-                p[1] + t * (q[1] - p[1]),
-                p[2] + t * (q[2] - p[2]))
 
     def intersect_segment_surface(self, a, b):
         """Hits of segment a-b with the surface, deduplicated at shared edges.
@@ -498,15 +391,17 @@ class PiecewiseComplex:
     # ------------------------------------------------------------------
     # sampling
 
-    def initial_sampling(self, n):
+    def initial_sampling(self, n, forced=()):
         """Well-separated subset of input vertices to seed refinement.
 
         Greedy farthest-point selection starting from the vertex nearest
         the low bounding-box corner; curve vertices are exhausted before
         surface-only vertices.  Every curve feature vertex (endpoint,
-        junction, acute apex) is always included on top of the greedy
-        picks: a restricted curve chain can only terminate consistently at
-        a vertex that actually exists in the mesh.
+        junction) and every ``forced`` vertex (the acute apexes of
+        ``detect_sharp_features``) is always included on top of the greedy
+        picks, in ascending id order: a restricted curve chain can only
+        terminate consistently at a vertex that actually exists in the
+        mesh.
         """
         if n < 4:
             raise ValueError("need at least 4 seed points")
@@ -533,9 +428,7 @@ class PiecewiseComplex:
                     np.minimum(mind, dd, out=mind)
                 if len(chosen) >= n:
                     break
-        forced = {v for v, _pair, _a in self.detect_sharp_features().acute_apexes}
-        forced.update(self.feature_vertices)
-        for v in sorted(forced):
+        for v in sorted(self.feature_vertices.union(forced)):
             if v not in chosen:
                 chosen.append(v)
         return chosen
@@ -608,36 +501,6 @@ def _point_tris_d2(p, a, b, c):
                          np.minimum(((q_ac - p) ** 2).sum(axis=1),
                                     ((q_bc - p) ** 2).sum(axis=1)))
     return np.where(inside, d_face, d_edges)
-
-
-def _newell_normal(poly):
-    nx = ny = nz = 0.0
-    m = len(poly)
-    for i in range(m):
-        p = poly[i]
-        q = poly[(i + 1) % m]
-        nx += (p[1] - q[1]) * (p[2] + q[2])
-        ny += (p[2] - q[2]) * (p[0] + q[0])
-        nz += (p[0] - q[0]) * (p[1] + q[1])
-    return (nx, ny, nz)
-
-
-def _point_in_polygon2(pt, poly2, eps):
-    # Fan containment: point lies in some fan triangle of the loop.
-    x, y = pt
-    ax, ay = poly2[0]
-    for i in range(1, len(poly2) - 1):
-        bx, by = poly2[i]
-        cx, cy = poly2[i + 1]
-        d = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-        if abs(d) <= 1e-300:
-            continue
-        l1 = ((bx - ax) * (y - ay) - (x - ax) * (by - ay)) / d
-        l2 = ((x - ax) * (cy - ay) - (cx - ax) * (y - ay)) / d
-        tol = eps / max(abs(d) ** 0.5, 1e-30)
-        if l1 >= -tol and l2 >= -tol and l1 + l2 <= 1.0 + tol:
-            return True
-    return False
 
 
 def _point_in_triangle3(x, p0, p1, p2, slack):

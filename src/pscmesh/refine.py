@@ -20,6 +20,8 @@ edge is rejected outright.
 
 import heapq
 import math
+import time
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -28,11 +30,14 @@ from .config import check_termination_bounds
 from .delaunay import _FACES, TetMesh, circumcentre_triangle
 from .errors import ProtectionError
 from .geometry import _dot, _norm, _sub, _unit
+from .quality import QualityReport, build_report
 from .restricted import (classify_edge, classify_facet, classify_tet,
                          topo_disk_1, topo_disk_2)
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT83 = math.sqrt(8.0 / 3.0)
+# greedy farthest-point seeds taken from the input before refinement
+_INIT_SAMPLES = 8
 
 
 def bad_simplex_1(e, cfg):
@@ -92,17 +97,19 @@ class ProtectedFeature:
         self.wing_vids = ()
 
 
-def protect_sharp_angles(geom, features, sizing, beta):
+def protect_sharp_angles(geom, apexes, sizing, beta):
     """Compute collar radii and wing points for every acute apex.
+
+    ``apexes`` is the list ``detect_sharp_features`` returns.
 
     Starting from the local sizing value, each apex radius is halved until
     its sphere meets the curve network in exactly two points and the
     beta-scaled protecting balls are pairwise disjoint.
     """
-    apexes = {}
-    for v, pair, angle in features.acute_apexes:
-        apexes.setdefault(v, []).append((pair, angle))
-    order = sorted(apexes)
+    by_vertex = {}
+    for v, pair, angle in apexes:
+        by_vertex.setdefault(v, []).append((pair, angle))
+    order = sorted(by_vertex)
     for v in order:
         if len(geom.segs_at_vertex.get(v, ())) != 2:
             raise ProtectionError(
@@ -135,7 +142,7 @@ def protect_sharp_angles(geom, features, sizing, beta):
     for v in order:
         hits = geom.intersect_sphere_curve(geom.pts[v], radii[v], with_tags=True)
         hits.sort(key=lambda h: h[0])
-        angle = min(a for _pair, a in apexes[v])
+        angle = min(a for _pair, a in by_vertex[v])
         out.append(ProtectedFeature(v, tuple(h[0] for h in hits),
                                     tuple(h[1] for h in hits),
                                     radii[v], angle))
@@ -307,23 +314,37 @@ class _Budget(Exception):
     pass
 
 
+@dataclass
+class RefineResult:
+    """Everything one pipeline run produces."""
+
+    mesh: TetMesh
+    rs: RestrictedSets
+    report: QualityReport
+    status: str         # "converged" | "max-points"
+    stats: dict         # the driver counters, Refiner.stats
+    audit: dict         # certificate name -> bool, Refiner.audit()
+    warnings: list      # termination-bound warnings
+    timings: dict       # wall seconds of "setup" and "refine"
+
+
 def refine(geom, cfg):
-    """One-call pipeline: returns (mesh, restricted sets, quality report).
+    """The pipeline: protect, refine, audit and report one input.
 
     The report's ``converged`` flag drops when the point budget cut the
     run short.
     """
-    import time as _time
-
-    from .quality import build_report
-
     refiner = Refiner(geom, cfg)
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
+    refiner.setup()
+    t1 = time.perf_counter()
     status = refiner.run()
+    t2 = time.perf_counter()
     report = build_report(refiner.mesh, refiner.rs, cfg.sizing,
-                          wall_time=_time.perf_counter() - t0,
-                          converged=status == "converged")
-    return refiner.mesh, refiner.rs, report
+                          wall_time=t2 - t1, converged=status == "converged")
+    return RefineResult(refiner.mesh, refiner.rs, report, status,
+                        refiner.stats, refiner.audit(), refiner.warnings,
+                        {"setup": t1 - t0, "refine": t2 - t1})
 
 
 class Refiner:
@@ -342,7 +363,6 @@ class Refiner:
         self.dirty1 = {}
         self.dirty2 = {}
         self._stamp = 0
-        self.features = None
         self.collars = []
         self.protected_edges = []
         self.warnings = []
@@ -352,7 +372,8 @@ class Refiner:
         self.stats = {"inserted": 0, "duplicates": 0, "rejected_protected": 0,
                       "rollback_gamma": 0, "rollback_sigma": 0,
                       "encroach_edge": 0, "encroach_tri": 0,
-                      "disk1": 0, "disk2": 0, "type2": 0, "type1": 0}
+                      "disk1": 0, "disk2": 0, "type2": 0, "type1": 0,
+                      "blocked": 0}
 
     # ------------------------------------------------------------------
     # setup
@@ -360,21 +381,16 @@ class Refiner:
     def setup(self):
         cfg = self.cfg
         self.warnings = check_termination_bounds(cfg, self.g)
-        self.features = self.g.detect_sharp_features(cfg.crease_threshold)
-        self.collars = protect_sharp_angles(self.g, self.features,
-                                            cfg.sizing, cfg.collar_beta)
+        apexes = self.g.detect_sharp_features()
+        self.collars = protect_sharp_angles(self.g, apexes, cfg.sizing,
+                                            cfg.collar_beta)
         gmap = {}
-        for gv in self.g.initial_sampling(cfg.init_samples):
+        forced = {v for v, _pair, _angle in apexes}
+        for gv in self.g.initial_sampling(_INIT_SAMPLES, forced):
             rec = self.mesh.insert_point(self.g.pts[gv], "input", gv)
             gmap[gv] = rec.vid
         for col in self.collars:
-            if col.apex_gvid in gmap:
-                col.apex_vid = gmap[col.apex_gvid]
-            else:
-                rec = self.mesh.insert_point(self.g.pts[col.apex_gvid],
-                                             "input", col.apex_gvid)
-                col.apex_vid = rec.vid
-                gmap[col.apex_gvid] = rec.vid
+            col.apex_vid = gmap[col.apex_gvid]
             vids = []
             for wp, wc in zip(col.wing_points, col.wing_curves):
                 rec = self.mesh.insert_point(wp, "curve", wc)
@@ -561,19 +577,11 @@ class Refiner:
     # ------------------------------------------------------------------
     # frontal machinery
 
-    def _edge_converged(self, obj):
-        return not bad_simplex_1(obj, self.cfg)
-
-    def _tri_converged(self, obj):
-        return not bad_simplex_2(obj, self.cfg)
-
-    def _tet_converged(self, obj):
-        return not bad_simplex_3(obj, self.cfg)
-
     def _frontal_vertex(self, e):
         for v in e.edge:
             for k in sorted(self.rs.edges_at_vertex.get(v, ())):
-                if k != e.edge and self._edge_converged(self.rs.edges[k]):
+                if k != e.edge and not bad_simplex_1(self.rs.edges[k],
+                                                     self.cfg):
                     return v
         return None
 
@@ -581,12 +589,12 @@ class Refiner:
         a, b, c = f.tri
         for pair in ((a, b), (a, c), (b, c)):
             obj = self.rs.edges.get(pair)
-            if obj is not None and self._edge_converged(obj):
+            if obj is not None and not bad_simplex_1(obj, self.cfg):
                 return pair
             for k in sorted(self.rs.tris_at_vertex.get(pair[0], ())):
                 if k != f.tri and pair[1] in k:
                     other = self.rs.tris[k]
-                    if self._tri_converged(other):
+                    if not bad_simplex_2(other, self.cfg):
                         return pair
         return None
 
@@ -596,13 +604,13 @@ class Refiner:
             face = _FACES[i]
             key = tuple(sorted((quad[face[0]], quad[face[1]], quad[face[2]])))
             obj = self.rs.tris.get(key)
-            if obj is not None and self._tri_converged(obj):
+            if obj is not None and not bad_simplex_2(obj, self.cfg):
                 return key
             n = self.mesh.neigh[t.tet_id][i]
             if n != -1:
                 nkey = tuple(sorted(self.mesh.tets[n]))
                 nobj = self.rs.tets.get(nkey)
-                if nobj is not None and self._tet_converged(nobj):
+                if nobj is not None and not bad_simplex_3(nobj, self.cfg):
                     return key
         return None
 
@@ -761,6 +769,7 @@ class Refiner:
             cur = self.rs.edges.get(token.edge)
             if cur is not None:
                 cur.blocked = True
+                self.stats["blocked"] += 1
 
     def _step_disk1(self):
         while self.dirty1:
@@ -809,6 +818,7 @@ class Refiner:
             cur = self.rs.tris.get(token.tri)
             if cur is not None:
                 cur.blocked = True
+                self.stats["blocked"] += 1
 
     def _step_disk2(self):
         gamma_keys = self.rs.edges.keys()
@@ -864,6 +874,7 @@ class Refiner:
             cur = self.rs.tets.get(token.quad)
             if cur is not None:
                 cur.blocked = True
+                self.stats["blocked"] += 1
 
     # ------------------------------------------------------------------
     # vertex context

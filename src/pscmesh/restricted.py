@@ -15,6 +15,7 @@ restricted sets.
 import math
 
 from .delaunay import _FACES, circumcentre_triangle
+from .quality import volume_length
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT83 = math.sqrt(8.0 / 3.0)
@@ -34,31 +35,29 @@ class RestrictedEdge:
 
 class RestrictedTri:
     __slots__ = ("tri", "centre", "radius", "err", "patch_id", "rho",
-                 "flagged", "blocked")
+                 "blocked")
 
-    def __init__(self, tri, centre, radius, err, patch_id, rho, flagged):
+    def __init__(self, tri, centre, radius, err, patch_id, rho):
         self.tri = tri            # sorted vertex triple
         self.centre = centre      # dual-edge intersection with the surface
         self.radius = radius
         self.err = err            # distance ball centre -> in-plane circumcentre
         self.patch_id = patch_id
         self.rho = rho            # circumradius / shortest edge
-        self.flagged = flagged    # unreliable dual endpoints
         self.blocked = False
 
 
 class RestrictedTet:
     __slots__ = ("quad", "tet_id", "centre", "radius", "rho", "vlen",
-                 "flagged", "blocked")
+                 "blocked")
 
-    def __init__(self, quad, tet_id, centre, radius, rho, vlen, flagged):
+    def __init__(self, quad, tet_id, centre, radius, rho, vlen):
         self.quad = quad          # sorted vertex quadruple
         self.tet_id = tet_id
         self.centre = centre      # circumcentre (interior to the volume)
         self.radius = radius
         self.rho = rho
         self.vlen = vlen          # volume-length quality
-        self.flagged = flagged
         self.blocked = False
 
 
@@ -102,11 +101,6 @@ def _d2(a, b):
 
 def _dist(a, b):
     return math.sqrt(_d2(a, b))
-
-
-def volume_length_quad(pa, pb, pc, pd):
-    from .quality import volume_length
-    return volume_length(pa, pb, pc, pd)
 
 
 # ----------------------------------------------------------------------
@@ -203,11 +197,9 @@ def classify_facet(mesh, geom, t, i):
         return None
     if mesh.neigh[t][i] == -1:
         return None  # outer-box hull facet
-    _c1, ok1 = mesh.voronoi_vertex(t)
-    _c2, ok2 = mesh.voronoi_vertex(mesh.neigh[t][i])
-    if ok1 and ok2:
-        p1, p2, _bounded = mesh.voronoi_edge(t, i)
-    else:
+    p1, ok1 = mesh.voronoi_vertex(t)
+    p2, ok2 = mesh.voronoi_vertex(mesh.neigh[t][i])
+    if not (ok1 and ok2):
         # near-degenerate circumcentre(s): scan along the facet's axis line
         # instead, which is accurate however thin the adjacent tets are
         pa0 = mesh.points[tri[0]]
@@ -240,30 +232,28 @@ def classify_facet(mesh, geom, t, i):
     cc, _r2 = circumcentre_triangle(pa, pb, pc)
     return RestrictedTri(tuple(sorted(tri)), centre, radius,
                          _dist(centre, cc), patch_id,
-                         radius_edge_tri(pa, pb, pc),
-                         not (ok1 and ok2))
+                         radius_edge_tri(pa, pb, pc))
 
 
 def classify_tet(mesh, geom, t):
     """RestrictedTet when the circumcentre lies inside the volume."""
     if mesh.is_ghost(t):
         return None
-    centre, ok = mesh.voronoi_vertex(t)
+    centre, _ok = mesh.voronoi_vertex(t)
     if not geom.point_in_volume(centre):
         return None
     quad = mesh.tets[t]
     pts = [mesh.points[v] for v in quad]
     _c, r2, _okc = mesh.circum[t]
     return RestrictedTet(tuple(sorted(quad)), t, centre, math.sqrt(r2),
-                         radius_edge_tet(*pts), volume_length_quad(*pts),
-                         not ok)
+                         radius_edge_tet(*pts), volume_length(*pts))
 
 
 # ----------------------------------------------------------------------
 # topological disks
 
 
-def topo_disk_1(edges, expected_degree, same_curve_required=True):
+def topo_disk_1(edges, expected_degree):
     """Largest-ball incident edge when the 1-disk condition fails, else None.
 
     ``edges`` are the restricted edges incident to one vertex;
@@ -274,7 +264,7 @@ def topo_disk_1(edges, expected_degree, same_curve_required=True):
         return None
     k = len(edges)
     if expected_degree == 2 and k == 2:
-        if not same_curve_required or edges[0].curve_id == edges[1].curve_id:
+        if edges[0].curve_id == edges[1].curve_id:
             return None
     elif expected_degree not in (0, 2) and k == expected_degree:
         return None

@@ -11,7 +11,7 @@ from .quality import area_length, volume_length
 from .restricted import radius_edge_tet, radius_edge_tri
 
 
-def write_vtk(path, mesh, restricted, title="pscmesh output"):
+def write_vtk(path, mesh, restricted):
     edges = sorted(restricted.edges)
     tris = sorted(restricted.tris)
     tets = sorted(restricted.tets)
@@ -22,7 +22,7 @@ def write_vtk(path, mesh, restricted, title="pscmesh output"):
             if v not in seen:
                 seen[v] = len(used)
                 used.append(v)
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "pscmesh output", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {len(used)} double"]
     for v in used:

@@ -169,3 +169,32 @@ def test_compare_mode_runs_both(tmp_path, capsys):
     assert "median h_r" in out
     assert os.path.exists(str(tmp_path / "cmp.vtk.classical.vtk"))
     assert os.path.exists(str(tmp_path / "cmp.vtk.frontal.vtk"))
+
+
+def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
+    src = write_cube(tmp_path)
+    man = str(tmp_path / "cube.manifest.txt")
+    assert main(["--input", src, "--hfun", "0.35", "--seed", "1",
+                 "--output", str(tmp_path / "cube.vtk"),
+                 "--report", str(tmp_path / "cube.report.txt"),
+                 "--manifest", man]) == 0
+    # the termination-bound warnings go to the manifest, not to stderr
+    assert "warning" not in capsys.readouterr().err
+    entries = dict(line.split(" = ", 1)
+                   for line in open(man).read().splitlines())
+    for phase in ("load", "setup", "refine", "write"):
+        assert float(entries[f"time.{phase}_s"]) >= 0.0
+    stats = {k[len("stats."):]: int(v) for k, v in entries.items()
+             if k.startswith("stats.")}
+    assert set(stats) == {"inserted", "duplicates", "rejected_protected",
+                          "rollback_gamma", "rollback_sigma",
+                          "encroach_edge", "encroach_tri", "disk1", "disk2",
+                          "type1", "type2", "blocked"}
+    assert stats["inserted"] > 0
+    audit = {k[len("audit."):]: v for k, v in entries.items()
+             if k.startswith("audit.")}
+    assert set(audit) == {"rho_surf_ok", "rho_vol_ok", "eps_ok", "size_ok",
+                          "vlen_ok", "disks_ok", "protected_ok", "converged"}
+    assert set(audit.values()) == {"1"}
+    assert "guaranteed-termination bound 6.828" in entries["warning.0"]
+    assert "guaranteed-termination bound 27.314" in entries["warning.1"]

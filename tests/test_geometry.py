@@ -1,12 +1,15 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from pscmesh.delaunay import TetMesh
 from pscmesh.errors import GeometryError, ParseError, ValidationError
 from pscmesh.geometry import PiecewiseComplex, load_complex, parse_complex, \
     write_complex
 from pscmesh.models import cube, icosphere, wedge
+from pscmesh.restricted import classify_edge
 
 from oracles import (circle_surface_hits, polygon_curve_hits, random_rotation,
                      segment_surface_hits, sphere_curve_hits, winding_numbers)
@@ -72,10 +75,7 @@ def test_cube_roundtrip(tmp_path):
 
 
 def test_cube_features():
-    f = cube().detect_sharp_features(math.radians(30))
-    assert len(f.crease_edges) == 12
-    assert f.corner_vertices == set(range(8))
-    assert f.acute_apexes == []
+    assert cube().detect_sharp_features() == []
 
 
 def test_two_segments_meeting_at_20_1_degrees():
@@ -83,64 +83,54 @@ def test_two_segments_meeting_at_20_1_degrees():
     verts = [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
              (math.cos(ang), math.sin(ang), 0.0)]
     c = PiecewiseComplex(verts, [(0, 1, 0), (1, 2, 0)], [])
-    f = c.detect_sharp_features()
-    assert len(f.acute_apexes) == 1
-    v, _pair, a = f.acute_apexes[0]
+    apexes = c.detect_sharp_features()
+    assert len(apexes) == 1
+    v, _pair, a = apexes[0]
     assert v == 1
     assert abs(a - ang) < 1e-12
-
-
-def test_flat_square_boundary_edges_are_creases():
-    c = flat_square()
-    f = c.detect_sharp_features(math.radians(30))
-    # interior diagonal is flat; the four boundary edges are creases but
-    # untagged (no curve network), so they surface in the untagged list
-    assert len(f.untagged_creases) == 4
-    assert not f.crease_edges
 
 
 def test_features_invariant_under_rigid_motion():
     rng = np.random.default_rng(2)
     base = wedge()
-    f0 = base.detect_sharp_features()
-    angles0 = sorted(a for _v, _p, a in f0.acute_apexes)
+    angles0 = sorted(a for _v, _p, a in base.detect_sharp_features())
     for _ in range(5):
         R = random_rotation(rng)
         shift = rng.uniform(-3, 3, 3)
         verts = (np.asarray(base.vertices) @ R.T) + shift
         c = PiecewiseComplex(verts, base.segments, base.triangles)
-        f = c.detect_sharp_features()
-        assert f.corner_vertices == f0.corner_vertices
-        assert f.crease_edges == f0.crease_edges
-        angles = sorted(a for _v, _p, a in f.acute_apexes)
+        angles = sorted(a for _v, _p, a in c.detect_sharp_features())
         assert np.allclose(angles, angles0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
 # intersection oracle: examples
+#
+# The curve query runs on the dual face of a Delaunay edge (the polygon of
+# circumcentres around it), through classify_edge.
+
+
+def edge_mesh(cplx, points):
+    m = TetMesh(cplx.bounds, seed=1)
+    return m, [m.insert_point(p).vid for p in points]
 
 
 def test_polygon_curve_axis_crossing():
     c = PiecewiseComplex([(0, 0, -1), (0, 0, 1)], [(0, 1, 7)], [])
-    square = [(-0.5, -0.5, 0), (0.5, -0.5, 0), (0.5, 0.5, 0), (-0.5, 0.5, 0)]
-    hits = c.intersect_polygon_curve(square)
-    assert len(hits) == 1
-    pt, cid = hits[0]
-    assert cid == 7
-    assert np.allclose(pt, (0, 0, 0), atol=1e-12)
+    # the edge u-w along z has its dual face in the plane z = 0
+    m, (u, w) = edge_mesh(c, [(0.1, 0, -0.2), (0.1, 0, 0.2)])
+    e = classify_edge(m, c, u, w)
+    assert e is not None
+    assert e.curve_id == 7
+    assert np.allclose(e.centre, (0, 0, 0), atol=1e-9)
 
 
 def test_polygon_curve_disjoint():
-    c = PiecewiseComplex([(5, 5, -1), (5, 5, 1)], [(0, 1, 0)], [])
-    square = [(-0.5, -0.5, 0), (0.5, -0.5, 0), (0.5, 0.5, 0), (-0.5, 0.5, 0)]
-    assert c.intersect_polygon_curve(square) == []
-
-
-def test_polygon_curve_degenerate_polygon_warns():
-    c = PiecewiseComplex([(0, 0, -1), (0, 0, 1)], [(0, 1, 0)], [])
-    line = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
-    with pytest.warns(UserWarning):
-        assert c.intersect_polygon_curve(line) == []
+    # the curve crosses the bisector plane of u-w at (0, 5, 5), which lies
+    # in the Voronoi cell of the third point, outside the dual face
+    c = PiecewiseComplex([(-1, 5, 5), (1, 5, 5)], [(0, 1, 0)], [])
+    m, (u, w, _x) = edge_mesh(c, [(-0.2, 0, 0), (0.2, 0, 0), (0, 4.5, 4.5)])
+    assert classify_edge(m, c, u, w) is None
 
 
 def test_polygon_curve_matches_bruteforce_on_random_polyline():
@@ -148,20 +138,29 @@ def test_polygon_curve_matches_bruteforce_on_random_polyline():
     pts = np.cumsum(rng.uniform(-0.3, 0.3, (101, 3)), axis=0)
     segs = [(i, i + 1, i % 5) for i in range(100)]
     c = PiecewiseComplex(pts, segs, [])
-    for trial in range(500):
-        centre = rng.uniform(-1.5, 1.5, 3)
-        R = random_rotation(rng)
-        radius = rng.uniform(0.3, 2.0)
-        k = rng.integers(3, 8)
-        ang = np.sort(rng.uniform(0, 2 * math.pi, k))
-        poly = [centre + radius * (math.cos(t) * R[0] + math.sin(t) * R[1])
-                for t in ang]
-        got = c.intersect_polygon_curve([tuple(p) for p in poly])
-        want = polygon_curve_hits(poly, pts, segs)
-        assert len(got) == len(want)
-        for g, w in zip(sorted(got), sorted(want)):
-            assert math.dist(g[0], w[0]) <= 1e-9
-            assert g[1] == w[1]
+    lo, hi = (np.asarray(b) for b in c.bounds)
+    m, _vids = edge_mesh(c, [tuple(p) for p in rng.uniform(lo, hi, (40, 3))])
+    edges = {tuple(sorted(pair)) for t in m.alive_tets()
+             for pair in combinations(m.tets[t], 2)}
+    checked = crossed = 0
+    for u, w in sorted(edges):
+        if w < 8:
+            continue
+        ring, closed = m.edge_ring(u, w)
+        duals = [m.voronoi_vertex(t) for t in ring]
+        if not closed or not all(ok for _c, ok in duals):
+            continue
+        want = polygon_curve_hits([cc for cc, _ok in duals], pts, segs)
+        got = classify_edge(m, c, u, w)
+        checked += 1
+        if not want:
+            assert got is None
+            continue
+        crossed += 1
+        best = max(want, key=lambda h: math.dist(h[0], m.points[u]))
+        assert math.dist(got.centre, best[0]) <= 1e-9
+        assert got.curve_id == best[1]
+    assert checked > 100 and crossed > 10
 
 
 def test_segment_surface_single_patch_hit():

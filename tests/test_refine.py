@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from pscmesh.config import (GridSizing, RefineConfig, SizingField,
                             check_termination_bounds)
 from pscmesh.errors import ValidationError
-from pscmesh.geometry import PiecewiseComplex
-from pscmesh.models import cube, icosphere
+from pscmesh.geometry import PiecewiseComplex, load_complex
+from pscmesh.models import cube, icosphere, wedge
 from pscmesh.refine import (Refiner, bad_simplex_1, bad_simplex_2,
-                            bad_simplex_3, protect_sharp_angles,
+                            bad_simplex_3, protect_sharp_angles, refine,
                             select_refinement_point)
 from pscmesh.restricted import RestrictedEdge, RestrictedTri, RestrictedTet
 
@@ -42,27 +43,24 @@ def test_bad_edge_by_surface_error_sagitta():
 
 def test_bad_triangle_rules():
     cfg = cfg_with(10.0)
-    f = RestrictedTri((0, 1, 2), (0, 0, 0), 1.0, 0.0, 0, rho=1.5, flagged=False)
+    f = RestrictedTri((0, 1, 2), (0, 0, 0), 1.0, 0.0, 0, rho=1.5)
     assert bad_simplex_2(f, cfg)     # rho 1.5 > 1.25
-    ok = RestrictedTri((0, 1, 2), (0, 0, 0), 1.0, 0.0, 0, rho=0.577,
-                       flagged=False)
+    ok = RestrictedTri((0, 1, 2), (0, 0, 0), 1.0, 0.0, 0, rho=0.577)
     assert not bad_simplex_2(ok, cfg)
     cfg2 = cfg_with(1.0)
     big = RestrictedTri((0, 1, 2), (0, 0, 0), 2.0 * cfg2.alpha / math.sqrt(3),
-                        0.0, 0, rho=0.577, flagged=False)
+                        0.0, 0, rho=0.577)
     assert bad_simplex_2(big, cfg2)  # h(f) twice the allowance
 
 
 def test_bad_tet_rules():
     cfg = cfg_with(10.0)
-    t = RestrictedTet((0, 1, 2, 3), 0, (0, 0, 0), 1.0, rho=2.5, vlen=0.8,
-                      flagged=False)
+    t = RestrictedTet((0, 1, 2, 3), 0, (0, 0, 0), 1.0, rho=2.5, vlen=0.8)
     assert bad_simplex_3(t, cfg)     # rho 2.5 > 2
-    good = RestrictedTet((0, 1, 2, 3), 0, (0, 0, 0), 1.0, rho=0.62, vlen=1.0,
-                         flagged=False)
+    good = RestrictedTet((0, 1, 2, 3), 0, (0, 0, 0), 1.0, rho=0.62, vlen=1.0)
     assert not bad_simplex_3(good, cfg)
     sliver = RestrictedTet((0, 1, 2, 3), 0, (0, 0, 0), 1.0, rho=0.9,
-                           vlen=0.05, flagged=False)
+                           vlen=0.05)
     assert bad_simplex_3(sliver, cfg)  # volume-length floor
 
 
@@ -139,7 +137,7 @@ def test_tri_offcentre_equilateral_on_plane():
     a = r.mesh.insert_point((0, 0, 0), "surface", 0).vid
     b = r.mesh.insert_point((0.2, 0, 0), "surface", 0).vid
     f = RestrictedTri(tuple(sorted((a, b, b))), (0.1, 0.05, 0), 0.12, 0.0, 0,
-                      rho=1.0, flagged=False)
+                      rho=1.0)
     c2, c0, r0 = r._tri_offcentre(f, (a, b))
     assert c2 is not None
     assert np.allclose(c0, (0.1, 0, 0), atol=1e-9)
@@ -163,7 +161,7 @@ def test_tri_offcentre_point_lands_on_curved_surface():
     mid = tuple((np.asarray(p1) + p2) / 2)
     outward = tuple(np.asarray(mid) * 2)
     f = RestrictedTri(tuple(sorted((a, b, b))), outward, 0.3, 0.0, 0,
-                      rho=1.0, flagged=False)
+                      rho=1.0)
     c2, _c0, _r0 = r._tri_offcentre(f, (a, b))
     assert c2 is not None
     assert geom.distance_to_surface([c2])[0] <= 1e-9 * geom.diag
@@ -180,7 +178,7 @@ def test_tet_offcentre_regular_apex_and_clamp():
     c0 = tuple(np.mean(pts, axis=0))
     token = RestrictedTet(tuple(sorted(vids + [0])), 0,
                           (c0[0], c0[1], c0[2] + 5.0), 1.0, rho=3.0,
-                          vlen=0.5, flagged=False)
+                          vlen=0.5)
     c2, got_c0, got_r0 = r._tet_offcentre(token, tuple(sorted(vids)))
     assert np.allclose(got_c0, c0, atol=1e-9)
     assert abs(got_r0 - ell / math.sqrt(3)) < 1e-9
@@ -253,8 +251,8 @@ def v_curve(angle_deg, wing=2.0, apex=(0.0, 0.0, 0.0), flip=False):
 def test_protection_single_30_degree_apex():
     verts = v_curve(30.0)
     geom = PiecewiseComplex(verts, [(0, 1, 0), (1, 2, 0)], [])
-    feats = geom.detect_sharp_features()
-    cols = protect_sharp_angles(geom, feats, SizingField(h0=0.5), 1.5)
+    apexes = geom.detect_sharp_features()
+    cols = protect_sharp_angles(geom, apexes, SizingField(h0=0.5), 1.5)
     assert len(cols) == 1
     col = cols[0]
     assert col.apex_gvid == 1
@@ -266,9 +264,9 @@ def test_protection_single_30_degree_apex():
 def test_protection_right_angle_not_protected():
     verts = v_curve(90.0)
     geom = PiecewiseComplex(verts, [(0, 1, 0), (1, 2, 0)], [])
-    feats = geom.detect_sharp_features()
-    assert feats.acute_apexes == []
-    assert protect_sharp_angles(geom, feats, SizingField(h0=0.5), 1.5) == []
+    apexes = geom.detect_sharp_features()
+    assert apexes == []
+    assert protect_sharp_angles(geom, apexes, SizingField(h0=0.5), 1.5) == []
 
 
 def test_protection_halving_until_disjoint():
@@ -288,9 +286,9 @@ def test_protection_halving_until_disjoint():
     verts = va + vb
     segs = [(0, 1, 0), (0, 2, 0), (3, 4, 1), (3, 5, 1)]
     geom = PiecewiseComplex(verts, segs, [])
-    feats = geom.detect_sharp_features()
-    assert {v for v, _p, _a in feats.acute_apexes} == {0, 3}
-    cols = protect_sharp_angles(geom, feats, SizingField(h0=0.5), 1.5)
+    apexes = geom.detect_sharp_features()
+    assert {v for v, _p, _a in apexes} == {0, 3}
+    cols = protect_sharp_angles(geom, apexes, SizingField(h0=0.5), 1.5)
     assert len(cols) == 2
     assert abs(cols[0].radius - 0.125) < 1e-12
     assert abs(cols[1].radius - 0.125) < 1e-12
@@ -372,13 +370,16 @@ def test_frontal_triangle_next_to_converged_curve_edge():
 
 
 def test_refine_wrapper_returns_mesh_sets_report():
-    from pscmesh.refine import refine
     geom = icosphere(1)
-    mesh, rs, report = refine(geom, cfg_with(0.5))
-    assert report.converged
-    assert report.counts["surface_tris"] == len(rs.tris) > 0
-    assert report.counts["volume_tets"] == len(rs.tets) > 0
-    assert len(mesh.points) > 8
+    res = refine(geom, cfg_with(0.5))
+    assert res.status == "converged" and res.report.converged
+    assert res.report.counts["surface_tris"] == len(res.rs.tris) > 0
+    assert res.report.counts["volume_tets"] == len(res.rs.tets) > 0
+    assert len(res.mesh.points) > 8
+    assert res.stats["inserted"] > 0
+    assert all(res.audit.values())
+    assert len(res.warnings) == 2
+    assert set(res.timings) == {"setup", "refine"}
 
 
 # ----------------------------------------------------------------------
@@ -411,3 +412,32 @@ def test_gamma_rollback_restores_restricted_sets():
     assert events, "no rollback was ever triggered"
     assert all(ok for _w, ok in events)
     assert r.stats["rollback_gamma"] >= 1
+
+
+# ----------------------------------------------------------------------
+# blocked simplexes
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.mark.parametrize("geom, h, seed, vlen_ok", [
+    (lambda: load_complex(str(BENCHMARKS / "icosphere.psc")), 0.5, 0, True),
+    (lambda: load_complex(str(BENCHMARKS / "cube.psc")), 0.35, 0, True),
+    # the wedge runs converge with vlen_ok false: the tets under the
+    # volume-length floor are blocked because inserting their points
+    # would delete a protected collar edge
+    (lambda: load_complex(str(BENCHMARKS / "wedge.psc")), 0.4, 0, False),
+    (wedge, 0.35, 3, False),
+], ids=["icosphere", "cube", "wedge.psc", "wedge-h0.35"])
+def test_converged_run_leaves_only_blocked_violations(geom, h, seed, vlen_ok):
+    cfg = cfg_with(h, seed=seed)
+    res = refine(geom(), cfg)
+    assert res.status == "converged"
+    assert res.audit["vlen_ok"] == vlen_ok
+    bad = ([e for e in res.rs.edges.values() if bad_simplex_1(e, cfg)]
+           + [f for f in res.rs.tris.values() if bad_simplex_2(f, cfg)]
+           + [t for t in res.rs.tets.values() if bad_simplex_3(t, cfg)])
+    assert all(s.blocked for s in bad)
+    assert res.stats["blocked"] >= len(bad)
+    if not vlen_ok:
+        assert res.stats["rejected_protected"] > 0

@@ -337,7 +337,7 @@ def test_topo_disk_1_mixed_curves_at_plain_vertex():
 
 def _tri(a, b, c, radius, patch=0):
     return RestrictedTri(tuple(sorted((a, b, c))), (0, 0, 0), radius, 0.0,
-                         patch, 1.0, False)
+                         patch, 1.0)
 
 
 def test_topo_disk_2_closed_umbrella():
