@@ -4,6 +4,18 @@ Static structure built once over the input polylines / triangle soup and
 queried read-only afterwards, so concurrent lookups are safe.  Split rule:
 median of primitive box centres along the longest node axis, leaves hold
 at most 8 primitives.
+
+``query_box`` is the one traversal; it can also clip by the query's shape.
+``seg=(p, q, pad)`` drops a node whose box, grown by ``pad``, the segment
+misses: to the box test's axes it adds d x e_x, d x e_y, d x e_z (d = q - p),
+which decide segment-box overlap exactly (Ericson, *Real-Time Collision
+Detection*, 5.3.3) and need no division, so axis-parallel and zero-length
+segments are no special case.  ``plane=(point, normal, pad)`` drops a node
+whose grown box lies strictly on one side of the plane.  Clips remove whole
+subtrees, so the result is an order-preserving subsequence of the unclipped
+walk; no hit is lost while ``pad`` covers how far outside a primitive's box
+its hit test still accepts one (``geometry`` passes ``eps`` plus its
+barycentric slack times the diagonal, far above the clips' rounding).
 """
 
 import numpy as np
@@ -29,10 +41,11 @@ class AABBTree:
         idx = self._perm[lo:hi]
         blo = boxes[idx, :3].min(axis=0)
         bhi = boxes[idx, 3:].max(axis=0)
+        box = tuple(map(float, (*blo, *bhi)))
         node = len(self._nodes)
         self._nodes.append(None)
         if hi - lo <= _LEAF_SIZE:
-            self._nodes[node] = (*blo, *bhi, -1, -1, lo, hi - lo)
+            self._nodes[node] = (*box, -1, -1, lo, hi - lo)
             return node
         axis = int(np.argmax(bhi - blo))
         order = np.argsort(centres[idx, axis], kind="stable")
@@ -40,15 +53,27 @@ class AABBTree:
         mid = lo + (hi - lo) // 2
         left = self._build(boxes, centres, lo, mid)
         right = self._build(boxes, centres, mid, hi)
-        self._nodes[node] = (*blo, *bhi, left, right, 0, 0)
+        self._nodes[node] = (*box, left, right, 0, 0)
         return node
 
-    def query_box(self, lo, hi):
-        """Primitive ids whose boxes overlap the axis-aligned box [lo, hi]."""
+    def query_box(self, lo, hi, seg=None, plane=None):
+        """Primitive ids whose boxes overlap the axis-aligned box [lo, hi],
+        in tree order, less the subtrees that ``seg`` or ``plane`` clip
+        away (see the module docstring)."""
         if not self.n:
             return []
         qx0, qy0, qz0 = lo
         qx1, qy1, qz1 = hi
+        if seg is not None:
+            (px, py, pz), (qx, qy, qz), pad = seg
+            dx, dy, dz = qx - px, qy - py, qz - pz
+            ax, ay, az = abs(dx), abs(dy), abs(dz)
+            rx, ry, rz = pad * (ay + az), pad * (az + ax), pad * (ax + ay)
+        if plane is not None:
+            o, (nx, ny, nz), pad = plane
+            off = nx * o[0] + ny * o[1] + nz * o[2]
+            anx, any_, anz = abs(nx), abs(ny), abs(nz)
+            rn = pad * (anx + any_ + anz)
         out = []
         stack = [0]
         nodes = self._nodes
@@ -58,6 +83,25 @@ class AABBTree:
             if (nd[3] < qx0 or nd[0] > qx1 or nd[4] < qy0 or
                     nd[1] > qy1 or nd[5] < qz0 or nd[2] > qz1):
                 continue
+            if seg is not None or plane is not None:
+                # box centre c and half extents h
+                cx = 0.5 * (nd[0] + nd[3])
+                cy = 0.5 * (nd[1] + nd[4])
+                cz = 0.5 * (nd[2] + nd[5])
+                hx = 0.5 * (nd[3] - nd[0])
+                hy = 0.5 * (nd[4] - nd[1])
+                hz = 0.5 * (nd[5] - nd[2])
+                if plane is not None and (abs(nx * cx + ny * cy + nz * cz - off)
+                                          > hx * anx + hy * any_ + hz * anz + rn):
+                    continue
+                if seg is not None:
+                    cx -= px
+                    cy -= py
+                    cz -= pz
+                    if (abs(dz * cy - dy * cz) > hy * az + hz * ay + rx or
+                            abs(dx * cz - dz * cx) > hx * az + hz * ax + ry or
+                            abs(dy * cx - dx * cy) > hx * ay + hy * ax + rz):
+                        continue
             if nd[6] < 0:
                 first, count = nd[8], nd[9]
                 out.extend(perm[first:first + count])
@@ -66,34 +110,33 @@ class AABBTree:
                 stack.append(nd[6])
         return out
 
-    def query_segment(self, p, q, pad=0.0):
-        """Candidates for the segment p-q, expanded by ``pad`` on all sides."""
+    def query_segment(self, p, q, pad=0.0, slack=0.0):
+        """Candidates for the segment p-q: boxes meeting its bounding box
+        grown by ``pad``, under nodes the segment passes within ``pad +
+        slack`` of."""
         lo = (min(p[0], q[0]) - pad, min(p[1], q[1]) - pad, min(p[2], q[2]) - pad)
         hi = (max(p[0], q[0]) + pad, max(p[1], q[1]) + pad, max(p[2], q[2]) + pad)
-        return self.query_box(lo, hi)
+        return self.query_box(lo, hi, seg=(p, q, pad + slack))
 
-    def query_sphere(self, centre, radius):
+    def query_sphere(self, centre, radius, plane=None):
         lo = (centre[0] - radius, centre[1] - radius, centre[2] - radius)
         hi = (centre[0] + radius, centre[1] + radius, centre[2] + radius)
-        return self.query_box(lo, hi)
+        return self.query_box(lo, hi, plane=plane)
 
 
 def boxes_for_segments(points, segments, pad=0.0):
     """(n,6) bounds array for vertex-indexed segments."""
-    out = np.empty((len(segments), 6))
-    for k, seg in enumerate(segments):
-        a = points[seg[0]]
-        b = points[seg[1]]
-        out[k, :3] = np.minimum(a, b) - pad
-        out[k, 3:] = np.maximum(a, b) + pad
-    return out
+    idx = np.asarray([s[:2] for s in segments], dtype=np.intp).reshape(-1, 2)
+    a = points[idx[:, 0]]
+    b = points[idx[:, 1]]
+    return np.hstack((np.minimum(a, b) - pad, np.maximum(a, b) + pad))
 
 
 def boxes_for_triangles(points, triangles, pad=0.0):
     """(n,6) bounds array for vertex-indexed triangles."""
-    out = np.empty((len(triangles), 6))
-    for k, tri in enumerate(triangles):
-        p = points[list(tri[:3])]
-        out[k, :3] = p.min(axis=0) - pad
-        out[k, 3:] = p.max(axis=0) + pad
-    return out
+    idx = np.asarray([t[:3] for t in triangles], dtype=np.intp).reshape(-1, 3)
+    p0 = points[idx[:, 0]]
+    p1 = points[idx[:, 1]]
+    p2 = points[idx[:, 2]]
+    return np.hstack((np.minimum(np.minimum(p0, p1), p2) - pad,
+                      np.maximum(np.maximum(p0, p1), p2) + pad))

@@ -2,7 +2,8 @@
 
 ``pscmesh --input model.psc`` refines the input and writes a VTK mesh, a
 quality report and a run manifest.  ``--compare`` runs both point-placement
-modes on the same input and prints a side-by-side summary.  Exit codes:
+modes on the same input, writes the three files of each with the mode
+appended to their names, and prints a side-by-side summary.  Exit codes:
 0 converged, 2 stopped at the point budget (partial output still written),
 1 any error.
 """
@@ -148,6 +149,17 @@ def _write_manifest(path, args, cfg, result, timings, outputs):
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_outputs(args, cfg, result, load_s, out, rep, man):
+    """Write the mesh, the report and the manifest of one refined run."""
+    t0 = time.perf_counter()
+    write_vtk(out, result.mesh, result.rs)
+    write_report(result.report, rep)
+    timings = dict(result.timings, load=load_s,
+                   write=time.perf_counter() - t0)
+    _write_manifest(man, args, cfg, result, timings,
+                    {"mesh": out, "report": rep})
+
+
 def run(args):
     """Load, refine, write outputs; returns the process exit code."""
     t0 = time.perf_counter()
@@ -157,14 +169,7 @@ def run(args):
     load_s = time.perf_counter() - t0
 
     result = refine(geom, cfg)
-
-    t0 = time.perf_counter()
-    write_vtk(out, result.mesh, result.rs)
-    write_report(result.report, rep)
-    timings = dict(result.timings, load=load_s,
-                   write=time.perf_counter() - t0)
-    _write_manifest(man, args, cfg, result, timings,
-                    {"mesh": out, "report": rep})
+    _write_outputs(args, cfg, result, load_s, out, rep, man)
     counts = result.report.counts
     print(f"{result.status}: {counts['points']} points, "
           f"{counts['curve_edges']} curve edges, "
@@ -175,14 +180,17 @@ def run(args):
 
 def compare_modes(args):
     """Run both modes on one input and print a side-by-side summary."""
+    t0 = time.perf_counter()
     geom = load_complex(args.input)
     cfg = make_config(args, geom)
-    out, rep, _man = _default_paths(args)
+    out, rep, man = _default_paths(args)
+    load_s = time.perf_counter() - t0
     results = {}
     for mode in ("classical", "frontal"):
-        result = refine(geom, replace(cfg, mode=mode))
-        write_vtk(f"{out}.{mode}.vtk", result.mesh, result.rs)
-        write_report(result.report, f"{rep}.{mode}.txt")
+        mode_cfg = replace(cfg, mode=mode)
+        result = refine(geom, mode_cfg)
+        _write_outputs(args, mode_cfg, result, load_s, f"{out}.{mode}.vtk",
+                       f"{rep}.{mode}.txt", f"{man}.{mode}.txt")
         results[mode] = result
     print(f"{'':24s}{'classical':>14s}{'frontal':>14s}")
     rows = [("status", lambda r: r.status),

@@ -34,6 +34,12 @@ _RAY_DIRS = [
     (0.062378812061, 0.352755418432, 0.933632034464),
 ]
 
+# Barycentric slack of the segment and disk hit tests.  Barycentrics >= -s
+# span the triangle scaled by 1 + 3s about its centroid, so the tree clips of
+# these queries (and of the membership rays, slack ``band``) are padded by
+# 3s x the diagonal.
+_HIT_SLACK = 1e-10
+
 
 def _unit(v):
     n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
@@ -104,8 +110,7 @@ class PiecewiseComplex:
             self.on_curve[i] = True
             self.on_curve[j] = True
         self.on_surface = np.zeros(nv, dtype=bool)
-        for i, j, k, _p in self.triangles:
-            self.on_surface[[i, j, k]] = True
+        self.on_surface[[v for t in self.triangles for v in t[:3]]] = True
 
         # corner-style feature vertices: endpoints and junctions of curves
         self.feature_vertices = set()
@@ -142,11 +147,9 @@ class PiecewiseComplex:
             c == 2 for c in use.values())
 
         self.seg_tree = AABBTree(
-            boxes_for_segments(self.vertices, self.segments, pad=self.eps)
-            if self.segments else np.zeros((0, 6)))
+            boxes_for_segments(self.vertices, self.segments, pad=self.eps))
         self.tri_tree = AABBTree(
-            boxes_for_triangles(self.vertices, self.triangles, pad=self.eps)
-            if self.triangles else np.zeros((0, 6)))
+            boxes_for_triangles(self.vertices, self.triangles, pad=self.eps))
 
     def _validate(self):
         nv = len(self.vertices)
@@ -167,6 +170,15 @@ class PiecewiseComplex:
                 if d > 2:
                     raise ValidationError(
                         f"curve {cid} branches at vertex {v}; polylines must be simple")
+        # areas of the triangles whose indices are valid, in one array pass;
+        # the loop below still reports the lowest failing tid, check by check
+        valid = [tid for tid, t in enumerate(self.triangles)
+                 if min(t[:3]) >= 0 and max(t[:3]) < nv]
+        zero_area = np.zeros(len(self.triangles), dtype=bool)
+        if valid:
+            v = self.vertices[[self.triangles[tid][:3] for tid in valid]]
+            zero_area[valid] = np.linalg.norm(
+                np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1) == 0.0
         seen_tris = set()
         patch_edge_use = {}
         for tid, (i, j, k, pid) in enumerate(self.triangles):
@@ -178,9 +190,7 @@ class PiecewiseComplex:
             if key in seen_tris:
                 raise ValidationError(f"duplicate triangle {key}")
             seen_tris.add(key)
-            a = np.asarray(self.vertices[j]) - self.vertices[i]
-            b = np.asarray(self.vertices[k]) - self.vertices[i]
-            if np.linalg.norm(np.cross(a, b)) == 0.0:
+            if zero_area[tid]:
                 raise ValidationError(f"triangle {tid} has zero area")
             for e in ((i, j), (j, k), (i, k)):
                 ekey = (pid, min(e), max(e))
@@ -228,7 +238,8 @@ class PiecewiseComplex:
         """
         if not self.triangles:
             return []
-        cands = self.tri_tree.query_segment(a, b, pad=self.eps)
+        cands = self.tri_tree.query_segment(
+            a, b, pad=self.eps, slack=3.0 * _HIT_SLACK * self.diag)
         hits = []
         for tid in sorted(cands):
             x = self._segment_triangle_point(a, b, tid)
@@ -236,7 +247,7 @@ class PiecewiseComplex:
                 hits.append((x, self.triangles[tid][3]))
         return _dedupe_tagged(hits, self.eps)
 
-    def _segment_triangle_point(self, a, b, tid, slack=1e-10):
+    def _segment_triangle_point(self, a, b, tid, slack=_HIT_SLACK):
         i, j, k, _p = self.triangles[tid]
         p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
         d = _sub(b, a)
@@ -281,9 +292,10 @@ class PiecewiseComplex:
 
     def _ray_parity(self, p, d, span):
         q = (p[0] + span * d[0], p[1] + span * d[1], p[2] + span * d[2])
-        cands = self.tri_tree.query_segment(p, q, pad=self.eps)
-        crossings = 0
         band = 1e-9
+        cands = self.tri_tree.query_segment(
+            p, q, pad=self.eps, slack=3.0 * band * self.diag)
+        crossings = 0
         for tid in cands:
             i, j, k, _pid = self.triangles[tid]
             p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
@@ -294,7 +306,8 @@ class PiecewiseComplex:
             scale = _norm(e1) * _norm(e2)
             if abs(det) <= 1e-12 * scale:
                 # ray nearly parallel: only dangerous when it actually
-                # grazes the triangle's slab
+                # grazes the triangle's slab (the clipped walk only offers
+                # triangles the ray passes near)
                 tvec = _sub(p, p0)
                 n = _cross(e1, e2)
                 if abs(_dot(tvec, n)) <= band * _norm(n) * span:
@@ -354,7 +367,9 @@ class PiecewiseComplex:
             return []
         nrm = _unit(normal)
         e1, e2 = _plane_basis(nrm)
-        cands = self.tri_tree.query_sphere(centre, radius + self.eps)
+        cands = self.tri_tree.query_sphere(
+            centre, radius + self.eps,
+            plane=(centre, nrm, self.eps + 3.0 * _HIT_SLACK * self.diag))
         hits = []
         for tid in sorted(cands):
             i, j, k, _pid = self.triangles[tid]
@@ -384,7 +399,7 @@ class PiecewiseComplex:
                 x = (centre[0] + ax * e1[0] + ay * e2[0],
                      centre[1] + ax * e1[1] + ay * e2[1],
                      centre[2] + ax * e1[2] + ay * e2[2])
-                if _point_in_triangle3(x, p0, p1, p2, 1e-10):
+                if _point_in_triangle3(x, p0, p1, p2, _HIT_SLACK):
                     hits.append((x, 0))
         return [h[0] for h in _dedupe_tagged(hits, self.eps)]
 

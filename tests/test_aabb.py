@@ -1,0 +1,153 @@
+"""Properties of the box tree's segment and plane clips.
+
+Boxes and query points sit on a grid of quarters and the pad is an eighth,
+so the tree's float arithmetic is exact and a segment or plane can touch a
+padded box's face, edge or corner exactly; the brute-force references
+decide overlap in exact rational arithmetic.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from pscmesh.aabb import AABBTree
+
+PAD = 0.125
+
+coord = st.integers(-40, 40).map(lambda k: k / 4.0)
+extent = st.integers(0, 12).map(lambda k: k / 4.0)
+point = st.tuples(coord, coord, coord)
+
+
+@st.composite
+def boxes(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 60))):
+        lo = draw(point)
+        size = draw(st.tuples(extent, extent, extent))
+        out.append((*lo, *(lo[k] + size[k] for k in range(3))))
+    return out
+
+
+def grown(box):
+    return (*(x - PAD for x in box[:3]), *(x + PAD for x in box[3:]))
+
+
+@st.composite
+def on_box_face(draw, bxs):
+    """A point on a face of one of the padded boxes: one coordinate pinned
+    to a face, the others anywhere on the grid (so also beyond the face)."""
+    b = grown(bxs[draw(st.integers(0, len(bxs) - 1))])
+    p = list(draw(point))
+    axis = draw(st.integers(0, 2))
+    p[axis] = b[axis + 3 * draw(st.integers(0, 1))]
+    return tuple(p)
+
+
+def meets_segment(box, p, q):
+    """Exact segment-box overlap (parametric slab clipping)."""
+    t0, t1 = Fraction(0), Fraction(1)
+    for k in range(3):
+        a, d = Fraction(p[k]), Fraction(q[k]) - Fraction(p[k])
+        lo, hi = Fraction(box[k]), Fraction(box[k + 3])
+        if d == 0:
+            if not lo <= a <= hi:
+                return False
+            continue
+        ta, tb = sorted(((lo - a) / d, (hi - a) / d))
+        t0, t1 = max(t0, ta), min(t1, tb)
+    return t0 <= t1
+
+
+def meets_plane(box, o, n):
+    """Exact box-plane overlap: the corners do not all lie strictly on one
+    side."""
+    sides = set()
+    for corner in range(8):
+        x = [box[k + 3 * ((corner >> k) & 1)] for k in range(3)]
+        s = sum(Fraction(n[k]) * (Fraction(x[k]) - Fraction(o[k]))
+                for k in range(3))
+        sides.add((s > 0) - (s < 0))
+    return sides != {1} and sides != {-1}
+
+
+def overlaps(box, lo, hi):
+    return all(box[k] <= hi[k] and box[k + 3] >= lo[k] for k in range(3))
+
+
+def is_subsequence(sub, seq):
+    it = iter(seq)
+    return all(x in it for x in sub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_segment_clip_keeps_every_box_the_segment_meets(data):
+    bxs = data.draw(boxes())
+    tree = AABBTree(bxs)
+    p = data.draw(st.one_of(point, on_box_face(bxs)))
+    q = data.draw(st.one_of(point, on_box_face(bxs), st.just(p)))
+    got = tree.query_segment(p, q, pad=PAD)
+    lo = tuple(min(p[k], q[k]) - PAD for k in range(3))
+    hi = tuple(max(p[k], q[k]) + PAD for k in range(3))
+    assert is_subsequence(got, tree.query_box(lo, hi))
+    assert set(got) >= {i for i, b in enumerate(bxs)
+                        if meets_segment(grown(b), p, q)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_plane_clip_keeps_every_box_the_plane_meets(data):
+    bxs = data.draw(boxes())
+    tree = AABBTree(bxs)
+    b = grown(bxs[data.draw(st.integers(0, len(bxs) - 1))])
+    # through a corner of one padded box, or anywhere
+    corner = tuple(b[k + 3 * data.draw(st.integers(0, 1))] for k in range(3))
+    o = data.draw(st.one_of(st.just(corner), point))
+    n = data.draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+    radius = data.draw(st.integers(1, 60).map(lambda k: k / 4.0))
+    lo = tuple(o[k] - radius for k in range(3))
+    hi = tuple(o[k] + radius for k in range(3))
+    got = tree.query_sphere(o, radius, plane=(o, n, PAD))
+    assert is_subsequence(got, tree.query_box(lo, hi))
+    assert set(got) >= {i for i, b in enumerate(bxs)
+                        if overlaps(b, lo, hi) and meets_plane(grown(b), o, n)}
+
+
+def test_queries_touching_a_padded_box_are_kept():
+    # a unit box grown by PAD, and a segment across one of its edges that
+    # touches it only there: for each edge direction, only the clip axis
+    # d x e of that direction separates them when the pad is ignored
+    box = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+    tree = AABBTree([box])
+    p, q = (0.5, 2.125, 0.125), (0.5, 0.125, 2.125)
+    for shift in range(3):
+        def rot(x):
+            return tuple(x[(k - shift) % 3] for k in range(3))
+        assert meets_segment(grown(box), rot(p), rot(q))
+        assert tree.query_segment(rot(p), rot(q), pad=PAD) == [0]
+        assert tree.query_segment(rot(p), rot(q), pad=0.0, slack=0.1) == []
+    # planes through a corner, along an edge and on a face of the grown box
+    for o, n in (((1.125, 1.125, 1.125), (1, 1, 1)),
+                 ((-0.125, 1.125, 0.5), (-1, 2, 0)),
+                 ((0.5, 0.5, -0.125), (0, 0, -3))):
+        assert meets_plane(grown(box), o, n)
+        assert tree.query_sphere(o, 5.0, plane=(o, n, PAD)) == [0]
+        assert tree.query_sphere(o, 5.0, plane=(o, n, 0.1)) == []
+
+
+def test_clips_prune_a_lattice():
+    # 1,000 unit boxes, all inside both queries' bounding boxes; the main
+    # diagonal meets 64 of them (at least at a corner), the plane x = 4.5
+    # cuts 100, and the tree keeps whole leaves of 8
+    bxs = [(i, j, k, i + 1, j + 1, k + 1)
+           for i in range(10) for j in range(10) for k in range(10)]
+    tree = AABBTree(bxs)
+    ids = tree.query_segment((0, 0, 0), (10, 10, 10))
+    want = {i for i, b in enumerate(bxs)
+            if meets_segment(b, (0, 0, 0), (10, 10, 10))}
+    assert len(want) == 64 and set(ids) >= want and len(ids) < 300
+    ids = tree.query_sphere((4.5, 5, 5), 20.0,
+                            plane=((4.5, 5, 5), (1, 0, 0), 0.0))
+    want = {i for i, b in enumerate(bxs) if b[0] == 4}
+    assert set(ids) >= want and len(ids) < 200

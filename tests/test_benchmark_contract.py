@@ -1,20 +1,28 @@
 """The traced benchmark patches pscmesh functions by name.
 
-``perfbench/tracing.py`` looks up every name it wraps; this test installs
-and uninstalls it so that a rename or deletion of a traced name fails here.
+``perfbench/tracing.py`` looks up every name it wraps; these tests install
+and uninstall it so that a rename or deletion of a traced name fails here,
+and check that the box queries it counts still pass through ``query_box``.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from pscmesh.models import icosphere
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_tracer_installs_and_restores_every_traced_name():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_and_restores_every_traced_name():
+    tracing = load_tracing()
     refine = importlib.import_module("pscmesh.refine")
     setup = refine.Refiner.setup
     classify_edge = refine.classify_edge
@@ -23,3 +31,13 @@ def test_tracer_installs_and_restores_every_traced_name():
     tracer.uninstall()
     assert refine.Refiner.setup is setup
     assert refine.classify_edge is classify_edge
+
+
+def test_membership_query_is_counted_as_a_volume_box_query():
+    cplx = icosphere(2)
+    tracer = load_tracing().install()
+    try:
+        assert cplx.point_in_volume((0.0, 0.0, 0.0))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("aabb.query_box.volume") >= 1

@@ -171,6 +171,27 @@ def test_compare_mode_runs_both(tmp_path, capsys):
     assert os.path.exists(str(tmp_path / "cmp.vtk.frontal.vtk"))
 
 
+def test_compare_mode_writes_a_manifest_per_mode(tmp_path, capsys):
+    src = write_cube(tmp_path)
+    man = str(tmp_path / "cmp.man")
+    assert main(["--input", src, "--hfun", "0.5", "--seed", "7", "--compare",
+                 "--output", str(tmp_path / "cmp.vtk"),
+                 "--report", str(tmp_path / "cmp.rep"),
+                 "--manifest", man]) == 0
+    for mode in ("classical", "frontal"):
+        entries = dict(line.split(" = ", 1) for line in
+                       open(f"{man}.{mode}.txt").read().splitlines())
+        assert entries["mode"] == mode
+        assert entries["status"] == "converged"
+        assert entries["output.mesh"] == str(tmp_path / f"cmp.vtk.{mode}.vtk")
+        assert entries["output.report"] == str(tmp_path / f"cmp.rep.{mode}.txt")
+        for phase in ("load", "setup", "refine", "write"):
+            assert float(entries[f"time.{phase}_s"]) >= 0.0
+        assert int(entries["stats.inserted"]) > 0
+        assert entries["audit.converged"] == "1"
+        assert "guaranteed-termination bound" in entries["warning.0"]
+
+
 def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
     src = write_cube(tmp_path)
     man = str(tmp_path / "cube.manifest.txt")

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from pscmesh.aabb import AABBTree
 from pscmesh.delaunay import TetMesh
 from pscmesh.errors import GeometryError, ParseError, ValidationError
 from pscmesh.geometry import PiecewiseComplex, load_complex, parse_complex, \
@@ -48,6 +49,17 @@ def test_parse_bad_record_is_error():
 def test_duplicate_segment_is_error():
     with pytest.raises(ValidationError):
         parse_complex("v 0 0 0\nv 1 0 0\ne 0 1 0\ne 1 0 0\n")
+
+
+def test_zero_area_triangle_is_error():
+    collinear = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 2 0 0\n"
+    with pytest.raises(ValidationError, match="triangle 1 has zero area"):
+        parse_complex(collinear + "t 0 1 2 0\nt 0 1 3 0\n")
+    # the lowest failing triangle is reported, whatever its fault
+    with pytest.raises(ValidationError, match="triangle 0 references"):
+        parse_complex(collinear + "t 0 1 9 0\nt 0 1 3 0\n")
+    with pytest.raises(ValidationError, match="triangle 1 has zero area"):
+        parse_complex(collinear + "t 0 1 2 0\nt 0 1 3 0\nt 0 1 -1 0\n")
 
 
 def test_branching_polyline_is_error():
@@ -181,18 +193,75 @@ def test_segment_surface_chord_through_sphere():
         assert math.dist(g[0], w[0]) <= 1e-9
 
 
-def test_segment_surface_matches_bruteforce_randomised():
-    c = icosphere(1)
+def spheres(*pairs):
+    """Parametrise over (icosphere subdivisions, cases).  The brute-force
+    oracles loop over every triangle, so the denser spheres, whose trees are
+    deep enough for the segment and plane clips to prune, get fewer cases."""
+    return pytest.mark.parametrize("sub, cases", pairs,
+                                   ids=[f"icosphere{s}" for s, _n in pairs])
+
+
+def assert_same_points(got, want, tol):
+    """One-to-one match within ``tol``; hits on a grazing query can tie in
+    a coordinate, so sorting alone does not pair them."""
+    assert len(got) == len(want)
+    rest = list(want)
+    for g in got:
+        w = min(rest, key=lambda w: math.dist(g, w))
+        assert math.dist(g, w) <= tol
+        rest.remove(w)
+
+
+def grazing_segments(c):
+    """Axis-parallel chords, then segments from the centre, from outside
+    and of zero length through input vertices and edge midpoints, then a
+    zero-length segment at the centre."""
+    rng = np.random.default_rng(12)
+    segs = []
+    for axis in range(3):
+        for _ in range(2):
+            a = rng.uniform(-0.8, 0.8, 3)
+            b = a.copy()
+            a[axis], b[axis] = -2.0, 2.0
+            segs.append((a, b))
+    for i, j, _k, _p in c.triangles[::len(c.triangles) // 4]:
+        for x in (c.vertices[i], 0.5 * (c.vertices[i] + c.vertices[j])):
+            segs += [(0.0 * x, 2.0 * x), (2.0 * x, x), (x, x)]
+    segs.append((np.zeros(3), np.zeros(3)))
+    return [(tuple(map(float, a)), tuple(map(float, b))) for a, b in segs]
+
+
+def grazing_disks(c, tangent=False):
+    """Disks in the plane of an input triangle whose circles cross its
+    edges, so every hit lies on an edge of a neighbour; with ``tangent``,
+    also disks whose circles touch the triangle's plane at its centroid."""
+    disks = []
+    for i, j, k, _p in c.triangles[::len(c.triangles) // 4]:
+        p0, p1, p2 = (c.vertices[v] for v in (i, j, k))
+        g = (p0 + p1 + p2) / 3.0
+        n = np.cross(p1 - p0, p2 - p0)
+        n /= np.linalg.norm(n)
+        disks.append((tuple(g), tuple(n),
+                      1.3 * np.linalg.norm(0.5 * (p0 + p1) - g)))
+        if tangent:
+            side = np.cross(n, p1 - p0)
+            r = 2.0 * np.linalg.norm(p1 - p0)
+            disks.append((tuple(g + r * n), tuple(side / np.linalg.norm(side)),
+                          r))
+    return disks
+
+
+@spheres((1, 300), (3, 45), (4, 12))
+def test_segment_surface_matches_bruteforce_randomised(sub, cases):
+    c = icosphere(sub)
     rng = np.random.default_rng(9)
-    for _ in range(300):
-        a = tuple(rng.uniform(-2, 2, 3))
-        b = tuple(rng.uniform(-2, 2, 3))
+    segs = [(tuple(rng.uniform(-2, 2, 3)), tuple(rng.uniform(-2, 2, 3)))
+            for _ in range(cases)]
+    for a, b in segs + grazing_segments(c):
         got = sorted(h[0] for h in c.intersect_segment_surface(a, b))
         want = sorted(h[0] for h in
                       segment_surface_hits(a, b, c.vertices, c.triangles))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert math.dist(g, w) <= 1e-9
+        assert_same_points(got, want, 1e-9)
 
 
 def test_point_in_volume_examples():
@@ -207,10 +276,11 @@ def test_point_in_volume_open_surface_is_configuration_error():
         c.point_in_volume((0, 0, 0))
 
 
-def test_point_in_volume_matches_winding_numbers():
-    c = icosphere(2)
+@spheres((2, 1000), (3, 1000), (4, 1000))
+def test_point_in_volume_matches_winding_numbers(sub, cases):
+    c = icosphere(sub)
     rng = np.random.default_rng(31)
-    pts = rng.uniform(-1.4, 1.4, (1000, 3))
+    pts = rng.uniform(-1.4, 1.4, (cases, 3))
     w = winding_numbers(pts, c.vertices, c.triangles)
     # skip points hugging the surface where both definitions are fragile
     keep = np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-3
@@ -252,20 +322,61 @@ def test_disk_surface_examples():
     assert c.intersect_disk_surface((0, 0, 1), (0, 0, 1), 0.5) == []
 
 
-def test_disk_surface_matches_bruteforce_on_sphere():
-    c = icosphere(1)
+@spheres((1, 200), (3, 30), (4, 8))
+def test_disk_surface_matches_bruteforce_on_sphere(sub, cases):
+    c = icosphere(sub)
     rng = np.random.default_rng(8)
-    for _ in range(200):
+    disks = []
+    for _ in range(cases):
         centre = tuple(rng.uniform(-1, 1, 3))
         normal = rng.normal(size=3)
-        normal /= np.linalg.norm(normal)
-        radius = rng.uniform(0.1, 1.2)
+        disks.append((centre, normal / np.linalg.norm(normal),
+                      rng.uniform(0.1, 1.2)))
+    for centre, normal, radius in disks + grazing_disks(c):
         got = sorted(c.intersect_disk_surface(centre, tuple(normal), radius))
         want = sorted(circle_surface_hits(centre, normal, radius,
                                           c.vertices, c.triangles))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert math.dist(g, w) <= 1e-8
+        assert_same_points(got, want, 1e-8)
+
+
+def test_clipped_queries_equal_unclipped_on_grazing_cases(monkeypatch):
+    c = icosphere(3)
+    segs = grazing_segments(c)
+    disks = grazing_disks(c, tangent=True)
+    got = ([c.intersect_segment_surface(a, b) for a, b in segs],
+           [c.point_in_volume(a) for a, _b in segs],
+           [c.intersect_disk_surface(*d) for d in disks])
+    tree = c.tri_tree
+    with monkeypatch.context() as m:
+        # the same queries on a tree walk that ignores the clips
+        m.setattr(tree, "query_box", lambda lo, hi, seg=None, plane=None:
+                  AABBTree.query_box(tree, lo, hi))
+        assert got == ([c.intersect_segment_surface(a, b) for a, b in segs],
+                       [c.point_in_volume(a) for a, _b in segs],
+                       [c.intersect_disk_surface(*d) for d in disks])
+    # the centre is inside; starts outside or on a vertex or edge are not
+    inside = got[1]
+    assert all(inside[6:-1:3])
+    assert not any(inside[7:-1:3]) and not any(inside[8:-1:3])
+    assert sum(map(bool, got[0])) > 20 and sum(map(bool, got[2])) >= 4
+
+
+def test_membership_rays_collect_few_candidates_on_dense_input(monkeypatch):
+    # a 3x-diagonal parity ray's bounding box covers some 750 of the 5,120
+    # triangles of icosphere(4); the ray itself passes near a dozen
+    c = icosphere(4)
+    sizes = []
+    query_box = AABBTree.query_box
+
+    def recorded(tree, *args, **kwargs):
+        out = query_box(tree, *args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(AABBTree, "query_box", recorded)
+    for p in ((0.0, 0.0, 0.0), (0.3, -0.2, 0.5), (1.5, 0.2, -0.1)):
+        c.point_in_volume(p)
+    assert sizes and max(sizes) <= 32
 
 
 def test_queries_are_pure():
