@@ -11,9 +11,12 @@ misses: to the box test's axes it adds d x e_x, d x e_y, d x e_z (d = q - p),
 which decide segment-box overlap exactly (Ericson, *Real-Time Collision
 Detection*, 5.3.3) and need no division, so axis-parallel and zero-length
 segments are no special case.  ``plane=(point, normal, pad)`` drops a node
-whose grown box lies strictly on one side of the plane.  Clips remove whole
-subtrees, so the result is an order-preserving subsequence of the unclipped
-walk; no hit is lost while ``pad`` covers how far outside a primitive's box
+whose grown box lies strictly on one side of the plane.  ``ball=(centre,
+radius, pad)`` drops a node whose grown box lies strictly inside the ball
+(farthest corner nearer than ``radius - pad``), which holds no point of a
+circle of that radius about ``centre``.  Clips remove whole subtrees, so
+the result is an order-preserving subsequence of the unclipped walk; no
+hit is lost while ``pad`` covers how far outside a primitive's box
 its hit test still accepts one (``geometry`` passes ``eps`` plus its
 barycentric slack times the diagonal, far above the clips' rounding).
 """
@@ -36,6 +39,7 @@ class AABBTree:
         if self.n:
             centres = 0.5 * (boxes[:, :3] + boxes[:, 3:])
             self._build(boxes, centres, 0, self.n)
+        self._perm = self._perm.tolist()  # queries hand out Python ints
 
     def _build(self, boxes, centres, lo, hi):
         idx = self._perm[lo:hi]
@@ -56,10 +60,10 @@ class AABBTree:
         self._nodes[node] = (*box, left, right, 0, 0)
         return node
 
-    def query_box(self, lo, hi, seg=None, plane=None):
+    def query_box(self, lo, hi, seg=None, plane=None, ball=None):
         """Primitive ids whose boxes overlap the axis-aligned box [lo, hi],
-        in tree order, less the subtrees that ``seg`` or ``plane`` clip
-        away (see the module docstring)."""
+        in tree order, less the subtrees that ``seg``, ``plane`` or
+        ``ball`` clip away (see the module docstring)."""
         if not self.n:
             return []
         qx0, qy0, qz0 = lo
@@ -74,6 +78,9 @@ class AABBTree:
             off = nx * o[0] + ny * o[1] + nz * o[2]
             anx, any_, anz = abs(nx), abs(ny), abs(nz)
             rn = pad * (anx + any_ + anz)
+        if ball is not None:
+            (bx, by, bz), br, bpad = ball
+            rin2 = (br - bpad) ** 2 if br > bpad else -1.0
         out = []
         stack = [0]
         nodes = self._nodes
@@ -82,6 +89,10 @@ class AABBTree:
             nd = nodes[stack.pop()]
             if (nd[3] < qx0 or nd[0] > qx1 or nd[4] < qy0 or
                     nd[1] > qy1 or nd[5] < qz0 or nd[2] > qz1):
+                continue
+            if ball is not None and (max(bx - nd[0], nd[3] - bx) ** 2
+                                     + max(by - nd[1], nd[4] - by) ** 2
+                                     + max(bz - nd[2], nd[5] - bz) ** 2 < rin2):
                 continue
             if seg is not None or plane is not None:
                 # box centre c and half extents h
@@ -118,10 +129,10 @@ class AABBTree:
         hi = (max(p[0], q[0]) + pad, max(p[1], q[1]) + pad, max(p[2], q[2]) + pad)
         return self.query_box(lo, hi, seg=(p, q, pad + slack))
 
-    def query_sphere(self, centre, radius, plane=None):
+    def query_sphere(self, centre, radius, plane=None, ball=None):
         lo = (centre[0] - radius, centre[1] - radius, centre[2] - radius)
         hi = (centre[0] + radius, centre[1] + radius, centre[2] + radius)
-        return self.query_box(lo, hi, plane=plane)
+        return self.query_box(lo, hi, plane=plane, ball=ball)
 
 
 def boxes_for_segments(points, segments, pad=0.0):

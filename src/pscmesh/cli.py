@@ -138,7 +138,8 @@ def _write_manifest(path, args, cfg, result, timings, outputs):
     else:
         lines.append("cfg.hfun = gridded")
     for k in sorted(timings):
-        lines.append(f"time.{k}_s = {timings[k]:.3f}")
+        key = k if k.startswith("stage.") else f"time.{k}"
+        lines.append(f"{key}_s = {timings[k]:.3f}")
     for k in sorted(result.stats):
         lines.append(f"stats.{k} = {result.stats[k]}")
     for k in sorted(result.audit):

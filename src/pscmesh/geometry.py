@@ -367,9 +367,10 @@ class PiecewiseComplex:
             return []
         nrm = _unit(normal)
         e1, e2 = _plane_basis(nrm)
-        cands = self.tri_tree.query_sphere(
-            centre, radius + self.eps,
-            plane=(centre, nrm, self.eps + 3.0 * _HIT_SLACK * self.diag))
+        pad = self.eps + 3.0 * _HIT_SLACK * self.diag
+        cands = self.tri_tree.query_sphere(centre, radius + self.eps,
+                                           plane=(centre, nrm, pad),
+                                           ball=(centre, radius, pad))
         hits = []
         for tid in sorted(cands):
             i, j, k, _pid = self.triangles[tid]

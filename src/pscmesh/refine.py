@@ -325,7 +325,8 @@ class RefineResult:
     stats: dict         # the driver counters, Refiner.stats
     audit: dict         # certificate name -> bool, Refiner.audit()
     warnings: list      # termination-bound warnings
-    timings: dict       # wall seconds of "setup" and "refine"
+    timings: dict       # wall seconds of "setup", "refine" and each
+                        # cascade stage ("stage.edges", ... "stage.tets")
 
 
 def refine(geom, cfg):
@@ -342,9 +343,11 @@ def refine(geom, cfg):
     t2 = time.perf_counter()
     report = build_report(refiner.mesh, refiner.rs, cfg.sizing,
                           wall_time=t2 - t1, converged=status == "converged")
+    timings = {"setup": t1 - t0, "refine": t2 - t1,
+               **{f"stage.{k}": v for k, v in refiner.stage_s.items()}}
     return RefineResult(refiner.mesh, refiner.rs, report, status,
                         refiner.stats, refiner.audit(), refiner.warnings,
-                        {"setup": t1 - t0, "refine": t2 - t1})
+                        timings)
 
 
 class Refiner:
@@ -374,6 +377,9 @@ class Refiner:
                       "encroach_edge": 0, "encroach_tri": 0,
                       "disk1": 0, "disk2": 0, "type2": 0, "type1": 0,
                       "blocked": 0}
+        # wall seconds spent in each cascade stage by run()
+        self.stage_s = dict.fromkeys(("edges", "disk1", "tris", "disk2",
+                                      "tets"), 0.0)
 
     # ------------------------------------------------------------------
     # setup
@@ -903,19 +909,22 @@ class Refiner:
     def run(self):
         if self.status == "new":
             self.setup()
+        stages = (("edges", self._step_edges), ("disk1", self._step_disk1),
+                  ("tris", self._step_tris), ("disk2", self._step_disk2),
+                  ("tets", self._step_tets))
+        clock = time.perf_counter
         try:
-            while True:
-                if self._step_edges():
-                    continue
-                if self._step_disk1():
-                    continue
-                if self._step_tris():
-                    continue
-                if self._step_disk2():
-                    continue
-                if self._step_tets():
-                    continue
-                break
+            progressed = True
+            while progressed:
+                # the first stage that inserts a point restarts the cascade
+                for name, step in stages:
+                    t0 = clock()
+                    try:
+                        progressed = step()
+                    finally:
+                        self.stage_s[name] += clock() - t0
+                    if progressed:
+                        break
             self.status = "converged"
         except _Budget:
             self.status = "max-points"

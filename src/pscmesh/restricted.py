@@ -115,12 +115,21 @@ def _face_crossings(mesh, geom, u, w, t0):
     segments; each is accepted only when u / w are its nearest mesh
     vertices, which is the exact membership test for the Voronoi face and
     immune to unreliable circumcentres around sliver rings.
+
+    A candidate strictly closer to a link vertex (a ring-tet vertex other
+    than u and w) than to both u and w is dropped before that test: the
+    link vertex lies in the stars of u and w, so ``nearest_vertex``, which
+    stops at a vertex no star neighbour beats under the same float
+    distance, cannot answer u or w.  The face is the intersection of the
+    link vertices' half-planes, so nearly every reject goes this way.
     """
     ring, closed = mesh.edge_ring(u, w, t0=t0)
     if not closed:
         return []
     pu = mesh.points[u]
     pw = mesh.points[w]
+    link = [mesh.points[x] for x in {x for t in ring for x in mesh.tets[t]}
+            if x != u and x != w]
     reliable = True
     poly = []
     for t in ring:
@@ -157,6 +166,9 @@ def _face_crossings(mesh, geom, u, w, t0):
         t = min(max(t, 0.0), 1.0)
         y = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]),
              a[2] + t * (b[2] - a[2]))
+        dmin = min(_d2(y, pu), _d2(y, pw))
+        if any(_d2(y, x) < dmin for x in link):
+            continue
         if mesh.nearest_vertex(y) in (u, w):
             hits.append((y, cid))
     return hits

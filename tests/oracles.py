@@ -4,7 +4,9 @@ Everything here is written from first principles and deliberately avoids
 the library's own code paths: exact rational arithmetic for predicate
 signs, literal all-pairs enumeration for the Delaunay property and the
 intersection queries, and generalized winding numbers for volume
-membership.
+membership.  The exception is ``face_crossings_reference``, a differential
+reference that runs the unfiltered curve-edge classification on the
+mesh's own queries.
 """
 
 import math
@@ -230,6 +232,61 @@ def polygon_curve_hits(poly, vertices, segments, eps=1e-12):
                                 float(u @ v))
         if total >= 2.0 * math.pi - 1e-6:
             hits.append((tuple(x), cid))
+    return hits
+
+
+def face_crossings_reference(mesh, geom, u, w):
+    """Crossings of the dual face of mesh edge (u, w) with the curve
+    network, [(point, curve_id), ...], with every bisector-plane candidate
+    confirmed by ``mesh.nearest_vertex`` and none rejected beforehand.
+
+    This is the classification before the link-vertex rejection, kept
+    verbatim (same candidates, same float expressions) so that the
+    production path must agree with it bit for bit.
+    """
+    ring, closed = mesh.edge_ring(u, w)
+    if not closed:
+        return []
+    pu = mesh.points[u]
+    pw = mesh.points[w]
+    reliable = True
+    poly = []
+    for t in ring:
+        c, ok = mesh.voronoi_vertex(t)
+        reliable = reliable and ok
+        poly.append(c)
+    if reliable and len(poly) >= 3:
+        pad = geom.eps
+        lo = (min(p[0] for p in poly) - pad, min(p[1] for p in poly) - pad,
+              min(p[2] for p in poly) - pad)
+        hi = (max(p[0] for p in poly) + pad, max(p[1] for p in poly) + pad,
+              max(p[2] for p in poly) + pad)
+        cands = geom.seg_tree.query_box(lo, hi)
+    else:
+        cands = range(len(geom.segments))
+    nx = pw[0] - pu[0]
+    ny = pw[1] - pu[1]
+    nz = pw[2] - pu[2]
+    offset = ((pu[0] + pw[0]) * nx + (pu[1] + pw[1]) * ny
+              + (pu[2] + pw[2]) * nz) / 2.0
+    hits = []
+    for sid in sorted(cands):
+        i, j, cid = geom.segments[sid]
+        a = geom.pts[i]
+        b = geom.pts[j]
+        da = a[0] * nx + a[1] * ny + a[2] * nz - offset
+        db = b[0] * nx + b[1] * ny + b[2] * nz - offset
+        dn = db - da
+        if abs(dn) <= 1e-300:
+            continue
+        t = -da / dn
+        if t < -1e-12 or t > 1.0 + 1e-12:
+            continue
+        t = min(max(t, 0.0), 1.0)
+        y = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]),
+             a[2] + t * (b[2] - a[2]))
+        if mesh.nearest_vertex(y) in (u, w):
+            hits.append((y, cid))
     return hits
 
 

@@ -1,11 +1,12 @@
-"""Properties of the box tree's segment and plane clips.
+"""Properties of the box tree's segment, plane and ball clips.
 
 Boxes and query points sit on a grid of quarters and the pad is an eighth,
-so the tree's float arithmetic is exact and a segment or plane can touch a
-padded box's face, edge or corner exactly; the brute-force references
-decide overlap in exact rational arithmetic.
+so the tree's float arithmetic is exact and a segment, plane or sphere can
+touch a padded box's face, edge or corner exactly; the brute-force
+references decide overlap in exact rational arithmetic.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,32 @@ def meets_plane(box, o, n):
     return sides != {1} and sides != {-1}
 
 
+def reaches_sphere(box, c, r):
+    """Exact: the box grown by PAD is not strictly inside the ball of radius
+    r about c, i.e. its farthest corner is not nearer than r - PAD."""
+    far2 = sum(max(Fraction(c[k]) - Fraction(box[k]),
+                   Fraction(box[k + 3]) - Fraction(c[k])) ** 2
+               for k in range(3))
+    return r <= PAD or far2 >= (Fraction(r) - Fraction(PAD)) ** 2
+
+
+# integer vectors of integer length, so a box corner can sit exactly on a
+# sphere about a grid point
+TRIPLES = ((0, 0, 1), (3, 4, 0), (2, 3, 6), (1, 4, 8), (2, 6, 9))
+
+
+@st.composite
+def touching_box(draw, c, triple, scale):
+    """A box whose farthest corner from c is a signed permutation of
+    ``triple`` times ``scale`` away, on the same side of c on every axis."""
+    perm = draw(st.permutations(triple))
+    signs = draw(st.tuples(*[st.sampled_from((-1, 1))] * 3))
+    far = [c[k] + signs[k] * perm[k] * scale for k in range(3)]
+    near = [far[k] - signs[k] * draw(st.integers(0, 4 * perm[k] * scale)) / 4.0
+            for k in range(3)]
+    return (*map(min, near, far), *map(max, near, far))
+
+
 def overlaps(box, lo, hi):
     return all(box[k] <= hi[k] and box[k + 3] >= lo[k] for k in range(3))
 
@@ -114,6 +141,29 @@ def test_plane_clip_keeps_every_box_the_plane_meets(data):
                         if overlaps(b, lo, hi) and meets_plane(grown(b), o, n)}
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ball_clip_keeps_every_box_that_reaches_the_sphere(data):
+    c = data.draw(point)
+    triple = data.draw(st.sampled_from(TRIPLES))
+    scale = data.draw(st.integers(1, 4).map(lambda k: k / 4.0))
+    # the touching boxes' farthest corners sit exactly at r - PAD
+    r = math.sqrt(sum(x * x for x in triple)) * scale + PAD
+    touching = data.draw(
+        st.lists(touching_box(c, triple, scale), min_size=1, max_size=8))
+    bxs = data.draw(boxes()) + touching
+    tree = AABBTree(bxs)
+    radius = data.draw(st.sampled_from((r, r + 1.0)))
+    lo = tuple(c[k] - radius for k in range(3))
+    hi = tuple(c[k] + radius for k in range(3))
+    got = tree.query_sphere(c, radius, ball=(c, r, PAD))
+    assert is_subsequence(got, tree.query_box(lo, hi))
+    want = {i for i, b in enumerate(bxs)
+            if overlaps(b, lo, hi) and reaches_sphere(b, c, r)}
+    assert set(got) >= want
+    assert set(got) >= set(range(len(bxs) - len(touching), len(bxs)))
+
+
 def test_queries_touching_a_padded_box_are_kept():
     # a unit box grown by PAD, and a segment across one of its edges that
     # touches it only there: for each edge direction, only the clip axis
@@ -134,6 +184,12 @@ def test_queries_touching_a_padded_box_are_kept():
         assert meets_plane(grown(box), o, n)
         assert tree.query_sphere(o, 5.0, plane=(o, n, PAD)) == [0]
         assert tree.query_sphere(o, 5.0, plane=(o, n, 0.1)) == []
+    # a ball about a centre 7 from the box's farthest corner (1, 1, 1),
+    # along (2, 3, 6): the box grown by PAD lies strictly inside it only
+    # once the radius exceeds 7 + PAD
+    o = (1.0 - 2.0, 1.0 - 3.0, 1.0 - 6.0)
+    for r, kept in ((7.0 + PAD, [0]), (7.0 + 2 * PAD, [])):
+        assert tree.query_sphere(o, 10.0, ball=(o, r, PAD)) == kept
 
 
 def test_clips_prune_a_lattice():
@@ -147,6 +203,7 @@ def test_clips_prune_a_lattice():
     want = {i for i, b in enumerate(bxs)
             if meets_segment(b, (0, 0, 0), (10, 10, 10))}
     assert len(want) == 64 and set(ids) >= want and len(ids) < 300
+    assert all(type(i) is int for i in ids)  # plain ints, not numpy scalars
     ids = tree.query_sphere((4.5, 5, 5), 20.0,
                             plane=((4.5, 5, 5), (1, 0, 0), 0.0))
     want = {i for i, b in enumerate(bxs) if b[0] == 4}

@@ -205,6 +205,12 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
                    for line in open(man).read().splitlines())
     for phase in ("load", "setup", "refine", "write"):
         assert float(entries[f"time.{phase}_s"]) >= 0.0
+    # the cascade stages run inside refine; each printed value is rounded
+    # to 3 decimals, so the sum may exceed it by 6 half-units
+    stages = [float(entries[f"stage.{name}_s"])
+              for name in ("edges", "disk1", "tris", "disk2", "tets")]
+    assert min(stages) >= 0.0 and sum(stages) > 0.0
+    assert sum(stages) <= float(entries["time.refine_s"]) + 6 * 0.0005
     stats = {k[len("stats."):]: int(v) for k, v in entries.items()
              if k.startswith("stats.")}
     assert set(stats) == {"inserted", "duplicates", "rejected_protected",

@@ -349,7 +349,8 @@ def test_clipped_queries_equal_unclipped_on_grazing_cases(monkeypatch):
     tree = c.tri_tree
     with monkeypatch.context() as m:
         # the same queries on a tree walk that ignores the clips
-        m.setattr(tree, "query_box", lambda lo, hi, seg=None, plane=None:
+        m.setattr(tree, "query_box",
+                  lambda lo, hi, seg=None, plane=None, ball=None:
                   AABBTree.query_box(tree, lo, hi))
         assert got == ([c.intersect_segment_surface(a, b) for a, b in segs],
                        [c.point_in_volume(a) for a, _b in segs],

@@ -379,7 +379,10 @@ def test_refine_wrapper_returns_mesh_sets_report():
     assert res.stats["inserted"] > 0
     assert all(res.audit.values())
     assert len(res.warnings) == 2
-    assert set(res.timings) == {"setup", "refine"}
+    stages = {f"stage.{k}" for k in ("edges", "disk1", "tris", "disk2",
+                                     "tets")}
+    assert set(res.timings) == {"setup", "refine"} | stages
+    assert sum(res.timings[k] for k in stages) <= res.timings["refine"]
 
 
 # ----------------------------------------------------------------------

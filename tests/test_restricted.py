@@ -1,16 +1,22 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
+import pytest
 
+from pscmesh import restricted
+from pscmesh.config import RefineConfig, SizingField
 from pscmesh.delaunay import TetMesh, _FACES
 from pscmesh.geometry import PiecewiseComplex
-from pscmesh.models import cube, icosphere
+from pscmesh.models import cube, icosphere, wedge
+from pscmesh.refine import Refiner, refine
 from pscmesh.restricted import (RestrictedEdge, RestrictedTri, classify_edge,
                                 classify_facet, classify_tet, element_size,
                                 radius_edge_tet, radius_edge_tri, topo_disk_1,
                                 topo_disk_2)
 
-from oracles import circumradius_triangle, winding_numbers
+from oracles import (circumradius_triangle, face_crossings_reference,
+                     winding_numbers)
 
 
 def mesh_with(points, bounds, seed=0):
@@ -120,6 +126,113 @@ def test_classify_edge_error_is_chord_sagitta():
     sagitta = 1.0 - math.cos(ang)
     assert abs(e.err - sagitta) < 1e-3
     assert abs(e.radius - 1.0) < 1e-3
+
+
+def _d2(a, b):
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
+
+
+def _edge_record(e):
+    return None if e is None else (e.edge, e.centre, e.radius, e.err,
+                                   e.curve_id)
+
+
+def _check_edges_against_reference(monkeypatch, mesh, geom):
+    """classify_edge on every mesh edge equals its result with the
+    unfiltered reference face query.  Returns the edge keys with a closed
+    ring, those among them with an unreliable circumcentre, the reference
+    hits tied between u or w and a link vertex, and how many candidates
+    that the link filter let through ``nearest_vertex`` then rejected."""
+    edges = sorted({tuple(sorted(pair)) for t in mesh.alive_tets()
+                    for pair in combinations(mesh.tets[t], 2)})
+    got, answers, unconfirmed = [], [], 0
+    nearest = mesh.nearest_vertex
+
+    def recorded(p):
+        answers.append(nearest(p))
+        return answers[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(mesh, "nearest_vertex", recorded)
+        for u, w in edges:
+            answers.clear()
+            got.append(_edge_record(classify_edge(mesh, geom, u, w)))
+            unconfirmed += sum(v not in (u, w) for v in answers)
+    with monkeypatch.context() as m:
+        m.setattr(restricted, "_face_crossings",
+                  lambda mesh, geom, u, w, t0:
+                  face_crossings_reference(mesh, geom, u, w))
+        want = [_edge_record(classify_edge(mesh, geom, u, w))
+                for u, w in edges]
+    assert got == want
+    assert any(want)
+    closed, unreliable, ties = [], [], 0
+    for u, w in edges:
+        ring, is_closed = mesh.edge_ring(u, w)
+        if not is_closed or (u < 8 and w < 8):
+            continue
+        closed.append((u, w))
+        if not all(mesh.voronoi_vertex(t)[1] for t in ring):
+            unreliable.append((u, w))
+        link = {x for t in ring for x in mesh.tets[t]} - {u, w}
+        for y, _cid in face_crossings_reference(mesh, geom, u, w):
+            dmin = min(_d2(y, mesh.points[u]), _d2(y, mesh.points[w]))
+            ties += any(_d2(y, mesh.points[x]) == dmin for x in link)
+    return closed, unreliable, ties, unconfirmed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_classify_edge_matches_unfiltered_reference_on_wedge(monkeypatch,
+                                                             seed):
+    # every edge of a refined creased input (whose rings all have reliable
+    # circumcentres at these seeds); away from ties every point of the
+    # bisector plane outside the dual face is strictly nearer some link
+    # vertex, so each candidate the filter lets through is confirmed
+    geom = wedge()
+    res = refine(geom, RefineConfig(sizing=SizingField(h0=0.35), seed=seed))
+    closed, _unreliable, _ties, unconfirmed = _check_edges_against_reference(
+        monkeypatch, res.mesh, geom)
+    assert len(closed) > 400 and unconfirmed == 0
+
+
+def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
+    # a 3x3x3 lattice of spacing 0.1 inserted without jitter, so the eight
+    # corners of a cell tie at its centre; the curve passes through the
+    # centre (0.05, 0.05, 0.05) of the first cell.  One more point, about
+    # 4e-9 from the corner (0.2, 0.2, 0.2), gives the tets on that short
+    # edge circumradii above 1e6 times its length: their circumcentres are
+    # unreliable, and the rings through them take the all-segments path
+    s = 0.1
+    verts = [(-0.025, 0.025, 0.0), (0.125, 0.075, 0.1), (0.05, 0.15, 0.15),
+             (0.225, 0.05, 0.1)]
+    geom = PiecewiseComplex(verts, [(0, 1, 0), (1, 2, 1), (2, 3, 1)], [])
+    mesh = TetMesh(((-s,) * 3, (3 * s,) * 3), seed=2)
+    for p in product(range(3), repeat=3):
+        mesh.insert_point(tuple(s * x for x in p), jitter=False)
+    mesh.insert_point((2 * s + 3e-9, 2 * s + 2e-9, 2 * s + 1e-9),
+                      jitter=False)
+    closed, unreliable, ties, _unconfirmed = _check_edges_against_reference(
+        monkeypatch, mesh, geom)
+    assert closed and unreliable and ties > 0
+
+
+def test_curve_classification_confirms_few_candidates(monkeypatch):
+    # the nearest-vertex walk confirms only candidates no link vertex
+    # rejects: about 1,300 calls here, against about 13,000 when every
+    # bisector-plane crossing was walked
+    calls = [0]
+    nearest = TetMesh.nearest_vertex
+
+    def counted(mesh, p):
+        calls[0] += 1
+        return nearest(mesh, p)
+
+    monkeypatch.setattr(TetMesh, "nearest_vertex", counted)
+    refiner = Refiner(wedge(), RefineConfig(sizing=SizingField(h0=0.35),
+                                            seed=0))
+    refiner.setup()
+    assert refiner.run() == "converged"
+    assert 0 < calls[0] <= 2500
 
 
 # ----------------------------------------------------------------------
