@@ -1,4 +1,4 @@
-"""Incremental Delaunay tetrahedralisation with removal and Voronoi duals.
+"""Incremental Delaunay tetrahedralisation with undo and Voronoi duals.
 
 The triangulation always tessellates a large bounding box (10x the
 geometry's bounding-box diagonal, carried by 8 shell corner vertices);
@@ -9,7 +9,7 @@ by the restricted classification.
 Degeneracy policy: every stored point receives a deterministic jitter of
 1e-12 x geometry diagonal, keyed on (seed, vertex index).  Combined with
 the exact predicates this keeps the point set in general position, so
-cavities, removals and dual constructions never meet an exactly
+cavities and dual constructions never meet an exactly
 cospherical or coplanar configuration.  ``TetMesh.points`` holds the
 jittered coordinates and is the authoritative vertex data for every
 downstream consumer.
@@ -112,26 +112,23 @@ class VertexMeta:
 
 
 class InsertRecord:
-    __slots__ = ("vid", "duplicate", "destroyed_quads", "created")
+    """What one insertion changed.  ``journal`` undoes it: the killed tets
+    as (id, quad, neighbours, circumsphere), the overwritten outer slots as
+    (tet, slot, old), the old ``vert_tet`` of the cavity vertices, the free
+    list, ``n_alive_tets``, ``_last_tet`` and ``len(tets)``."""
 
-    def __init__(self, vid, duplicate, destroyed_quads, created):
+    __slots__ = ("vid", "duplicate", "destroyed_quads", "created", "journal")
+
+    def __init__(self, vid, duplicate, destroyed_quads, created, journal=None):
         self.vid = vid
         self.duplicate = duplicate
         self.destroyed_quads = destroyed_quads
         self.created = created
-
-
-class RemoveRecord:
-    __slots__ = ("vid", "destroyed_quads", "created")
-
-    def __init__(self, vid, destroyed_quads, created):
-        self.vid = vid
-        self.destroyed_quads = destroyed_quads
-        self.created = created
+        self.journal = journal
 
 
 class TetMesh:
-    def __init__(self, bounds, seed=0, box_scale=10.0):
+    def __init__(self, bounds, seed=0):
         lo, hi = bounds
         cx = (lo[0] + hi[0]) / 2.0
         cy = (lo[1] + hi[1]) / 2.0
@@ -139,7 +136,7 @@ class TetMesh:
         diag = math.sqrt((hi[0] - lo[0]) ** 2 + (hi[1] - lo[1]) ** 2
                          + (hi[2] - lo[2]) ** 2) or 1.0
         self.geom_diag = diag
-        half = 0.5 * box_scale * diag
+        half = 5.0 * diag
         self.box_lo = (cx - half, cy - half, cz - half)
         self.box_hi = (cx + half, cy + half, cz + half)
         # snap must dominate jitter, or re-inserting the same raw point can
@@ -157,6 +154,7 @@ class TetMesh:
         self._free = []
         self.n_alive_tets = 0
         self._last_tet = -1
+        self._last_insert = None
         self.audit_cavity = False
 
         self._init_shell()
@@ -255,6 +253,26 @@ class TetMesh:
     def tet_points(self, t):
         return tuple(self.points[v] for v in self.tets[t])
 
+    def tets_around_vertex(self, v):
+        # vert_tet never goes stale: every cavity vertex lies on the cavity
+        # boundary, so it gets a new tet, and an undo restores the old one
+        t0 = self.vert_tet[v]
+        if t0 < 0 or self.tets[t0] is None or v not in self.tets[t0]:
+            raise MeshError(f"vertex {v} has no incident tets")
+        seen = {t0: None}
+        stack = [t0]
+        while stack:
+            t = stack.pop()
+            quad = self.tets[t]
+            for i in range(4):
+                if quad[i] == v:
+                    continue
+                n = self.neigh[t][i]
+                if n != -1 and n not in seen:
+                    seen[n] = None
+                    stack.append(n)
+        return list(seen)
+
     def _contains(self, t, p):
         quad = self.tets[t]
         for i in range(4):
@@ -351,7 +369,11 @@ class TetMesh:
         self.points.append(pj)
         self.meta.append(VertexMeta(kind, ref))
         self.vert_tet.append(-1)
-        destroyed = [self.tets[t] for t in cav]
+        killed = [(t, self.tets[t], self.neigh[t], self.circum[t]) for t in cav]
+        outer_slots = []
+        old_vert_tet = {v: self.vert_tet[v] for k in killed for v in k[1]}
+        journal = (killed, outer_slots, old_vert_tet, list(self._free),
+                   self.n_alive_tets, self._last_tet, len(self.tets))
         for t in cav:
             self._kill_tet(t)
         created = []
@@ -366,6 +388,7 @@ class TetMesh:
             if outer != -1:
                 oquad = self.tets[outer]
                 ooi = next(i for i in range(4) if oquad[i] not in fset)
+                outer_slots.append((outer, ooi, self.neigh[outer][ooi]))
                 self.neigh[outer][ooi] = nt
             for i in range(4):
                 if i == oi:
@@ -379,130 +402,44 @@ class TetMesh:
                     inner[key] = (nt, i)
         if inner:
             raise MeshError("unpaired internal facet after insertion")
-        return InsertRecord(vid, False, destroyed, created)
+        rec = InsertRecord(vid, False, [k[1] for k in killed], created,
+                           journal)
+        self._last_insert = rec
+        return rec
 
     # ------------------------------------------------------------------
-    # removal
+    # undo
 
-    def tets_around_vertex(self, v):
-        t0 = self.vert_tet[v]
-        if t0 < 0 or self.tets[t0] is None or v not in self.tets[t0]:
-            t0 = next((t for t in self.alive_tets() if v in self.tets[t]), None)
-            if t0 is None:
-                raise MeshError(f"vertex {v} has no incident tets")
-        seen = {t0: None}
-        stack = [t0]
-        while stack:
-            t = stack.pop()
-            quad = self.tets[t]
-            for i in range(4):
-                if quad[i] == v:
-                    continue
-                n = self.neigh[t][i]
-                if n != -1 and n not in seen:
-                    seen[n] = None
-                    stack.append(n)
-        return list(seen)
+    def remove_point(self, rec):
+        """Undo the latest insertion from its record's journal.
 
-    def remove_point(self, v):
-        """Delete vertex v and re-tetrahedralise its star.
-
-        The hole left by the star is filled with the Delaunay tets of the
-        link vertices whose circumball strictly contains v -- a local
-        rebuild that restores the global Delaunay property.
+        The killed tets come back under their old ids with their old
+        neighbours and circumspheres, so the mesh equals its state before
+        the insertion.  The vertex stays in ``points`` as dead, which keeps
+        later vertex ids and jitter draws unchanged.
         """
-        if v < 8:
-            raise MeshError("cannot remove a bounding-shell vertex")
-        if v >= len(self.points) or not self.meta[v].alive:
-            raise MeshError(f"unknown vertex {v}")
-        star = self.tets_around_vertex(v)
-        hole = {}
-        link = set()
-        for t in star:
-            quad = self.tets[t]
-            i = quad.index(v)
-            f = _FACES[i]
-            tri = (quad[f[0]], quad[f[1]], quad[f[2]])
-            hole[tuple(sorted(tri))] = self.neigh[t][i]
-            link.update(tri)
-        w = sorted(link)
-        fill = None
-        for scale in (10.0, 100.0):
-            cand = self._link_fill(v, w, scale)
-            if cand is not None and self._fill_matches(cand, set(hole)):
-                fill = cand
-                break
-        if fill is None:
-            raise MeshError("removal cavity re-triangulation mismatch")
-        destroyed = [self.tets[t] for t in star]
-        for t in star:
-            self._kill_tet(t)
-        created = [self._alloc_tet(quad) for quad in fill]
-        inner = {}
-        for nt in created:
-            quad = self.tets[nt]
-            for i in range(4):
-                key = tuple(sorted(quad[j] for j in _FACES[i]))
-                if key in hole:
-                    outer = hole.pop(key)
-                    self.neigh[nt][i] = outer
-                    if outer != -1:
-                        oquad = self.tets[outer]
-                        fset = frozenset(key)
-                        ooi = next(x for x in range(4) if oquad[x] not in fset)
-                        self.neigh[outer][ooi] = nt
-                elif key in inner:
-                    ot, oi = inner.pop(key)
-                    self.neigh[nt][i] = ot
-                    self.neigh[ot][oi] = nt
-                else:
-                    inner[key] = (nt, i)
-        if hole or inner:
-            raise MeshError("removal adjacency mismatch")  # pragma: no cover
-        self.meta[v].alive = False
-        self.vert_tet[v] = -1
-        return RemoveRecord(v, destroyed, created)
-
-    def _link_fill(self, v, w, scale):
-        wl = (min(self.points[x][0] for x in w),
-              min(self.points[x][1] for x in w),
-              min(self.points[x][2] for x in w))
-        wh = (max(self.points[x][0] for x in w),
-              max(self.points[x][1] for x in w),
-              max(self.points[x][2] for x in w))
-        local = TetMesh((wl, wh), seed=_splitmix64(self.seed ^ v),
-                        box_scale=scale)
-        lmap = {}
-        for x in w:
-            rec = local.insert_point(self.points[x], jitter=False)
-            if rec.duplicate:
-                return None
-            lmap[rec.vid] = x
-        pv = self.points[v]
-        fill = []
-        for lt in sorted(local.alive_tets()):
-            quad = local.tets[lt]
-            if any(q < 8 for q in quad):
-                continue
-            if insphere(*local.tet_points(lt), pv) > 0:
-                fill.append(tuple(lmap[q] for q in quad))
-        return fill
-
-    @staticmethod
-    def _fill_matches(fill, hole_keys):
-        # every hole facet used exactly once, every other facet paired
-        count = {}
-        for quad in fill:
-            for i in range(4):
-                key = tuple(sorted(quad[j] for j in _FACES[i]))
-                count[key] = count.get(key, 0) + 1
-        for key, c in count.items():
-            if key in hole_keys:
-                if c != 1:
-                    return False
-            elif c != 2:
-                return False
-        return hole_keys.issubset(count)
+        if rec is not self._last_insert:
+            raise MeshError("only the latest insertion can be undone")
+        self._last_insert = None
+        (killed, outer_slots, old_vert_tet, free, n_alive, last_tet,
+         n_tets) = rec.journal
+        for t in rec.created:
+            if t < n_tets:
+                self.tets[t] = self.neigh[t] = self.circum[t] = None
+        del self.tets[n_tets:], self.neigh[n_tets:], self.circum[n_tets:]
+        for (t, quad, neigh, circum) in killed:
+            self.tets[t] = quad
+            self.neigh[t] = neigh
+            self.circum[t] = circum
+        for (outer, slot, old) in outer_slots:
+            self.neigh[outer][slot] = old
+        for v, t in old_vert_tet.items():
+            self.vert_tet[v] = t
+        self.vert_tet[rec.vid] = -1
+        self.meta[rec.vid].alive = False
+        self._free = free
+        self.n_alive_tets = n_alive
+        self._last_tet = last_tet
 
     # ------------------------------------------------------------------
     # Voronoi duals

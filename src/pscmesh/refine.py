@@ -229,7 +229,11 @@ class BallRegistry:
 
 
 class RestrictedSets:
-    """Driver-owned restricted complexes plus incidence and ball indexes."""
+    """Refiner-owned restricted complexes plus incidence and ball indexes.
+
+    Each ``set_*`` stores obj under key (None deletes the entry) and
+    returns the entry it replaced.
+    """
 
     def __init__(self):
         self.edges = {}
@@ -241,73 +245,53 @@ class RestrictedSets:
         self.tri_balls = BallRegistry()
 
     def set_edge(self, key, obj):
-        old = self.edges.get(key)
-        if old is not None:
-            self.pop_edge(key)
-        if obj is not None:
-            self.edges[key] = obj
-            for v in key:
-                self.edges_at_vertex.setdefault(v, set()).add(key)
-            self.edge_balls.add(key, obj.centre, obj.radius)
-        return old
-
-    def pop_edge(self, key):
-        obj = self.edges.pop(key, None)
-        if obj is not None:
-            for v in key:
-                s = self.edges_at_vertex.get(v)
-                if s is not None:
-                    s.discard(key)
-                    if not s:
-                        del self.edges_at_vertex[v]
-            self.edge_balls.remove(key)
-        return obj
+        return _store(self.edges, self.edges_at_vertex, self.edge_balls,
+                      key, obj)
 
     def set_tri(self, key, obj):
-        old = self.tris.get(key)
-        if old is not None:
-            self.pop_tri(key)
-        if obj is not None:
-            self.tris[key] = obj
-            for v in key:
-                self.tris_at_vertex.setdefault(v, set()).add(key)
-            self.tri_balls.add(key, obj.centre, obj.radius)
-        return old
-
-    def pop_tri(self, key):
-        obj = self.tris.pop(key, None)
-        if obj is not None:
-            for v in key:
-                s = self.tris_at_vertex.get(v)
-                if s is not None:
-                    s.discard(key)
-                    if not s:
-                        del self.tris_at_vertex[v]
-            self.tri_balls.remove(key)
-        return obj
+        return _store(self.tris, self.tris_at_vertex, self.tri_balls, key, obj)
 
     def set_tet(self, key, obj):
-        old = self.tets.get(key)
         if obj is None:
-            self.tets.pop(key, None)
-        else:
-            self.tets[key] = obj
+            return self.tets.pop(key, None)
+        old = self.tets.get(key)
+        self.tets[key] = obj
         return old
 
-    def pop_tet(self, key):
-        return self.tets.pop(key, None)
+
+def _store(table, at_vertex, balls, key, obj):
+    old = table.pop(key, None)
+    if old is not None:
+        for v in key:
+            s = at_vertex[v]
+            s.discard(key)
+            if not s:
+                del at_vertex[v]
+        balls.remove(key)
+    if obj is not None:
+        table[key] = obj
+        for v in key:
+            at_vertex.setdefault(v, set()).add(key)
+        balls.add(key, obj.centre, obj.radius)
+    return old
 
 
 class _Delta:
-    """Topology change of the restricted sets caused by one mesh operation."""
+    """Topology change of the restricted sets caused by one mesh operation.
 
-    __slots__ = ("edges_removed", "edges_added", "tris_removed", "tris_added")
+    ``undo`` lists every restricted-table write as (setter, key, old);
+    replaying it in reverse restores the tables.
+    """
+
+    __slots__ = ("edges_removed", "edges_added", "tris_removed", "tris_added",
+                 "undo")
 
     def __init__(self):
         self.edges_removed = {}
         self.edges_added = {}
         self.tris_removed = {}
         self.tris_added = {}
+        self.undo = []
 
 
 class _Budget(Exception):
@@ -370,8 +354,6 @@ class Refiner:
         self.protected_edges = []
         self.warnings = []
         self.status = "new"
-        self.debug = False
-        self.on_rollback = None
         self.stats = {"inserted": 0, "duplicates": 0, "rejected_protected": 0,
                       "rollback_gamma": 0, "rollback_sigma": 0,
                       "encroach_edge": 0, "encroach_tri": 0,
@@ -458,21 +440,28 @@ class Refiner:
                 f = _FACES[i]
                 key = tuple(sorted((quad[f[0]], quad[f[1]], quad[f[2]])))
                 tri_handles.setdefault(key, (t, i))
+        rs = self.rs
         delta = _Delta()
+        undo = delta.undo
         for key in sorted(old_edges - set(edge_handles)):
-            obj = self.rs.pop_edge(key)
+            obj = rs.set_edge(key, None)
             if obj is not None:
+                undo.append((rs.set_edge, key, obj))
                 delta.edges_removed[key] = obj
         for key in sorted(old_tris - set(tri_handles)):
-            obj = self.rs.pop_tri(key)
+            obj = rs.set_tri(key, None)
             if obj is not None:
+                undo.append((rs.set_tri, key, obj))
                 delta.tris_removed[key] = obj
         for key in sorted(old_quads - set(quad_handles)):
-            self.rs.pop_tet(key)
+            obj = rs.set_tet(key, None)
+            if obj is not None:
+                undo.append((rs.set_tet, key, obj))
         for key in sorted(edge_handles):
             obj = classify_edge(mesh, self.g, key[0], key[1],
                                 t0=edge_handles[key])
-            old = self.rs.set_edge(key, obj)
+            old = rs.set_edge(key, obj)
+            undo.append((rs.set_edge, key, old))
             if obj is not None:
                 self._queue_edge(key, obj)
                 if old is None:
@@ -482,7 +471,8 @@ class Refiner:
         for key in sorted(tri_handles):
             t, i = tri_handles[key]
             obj = classify_facet(mesh, self.g, t, i)
-            old = self.rs.set_tri(key, obj)
+            old = rs.set_tri(key, obj)
+            undo.append((rs.set_tri, key, old))
             if obj is not None:
                 self._queue_tri(key, obj)
                 if old is None:
@@ -491,7 +481,8 @@ class Refiner:
                 delta.tris_removed[key] = old
         for key in sorted(quad_handles):
             obj = classify_tet(mesh, self.g, quad_handles[key])
-            self.rs.set_tet(key, obj)
+            old = rs.set_tet(key, obj)
+            undo.append((rs.set_tet, key, old))
             if obj is not None:
                 self._queue_tet(key, obj)
         touched = set()
@@ -552,32 +543,22 @@ class Refiner:
         return "inserted", rec.vid
 
     def _rollback(self, rec, delta, which):
-        """Delete the offending vertex and defer to the largest adjacent
-        surface ball of the disturbed lower-dimensional complex."""
+        """Undo the offending insertion and defer to the largest adjacent
+        surface ball of the disturbed lower-dimensional complex.
+
+        The mesh comes back from the record's journal and the restricted
+        tables from ``delta.undo``, so the restored objects are the same
+        ones, and their queue entries are live again.
+        """
+        self.mesh.remove_point(rec)
+        for setter, key, old in reversed(delta.undo):
+            setter(key, old)
         if which == "gamma":
-            removed, added = delta.edges_removed, delta.edges_added
-        else:
-            removed, added = delta.tris_removed, delta.tris_added
-        rrec = self.mesh.remove_point(rec.vid)
-        rdelta = self._reclassify(rrec.destroyed_quads, rrec.created)
-        if self.debug:
-            back_removed = (rdelta.edges_removed if which == "gamma"
-                            else rdelta.tris_removed)
-            back_added = (rdelta.edges_added if which == "gamma"
-                          else rdelta.tris_added)
-            restored = (set(back_added) == set(removed)
-                        and set(back_removed) == set(added))
-        else:
-            restored = True
-        if self.on_rollback is not None:
-            self.on_rollback(which, set(removed), set(added), restored)
-        candidates = list(removed.values()) or list(added.values())
-        if not candidates:
-            return "rejected", None
-        if which == "gamma":
-            best = max(candidates, key=lambda e: (e.radius, e.edge))
+            changed = delta.edges_removed or delta.edges_added
+            best = max(changed.values(), key=lambda e: (e.radius, e.edge))
             return self._insert(best.centre, "curve", best.curve_id)
-        best = max(candidates, key=lambda f: (f.radius, f.tri))
+        changed = delta.tris_removed or delta.tris_added
+        best = max(changed.values(), key=lambda f: (f.radius, f.tri))
         return self._insert(best.centre, "surface", best.patch_id)
 
     # ------------------------------------------------------------------
@@ -771,7 +752,8 @@ class Refiner:
                     self._queue_edge(token.edge, token)
                 return True
             # duplicate / rejected: freeze whatever classification currently
-            # stands for this simplex (a rollback may have replaced it)
+            # stands for this simplex (a deferred insertion may have
+            # replaced it)
             cur = self.rs.edges.get(token.edge)
             if cur is not None:
                 cur.blocked = True

@@ -427,3 +427,72 @@ def random_rotation(rng):
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return Q
+
+
+# ----------------------------------------------------------------------
+# distances to the input (audit helpers)
+
+
+def distance_to_surface(geom, points):
+    """Min distance from each query point to the complex's triangle soup."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    tris = np.asarray([t[:3] for t in geom.triangles], dtype=np.intp)
+    a = geom.vertices[tris[:, 0]]
+    b = geom.vertices[tris[:, 1]]
+    c = geom.vertices[tris[:, 2]]
+    out = np.empty(len(pts))
+    for idx, p in enumerate(pts):
+        out[idx] = math.sqrt(_point_tris_d2(p, a, b, c).min())
+    return out
+
+
+def distance_to_curves(geom, points):
+    """Min distance from each query point to the complex's curve network."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    segs = np.asarray([s[:2] for s in geom.segments], dtype=np.intp)
+    a = geom.vertices[segs[:, 0]]
+    d = geom.vertices[segs[:, 1]] - a
+    dd = (d * d).sum(axis=1)
+    out = np.empty(len(pts))
+    for idx, p in enumerate(pts):
+        t = np.clip(((p - a) * d).sum(axis=1) / dd, 0.0, 1.0)
+        q = a + t[:, None] * d
+        out[idx] = math.sqrt(((q - p) ** 2).sum(axis=1).min())
+    return out
+
+
+def _point_tris_d2(p, a, b, c):
+    # Squared point-triangle distances, vectorised over triangles
+    # (Ericson's barycentric-region walk).
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = (ab * ap).sum(axis=1)
+    d2 = (ac * ap).sum(axis=1)
+    bp = p - b
+    d3 = (ab * bp).sum(axis=1)
+    d4 = (ac * bp).sum(axis=1)
+    cp = p - c
+    d5 = (ab * cp).sum(axis=1)
+    d6 = (ac * cp).sum(axis=1)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+    denom = va + vb + vc
+    v = np.where(denom != 0, vb / np.where(denom == 0, 1, denom), 0.0)
+    w = np.where(denom != 0, vc / np.where(denom == 0, 1, denom), 0.0)
+    q = a + v[:, None] * ab + w[:, None] * ac
+    # clamp to the nearest feature when outside
+    t_ab = np.clip(d1 / np.where(d1 - d3 == 0, 1, d1 - d3), 0, 1)
+    t_ac = np.clip(d2 / np.where(d2 - d6 == 0, 1, d2 - d6), 0, 1)
+    t_bc = np.clip((d4 - d3) / np.where((d4 - d3) + (d5 - d6) == 0, 1,
+                                        (d4 - d3) + (d5 - d6)), 0, 1)
+    q_ab = a + t_ab[:, None] * ab
+    q_ac = a + t_ac[:, None] * ac
+    q_bc = b + t_bc[:, None] * (c - b)
+    inside = (v >= 0) & (w >= 0) & (v + w <= 1)
+    d_face = ((q - p) ** 2).sum(axis=1)
+    d_edges = np.minimum(((q_ab - p) ** 2).sum(axis=1),
+                         np.minimum(((q_ac - p) ** 2).sum(axis=1),
+                                    ((q_bc - p) ** 2).sum(axis=1)))
+    return np.where(inside, d_face, d_edges)

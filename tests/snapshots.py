@@ -1,0 +1,64 @@
+"""Whole-state snapshots of a Refiner, for checking that a rollback is an
+exact undo of the insertion it takes back."""
+
+
+def refiner_snapshot(r):
+    """Mesh arrays by value, restricted tables by object identity."""
+    m = r.mesh
+    rs = r.rs
+    return {
+        "tets": list(m.tets),
+        "neigh": [None if n is None else list(n) for n in m.neigh],
+        "circum": list(m.circum),
+        "free": list(m._free),
+        "n_alive_tets": m.n_alive_tets,
+        "last_tet": m._last_tet,
+        "vert_tet": list(m.vert_tet),
+        "rs_edges": dict(rs.edges),
+        "rs_tris": dict(rs.tris),
+        "rs_tets": dict(rs.tets),
+        "edges_at_vertex": {v: set(s) for v, s in rs.edges_at_vertex.items()},
+        "tris_at_vertex": {v: set(s) for v, s in rs.tris_at_vertex.items()},
+    }
+
+
+def assert_undone(before, after):
+    """``after`` equals ``before`` except for the one dead vertex that the
+    undone insertion leaves behind in ``vert_tet``."""
+    n = len(before["vert_tet"])
+    assert after["vert_tet"][:n] == before["vert_tet"]
+    assert after["vert_tet"][n:] == [-1]
+    for key in before:
+        if key.startswith("rs_"):
+            assert after[key].keys() == before[key].keys(), key
+            assert all(after[key][k] is obj
+                       for k, obj in before[key].items()), key
+        elif key != "vert_tet":
+            assert after[key] == before[key], key
+
+
+def record_rollbacks(r):
+    """Wrap ``r._insert`` on the instance; return the list that collects a
+    (before, after) snapshot pair for every rollback.
+
+    The outer call snapshots the state before its insertion.  A rollback
+    defers to a nested ``_insert`` call, which snapshots the state the
+    undo left behind.
+    """
+    pairs = []
+    insert = r._insert
+    outer = []
+
+    def wrapped(*args, **kwargs):
+        snap = refiner_snapshot(r)
+        if outer:
+            pairs.append((outer[-1], snap))
+            return insert(*args, **kwargs)
+        outer.append(snap)
+        try:
+            return insert(*args, **kwargs)
+        finally:
+            outer.pop()
+
+    r._insert = wrapped
+    return pairs

@@ -18,8 +18,9 @@ from pscmesh.quality import (area_length, dihedral_angles, relative_edge_length,
                              triangle_angles, volume_length)
 from pscmesh.refine import Refiner
 
-from oracles import (brute_force_delaunay, rational_insphere,
-                     rational_orient3d)
+from oracles import (brute_force_delaunay, distance_to_curves,
+                     distance_to_surface, rational_insphere, rational_orient3d)
+from snapshots import assert_undone, record_rollbacks
 
 SPHERE_H = 0.3  # 0.15 x diameter of the unit icosphere
 
@@ -80,13 +81,13 @@ def full_certificates(r, geom):
     aud["min_surface_angle_23_5"] = (not angs) or min(angs) >= 23.5
     centres = [f.centre for f in r.rs.tris.values()]
     if centres:
-        aud["sdb_on_surface"] = geom.distance_to_surface(centres).max() \
+        aud["sdb_on_surface"] = distance_to_surface(geom, centres).max() \
             <= 1e-9 * geom.diag
     else:
         aud["sdb_on_surface"] = True
     ecentres = [e.centre for e in r.rs.edges.values()]
     if ecentres and geom.segments:
-        aud["sdb_on_curves"] = geom.distance_to_curves(ecentres).max() \
+        aud["sdb_on_curves"] = distance_to_curves(geom, ecentres).max() \
             <= 1e-9 * geom.diag
     else:
         aud["sdb_on_curves"] = True
@@ -306,10 +307,8 @@ def test_criterion_7_rollback_exactness():
     geom = PiecewiseComplex(verts, segs, base.triangles)
     cfg = RefineConfig(sizing=SizingField(h0=0.25), mode="classical", seed=0)
     r = Refiner(geom, cfg)
-    r.debug = True
-    events = []
-    r.on_rollback = lambda which, rem, add, ok: events.append((which, ok))
     assert r.run() == "converged"
+    events = record_rollbacks(r)
     # force rollbacks: drop interior points next to curve-ball centres; each
     # deferred insertion refines the curve, so re-pick from the live set
     attacked = set()
@@ -327,9 +326,10 @@ def test_criterion_7_rollback_exactness():
         forced += 1
     assert forced >= 5
     assert len(events) >= 5, "forced scenario produced no rollbacks"
-    assert all(ok for _w, ok in events), "a rollback failed to restore the sets"
-    print(f"\nPASS criterion 7: {len(events)} forced rollbacks, restricted "
-          f"sets restored exactly in 100% of cases")
+    for before, after in events:
+        assert_undone(before, after)
+    print(f"\nPASS criterion 7: {len(events)} forced rollbacks, mesh and "
+          f"restricted sets restored exactly in 100% of cases")
 
 
 def test_criterion_8_metric_anchors():

@@ -9,7 +9,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from pscmesh.models import icosphere
+import numpy as np
+
+from pscmesh.config import RefineConfig, SizingField
+from pscmesh.models import cube, icosphere
+from pscmesh.refine import Refiner
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -41,3 +45,26 @@ def test_membership_query_is_counted_as_a_volume_box_query():
     finally:
         tracer.uninstall()
     assert tracer.calls("aabb.query_box.volume") >= 1
+
+
+def test_rollback_is_counted_as_a_remove_point_call():
+    # an interior point just inside the cube next to a surface ball centre
+    # changes the restricted surface, so the surface guard takes it back
+    geom = cube()
+    r = Refiner(geom, RefineConfig(sizing=SizingField(h0=0.35),
+                                   mode="classical", seed=0))
+    r.setup()
+    _key, f = min(r.rs.tris.items())
+    c = np.asarray(f.centre)
+    inward = np.mean(geom.bounds, axis=0) - c
+    p = tuple(c + 0.05 * f.radius * inward / np.linalg.norm(inward))
+    tracing = load_tracing()
+    tracer = tracing.install()
+    try:
+        r._insert(p, "interior", -1, sigma_guard=True)
+    finally:
+        tracer.uninstall()
+    assert r.stats["rollback_sigma"] == 1
+    metrics = tracing.per_layer(tracer, r.stats, 0)
+    assert metrics["delaunay.remove_point.calls"] == 1
+    assert metrics["refine.rollbacks"] == 1

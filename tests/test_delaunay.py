@@ -82,15 +82,26 @@ def test_random_insertions_match_bruteforce():
     assert kernel_tets(m, ghost=True) == full_oracle(m)
 
 
+def _mesh_state(m):
+    return (list(m.tets), [None if n is None else list(n) for n in m.neigh],
+            list(m.circum), list(m._free), m.n_alive_tets, m._last_tet,
+            list(m.vert_tet))
+
+
 def test_insert_remove_roundtrip_restores_state():
     rng = np.random.default_rng(1)
     m = TetMesh(UNIT, seed=2)
     for p in rng.uniform(0, 1, (20, 3)):
         m.insert_point(tuple(p))
-    before = kernel_tets(m, ghost=True)
+    before = _mesh_state(m)
     rec = m.insert_point((0.41, 0.52, 0.63))
-    m.remove_point(rec.vid)
-    assert kernel_tets(m, ghost=True) == before
+    m.remove_point(rec)
+    tets, neigh, circum, free, n_alive, last, vert_tet = _mesh_state(m)
+    assert (tets, neigh, circum, free, n_alive, last) == before[:6]
+    assert vert_tet == before[6] + [-1]
+    assert not m.meta[rec.vid].alive
+    # the dead vertex keeps its id: the next insertion takes the one after
+    assert m.insert_point((0.3, 0.3, 0.3)).vid == rec.vid + 1
 
 
 def test_remove_back_to_single_star():
@@ -100,36 +111,40 @@ def test_remove_back_to_single_star():
         m.insert_point(p)
     rec = m.insert_point((0.5, 0.4, 0.4))
     assert len(kernel_tets(m)) == 4
-    m.remove_point(rec.vid)
+    m.remove_point(rec)
     assert len(kernel_tets(m)) == 1
 
 
-def test_remove_shell_vertex_is_error():
+def test_only_the_latest_insertion_can_be_undone():
     m = TetMesh(UNIT, seed=1)
+    first = m.insert_point((0.2, 0.3, 0.4))
+    latest = m.insert_point((0.6, 0.5, 0.4))
     with pytest.raises(MeshError):
-        m.remove_point(3)
+        m.remove_point(first)
+    dup = m.insert_point((0.6, 0.5, 0.4))
+    assert dup.duplicate
     with pytest.raises(MeshError):
-        m.remove_point(99)
+        m.remove_point(dup)
+    m.remove_point(latest)
+    with pytest.raises(MeshError):
+        m.remove_point(latest)
 
 
 def test_randomized_insert_remove_sequences_stay_delaunay():
     rng = np.random.default_rng(2024)
     m = TetMesh(UNIT, seed=11)
-    live = []
     ops = 0
-    while ops < 300:
-        if live and rng.random() < 0.35:
-            k = live.pop(rng.integers(len(live)))
-            m.remove_point(k)
-        else:
-            rec = m.insert_point(tuple(rng.uniform(0, 1, 3)))
-            if not rec.duplicate:
-                live.append(rec.vid)
+    undone = 0
+    while ops < 120:
+        rec = m.insert_point(tuple(rng.uniform(0, 1, 3)))
+        if not rec.duplicate and rng.random() < 0.35:
+            m.remove_point(rec)
+            undone += 1
         ops += 1
-        if ops % 75 == 0:
+        if ops % 30 == 0:
             _assert_involution(m)
             assert kernel_tets(m, ghost=True) == full_oracle(m)
-    assert kernel_tets(m, ghost=True) == full_oracle(m)
+    assert undone > 30
 
 
 def test_orientation_always_positive():

@@ -14,6 +14,9 @@ from pscmesh.refine import (Refiner, bad_simplex_1, bad_simplex_2,
                             select_refinement_point)
 from pscmesh.restricted import RestrictedEdge, RestrictedTri, RestrictedTet
 
+from oracles import distance_to_surface
+from snapshots import assert_undone, record_rollbacks
+
 
 def cfg_with(h0, **kw):
     return RefineConfig(sizing=SizingField(h0=h0), **kw)
@@ -164,7 +167,7 @@ def test_tri_offcentre_point_lands_on_curved_surface():
                       rho=1.0)
     c2, _c0, _r0 = r._tri_offcentre(f, (a, b))
     assert c2 is not None
-    assert geom.distance_to_surface([c2])[0] <= 1e-9 * geom.diag
+    assert distance_to_surface(geom, [c2])[0] <= 1e-9 * geom.diag
 
 
 def test_tet_offcentre_regular_apex_and_clamp():
@@ -392,17 +395,15 @@ def test_refine_wrapper_returns_mesh_sets_report():
 def test_gamma_rollback_restores_restricted_sets():
     # a cube with a straight free interior curve; after convergence, drive
     # surface-style insertions right next to curve ball centres and verify
-    # every rollback restores the restricted sets exactly
+    # every rollback restores the mesh and the restricted sets exactly
     base = cube()
     verts = list(base.vertices) + [(0.2, 0.5, 0.5), (0.8, 0.5, 0.5)]
     segs = list(base.segments) + [(8, 9, 12)]
     geom = PiecewiseComplex(verts, segs, base.triangles)
     cfg = RefineConfig(sizing=SizingField(h0=0.25), mode="classical")
     r = Refiner(geom, cfg)
-    r.debug = True
-    events = []
-    r.on_rollback = lambda which, rem, add, ok: events.append((which, ok))
     assert r.run() == "converged"
+    events = record_rollbacks(r)
 
     free_edges = [e for e in r.rs.edges.values() if e.curve_id == 12]
     for e in list(free_edges):
@@ -413,8 +414,29 @@ def test_gamma_rollback_restores_restricted_sets():
         p = tuple(c + np.array([0.0, 0.05 * e.radius, 0.0]))
         r._insert(p, "interior", -1, gamma_guard=True)
     assert events, "no rollback was ever triggered"
-    assert all(ok for _w, ok in events)
+    for before, after in events:
+        assert_undone(before, after)
     assert r.stats["rollback_gamma"] >= 1
+
+
+def test_sigma_rollback_restores_mesh_and_restricted_sets():
+    # interior points just inside the cube next to surface ball centres
+    # change the restricted surface, so the surface guard takes them back
+    geom = cube()
+    cfg = RefineConfig(sizing=SizingField(h0=0.35), mode="classical", seed=0)
+    r = Refiner(geom, cfg)
+    assert r.run() == "converged"
+    events = record_rollbacks(r)
+    mid = np.mean(geom.bounds, axis=0)
+    for _key, f in sorted(r.rs.tris.items())[:10]:
+        c = np.asarray(f.centre)
+        inward = (mid - c) / np.linalg.norm(mid - c)
+        p = tuple(c + 0.05 * f.radius * inward)
+        r._insert(p, "interior", -1, sigma_guard=True)
+    assert r.stats["rollback_sigma"] >= 1
+    assert len(events) == r.stats["rollback_sigma"]
+    for before, after in events:
+        assert_undone(before, after)
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ from pscmesh.restricted import (RestrictedEdge, RestrictedTri, classify_edge,
                                 radius_edge_tet, radius_edge_tri, topo_disk_1,
                                 topo_disk_2)
 
-from oracles import (circumradius_triangle, face_crossings_reference,
-                     winding_numbers)
+from oracles import (circumradius_triangle, distance_to_surface,
+                     face_crossings_reference, winding_numbers)
 
 
 def mesh_with(points, bounds, seed=0):
@@ -330,7 +330,7 @@ def test_dense_sphere_sample_restores_input_triangulation():
             edges.add(e)
     assert all(c == 2 for c in use.values())
     assert len(verts) - len(edges) + len(tris) == 2
-    dists = geom.distance_to_surface([o.centre for o in tris.values()])
+    dists = distance_to_surface(geom, [o.centre for o in tris.values()])
     assert dists.max() <= 1e-9 * geom.diag
 
 
