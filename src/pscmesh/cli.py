@@ -35,25 +35,27 @@ def build_parser():
     p.add_argument("--output", default=None, help="mesh output (.vtk)")
     p.add_argument("--report", default=None, help="quality report path")
     p.add_argument("--manifest", default=None, help="run manifest path")
+    # defaults come from RefineConfig so the two cannot drift apart
+    cfg = RefineConfig
     p.add_argument("--mode", choices=("classical", "frontal"),
-                   default="frontal")
-    p.add_argument("--rho-surf", type=float, default=1.25,
-                   help="surface radius-edge bound (default 1.25)")
-    p.add_argument("--rho-vol", type=float, default=2.0,
-                   help="volume radius-edge bound (default 2)")
-    p.add_argument("--eps-rel", type=float, default=0.25,
+                   default=cfg.mode)
+    p.add_argument("--rho-surf", type=float, default=cfg.rho_surf,
+                   help="surface radius-edge bound (default %(default)g)")
+    p.add_argument("--rho-vol", type=float, default=cfg.rho_vol,
+                   help="volume radius-edge bound (default %(default)g)")
+    p.add_argument("--eps-rel", type=float, default=cfg.eps_rel,
                    help="surface error as a fraction of the local size")
     p.add_argument("--hfun", default=None,
                    help="uniform size VALUE or grid:PATH (default: 3%% of "
                         "the mean bounding-box dimension)")
-    p.add_argument("--vlen-min", type=float, default=1.0 / 3.0,
+    p.add_argument("--vlen-min", type=float, default=cfg.vlen_min,
                    help="volume-length floor for sliver refinement")
-    p.add_argument("--alpha", type=float, default=4.0 / 3.0,
+    p.add_argument("--alpha", type=float, default=cfg.alpha,
                    help="size-constraint slack factor")
-    p.add_argument("--collar-beta", type=float, default=1.5,
+    p.add_argument("--collar-beta", type=float, default=cfg.collar_beta,
                    help="protecting-collar spacing factor")
-    p.add_argument("--max-points", type=int, default=5_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-points", type=int, default=cfg.max_points)
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--compare", action="store_true",
                    help="run classical and frontal modes and summarise both")
     return p
@@ -98,10 +100,6 @@ def _load_grid(path):
 
 
 def make_config(args, geom):
-    if args.vlen_min > 1.0 / 3.0:
-        raise ValidationError(
-            f"--vlen-min {args.vlen_min:g} rejected: sliver refinement is "
-            "only convergent for bounds up to 1/3")
     return RefineConfig(rho_surf=args.rho_surf, rho_vol=args.rho_vol,
                         eps_rel=args.eps_rel,
                         sizing=load_sizing(args.hfun, geom),

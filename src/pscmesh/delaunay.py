@@ -135,7 +135,6 @@ class TetMesh:
         cz = (lo[2] + hi[2]) / 2.0
         diag = math.sqrt((hi[0] - lo[0]) ** 2 + (hi[1] - lo[1]) ** 2
                          + (hi[2] - lo[2]) ** 2) or 1.0
-        self.geom_diag = diag
         half = 5.0 * diag
         self.box_lo = (cx - half, cy - half, cz - half)
         self.box_hi = (cx + half, cy + half, cz + half)
@@ -155,7 +154,6 @@ class TetMesh:
         self.n_alive_tets = 0
         self._last_tet = -1
         self._last_insert = None
-        self.audit_cavity = False
 
         self._init_shell()
 
@@ -340,10 +338,6 @@ class TetMesh:
                     best = (d, v)
         if best is not None:
             return pj, cav, [], best[1]
-        if self.audit_cavity:
-            for t in cav:
-                if insphere(*self.tet_points(t), pj) <= 0:
-                    raise MeshError("cavity tet fails the in-ball audit")
         boundary = []
         for t in cav:
             quad = self.tets[t]

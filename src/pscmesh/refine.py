@@ -1,12 +1,17 @@
 """Hierarchical restricted Delaunay refinement driver.
 
 One driver instance owns the tetrahedralisation and the restricted sets
-exclusively (single-threaded).  The loop refines, in strict order of
-priority: oversized / inaccurate curve edges, broken vertex 1-disks, bad
-surface triangles (with encroachment cascades onto curve balls and a
-curve-topology rollback), broken 2-disks, then bad tetrahedra (cascading
-onto curve and surface balls with both rollbacks).  Every successful
-insertion restarts the cascade from the curve level.
+exclusively (single-threaded).  The rules are written once and indexed by
+simplex dimension d: 1 for curve edges, 2 for surface triangles and 3 for
+volume tetrahedra.  The loop runs, in strict order of priority, the
+refinement stage of d = 1, the 1-disk stage, d = 2, the 2-disk stage and
+d = 3.  Every successful insertion restarts the cascade from d = 1.
+
+A bad restricted d-simplex gets its surface-ball centre (circumcentre for
+a tet) or an off-centre.  A point that falls inside the surface ball of a
+restricted simplex of lower dimension goes to that ball's centre instead,
+and an insertion that changes a restricted complex of lower dimension is
+rolled back and deferred to the largest changed ball of that complex.
 
 Two point-placement modes are supported: ``classical`` always inserts the
 surface-ball centre / circumcentre, while ``frontal`` prefers size-optimal
@@ -32,50 +37,59 @@ from .errors import ProtectionError
 from .geometry import _dot, _norm, _sub, _unit
 from .quality import QualityReport, build_report
 from .restricted import (classify_edge, classify_facet, classify_tet,
-                         topo_disk_1, topo_disk_2)
+                         element_size, topo_disk_1, topo_disk_2)
 
-_SQRT3 = math.sqrt(3.0)
-_SQRT83 = math.sqrt(8.0 / 3.0)
 # greedy farthest-point seeds taken from the input before refinement
 _INIT_SAMPLES = 8
+_DIMS = (1, 2, 3)
 
 
 def bad_simplex_1(e, cfg):
     """Curve edge needs refinement: surface error or mean size too large."""
     h = cfg.sizing.value(e.centre)
-    return e.err > cfg.eps_rel * h or 2.0 * e.radius > cfg.alpha * h
+    return e.err > cfg.eps_rel * h or element_size(1, e.radius) > cfg.alpha * h
 
 
 def bad_simplex_2(f, cfg):
     """Surface triangle: error, size or radius-edge violation."""
     h = cfg.sizing.value(f.centre)
     return (f.err > cfg.eps_rel * h
-            or _SQRT3 * f.radius > cfg.alpha * h
+            or element_size(2, f.radius) > cfg.alpha * h
             or f.rho > cfg.rho_surf)
 
 
 def bad_simplex_3(t, cfg):
     """Tetrahedron: size, radius-edge, or sliver (volume-length) violation."""
     h = cfg.sizing.value(t.centre)
-    return (_SQRT83 * t.radius > cfg.alpha * h
+    return (element_size(3, t.radius) > cfg.alpha * h
             or t.rho > cfg.rho_vol
             or t.vlen <= cfg.vlen_min)
 
 
-def select_refinement_point(kind, c1, c2, c0, r0):
+_BAD = (None, bad_simplex_1, bad_simplex_2, bad_simplex_3)
+
+
+def _site(d, obj):
+    """(kind, ref) of a Steiner point placed for a restricted d-simplex."""
+    if d == 1:
+        return "curve", obj.curve_id
+    if d == 2:
+        return "surface", obj.patch_id
+    return "interior", -1
+
+
+def select_refinement_point(c1, c2, c0, r0):
     """Pick between the classical point c1 and the off-centre c2.
 
     Distances are measured from the frontal entity's ball centre c0; the
     off-centre wins only when it is no farther than the classical point
-    and (for triangles / tets) clears the frontal ball radius r0.  Returns
-    (point, "I" | "II").
+    and clears the frontal ball radius r0 (0 for a frontal vertex).
+    Returns (point, "I" | "II").
     """
     if c2 is None:
         return c1, "I"
     d1 = math.dist(c1, c0)
     d2 = math.dist(c2, c0)
-    if kind == 1:
-        return (c2, "II") if d2 <= d1 else (c1, "I")
     if d2 <= d1 and d2 >= r0:
         return c2, "II"
     return c1, "I"
@@ -172,12 +186,7 @@ class BallRegistry:
         self._c, self._r, self._alive = c, r, a
 
     def add(self, key, centre, radius):
-        if key in self._row:
-            row = self._row[key]
-            self._c[row] = centre
-            self._r[row] = radius
-            self._alive[row] = True
-            return
+        """Register the ball of a key that is not registered yet."""
         row = len(self._keys)
         if row >= len(self._c):
             self._grow(1)
@@ -188,9 +197,7 @@ class BallRegistry:
         self._alive[row] = True
 
     def remove(self, key):
-        row = self._row.pop(key, None)
-        if row is None:
-            return
+        row = self._row.pop(key)
         self._alive[row] = False
         self._keys[row] = None
         self._dead += 1
@@ -231,66 +238,62 @@ class BallRegistry:
 class RestrictedSets:
     """Refiner-owned restricted complexes plus incidence and ball indexes.
 
-    Each ``set_*`` stores obj under key (None deletes the entry) and
-    returns the entry it replaced.
+    Everything is indexed by simplex dimension d (1 curve edges, 2 surface
+    triangles, 3 volume tets): ``table[d]`` maps a sorted vertex tuple to
+    its restricted simplex and is the same dict as ``edges`` / ``tris`` /
+    ``tets``.  For d = 1 and 2, ``at_vertex[d]`` maps a vertex to the keys
+    incident to it and ``balls[d]`` registers their surface balls.
     """
 
     def __init__(self):
         self.edges = {}
         self.tris = {}
         self.tets = {}
-        self.edges_at_vertex = {}
-        self.tris_at_vertex = {}
-        self.edge_balls = BallRegistry()
-        self.tri_balls = BallRegistry()
+        self.table = (None, self.edges, self.tris, self.tets)
+        self.at_vertex = (None, {}, {})
+        self.balls = (None, BallRegistry(), BallRegistry())
 
-    def set_edge(self, key, obj):
-        return _store(self.edges, self.edges_at_vertex, self.edge_balls,
-                      key, obj)
-
-    def set_tri(self, key, obj):
-        return _store(self.tris, self.tris_at_vertex, self.tri_balls, key, obj)
-
-    def set_tet(self, key, obj):
-        if obj is None:
-            return self.tets.pop(key, None)
-        old = self.tets.get(key)
-        self.tets[key] = obj
+    def set(self, d, key, obj):
+        """Store obj under key in dimension d (None deletes the entry) and
+        return the entry it replaced."""
+        table = self.table[d]
+        if d == 3:
+            # a re-classified tet keeps its place in the dict order
+            if obj is None:
+                return table.pop(key, None)
+            old = table.get(key)
+            table[key] = obj
+            return old
+        at_vertex = self.at_vertex[d]
+        old = table.pop(key, None)
+        if old is not None:
+            for v in key:
+                s = at_vertex[v]
+                s.discard(key)
+                if not s:
+                    del at_vertex[v]
+            self.balls[d].remove(key)
+        if obj is not None:
+            table[key] = obj
+            for v in key:
+                at_vertex.setdefault(v, set()).add(key)
+            self.balls[d].add(key, obj.centre, obj.radius)
         return old
-
-
-def _store(table, at_vertex, balls, key, obj):
-    old = table.pop(key, None)
-    if old is not None:
-        for v in key:
-            s = at_vertex[v]
-            s.discard(key)
-            if not s:
-                del at_vertex[v]
-        balls.remove(key)
-    if obj is not None:
-        table[key] = obj
-        for v in key:
-            at_vertex.setdefault(v, set()).add(key)
-        balls.add(key, obj.centre, obj.radius)
-    return old
 
 
 class _Delta:
     """Topology change of the restricted sets caused by one mesh operation.
 
-    ``undo`` lists every restricted-table write as (setter, key, old);
-    replaying it in reverse restores the tables.
+    ``removed[d]`` / ``added[d]`` map keys to the simplexes that left or
+    joined dimension d.  ``undo`` lists every restricted-table write as
+    (d, key, old); replaying it in reverse restores the tables.
     """
 
-    __slots__ = ("edges_removed", "edges_added", "tris_removed", "tris_added",
-                 "undo")
+    __slots__ = ("removed", "added", "undo")
 
     def __init__(self):
-        self.edges_removed = {}
-        self.edges_added = {}
-        self.tris_removed = {}
-        self.tris_added = {}
+        self.removed = (None, {}, {}, {})
+        self.added = (None, {}, {}, {})
         self.undo = []
 
 
@@ -344,11 +347,9 @@ class Refiner:
         self.cfg = cfg
         self.mesh = TetMesh(geom.bounds, seed=cfg.seed)
         self.rs = RestrictedSets()
-        self.q_edges = []
-        self.q_tris = []
-        self.q_tets = []
-        self.dirty1 = {}
-        self.dirty2 = {}
+        # bad-simplex heaps and disk-check marks, indexed by dimension
+        self.queues = (None, [], [], [])
+        self.dirty = (None, {}, {})
         self._stamp = 0
         self.collars = []
         self.protected_edges = []
@@ -388,112 +389,78 @@ class Refiner:
                 pair = (col.apex_vid, wv) if col.apex_vid < wv else (wv, col.apex_vid)
                 self.protected_edges.append(pair)
         self._reclassify([], sorted(self.mesh.alive_tets()))
-        for v in range(len(self.mesh.points)):
-            self.dirty1[v] = None
-            self.dirty2[v] = None
+        self._mark_dirty(range(len(self.mesh.points)))
         self.status = "ready"
 
     # ------------------------------------------------------------------
     # classification bookkeeping
 
-    def _queue_edge(self, key, obj):
-        if bad_simplex_1(obj, self.cfg):
+    def _queue(self, d, key, obj):
+        if _BAD[d](obj, self.cfg):
             self._stamp += 1
-            heapq.heappush(self.q_edges, (-obj.radius, self._stamp, key, obj))
+            prio = -obj.radius if d == 1 else -obj.rho
+            heapq.heappush(self.queues[d], (prio, self._stamp, key, obj))
 
-    def _queue_tri(self, key, obj):
-        if bad_simplex_2(obj, self.cfg):
-            self._stamp += 1
-            heapq.heappush(self.q_tris, (-obj.rho, self._stamp, key, obj))
-
-    def _queue_tet(self, key, obj):
-        if bad_simplex_3(obj, self.cfg):
-            self._stamp += 1
-            heapq.heappush(self.q_tets, (-obj.rho, self._stamp, key, obj))
+    def _classify(self, d, key, handle):
+        if d == 1:
+            return classify_edge(self.mesh, self.g, key[0], key[1], t0=handle)
+        if d == 2:
+            return classify_facet(self.mesh, self.g, *handle)
+        return classify_tet(self.mesh, self.g, handle)
 
     def _reclassify(self, destroyed_quads, created_ids):
         """Re-derive restricted membership around a mesh change.
 
         Simplexes of destroyed tets that did not survive are dropped;
         every simplex of a created tet is (re)classified.  Returns the
-        topology delta of the curve and surface sets.
+        topology delta of the restricted sets.
         """
         mesh = self.mesh
-        old_edges = set()
-        old_tris = set()
-        old_quads = set()
+        # keys of each dimension: gone ones, and live ones with the handle
+        # their classifier takes (a tet id, or a (tet, facet index) pair)
+        old = (None, set(), set(), set())
+        handles = (None, {}, {}, {})
         for quad in destroyed_quads:
             sq = sorted(quad)
-            old_quads.add(tuple(sq))
-            old_edges.update(combinations(sq, 2))
-            old_tris.update(combinations(sq, 3))
-        edge_handles = {}
-        tri_handles = {}
-        quad_handles = {}
+            for d in _DIMS:
+                old[d].update(combinations(sq, d + 1))
         for t in created_ids:
             quad = mesh.tets[t]
             sq = sorted(quad)
-            quad_handles[tuple(sq)] = t
+            handles[3][tuple(sq)] = t
             for pair in combinations(sq, 2):
-                edge_handles.setdefault(pair, t)
+                handles[1].setdefault(pair, t)
             for i in range(4):
                 f = _FACES[i]
                 key = tuple(sorted((quad[f[0]], quad[f[1]], quad[f[2]])))
-                tri_handles.setdefault(key, (t, i))
+                handles[2].setdefault(key, (t, i))
         rs = self.rs
         delta = _Delta()
         undo = delta.undo
-        for key in sorted(old_edges - set(edge_handles)):
-            obj = rs.set_edge(key, None)
-            if obj is not None:
-                undo.append((rs.set_edge, key, obj))
-                delta.edges_removed[key] = obj
-        for key in sorted(old_tris - set(tri_handles)):
-            obj = rs.set_tri(key, None)
-            if obj is not None:
-                undo.append((rs.set_tri, key, obj))
-                delta.tris_removed[key] = obj
-        for key in sorted(old_quads - set(quad_handles)):
-            obj = rs.set_tet(key, None)
-            if obj is not None:
-                undo.append((rs.set_tet, key, obj))
-        for key in sorted(edge_handles):
-            obj = classify_edge(mesh, self.g, key[0], key[1],
-                                t0=edge_handles[key])
-            old = rs.set_edge(key, obj)
-            undo.append((rs.set_edge, key, old))
-            if obj is not None:
-                self._queue_edge(key, obj)
-                if old is None:
-                    delta.edges_added[key] = obj
-            elif old is not None:
-                delta.edges_removed[key] = old
-        for key in sorted(tri_handles):
-            t, i = tri_handles[key]
-            obj = classify_facet(mesh, self.g, t, i)
-            old = rs.set_tri(key, obj)
-            undo.append((rs.set_tri, key, old))
-            if obj is not None:
-                self._queue_tri(key, obj)
-                if old is None:
-                    delta.tris_added[key] = obj
-            elif old is not None:
-                delta.tris_removed[key] = old
-        for key in sorted(quad_handles):
-            obj = classify_tet(mesh, self.g, quad_handles[key])
-            old = rs.set_tet(key, obj)
-            undo.append((rs.set_tet, key, old))
-            if obj is not None:
-                self._queue_tet(key, obj)
-        touched = set()
-        for quad in destroyed_quads:
-            touched.update(quad)
-        for t in created_ids:
-            touched.update(mesh.tets[t])
-        for v in sorted(touched):
-            self.dirty1[v] = None
-            self.dirty2[v] = None
+        for d in _DIMS:
+            for key in sorted(old[d].difference(handles[d])):
+                obj = rs.set(d, key, None)
+                if obj is not None:
+                    undo.append((d, key, obj))
+                    delta.removed[d][key] = obj
+        for d in _DIMS:
+            for key in sorted(handles[d]):
+                obj = self._classify(d, key, handles[d][key])
+                prev = rs.set(d, key, obj)
+                undo.append((d, key, prev))
+                if obj is not None:
+                    self._queue(d, key, obj)
+                    if prev is None:
+                        delta.added[d][key] = obj
+                elif prev is not None:
+                    delta.removed[d][key] = prev
         return delta
+
+    def _mark_dirty(self, vertices):
+        """Queue the restricted stars of vertices for the disk stages."""
+        for v in sorted(vertices):
+            self.dirty[1][v] = None
+            self.dirty[2][v] = None
 
     # ------------------------------------------------------------------
     # guarded insertion
@@ -519,8 +486,10 @@ class Refiner:
     def _insert(self, point, kind, ref, gamma_guard=False, sigma_guard=False):
         """Insert one Steiner point with all Algorithm guards applied.
 
-        Returns (status, vid) with status in {'inserted', 'duplicate',
-        'rejected'}; 'inserted' covers rollback-then-deferred insertions.
+        ``gamma_guard`` / ``sigma_guard`` roll the insertion back when it
+        changes the restricted curve / surface complex.  Returns (status,
+        vid) with status in {'inserted', 'duplicate', 'rejected'};
+        'inserted' covers rollback-then-deferred insertions.
         """
         if len(self.mesh.points) - 8 >= self.cfg.max_points:
             raise _Budget()
@@ -533,40 +502,37 @@ class Refiner:
             return "rejected", None
         rec = self.mesh.insert_point(point, kind, ref, probe=probe)
         delta = self._reclassify(rec.destroyed_quads, rec.created)
-        if gamma_guard and (delta.edges_removed or delta.edges_added):
-            self.stats["rollback_gamma"] += 1
-            return self._rollback(rec, delta, "gamma")
-        if sigma_guard and (delta.tris_removed or delta.tris_added):
-            self.stats["rollback_sigma"] += 1
-            return self._rollback(rec, delta, "sigma")
+        for low, guard, stat in ((1, gamma_guard, "rollback_gamma"),
+                                 (2, sigma_guard, "rollback_sigma")):
+            if guard and (delta.removed[low] or delta.added[low]):
+                self.stats[stat] += 1
+                return self._rollback(rec, delta, low)
+        self._mark_dirty(set().union(*rec.destroyed_quads,
+                                     *(self.mesh.tets[t] for t in rec.created)))
         self.stats["inserted"] += 1
         return "inserted", rec.vid
 
-    def _rollback(self, rec, delta, which):
+    def _rollback(self, rec, delta, low):
         """Undo the offending insertion and defer to the largest adjacent
-        surface ball of the disturbed lower-dimensional complex.
+        surface ball of the disturbed restricted complex of dimension low.
 
         The mesh comes back from the record's journal and the restricted
         tables from ``delta.undo``, so the restored objects are the same
         ones, and their queue entries are live again.
         """
         self.mesh.remove_point(rec)
-        for setter, key, old in reversed(delta.undo):
-            setter(key, old)
-        if which == "gamma":
-            changed = delta.edges_removed or delta.edges_added
-            best = max(changed.values(), key=lambda e: (e.radius, e.edge))
-            return self._insert(best.centre, "curve", best.curve_id)
-        changed = delta.tris_removed or delta.tris_added
-        best = max(changed.values(), key=lambda f: (f.radius, f.tri))
-        return self._insert(best.centre, "surface", best.patch_id)
+        for d, key, old in reversed(delta.undo):
+            self.rs.set(d, key, old)
+        changed = delta.removed[low] or delta.added[low]
+        _key, best = max(changed.items(), key=lambda kv: (kv[1].radius, kv[0]))
+        return self._insert(best.centre, *_site(low, best))
 
     # ------------------------------------------------------------------
     # frontal machinery
 
     def _frontal_vertex(self, e):
         for v in e.edge:
-            for k in sorted(self.rs.edges_at_vertex.get(v, ())):
+            for k in sorted(self.rs.at_vertex[1].get(v, ())):
                 if k != e.edge and not bad_simplex_1(self.rs.edges[k],
                                                      self.cfg):
                     return v
@@ -578,7 +544,7 @@ class Refiner:
             obj = self.rs.edges.get(pair)
             if obj is not None and not bad_simplex_1(obj, self.cfg):
                 return pair
-            for k in sorted(self.rs.tris_at_vertex.get(pair[0], ())):
+            for k in sorted(self.rs.at_vertex[2].get(pair[0], ())):
                 if k != f.tri and pair[1] in k:
                     other = self.rs.tris[k]
                     if not bad_simplex_2(other, self.cfg):
@@ -600,6 +566,23 @@ class Refiner:
                 if nobj is not None and not bad_simplex_3(nobj, self.cfg):
                     return key
         return None
+
+    def _frontal(self, d, token):
+        """Converged neighbour that makes token frontal: a vertex (d = 1),
+        an edge (d = 2) or a facet (d = 3) key, or None."""
+        if d == 1:
+            return self._frontal_vertex(token)
+        if d == 2:
+            return self._tri_frontal_edge(token)
+        return self._tet_frontal_facet(token)
+
+    def _offcentre(self, d, token, witness):
+        """(off-centre or None, frontal ball centre, frontal ball radius)."""
+        if d == 1:
+            return self._edge_offcentre(token, witness)
+        if d == 2:
+            return self._tri_offcentre(token, witness)
+        return self._tet_offcentre(token, witness)
 
     def _solve_local_size(self, base_point, candidate_fn):
         """Fixed-point solve of the half-sum sizing relation.
@@ -630,7 +613,7 @@ class Refiner:
         v = _sub(e.centre, p1)
         vn = _norm(v)
         if vn == 0.0:
-            return None
+            return None, p1, 0.0
 
         def candidate(h):
             hits = self.g.intersect_sphere_curve(p1, h)
@@ -640,7 +623,7 @@ class Refiner:
                                             (-x[0], -x[1], -x[2])))
 
         cand, _h = self._solve_local_size(p1, candidate)
-        return cand
+        return cand, p1, 0.0
 
     def _tri_offcentre(self, f, pair):
         pu = self.mesh.points[pair[0]]
@@ -693,176 +676,114 @@ class Refiner:
     # ------------------------------------------------------------------
     # queue scanning
 
-    def _pop(self, heap, table, frontal_fn):
-        """Next queue entry to refine: (token, frontal?) or None.
+    def _pop(self, d):
+        """Next bad d-simplex to refine: (key, token, frontal witness or
+        None), or None when the queue holds no live entry.
 
         In frontal mode the scan prefers the highest-priority entry with a
         converged neighbour; when the first 64 candidates have none, the
         top entry is refined classically so progress is always possible.
         """
+        heap = self.queues[d]
+        table = self.rs.table[d]
         stash = []
         chosen = None
-        frontal = False
+        witness = None
         while heap:
             item = heapq.heappop(heap)
             key, token = item[2], item[3]
             if table.get(key) is not token or token.blocked:
                 continue
             if self.cfg.mode != "frontal":
-                chosen = token
+                chosen = item
                 break
-            if frontal_fn(token):
-                chosen = token
-                frontal = True
+            witness = self._frontal(d, token)
+            if witness is not None:
+                chosen = item
                 break
             stash.append(item)
             if len(stash) >= 64:
                 break
         if chosen is None and stash:
-            chosen = stash[0][3]
+            chosen = stash[0]
             stash = stash[1:]
         for item in stash:
             heapq.heappush(heap, item)
         if chosen is None:
             return None
-        return chosen, frontal
+        return chosen[2], chosen[3], witness
 
     # ------------------------------------------------------------------
-    # the five cascade stages
+    # the cascade stages
 
-    def _step_edges(self):
+    def _step(self, d):
+        """Refine bad restricted d-simplexes until one insertion succeeds
+        (True) or the queue runs dry (False)."""
+        rs = self.rs
+        table = rs.table[d]
         while True:
-            popped = self._pop(self.q_edges, self.rs.edges,
-                               lambda e: self._frontal_vertex(e) is not None)
+            popped = self._pop(d)
             if popped is None:
                 return False
-            token, frontal = popped
+            key, token, witness = popped
             point, ptype = token.centre, "I"
-            if frontal:
-                x1 = self._frontal_vertex(token)
-                c2 = self._edge_offcentre(token, x1)
-                point, ptype = select_refinement_point(
-                    1, token.centre, c2, self.mesh.points[x1], 0.0)
-            st, _vid = self._insert(point, "curve", token.curve_id)
+            if witness is not None:
+                c2, c0, r0 = self._offcentre(d, token, witness)
+                point, ptype = select_refinement_point(token.centre, c2, c0,
+                                                       r0)
+            # a point inside a lower-dimensional surface ball goes to that
+            # ball's centre instead
+            for low in range(1, d):
+                lkey = rs.balls[low].find_containing(point)
+                if lkey is not None:
+                    obj = rs.table[low][lkey]
+                    self.stats[("encroach_edge", "encroach_tri")[low - 1]] += 1
+                    st, _vid = self._insert(obj.centre, *_site(low, obj))
+                    break
+            else:
+                st, _vid = self._insert(point, *_site(d, token),
+                                        gamma_guard=d > 1, sigma_guard=d > 2)
             if st == "inserted":
                 self.stats["type2" if ptype == "II" else "type1"] += 1
-                # a deferred insertion may leave this edge untouched and
+                # a deferred insertion may leave this simplex untouched and
                 # still in violation: put it back in line
-                if self.rs.edges.get(token.edge) is token:
-                    self._queue_edge(token.edge, token)
+                if table.get(key) is token:
+                    self._queue(d, key, token)
                 return True
             # duplicate / rejected: freeze whatever classification currently
             # stands for this simplex (a deferred insertion may have
             # replaced it)
-            cur = self.rs.edges.get(token.edge)
+            cur = table.get(key)
             if cur is not None:
                 cur.blocked = True
                 self.stats["blocked"] += 1
 
-    def _step_disk1(self):
-        while self.dirty1:
-            v = next(iter(self.dirty1))
-            del self.dirty1[v]
-            keys = sorted(self.rs.edges_at_vertex.get(v, ()))
-            if not keys:
-                continue
-            objs = [self.rs.edges[k] for k in keys]
-            target = topo_disk_1(objs, self._curve_degree(v))
+    def _disk_target(self, d, v):
+        """Largest-ball simplex of v's restricted d-star when its d-disk
+        condition fails, else None."""
+        keys = sorted(self.rs.at_vertex[d].get(v, ()))
+        if not keys:
+            return None
+        objs = [self.rs.table[d][k] for k in keys]
+        if d == 1:
+            return topo_disk_1(objs, self._curve_degree(v))
+        return topo_disk_2(v, objs, self._on_surface(v), self.rs.edges.keys())
+
+    def _step_disk(self, d):
+        """Repair one broken d-disk among the marked vertices."""
+        dirty = self.dirty[d]
+        while dirty:
+            v = next(iter(dirty))
+            del dirty[v]
+            target = self._disk_target(d, v)
             if target is None:
                 continue
-            st, _vid = self._insert(target.centre, "curve", target.curve_id)
+            st, _vid = self._insert(target.centre, *_site(d, target))
             if st == "inserted":
-                self.stats["disk1"] += 1
-                self.dirty1[v] = None
+                self.stats[f"disk{d}"] += 1
+                dirty[v] = None
                 return True
         return False
-
-    def _step_tris(self):
-        while True:
-            popped = self._pop(self.q_tris, self.rs.tris,
-                               lambda f: self._tri_frontal_edge(f) is not None)
-            if popped is None:
-                return False
-            token, frontal = popped
-            point, ptype = token.centre, "I"
-            if frontal:
-                pair = self._tri_frontal_edge(token)
-                c2, c0, r0 = self._tri_offcentre(token, pair)
-                point, ptype = select_refinement_point(
-                    2, token.centre, c2, c0, r0)
-            ekey = self.rs.edge_balls.find_containing(point)
-            if ekey is not None:
-                e = self.rs.edges[ekey]
-                self.stats["encroach_edge"] += 1
-                st, _vid = self._insert(e.centre, "curve", e.curve_id)
-            else:
-                st, _vid = self._insert(point, "surface", token.patch_id,
-                                        gamma_guard=True)
-            if st == "inserted":
-                self.stats["type2" if ptype == "II" else "type1"] += 1
-                if self.rs.tris.get(token.tri) is token:
-                    self._queue_tri(token.tri, token)
-                return True
-            cur = self.rs.tris.get(token.tri)
-            if cur is not None:
-                cur.blocked = True
-                self.stats["blocked"] += 1
-
-    def _step_disk2(self):
-        gamma_keys = self.rs.edges.keys()
-        while self.dirty2:
-            v = next(iter(self.dirty2))
-            del self.dirty2[v]
-            keys = sorted(self.rs.tris_at_vertex.get(v, ()))
-            if not keys:
-                continue
-            objs = [self.rs.tris[k] for k in keys]
-            target = topo_disk_2(v, objs, self._on_surface(v), gamma_keys)
-            if target is None:
-                continue
-            st, _vid = self._insert(target.centre, "surface", target.patch_id)
-            if st == "inserted":
-                self.stats["disk2"] += 1
-                self.dirty2[v] = None
-                return True
-        return False
-
-    def _step_tets(self):
-        while True:
-            popped = self._pop(self.q_tets, self.rs.tets,
-                               lambda t: self._tet_frontal_facet(t) is not None)
-            if popped is None:
-                return False
-            token, frontal = popped
-            point, ptype = token.centre, "I"
-            if frontal:
-                fkey = self._tet_frontal_facet(token)
-                c2, c0, r0 = self._tet_offcentre(token, fkey)
-                point, ptype = select_refinement_point(
-                    3, token.centre, c2, c0, r0)
-            ekey = self.rs.edge_balls.find_containing(point)
-            if ekey is not None:
-                e = self.rs.edges[ekey]
-                self.stats["encroach_edge"] += 1
-                st, _vid = self._insert(e.centre, "curve", e.curve_id)
-            else:
-                tkey = self.rs.tri_balls.find_containing(point)
-                if tkey is not None:
-                    f = self.rs.tris[tkey]
-                    self.stats["encroach_tri"] += 1
-                    st, _vid = self._insert(f.centre, "surface", f.patch_id)
-                else:
-                    st, _vid = self._insert(point, "interior", -1,
-                                            gamma_guard=True, sigma_guard=True)
-            if st == "inserted":
-                self.stats["type2" if ptype == "II" else "type1"] += 1
-                if self.rs.tets.get(token.quad) is token:
-                    self._queue_tet(token.quad, token)
-                return True
-            cur = self.rs.tets.get(token.quad)
-            if cur is not None:
-                cur.blocked = True
-                self.stats["blocked"] += 1
 
     # ------------------------------------------------------------------
     # vertex context
@@ -891,18 +812,18 @@ class Refiner:
     def run(self):
         if self.status == "new":
             self.setup()
-        stages = (("edges", self._step_edges), ("disk1", self._step_disk1),
-                  ("tris", self._step_tris), ("disk2", self._step_disk2),
-                  ("tets", self._step_tets))
+        stages = (("edges", self._step, 1), ("disk1", self._step_disk, 1),
+                  ("tris", self._step, 2), ("disk2", self._step_disk, 2),
+                  ("tets", self._step, 3))
         clock = time.perf_counter
         try:
             progressed = True
             while progressed:
                 # the first stage that inserts a point restarts the cascade
-                for name, step in stages:
+                for name, step, d in stages:
                     t0 = clock()
                     try:
-                        progressed = step()
+                        progressed = step(d)
                     finally:
                         self.stage_s[name] += clock() - t0
                     if progressed:
@@ -926,36 +847,17 @@ class Refiner:
         out["rho_vol_ok"] = all(t.rho <= cfg.rho_vol * (1 + tol)
                                 for t in self.rs.tets.values())
         out["eps_ok"] = all(
-            e.err <= cfg.eps_rel * sizing.value(e.centre) * (1 + tol)
-            for e in self.rs.edges.values()) and all(
-            f.err <= cfg.eps_rel * sizing.value(f.centre) * (1 + tol)
-            for f in self.rs.tris.values())
-        out["size_ok"] = (
-            all(2 * e.radius <= cfg.alpha * sizing.value(e.centre) * (1 + tol)
-                for e in self.rs.edges.values())
-            and all(_SQRT3 * f.radius <= cfg.alpha * sizing.value(f.centre) * (1 + tol)
-                    for f in self.rs.tris.values())
-            and all(_SQRT83 * t.radius <= cfg.alpha * sizing.value(t.centre) * (1 + tol)
-                    for t in self.rs.tets.values()))
+            s.err <= cfg.eps_rel * sizing.value(s.centre) * (1 + tol)
+            for d in (1, 2) for s in self.rs.table[d].values())
+        out["size_ok"] = all(
+            element_size(d, s.radius) <= cfg.alpha * sizing.value(s.centre) * (1 + tol)
+            for d in _DIMS for s in self.rs.table[d].values())
         out["vlen_ok"] = all(t.vlen > cfg.vlen_min * (1 - tol)
                              for t in self.rs.tets.values())
-        disks = True
-        gamma_keys = self.rs.edges.keys()
-        for v in range(8, len(self.mesh.points)):
-            if not self.mesh.meta[v].alive:
-                continue
-            ekeys = sorted(self.rs.edges_at_vertex.get(v, ()))
-            if ekeys and topo_disk_1([self.rs.edges[k] for k in ekeys],
-                                     self._curve_degree(v)) is not None:
-                disks = False
-                break
-            tkeys = sorted(self.rs.tris_at_vertex.get(v, ()))
-            if tkeys and topo_disk_2(v, [self.rs.tris[k] for k in tkeys],
-                                     self._on_surface(v),
-                                     gamma_keys) is not None:
-                disks = False
-                break
-        out["disks_ok"] = disks
+        out["disks_ok"] = all(
+            self._disk_target(d, v) is None
+            for v in range(8, len(self.mesh.points))
+            if self.mesh.meta[v].alive for d in (1, 2))
         out["protected_ok"] = all(
             self.mesh.edge_exists(a, b) and (a, b) in self.rs.edges
             for (a, b) in self.protected_edges)

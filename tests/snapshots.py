@@ -17,8 +17,11 @@ def refiner_snapshot(r):
         "rs_edges": dict(rs.edges),
         "rs_tris": dict(rs.tris),
         "rs_tets": dict(rs.tets),
-        "edges_at_vertex": {v: set(s) for v, s in rs.edges_at_vertex.items()},
-        "tris_at_vertex": {v: set(s) for v, s in rs.tris_at_vertex.items()},
+        "edges_at_vertex": {v: set(s) for v, s in rs.at_vertex[1].items()},
+        "tris_at_vertex": {v: set(s) for v, s in rs.at_vertex[2].items()},
+        # disk-check marks in queue order
+        "dirty1": list(r.dirty[1]),
+        "dirty2": list(r.dirty[2]),
     }
 
 

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` looks up every name it wraps; these tests install
 and uninstall it so that a rename or deletion of a traced name fails here,
-and check that the box queries it counts still pass through ``query_box``.
+check that a traced refinement still calls through the patched names, and
+check that the box queries it counts still pass through ``query_box``.
 """
 
 import importlib
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from pscmesh.config import RefineConfig, SizingField
-from pscmesh.models import cube, icosphere
+from pscmesh.models import cube, icosphere, wedge
 from pscmesh.refine import Refiner
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -35,6 +36,38 @@ def test_tracer_installs_and_restores_every_traced_name():
     tracer.uninstall()
     assert refine.Refiner.setup is setup
     assert refine.classify_edge is classify_edge
+
+
+def test_traced_refinement_calls_through_every_patched_driver_name(
+        monkeypatch):
+    # the refiner is built before the patches go in, so a table of
+    # classifiers bound at import or construction time would miss them
+    r = Refiner(wedge(), RefineConfig(sizing=SizingField(h0=0.5), seed=0))
+    # both disk checks share one traced name: count each on its own
+    refine = importlib.import_module("pscmesh.refine")
+    disk_calls = {}
+    for name in ("topo_disk_1", "topo_disk_2"):
+        fn = getattr(refine, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            disk_calls[_name] = disk_calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(refine, name, counted)
+    tracing = load_tracing()
+    tracer = tracing.install()
+    try:
+        r.setup()
+        assert r.run() == "converged"
+    finally:
+        tracer.uninstall()
+    metrics = tracing.per_layer(tracer, r.stats, 0)
+    for name in ("restricted.classify_edge.calls",
+                 "restricted.classify_facet.calls",
+                 "restricted.classify_tet.calls",
+                 "restricted.topo_disk.calls",
+                 "refine.find_containing.calls"):
+        assert metrics[name] > 0, name
+    assert disk_calls.keys() == {"topo_disk_1", "topo_disk_2"}
 
 
 def test_membership_query_is_counted_as_a_volume_box_query():

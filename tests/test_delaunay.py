@@ -157,12 +157,17 @@ def test_orientation_always_positive():
         assert orient3d(*(m.points[v] for v in m.tets[t])) > 0
 
 
-def test_cavity_audit_mode():
+def test_probe_cavity_holds_exactly_the_conflicting_tets():
+    from pscmesh.predicates import insphere
     m = TetMesh(UNIT, seed=9)
-    m.audit_cavity = True
     rng = np.random.default_rng(4)
     for p in rng.uniform(0, 1, (30, 3)):
-        m.insert_point(tuple(p))  # raises if a cavity tet fails the in-ball check
+        probe = m.probe_insert(tuple(p))
+        pj, cav, boundary, _dup = probe
+        assert all(insphere(*m.tet_points(t), pj) > 0 for t in cav)
+        assert all(n == -1 or insphere(*m.tet_points(n), pj) <= 0
+                   for _face, n in boundary)
+        m.insert_point(tuple(p), probe=probe)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Golden outputs: sha256 of the VTK and report files of ``--seed 42`` CLI
-runs on the bundled benchmarks.
+runs on the bundled benchmarks, in both point-placement modes.
+
+The classical runs reach what the frontal ones never do: the classical
+branch of the queue scan, and (on the wedge) two curve-guard rollbacks.
 
 A change that alters any mesh or report must update these digests and
 say why.  Digests taken with Python 3.11.7 and numpy 2.4.6.
@@ -26,18 +29,40 @@ GOLDEN = {
              "721315ddd39a1a373e38225075eaaec32b34cf60a9205f8f33a970e6ebb13548"),
 }
 
+CLASSICAL = {
+    "icosphere": ("0.5",
+                  "c42b6e495a7c9a85a6ece13cbd68f85fede5b640b3a6774afa0e171490a4a5f6",
+                  "d89e7ccea3f3537c5ea43ad462228b4f2175ecbda4bfec3924f041196e67608a"),
+    "wedge": ("0.4",
+              "f606156024cc816844b016bebef53a44a877f32928acff72ee8742b819c1e6d7",
+              "65e2635af11a829ba4edbbeb57f90454dab5b3d0d05dfa172ec7b9b62a8dcb7f"),
+    "cube": ("0.35",
+             "ae15541d496801359a2f65f7c58a2907a6ad0c1d5733e5bc6fe2c48bfe4a300b",
+             "fb28be48cce2f4cf9a122fce5e945ea076e070a11f60360969afbbf47867984f"),
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_seed_42_outputs_match_golden_digests(name, tmp_path):
-    hfun, vtk_digest, report_digest = GOLDEN[name]
+def check_digests(name, golden, mode, tmp_path):
+    hfun, vtk_digest, report_digest = golden[name]
     vtk = tmp_path / f"{name}.vtk"
     report = tmp_path / f"{name}.report.txt"
     assert main(["--input", str(BENCHMARKS / f"{name}.psc"), "--hfun", hfun,
-                 "--seed", "42", "--output", str(vtk), "--report", str(report),
+                 "--mode", mode, "--seed", "42", "--output", str(vtk),
+                 "--report", str(report),
                  "--manifest", str(tmp_path / f"{name}.manifest.txt")]) == 0
     assert sha256(vtk) == vtk_digest
     assert sha256(report) == report_digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seed_42_outputs_match_golden_digests(name, tmp_path):
+    check_digests(name, GOLDEN, "frontal", tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL))
+def test_seed_42_classical_outputs_match_golden_digests(name, tmp_path):
+    check_digests(name, CLASSICAL, "classical", tmp_path)

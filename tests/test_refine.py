@@ -75,17 +75,17 @@ def test_select_tet_rule():
     c0 = (0, 0, 0)
     c1 = (1.0, 0, 0)
     c2 = (0.8, 0, 0)
-    assert select_refinement_point(3, c1, c2, c0, 0.5)[0] == c2
-    assert select_refinement_point(3, c1, (0.4, 0, 0), c0, 0.5)[0] == c1
-    assert select_refinement_point(3, c1, None, c0, 0.5) == (c1, "I")
+    assert select_refinement_point(c1, c2, c0, 0.5)[0] == c2
+    assert select_refinement_point(c1, (0.4, 0, 0), c0, 0.5)[0] == c1
+    assert select_refinement_point(c1, None, c0, 0.5) == (c1, "I")
 
 
 def test_select_edge_rule_and_degeneration():
     c0 = (0, 0, 0)
     c1 = (0.5, 0, 0)   # ball radius r = 0.5 from the frontal vertex
-    assert select_refinement_point(1, c1, (0.4, 0, 0), c0, 0.0)[1] == "II"
+    assert select_refinement_point(c1, (0.4, 0, 0), c0, 0.0)[1] == "II"
     # local target length exceeding the ball radius declines the off-centre
-    assert select_refinement_point(1, c1, (0.7, 0, 0), c0, 0.0)[1] == "I"
+    assert select_refinement_point(c1, (0.7, 0, 0), c0, 0.0)[1] == "I"
 
 
 # ----------------------------------------------------------------------
@@ -103,8 +103,9 @@ def test_edge_offcentre_uniform():
     r, _g = edge_refiner(SizingField(h0=0.2))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
     e = RestrictedEdge((0, 0), (0.35, 0, 0), 0.35, 0.0, 0)
-    c2 = r._edge_offcentre(e, x1)
+    c2, c0, r0 = r._edge_offcentre(e, x1)
     assert c2 is not None
+    assert c0 == r.mesh.points[x1] and r0 == 0.0
     assert np.allclose(c2, (0.2, 0, 0), atol=1e-9)
 
 
@@ -112,7 +113,7 @@ def test_edge_offcentre_minimises_angle_to_frontal_vector():
     r, _g = edge_refiner(SizingField(h0=0.2))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
     back = RestrictedEdge((0, 0), (-0.3, 0, 0), 0.3, 0.0, 0)
-    c2 = r._edge_offcentre(back, x1)
+    c2, _c0, _r0 = r._edge_offcentre(back, x1)
     assert c2[0] < 0  # frontal vector points toward -x, so does the pick
 
 
@@ -122,7 +123,7 @@ def test_edge_offcentre_linear_sizing_fixed_point():
     r, _g = edge_refiner(SizingField(grid=grid), lo=(0, 0, 0), hi=(1, 0, 0))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
     e = RestrictedEdge((0, 0), (0.4, 0, 0), 0.4, 0.0, 0)
-    c2 = r._edge_offcentre(e, x1)
+    c2, _c0, _r0 = r._edge_offcentre(e, x1)
     # solves h = (0.1 + 0.1 + 0.1 h) / 2 -> 0.1 / 0.95
     assert abs(c2[0] - 0.1 / 0.95) <= 2e-4
 
