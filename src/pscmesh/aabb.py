@@ -19,11 +19,21 @@ the result is an order-preserving subsequence of the unclipped walk; no
 hit is lost while ``pad`` covers how far outside a primitive's box
 its hit test still accepts one (``geometry`` passes ``eps`` plus its
 barycentric slack times the diagonal, far above the clips' rounding).
+
+``lower_distances`` bounds the distance from many points to the primitives
+from below in a few numpy passes.  It measures the distance to the nearest box
+of a fixed cover of the primitives: their own boxes when there are at most
+``_COVER_BOXES`` of them, else the node boxes of the deepest full cut of
+the tree that has at most ``_COVER_BOXES`` nodes.  Every box contains its
+primitives, so no point is nearer a primitive than its nearest cover box.
 """
 
 import numpy as np
 
 _LEAF_SIZE = 8
+_COVER_BOXES = 512
+# entries of one (rows, K) block of ``lower_distances``: 64 KiB of floats
+_BLOCK_ELEMENTS = 8192
 
 
 class AABBTree:
@@ -40,6 +50,7 @@ class AABBTree:
             centres = 0.5 * (boxes[:, :3] + boxes[:, 3:])
             self._build(boxes, centres, 0, self.n)
         self._perm = self._perm.tolist()  # queries hand out Python ints
+        self._cover = self._cut(boxes)
 
     def _build(self, boxes, centres, lo, hi):
         idx = self._perm[lo:hi]
@@ -59,6 +70,53 @@ class AABBTree:
         right = self._build(boxes, centres, mid, hi)
         self._nodes[node] = (*box, left, right, 0, 0)
         return node
+
+    def _cut(self, boxes):
+        """(lo, hi) of the cover boxes, each (3, K): the primitive boxes,
+        or the deepest tree cut of at most ``_COVER_BOXES`` nodes."""
+        if self.n <= _COVER_BOXES:
+            cover = boxes.reshape(-1, 6)
+        else:
+            cut = [0]
+            while True:
+                nxt = [c for nd in cut for c in (
+                    (nd,) if self._nodes[nd][6] < 0 else self._nodes[nd][6:8])]
+                if len(nxt) > _COVER_BOXES or len(nxt) == len(cut):
+                    break
+                cut = nxt
+            cover = np.array([self._nodes[nd][:6] for nd in cut])
+        return (np.ascontiguousarray(cover[:, :3].T),
+                np.ascontiguousarray(cover[:, 3:].T))
+
+    def lower_distances(self, points):
+        """Distance from each of the (P, 3) points to its nearest cover box,
+        a lower bound on its distance to every primitive (+inf for an
+        empty tree)."""
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        lo, hi = self._cover
+        k = lo.shape[1]
+        if not k:
+            return np.full(len(pts), np.inf)
+        out = np.empty(len(pts))
+        # per-axis squared gaps summed into (rows, K) blocks, never a
+        # (P, K, 3) array; small blocks keep the temporaries off the heap top
+        rows = max(1, _BLOCK_ELEMENTS // k)
+        bufs = [np.empty((rows, k)) for _ in range(3)]
+        for first in range(0, len(pts), rows):
+            block = pts[first:first + rows]
+            m = len(block)
+            acc, gap, beyond = (b[:m] for b in bufs)
+            acc.fill(0.0)
+            for a in range(3):
+                x = block[:, a:a + 1]
+                np.subtract(lo[a], x, out=gap)
+                np.subtract(x, hi[a], out=beyond)
+                np.maximum(gap, beyond, out=gap)
+                np.maximum(gap, 0.0, out=gap)
+                np.multiply(gap, gap, out=gap)
+                acc += gap
+            out[first:first + m] = np.sqrt(acc.min(axis=1))
+        return out
 
     def query_box(self, lo, hi, seg=None, plane=None, ball=None):
         """Primitive ids whose boxes overlap the axis-aligned box [lo, hi],

@@ -126,6 +126,11 @@ class InsertRecord:
         self.created = created
         self.journal = journal
 
+    @property
+    def destroyed(self):
+        """Ids of the killed tets, in ``destroyed_quads`` order."""
+        return [k[0] for k in self.journal[0]] if self.journal else []
+
 
 class TetMesh:
     def __init__(self, bounds, seed=0):

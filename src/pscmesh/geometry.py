@@ -40,6 +40,10 @@ _RAY_DIRS = [
 # 3s x the diagonal.
 _HIT_SLACK = 1e-10
 
+# Half-width of the band about triangle edges in which a membership ray is
+# re-shot rather than counted.
+_RAY_BAND = 1e-9
+
 
 def _unit(v):
     n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
@@ -150,6 +154,10 @@ class PiecewiseComplex:
             boxes_for_segments(self.vertices, self.segments, pad=self.eps))
         self.tri_tree = AABBTree(
             boxes_for_triangles(self.vertices, self.triangles, pad=self.eps))
+        # farthest from the surface that a segment query reports a hit or a
+        # membership ray meets its band: eps plus the ray band's reach, the
+        # larger of the two slacks (``restricted.DistanceCertificate``)
+        self.hit_pad = self.eps + 3.0 * _RAY_BAND * self.diag
 
     def _validate(self):
         nv = len(self.vertices)
@@ -248,30 +256,37 @@ class PiecewiseComplex:
         return _dedupe_tagged(hits, self.eps)
 
     def _segment_triangle_point(self, a, b, tid, slack=_HIT_SLACK):
+        # the vector helpers written out, in their operation order
         i, j, k, _p = self.triangles[tid]
         p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
-        d = _sub(b, a)
-        e1 = _sub(p1, p0)
-        e2 = _sub(p2, p0)
-        pvec = _cross(d, e1)
-        det = _dot(pvec, e2)
-        scale = _norm(d) * _norm(e1) * _norm(e2)
+        dx = b[0] - a[0]; dy = b[1] - a[1]; dz = b[2] - a[2]
+        e1x = p1[0] - p0[0]; e1y = p1[1] - p0[1]; e1z = p1[2] - p0[2]
+        e2x = p2[0] - p0[0]; e2y = p2[1] - p0[1]; e2z = p2[2] - p0[2]
+        px = dy * e1z - dz * e1y
+        py = dz * e1x - dx * e1z
+        pz = dx * e1y - dy * e1x
+        det = px * e2x + py * e2y + pz * e2z
+        scale = (math.sqrt(dx * dx + dy * dy + dz * dz)
+                 * math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
+                 * math.sqrt(e2x * e2x + e2y * e2y + e2z * e2z))
         if abs(det) <= 1e-14 * scale:
             return None  # parallel to the triangle plane
         inv = 1.0 / det
-        tvec = _sub(a, p0)
-        v = _dot(tvec, pvec) * inv
+        tx = a[0] - p0[0]; ty = a[1] - p0[1]; tz = a[2] - p0[2]
+        v = (tx * px + ty * py + tz * pz) * inv
         if v < -slack or v > 1.0 + slack:
             return None
-        qvec = _cross(tvec, e2)
-        w = _dot(d, qvec) * inv
+        qx = ty * e2z - tz * e2y
+        qy = tz * e2x - tx * e2z
+        qz = tx * e2y - ty * e2x
+        w = (dx * qx + dy * qy + dz * qz) * inv
         if w < -slack or v + w > 1.0 + slack:
             return None
-        t = _dot(e1, qvec) * inv
+        t = (e1x * qx + e1y * qy + e1z * qz) * inv
         if t < -1e-12 or t > 1.0 + 1e-12:
             return None
         t = min(max(t, 0.0), 1.0)
-        return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
+        return (a[0] + t * dx, a[1] + t * dy, a[2] + t * dz)
 
     def point_in_volume(self, p):
         """Ray-parity membership in the enclosed volume.
@@ -292,33 +307,42 @@ class PiecewiseComplex:
 
     def _ray_parity(self, p, d, span):
         q = (p[0] + span * d[0], p[1] + span * d[1], p[2] + span * d[2])
-        band = 1e-9
+        band = _RAY_BAND
         cands = self.tri_tree.query_segment(
             p, q, pad=self.eps, slack=3.0 * band * self.diag)
+        dx, dy, dz = d
         crossings = 0
+        # the vector helpers written out, in their operation order
         for tid in cands:
             i, j, k, _pid = self.triangles[tid]
             p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
-            e1 = _sub(p1, p0)
-            e2 = _sub(p2, p0)
-            pvec = _cross(d, e1)
-            det = _dot(pvec, e2)
-            scale = _norm(e1) * _norm(e2)
+            e1x = p1[0] - p0[0]; e1y = p1[1] - p0[1]; e1z = p1[2] - p0[2]
+            e2x = p2[0] - p0[0]; e2y = p2[1] - p0[1]; e2z = p2[2] - p0[2]
+            px = dy * e1z - dz * e1y
+            py = dz * e1x - dx * e1z
+            pz = dx * e1y - dy * e1x
+            det = px * e2x + py * e2y + pz * e2z
+            scale = (math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
+                     * math.sqrt(e2x * e2x + e2y * e2y + e2z * e2z))
+            tx = p[0] - p0[0]; ty = p[1] - p0[1]; tz = p[2] - p0[2]
             if abs(det) <= 1e-12 * scale:
                 # ray nearly parallel: only dangerous when it actually
                 # grazes the triangle's slab (the clipped walk only offers
                 # triangles the ray passes near)
-                tvec = _sub(p, p0)
-                n = _cross(e1, e2)
-                if abs(_dot(tvec, n)) <= band * _norm(n) * span:
+                nx = e1y * e2z - e1z * e2y
+                ny = e1z * e2x - e1x * e2z
+                nz = e1x * e2y - e1y * e2x
+                nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+                if abs(tx * nx + ty * ny + tz * nz) <= band * nn * span:
                     return None
                 continue
             inv = 1.0 / det
-            tvec = _sub(p, p0)
-            v = _dot(tvec, pvec) * inv
-            qvec = _cross(tvec, e2)
-            w = _dot(d, qvec) * inv
-            t = _dot(e1, qvec) * inv
+            v = (tx * px + ty * py + tz * pz) * inv
+            qx = ty * e2z - tz * e2y
+            qy = tz * e2x - tx * e2z
+            qz = tx * e2y - ty * e2x
+            w = (dx * qx + dy * qy + dz * qz) * inv
+            t = (e1x * qx + e1y * qy + e1z * qz) * inv
             if t <= self.eps / 1.0 or t > span:
                 if -band < v < 1.0 + band and -band < w and v + w < 1.0 + band \
                         and abs(t) <= self.eps:

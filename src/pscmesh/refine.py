@@ -36,8 +36,8 @@ from .delaunay import _FACES, TetMesh, circumcentre_triangle
 from .errors import ProtectionError
 from .geometry import _dot, _norm, _sub, _unit
 from .quality import QualityReport, build_report
-from .restricted import (classify_edge, classify_facet, classify_tet,
-                         element_size, topo_disk_1, topo_disk_2)
+from .restricted import (DistanceCertificate, classify_edge, classify_facet,
+                         classify_tet, element_size, topo_disk_1, topo_disk_2)
 
 # greedy farthest-point seeds taken from the input before refinement
 _INIT_SAMPLES = 8
@@ -359,7 +359,10 @@ class Refiner:
                       "rollback_gamma": 0, "rollback_sigma": 0,
                       "encroach_edge": 0, "encroach_tri": 0,
                       "disk1": 0, "disk2": 0, "type2": 0, "type1": 0,
-                      "blocked": 0}
+                      "blocked": 0, "dual_certified": 0,
+                      "volume_inherited": 0, "axis_line_scans": 0}
+        # per-tet distance bounds that let classification skip empty queries
+        self.cert = DistanceCertificate(geom, self.rs.tets, self.stats)
         # wall seconds spent in each cascade stage by run()
         self.stage_s = dict.fromkeys(("edges", "disk1", "tris", "disk2",
                                       "tets"), 0.0)
@@ -388,7 +391,9 @@ class Refiner:
             for wv in vids:
                 pair = (col.apex_vid, wv) if col.apex_vid < wv else (wv, col.apex_vid)
                 self.protected_edges.append(pair)
-        self._reclassify([], sorted(self.mesh.alive_tets()))
+        alive = sorted(self.mesh.alive_tets())
+        self.cert.update(self.mesh, alive)
+        self._reclassify([], alive)
         self._mark_dirty(range(len(self.mesh.points)))
         self.status = "ready"
 
@@ -405,17 +410,19 @@ class Refiner:
         if d == 1:
             return classify_edge(self.mesh, self.g, key[0], key[1], t0=handle)
         if d == 2:
-            return classify_facet(self.mesh, self.g, *handle)
-        return classify_tet(self.mesh, self.g, handle)
+            return classify_facet(self.mesh, self.g, *handle, cert=self.cert)
+        return classify_tet(self.mesh, self.g, handle, cert=self.cert)
 
     def _reclassify(self, destroyed_quads, created_ids):
         """Re-derive restricted membership around a mesh change.
 
         Simplexes of destroyed tets that did not survive are dropped;
-        every simplex of a created tet is (re)classified.  Returns the
+        every simplex of a created tet is (re)classified.  The created
+        tets' distance bounds must be in ``cert`` already.  Returns the
         topology delta of the restricted sets.
         """
         mesh = self.mesh
+        self.cert.pending = set(created_ids)
         # keys of each dimension: gone ones, and live ones with the handle
         # their classifier takes (a tet id, or a (tet, facet index) pair)
         old = (None, set(), set(), set())
@@ -501,6 +508,7 @@ class Refiner:
             self.stats["rejected_protected"] += 1
             return "rejected", None
         rec = self.mesh.insert_point(point, kind, ref, probe=probe)
+        self.cert.update(self.mesh, rec.created, rec.destroyed)
         delta = self._reclassify(rec.destroyed_quads, rec.created)
         for low, guard, stat in ((1, gamma_guard, "rollback_gamma"),
                                  (2, sigma_guard, "rollback_sigma")):
@@ -521,6 +529,7 @@ class Refiner:
         ones, and their queue entries are live again.
         """
         self.mesh.remove_point(rec)
+        self.cert.update(self.mesh, rec.destroyed, rec.created)
         for d, key, old in reversed(delta.undo):
             self.rs.set(d, key, old)
         changed = delta.removed[low] or delta.added[low]

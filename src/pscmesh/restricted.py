@@ -9,7 +9,9 @@ the ball of maximum radius is kept.
 
 Classification is pure: it reads the mesh and geometry and returns fresh
 records, so re-running it over an unchanged mesh reproduces identical
-restricted sets.
+restricted sets.  A ``DistanceCertificate`` handed to the facet and tet
+classifiers lets them skip queries that provably find nothing; it changes
+no result.
 """
 
 import math
@@ -104,6 +106,86 @@ def _dist(a, b):
 
 
 # ----------------------------------------------------------------------
+# distance certificates
+
+
+class DistanceCertificate:
+    """Cached distance bounds that prove a dual query cannot hit.
+
+    ``bound[t]`` holds, for every live tet t, a lower bound l(t) on the
+    distance d(c) from its circumcentre c to the surface: the distance to
+    the nearest box of the surface tree's cover
+    (``AABBTree.lower_distances``).  For two tets sharing a facet, when
+
+        l(t1) + l(t2) > (1 + 2e-12) |c1 c2| + 2 pad              (*)
+
+    no point of the dual edge c1-c2 lies within pad + 1e-12 |c1 c2| of the
+    surface: such a point x would give d(c1) + d(c2) <= |c1 x| + |x c2| +
+    2 (pad + 1e-12 |c1 c2|), which (*) exceeds.  The pad is
+    ``geom.hit_pad`` = eps + 3e-9 diag, and it covers both queries:
+
+    - ``intersect_segment_surface`` reports a point of the segment whose
+      barycentrics are at least -1e-10 (``_HIT_SLACK``).  Such a point lies
+      in the triangle scaled by 1 + 3e-10 about its centroid, so within
+      3e-10 diag of the triangle, plus eps of rounding.  A crossing up to
+      1e-12 of the segment's parameter beyond an end is clamped onto that
+      end, which moves it by at most 1e-12 |c1 c2|.  So under (*) the
+      query of the facet's dual edge returns no hit.
+    - ``point_in_volume`` answers from a ray that passes no triangle edge
+      within the band 1e-9 of its barycentric range (it re-shoots
+      otherwise), and counts the crossings beyond eps along the ray.  It
+      answers "on the surface" only for a point within eps + 3e-9 diag of
+      the surface.  A point farther than pad from the surface thus gets its
+      true side, and the two circumcentres, joined by a segment that stays
+      farther than pad from the surface, lie on the same side.  So under
+      (*) a tet takes its neighbour's volume status.
+
+    ``Refiner`` keeps ``bound`` to the live tets, and ``pending``
+    to the created tets whose volume status is not settled yet.  ``tets``
+    is the restricted tet table, which holds the settled status of every
+    other non-ghost tet; ``stats`` counts what the certificate skipped
+    (``dual_certified``, ``volume_inherited``) and the facets that took the
+    axis-line path (``axis_line_scans``).
+    """
+
+    def __init__(self, geom, tets, stats):
+        self.tree = geom.tri_tree
+        self.pad = geom.hit_pad
+        self.bound = {}
+        self.pending = set()
+        self.tets = tets
+        self.stats = stats
+
+    def update(self, mesh, created, dropped=()):
+        """Drop the bounds of dead tets and bound the created ones, in one
+        numpy batch."""
+        for t in dropped:
+            del self.bound[t]
+        if created:
+            d = self.tree.lower_distances([mesh.circum[t][0] for t in created])
+            self.bound.update(zip(created, d.tolist()))
+
+    def clears(self, t1, c1, t2, c2):
+        """True when (*) holds for tets t1, t2 with circumcentres c1, c2."""
+        return (self.bound[t1] + self.bound[t2]
+                > (1.0 + 2e-12) * math.dist(c1, c2) + 2.0 * self.pad)
+
+    def inherited(self, mesh, t, centre):
+        """Volume status of tet t taken from a settled, non-ghost neighbour
+        with a reliable circumcentre across which (*) holds, or None."""
+        if not mesh.circum[t][2]:
+            return None
+        for n in mesh.neigh[t]:
+            if n == -1 or n in self.pending or mesh.is_ghost(n):
+                continue
+            cn, _r2, ok = mesh.circum[n]
+            if ok and self.clears(t, centre, n, cn):
+                self.stats["volume_inherited"] += 1
+                return tuple(sorted(mesh.tets[n])) in self.tets
+        return None
+
+
+# ----------------------------------------------------------------------
 # per-simplex classification
 
 
@@ -193,12 +275,14 @@ def classify_edge(mesh, geom, u, w, t0=None):
                           _dist(centre, mid), curve_id)
 
 
-def classify_facet(mesh, geom, t, i):
+def classify_facet(mesh, geom, t, i, cert=None):
     """RestrictedTri when the dual Voronoi edge crosses the surface.
 
     Crossings found along the dual segment are verified by a nearest-vertex
     test (the facet's vertices must be nearest), so unreliable circumcentres
     of near-degenerate tets cannot produce phantom surface membership.
+    With ``cert``, a dual edge it proves clear of the surface is not
+    queried.
     """
     if not geom.triangles:
         return None
@@ -207,13 +291,16 @@ def classify_facet(mesh, geom, t, i):
     tri = (quad[f[0]], quad[f[1]], quad[f[2]])
     if all(v < 8 for v in tri):
         return None
-    if mesh.neigh[t][i] == -1:
+    t2 = mesh.neigh[t][i]
+    if t2 == -1:
         return None  # outer-box hull facet
     p1, ok1 = mesh.voronoi_vertex(t)
-    p2, ok2 = mesh.voronoi_vertex(mesh.neigh[t][i])
+    p2, ok2 = mesh.voronoi_vertex(t2)
     if not (ok1 and ok2):
         # near-degenerate circumcentre(s): scan along the facet's axis line
         # instead, which is accurate however thin the adjacent tets are
+        if cert is not None:
+            cert.stats["axis_line_scans"] += 1
         pa0 = mesh.points[tri[0]]
         pb0 = mesh.points[tri[1]]
         pc0 = mesh.points[tri[2]]
@@ -231,6 +318,9 @@ def classify_facet(mesh, geom, t, i):
               cc0[2] - span * n[2] / nn)
         p2 = (cc0[0] + span * n[0] / nn, cc0[1] + span * n[1] / nn,
               cc0[2] + span * n[2] / nn)
+    elif cert is not None and cert.clears(t, p1, t2, p2):
+        cert.stats["dual_certified"] += 1
+        return None
     hits = geom.intersect_segment_surface(p1, p2)
     hits = [h for h in hits if mesh.nearest_vertex(h[0]) in tri]
     if not hits:
@@ -247,12 +337,21 @@ def classify_facet(mesh, geom, t, i):
                          radius_edge_tri(pa, pb, pc))
 
 
-def classify_tet(mesh, geom, t):
-    """RestrictedTet when the circumcentre lies inside the volume."""
+def classify_tet(mesh, geom, t, cert=None):
+    """RestrictedTet when the circumcentre lies inside the volume.
+
+    With ``cert``, a neighbour's settled status replaces the membership ray
+    where the certificate allows, and t's own status becomes settled.
+    """
+    if cert is not None:
+        cert.pending.discard(t)
     if mesh.is_ghost(t):
         return None
     centre, _ok = mesh.voronoi_vertex(t)
-    if not geom.point_in_volume(centre):
+    inside = None if cert is None else cert.inherited(mesh, t, centre)
+    if inside is None:
+        inside = geom.point_in_volume(centre)
+    if not inside:
         return None
     quad = mesh.tets[t]
     pts = [mesh.points[v] for v in quad]

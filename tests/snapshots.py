@@ -22,7 +22,20 @@ def refiner_snapshot(r):
         # disk-check marks in queue order
         "dirty1": list(r.dirty[1]),
         "dirty2": list(r.dirty[2]),
+        # distance bounds by tet id, and the unsettled tets
+        "bound": dict(r.cert.bound),
+        "pending": set(r.cert.pending),
     }
+
+
+def assert_bounds_fresh(r):
+    """The certificate holds a bound for exactly the live tets, each equal
+    to a fresh one: none outlived its tet or an undo."""
+    alive = sorted(r.mesh.alive_tets())
+    assert sorted(r.cert.bound) == alive
+    fresh = r.g.tri_tree.lower_distances([r.mesh.circum[t][0] for t in alive])
+    assert [r.cert.bound[t] for t in alive] == fresh.tolist()
+    assert not r.cert.pending
 
 
 def assert_undone(before, after):

@@ -1,4 +1,5 @@
-"""Properties of the box tree's segment, plane and ball clips.
+"""Properties of the box tree's segment, plane and ball clips, and of its
+cover distance bound.
 
 Boxes and query points sit on a grid of quarters and the pad is an eighth,
 so the tree's float arithmetic is exact and a segment, plane or sphere can
@@ -9,9 +10,14 @@ references decide overlap in exact rational arithmetic.
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
+from pscmesh import aabb
 from pscmesh.aabb import AABBTree
+from pscmesh.models import cube, icosphere, wedge
+
+from oracles import distance_to_surface
 
 PAD = 0.125
 
@@ -208,3 +214,60 @@ def test_clips_prune_a_lattice():
                             plane=((4.5, 5, 5), (1, 0, 0), 0.0))
     want = {i for i, b in enumerate(bxs) if b[0] == 4}
     assert set(ids) >= want and len(ids) < 200
+
+
+# ----------------------------------------------------------------------
+# cover distance bound
+
+# cube faces lie on the box faces of their triangles; icosphere(3) has
+# 1,280 triangles, so its cover is a cut of node boxes
+MODELS = {"cube": cube(), "wedge": wedge(), "icosphere1": icosphere(1),
+          "icosphere3": icosphere(3)}
+
+
+@st.composite
+def near_surface(draw):
+    """A model and a point on, inside the box of, or near one of its
+    triangles: a vertex, or a barycentric point, moved off the triangle
+    along its normal or along an axis by up to its size."""
+    name = draw(st.sampled_from(sorted(MODELS)))
+    geom = MODELS[name]
+    i, j, k, _p = geom.triangles[draw(st.integers(0, len(geom.triangles) - 1))]
+    a, b, c = geom.vertices[i], geom.vertices[j], geom.vertices[k]
+    u = draw(st.sampled_from([0.0, 1.0, 0.25, 0.5]))
+    v = draw(st.sampled_from([0.0, 0.25, 0.5])) * (1.0 - u)
+    n = np.cross(b - a, c - a)
+    axis = np.eye(3)[draw(st.integers(0, 2))]
+    d = draw(st.sampled_from([n / np.linalg.norm(n), axis, -axis]))
+    off = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.1, 1.0, 3.0]))
+    return name, a + u * (b - a) + v * (c - a) + off * d
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_surface())
+@example(("cube", np.array([0.5, 0.25, 1.1])))
+@example(("icosphere3", np.zeros(3)))
+def test_cover_bound_stays_below_the_surface_distance(case):
+    # the cover's boxes hold their triangles grown by eps, so the bound is
+    # at least eps below the exact distance, and rounding in the bound or
+    # in the brute-force distance cannot carry it above
+    name, p = case
+    geom = MODELS[name]
+    bound = geom.tri_tree.lower_distances([p])[0]
+    exact = distance_to_surface(geom, [p])[0]
+    assert 0.0 <= bound <= max(exact - 0.5 * geom.eps, 0.0)
+
+
+def test_cover_is_the_deepest_cut_within_the_box_budget():
+    assert aabb._COVER_BOXES == 512
+    small = MODELS["icosphere1"].tri_tree
+    assert small._cover[0].shape == (3, 80)
+    big = MODELS["icosphere3"].tri_tree
+    k = big._cover[0].shape[1]
+    # 1,280 triangles in leaves of at most 8 take 256 leaves at depth 8
+    assert k == 256
+    pts = np.random.default_rng(0).uniform(-1.5, 1.5, (40, 3))
+    got = big.lower_distances(pts)
+    assert got.shape == (40,) and (got >= 0.0).all()
+    assert (got <= distance_to_surface(MODELS["icosphere3"], pts)).all()
+    assert AABBTree([]).lower_distances(pts).tolist() == [math.inf] * 40

@@ -20,7 +20,7 @@ from pscmesh.refine import Refiner
 
 from oracles import (brute_force_delaunay, distance_to_curves,
                      distance_to_surface, rational_insphere, rational_orient3d)
-from snapshots import assert_undone, record_rollbacks
+from snapshots import assert_bounds_fresh, assert_undone, record_rollbacks
 
 SPHERE_H = 0.3  # 0.15 x diameter of the unit icosphere
 
@@ -328,6 +328,7 @@ def test_criterion_7_rollback_exactness():
     assert len(events) >= 5, "forced scenario produced no rollbacks"
     for before, after in events:
         assert_undone(before, after)
+    assert_bounds_fresh(r)
     print(f"\nPASS criterion 7: {len(events)} forced rollbacks, mesh and "
           f"restricted sets restored exactly in 100% of cases")
 

@@ -216,8 +216,10 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
     assert set(stats) == {"inserted", "duplicates", "rejected_protected",
                           "rollback_gamma", "rollback_sigma",
                           "encroach_edge", "encroach_tri", "disk1", "disk2",
-                          "type1", "type2", "blocked"}
+                          "type1", "type2", "blocked", "dual_certified",
+                          "volume_inherited", "axis_line_scans"}
     assert stats["inserted"] > 0
+    assert stats["dual_certified"] > 0 and stats["volume_inherited"] > 0
     audit = {k[len("audit."):]: v for k, v in entries.items()
              if k.startswith("audit.")}
     assert set(audit) == {"rho_surf_ok", "rho_vol_ok", "eps_ok", "size_ok",

@@ -15,7 +15,7 @@ from pscmesh.refine import (Refiner, bad_simplex_1, bad_simplex_2,
 from pscmesh.restricted import RestrictedEdge, RestrictedTri, RestrictedTet
 
 from oracles import distance_to_surface
-from snapshots import assert_undone, record_rollbacks
+from snapshots import assert_bounds_fresh, assert_undone, record_rollbacks
 
 
 def cfg_with(h0, **kw):
@@ -417,6 +417,7 @@ def test_gamma_rollback_restores_restricted_sets():
     assert events, "no rollback was ever triggered"
     for before, after in events:
         assert_undone(before, after)
+    assert_bounds_fresh(r)
     assert r.stats["rollback_gamma"] >= 1
 
 
@@ -438,6 +439,7 @@ def test_sigma_rollback_restores_mesh_and_restricted_sets():
     assert len(events) == r.stats["rollback_sigma"]
     for before, after in events:
         assert_undone(before, after)
+    assert_bounds_fresh(r)
 
 
 # ----------------------------------------------------------------------
