@@ -473,9 +473,6 @@ class PiecewiseComplex:
                 chosen.append(v)
         return chosen
 
-    def curve_degree(self, v):
-        return len(self.segs_at_vertex.get(v, ()))
-
 
 def _point_in_triangle3(x, p0, p1, p2, slack):
     v0 = _sub(p2, p0)

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .geometry import _cross, _dot, _norm, _sub
+
 _A_NORM = 4.0 / math.sqrt(3.0)
 _V_NORM = 6.0 * math.sqrt(2.0)
 
@@ -23,24 +25,6 @@ HIST_RANGES = {
     "dihedral_angle": (0.0, 180.0),
     "rel_edge_length": (0.0, 2.0),  # values beyond 2 land in the top bin
 }
-
-
-def _sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _norm(a):
-    return math.sqrt(_dot(a, a))
 
 
 def area_length(pa, pb, pc):

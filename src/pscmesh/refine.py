@@ -281,22 +281,6 @@ class RestrictedSets:
         return old
 
 
-class _Delta:
-    """Topology change of the restricted sets caused by one mesh operation.
-
-    ``removed[d]`` / ``added[d]`` map keys to the simplexes that left or
-    joined dimension d.  ``undo`` lists every restricted-table write as
-    (d, key, old); replaying it in reverse restores the tables.
-    """
-
-    __slots__ = ("removed", "added", "undo")
-
-    def __init__(self):
-        self.removed = (None, {}, {}, {})
-        self.added = (None, {}, {}, {})
-        self.undo = []
-
-
 class _Budget(Exception):
     pass
 
@@ -419,7 +403,8 @@ class Refiner:
         Simplexes of destroyed tets that did not survive are dropped;
         every simplex of a created tet is (re)classified.  The created
         tets' distance bounds must be in ``cert`` already.  Returns the
-        topology delta of the restricted sets.
+        undo list: every restricted-table write as (d, key, old), once per
+        key; replaying it in reverse restores the tables.
         """
         mesh = self.mesh
         self.cert.pending = set(created_ids)
@@ -442,26 +427,28 @@ class Refiner:
                 key = tuple(sorted((quad[f[0]], quad[f[1]], quad[f[2]])))
                 handles[2].setdefault(key, (t, i))
         rs = self.rs
-        delta = _Delta()
-        undo = delta.undo
+        undo = []
         for d in _DIMS:
             for key in sorted(old[d].difference(handles[d])):
                 obj = rs.set(d, key, None)
                 if obj is not None:
                     undo.append((d, key, obj))
-                    delta.removed[d][key] = obj
         for d in _DIMS:
             for key in sorted(handles[d]):
                 obj = self._classify(d, key, handles[d][key])
-                prev = rs.set(d, key, obj)
-                undo.append((d, key, prev))
+                undo.append((d, key, rs.set(d, key, obj)))
                 if obj is not None:
                     self._queue(d, key, obj)
-                    if prev is None:
-                        delta.added[d][key] = obj
-                elif prev is not None:
-                    delta.removed[d][key] = prev
-        return delta
+        return undo
+
+    def _changed(self, undo, low):
+        """Restricted simplexes of dimension low that the writes in undo
+        removed, or else the ones they added, as {key: simplex}."""
+        table = self.rs.table[low]
+        return ({k: old for d, k, old in undo
+                 if d == low and old is not None and k not in table}
+                or {k: table[k] for d, k, old in undo
+                    if d == low and old is None and k in table})
 
     def _mark_dirty(self, vertices):
         """Queue the restricted stars of vertices for the disk stages."""
@@ -509,178 +496,139 @@ class Refiner:
             return "rejected", None
         rec = self.mesh.insert_point(point, kind, ref, probe=probe)
         self.cert.update(self.mesh, rec.created, rec.destroyed)
-        delta = self._reclassify(rec.destroyed_quads, rec.created)
+        undo = self._reclassify(rec.destroyed_quads, rec.created)
         for low, guard, stat in ((1, gamma_guard, "rollback_gamma"),
                                  (2, sigma_guard, "rollback_sigma")):
-            if guard and (delta.removed[low] or delta.added[low]):
+            if guard and self._changed(undo, low):
                 self.stats[stat] += 1
-                return self._rollback(rec, delta, low)
+                return self._rollback(rec, undo, low)
         self._mark_dirty(set().union(*rec.destroyed_quads,
                                      *(self.mesh.tets[t] for t in rec.created)))
         self.stats["inserted"] += 1
         return "inserted", rec.vid
 
-    def _rollback(self, rec, delta, low):
+    def _rollback(self, rec, undo, low):
         """Undo the offending insertion and defer to the largest adjacent
         surface ball of the disturbed restricted complex of dimension low.
 
         The mesh comes back from the record's journal and the restricted
-        tables from ``delta.undo``, so the restored objects are the same
-        ones, and their queue entries are live again.
+        tables from ``undo``, so the restored objects are the same ones,
+        and their queue entries are live again.
         """
+        changed = self._changed(undo, low)
         self.mesh.remove_point(rec)
         self.cert.update(self.mesh, rec.destroyed, rec.created)
-        for d, key, old in reversed(delta.undo):
+        for d, key, old in reversed(undo):
             self.rs.set(d, key, old)
-        changed = delta.removed[low] or delta.added[low]
         _key, best = max(changed.items(), key=lambda kv: (kv[1].radius, kv[0]))
         return self._insert(best.centre, *_site(low, best))
 
     # ------------------------------------------------------------------
     # frontal machinery
 
-    def _frontal_vertex(self, e):
-        for v in e.edge:
-            for k in sorted(self.rs.at_vertex[1].get(v, ())):
-                if k != e.edge and not bad_simplex_1(self.rs.edges[k],
-                                                     self.cfg):
-                    return v
-        return None
-
-    def _tri_frontal_edge(self, f):
-        a, b, c = f.tri
-        for pair in ((a, b), (a, c), (b, c)):
-            obj = self.rs.edges.get(pair)
-            if obj is not None and not bad_simplex_1(obj, self.cfg):
-                return pair
-            for k in sorted(self.rs.at_vertex[2].get(pair[0], ())):
-                if k != f.tri and pair[1] in k:
-                    other = self.rs.tris[k]
-                    if not bad_simplex_2(other, self.cfg):
-                        return pair
-        return None
-
-    def _tet_frontal_facet(self, t):
-        quad = self.mesh.tets[t.tet_id]
-        for i in range(4):
-            face = _FACES[i]
-            key = tuple(sorted((quad[face[0]], quad[face[1]], quad[face[2]])))
-            obj = self.rs.tris.get(key)
-            if obj is not None and not bad_simplex_2(obj, self.cfg):
-                return key
-            n = self.mesh.neigh[t.tet_id][i]
-            if n != -1:
-                nkey = tuple(sorted(self.mesh.tets[n]))
-                nobj = self.rs.tets.get(nkey)
-                if nobj is not None and not bad_simplex_3(nobj, self.cfg):
-                    return key
-        return None
-
     def _frontal(self, d, token):
-        """Converged neighbour that makes token frontal: a vertex (d = 1),
-        an edge (d = 2) or a facet (d = 3) key, or None."""
-        if d == 1:
-            return self._frontal_vertex(token)
-        if d == 2:
-            return self._tri_frontal_edge(token)
-        return self._tet_frontal_facet(token)
+        """Key of the first frontal (d-1)-face of a restricted d-simplex, or
+        None.
 
-    def _offcentre(self, d, token, witness):
-        """(off-centre or None, frontal ball centre, frontal ball radius)."""
-        if d == 1:
-            return self._edge_offcentre(token, witness)
-        if d == 2:
-            return self._tri_offcentre(token, witness)
-        return self._tet_offcentre(token, witness)
-
-    def _solve_local_size(self, base_point, candidate_fn):
-        """Fixed-point solve of the half-sum sizing relation.
-
-        candidate_fn(h) must return the candidate point at trial size h or
-        None; at most 8 iterations, 1e-3 relative tolerance, clamped to
-        [h0/2, 2 h0] around the frontal value.
+        Faces are the vertex keys (v,) of an edge, the edges (a,b), (a,c),
+        (b,c) of a triangle or the facets of a tet in ``_FACES`` order.  A
+        face is frontal when it is a converged restricted (d-1)-simplex
+        itself or when a converged restricted d-simplex shares it.
         """
-        sizing = self.cfg.sizing
-        h0 = sizing.value(base_point)
-        h = h0
-        cand = None
-        for _ in range(8):
-            cand = candidate_fn(h)
-            if cand is None:
-                return None, h
-            hn = 0.5 * (h0 + sizing.value(cand))
-            hn = min(max(hn, 0.5 * h0), 2.0 * h0)
-            done = abs(hn - h) <= 1e-3 * h
-            h = hn
-            if done:
-                break
-        cand = candidate_fn(h)
-        return cand, h
+        mesh = self.mesh
+        rs = self.rs
+        cfg = self.cfg
+        table = rs.table[d]
+        if d == 3:
+            quad = mesh.tets[token.tet_id]
+            faces = (tuple(sorted((quad[a], quad[b], quad[c])))
+                     for a, b, c in _FACES)
+        else:
+            key = token.edge if d == 1 else token.tri
+            faces = combinations(key, d)
+        for i, face in enumerate(faces):
+            obj = rs.table[d - 1].get(face) if d > 1 else None
+            if obj is not None and not _BAD[d - 1](obj, cfg):
+                return face
+            # keys of the other d-simplexes on the face
+            if d == 3:
+                n = mesh.neigh[token.tet_id][i]
+                keys = () if n == -1 else (tuple(sorted(mesh.tets[n])),)
+            else:
+                keys = (k for k in sorted(rs.at_vertex[d].get(face[0], ()))
+                        if k != key and face[-1] in k)
+            if any(k in table and not _BAD[d](table[k], cfg) for k in keys):
+                return face
+        return None
 
-    def _edge_offcentre(self, e, x1):
-        p1 = self.mesh.points[x1]
-        v = _sub(e.centre, p1)
-        vn = _norm(v)
-        if vn == 0.0:
-            return None, p1, 0.0
+    def _offcentre(self, d, token, face):
+        """(off-centre or None, frontal ball centre c0, its radius r0) of a
+        bad restricted d-simplex with frontal face ``face``.
 
-        def candidate(h):
-            hits = self.g.intersect_sphere_curve(p1, h)
-            if not hits:
-                return None
-            return max(hits, key=lambda x: (_dot(_unit(_sub(x, p1)), v) / vn,
-                                            (-x[0], -x[1], -x[2])))
-
-        cand, _h = self._solve_local_size(p1, candidate)
-        return cand, p1, 0.0
-
-    def _tri_offcentre(self, f, pair):
-        pu = self.mesh.points[pair[0]]
-        pw = self.mesh.points[pair[1]]
-        mid = ((pu[0] + pw[0]) / 2.0, (pu[1] + pw[1]) / 2.0,
-               (pu[2] + pw[2]) / 2.0)
-        ell2 = ((pw[0] - pu[0]) ** 2 + (pw[1] - pu[1]) ** 2
-                + (pw[2] - pu[2]) ** 2)
-        axis = _unit(_sub(pw, pu))
-        v = _sub(f.centre, mid)
-        vn = _norm(v)
-
-        def candidate(h):
-            s2 = h * h - 0.25 * ell2
-            if s2 <= 0.0:
-                return None
-            hits = self.g.intersect_disk_surface(mid, axis, math.sqrt(s2))
-            if not hits:
-                return None
-            if vn == 0.0:
-                return min(hits)
-            return max(hits, key=lambda x: (_dot(_unit(_sub(x, mid)), v) / vn,
-                                            (-x[0], -x[1], -x[2])))
-
-        cand, _h = self._solve_local_size(mid, candidate)
-        return cand, mid, math.sqrt(ell2) / 2.0
-
-    def _tet_offcentre(self, t, facet_key):
-        pa, pb, pc = (self.mesh.points[v] for v in facet_key)
-        c0, r0sq = circumcentre_triangle(pa, pb, pc)
-        if not math.isfinite(r0sq):
-            return None, c0, math.inf
+        The frontal ball is the smallest ball of the face: the vertex, the
+        edge's midpoint ball or the facet's circumball.  At size h the
+        off-centre lies at distance h from the face's vertices on the
+        face's dual, inside the d-dimensional feature: on the curves
+        (d = 1), on the surface in the edge's bisector plane (d = 2) or
+        on the ray from c0 towards the tet's circumcentre, no farther than
+        it (d = 3).  Of several hits the one best aligned with c0 -> centre
+        wins.  h solves the half-sum sizing relation h = (h(c0) + h(x)) / 2
+        by fixed-point iteration: at most 8 steps, 1e-3 relative tolerance,
+        clamped to [h(c0)/2, 2 h(c0)].
+        """
+        pts = [self.mesh.points[v] for v in face]
+        if d == 1:
+            c0, r0sq = pts[0], 0.0
+        elif d == 2:
+            pu, pw = pts
+            c0 = ((pu[0] + pw[0]) / 2.0, (pu[1] + pw[1]) / 2.0,
+                  (pu[2] + pw[2]) / 2.0)
+            e = _sub(pw, pu)
+            r0sq = 0.25 * (e[0] ** 2 + e[1] ** 2 + e[2] ** 2)
+            axis = _unit(e)
+        else:
+            c0, r0sq = circumcentre_triangle(*pts)
+            if not math.isfinite(r0sq):
+                return None, c0, math.inf
         r0 = math.sqrt(r0sq)
-        axis = _sub(t.centre, c0)
-        length = _norm(axis)
-        if length == 0.0:
+        v = _sub(token.centre, c0)
+        vn = _norm(v)
+        if vn == 0.0 and d != 2:
             return None, c0, r0
-        u = (axis[0] / length, axis[1] / length, axis[2] / length)
 
         def candidate(h):
             s2 = h * h - r0sq
             if s2 <= 0.0:
                 return None
-            d = min(math.sqrt(s2), length)
-            return (c0[0] + d * u[0], c0[1] + d * u[1], c0[2] + d * u[2])
+            s = math.sqrt(s2)
+            if d == 3:
+                t = min(s, vn)
+                u = _unit(v)
+                return (c0[0] + t * u[0], c0[1] + t * u[1], c0[2] + t * u[2])
+            if d == 1:
+                hits = self.g.intersect_sphere_curve(c0, s)
+            else:
+                hits = self.g.intersect_disk_surface(c0, axis, s)
+            if not hits:
+                return None
+            if vn == 0.0:
+                return min(hits)  # no direction to align with
+            return max(hits, key=lambda x: (_dot(_unit(_sub(x, c0)), v) / vn,
+                                            (-x[0], -x[1], -x[2])))
 
-        cand, _h = self._solve_local_size(c0, candidate)
-        return cand, c0, r0
+        sizing = self.cfg.sizing
+        h0 = sizing.value(c0)
+        h = h0
+        for _ in range(8):
+            cand = candidate(h)
+            if cand is None:
+                return None, c0, r0
+            hn = min(max(0.5 * (h0 + sizing.value(cand)), 0.5 * h0), 2.0 * h0)
+            done = abs(hn - h) <= 1e-3 * h
+            h = hn
+            if done:
+                break
+        return candidate(h), c0, r0
 
     # ------------------------------------------------------------------
     # queue scanning
@@ -775,7 +723,7 @@ class Refiner:
             return None
         objs = [self.rs.table[d][k] for k in keys]
         if d == 1:
-            return topo_disk_1(objs, self._curve_degree(v))
+            return topo_disk_1(objs, self._curve_ids(v))
         return topo_disk_2(v, objs, self._on_surface(v), self.rs.edges.keys())
 
     def _step_disk(self, d):
@@ -797,13 +745,18 @@ class Refiner:
     # ------------------------------------------------------------------
     # vertex context
 
-    def _curve_degree(self, v):
+    def _curve_ids(self, v):
+        """Sorted curve ids of the restricted edges the input prescribes at
+        v: one per incident segment at an input vertex, (c, c) at a Steiner
+        vertex on curve c and () off the curve network."""
         meta = self.mesh.meta[v]
         if meta.kind == "input":
-            return self.g.curve_degree(meta.ref)
+            g = self.g
+            return tuple(sorted(g.segments[sid][2]
+                                for sid in g.segs_at_vertex.get(meta.ref, ())))
         if meta.kind == "curve":
-            return 2
-        return 0
+            return (meta.ref, meta.ref)
+        return ()
 
     def _on_surface(self, v):
         meta = self.mesh.meta[v]

@@ -338,14 +338,15 @@ def classify_facet(mesh, geom, t, i, cert=None):
 
 
 def classify_tet(mesh, geom, t, cert=None):
-    """RestrictedTet when the circumcentre lies inside the volume.
+    """RestrictedTet when the circumcentre lies inside the volume (None
+    when the surface is not closed: then there is no volume).
 
     With ``cert``, a neighbour's settled status replaces the membership ray
     where the certificate allows, and t's own status becomes settled.
     """
     if cert is not None:
         cert.pending.discard(t)
-    if mesh.is_ghost(t):
+    if not geom.surface_closed or mesh.is_ghost(t):
         return None
     centre, _ok = mesh.voronoi_vertex(t)
     inside = None if cert is None else cert.inherited(mesh, t, centre)
@@ -364,20 +365,17 @@ def classify_tet(mesh, geom, t, cert=None):
 # topological disks
 
 
-def topo_disk_1(edges, expected_degree):
+def topo_disk_1(edges, expected_curves):
     """Largest-ball incident edge when the 1-disk condition fails, else None.
 
     ``edges`` are the restricted edges incident to one vertex;
-    ``expected_degree`` is the curve degree the input prescribes there (0
-    for vertices that do not lie on the curve network).
+    ``expected_curves`` is the sorted tuple of curve ids the input
+    prescribes there, one per incident curve edge (empty for vertices that
+    do not lie on the curve network).  The condition holds when the edges'
+    sorted curve ids equal it.
     """
-    if not edges:
-        return None
-    k = len(edges)
-    if expected_degree == 2 and k == 2:
-        if edges[0].curve_id == edges[1].curve_id:
-            return None
-    elif expected_degree not in (0, 2) and k == expected_degree:
+    ids = tuple(sorted(e.curve_id for e in edges))
+    if not edges or ids == expected_curves:
         return None
     return max(edges, key=lambda e: (e.radius, e.edge))
 

@@ -103,7 +103,7 @@ def test_edge_offcentre_uniform():
     r, _g = edge_refiner(SizingField(h0=0.2))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
     e = RestrictedEdge((0, 0), (0.35, 0, 0), 0.35, 0.0, 0)
-    c2, c0, r0 = r._edge_offcentre(e, x1)
+    c2, c0, r0 = r._offcentre(1, e, (x1,))
     assert c2 is not None
     assert c0 == r.mesh.points[x1] and r0 == 0.0
     assert np.allclose(c2, (0.2, 0, 0), atol=1e-9)
@@ -113,7 +113,7 @@ def test_edge_offcentre_minimises_angle_to_frontal_vector():
     r, _g = edge_refiner(SizingField(h0=0.2))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
     back = RestrictedEdge((0, 0), (-0.3, 0, 0), 0.3, 0.0, 0)
-    c2, _c0, _r0 = r._edge_offcentre(back, x1)
+    c2, _c0, _r0 = r._offcentre(1, back, (x1,))
     assert c2[0] < 0  # frontal vector points toward -x, so does the pick
 
 
@@ -123,7 +123,7 @@ def test_edge_offcentre_linear_sizing_fixed_point():
     r, _g = edge_refiner(SizingField(grid=grid), lo=(0, 0, 0), hi=(1, 0, 0))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
     e = RestrictedEdge((0, 0), (0.4, 0, 0), 0.4, 0.0, 0)
-    c2, _c0, _r0 = r._edge_offcentre(e, x1)
+    c2, _c0, _r0 = r._offcentre(1, e, (x1,))
     # solves h = (0.1 + 0.1 + 0.1 h) / 2 -> 0.1 / 0.95
     assert abs(c2[0] - 0.1 / 0.95) <= 2e-4
 
@@ -142,7 +142,7 @@ def test_tri_offcentre_equilateral_on_plane():
     b = r.mesh.insert_point((0.2, 0, 0), "surface", 0).vid
     f = RestrictedTri(tuple(sorted((a, b, b))), (0.1, 0.05, 0), 0.12, 0.0, 0,
                       rho=1.0)
-    c2, c0, r0 = r._tri_offcentre(f, (a, b))
+    c2, c0, r0 = r._offcentre(2, f, (a, b))
     assert c2 is not None
     assert np.allclose(c0, (0.1, 0, 0), atol=1e-9)
     assert abs(r0 - 0.1) < 1e-9
@@ -166,7 +166,7 @@ def test_tri_offcentre_point_lands_on_curved_surface():
     outward = tuple(np.asarray(mid) * 2)
     f = RestrictedTri(tuple(sorted((a, b, b))), outward, 0.3, 0.0, 0,
                       rho=1.0)
-    c2, _c0, _r0 = r._tri_offcentre(f, (a, b))
+    c2, _c0, _r0 = r._offcentre(2, f, (a, b))
     assert c2 is not None
     assert distance_to_surface(geom, [c2])[0] <= 1e-9 * geom.diag
 
@@ -183,7 +183,7 @@ def test_tet_offcentre_regular_apex_and_clamp():
     token = RestrictedTet(tuple(sorted(vids + [0])), 0,
                           (c0[0], c0[1], c0[2] + 5.0), 1.0, rho=3.0,
                           vlen=0.5)
-    c2, got_c0, got_r0 = r._tet_offcentre(token, tuple(sorted(vids)))
+    c2, got_c0, got_r0 = r._offcentre(3, token, tuple(sorted(vids)))
     assert np.allclose(got_c0, c0, atol=1e-9)
     assert abs(got_r0 - ell / math.sqrt(3)) < 1e-9
     apex_height = ell * math.sqrt(2.0 / 3.0)
@@ -192,7 +192,7 @@ def test_tet_offcentre_regular_apex_and_clamp():
     assert abs(c2[0] - c0[0]) < 1e-9 and abs(c2[1] - c0[1]) < 1e-9
     # enormous sizing clamps the candidate onto the circumcentre itself
     r.cfg = RefineConfig(sizing=SizingField(h0=100.0))
-    c2b, _c, _r = r._tet_offcentre(token, tuple(sorted(vids)))
+    c2b, _c, _r = r._offcentre(3, token, tuple(sorted(vids)))
     assert np.allclose(c2b, token.centre, atol=1e-9)
 
 
@@ -353,7 +353,7 @@ def test_frontal_gating_initial_tets_fall_back():
     r.setup()
     # in the initial coarse state nothing is converged, so no tet and no
     # triangle can be frontal
-    assert all(r._tet_frontal_facet(t) is None for t in r.rs.tets.values())
+    assert all(r._frontal(3, t) is None for t in r.rs.tets.values())
     status = r.run()
     assert status == "converged"
     assert r.stats["type1"] > 0       # the classical fall-back fired
@@ -367,10 +367,47 @@ def test_frontal_triangle_next_to_converged_curve_edge():
     r.run()
     hits = 0
     for f in r.rs.tris.values():
-        pair = r._tri_frontal_edge(f)
+        pair = r._frontal(2, f)
         if pair is not None and pair in r.rs.edges:
             hits += 1
     assert hits > 0
+
+
+def test_frontal_edge_next_to_converged_edge():
+    # a straight curve of two segments, classified by hand: an edge with a
+    # converged neighbour is frontal at their shared vertex
+    geom = PiecewiseComplex([(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+                            [(0, 1, 0), (1, 2, 0)], [])
+    r = Refiner(geom, cfg_with(0.3))
+    a, b, c = (r.mesh.insert_point(p, "input", i).vid
+               for i, p in enumerate(geom.pts))
+    left = RestrictedEdge((a, b), (0.5, 0, 0), 0.5, 0.0, 0)
+    right = RestrictedEdge((b, c), (1.5, 0, 0), 0.5, 0.0, 0)
+    r.rs.set(1, (a, b), left)
+    r.rs.set(1, (b, c), right)
+    assert bad_simplex_1(left, r.cfg) and bad_simplex_1(right, r.cfg)
+    assert r._frontal(1, right) is None
+    good = RestrictedEdge((a, b), (0.1, 0, 0), 0.1, 0.0, 0)
+    assert not bad_simplex_1(good, r.cfg)
+    r.rs.set(1, (a, b), good)
+    assert r._frontal(1, right) == (b,)
+    assert r._frontal(1, good) is None  # its only neighbour is bad
+
+
+def test_curve_only_and_open_inputs_converge():
+    # without a closed surface there is no volume; the bent curve also
+    # meets a second curve at a degree-2 junction (input vertex 1)
+    bent = PiecewiseComplex([(0, 0, 0), (1, 0, 0), (1, 1, 0.3)],
+                            [(0, 1, 0), (1, 2, 1)], [])
+    square = PiecewiseComplex([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+                              [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)],
+                              [(0, 1, 2, 0), (0, 2, 3, 0)])
+    results = [refine(geom, cfg_with(0.3)) for geom in (bent, square)]
+    for res in results:
+        assert res.status == "converged"
+        assert all(res.audit.values()), res.audit
+        assert not res.rs.tets
+    assert results[0].stats["disk1"] == 0
 
 
 def test_refine_wrapper_returns_mesh_sets_report():

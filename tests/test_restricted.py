@@ -543,27 +543,41 @@ def _edge(u, w, radius, curve=0, centre=(0, 0, 0)):
 
 
 def test_topo_disk_1_chain_vertex_valid():
-    assert topo_disk_1([_edge(1, 2, 0.1), _edge(2, 3, 0.2)], 2) is None
+    assert topo_disk_1([_edge(1, 2, 0.1), _edge(2, 3, 0.2)], (0, 0)) is None
 
 
 def test_topo_disk_1_three_edges_on_simple_curve():
     edges = [_edge(1, 2, 0.1), _edge(2, 3, 0.3), _edge(2, 4, 0.2)]
-    got = topo_disk_1(edges, 2)
+    got = topo_disk_1(edges, (0, 0))
     assert got is edges[1]  # largest ball wins
 
 
 def test_topo_disk_1_endpoint_with_one_edge():
-    assert topo_disk_1([_edge(1, 2, 0.5)], 1) is None
+    assert topo_disk_1([_edge(1, 2, 0.5)], (0,)) is None
 
 
 def test_topo_disk_1_off_curve_vertex_always_fails():
     edges = [_edge(7, 9, 0.4)]
-    assert topo_disk_1(edges, 0) is edges[0]
+    assert topo_disk_1(edges, ()) is edges[0]
 
 
 def test_topo_disk_1_mixed_curves_at_plain_vertex():
     edges = [_edge(1, 2, 0.1, curve=0), _edge(2, 3, 0.1, curve=1)]
-    assert topo_disk_1(edges, 2) is not None
+    assert topo_disk_1(edges, (0, 0)) is not None
+
+
+def test_topo_disk_1_junction_of_two_curves_valid():
+    # a degree-2 input vertex where curves 0 and 1 meet: one edge of each
+    edges = [_edge(2, 3, 0.1, curve=1), _edge(1, 2, 0.1, curve=0)]
+    assert topo_disk_1(edges, (0, 1)) is None
+    assert topo_disk_1([_edge(1, 2, 0.1), _edge(2, 3, 0.1)], (0, 1)) is not None
+
+
+def test_topo_disk_1_corner_with_two_edges_of_one_curve_fails():
+    # a degree-3 corner of curves 0, 1, 2 needs one edge of each
+    edges = [_edge(1, 2, 0.1, curve=0), _edge(2, 3, 0.3, curve=0),
+             _edge(2, 4, 0.2, curve=2)]
+    assert topo_disk_1(edges, (0, 1, 2)) is edges[1]
 
 
 def _tri(a, b, c, radius, patch=0):
