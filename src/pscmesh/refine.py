@@ -344,7 +344,8 @@ class Refiner:
                       "encroach_edge": 0, "encroach_tri": 0,
                       "disk1": 0, "disk2": 0, "type2": 0, "type1": 0,
                       "blocked": 0, "dual_certified": 0,
-                      "volume_inherited": 0, "axis_line_scans": 0}
+                      "volume_inherited": 0, "axis_line_scans": 0,
+                      "nearest_walks": 0}
         # per-tet distance bounds that let classification skip empty queries
         self.cert = DistanceCertificate(geom, self.rs.tets, self.stats)
         # wall seconds spent in each cascade stage by run()
@@ -392,7 +393,8 @@ class Refiner:
 
     def _classify(self, d, key, handle):
         if d == 1:
-            return classify_edge(self.mesh, self.g, key[0], key[1], t0=handle)
+            return classify_edge(self.mesh, self.g, key[0], key[1], t0=handle,
+                                 cert=self.cert)
         if d == 2:
             return classify_facet(self.mesh, self.g, *handle, cert=self.cert)
         return classify_tet(self.mesh, self.g, handle, cert=self.cert)

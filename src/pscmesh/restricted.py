@@ -9,14 +9,16 @@ the ball of maximum radius is kept.
 
 Classification is pure: it reads the mesh and geometry and returns fresh
 records, so re-running it over an unchanged mesh reproduces identical
-restricted sets.  A ``DistanceCertificate`` handed to the facet and tet
-classifiers lets them skip queries that provably find nothing; it changes
-no result.
+restricted sets.  Dual hits are confirmed from the Delaunay star of the
+simplex, with no point-location walk (``_nearest_among``).  With a
+``DistanceCertificate``, the facet and tet classifiers skip queries that
+provably find nothing; it changes no result.
 """
 
 import math
+from itertools import combinations
 
-from .delaunay import _FACES, circumcentre_triangle
+from .delaunay import _FACES, circumcentre_triangle, circumsphere_tet
 from .quality import volume_length
 
 _SQRT3 = math.sqrt(3.0)
@@ -79,19 +81,17 @@ def element_size(kind, radius):
 
 def radius_edge_tri(pa, pb, pc):
     """Circumradius over shortest edge for a triangle."""
-    _c, r2 = circumcentre_triangle(pa, pb, pc)
-    le = min(_d2(pa, pb), _d2(pb, pc), _d2(pa, pc))
-    if le == 0.0:
-        return math.inf
-    return math.sqrt(r2 / le)
+    return _radius_edge(circumcentre_triangle(pa, pb, pc)[1], (pa, pb, pc))
 
 
 def radius_edge_tet(pa, pb, pc, pd):
     """Circumradius over shortest edge for a tetrahedron."""
-    from .delaunay import circumsphere_tet
-    _c, r2, _ok = circumsphere_tet(pa, pb, pc, pd)
-    le = min(_d2(pa, pb), _d2(pa, pc), _d2(pa, pd),
-             _d2(pb, pc), _d2(pb, pd), _d2(pc, pd))
+    return _radius_edge(circumsphere_tet(pa, pb, pc, pd)[1],
+                        (pa, pb, pc, pd))
+
+
+def _radius_edge(r2, pts):
+    le = min(_d2(p, q) for p, q in combinations(pts, 2))
     if le == 0.0:
         return math.inf
     return math.sqrt(r2 / le)
@@ -144,8 +144,9 @@ class DistanceCertificate:
     to the created tets whose volume status is not settled yet.  ``tets``
     is the restricted tet table, which holds the settled status of every
     other non-ghost tet; ``stats`` counts what the certificate skipped
-    (``dual_certified``, ``volume_inherited``) and the facets that took the
-    axis-line path (``axis_line_scans``).
+    (``dual_certified``, ``volume_inherited``), the facets that took the
+    axis-line path (``axis_line_scans``) and the float ties that the star
+    test left to a nearest-vertex walk (``nearest_walks``).
     """
 
     def __init__(self, geom, tets, stats):
@@ -189,21 +190,32 @@ class DistanceCertificate:
 # per-simplex classification
 
 
-def _face_crossings(mesh, geom, u, w, t0):
+def _nearest_among(mesh, y, own, rivals, cert):
+    """True when no point of ``rivals`` (the simplex's link vertices or
+    apexes) is strictly nearer to y than every vertex of ``own``.  An
+    exact float tie goes to the global walk of ``mesh.nearest_vertex``, so
+    it resolves the same from every star; ``cert`` counts these walks."""
+    d = min(_d2(y, mesh.points[v]) for v in own)
+    r = min(_d2(y, x) for x in rivals)
+    if r != d:
+        return r > d
+    if cert is not None:
+        cert.stats["nearest_walks"] += 1
+    return mesh.nearest_vertex(y) in own
+
+
+def _face_crossings(mesh, geom, u, w, t0, cert=None):
     """Verified intersections of the dual face of edge (u, w) with the
     curve network: [(point, curve_id), ...].
 
     Candidate points come from bisector-plane crossings of nearby curve
-    segments; each is accepted only when u / w are its nearest mesh
-    vertices, which is the exact membership test for the Voronoi face and
-    immune to unreliable circumcentres around sliver rings.
-
-    A candidate strictly closer to a link vertex (a ring-tet vertex other
-    than u and w) than to both u and w is dropped before that test: the
-    link vertex lies in the stars of u and w, so ``nearest_vertex``, which
-    stops at a vertex no star neighbour beats under the same float
-    distance, cannot answer u or w.  The face is the intersection of the
-    link vertices' half-planes, so nearly every reject goes this way.
+    segments.  The Voronoi face of a Delaunay edge with a closed ring is
+    the part of its bisector plane that no link vertex (a ring-tet vertex
+    other than u and w) is nearer to: each side of the face lies on the
+    bisector of u and one link vertex.  So a candidate is a hit when no
+    link vertex is strictly nearer to it than both u and w
+    (``_nearest_among``): exact in exact arithmetic, local to the edge's
+    star and free of circumcentres, so unreliable rings lose no accuracy.
     """
     ring, closed = mesh.edge_ring(u, w, t0=t0)
     if not closed:
@@ -248,21 +260,19 @@ def _face_crossings(mesh, geom, u, w, t0):
         t = min(max(t, 0.0), 1.0)
         y = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]),
              a[2] + t * (b[2] - a[2]))
-        dmin = min(_d2(y, pu), _d2(y, pw))
-        if any(_d2(y, x) < dmin for x in link):
-            continue
-        if mesh.nearest_vertex(y) in (u, w):
+        if _nearest_among(mesh, y, (u, w), link, cert):
             hits.append((y, cid))
     return hits
 
 
-def classify_edge(mesh, geom, u, w, t0=None):
-    """RestrictedEdge when the dual Voronoi face meets the curve network."""
+def classify_edge(mesh, geom, u, w, t0=None, cert=None):
+    """RestrictedEdge when the dual Voronoi face meets the curve network
+    (``cert`` only counts tie walks)."""
     if not geom.segments:
         return None
     if u < 8 and w < 8:
         return None  # dual faces of pure-shell edges cannot reach the input
-    hits = _face_crossings(mesh, geom, u, w, t0)
+    hits = _face_crossings(mesh, geom, u, w, t0, cert)
     if not hits:
         return None
     pu = mesh.points[u]
@@ -278,11 +288,15 @@ def classify_edge(mesh, geom, u, w, t0=None):
 def classify_facet(mesh, geom, t, i, cert=None):
     """RestrictedTri when the dual Voronoi edge crosses the surface.
 
-    Crossings found along the dual segment are verified by a nearest-vertex
-    test (the facet's vertices must be nearest), so unreliable circumcentres
-    of near-degenerate tets cannot produce phantom surface membership.
-    With ``cert``, a dual edge it proves clear of the surface is not
-    queried.
+    A crossing y counts when neither apex (the vertex of t or of its
+    neighbour t2 off the facet) is strictly nearer to y than every facet
+    vertex (``_nearest_among``).  A point of the dual edge c1-c2 centres a
+    ball through the facet inside the union of the two empty Delaunay
+    balls, so it passes; beyond c1 or c2 on the axis line, that side's
+    apex is nearer.  So on the axis line exactly c1-c2 passes, in exact
+    arithmetic and without circumcentres, which also bounds the axis-line
+    scan taken when one is unreliable.  With ``cert``, a dual edge it
+    proves clear of the surface is not queried.
     """
     if not geom.triangles:
         return None
@@ -321,8 +335,10 @@ def classify_facet(mesh, geom, t, i, cert=None):
     elif cert is not None and cert.clears(t, p1, t2, p2):
         cert.stats["dual_certified"] += 1
         return None
-    hits = geom.intersect_segment_surface(p1, p2)
-    hits = [h for h in hits if mesh.nearest_vertex(h[0]) in tri]
+    apexes = (mesh.points[quad[i]],
+              mesh.points[next(x for x in mesh.tets[t2] if x not in tri)])
+    hits = [h for h in geom.intersect_segment_surface(p1, p2)
+            if _nearest_among(mesh, h[0], tri, apexes, cert)]
     if not hits:
         return None
     pa = mesh.points[tri[0]]
@@ -358,7 +374,7 @@ def classify_tet(mesh, geom, t, cert=None):
     pts = [mesh.points[v] for v in quad]
     _c, r2, _okc = mesh.circum[t]
     return RestrictedTet(tuple(sorted(quad)), t, centre, math.sqrt(r2),
-                         radius_edge_tet(*pts), volume_length(*pts))
+                         _radius_edge(r2, pts), volume_length(*pts))
 
 
 # ----------------------------------------------------------------------

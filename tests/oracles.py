@@ -290,6 +290,28 @@ def face_crossings_reference(mesh, geom, u, w):
     return hits
 
 
+def nearest_among_reference(mesh):
+    """Brute-force stand-in for the star test that confirms dual hits.
+
+    Returns f(y, own): true when some vertex of ``own`` is at least as near
+    to y as every other live vertex of the mesh, by one numpy scan of all
+    of ``mesh.points`` (squared distances summed in the library's order,
+    so that exact float ties are seen as ties).
+    """
+    pts = np.asarray(mesh.points, dtype=np.float64)
+    dead = ~np.array([m.alive for m in mesh.meta])
+
+    def nearest_among(y, own):
+        d = pts - np.asarray(y, dtype=np.float64)
+        d2 = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2
+        d2[dead] = np.inf
+        mine = d2[list(own)].min()
+        d2[list(own)] = np.inf
+        return bool(mine <= d2.min())
+
+    return nearest_among
+
+
 def segment_surface_hits(a, b, vertices, triangles, eps=1e-12):
     """All segment/triangle crossings via per-triangle linear solves."""
     a = np.asarray(a, dtype=np.float64)

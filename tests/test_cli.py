@@ -217,7 +217,8 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
                           "rollback_gamma", "rollback_sigma",
                           "encroach_edge", "encroach_tri", "disk1", "disk2",
                           "type1", "type2", "blocked", "dual_certified",
-                          "volume_inherited", "axis_line_scans"}
+                          "volume_inherited", "axis_line_scans",
+                          "nearest_walks"}
     assert stats["inserted"] > 0
     assert stats["dual_certified"] > 0 and stats["volume_inherited"] > 0
     audit = {k[len("audit."):]: v for k, v in entries.items()

@@ -19,8 +19,8 @@ from pscmesh.restricted import (RestrictedEdge, RestrictedTri, classify_edge,
                                 topo_disk_2)
 
 from oracles import (circumradius_triangle, distance_to_surface,
-                     face_crossings_reference, random_rotation,
-                     winding_numbers)
+                     face_crossings_reference, nearest_among_reference,
+                     random_rotation, winding_numbers)
 
 
 def mesh_with(points, bounds, seed=0):
@@ -136,21 +136,28 @@ def _d2(a, b):
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
 
 
-def _edge_record(e):
-    return None if e is None else (e.edge, e.centre, e.radius, e.err,
-                                   e.curve_id)
+def _record(obj):
+    """The fields of a RestrictedEdge or RestrictedTri, or None."""
+    if obj is None:
+        return None
+    if isinstance(obj, RestrictedEdge):
+        return (obj.edge, obj.centre, obj.radius, obj.err, obj.curve_id)
+    return (obj.tri, obj.centre, obj.radius, obj.err, obj.patch_id, obj.rho)
 
 
 def _check_edges_against_reference(monkeypatch, mesh, geom):
     """classify_edge on every mesh edge equals its result with the
     unfiltered reference face query.  Returns the edge keys with a closed
     ring, those among them with an unreliable circumcentre, the reference
-    hits tied between u or w and a link vertex, and how many candidates
-    that the link filter let through ``nearest_vertex`` then rejected."""
+    hits tied between u or w and a link vertex, how many candidates
+    ``nearest_vertex`` was asked about and rejected, and the walks counted
+    in ``stats.nearest_walks``."""
     edges = sorted({tuple(sorted(pair)) for t in mesh.alive_tets()
                     for pair in combinations(mesh.tets[t], 2)})
     got, answers, unconfirmed = [], [], 0
     nearest = mesh.nearest_vertex
+    stats = {"nearest_walks": 0}
+    cert = restricted.DistanceCertificate(geom, {}, stats)
 
     def recorded(p):
         answers.append(nearest(p))
@@ -160,13 +167,13 @@ def _check_edges_against_reference(monkeypatch, mesh, geom):
         m.setattr(mesh, "nearest_vertex", recorded)
         for u, w in edges:
             answers.clear()
-            got.append(_edge_record(classify_edge(mesh, geom, u, w)))
+            got.append(_record(classify_edge(mesh, geom, u, w, cert=cert)))
             unconfirmed += sum(v not in (u, w) for v in answers)
     with monkeypatch.context() as m:
         m.setattr(restricted, "_face_crossings",
-                  lambda mesh, geom, u, w, t0:
+                  lambda mesh, geom, u, w, t0, cert=None:
                   face_crossings_reference(mesh, geom, u, w))
-        want = [_edge_record(classify_edge(mesh, geom, u, w))
+        want = [_record(classify_edge(mesh, geom, u, w))
                 for u, w in edges]
     assert got == want
     assert any(want)
@@ -182,7 +189,7 @@ def _check_edges_against_reference(monkeypatch, mesh, geom):
         for y, _cid in face_crossings_reference(mesh, geom, u, w):
             dmin = min(_d2(y, mesh.points[u]), _d2(y, mesh.points[w]))
             ties += any(_d2(y, mesh.points[x]) == dmin for x in link)
-    return closed, unreliable, ties, unconfirmed
+    return closed, unreliable, ties, unconfirmed, stats["nearest_walks"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -191,12 +198,12 @@ def test_classify_edge_matches_unfiltered_reference_on_wedge(monkeypatch,
     # every edge of a refined creased input (whose rings all have reliable
     # circumcentres at these seeds); away from ties every point of the
     # bisector plane outside the dual face is strictly nearer some link
-    # vertex, so each candidate the filter lets through is confirmed
+    # vertex, so the star test decides every candidate without a walk
     geom = wedge()
     res = refine(geom, RefineConfig(sizing=SizingField(h0=0.35), seed=seed))
-    closed, _unreliable, _ties, unconfirmed = _check_edges_against_reference(
-        monkeypatch, res.mesh, geom)
-    assert len(closed) > 400 and unconfirmed == 0
+    closed, _unreliable, _ties, unconfirmed, walks = (
+        _check_edges_against_reference(monkeypatch, res.mesh, geom))
+    assert len(closed) > 400 and unconfirmed == 0 and walks == 0
 
 
 def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
@@ -205,7 +212,8 @@ def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
     # centre (0.05, 0.05, 0.05) of the first cell.  One more point, about
     # 4e-9 from the corner (0.2, 0.2, 0.2), gives the tets on that short
     # edge circumradii above 1e6 times its length: their circumcentres are
-    # unreliable, and the rings through them take the all-segments path
+    # unreliable, and the rings through them take the all-segments path.
+    # The star test leaves the exact ties to the nearest-vertex walk
     s = 0.1
     verts = [(-0.025, 0.025, 0.0), (0.125, 0.075, 0.1), (0.05, 0.15, 0.15),
              (0.225, 0.05, 0.1)]
@@ -215,15 +223,14 @@ def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
         mesh.insert_point(tuple(s * x for x in p), jitter=False)
     mesh.insert_point((2 * s + 3e-9, 2 * s + 2e-9, 2 * s + 1e-9),
                       jitter=False)
-    closed, unreliable, ties, _unconfirmed = _check_edges_against_reference(
-        monkeypatch, mesh, geom)
-    assert closed and unreliable and ties > 0
+    closed, unreliable, ties, _unconfirmed, walks = (
+        _check_edges_against_reference(monkeypatch, mesh, geom))
+    assert closed and unreliable and ties > 0 and walks > 0
 
 
-def test_curve_classification_confirms_few_candidates(monkeypatch):
-    # the nearest-vertex walk confirms only candidates no link vertex
-    # rejects: about 1,300 calls here, against about 13,000 when every
-    # bisector-plane crossing was walked
+def test_refinement_confirms_dual_hits_without_a_walk(monkeypatch):
+    # on jittered input no dual hit ties a link vertex or an apex exactly,
+    # so refinement confirms every hit from the Delaunay star alone
     calls = [0]
     nearest = TetMesh.nearest_vertex
 
@@ -232,11 +239,63 @@ def test_curve_classification_confirms_few_candidates(monkeypatch):
         return nearest(mesh, p)
 
     monkeypatch.setattr(TetMesh, "nearest_vertex", counted)
-    refiner = Refiner(wedge(), RefineConfig(sizing=SizingField(h0=0.35),
-                                            seed=0))
-    refiner.setup()
-    assert refiner.run() == "converged"
-    assert 0 < calls[0] <= 2500
+    for geom, h in ((wedge(), 0.35), (icosphere(2), 0.4)):
+        refiner = Refiner(geom, RefineConfig(sizing=SizingField(h0=h),
+                                             seed=0))
+        refiner.setup()
+        assert refiner.run() == "converged"
+        assert refiner.stats["nearest_walks"] == 0
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("model, h", [(wedge, 0.35), (lambda: icosphere(2),
+                                                      0.4)],
+                         ids=["wedge", "icosphere2"])
+def test_star_test_matches_brute_force_nearest_vertex(monkeypatch, model, h,
+                                                      seed):
+    # every closed-ring edge and every non-hull facet of a refined mesh
+    # classifies the same when the star test is replaced by a scan of all
+    # live mesh vertices (ties to the simplex, as in the star test).  A
+    # reliable dual edge only meets the surface between its circumcentres,
+    # where every apex passes, so the comparison is repeated with every
+    # circumcentre marked unreliable: facets then scan their whole axis
+    # line and rings all curve segments, and the star test alone bounds
+    # the dual
+    geom = model()
+    mesh = refine(geom, RefineConfig(sizing=SizingField(h0=h),
+                                     seed=seed)).mesh
+    edges, facets = {}, {}
+    for t in mesh.alive_tets():
+        quad = mesh.tets[t]
+        for pair in combinations(sorted(quad), 2):
+            edges.setdefault(pair, t)
+        for i in range(4):
+            tri = tuple(sorted(quad[k] for k in _FACES[i]))
+            if mesh.neigh[t][i] != -1:
+                facets.setdefault(tri, (t, i))
+    edges = [(u, w, t) for (u, w), t in edges.items()
+             if mesh.edge_ring(u, w, t0=t)[1]]
+
+    def classify_all():
+        return ([_record(classify_edge(mesh, geom, u, w, t0=t))
+                 for u, w, t in edges],
+                [_record(classify_facet(mesh, geom, t, i))
+                 for t, i in facets.values()])
+
+    brute = nearest_among_reference(mesh)
+    voronoi_vertex = mesh.voronoi_vertex
+    for unreliable in (False, True):
+        with monkeypatch.context() as m:
+            if unreliable:
+                m.setattr(mesh, "voronoi_vertex",
+                          lambda t: (voronoi_vertex(t)[0], False))
+            got = classify_all()
+            m.setattr(restricted, "_nearest_among",
+                      lambda mesh, y, own, rivals, cert: brute(y, own))
+            want = classify_all()
+        assert got == want
+        assert any(got[1]) and (any(got[0]) or not geom.segments)
 
 
 # ----------------------------------------------------------------------
