@@ -11,7 +11,7 @@ appended to their names, and prints a side-by-side summary.  Exit codes:
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .config import GridSizing, RefineConfig, SizingField
 from .errors import PscError, ValidationError
@@ -79,33 +79,35 @@ def _load_grid(path):
     dims = origin = spacing = None
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "dims":
-                dims = [int(x) for x in parts[1:4]]
-            elif parts[0] == "origin":
-                origin = [float(x) for x in parts[1:4]]
-            elif parts[0] == "spacing":
-                spacing = [float(x) for x in parts[1:4]]
-            elif parts[0] == "values":
-                values.extend(float(x) for x in parts[1:])
-            else:
-                values.extend(float(x) for x in parts)
+            try:
+                if parts[0] == "dims":
+                    dims = [int(x) for x in parts[1:4]]
+                elif parts[0] == "origin":
+                    origin = [float(x) for x in parts[1:4]]
+                elif parts[0] == "spacing":
+                    spacing = [float(x) for x in parts[1:4]]
+                elif parts[0] == "values":
+                    values.extend(float(x) for x in parts[1:])
+                else:
+                    values.extend(float(x) for x in parts)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"sizing grid {path!r} line {lineno}: {exc}") from exc
     if dims is None or origin is None or spacing is None:
         raise ValidationError(f"sizing grid {path!r} missing dims/origin/spacing")
     return GridSizing(origin, spacing, dims, values)
 
 
 def make_config(args, geom):
-    return RefineConfig(rho_surf=args.rho_surf, rho_vol=args.rho_vol,
-                        eps_rel=args.eps_rel,
-                        sizing=load_sizing(args.hfun, geom),
-                        vlen_min=args.vlen_min, alpha=args.alpha,
-                        mode=args.mode, collar_beta=args.collar_beta,
-                        max_points=args.max_points, seed=args.seed)
+    # every other field has a flag of the same name
+    return RefineConfig(sizing=load_sizing(args.hfun, geom),
+                        **{f.name: getattr(args, f.name)
+                           for f in fields(RefineConfig) if f.name != "sizing"})
 
 
 def _default_paths(args):
@@ -124,17 +126,12 @@ def _write_manifest(path, args, cfg, result, timings, outputs):
              f"status = {result.status}"]
     for k in sorted(outputs):
         lines.append(f"output.{k} = {outputs[k]}")
-    lines.append(f"cfg.rho_surf = {cfg.rho_surf!r}")
-    lines.append(f"cfg.rho_vol = {cfg.rho_vol!r}")
-    lines.append(f"cfg.eps_rel = {cfg.eps_rel!r}")
-    lines.append(f"cfg.vlen_min = {cfg.vlen_min!r}")
-    lines.append(f"cfg.alpha = {cfg.alpha!r}")
-    lines.append(f"cfg.collar_beta = {cfg.collar_beta!r}")
-    lines.append(f"cfg.max_points = {cfg.max_points}")
-    if cfg.sizing.h0 is not None:
-        lines.append(f"cfg.hfun = {cfg.sizing.h0!r}")
-    else:
-        lines.append("cfg.hfun = gridded")
+    # seed and mode head the manifest; sizing is written as cfg.hfun
+    lines.extend(f"cfg.{f.name} = {getattr(cfg, f.name)!r}"
+                 for f in fields(RefineConfig)
+                 if f.name not in ("sizing", "mode", "seed"))
+    h0 = cfg.sizing.h0
+    lines.append(f"cfg.hfun = {'gridded' if h0 is None else repr(h0)}")
     for k in sorted(timings):
         key = k if k.startswith("stage.") else f"time.{k}"
         lines.append(f"{key}_s = {timings[k]:.3f}")
@@ -148,49 +145,44 @@ def _write_manifest(path, args, cfg, result, timings, outputs):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_outputs(args, cfg, result, load_s, out, rep, man):
-    """Write the mesh, the report and the manifest of one refined run."""
-    t0 = time.perf_counter()
-    write_vtk(out, result.mesh, result.rs)
-    write_report(result.report, rep)
-    timings = dict(result.timings, load=load_s,
-                   write=time.perf_counter() - t0)
-    _write_manifest(man, args, cfg, result, timings,
-                    {"mesh": out, "report": rep})
-
-
 def run(args):
-    """Load, refine, write outputs; returns the process exit code."""
-    t0 = time.perf_counter()
-    geom = load_complex(args.input)
-    cfg = make_config(args, geom)
-    out, rep, man = _default_paths(args)
-    load_s = time.perf_counter() - t0
-
-    result = refine(geom, cfg)
-    _write_outputs(args, cfg, result, load_s, out, rep, man)
-    counts = result.report.counts
-    print(f"{result.status}: {counts['points']} points, "
-          f"{counts['curve_edges']} curve edges, "
-          f"{counts['surface_tris']} surface triangles, "
-          f"{counts['volume_tets']} tets -> {out}")
-    return 0 if result.status == "converged" else 2
-
-
-def compare_modes(args):
-    """Run both modes on one input and print a side-by-side summary."""
+    """Load, refine (both modes with --compare) and write outputs; returns
+    the process exit code."""
     t0 = time.perf_counter()
     geom = load_complex(args.input)
     cfg = make_config(args, geom)
     out, rep, man = _default_paths(args)
     load_s = time.perf_counter() - t0
     results = {}
-    for mode in ("classical", "frontal"):
+    for mode in ("classical", "frontal") if args.compare else (cfg.mode,):
         mode_cfg = replace(cfg, mode=mode)
         result = refine(geom, mode_cfg)
-        _write_outputs(args, mode_cfg, result, load_s, f"{out}.{mode}.vtk",
-                       f"{rep}.{mode}.txt", f"{man}.{mode}.txt")
+        # --compare appends the mode to every file name
+        mesh_path, rep_path, man_path = (
+            (f"{out}.{mode}.vtk", f"{rep}.{mode}.txt", f"{man}.{mode}.txt")
+            if args.compare else (out, rep, man))
+        t1 = time.perf_counter()
+        write_vtk(mesh_path, result.mesh, result.rs)
+        write_report(result.report, rep_path)
+        timings = dict(result.timings, load=load_s,
+                       write=time.perf_counter() - t1)
+        _write_manifest(man_path, args, mode_cfg, result, timings,
+                        {"mesh": mesh_path, "report": rep_path})
         results[mode] = result
+    if args.compare:
+        _print_comparison(results)
+    else:
+        counts = result.report.counts
+        print(f"{result.status}: {counts['points']} points, "
+              f"{counts['curve_edges']} curve edges, "
+              f"{counts['surface_tris']} surface triangles, "
+              f"{counts['volume_tets']} tets -> {out}")
+    ok = all(r.status == "converged" for r in results.values())
+    return 0 if ok else 2
+
+
+def _print_comparison(results):
+    """Side-by-side summary of a classical and a frontal run."""
     print(f"{'':24s}{'classical':>14s}{'frontal':>14s}")
     rows = [("status", lambda r: r.status),
             ("points", lambda r: r.report.counts["points"]),
@@ -203,17 +195,12 @@ def compare_modes(args):
     for label, fn in rows:
         print(f"{label:24s}{str(fn(results['classical'])):>14s}"
               f"{str(fn(results['frontal'])):>14s}")
-    ok = all(r.status == "converged" for r in results.values())
-    return 0 if ok else 2
 
 
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.compare:
-            return compare_modes(args)
-        return run(args)
+        return run(parser.parse_args(argv))
     except PscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

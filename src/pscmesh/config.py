@@ -21,11 +21,18 @@ class GridSizing:
         self.origin = tuple(map(float, origin))
         self.spacing = tuple(map(float, spacing))
         self.dims = tuple(map(int, dims))
+        if not (len(self.origin) == len(self.spacing) == len(self.dims) == 3
+                and all(map(math.isfinite, self.origin))
+                and all(0.0 < s < math.inf for s in self.spacing)
+                and min(self.dims) > 0):
+            raise ValidationError(
+                "sizing grid needs 3 finite origin coordinates, 3 positive "
+                "finite spacings and 3 positive dims")
         vals = np.asarray(values, dtype=np.float64)
         if vals.size != self.dims[0] * self.dims[1] * self.dims[2]:
             raise ValidationError("sizing grid value count does not match dims")
-        if not (vals > 0.0).all():
-            raise ValidationError("sizing values must be positive")
+        if not ((vals > 0.0) & (vals < math.inf)).all():
+            raise ValidationError("sizing values must be positive and finite")
         # x varies fastest in the flat input
         self.values = vals.reshape(self.dims[2], self.dims[1], self.dims[0])
 
@@ -68,8 +75,8 @@ class SizingField:
     def __init__(self, h0=None, grid=None):
         if (h0 is None) == (grid is None):
             raise ValidationError("sizing needs exactly one of h0 / grid")
-        if h0 is not None and h0 <= 0.0:
-            raise ValidationError("uniform sizing must be positive")
+        if h0 is not None and not 0.0 < h0 < math.inf:
+            raise ValidationError("uniform sizing must be positive and finite")
         self.h0 = h0
         self.grid = grid
 
@@ -110,6 +117,12 @@ class RefineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a nan slips through the comparisons below and an inf switches a
+        # bound off
+        for name in ("rho_surf", "rho_vol", "eps_rel", "vlen_min", "alpha",
+                     "collar_beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.rho_surf < _RHO_SURF_MIN - 1e-12:
             raise ValidationError(
                 f"rho_surf below the attainable minimum 1/sqrt(3) ({_RHO_SURF_MIN:.4f})")
@@ -120,6 +133,8 @@ class RefineConfig:
             raise ValidationError(
                 "vlen_min must lie in (0, 1/3]: refinement against the "
                 "volume-length floor is only convergent up to 1/3")
+        if self.eps_rel <= 0.0:
+            raise ValidationError("eps_rel must be positive")
         if self.alpha <= 0.0:
             raise ValidationError("alpha must be positive")
         if self.collar_beta < 1.0:

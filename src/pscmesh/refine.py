@@ -21,6 +21,17 @@ the classical point when no frontal neighbour exists.
 Sharp curve-curve angles are fenced off before refinement by isosceles
 collars; any Steiner point whose cavity would delete a protected collar
 edge is rejected outright.
+
+The encroachment test and the collar lock both read the candidate's own
+cavity, the tets whose circumballs contain it.  The cavity deletes an
+edge when the edge belongs to a cavity tet and lies on no cavity boundary
+facet.  A surface ball is centred on its simplex's Voronoi dual, a convex
+combination of the circumcentres of the tets around the simplex, and
+passes through the simplex's vertices, so a point's power with respect to
+the ball is the same combination of its powers with respect to those
+circumballs.  A point strictly inside the ball is thus inside one of
+them, and that tet is in the cavity: the encroachment test need only look
+at the restricted faces of the cavity tets.
 """
 
 import heapq
@@ -28,8 +39,6 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .config import check_termination_bounds
 from .delaunay import _FACES, TetMesh, circumcentre_triangle
@@ -99,14 +108,13 @@ class ProtectedFeature:
     """Isosceles collar around one acutely meeting curve pair."""
 
     __slots__ = ("apex_gvid", "apex_vid", "wing_points", "wing_vids",
-                 "wing_curves", "radius", "angle")
+                 "wing_curves", "radius")
 
-    def __init__(self, apex_gvid, wing_points, wing_curves, radius, angle):
+    def __init__(self, apex_gvid, wing_points, wing_curves, radius):
         self.apex_gvid = apex_gvid
         self.wing_points = wing_points
         self.wing_curves = wing_curves
         self.radius = radius
-        self.angle = angle
         self.apex_vid = -1
         self.wing_vids = ()
 
@@ -120,10 +128,7 @@ def protect_sharp_angles(geom, apexes, sizing, beta):
     its sphere meets the curve network in exactly two points and the
     beta-scaled protecting balls are pairwise disjoint.
     """
-    by_vertex = {}
-    for v, pair, angle in apexes:
-        by_vertex.setdefault(v, []).append((pair, angle))
-    order = sorted(by_vertex)
+    order = sorted({v for v, _pair, _angle in apexes})
     for v in order:
         if len(geom.segs_at_vertex.get(v, ())) != 2:
             raise ProtectionError(
@@ -156,93 +161,55 @@ def protect_sharp_angles(geom, apexes, sizing, beta):
     for v in order:
         hits = geom.intersect_sphere_curve(geom.pts[v], radii[v], with_tags=True)
         hits.sort(key=lambda h: h[0])
-        angle = min(a for _pair, a in by_vertex[v])
         out.append(ProtectedFeature(v, tuple(h[0] for h in hits),
-                                    tuple(h[1] for h in hits),
-                                    radii[v], angle))
+                                    tuple(h[1] for h in hits), radii[v]))
     return out
 
 
 class BallRegistry:
-    """Surface-ball lookup: which registered ball strictly contains a point."""
+    """Surface-ball lookup for the restricted d-simplexes of one table.
 
-    def __init__(self):
-        self._keys = []
-        self._row = {}
-        self._c = np.zeros((0, 3))
-        self._r = np.zeros(0)
-        self._alive = np.zeros(0, dtype=bool)
-        self._dead = 0
+    A point is only looked up against the restricted d-faces of its own
+    cavity: a ball that strictly contains it belongs to one of them (see
+    the module docstring).  The class keeps its name and its
+    ``find_containing`` method because the benchmark tracer wraps
+    ``BallRegistry.find_containing`` on the class.
+    """
 
-    def _grow(self, n):
-        cap = max(64, 2 * len(self._keys) + n)
-        c = np.zeros((cap, 3))
-        r = np.zeros(cap)
-        a = np.zeros(cap, dtype=bool)
-        m = len(self._keys)
-        c[:m] = self._c[:m]
-        r[:m] = self._r[:m]
-        a[:m] = self._alive[:m]
-        self._c, self._r, self._alive = c, r, a
+    def __init__(self, d, table):
+        self.d = d
+        self.table = table
 
-    def add(self, key, centre, radius):
-        """Register the ball of a key that is not registered yet."""
-        row = len(self._keys)
-        if row >= len(self._c):
-            self._grow(1)
-        self._keys.append(key)
-        self._row[key] = row
-        self._c[row] = centre
-        self._r[row] = radius
-        self._alive[row] = True
-
-    def remove(self, key):
-        row = self._row.pop(key)
-        self._alive[row] = False
-        self._keys[row] = None
-        self._dead += 1
-        if self._dead > 256 and self._dead * 2 > len(self._keys):
-            self._compact()
-
-    def _compact(self):
-        keep = [i for i, k in enumerate(self._keys) if k is not None]
-        keys = [self._keys[i] for i in keep]
-        m = len(keys)
-        c = np.zeros((max(64, 2 * m), 3))
-        r = np.zeros(len(c))
-        a = np.zeros(len(c), dtype=bool)
-        c[:m] = self._c[keep]
-        r[:m] = self._r[keep]
-        a[:m] = True
-        self._keys = keys
-        self._row = {k: i for i, k in enumerate(keys)}
-        self._c, self._r, self._alive = c, r, a
-        self._dead = 0
-
-    def find_containing(self, p):
-        """Key of the largest ball strictly containing p, or None."""
-        m = len(self._keys)
-        if not m:
+    def find_containing(self, p, quads):
+        """Key of the largest ball strictly containing p among the restricted
+        d-simplexes that are faces of the tets ``quads``, or None.  Of equal
+        radii the smaller key wins."""
+        table = self.table
+        if not table:
             return None
-        d2 = ((self._c[:m] - p) ** 2).sum(axis=1)
-        mask = self._alive[:m] & (d2 < self._r[:m] ** 2)
-        idx = np.nonzero(mask)[0]
-        if not len(idx):
-            return None
-        radii = self._r[idx]
-        best = radii.max()
-        cands = [self._keys[i] for i in idx[radii == best]]
-        return min(cands)
+        n = self.d + 1
+        px, py, pz = p
+        best = None     # (-radius, key) of the best ball so far
+        for key in {k for q in quads for k in combinations(sorted(q), n)}:
+            obj = table.get(key)
+            if obj is None:
+                continue
+            (cx, cy, cz), r = obj.centre, obj.radius
+            dx, dy, dz = cx - px, cy - py, cz - pz
+            if dx * dx + dy * dy + dz * dz < r * r and (
+                    best is None or (-r, key) < best):
+                best = (-r, key)
+        return None if best is None else best[1]
 
 
 class RestrictedSets:
-    """Refiner-owned restricted complexes plus incidence and ball indexes.
+    """Refiner-owned restricted complexes plus their incidence maps.
 
     Everything is indexed by simplex dimension d (1 curve edges, 2 surface
     triangles, 3 volume tets): ``table[d]`` maps a sorted vertex tuple to
     its restricted simplex and is the same dict as ``edges`` / ``tris`` /
     ``tets``.  For d = 1 and 2, ``at_vertex[d]`` maps a vertex to the keys
-    incident to it and ``balls[d]`` registers their surface balls.
+    incident to it and ``balls[d]`` looks up their surface balls.
     """
 
     def __init__(self):
@@ -251,7 +218,8 @@ class RestrictedSets:
         self.tets = {}
         self.table = (None, self.edges, self.tris, self.tets)
         self.at_vertex = (None, {}, {})
-        self.balls = (None, BallRegistry(), BallRegistry())
+        self.balls = (None, BallRegistry(1, self.edges),
+                      BallRegistry(2, self.tris))
 
     def set(self, d, key, obj):
         """Store obj under key in dimension d (None deletes the entry) and
@@ -272,12 +240,10 @@ class RestrictedSets:
                 s.discard(key)
                 if not s:
                     del at_vertex[v]
-            self.balls[d].remove(key)
         if obj is not None:
             table[key] = obj
             for v in key:
                 at_vertex.setdefault(v, set()).add(key)
-            self.balls[d].add(key, obj.centre, obj.radius)
         return old
 
 
@@ -462,34 +428,31 @@ class Refiner:
     # guarded insertion
 
     def _cavity_locks(self, probe):
-        _pj, cav, _boundary, dup = probe
-        if dup is not None or not self.protected_edges:
+        """Whether the probed insertion deletes a protected collar edge: the
+        edge belongs to a cavity tet and lies on no cavity boundary facet,
+        so every tet around it dies."""
+        _pj, cav, boundary, dup = probe
+        if dup is not None:
             return False
-        for (a, b) in self.protected_edges:
-            start = None
-            for t in cav:
-                quad = self.mesh.tets[t]
-                if a in quad and b in quad:
-                    start = t
-                    break
-            if start is None:
-                continue
-            ring, _closed = self.mesh.edge_ring(a, b, t0=start)
-            if all(t in cav for t in ring):
-                return True
-        return False
+        tets = self.mesh.tets
+        return any(any(a in tets[t] and b in tets[t] for t in cav)
+                   and not any(a in f and b in f for f, _n in boundary)
+                   for a, b in self.protected_edges)
 
-    def _insert(self, point, kind, ref, gamma_guard=False, sigma_guard=False):
+    def _insert(self, point, kind, ref, gamma_guard=False, sigma_guard=False,
+                probe=None):
         """Insert one Steiner point with all Algorithm guards applied.
 
         ``gamma_guard`` / ``sigma_guard`` roll the insertion back when it
-        changes the restricted curve / surface complex.  Returns (status,
-        vid) with status in {'inserted', 'duplicate', 'rejected'};
-        'inserted' covers rollback-then-deferred insertions.
+        changes the restricted curve / surface complex.  ``probe`` is the
+        point's ``probe_insert`` result when the caller has it already.
+        Returns (status, vid) with status in {'inserted', 'duplicate',
+        'rejected'}; 'inserted' covers rollback-then-deferred insertions.
         """
         if len(self.mesh.points) - 8 >= self.cfg.max_points:
             raise _Budget()
-        probe = self.mesh.probe_insert(point)
+        if probe is None:
+            probe = self.mesh.probe_insert(point)
         if probe[3] is not None:
             self.stats["duplicates"] += 1
             return "duplicate", probe[3]
@@ -504,8 +467,8 @@ class Refiner:
             if guard and self._changed(undo, low):
                 self.stats[stat] += 1
                 return self._rollback(rec, undo, low)
-        self._mark_dirty(set().union(*rec.destroyed_quads,
-                                     *(self.mesh.tets[t] for t in rec.created)))
+        # every created tet is a cavity boundary facet plus the new vertex
+        self._mark_dirty({rec.vid}.union(*rec.destroyed_quads))
         self.stats["inserted"] += 1
         return "inserted", rec.vid
 
@@ -691,9 +654,12 @@ class Refiner:
                 point, ptype = select_refinement_point(token.centre, c2, c0,
                                                        r0)
             # a point inside a lower-dimensional surface ball goes to that
-            # ball's centre instead
+            # ball's centre instead; the balls to test are faces of the
+            # point's own cavity
+            probe = self.mesh.probe_insert(point)
+            quads = [self.mesh.tets[t] for t in probe[1]]
             for low in range(1, d):
-                lkey = rs.balls[low].find_containing(point)
+                lkey = rs.balls[low].find_containing(point, quads)
                 if lkey is not None:
                     obj = rs.table[low][lkey]
                     self.stats[("encroach_edge", "encroach_tri")[low - 1]] += 1
@@ -701,7 +667,8 @@ class Refiner:
                     break
             else:
                 st, _vid = self._insert(point, *_site(d, token),
-                                        gamma_guard=d > 1, sigma_guard=d > 2)
+                                        gamma_guard=d > 1, sigma_guard=d > 2,
+                                        probe=probe)
             if st == "inserted":
                 self.stats["type2" if ptype == "II" else "type1"] += 1
                 # a deferred insertion may leave this simplex untouched and

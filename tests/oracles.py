@@ -4,9 +4,11 @@ Everything here is written from first principles and deliberately avoids
 the library's own code paths: exact rational arithmetic for predicate
 signs, literal all-pairs enumeration for the Delaunay property and the
 intersection queries, and generalized winding numbers for volume
-membership.  The exception is ``face_crossings_reference``, a differential
-reference that runs the unfiltered curve-edge classification on the
-mesh's own queries.
+membership.  The exceptions are differential references that run an
+older or unfiltered rule on the mesh's own queries:
+``face_crossings_reference`` (curve-edge classification),
+``containing_ball_scan`` (encroachment over every ball) and
+``cavity_locks_ring_walk`` (collar locks by walking edge rings).
 """
 
 import math
@@ -310,6 +312,41 @@ def nearest_among_reference(mesh):
         return bool(mine <= d2.min())
 
     return nearest_among
+
+
+def containing_ball_scan(table, p):
+    """Key of the largest surface ball in ``table`` that strictly contains
+    p, of equal radii the smaller key, or None.
+
+    One numpy scan over every ball of the restricted table, blocked ones
+    included, with the squared distances summed as ``((c - p)**2).sum()``.
+    """
+    if not table:
+        return None
+    keys = list(table)
+    c = np.array([table[k].centre for k in keys], dtype=np.float64)
+    r = np.array([table[k].radius for k in keys], dtype=np.float64)
+    inside = np.nonzero(((c - p) ** 2).sum(axis=1) < r ** 2)[0]
+    if not len(inside):
+        return None
+    return min((-r[i], keys[i]) for i in inside)[1]
+
+
+def cavity_locks_ring_walk(mesh, protected_edges, probe):
+    """Whether a ``probe_insert`` cavity holds every tet of the ring around
+    some protected edge, found by walking each ring from a cavity tet."""
+    _pj, cav, _boundary, dup = probe
+    if dup is not None:
+        return False
+    for a, b in protected_edges:
+        start = next((t for t in cav
+                      if a in mesh.tets[t] and b in mesh.tets[t]), None)
+        if start is None:
+            continue
+        ring, _closed = mesh.edge_ring(a, b, t0=start)
+        if all(t in cav for t in ring):
+            return True
+    return False
 
 
 def segment_surface_hits(a, b, vertices, triangles, eps=1e-12):

@@ -228,3 +228,37 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
     assert set(audit.values()) == {"1"}
     assert "guaranteed-termination bound 6.828" in entries["warning.0"]
     assert "guaranteed-termination bound 27.314" in entries["warning.1"]
+
+
+GRID = "dims 2 2 2\norigin 0 0 0\nspacing 1 1 1\nvalues " + "0.2 " * 8 + "\n"
+
+
+@pytest.mark.parametrize("flags, grid", [
+    (["--hfun", "nan"], None),
+    (["--hfun", "inf"], None),
+    (["--alpha", "nan"], None),
+    (["--rho-surf", "nan"], None),
+    (["--rho-vol", "nan"], None),
+    (["--collar-beta", "nan"], None),
+    (["--eps-rel", "0"], None),
+    (["--eps-rel", "-1"], None),
+    ([], GRID.replace("spacing 1 1 1", "spacing 1 0 1")),
+    ([], GRID.replace("origin 0 0 0", "origin 0 zero 0")),
+    ([], GRID.replace("dims 2 2 2", "dims 2 2")),
+    ([], GRID.replace("values 0.2", "values inf")),
+], ids=["hfun-nan", "hfun-inf", "alpha-nan", "rho-surf-nan", "rho-vol-nan",
+        "collar-beta-nan", "eps-rel-0", "eps-rel-negative", "grid-spacing-0",
+        "grid-not-a-number", "grid-short-dims", "grid-inf-value"])
+def test_non_finite_or_out_of_range_input_exits_1(flags, grid, tmp_path,
+                                                  capsys):
+    src = write_cube(tmp_path)
+    if grid is not None:
+        path = tmp_path / "size.grid"
+        path.write_text(grid)
+        flags = ["--hfun", f"grid:{path}"]
+    # the point budget ends a run that slips past validation
+    assert main(["--input", src, "--max-points", "50",
+                 "--output", str(tmp_path / "m.vtk"),
+                 "--report", str(tmp_path / "r.txt"),
+                 "--manifest", str(tmp_path / "m.txt")] + flags) == 1
+    assert capsys.readouterr().err.startswith("error: ")

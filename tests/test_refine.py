@@ -9,13 +9,17 @@ from pscmesh.config import (GridSizing, RefineConfig, SizingField,
 from pscmesh.errors import ValidationError
 from pscmesh.geometry import PiecewiseComplex, load_complex
 from pscmesh.models import cube, icosphere, wedge
-from pscmesh.refine import (Refiner, bad_simplex_1, bad_simplex_2,
-                            bad_simplex_3, protect_sharp_angles, refine,
+from pscmesh.refine import (BallRegistry, Refiner, bad_simplex_1,
+                            bad_simplex_2, bad_simplex_3,
+                            protect_sharp_angles, refine,
                             select_refinement_point)
 from pscmesh.restricted import RestrictedEdge, RestrictedTri, RestrictedTet
 
-from oracles import distance_to_surface
+from oracles import (cavity_locks_ring_walk, containing_ball_scan,
+                     distance_to_surface)
 from snapshots import assert_bounds_fresh, assert_undone, record_rollbacks
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def cfg_with(h0, **kw):
@@ -197,46 +201,85 @@ def test_tet_offcentre_regular_apex_and_clamp():
 
 
 # ----------------------------------------------------------------------
-# surface-ball registry (encroachment index)
+# encroachment and collar locks, answered from the cavity
 
 
-def test_ball_registry_strict_containment_and_ties():
-    from pscmesh.refine import BallRegistry
-    reg = BallRegistry()
-    reg.add((0, 1), (0.0, 0.0, 0.0), 1.0)
-    reg.add((2, 3), (3.0, 0.0, 0.0), 1.0)
-    assert reg.find_containing((0.5, 0, 0)) == (0, 1)
-    assert reg.find_containing((1.0, 0, 0)) is None   # boundary is outside
-    assert reg.find_containing((2.0, 0, 0)) is None
+def test_ball_lookup_strict_containment_and_ties():
+    edges = {k: RestrictedEdge(k, c, r, 0.0, 0) for k, c, r in (
+        ((0, 1), (0.0, 0.0, 0.0), 1.0),
+        ((2, 3), (3.0, 0.0, 0.0), 1.0),
+        ((0, 9), (0.4, 0.0, 0.0), 1.0),
+        # contains every query point, but is an edge of no cavity tet
+        ((5, 7), (0.0, 0.0, 0.0), 9.0))}
+    edges[(0, 1)].blocked = True     # blocked simplexes still count
+    reg = BallRegistry(1, edges)
+    cavity = [(3, 1, 0, 2)]
+    assert reg.find_containing((0.5, 0, 0), cavity) == (0, 1)
+    assert reg.find_containing((1.0, 0, 0), cavity) is None  # boundary is out
+    assert reg.find_containing((2.0, 0, 0), cavity) is None
+    assert reg.find_containing((2.5, 0, 0), cavity) == (2, 3)
+    assert reg.find_containing((0.5, 0, 0), []) is None
     # overlapping equal-radius balls tie-break on the smaller key
-    reg.add((0, 9), (0.4, 0.0, 0.0), 1.0)
-    assert reg.find_containing((0.3, 0, 0)) == (0, 1)
-    reg.remove((0, 1))
-    assert reg.find_containing((0.3, 0, 0)) == (0, 9)
+    cavity.append((9, 0, 4, 6))
+    assert reg.find_containing((0.3, 0, 0), cavity) == (0, 1)
+    assert reg.find_containing((1.2, 0, 0), cavity) == (0, 9)
+    # the larger ball wins over the smaller key
+    edges[(1, 2)] = RestrictedEdge((1, 2), (1.2, 0.0, 0.0), 1.25, 0.0, 0)
+    assert reg.find_containing((0.3, 0, 0), cavity) == (1, 2)
+    # triangles are the 3-vertex faces of the same tets
+    tris = {(0, 1, 3): RestrictedTri((0, 1, 3), (0.0, 0.0, 0.0), 1.0, 0.0,
+                                     0, 1.0)}
+    reg2 = BallRegistry(2, tris)
+    assert reg2.find_containing((0.5, 0, 0), cavity) == (0, 1, 3)
+    assert reg2.find_containing((0.5, 0, 0), [(0, 1, 2, 4)]) is None
 
 
-def test_ball_registry_survives_heavy_churn():
-    from pscmesh.refine import BallRegistry
-    rng = np.random.default_rng(0)
-    reg = BallRegistry()
-    live = {}
-    for k in range(4000):
-        key = (k, k + 1)
-        c = tuple(rng.uniform(0, 1, 3))
-        reg.add(key, c, 0.05)
-        live[key] = c
-        if k % 3 == 0 and live:
-            victim = next(iter(live))
-            reg.remove(victim)
-            del live[victim]
-    for _ in range(50):
-        q = tuple(rng.uniform(0, 1, 3))
-        got = reg.find_containing(q)
-        want = [k for k, c in live.items() if math.dist(c, q) < 0.05]
-        if got is None:
-            assert not want
-        else:
-            assert got in want
+@pytest.mark.parametrize("geom, h, mode, seed", [
+    (lambda: icosphere(2), 0.4, "frontal", 0),
+    (wedge, 0.35, "frontal", 0),
+    (lambda: icosphere(4), 0.7, "frontal", 0),
+    # the classical wedge run rolls back insertions that change the curves
+    (lambda: load_complex(str(BENCHMARKS / "wedge.psc")), 0.4, "classical",
+     42),
+], ids=["sphere", "crease", "dense_surface", "wedge.psc-classical"])
+def test_cavity_ball_lookup_equals_a_scan_over_every_ball(geom, h, mode, seed,
+                                                          monkeypatch):
+    lookup = BallRegistry.find_containing
+    found = []
+
+    def checked(self, p, quads):
+        got = lookup(self, p, quads)
+        assert got == containing_ball_scan(self.table, p)
+        found.append(got)
+        return got
+
+    monkeypatch.setattr(BallRegistry, "find_containing", checked)
+    res = refine(geom(), cfg_with(h, mode=mode, seed=seed))
+    assert res.status == "converged"
+    hits = sum(k is not None for k in found)
+    assert hits > 0 and hits < len(found)
+    assert hits == res.stats["encroach_edge"] + res.stats["encroach_tri"]
+    if mode == "classical":
+        assert res.stats["rollback_gamma"] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cavity_locks_match_the_ring_walk(seed):
+    r = Refiner(wedge(), cfg_with(0.35, seed=seed))
+    probe_insert = r.mesh.probe_insert
+    locks = []
+
+    def checked(p, jitter=True):
+        probe = probe_insert(p, jitter=jitter)
+        want = cavity_locks_ring_walk(r.mesh, r.protected_edges, probe)
+        assert r._cavity_locks(probe) == want
+        locks.append(want)
+        return probe
+
+    r.mesh.probe_insert = checked
+    assert r.run() == "converged"
+    assert r.protected_edges and len(locks) > r.stats["inserted"]
+    assert sum(locks) >= r.stats["rejected_protected"]
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +524,6 @@ def test_sigma_rollback_restores_mesh_and_restricted_sets():
 
 # ----------------------------------------------------------------------
 # blocked simplexes
-
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 @pytest.mark.parametrize("geom, h, seed, vlen_ok", [
