@@ -133,7 +133,7 @@ class InsertRecord:
 
 
 class TetMesh:
-    def __init__(self, bounds, seed=0):
+    def __init__(self, bounds, seed=0, stats=None):
         lo, hi = bounds
         cx = (lo[0] + hi[0]) / 2.0
         cy = (lo[1] + hi[1]) / 2.0
@@ -148,6 +148,8 @@ class TetMesh:
         self.snap_tol = 1e-11 * diag
         self.jitter_scale = 1e-12 * diag
         self.seed = seed
+        # counts the point locations that fell back to a linear scan
+        self.stats = {"locate_scans": 0} if stats is None else stats
 
         self.points = []
         self.meta = []
@@ -307,6 +309,7 @@ class TetMesh:
                     break
             if not moved:
                 return t
+        self.stats["locate_scans"] += 1
         for t in self.alive_tets():
             if self._contains(t, p):
                 return t

@@ -288,20 +288,23 @@ class PiecewiseComplex:
         t = min(max(t, 0.0), 1.0)
         return (a[0] + t * dx, a[1] + t * dy, a[2] + t * dz)
 
-    def point_in_volume(self, p):
+    def point_in_volume(self, p, stats=None):
         """Ray-parity membership in the enclosed volume.
 
         Requires a closed surface; degenerate rays are re-shot along the
-        next deterministic direction.  Points on the surface itself are
-        reported as outside.
+        next deterministic direction, and ``stats["ray_reshoots"]`` counts
+        the re-shots when ``stats`` is given.  Points on the surface itself
+        are reported as outside.
         """
         if not self.surface_closed:
             raise GeometryError("surface is not closed; volume undefined")
         p = (float(p[0]), float(p[1]), float(p[2]))
         span = 3.0 * self.diag + _norm(_sub(p, self.bounds[0]))
-        for d in _RAY_DIRS * 4:
+        for i, d in enumerate(_RAY_DIRS * 4):
             res = self._ray_parity(p, d, span)
             if res is not None:
+                if i and stats is not None:
+                    stats["ray_reshoots"] += i
                 return res
         raise GeometryError("membership ray retries exhausted")
 

@@ -295,7 +295,15 @@ class Refiner:
             raise ValueError("config carries no sizing field")
         self.g = geom
         self.cfg = cfg
-        self.mesh = TetMesh(geom.bounds, seed=cfg.seed)
+        self.stats = {"inserted": 0, "duplicates": 0, "rejected_protected": 0,
+                      "rollback_gamma": 0, "rollback_sigma": 0,
+                      "encroach_edge": 0, "encroach_tri": 0,
+                      "disk1": 0, "disk2": 0, "type2": 0, "type1": 0,
+                      "blocked": 0, "dual_certified": 0,
+                      "volume_inherited": 0, "axis_line_scans": 0,
+                      "nearest_walks": 0, "survivors_skipped": 0,
+                      "locate_scans": 0, "ray_reshoots": 0}
+        self.mesh = TetMesh(geom.bounds, seed=cfg.seed, stats=self.stats)
         self.rs = RestrictedSets()
         # bad-simplex heaps and disk-check marks, indexed by dimension
         self.queues = (None, [], [], [])
@@ -305,13 +313,6 @@ class Refiner:
         self.protected_edges = []
         self.warnings = []
         self.status = "new"
-        self.stats = {"inserted": 0, "duplicates": 0, "rejected_protected": 0,
-                      "rollback_gamma": 0, "rollback_sigma": 0,
-                      "encroach_edge": 0, "encroach_tri": 0,
-                      "disk1": 0, "disk2": 0, "type2": 0, "type1": 0,
-                      "blocked": 0, "dual_certified": 0,
-                      "volume_inherited": 0, "axis_line_scans": 0,
-                      "nearest_walks": 0}
         # per-tet distance bounds that let classification skip empty queries
         self.cert = DistanceCertificate(geom, self.rs.tets, self.stats)
         # wall seconds spent in each cascade stage by run()
@@ -368,8 +369,11 @@ class Refiner:
     def _reclassify(self, destroyed_quads, created_ids):
         """Re-derive restricted membership around a mesh change.
 
-        Simplexes of destroyed tets that did not survive are dropped;
-        every simplex of a created tet is (re)classified.  The created
+        Simplexes of destroyed tets that did not survive are dropped.  A
+        simplex of a created tet is (re)classified unless it survives from
+        a destroyed tet unrestricted: an insertion only shrinks the
+        Voronoi duals of surviving simplexes, so a dual that missed the
+        input still misses (``stats.survivors_skipped``).  The created
         tets' distance bounds must be in ``cert`` already.  Returns the
         undo list: every restricted-table write as (d, key, old), once per
         key; replaying it in reverse restores the tables.
@@ -402,7 +406,11 @@ class Refiner:
                 if obj is not None:
                     undo.append((d, key, obj))
         for d in _DIMS:
+            table = rs.table[d]
             for key in sorted(handles[d]):
+                if key in old[d] and key not in table:
+                    self.stats["survivors_skipped"] += 1
+                    continue
                 obj = self._classify(d, key, handles[d][key])
                 undo.append((d, key, rs.set(d, key, obj)))
                 if obj is not None:

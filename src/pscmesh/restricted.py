@@ -13,6 +13,15 @@ restricted sets.  Dual hits are confirmed from the Delaunay star of the
 simplex, with no point-location walk (``_nearest_among``).  With a
 ``DistanceCertificate``, the facet and tet classifiers skip queries that
 provably find nothing; it changes no result.
+
+Inserting a vertex only cuts the Voronoi cells of the vertices already
+there (Cheng, Dey & Shewchuk, *Delaunay Mesh Generation*, 2012, ch. 4):
+the dual of an edge or facet that survives an insertion is a subset of
+its dual before.  A surviving simplex whose dual missed the input still
+misses it, so ``Refiner`` reclassifies only the new simplexes and the
+surviving restricted ones, whose dual may have shrunk off the input and
+whose surface ball moves with it.  The walk that decides an exact float
+tie is not monotone: a survivor keeps the tie answer it got.
 """
 
 import math
@@ -145,8 +154,9 @@ class DistanceCertificate:
     is the restricted tet table, which holds the settled status of every
     other non-ghost tet; ``stats`` counts what the certificate skipped
     (``dual_certified``, ``volume_inherited``), the facets that took the
-    axis-line path (``axis_line_scans``) and the float ties that the star
-    test left to a nearest-vertex walk (``nearest_walks``).
+    axis-line path (``axis_line_scans``), the float ties that the star
+    test left to a nearest-vertex walk (``nearest_walks``) and the
+    membership rays re-shot after a grazing ray (``ray_reshoots``).
     """
 
     def __init__(self, geom, tets, stats):
@@ -367,7 +377,8 @@ def classify_tet(mesh, geom, t, cert=None):
     centre, _ok = mesh.voronoi_vertex(t)
     inside = None if cert is None else cert.inherited(mesh, t, centre)
     if inside is None:
-        inside = geom.point_in_volume(centre)
+        inside = geom.point_in_volume(centre,
+                                      None if cert is None else cert.stats)
     if not inside:
         return None
     quad = mesh.tets[t]

@@ -1,5 +1,17 @@
 """Whole-state snapshots of a Refiner, for checking that a rollback is an
-exact undo of the insertion it takes back."""
+exact undo of the insertion it takes back, and freshness checks of the
+state a Refiner keeps incrementally."""
+
+from itertools import combinations
+
+from pscmesh.delaunay import _FACES
+from pscmesh.restricted import classify_edge, classify_facet, classify_tet
+
+# the fields a classifier computes, by dimension (``blocked`` is refiner
+# state)
+_FIELDS = (None, ("edge", "centre", "radius", "err", "curve_id"),
+           ("tri", "centre", "radius", "err", "patch_id", "rho"),
+           ("quad", "tet_id", "centre", "radius", "rho", "vlen"))
 
 
 def refiner_snapshot(r):
@@ -36,6 +48,54 @@ def assert_bounds_fresh(r):
     fresh = r.g.tri_tree.lower_distances([r.mesh.circum[t][0] for t in alive])
     assert [r.cert.bound[t] for t in alive] == fresh.tolist()
     assert not r.cert.pending
+
+
+def _fields(d, obj):
+    return None if obj is None else [getattr(obj, f) for f in _FIELDS[d]]
+
+
+def fresh_answers(mesh, geom, key, t, i=None):
+    """Fresh classifications, with no certificate and no skip, of the
+    simplex ``key`` of tet t (facet i of t for a facet).  A facet's fields
+    depend on which of its two tets classifies it (the order of its
+    vertices there), so a facet answers from each of its tets."""
+    if len(key) == 2:
+        return [classify_edge(mesh, geom, *key, t0=t)]
+    if len(key) == 4:
+        return [classify_tet(mesh, geom, t)]
+    out = [classify_facet(mesh, geom, t, i)]
+    t2 = mesh.neigh[t][i]
+    if t2 != -1:
+        out.append(classify_facet(mesh, geom, t2, mesh.neigh[t2].index(t)))
+    return out
+
+
+def assert_restricted_fresh(r, ties=()):
+    """Every live edge, facet and tet is in the restricted tables exactly
+    when a fresh classification finds it restricted (``fresh_answers``),
+    and with the same fields.  The keys in ``ties`` are exempt: their
+    answer came from an exact tie, which the nearest-vertex walk decides
+    differently as the mesh changes."""
+    mesh, rs = r.mesh, r.rs
+    live = set()
+    for t in sorted(mesh.alive_tets()):
+        quad = mesh.tets[t]
+        faces = [(k, None) for k in combinations(sorted(quad), 2)]
+        faces += [(tuple(sorted(quad[j] for j in f)), i)
+                  for i, f in enumerate(_FACES)]
+        faces.append((tuple(sorted(quad)), None))
+        for key, i in faces:
+            if key in live:
+                continue
+            live.add(key)
+            if key in ties:
+                continue
+            d = len(key) - 1
+            got = _fields(d, rs.table[d].get(key))
+            assert got in [_fields(d, obj) for obj
+                           in fresh_answers(mesh, r.g, key, t, i)], key
+    for d in (1, 2, 3):
+        assert live.issuperset(rs.table[d]), d
 
 
 def assert_undone(before, after):

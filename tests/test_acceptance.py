@@ -20,7 +20,8 @@ from pscmesh.refine import Refiner
 
 from oracles import (brute_force_delaunay, distance_to_curves,
                      distance_to_surface, rational_insphere, rational_orient3d)
-from snapshots import assert_bounds_fresh, assert_undone, record_rollbacks
+from snapshots import (assert_bounds_fresh, assert_restricted_fresh,
+                       assert_undone, record_rollbacks)
 
 SPHERE_H = 0.3  # 0.15 x diameter of the unit icosphere
 
@@ -333,6 +334,7 @@ def test_criterion_7_rollback_exactness():
     for before, after in events:
         assert_undone(before, after)
     assert_bounds_fresh(r)
+    assert_restricted_fresh(r)
     print(f"\nPASS criterion 7: {len(events)} forced rollbacks, mesh and "
           f"restricted sets restored exactly in 100% of cases")
 

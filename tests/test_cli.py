@@ -218,9 +218,11 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
                           "encroach_edge", "encroach_tri", "disk1", "disk2",
                           "type1", "type2", "blocked", "dual_certified",
                           "volume_inherited", "axis_line_scans",
-                          "nearest_walks"}
+                          "nearest_walks", "survivors_skipped",
+                          "locate_scans", "ray_reshoots"}
     assert stats["inserted"] > 0
     assert stats["dual_certified"] > 0 and stats["volume_inherited"] > 0
+    assert stats["survivors_skipped"] > 0
     audit = {k[len("audit."):]: v for k, v in entries.items()
              if k.startswith("audit.")}
     assert set(audit) == {"rho_surf_ok", "rho_vol_ok", "eps_ok", "size_ok",

@@ -1,21 +1,31 @@
 """Golden outputs: sha256 of the VTK and report files of ``--seed 42`` CLI
-runs on the bundled benchmarks, in both point-placement modes.
+runs on the bundled benchmarks, in both point-placement modes, and of the
+seed-0 mesh of each perfbench workload.
 
 The classical runs reach what the frontal ones never do: the classical
 branch of the queue scan, and (on the wedge) two curve-guard rollbacks.
+The perfbench meshes are built as the benchmark builds them: the input of
+``perfbench/workloads.py``'s ``build_input`` through a ``.psc`` round trip,
+refined with its ``make_config``.
 
 A change that alters any mesh or report must update these digests and
 say why.  Digests taken with Python 3.11.7 and numpy 2.4.6.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 from pscmesh.cli import main
+from pscmesh.geometry import load_complex, write_complex
+from pscmesh.quality import write_report
+from pscmesh.refine import refine
+from pscmesh.vtk_io import write_vtk
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 GOLDEN = {
     "icosphere": ("0.5",
@@ -39,6 +49,17 @@ CLASSICAL = {
     "cube": ("0.35",
              "ae15541d496801359a2f65f7c58a2907a6ad0c1d5733e5bc6fe2c48bfe4a300b",
              "fb28be48cce2f4cf9a122fce5e945ea076e070a11f60360969afbbf47867984f"),
+}
+
+# seed-0 meshes of the perfbench workloads: (vtk sha256, report sha256)
+PERFBENCH = {
+    "sphere": ("b37d08265ad52d020e15e2aa2789cefb3a53f81a5c93cc158f1d322221e1061b",
+               "5bafb50a3581536a260e98f0b182c268ac6d719829764ddfb009169079f501bb"),
+    "crease": ("37e7725c941970abc469f7391691861c3e1835ea9da9e0f1d4a7fe8353ddbb67",
+               "8c75cf31db6f96eff8cc7edc72828cf6034f2fed9e24aa7270470978ab0390c6"),
+    "dense_surface": (
+        "84caac4a7acd013ce28a2a0952b5c35f0182149714baffbaf54ed25230279ad9",
+        "0a0f5cedf49e611de63df2be9408fdd15c3b8d10cd2e768ca6b3b219b9bdf40f"),
 }
 
 
@@ -66,3 +87,26 @@ def test_seed_42_outputs_match_golden_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CLASSICAL))
 def test_seed_42_classical_outputs_match_golden_digests(name, tmp_path):
     check_digests(name, CLASSICAL, "classical", tmp_path)
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH))
+def test_perfbench_seed_0_outputs_match_golden_digests(name, tmp_path):
+    wl = _workloads()
+    workload = wl.WORKLOADS[name]
+    psc = tmp_path / f"{name}.psc"
+    write_complex(wl.build_input(workload), str(psc))
+    result = refine(load_complex(str(psc)), wl.make_config(workload.h, 0))
+    assert result.status == "converged"
+    vtk = tmp_path / f"{name}.vtk"
+    report = tmp_path / f"{name}.report.txt"
+    write_vtk(str(vtk), result.mesh, result.rs)
+    write_report(result.report, str(report))
+    assert (sha256(vtk), sha256(report)) == PERFBENCH[name]

@@ -17,7 +17,8 @@ from pscmesh.restricted import RestrictedEdge, RestrictedTri, RestrictedTet
 
 from oracles import (cavity_locks_ring_walk, containing_ball_scan,
                      distance_to_surface)
-from snapshots import assert_bounds_fresh, assert_undone, record_rollbacks
+from snapshots import (assert_bounds_fresh, assert_restricted_fresh,
+                       assert_undone, record_rollbacks)
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -498,6 +499,7 @@ def test_gamma_rollback_restores_restricted_sets():
     for before, after in events:
         assert_undone(before, after)
     assert_bounds_fresh(r)
+    assert_restricted_fresh(r)
     assert r.stats["rollback_gamma"] >= 1
 
 
@@ -520,6 +522,7 @@ def test_sigma_rollback_restores_mesh_and_restricted_sets():
     for before, after in events:
         assert_undone(before, after)
     assert_bounds_fresh(r)
+    assert_restricted_fresh(r)
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from pscmesh.restricted import (RestrictedEdge, RestrictedTri, classify_edge,
 from oracles import (circumradius_triangle, distance_to_surface,
                      face_crossings_reference, nearest_among_reference,
                      random_rotation, winding_numbers)
+from snapshots import assert_restricted_fresh, fresh_answers
 
 
 def mesh_with(points, bounds, seed=0):
@@ -206,23 +207,32 @@ def test_classify_edge_matches_unfiltered_reference_on_wedge(monkeypatch,
     assert len(closed) > 400 and unconfirmed == 0 and walks == 0
 
 
-def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
-    # a 3x3x3 lattice of spacing 0.1 inserted without jitter, so the eight
-    # corners of a cell tie at its centre; the curve passes through the
-    # centre (0.05, 0.05, 0.05) of the first cell.  One more point, about
-    # 4e-9 from the corner (0.2, 0.2, 0.2), gives the tets on that short
-    # edge circumradii above 1e6 times its length: their circumcentres are
-    # unreliable, and the rings through them take the all-segments path.
-    # The star test leaves the exact ties to the nearest-vertex walk
+def lattice_case():
+    """(curves, mesh bounds, points to insert without jitter).
+
+    A 3x3x3 lattice of spacing 0.1, so the eight corners of a cell tie at
+    its centre; the curve passes through the centre (0.05, 0.05, 0.05) of
+    the first cell.  The last point, about 4e-9 from the corner (0.2, 0.2,
+    0.2), gives the tets on that short edge circumradii above 1e6 times
+    its length: their circumcentres are unreliable, and the rings through
+    them take the all-segments path.
+    """
     s = 0.1
     verts = [(-0.025, 0.025, 0.0), (0.125, 0.075, 0.1), (0.05, 0.15, 0.15),
              (0.225, 0.05, 0.1)]
     geom = PiecewiseComplex(verts, [(0, 1, 0), (1, 2, 1), (2, 3, 1)], [])
-    mesh = TetMesh(((-s,) * 3, (3 * s,) * 3), seed=2)
-    for p in product(range(3), repeat=3):
-        mesh.insert_point(tuple(s * x for x in p), jitter=False)
-    mesh.insert_point((2 * s + 3e-9, 2 * s + 2e-9, 2 * s + 1e-9),
-                      jitter=False)
+    points = [tuple(s * x for x in p) for p in product(range(3), repeat=3)]
+    points.append((2 * s + 3e-9, 2 * s + 2e-9, 2 * s + 1e-9))
+    return geom, ((-s,) * 3, (3 * s,) * 3), points
+
+
+def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
+    # the star test leaves the exact ties of the lattice to the
+    # nearest-vertex walk
+    geom, bounds, points = lattice_case()
+    mesh = TetMesh(bounds, seed=2)
+    for p in points:
+        mesh.insert_point(p, jitter=False)
     closed, unreliable, ties, _unconfirmed, walks = (
         _check_edges_against_reference(monkeypatch, mesh, geom))
     assert closed and unreliable and ties > 0 and walks > 0
@@ -532,6 +542,106 @@ def test_certified_skips_would_find_nothing(monkeypatch, geom, h):
     assert r.run() == "converged"
     assert checked == [r.stats["dual_certified"], r.stats["volume_inherited"]]
     assert min(checked) > 0
+
+
+def check_survivor_skips(monkeypatch):
+    """Wrap ``Refiner._reclassify`` so that every simplex of a created tet
+    that it does not classify is checked: it is a face of a destroyed tet
+    that was not restricted, and a fresh classification with no
+    certificate (``fresh_answers``, from both tets of a facet) returns
+    None.
+
+    An exact float tie between the simplex and a star vertex is decided by
+    the global nearest-vertex walk, whose answer is not monotone under
+    insertion: a survivor that lost a tie may win it after the insertion.
+    Such a survivor, restricted on re-run only through a tie walk, is
+    recorded rather than failed.  Returns (skipped keys, keys of those
+    tie-decided survivors)."""
+    skipped, tied = [], []
+    reclassify = Refiner._reclassify
+    classify = Refiner._classify
+    nearest = TetMesh.nearest_vertex
+    seen = []
+    walks = [0]
+
+    def recording(self, d, key, handle):
+        seen.append(key)
+        return classify(self, d, key, handle)
+
+    def counted(mesh, p):
+        walks[0] += 1
+        return nearest(mesh, p)
+
+    def checked(self, destroyed_quads, created_ids):
+        mesh = self.mesh
+        old = {k for q in destroyed_quads for n in (2, 3, 4)
+               for k in combinations(sorted(q), n)}
+        handles = {}
+        for t in created_ids:
+            quad = mesh.tets[t]
+            for pair in combinations(sorted(quad), 2):
+                handles.setdefault(pair, (t,))
+            for i, f in enumerate(_FACES):
+                handles.setdefault(tuple(sorted(quad[j] for j in f)), (t, i))
+            handles.setdefault(tuple(sorted(quad)), (t,))
+        survivors = {k for k in handles.keys() & old
+                     if k not in self.rs.table[len(k) - 1]}
+        seen.clear()
+        undo = reclassify(self, destroyed_quads, created_ids)
+        missed = sorted(handles.keys() - set(seen))
+        assert set(missed) == survivors
+        for key in missed:
+            before = walks[0]
+            if any(fresh_answers(mesh, self.g, key, *handles[key])):
+                assert walks[0] > before, key
+                tied.append(key)
+        skipped.extend(missed)
+        return undo
+
+    monkeypatch.setattr(TetMesh, "nearest_vertex", counted)
+    monkeypatch.setattr(Refiner, "_classify", recording)
+    monkeypatch.setattr(Refiner, "_reclassify", checked)
+    return skipped, tied
+
+
+@pytest.mark.parametrize("geom, h", [
+    (lambda: icosphere(2), 0.4),
+    (wedge, 0.35),
+    (lambda: icosphere(4), 0.7),
+    (cube, 0.35),
+], ids=["sphere", "crease", "dense_surface", "cube"])
+def test_skipped_survivors_classify_as_unrestricted(monkeypatch, geom, h):
+    skipped, tied = check_survivor_skips(monkeypatch)
+    r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=0))
+    assert r.run() == "converged"
+    assert len(skipped) == r.stats["survivors_skipped"] > 0
+    assert tied == []
+    assert_restricted_fresh(r)
+
+
+def test_skipped_survivors_on_the_lattice_differ_only_at_ties(monkeypatch):
+    # the lattice inserted through the refiner's bookkeeping, so the skips
+    # meet exact ties and unreliable circumcentres.  The curve crosses the
+    # bisector of vertices 8 = (0, 0, 0) and 9 = (0, 0, 0.1) at the centre
+    # of the first cell, which all its corners tie: the walk gives that
+    # point to another corner until (0, 0.1, 0.1) is inserted and to the
+    # edge after, while the skip keeps the earlier answer.  Both answers
+    # are tie-breaks of a point on the boundary of the closed dual face
+    skipped, tied = check_survivor_skips(monkeypatch)
+    geom, bounds, points = lattice_case()
+    r = Refiner(geom, RefineConfig(sizing=SizingField(h0=1.0)))
+    r.mesh = TetMesh(bounds, seed=2, stats=r.stats)
+    alive = sorted(r.mesh.alive_tets())
+    r.cert.update(r.mesh, alive)
+    r._reclassify([], alive)
+    for p in points:
+        rec = r.mesh.insert_point(p, jitter=False)
+        r.cert.update(r.mesh, rec.created, rec.destroyed)
+        r._reclassify(rec.destroyed_quads, rec.created)
+    assert len(skipped) == r.stats["survivors_skipped"] > 0
+    assert r.rs.edges and r.stats["nearest_walks"] > 0
+    assert sorted(set(tied)) == [(8, 9)]
+    assert_restricted_fresh(r, ties=tied)
 
 
 @st.composite
