@@ -115,7 +115,7 @@ class InsertRecord:
     """What one insertion changed.  ``journal`` undoes it: the killed tets
     as (id, quad, neighbours, circumsphere), the overwritten outer slots as
     (tet, slot, old), the old ``vert_tet`` of the cavity vertices, the free
-    list, ``n_alive_tets``, ``_last_tet`` and ``len(tets)``."""
+    list, ``_last_tet`` and ``len(tets)``."""
 
     __slots__ = ("vid", "duplicate", "destroyed_quads", "created", "journal")
 
@@ -158,7 +158,6 @@ class TetMesh:
         self.circum = []    # (centre, r2, reliable)
         self.vert_tet = []
         self._free = []
-        self.n_alive_tets = 0
         self._last_tet = -1
         self._last_insert = None
 
@@ -226,7 +225,6 @@ class TetMesh:
             self.circum.append(circumsphere_tet(*(self.points[v] for v in quad)))
         for v in quad:
             self.vert_tet[v] = t
-        self.n_alive_tets += 1
         self._last_tet = t
         return t
 
@@ -244,7 +242,6 @@ class TetMesh:
         self.neigh[t] = None
         self.circum[t] = None
         self._free.append(t)
-        self.n_alive_tets -= 1
 
     # ------------------------------------------------------------------
     # queries
@@ -375,7 +372,7 @@ class TetMesh:
         outer_slots = []
         old_vert_tet = {v: self.vert_tet[v] for k in killed for v in k[1]}
         journal = (killed, outer_slots, old_vert_tet, list(self._free),
-                   self.n_alive_tets, self._last_tet, len(self.tets))
+                   self._last_tet, len(self.tets))
         for t in cav:
             self._kill_tet(t)
         created = []
@@ -423,7 +420,7 @@ class TetMesh:
         if rec is not self._last_insert:
             raise MeshError("only the latest insertion can be undone")
         self._last_insert = None
-        (killed, outer_slots, old_vert_tet, free, n_alive, last_tet,
+        (killed, outer_slots, old_vert_tet, free, last_tet,
          n_tets) = rec.journal
         for t in rec.created:
             if t < n_tets:
@@ -440,7 +437,6 @@ class TetMesh:
         self.vert_tet[rec.vid] = -1
         self.meta[rec.vid].alive = False
         self._free = free
-        self.n_alive_tets = n_alive
         self._last_tet = last_tet
 
     # ------------------------------------------------------------------

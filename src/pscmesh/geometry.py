@@ -255,7 +255,7 @@ class PiecewiseComplex:
                 hits.append((x, self.triangles[tid][3]))
         return _dedupe_tagged(hits, self.eps)
 
-    def _segment_triangle_point(self, a, b, tid, slack=_HIT_SLACK):
+    def _segment_triangle_point(self, a, b, tid):
         # the vector helpers written out, in their operation order
         i, j, k, _p = self.triangles[tid]
         p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
@@ -274,13 +274,13 @@ class PiecewiseComplex:
         inv = 1.0 / det
         tx = a[0] - p0[0]; ty = a[1] - p0[1]; tz = a[2] - p0[2]
         v = (tx * px + ty * py + tz * pz) * inv
-        if v < -slack or v > 1.0 + slack:
+        if v < -_HIT_SLACK or v > 1.0 + _HIT_SLACK:
             return None
         qx = ty * e2z - tz * e2y
         qy = tz * e2x - tx * e2z
         qz = tx * e2y - ty * e2x
         w = (dx * qx + dy * qy + dz * qz) * inv
-        if w < -slack or v + w > 1.0 + slack:
+        if w < -_HIT_SLACK or v + w > 1.0 + _HIT_SLACK:
             return None
         t = (e1x * qx + e1y * qy + e1z * qz) * inv
         if t < -1e-12 or t > 1.0 + 1e-12:

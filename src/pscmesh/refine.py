@@ -225,15 +225,12 @@ class RestrictedSets:
         """Store obj under key in dimension d (None deletes the entry) and
         return the entry it replaced."""
         table = self.table[d]
-        if d == 3:
-            # a re-classified tet keeps its place in the dict order
-            if obj is None:
-                return table.pop(key, None)
-            old = table.get(key)
+        old = table.pop(key, None)
+        if obj is not None:
             table[key] = obj
+        if d == 3:
             return old
         at_vertex = self.at_vertex[d]
-        old = table.pop(key, None)
         if old is not None:
             for v in key:
                 s = at_vertex[v]
@@ -241,7 +238,6 @@ class RestrictedSets:
                 if not s:
                     del at_vertex[v]
         if obj is not None:
-            table[key] = obj
             for v in key:
                 at_vertex.setdefault(v, set()).add(key)
         return old
@@ -301,7 +297,7 @@ class Refiner:
                       "disk1": 0, "disk2": 0, "type2": 0, "type1": 0,
                       "blocked": 0, "dual_certified": 0,
                       "volume_inherited": 0, "axis_line_scans": 0,
-                      "nearest_walks": 0, "survivors_skipped": 0,
+                      "segment_scans": 0, "survivors_skipped": 0,
                       "locate_scans": 0, "ray_reshoots": 0}
         self.mesh = TetMesh(geom.bounds, seed=cfg.seed, stats=self.stats)
         self.rs = RestrictedSets()

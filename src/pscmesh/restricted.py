@@ -9,8 +9,10 @@ the ball of maximum radius is kept.
 
 Classification is pure: it reads the mesh and geometry and returns fresh
 records, so re-running it over an unchanged mesh reproduces identical
-restricted sets.  Dual hits are confirmed from the Delaunay star of the
-simplex, with no point-location walk (``_nearest_among``).  With a
+restricted sets.  Duals are closed (Edelsbrunner & Shah, 1997): a point
+where a star vertex ties the simplex belongs to the dual, so every hit is
+confirmed from the Delaunay star of the simplex alone, with no
+point-location walk (``_nearest_among``).  With a
 ``DistanceCertificate``, the facet and tet classifiers skip queries that
 provably find nothing; it changes no result.
 
@@ -20,8 +22,7 @@ the dual of an edge or facet that survives an insertion is a subset of
 its dual before.  A surviving simplex whose dual missed the input still
 misses it, so ``Refiner`` reclassifies only the new simplexes and the
 surviving restricted ones, whose dual may have shrunk off the input and
-whose surface ball moves with it.  The walk that decides an exact float
-tie is not monotone: a survivor keeps the tie answer it got.
+whose surface ball moves with it.
 """
 
 import math
@@ -154,9 +155,9 @@ class DistanceCertificate:
     is the restricted tet table, which holds the settled status of every
     other non-ghost tet; ``stats`` counts what the certificate skipped
     (``dual_certified``, ``volume_inherited``), the facets that took the
-    axis-line path (``axis_line_scans``), the float ties that the star
-    test left to a nearest-vertex walk (``nearest_walks``) and the
-    membership rays re-shot after a grazing ray (``ray_reshoots``).
+    axis-line path (``axis_line_scans``), the edges whose unreliable ring
+    scanned every curve segment (``segment_scans``) and the membership
+    rays re-shot after a grazing ray (``ray_reshoots``).
     """
 
     def __init__(self, geom, tets, stats):
@@ -200,18 +201,13 @@ class DistanceCertificate:
 # per-simplex classification
 
 
-def _nearest_among(mesh, y, own, rivals, cert):
+def _nearest_among(mesh, y, own, rivals):
     """True when no point of ``rivals`` (the simplex's link vertices or
-    apexes) is strictly nearer to y than every vertex of ``own``.  An
-    exact float tie goes to the global walk of ``mesh.nearest_vertex``, so
-    it resolves the same from every star; ``cert`` counts these walks."""
-    d = min(_d2(y, mesh.points[v]) for v in own)
-    r = min(_d2(y, x) for x in rivals)
-    if r != d:
-        return r > d
-    if cert is not None:
-        cert.stats["nearest_walks"] += 1
-    return mesh.nearest_vertex(y) in own
+    apexes) is strictly nearer to y than every vertex of ``own``.  A tie
+    is a hit: y lies on the closed dual, whose boundary is where a rival
+    ties the simplex."""
+    return (min(_d2(y, x) for x in rivals)
+            >= min(_d2(y, mesh.points[v]) for v in own))
 
 
 def _face_crossings(mesh, geom, u, w, t0, cert=None):
@@ -224,8 +220,11 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
     other than u and w) is nearer to: each side of the face lies on the
     bisector of u and one link vertex.  So a candidate is a hit when no
     link vertex is strictly nearer to it than both u and w
-    (``_nearest_among``): exact in exact arithmetic, local to the edge's
-    star and free of circumcentres, so unreliable rings lose no accuracy.
+    (``_nearest_among``; a tie lies on the closed face): exact in exact
+    arithmetic, local to the edge's star and free of circumcentres, so
+    unreliable rings lose no accuracy.  A ring with an unreliable
+    circumcentre has no box to query, so it scans every curve segment;
+    ``cert`` counts these scans (``segment_scans``).
     """
     ring, closed = mesh.edge_ring(u, w, t0=t0)
     if not closed:
@@ -248,6 +247,8 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
               max(p[2] for p in poly) + pad)
         cands = geom.seg_tree.query_box(lo, hi)
     else:
+        if cert is not None:
+            cert.stats["segment_scans"] += 1
         cands = range(len(geom.segments))
     nx = pw[0] - pu[0]
     ny = pw[1] - pu[1]
@@ -270,14 +271,14 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
         t = min(max(t, 0.0), 1.0)
         y = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]),
              a[2] + t * (b[2] - a[2]))
-        if _nearest_among(mesh, y, (u, w), link, cert):
+        if _nearest_among(mesh, y, (u, w), link):
             hits.append((y, cid))
     return hits
 
 
 def classify_edge(mesh, geom, u, w, t0=None, cert=None):
     """RestrictedEdge when the dual Voronoi face meets the curve network
-    (``cert`` only counts tie walks)."""
+    (``cert`` only counts all-segment scans)."""
     if not geom.segments:
         return None
     if u < 8 and w < 8:
@@ -348,7 +349,7 @@ def classify_facet(mesh, geom, t, i, cert=None):
     apexes = (mesh.points[quad[i]],
               mesh.points[next(x for x in mesh.tets[t2] if x not in tri)])
     hits = [h for h in geom.intersect_segment_surface(p1, p2)
-            if _nearest_among(mesh, h[0], tri, apexes, cert)]
+            if _nearest_among(mesh, h[0], tri, apexes)]
     if not hits:
         return None
     pa = mesh.points[tri[0]]

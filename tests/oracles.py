@@ -237,14 +237,16 @@ def polygon_curve_hits(poly, vertices, segments, eps=1e-12):
     return hits
 
 
-def face_crossings_reference(mesh, geom, u, w):
+def face_crossings_reference(mesh, geom, u, w, nearest_among):
     """Crossings of the dual face of mesh edge (u, w) with the curve
     network, [(point, curve_id), ...], with every bisector-plane candidate
-    confirmed by ``mesh.nearest_vertex`` and none rejected beforehand.
+    confirmed by ``nearest_among`` (``nearest_among_reference``: a scan of
+    every live vertex, ties going to the edge) and none rejected
+    beforehand.
 
-    This is the classification before the link-vertex rejection, kept
-    verbatim (same candidates, same float expressions) so that the
-    production path must agree with it bit for bit.
+    Apart from the confirmation, this is the classification before the
+    star test, kept verbatim (same candidates, same float expressions) so
+    that the production path must agree with it bit for bit.
     """
     ring, closed = mesh.edge_ring(u, w)
     if not closed:
@@ -287,7 +289,7 @@ def face_crossings_reference(mesh, geom, u, w):
         t = min(max(t, 0.0), 1.0)
         y = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]),
              a[2] + t * (b[2] - a[2]))
-        if mesh.nearest_vertex(y) in (u, w):
+        if nearest_among(y, (u, w)):
             hits.append((y, cid))
     return hits
 

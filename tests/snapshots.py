@@ -23,7 +23,6 @@ def refiner_snapshot(r):
         "neigh": [None if n is None else list(n) for n in m.neigh],
         "circum": list(m.circum),
         "free": list(m._free),
-        "n_alive_tets": m.n_alive_tets,
         "last_tet": m._last_tet,
         "vert_tet": list(m.vert_tet),
         "rs_edges": dict(rs.edges),
@@ -70,12 +69,10 @@ def fresh_answers(mesh, geom, key, t, i=None):
     return out
 
 
-def assert_restricted_fresh(r, ties=()):
+def assert_restricted_fresh(r):
     """Every live edge, facet and tet is in the restricted tables exactly
     when a fresh classification finds it restricted (``fresh_answers``),
-    and with the same fields.  The keys in ``ties`` are exempt: their
-    answer came from an exact tie, which the nearest-vertex walk decides
-    differently as the mesh changes."""
+    and with the same fields."""
     mesh, rs = r.mesh, r.rs
     live = set()
     for t in sorted(mesh.alive_tets()):
@@ -88,8 +85,6 @@ def assert_restricted_fresh(r, ties=()):
             if key in live:
                 continue
             live.add(key)
-            if key in ties:
-                continue
             d = len(key) - 1
             got = _fields(d, rs.table[d].get(key))
             assert got in [_fields(d, obj) for obj

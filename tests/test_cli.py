@@ -218,7 +218,7 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
                           "encroach_edge", "encroach_tri", "disk1", "disk2",
                           "type1", "type2", "blocked", "dual_certified",
                           "volume_inherited", "axis_line_scans",
-                          "nearest_walks", "survivors_skipped",
+                          "segment_scans", "survivors_skipped",
                           "locate_scans", "ray_reshoots"}
     assert stats["inserted"] > 0
     assert stats["dual_certified"] > 0 and stats["volume_inherited"] > 0

@@ -84,8 +84,7 @@ def test_random_insertions_match_bruteforce():
 
 def _mesh_state(m):
     return (list(m.tets), [None if n is None else list(n) for n in m.neigh],
-            list(m.circum), list(m._free), m.n_alive_tets, m._last_tet,
-            list(m.vert_tet))
+            list(m.circum), list(m._free), m._last_tet, list(m.vert_tet))
 
 
 def test_insert_remove_roundtrip_restores_state():
@@ -96,9 +95,9 @@ def test_insert_remove_roundtrip_restores_state():
     before = _mesh_state(m)
     rec = m.insert_point((0.41, 0.52, 0.63))
     m.remove_point(rec)
-    tets, neigh, circum, free, n_alive, last, vert_tet = _mesh_state(m)
-    assert (tets, neigh, circum, free, n_alive, last) == before[:6]
-    assert vert_tet == before[6] + [-1]
+    tets, neigh, circum, free, last, vert_tet = _mesh_state(m)
+    assert (tets, neigh, circum, free, last) == before[:5]
+    assert vert_tet == before[5] + [-1]
     assert not m.meta[rec.vid].alive
     # the dead vertex keeps its id: the next insertion takes the one after
     assert m.insert_point((0.3, 0.3, 0.3)).vid == rec.vid + 1

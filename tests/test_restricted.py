@@ -147,37 +147,28 @@ def _record(obj):
 
 
 def _check_edges_against_reference(monkeypatch, mesh, geom):
-    """classify_edge on every mesh edge equals its result with the
-    unfiltered reference face query.  Returns the edge keys with a closed
-    ring, those among them with an unreliable circumcentre, the reference
-    hits tied between u or w and a link vertex, how many candidates
-    ``nearest_vertex`` was asked about and rejected, and the walks counted
-    in ``stats.nearest_walks``."""
+    """classify_edge on every mesh edge, against its result with the
+    unfiltered reference face query, which confirms each candidate by a
+    scan of every live vertex (ties going to the edge).  Returns the edge
+    keys with a closed ring, those among them with an unreliable
+    circumcentre, the reference hits tied exactly between u or w and a
+    link vertex, the edges whose two results differ, and the all-segment
+    scans counted in ``stats.segment_scans``."""
     edges = sorted({tuple(sorted(pair)) for t in mesh.alive_tets()
                     for pair in combinations(mesh.tets[t], 2)})
-    got, answers, unconfirmed = [], [], 0
-    nearest = mesh.nearest_vertex
-    stats = {"nearest_walks": 0}
+    stats = {"segment_scans": 0}
     cert = restricted.DistanceCertificate(geom, {}, stats)
-
-    def recorded(p):
-        answers.append(nearest(p))
-        return answers[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(mesh, "nearest_vertex", recorded)
-        for u, w in edges:
-            answers.clear()
-            got.append(_record(classify_edge(mesh, geom, u, w, cert=cert)))
-            unconfirmed += sum(v not in (u, w) for v in answers)
+    got = [_record(classify_edge(mesh, geom, u, w, cert=cert))
+           for u, w in edges]
+    brute = nearest_among_reference(mesh)
     with monkeypatch.context() as m:
         m.setattr(restricted, "_face_crossings",
                   lambda mesh, geom, u, w, t0, cert=None:
-                  face_crossings_reference(mesh, geom, u, w))
+                  face_crossings_reference(mesh, geom, u, w, brute))
         want = [_record(classify_edge(mesh, geom, u, w))
                 for u, w in edges]
-    assert got == want
     assert any(want)
+    differ = [e for e, a, b in zip(edges, got, want) if a != b]
     closed, unreliable, ties = [], [], 0
     for u, w in edges:
         ring, is_closed = mesh.edge_ring(u, w)
@@ -187,24 +178,24 @@ def _check_edges_against_reference(monkeypatch, mesh, geom):
         if not all(mesh.voronoi_vertex(t)[1] for t in ring):
             unreliable.append((u, w))
         link = {x for t in ring for x in mesh.tets[t]} - {u, w}
-        for y, _cid in face_crossings_reference(mesh, geom, u, w):
+        for y, _cid in face_crossings_reference(mesh, geom, u, w, brute):
             dmin = min(_d2(y, mesh.points[u]), _d2(y, mesh.points[w]))
             ties += any(_d2(y, mesh.points[x]) == dmin for x in link)
-    return closed, unreliable, ties, unconfirmed, stats["nearest_walks"]
+    return closed, unreliable, ties, differ, stats["segment_scans"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_classify_edge_matches_unfiltered_reference_on_wedge(monkeypatch,
                                                              seed):
     # every edge of a refined creased input (whose rings all have reliable
-    # circumcentres at these seeds); away from ties every point of the
-    # bisector plane outside the dual face is strictly nearer some link
-    # vertex, so the star test decides every candidate without a walk
+    # circumcentres at these seeds): every point of the bisector plane
+    # outside the closed dual face is strictly nearer some link vertex, so
+    # the star test confirms exactly the hits of a scan of every vertex
     geom = wedge()
     res = refine(geom, RefineConfig(sizing=SizingField(h0=0.35), seed=seed))
-    closed, _unreliable, _ties, unconfirmed, walks = (
+    closed, _unreliable, _ties, differ, scans = (
         _check_edges_against_reference(monkeypatch, res.mesh, geom))
-    assert len(closed) > 400 and unconfirmed == 0 and walks == 0
+    assert len(closed) > 400 and differ == [] and scans == 0
 
 
 def lattice_case():
@@ -227,20 +218,50 @@ def lattice_case():
 
 
 def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
-    # the star test leaves the exact ties of the lattice to the
-    # nearest-vertex walk
+    # the exact ties of the lattice lie on the closed dual faces, and the
+    # star test counts them as hits as the scan of every vertex does.  The
+    # two agree on every edge but two: the curve vertex (0.05, 0.15, 0.15)
+    # on the dual faces of (22, 25) and (24, 25) ties vertices 12 and 21,
+    # outside those stars, in exact arithmetic, and rounding puts them
+    # about 2 ulps nearer (relative 4.6e-16).  Only the scan sees that
     geom, bounds, points = lattice_case()
     mesh = TetMesh(bounds, seed=2)
     for p in points:
         mesh.insert_point(p, jitter=False)
-    closed, unreliable, ties, _unconfirmed, walks = (
+    closed, unreliable, ties, differ, scans = (
         _check_edges_against_reference(monkeypatch, mesh, geom))
-    assert closed and unreliable and ties > 0 and walks > 0
+    assert closed and unreliable and ties > 0 and scans > 0
+    assert differ == [(22, 25), (24, 25)]
+    brute = nearest_among_reference(mesh)
+    for u, w in differ:
+        ring, _closed = mesh.edge_ring(u, w)
+        star = {x for t in ring for x in mesh.tets[t]}
+        want = face_crossings_reference(mesh, geom, u, w, brute)
+        got = restricted._face_crossings(mesh, geom, u, w, None)
+        extra = [y for y, cid in got if (y, cid) not in want]
+        assert extra and all(h in got for h in want)
+        for y in extra:
+            own = min(_d2(y, mesh.points[u]), _d2(y, mesh.points[w]))
+            rival = min(_d2(y, mesh.points[x])
+                        for x in range(len(mesh.points))
+                        if mesh.meta[x].alive and x not in star)
+            assert own - 1e-15 * own < rival < own
+
+
+def test_tie_with_a_rival_is_a_hit():
+    # y lies on the bisector of the simplex vertex and the rival, so on the
+    # boundary of the closed dual; a rival one ulp nearer rejects it
+    mesh = TetMesh(((0.0,) * 3, (2.0,) * 3))
+    own = (mesh.insert_point((0.0, 0.0, 0.0), jitter=False).vid,)
+    rival = (2.0, 0.0, 0.0)
+    assert restricted._nearest_among(mesh, (1.0, 0.0, 0.0), own, [rival])
+    assert not restricted._nearest_among(
+        mesh, (math.nextafter(1.0, 2.0), 0.0, 0.0), own, [rival])
 
 
 def test_refinement_confirms_dual_hits_without_a_walk(monkeypatch):
-    # on jittered input no dual hit ties a link vertex or an apex exactly,
-    # so refinement confirms every hit from the Delaunay star alone
+    # refinement confirms every dual hit from the Delaunay star alone, and
+    # on jittered input every edge ring has reliable circumcentres
     calls = [0]
     nearest = TetMesh.nearest_vertex
 
@@ -254,7 +275,7 @@ def test_refinement_confirms_dual_hits_without_a_walk(monkeypatch):
                                              seed=0))
         refiner.setup()
         assert refiner.run() == "converged"
-        assert refiner.stats["nearest_walks"] == 0
+        assert refiner.stats["segment_scans"] == 0
     assert calls[0] == 0
 
 
@@ -302,7 +323,7 @@ def test_star_test_matches_brute_force_nearest_vertex(monkeypatch, model, h,
                           lambda t: (voronoi_vertex(t)[0], False))
             got = classify_all()
             m.setattr(restricted, "_nearest_among",
-                      lambda mesh, y, own, rivals, cert: brute(y, own))
+                      lambda mesh, y, own, rivals: brute(y, own))
             want = classify_all()
         assert got == want
         assert any(got[1]) and (any(got[0]) or not geom.segments)
@@ -549,28 +570,15 @@ def check_survivor_skips(monkeypatch):
     that it does not classify is checked: it is a face of a destroyed tet
     that was not restricted, and a fresh classification with no
     certificate (``fresh_answers``, from both tets of a facet) returns
-    None.
-
-    An exact float tie between the simplex and a star vertex is decided by
-    the global nearest-vertex walk, whose answer is not monotone under
-    insertion: a survivor that lost a tie may win it after the insertion.
-    Such a survivor, restricted on re-run only through a tie walk, is
-    recorded rather than failed.  Returns (skipped keys, keys of those
-    tie-decided survivors)."""
-    skipped, tied = [], []
+    None.  Returns the skipped keys."""
+    skipped = []
     reclassify = Refiner._reclassify
     classify = Refiner._classify
-    nearest = TetMesh.nearest_vertex
     seen = []
-    walks = [0]
 
     def recording(self, d, key, handle):
         seen.append(key)
         return classify(self, d, key, handle)
-
-    def counted(mesh, p):
-        walks[0] += 1
-        return nearest(mesh, p)
 
     def checked(self, destroyed_quads, created_ids):
         mesh = self.mesh
@@ -591,17 +599,14 @@ def check_survivor_skips(monkeypatch):
         missed = sorted(handles.keys() - set(seen))
         assert set(missed) == survivors
         for key in missed:
-            before = walks[0]
-            if any(fresh_answers(mesh, self.g, key, *handles[key])):
-                assert walks[0] > before, key
-                tied.append(key)
+            answers = fresh_answers(mesh, self.g, key, *handles[key])
+            assert not any(answers), key
         skipped.extend(missed)
         return undo
 
-    monkeypatch.setattr(TetMesh, "nearest_vertex", counted)
     monkeypatch.setattr(Refiner, "_classify", recording)
     monkeypatch.setattr(Refiner, "_reclassify", checked)
-    return skipped, tied
+    return skipped
 
 
 @pytest.mark.parametrize("geom, h", [
@@ -611,23 +616,21 @@ def check_survivor_skips(monkeypatch):
     (cube, 0.35),
 ], ids=["sphere", "crease", "dense_surface", "cube"])
 def test_skipped_survivors_classify_as_unrestricted(monkeypatch, geom, h):
-    skipped, tied = check_survivor_skips(monkeypatch)
+    skipped = check_survivor_skips(monkeypatch)
     r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=0))
     assert r.run() == "converged"
     assert len(skipped) == r.stats["survivors_skipped"] > 0
-    assert tied == []
     assert_restricted_fresh(r)
 
 
-def test_skipped_survivors_on_the_lattice_differ_only_at_ties(monkeypatch):
+def test_skipped_survivors_on_the_lattice_classify_as_unrestricted(
+        monkeypatch):
     # the lattice inserted through the refiner's bookkeeping, so the skips
     # meet exact ties and unreliable circumcentres.  The curve crosses the
     # bisector of vertices 8 = (0, 0, 0) and 9 = (0, 0, 0.1) at the centre
-    # of the first cell, which all its corners tie: the walk gives that
-    # point to another corner until (0, 0.1, 0.1) is inserted and to the
-    # edge after, while the skip keeps the earlier answer.  Both answers
-    # are tie-breaks of a point on the boundary of the closed dual face
-    skipped, tied = check_survivor_skips(monkeypatch)
+    # of the first cell, which all its corners tie: that point lies on the
+    # closed dual face of (8, 9) whatever is inserted later
+    skipped = check_survivor_skips(monkeypatch)
     geom, bounds, points = lattice_case()
     r = Refiner(geom, RefineConfig(sizing=SizingField(h0=1.0)))
     r.mesh = TetMesh(bounds, seed=2, stats=r.stats)
@@ -639,9 +642,8 @@ def test_skipped_survivors_on_the_lattice_differ_only_at_ties(monkeypatch):
         r.cert.update(r.mesh, rec.created, rec.destroyed)
         r._reclassify(rec.destroyed_quads, rec.created)
     assert len(skipped) == r.stats["survivors_skipped"] > 0
-    assert r.rs.edges and r.stats["nearest_walks"] > 0
-    assert sorted(set(tied)) == [(8, 9)]
-    assert_restricted_fresh(r, ties=tied)
+    assert (8, 9) in r.rs.edges and r.stats["segment_scans"] > 0
+    assert_restricted_fresh(r)
 
 
 @st.composite
