@@ -112,10 +112,11 @@ class VertexMeta:
 
 
 class InsertRecord:
-    """What one insertion changed.  ``journal`` undoes it: the killed tets
-    as (id, quad, neighbours, circumsphere), the overwritten outer slots as
-    (tet, slot, old), the old ``vert_tet`` of the cavity vertices, the free
-    list, ``_last_tet`` and ``len(tets)``."""
+    """What one insertion changed.  The created tets take fresh ids at the
+    end of ``tets``, which never reuses an id.  ``journal`` undoes it: the
+    killed tets as (id, quad, neighbours, circumsphere), the overwritten
+    outer slots as (tet, slot, old), the old ``vert_tet`` of the cavity
+    vertices, ``_last_tet`` and ``len(tets)``."""
 
     __slots__ = ("vid", "duplicate", "destroyed_quads", "created", "journal")
 
@@ -153,11 +154,11 @@ class TetMesh:
 
         self.points = []
         self.meta = []
+        # append-only: a killed tet leaves None behind, ids are never reused
         self.tets = []      # tuple4 or None
         self.neigh = []     # list4 of tet ids, -1 at the outer hull
         self.circum = []    # (centre, r2, reliable)
         self.vert_tet = []
-        self._free = []
         self._last_tet = -1
         self._last_insert = None
 
@@ -213,16 +214,10 @@ class TetMesh:
 
     def _alloc_tet(self, quad):
         quad = self._canonical(quad)
-        if self._free:
-            t = self._free.pop()
-            self.tets[t] = quad
-            self.neigh[t] = [-2, -2, -2, -2]
-            self.circum[t] = circumsphere_tet(*(self.points[v] for v in quad))
-        else:
-            t = len(self.tets)
-            self.tets.append(quad)
-            self.neigh.append([-2, -2, -2, -2])
-            self.circum.append(circumsphere_tet(*(self.points[v] for v in quad)))
+        t = len(self.tets)
+        self.tets.append(quad)
+        self.neigh.append([-2, -2, -2, -2])
+        self.circum.append(circumsphere_tet(*(self.points[v] for v in quad)))
         for v in quad:
             self.vert_tet[v] = t
         self._last_tet = t
@@ -236,12 +231,6 @@ class TetMesh:
         if o < 0:
             q[2], q[3] = q[3], q[2]
         return tuple(q)
-
-    def _kill_tet(self, t):
-        self.tets[t] = None
-        self.neigh[t] = None
-        self.circum[t] = None
-        self._free.append(t)
 
     # ------------------------------------------------------------------
     # queries
@@ -371,10 +360,10 @@ class TetMesh:
         killed = [(t, self.tets[t], self.neigh[t], self.circum[t]) for t in cav]
         outer_slots = []
         old_vert_tet = {v: self.vert_tet[v] for k in killed for v in k[1]}
-        journal = (killed, outer_slots, old_vert_tet, list(self._free),
-                   self._last_tet, len(self.tets))
+        journal = (killed, outer_slots, old_vert_tet, self._last_tet,
+                   len(self.tets))
         for t in cav:
-            self._kill_tet(t)
+            self.tets[t] = self.neigh[t] = self.circum[t] = None
         created = []
         inner = {}
         for (fverts, outer) in boundary:
@@ -412,19 +401,17 @@ class TetMesh:
     def remove_point(self, rec):
         """Undo the latest insertion from its record's journal.
 
-        The killed tets come back under their old ids with their old
-        neighbours and circumspheres, so the mesh equals its state before
-        the insertion.  The vertex stays in ``points`` as dead, which keeps
-        later vertex ids and jitter draws unchanged.
+        The created tets all lie past the journaled length of ``tets``, so
+        truncating the arrays to it drops them; the killed tets come back
+        under their old ids with their old neighbours and circumspheres, so
+        the mesh equals its state before the insertion.  The vertex stays in
+        ``points`` as dead, which keeps later vertex ids and jitter draws
+        unchanged.
         """
         if rec is not self._last_insert:
             raise MeshError("only the latest insertion can be undone")
         self._last_insert = None
-        (killed, outer_slots, old_vert_tet, free, last_tet,
-         n_tets) = rec.journal
-        for t in rec.created:
-            if t < n_tets:
-                self.tets[t] = self.neigh[t] = self.circum[t] = None
+        killed, outer_slots, old_vert_tet, last_tet, n_tets = rec.journal
         del self.tets[n_tets:], self.neigh[n_tets:], self.circum[n_tets:]
         for (t, quad, neigh, circum) in killed:
             self.tets[t] = quad
@@ -436,7 +423,6 @@ class TetMesh:
             self.vert_tet[v] = t
         self.vert_tet[rec.vid] = -1
         self.meta[rec.vid].alive = False
-        self._free = free
         self._last_tet = last_tet
 
     # ------------------------------------------------------------------

@@ -110,9 +110,7 @@ class PiecewiseComplex:
             self.segs_at_vertex.setdefault(i, []).append(sid)
             self.segs_at_vertex.setdefault(j, []).append(sid)
         self.on_curve = np.zeros(nv, dtype=bool)
-        for i, j, _c in self.segments:
-            self.on_curve[i] = True
-            self.on_curve[j] = True
+        self.on_curve[list(self.segs_at_vertex)] = True
         self.on_surface = np.zeros(nv, dtype=bool)
         self.on_surface[[v for t in self.triangles for v in t[:3]]] = True
 
@@ -127,28 +125,23 @@ class PiecewiseComplex:
                 if c0 != c1:
                     self.feature_vertices.add(v)
 
-        # curves whose every segment is also a surface edge ("embedded")
-        tri_edges = set()
-        for i, j, k, _p in self.triangles:
-            tri_edges.add((min(i, j), max(i, j)))
-            tri_edges.add((min(j, k), max(j, k)))
-            tri_edges.add((min(i, k), max(i, k)))
-        self.embedded_curves = set()
-        by_curve = {}
-        for i, j, cid in self.segments:
-            by_curve.setdefault(cid, []).append((min(i, j), max(i, j)))
-        for cid, pairs in by_curve.items():
-            if all(p in tri_edges for p in pairs):
-                self.embedded_curves.add(cid)
-
-        # closed-surface census for the volume oracle
+        # triangle count of each surface edge
         use = {}
         for i, j, k, _p in self.triangles:
             for e in ((i, j), (j, k), (i, k)):
                 key = (min(e), max(e))
                 use[key] = use.get(key, 0) + 1
+        # closed-surface census for the volume oracle
         self.surface_closed = bool(self.triangles) and all(
             c == 2 for c in use.values())
+        # curves whose every segment is also a surface edge ("embedded")
+        self.embedded_curves = set()
+        by_curve = {}
+        for i, j, cid in self.segments:
+            by_curve.setdefault(cid, []).append((min(i, j), max(i, j)))
+        for cid, pairs in by_curve.items():
+            if all(p in use for p in pairs):
+                self.embedded_curves.add(cid)
 
         self.seg_tree = AABBTree(
             boxes_for_segments(self.vertices, self.segments, pad=self.eps))

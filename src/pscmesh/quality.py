@@ -153,13 +153,11 @@ def build_report(mesh, restricted, sizing, wall_time=0.0, converged=True):
         pa, pb, pc = (pts[v] for v in key)
         a_vals.append(area_length(pa, pb, pc))
         tri_angs.extend(triangle_angles(pa, pb, pc))
-    v_vals = []
+    # the volume-lengths that Refiner.audit certified
+    v_vals = [t.vlen for t in restricted.tets.values()]
     dih_angs = []
     for key in restricted.tets:
-        pa, pb, pc, pd = (pts[v] for v in key)
-        val = volume_length(pa, pb, pc, pd)
-        v_vals.append(val)
-        angs = dihedral_angles(pa, pb, pc, pd)
+        angs = dihedral_angles(*(pts[v] for v in key))
         if all(math.isfinite(x) for x in angs):
             dih_angs.extend(angs)
     edges = set(restricted.edges)

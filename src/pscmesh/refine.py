@@ -339,7 +339,7 @@ class Refiner:
             for wv in vids:
                 pair = (col.apex_vid, wv) if col.apex_vid < wv else (wv, col.apex_vid)
                 self.protected_edges.append(pair)
-        alive = sorted(self.mesh.alive_tets())
+        alive = list(self.mesh.alive_tets())
         self.cert.update(self.mesh, alive)
         self._reclassify([], alive)
         self._mark_dirty(range(len(self.mesh.points)))
@@ -468,23 +468,24 @@ class Refiner:
         undo = self._reclassify(rec.destroyed_quads, rec.created)
         for low, guard, stat in ((1, gamma_guard, "rollback_gamma"),
                                  (2, sigma_guard, "rollback_sigma")):
-            if guard and self._changed(undo, low):
+            changed = guard and self._changed(undo, low)
+            if changed:
                 self.stats[stat] += 1
-                return self._rollback(rec, undo, low)
+                return self._rollback(rec, undo, low, changed)
         # every created tet is a cavity boundary facet plus the new vertex
         self._mark_dirty({rec.vid}.union(*rec.destroyed_quads))
         self.stats["inserted"] += 1
         return "inserted", rec.vid
 
-    def _rollback(self, rec, undo, low):
-        """Undo the offending insertion and defer to the largest adjacent
-        surface ball of the disturbed restricted complex of dimension low.
+    def _rollback(self, rec, undo, low, changed):
+        """Undo the offending insertion and defer to the largest surface
+        ball among ``changed``, the simplexes of the disturbed restricted
+        complex of dimension low (``_changed``).
 
         The mesh comes back from the record's journal and the restricted
         tables from ``undo``, so the restored objects are the same ones,
         and their queue entries are live again.
         """
-        changed = self._changed(undo, low)
         self.mesh.remove_point(rec)
         self.cert.update(self.mesh, rec.destroyed, rec.created)
         for d, key, old in reversed(undo):

@@ -9,10 +9,12 @@ the ball of maximum radius is kept.
 
 Classification is pure: it reads the mesh and geometry and returns fresh
 records, so re-running it over an unchanged mesh reproduces identical
-restricted sets.  Duals are closed (Edelsbrunner & Shah, 1997): a point
-where a star vertex ties the simplex belongs to the dual, so every hit is
-confirmed from the Delaunay star of the simplex alone, with no
-point-location walk (``_nearest_among``).  With a
+restricted sets.  A record depends on its simplex alone, not on the tet
+or tet id that hands the simplex over: every float operation runs in an
+order fixed by the simplex's vertex ids.  Duals are closed (Edelsbrunner
+& Shah, 1997): a point where a star vertex ties the simplex belongs to
+the dual, so every hit is confirmed from the Delaunay star of the simplex
+alone, with no point-location walk (``_nearest_among``).  With a
 ``DistanceCertificate``, the facet and tet classifiers skip queries that
 provably find nothing; it changes no result.
 
@@ -29,6 +31,7 @@ import math
 from itertools import combinations
 
 from .delaunay import _FACES, circumcentre_triangle, circumsphere_tet
+from .geometry import _cross, _norm, _sub
 from .quality import volume_length
 
 _SQRT3 = math.sqrt(3.0)
@@ -297,71 +300,68 @@ def classify_edge(mesh, geom, u, w, t0=None, cert=None):
 
 
 def classify_facet(mesh, geom, t, i, cert=None):
-    """RestrictedTri when the dual Voronoi edge crosses the surface.
+    """RestrictedTri when the dual Voronoi edge of facet i of tet t crosses
+    the surface.
 
-    A crossing y counts when neither apex (the vertex of t or of its
-    neighbour t2 off the facet) is strictly nearer to y than every facet
-    vertex (``_nearest_among``).  A point of the dual edge c1-c2 centres a
-    ball through the facet inside the union of the two empty Delaunay
-    balls, so it passes; beyond c1 or c2 on the axis line, that side's
-    apex is nearer.  So on the axis line exactly c1-c2 passes, in exact
-    arithmetic and without circumcentres, which also bounds the axis-line
-    scan taken when one is unreliable.  With ``cert``, a dual edge it
-    proves clear of the surface is not queried.
+    The record depends on the facet alone, not on which of its two tets
+    hands it over: the vertices are sorted first, and the dual edge c1-c2
+    runs from the circumcentre of the tet whose apex (its vertex off the
+    facet) has the smaller id.  A crossing y counts when neither apex is
+    strictly nearer to y than every facet vertex (``_nearest_among``).  A
+    point of c1-c2 centres a ball through the facet inside the union of
+    the two empty Delaunay balls, so it passes; beyond c1 or c2 on the
+    axis line, that side's apex is nearer.  So on the axis line exactly
+    c1-c2 passes, in exact arithmetic and without circumcentres, which
+    also bounds the axis-line scan taken when one is unreliable.  With
+    ``cert``, a dual edge it proves clear of the surface is not queried.
     """
     if not geom.triangles:
         return None
     quad = mesh.tets[t]
     f = _FACES[i]
-    tri = (quad[f[0]], quad[f[1]], quad[f[2]])
-    if all(v < 8 for v in tri):
+    tri = tuple(sorted((quad[f[0]], quad[f[1]], quad[f[2]])))
+    if tri[2] < 8:
         return None
     t2 = mesh.neigh[t][i]
     if t2 == -1:
         return None  # outer-box hull facet
     p1, ok1 = mesh.voronoi_vertex(t)
     p2, ok2 = mesh.voronoi_vertex(t2)
-    if not (ok1 and ok2):
+    reliable = ok1 and ok2
+    if reliable and cert is not None and cert.clears(t, p1, t2, p2):
+        cert.stats["dual_certified"] += 1
+        return None
+    a1 = quad[i]
+    a2 = next(x for x in mesh.tets[t2] if x not in tri)
+    pa, pb, pc = (mesh.points[v] for v in tri)
+    if reliable:
+        if a2 < a1:
+            p1, p2 = p2, p1
+    else:
         # near-degenerate circumcentre(s): scan along the facet's axis line
         # instead, which is accurate however thin the adjacent tets are
         if cert is not None:
             cert.stats["axis_line_scans"] += 1
-        pa0 = mesh.points[tri[0]]
-        pb0 = mesh.points[tri[1]]
-        pc0 = mesh.points[tri[2]]
-        cc0, _r = circumcentre_triangle(pa0, pb0, pc0)
-        e1 = tuple(pb0[k] - pa0[k] for k in range(3))
-        e2 = tuple(pc0[k] - pa0[k] for k in range(3))
-        n = (e1[1] * e2[2] - e1[2] * e2[1],
-             e1[2] * e2[0] - e1[0] * e2[2],
-             e1[0] * e2[1] - e1[1] * e2[0])
-        nn = math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
+        cc, _r2 = circumcentre_triangle(pa, pb, pc)
+        n = _cross(_sub(pb, pa), _sub(pc, pa))
+        nn = _norm(n)
         if nn == 0.0:
             return None
-        span = 2.0 * geom.diag + math.dist(cc0, geom.bounds[0])
-        p1 = (cc0[0] - span * n[0] / nn, cc0[1] - span * n[1] / nn,
-              cc0[2] - span * n[2] / nn)
-        p2 = (cc0[0] + span * n[0] / nn, cc0[1] + span * n[1] / nn,
-              cc0[2] + span * n[2] / nn)
-    elif cert is not None and cert.clears(t, p1, t2, p2):
-        cert.stats["dual_certified"] += 1
-        return None
-    apexes = (mesh.points[quad[i]],
-              mesh.points[next(x for x in mesh.tets[t2] if x not in tri)])
+        span = 2.0 * geom.diag + math.dist(cc, geom.bounds[0])
+        p1 = (cc[0] - span * n[0] / nn, cc[1] - span * n[1] / nn,
+              cc[2] - span * n[2] / nn)
+        p2 = (cc[0] + span * n[0] / nn, cc[1] + span * n[1] / nn,
+              cc[2] + span * n[2] / nn)
+    apexes = (mesh.points[a1], mesh.points[a2])
     hits = [h for h in geom.intersect_segment_surface(p1, p2)
             if _nearest_among(mesh, h[0], tri, apexes)]
     if not hits:
         return None
-    pa = mesh.points[tri[0]]
-    best = max(hits, key=lambda h: _d2(h[0], pa))
-    centre, patch_id = best
+    centre, patch_id = max(hits, key=lambda h: _d2(h[0], pa))
     radius = _dist(centre, pa)
-    pb = mesh.points[tri[1]]
-    pc = mesh.points[tri[2]]
-    cc, _r2 = circumcentre_triangle(pa, pb, pc)
-    return RestrictedTri(tuple(sorted(tri)), centre, radius,
-                         _dist(centre, cc), patch_id,
-                         radius_edge_tri(pa, pb, pc))
+    cc, r2 = circumcentre_triangle(pa, pb, pc)
+    return RestrictedTri(tri, centre, radius, _dist(centre, cc), patch_id,
+                         _radius_edge(r2, (pa, pb, pc)))
 
 
 def classify_tet(mesh, geom, t, cert=None):

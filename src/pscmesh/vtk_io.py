@@ -3,12 +3,13 @@
 One unstructured grid holds line cells for the curve complex, triangle
 cells for the surface complex and tetrahedra for the volume complex.
 Cell data: ``radius_edge`` (rho), ``quality`` (area-length / volume-length,
-0 for lines) and ``feature_id`` (curve / patch id, -1 for tets).  Floats
+0 for lines) and ``feature_id`` (curve / patch id, -1 for tets).  The
+triangles' and tets' rho and the tets' volume-length are the values of
+their restricted records, the ones ``Refiner.audit`` certifies.  Floats
 are written with ``repr`` so a reader recovers them bit-exactly.
 """
 
-from .quality import area_length, volume_length
-from .restricted import radius_edge_tet, radius_edge_tri
+from .quality import area_length
 
 
 def write_vtk(path, mesh, restricted):
@@ -48,11 +49,9 @@ def write_vtk(path, mesh, restricted):
     for e in edges:
         lines.append(repr(0.5))
     for f in tris:
-        pa, pb, pc = (mesh.points[v] for v in f)
-        lines.append(repr(radius_edge_tri(pa, pb, pc)))
+        lines.append(repr(restricted.tris[f].rho))
     for t in tets:
-        pa, pb, pc, pd = (mesh.points[v] for v in t)
-        lines.append(repr(radius_edge_tet(pa, pb, pc, pd)))
+        lines.append(repr(restricted.tets[t].rho))
 
     lines.append("SCALARS quality double 1")
     lines.append("LOOKUP_TABLE default")
@@ -62,8 +61,7 @@ def write_vtk(path, mesh, restricted):
         pa, pb, pc = (mesh.points[v] for v in f)
         lines.append(repr(area_length(pa, pb, pc)))
     for t in tets:
-        pa, pb, pc, pd = (mesh.points[v] for v in t)
-        lines.append(repr(volume_length(pa, pb, pc, pd)))
+        lines.append(repr(restricted.tets[t].vlen))
 
     lines.append("SCALARS feature_id int 1")
     lines.append("LOOKUP_TABLE default")

@@ -22,7 +22,6 @@ def refiner_snapshot(r):
         "tets": list(m.tets),
         "neigh": [None if n is None else list(n) for n in m.neigh],
         "circum": list(m.circum),
-        "free": list(m._free),
         "last_tet": m._last_tet,
         "vert_tet": list(m.vert_tet),
         "rs_edges": dict(rs.edges),
@@ -53,25 +52,19 @@ def _fields(d, obj):
     return None if obj is None else [getattr(obj, f) for f in _FIELDS[d]]
 
 
-def fresh_answers(mesh, geom, key, t, i=None):
-    """Fresh classifications, with no certificate and no skip, of the
-    simplex ``key`` of tet t (facet i of t for a facet).  A facet's fields
-    depend on which of its two tets classifies it (the order of its
-    vertices there), so a facet answers from each of its tets."""
+def fresh_answer(mesh, geom, key, t, i=None):
+    """Fresh classification, with no certificate and no skip, of the
+    simplex ``key`` of tet t (facet i of t for a facet)."""
     if len(key) == 2:
-        return [classify_edge(mesh, geom, *key, t0=t)]
+        return classify_edge(mesh, geom, *key, t0=t)
     if len(key) == 4:
-        return [classify_tet(mesh, geom, t)]
-    out = [classify_facet(mesh, geom, t, i)]
-    t2 = mesh.neigh[t][i]
-    if t2 != -1:
-        out.append(classify_facet(mesh, geom, t2, mesh.neigh[t2].index(t)))
-    return out
+        return classify_tet(mesh, geom, t)
+    return classify_facet(mesh, geom, t, i)
 
 
 def assert_restricted_fresh(r):
     """Every live edge, facet and tet is in the restricted tables exactly
-    when a fresh classification finds it restricted (``fresh_answers``),
+    when a fresh classification finds it restricted (``fresh_answer``),
     and with the same fields."""
     mesh, rs = r.mesh, r.rs
     live = set()
@@ -86,9 +79,8 @@ def assert_restricted_fresh(r):
                 continue
             live.add(key)
             d = len(key) - 1
-            got = _fields(d, rs.table[d].get(key))
-            assert got in [_fields(d, obj) for obj
-                           in fresh_answers(mesh, r.g, key, t, i)], key
+            assert (_fields(d, rs.table[d].get(key))
+                    == _fields(d, fresh_answer(mesh, r.g, key, t, i))), key
     for d in (1, 2, 3):
         assert live.issuperset(rs.table[d]), d
 

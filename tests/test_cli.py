@@ -100,11 +100,16 @@ def test_vtk_roundtrip_exact(tmp_path):
 
     class _T:
         patch_id = 0
+        rho = 0.5
+
+    class _K:
+        rho = 0.5
+        vlen = 1.0
 
     class _RS:
         edges = {c: _E for c in g1.line_cells}
         tris = {c: _T for c in g1.triangle_cells}
-        tets = {c: None for c in g1.tet_cells}
+        tets = {c: _K for c in g1.tet_cells}
 
     out2 = str(tmp_path / "m2.vtk")
     write_vtk(out2, _Mesh, _RS)

@@ -83,8 +83,10 @@ def test_random_insertions_match_bruteforce():
 
 
 def _mesh_state(m):
+    # the fourth item lists the dead tet slots, whose ids are never reused
     return (list(m.tets), [None if n is None else list(n) for n in m.neigh],
-            list(m.circum), list(m._free), m._last_tet, list(m.vert_tet))
+            list(m.circum), [t for t, q in enumerate(m.tets) if q is None],
+            m._last_tet, list(m.vert_tet))
 
 
 def test_insert_remove_roundtrip_restores_state():

@@ -29,37 +29,37 @@ BENCHMARKS = ROOT / "benchmarks"
 
 GOLDEN = {
     "icosphere": ("0.5",
-                  "03281fb21a6ad154b3fe63a7494e82edc3918385e216f9f80ff5c023fe6b35d3",
-                  "0a8c80f177195285f4ecb268a9976dc4a97299580464fa597cb1da836a2d7d9a"),
+                  "fc7dad893b77eee3f5d54d9f3551242fa3867d51e8a5098750c7a41478716d18",
+                  "d53a7413d29b5a1338ac26a0b49e43fd9e0e314c761663972f230f41857fc074"),
     "wedge": ("0.4",
-              "2f75dde7a7a666fa830f4fa659b37d9d6374cdd4d9233a624cf9e4cfc0dec21e",
-              "8891468b0b97fdabaf5cd79bb5b08c85c18030d87c347217a7cf8af4c88356b7"),
+              "a1ccd634e470a58c8e438e60859cf68d634aef86967cc9e397167fd4a6932117",
+              "1d9227ed7eb9f739e0d838f4b1915d73df0c045fda5015f2424cf0f391b48487"),
     "cube": ("0.35",
-             "649b9e3ddbf258f2a7744df2e88855db27b00e0e6bc0f389b2ba940af938ef56",
-             "721315ddd39a1a373e38225075eaaec32b34cf60a9205f8f33a970e6ebb13548"),
+             "a6628046000c92fcde4cf1036d1cbc8a831612e74d8ee765667a8cf4bc21dfc7",
+             "00aaa64c5bca0ddc115d35f4c08196b5ce37e9119f30d1509b02e1fe105c08ff"),
 }
 
 CLASSICAL = {
     "icosphere": ("0.5",
-                  "c42b6e495a7c9a85a6ece13cbd68f85fede5b640b3a6774afa0e171490a4a5f6",
-                  "d89e7ccea3f3537c5ea43ad462228b4f2175ecbda4bfec3924f041196e67608a"),
+                  "9f9fc52b9ccf828790746f9a0738a71bbb3d0fa0976f1bda2b23ab1ca0dc1609",
+                  "0a1451fa4d1a0d775552c30c114e504e62e21e80f596f9737ca363f9e37546cd"),
     "wedge": ("0.4",
-              "f606156024cc816844b016bebef53a44a877f32928acff72ee8742b819c1e6d7",
-              "65e2635af11a829ba4edbbeb57f90454dab5b3d0d05dfa172ec7b9b62a8dcb7f"),
+              "0d96720ac7ae87b713b832af1200f77ef4d191fc42f4d0bab658290e7988f045",
+              "4c888eda3c2e046c41889a7c4818ffc4749bf39ceccbe6c1e2d3546af6536251"),
     "cube": ("0.35",
-             "ae15541d496801359a2f65f7c58a2907a6ad0c1d5733e5bc6fe2c48bfe4a300b",
-             "fb28be48cce2f4cf9a122fce5e945ea076e070a11f60360969afbbf47867984f"),
+             "52f10dc9d868e3e572e6043ec73942259196f75bb5b85a57c0f6f383eaeccce9",
+             "736dc8b681906eed46612cfddfa4af8ebc1a310ca90543e619541376d9a85267"),
 }
 
 # seed-0 meshes of the perfbench workloads: (vtk sha256, report sha256)
 PERFBENCH = {
-    "sphere": ("b37d08265ad52d020e15e2aa2789cefb3a53f81a5c93cc158f1d322221e1061b",
-               "5bafb50a3581536a260e98f0b182c268ac6d719829764ddfb009169079f501bb"),
-    "crease": ("37e7725c941970abc469f7391691861c3e1835ea9da9e0f1d4a7fe8353ddbb67",
-               "8c75cf31db6f96eff8cc7edc72828cf6034f2fed9e24aa7270470978ab0390c6"),
+    "sphere": ("a14d5f0f15e9179ab7f4d757eda735464fa1e45343d187b24321a86d969537a5",
+               "1e269d48c2458d55684523d6d4488c9d85dc1921aaf14508da7173a001a0d910"),
+    "crease": ("484067836cc1de7d322dbeede939d57dc2d78d575ae05b00953f2e19e720703e",
+               "2a6fe0ecb7d2df289bee2a2c023658d60f709f2233a9f493db44f1f1ee1e04d5"),
     "dense_surface": (
-        "84caac4a7acd013ce28a2a0952b5c35f0182149714baffbaf54ed25230279ad9",
-        "0a0f5cedf49e611de63df2be9408fdd15c3b8d10cd2e768ca6b3b219b9bdf40f"),
+        "423f76989a8e0b0f3ce1901f34605afe835484b3dae4457a700a47515b39a95b",
+        "4218eac78ab135e2fe59863cac63aed92431aab48eab2ff9917e942c6c38dd1a"),
 }
 
 

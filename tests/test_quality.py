@@ -5,6 +5,7 @@ import numpy as np
 from pscmesh.config import GridSizing, SizingField
 from pscmesh.quality import (area_length, dihedral_angles, relative_edge_length,
                              triangle_angles, volume_length)
+from pscmesh.restricted import radius_edge_tet
 
 from oracles import random_rotation
 
@@ -144,10 +145,14 @@ def test_report_single_regular_tet():
     class _Mesh:
         points = {i: p for i, p in enumerate(REGULAR)}
 
+    class _K:
+        rho = radius_edge_tet(*REGULAR)
+        vlen = volume_length(*REGULAR)
+
     class _RS:
         edges = {}
         tris = {}
-        tets = {(0, 1, 2, 3): None}
+        tets = {(0, 1, 2, 3): _K}
 
     rep = build_report(_Mesh, _RS, SizingField(h0=1.0))
     hist = rep.histograms["volume_length"]
@@ -170,3 +175,35 @@ def test_report_empty_surface():
     rep = build_report(_Mesh, _RS, SizingField(h0=1.0))
     assert rep.histograms["area_length"].sum() == 0
     assert rep.counts["surface_tris"] == 0
+
+
+def test_vtk_and_report_carry_the_certified_record_values(tmp_path):
+    # the writers read rho and the volume-length from the restricted
+    # records, so the files hold exactly the values Refiner.audit checked
+    from pscmesh.config import RefineConfig
+    from pscmesh.models import cube
+    from pscmesh.quality import write_report
+    from pscmesh.refine import refine
+    from pscmesh.vtk_io import read_vtk, write_vtk
+
+    res = refine(cube(), RefineConfig(sizing=SizingField(h0=0.35), seed=0))
+    rs = res.rs
+    vtk = tmp_path / "m.vtk"
+    rep = tmp_path / "m.report.txt"
+    write_vtk(str(vtk), res.mesh, rs)
+    write_report(res.report, str(rep))
+    grid = read_vtk(str(vtk))
+
+    def column(name, cell_type):
+        return [x for x, t in zip(grid.cell_data[name], grid.cell_types)
+                if t == cell_type]
+
+    tris = [rs.tris[k] for k in sorted(rs.tris)]
+    tets = [rs.tets[k] for k in sorted(rs.tets)]
+    assert tris and tets
+    assert column("radius_edge", 5) == [f.rho for f in tris]
+    assert column("radius_edge", 10) == [t.rho for t in tets]
+    assert column("quality", 10) == [t.vlen for t in tets]
+    line = next(x for x in rep.read_text().splitlines()
+                if x.startswith("metric.volume_length.min = "))
+    assert float(line.split(" = ")[1]) == min(t.vlen for t in tets)

@@ -21,7 +21,7 @@ from pscmesh.restricted import (RestrictedEdge, RestrictedTri, classify_edge,
 from oracles import (circumradius_triangle, distance_to_surface,
                      face_crossings_reference, nearest_among_reference,
                      random_rotation, winding_numbers)
-from snapshots import assert_restricted_fresh, fresh_answers
+from snapshots import assert_restricted_fresh, fresh_answer
 
 
 def mesh_with(points, bounds, seed=0):
@@ -428,6 +428,59 @@ def test_dense_sphere_sample_restores_input_triangulation():
     assert dists.max() <= 1e-9 * geom.diag
 
 
+def lattice_with_surface():
+    """(geometry, mesh) of ``lattice_case`` plus two squares: one in the
+    plane z = 0.15 of cell centres, where the eight corners of a cell tie,
+    and one at z = 0.21, which the facets of the unreliable tets reach
+    only by their axis-line scan."""
+    geom, bounds, points = lattice_case()
+    verts = list(geom.pts)
+    tris = []
+    for pid, z in enumerate((0.15, 0.21)):
+        n = len(verts)
+        verts += [(-0.05, -0.05, z), (0.25, -0.05, z), (0.25, 0.25, z),
+                  (-0.05, 0.25, z)]
+        tris += [(n, n + 1, n + 2, pid), (n, n + 2, n + 3, pid)]
+    mesh = TetMesh(bounds, seed=2)
+    for p in points:
+        mesh.insert_point(p, jitter=False)
+    return PiecewiseComplex(verts, geom.segments, tris), mesh
+
+
+def _refined(model, h):
+    def build():
+        geom = model()
+        res = refine(geom, RefineConfig(sizing=SizingField(h0=h), seed=0))
+        return geom, res.mesh
+    return build
+
+
+@pytest.mark.parametrize("case", [
+    _refined(cube, 0.35), _refined(wedge, 0.35),
+    _refined(lambda: icosphere(2), 0.4), lattice_with_surface,
+], ids=["cube", "wedge", "icosphere2", "lattice"])
+def test_facet_record_is_the_same_from_either_tet(case):
+    # a facet's record depends on the facet alone: its sorted vertices and
+    # the smaller apex fix the dual edge's direction, the hit it keeps and
+    # the order of every float operation, whichever tet hands it over
+    geom, mesh = case()
+    differ = hits = axis_line = 0
+    for t in mesh.alive_tets():
+        for i, t2 in enumerate(mesh.neigh[t]):
+            if t2 < t:
+                continue  # each shared facet once; hull facets never
+            a = _record(classify_facet(mesh, geom, t, i))
+            b = _record(classify_facet(mesh, geom, t2,
+                                       mesh.neigh[t2].index(t)))
+            differ += a != b
+            if a is not None:
+                hits += 1
+                axis_line += not (mesh.circum[t][2] and mesh.circum[t2][2])
+    assert differ == 0 and hits > 0, (differ, hits)
+    if case is lattice_with_surface:
+        assert axis_line > 0
+
+
 def test_classify_facet_two_crossings_selects_larger_ball():
     # a triangle floating between two parallel patches: its dual axis
     # pierces both, and the farther crossing carries the bigger ball
@@ -569,8 +622,7 @@ def check_survivor_skips(monkeypatch):
     """Wrap ``Refiner._reclassify`` so that every simplex of a created tet
     that it does not classify is checked: it is a face of a destroyed tet
     that was not restricted, and a fresh classification with no
-    certificate (``fresh_answers``, from both tets of a facet) returns
-    None.  Returns the skipped keys."""
+    certificate (``fresh_answer``) returns None.  Returns the skipped keys."""
     skipped = []
     reclassify = Refiner._reclassify
     classify = Refiner._classify
@@ -599,8 +651,7 @@ def check_survivor_skips(monkeypatch):
         missed = sorted(handles.keys() - set(seen))
         assert set(missed) == survivors
         for key in missed:
-            answers = fresh_answers(mesh, self.g, key, *handles[key])
-            assert not any(answers), key
+            assert fresh_answer(mesh, self.g, key, *handles[key]) is None, key
         skipped.extend(missed)
         return undo
 

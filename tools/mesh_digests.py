@@ -3,12 +3,17 @@
 For each workload of ``perfbench/workloads.py`` and each ``--seed`` in
 ``0 .. --seeds - 1``, this refines every jitter seed the benchmark's
 untraced run refines (``workloads.mesh_seeds``) with the benchmark's
-settings, through the same input file round trip, and prints one line:
+settings, through the same input file round trip, and prints two lines:
 
     workload seed status sha256(vtk + report)
+    workload seed counts points=.. curve_edges=.. surface_tris=..
+        volume_tets=.. cert_passed=.. inserted=..
 
-``seed`` is the jitter seed of the mesh.  pscmesh is imported from the
-``src/`` of the checkout that holds this script.
+(the second on one line).  ``seed`` is the jitter seed of the mesh.  When
+only digest lines differ between two checkouts, the meshes are the same
+up to float bits; a differing counts line means a different mesh.
+pscmesh is imported from the ``src/`` of the checkout that holds this
+script.
 
     python3 tools/mesh_digests.py > a.txt
     python3 tools/mesh_digests.py --seeds 3 crease sphere
@@ -35,7 +40,8 @@ from workloads import (WORKLOADS, build_input, make_config,  # noqa: E402
 
 
 def digest(workload, seed, tmp):
-    """(status, sha256 of the VTK bytes followed by the report bytes)."""
+    """(status, sha256 of the VTK bytes followed by the report bytes, the
+    counts line's fields)."""
     psc = tmp / f"{workload.name}.psc"
     if not psc.exists():
         write_complex(build_input(workload), str(psc))
@@ -44,8 +50,13 @@ def digest(workload, seed, tmp):
     rep = tmp / "mesh.report.txt"
     write_vtk(str(vtk), result.mesh, result.rs)
     write_report(result.report, str(rep))
-    return result.status, hashlib.sha256(vtk.read_bytes()
-                                         + rep.read_bytes()).hexdigest()
+    sha = hashlib.sha256(vtk.read_bytes() + rep.read_bytes()).hexdigest()
+    counts = result.report.counts
+    fields = {key: counts[key] for key in ("points", "curve_edges",
+                                           "surface_tris", "volume_tets")}
+    fields["cert_passed"] = sum(result.audit.values())
+    fields["inserted"] = result.stats["inserted"]
+    return result.status, sha, fields
 
 
 def main(argv=None):
@@ -63,8 +74,12 @@ def main(argv=None):
             workload = WORKLOADS[name]
             for seed in range(args.seeds):
                 for mesh_seed in mesh_seeds(workload, seed):
-                    status, sha = digest(workload, mesh_seed, Path(tmp))
-                    print(name, mesh_seed, status, sha, flush=True)
+                    status, sha, fields = digest(workload, mesh_seed,
+                                                 Path(tmp))
+                    print(name, mesh_seed, status, sha)
+                    print(name, mesh_seed, "counts",
+                          *(f"{k}={v}" for k, v in fields.items()),
+                          flush=True)
 
 
 if __name__ == "__main__":
