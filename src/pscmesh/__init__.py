@@ -20,12 +20,10 @@ from .predicates import insphere, orient3d
 from .quality import (QualityReport, area_length, build_report,
                       dihedral_angles, relative_edge_length, triangle_angles,
                       volume_length, write_report)
-from .refine import (RefineResult, Refiner, bad_simplex_1, bad_simplex_2,
-                     bad_simplex_3, protect_sharp_angles, refine,
-                     select_refinement_point)
-from .restricted import (classify_edge, classify_facet, classify_tet,
-                         element_size, radius_edge_tet, radius_edge_tri,
-                         topo_disk_1, topo_disk_2)
+from .refine import (RefineResult, Refiner, bad_simplex, protect_sharp_angles,
+                     refine, select_refinement_point, violations)
+from .restricted import (Restricted, classify_edge, classify_facet,
+                         classify_tet, element_size, topo_disk_1, topo_disk_2)
 from .vtk_io import read_vtk, write_vtk
 
 __version__ = "0.1.0"

@@ -146,17 +146,14 @@ class RefineConfig:
 def check_termination_bounds(cfg, geom):
     """Warn when the radius-edge bounds undercut the guaranteed-termination
     region for the configured sizing; practice usually outperforms these
-    bounds, so this never fails the run."""
+    bounds, so this never fails the run.
+
+    The size ratio nu0 = 2 mu0 / gamma0 takes the sizing field's maximum
+    mu0 and minimum gamma0 over its whole domain (a grid's extreme
+    values), so ``geom`` is not read.
+    """
     sizing = cfg.sizing
-    samples = []
-    for i, j, k, _p in geom.triangles:
-        for v in (i, j, k):
-            samples.append(geom.pts[v])
-        samples.append(tuple((geom.pts[i][ax] + geom.pts[j][ax]
-                              + geom.pts[k][ax]) / 3.0 for ax in range(3)))
-    if not samples:
-        samples = list(geom.pts)
-    mu0 = max(sizing.value(p) for p in samples) if samples else sizing.max_value()
+    mu0 = sizing.max_value()
     gamma0 = sizing.min_value()
     nu0 = 2.0 * mu0 / gamma0
     k = math.sqrt(2.0) + 2.0

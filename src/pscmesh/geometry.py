@@ -293,7 +293,7 @@ class PiecewiseComplex:
             raise GeometryError("surface is not closed; volume undefined")
         p = (float(p[0]), float(p[1]), float(p[2]))
         span = 3.0 * self.diag + _norm(_sub(p, self.bounds[0]))
-        for i, d in enumerate(_RAY_DIRS * 4):
+        for i, d in enumerate(_RAY_DIRS):
             res = self._ray_parity(p, d, span)
             if res is not None:
                 if i and stats is not None:
@@ -351,8 +351,11 @@ class PiecewiseComplex:
             crossings += 1
         return crossings % 2 == 1
 
-    def intersect_sphere_curve(self, centre, radius, with_tags=False):
-        """Points of the curve network at exact distance ``radius``."""
+    def intersect_sphere_curve(self, centre, radius):
+        """Points of the curve network at exact distance ``radius`` from
+        ``centre``, as [(point, curve_id), ...] in segment order.  A point
+        that several segments share (within eps) is reported once, with the
+        curve id of the first of them."""
         if radius <= 0.0:
             raise ValueError("radius must be positive")
         if not self.segments:
@@ -376,8 +379,7 @@ class PiecewiseComplex:
                     t = min(max(t, 0.0), 1.0)
                     x = (p[0] + t * d[0], p[1] + t * d[1], p[2] + t * d[2])
                     hits.append((x, cid))
-        hits = _dedupe_tagged(hits, self.eps)
-        return hits if with_tags else [h[0] for h in hits]
+        return _dedupe_tagged(hits, self.eps)
 
     def intersect_disk_surface(self, centre, normal, radius):
         """Hits of the boundary circle of an oriented disk with the surface."""

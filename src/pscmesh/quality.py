@@ -147,14 +147,13 @@ def build_report(mesh, restricted, sizing, wall_time=0.0, converged=True):
         used.update(key)
     rep.counts["points"] = len(used)
 
-    a_vals = []
+    # the records' area-lengths, and their volume-lengths, which
+    # Refiner.audit certified
+    a_vals = [f.quality for f in restricted.tris.values()]
+    v_vals = [t.quality for t in restricted.tets.values()]
     tri_angs = []
     for key in restricted.tris:
-        pa, pb, pc = (pts[v] for v in key)
-        a_vals.append(area_length(pa, pb, pc))
-        tri_angs.extend(triangle_angles(pa, pb, pc))
-    # the volume-lengths that Refiner.audit certified
-    v_vals = [t.vlen for t in restricted.tets.values()]
+        tri_angs.extend(triangle_angles(*(pts[v] for v in key)))
     dih_angs = []
     for key in restricted.tets:
         angs = dihedral_angles(*(pts[v] for v in key))

@@ -53,38 +53,38 @@ _INIT_SAMPLES = 8
 _DIMS = (1, 2, 3)
 
 
-def bad_simplex_1(e, cfg):
-    """Curve edge needs refinement: surface error or mean size too large."""
-    h = cfg.sizing.value(e.centre)
-    return e.err > cfg.eps_rel * h or element_size(1, e.radius) > cfg.alpha * h
+def violations(d, s, cfg, tol=0.0):
+    """Names of the ``audit`` certificates that the restricted d-simplex s
+    fails: ``eps_ok`` (surface error), ``size_ok`` (mean size against
+    alpha h), ``rho_surf_ok`` / ``rho_vol_ok`` (radius-edge ratio of a
+    triangle / tet) and ``vlen_ok`` (a tet's volume-length floor).
+
+    Every bound is relaxed by the factor 1 + tol (the floor by 1 - tol):
+    the refinement queue applies them at tol 0 (``bad_simplex``), the
+    certificates at 1e-9.
+    """
+    h = cfg.sizing.value(s.centre)
+    out = []
+    if s.err > cfg.eps_rel * h * (1.0 + tol):
+        out.append("eps_ok")
+    if element_size(d, s.radius) > cfg.alpha * h * (1.0 + tol):
+        out.append("size_ok")
+    if d == 2 and s.rho > cfg.rho_surf * (1.0 + tol):
+        out.append("rho_surf_ok")
+    if d == 3 and s.rho > cfg.rho_vol * (1.0 + tol):
+        out.append("rho_vol_ok")
+    if d == 3 and s.quality <= cfg.vlen_min * (1.0 - tol):
+        out.append("vlen_ok")
+    return out
 
 
-def bad_simplex_2(f, cfg):
-    """Surface triangle: error, size or radius-edge violation."""
-    h = cfg.sizing.value(f.centre)
-    return (f.err > cfg.eps_rel * h
-            or element_size(2, f.radius) > cfg.alpha * h
-            or f.rho > cfg.rho_surf)
+def bad_simplex(d, s, cfg):
+    """Whether the restricted d-simplex s needs refinement."""
+    return bool(violations(d, s, cfg))
 
 
-def bad_simplex_3(t, cfg):
-    """Tetrahedron: size, radius-edge, or sliver (volume-length) violation."""
-    h = cfg.sizing.value(t.centre)
-    return (element_size(3, t.radius) > cfg.alpha * h
-            or t.rho > cfg.rho_vol
-            or t.vlen <= cfg.vlen_min)
-
-
-_BAD = (None, bad_simplex_1, bad_simplex_2, bad_simplex_3)
-
-
-def _site(d, obj):
-    """(kind, ref) of a Steiner point placed for a restricted d-simplex."""
-    if d == 1:
-        return "curve", obj.curve_id
-    if d == 2:
-        return "surface", obj.patch_id
-    return "interior", -1
+# kind of a Steiner point placed for a restricted d-simplex
+_KIND = (None, "curve", "surface", "interior")
 
 
 def select_refinement_point(c1, c2, c0, r0):
@@ -135,14 +135,15 @@ def protect_sharp_angles(geom, apexes, sizing, beta):
                 f"apex vertex {v} has curve degree != 2; collar construction "
                 "needs exactly two incident segments")
     radii = {v: sizing.value(geom.pts[v]) for v in order}
+    hits = {}   # the hits of each apex's sphere at its current radius
     floor = 1e-9 * geom.diag
     changed = True
     while changed:
         changed = False
         for v in order:
             r = radii[v]
-            hits = geom.intersect_sphere_curve(geom.pts[v], r)
-            ok = len(hits) == 2
+            hits[v] = geom.intersect_sphere_curve(geom.pts[v], r)
+            ok = len(hits[v]) == 2
             if ok:
                 for w in order:
                     if w == v:
@@ -159,10 +160,9 @@ def protect_sharp_angles(geom, apexes, sizing, beta):
                 changed = True
     out = []
     for v in order:
-        hits = geom.intersect_sphere_curve(geom.pts[v], radii[v], with_tags=True)
-        hits.sort(key=lambda h: h[0])
-        out.append(ProtectedFeature(v, tuple(h[0] for h in hits),
-                                    tuple(h[1] for h in hits), radii[v]))
+        wings = sorted(hits[v], key=lambda h: h[0])
+        out.append(ProtectedFeature(v, tuple(h[0] for h in wings),
+                                    tuple(h[1] for h in wings), radii[v]))
     return out
 
 
@@ -349,7 +349,7 @@ class Refiner:
     # classification bookkeeping
 
     def _queue(self, d, key, obj):
-        if _BAD[d](obj, self.cfg):
+        if bad_simplex(d, obj, self.cfg):
             self._stamp += 1
             prio = -obj.radius if d == 1 else -obj.rho
             heapq.heappush(self.queues[d], (prio, self._stamp, key, obj))
@@ -491,7 +491,7 @@ class Refiner:
         for d, key, old in reversed(undo):
             self.rs.set(d, key, old)
         _key, best = max(changed.items(), key=lambda kv: (kv[1].radius, kv[0]))
-        return self._insert(best.centre, *_site(low, best))
+        return self._insert(best.centre, _KIND[low], best.ref)
 
     # ------------------------------------------------------------------
     # frontal machinery
@@ -514,11 +514,11 @@ class Refiner:
             faces = (tuple(sorted((quad[a], quad[b], quad[c])))
                      for a, b, c in _FACES)
         else:
-            key = token.edge if d == 1 else token.tri
+            key = token.key
             faces = combinations(key, d)
         for i, face in enumerate(faces):
             obj = rs.table[d - 1].get(face) if d > 1 else None
-            if obj is not None and not _BAD[d - 1](obj, cfg):
+            if obj is not None and not bad_simplex(d - 1, obj, cfg):
                 return face
             # keys of the other d-simplexes on the face
             if d == 3:
@@ -527,7 +527,8 @@ class Refiner:
             else:
                 keys = (k for k in sorted(rs.at_vertex[d].get(face[0], ()))
                         if k != key and face[-1] in k)
-            if any(k in table and not _BAD[d](table[k], cfg) for k in keys):
+            if any(k in table and not bad_simplex(d, table[k], cfg)
+                   for k in keys):
                 return face
         return None
 
@@ -538,8 +539,8 @@ class Refiner:
         The frontal ball is the smallest ball of the face: the vertex, the
         edge's midpoint ball or the facet's circumball.  At size h the
         off-centre lies at distance h from the face's vertices on the
-        face's dual, inside the d-dimensional feature: on the curves
-        (d = 1), on the surface in the edge's bisector plane (d = 2) or
+        face's dual, inside the d-dimensional feature: on the edge's own
+        curve (d = 1), on the surface in the edge's bisector plane (d = 2) or
         on the ray from c0 towards the tet's circumcentre, no farther than
         it (d = 3).  Of several hits the one best aligned with c0 -> centre
         wins.  h solves the half-sum sizing relation h = (h(c0) + h(x)) / 2
@@ -576,7 +577,10 @@ class Refiner:
                 u = _unit(v)
                 return (c0[0] + t * u[0], c0[1] + t * u[1], c0[2] + t * u[2])
             if d == 1:
-                hits = self.g.intersect_sphere_curve(c0, s)
+                # only the edge's own curve: a hit on another curve would
+                # be tagged with the wrong curve id
+                hits = [x for x, ref in self.g.intersect_sphere_curve(c0, s)
+                        if ref == token.ref]
             else:
                 hits = self.g.intersect_disk_surface(c0, axis, s)
             if not hits:
@@ -668,10 +672,10 @@ class Refiner:
                 if lkey is not None:
                     obj = rs.table[low][lkey]
                     self.stats[("encroach_edge", "encroach_tri")[low - 1]] += 1
-                    st, _vid = self._insert(obj.centre, *_site(low, obj))
+                    st, _vid = self._insert(obj.centre, _KIND[low], obj.ref)
                     break
             else:
-                st, _vid = self._insert(point, *_site(d, token),
+                st, _vid = self._insert(point, _KIND[d], token.ref,
                                         gamma_guard=d > 1, sigma_guard=d > 2,
                                         probe=probe)
             if st == "inserted":
@@ -709,7 +713,7 @@ class Refiner:
             target = self._disk_target(d, v)
             if target is None:
                 continue
-            st, _vid = self._insert(target.centre, *_site(d, target))
+            st, _vid = self._insert(target.centre, _KIND[d], target.ref)
             if st == "inserted":
                 self.stats[f"disk{d}"] += 1
                 dirty[v] = None
@@ -773,23 +777,17 @@ class Refiner:
     # output certificates
 
     def audit(self):
-        """Post-hoc verification of every convergence certificate."""
-        cfg = self.cfg
-        sizing = cfg.sizing
-        tol = 1e-9
-        out = {}
-        out["rho_surf_ok"] = all(f.rho <= cfg.rho_surf * (1 + tol)
-                                 for f in self.rs.tris.values())
-        out["rho_vol_ok"] = all(t.rho <= cfg.rho_vol * (1 + tol)
-                                for t in self.rs.tets.values())
-        out["eps_ok"] = all(
-            s.err <= cfg.eps_rel * sizing.value(s.centre) * (1 + tol)
-            for d in (1, 2) for s in self.rs.table[d].values())
-        out["size_ok"] = all(
-            element_size(d, s.radius) <= cfg.alpha * sizing.value(s.centre) * (1 + tol)
-            for d in _DIMS for s in self.rs.table[d].values())
-        out["vlen_ok"] = all(t.vlen > cfg.vlen_min * (1 - tol)
-                             for t in self.rs.tets.values())
+        """Post-hoc verification of every convergence certificate.
+
+        The five mesh criteria are ``violations`` at tol 1e-9 over every
+        restricted simplex, so a simplex the queue let through passes and
+        one that fails was also queued.
+        """
+        failed = {name for d in _DIMS for s in self.rs.table[d].values()
+                  for name in violations(d, s, self.cfg, 1e-9)}
+        out = {name: name not in failed
+               for name in ("rho_surf_ok", "rho_vol_ok", "eps_ok", "size_ok",
+                            "vlen_ok")}
         out["disks_ok"] = all(
             self._disk_target(d, v) is None
             for v in range(8, len(self.mesh.points))

@@ -3,9 +3,11 @@
 An edge / triangle / tet of the ambient tetrahedralisation belongs to the
 restricted curve / surface / volume complex when its Voronoi dual (face /
 edge / vertex) meets the curve network / surface patches / enclosed
-volume.  Restricted edges and triangles carry a surface ball centred on
-that dual intersection: when the dual crosses the geometry several times,
-the ball of maximum radius is kept.
+volume.  Every restricted simplex, whatever its dimension, is one
+``Restricted`` record.  Restricted edges and triangles carry a surface
+ball centred on that dual intersection: when the dual crosses the
+geometry several times, the ball of maximum radius is kept.  A tet
+carries its circumball.
 
 Classification is pure: it reads the mesh and geometry and returns fresh
 records, so re-running it over an unchanged mesh reproduces identical
@@ -30,51 +32,45 @@ whose surface ball moves with it.
 import math
 from itertools import combinations
 
-from .delaunay import _FACES, circumcentre_triangle, circumsphere_tet
+from .delaunay import _FACES, circumcentre_triangle
 from .geometry import _cross, _norm, _sub
-from .quality import volume_length
+from .quality import area_length, volume_length
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT83 = math.sqrt(8.0 / 3.0)
 
 
-class RestrictedEdge:
-    __slots__ = ("edge", "centre", "radius", "err", "curve_id", "blocked")
+class Restricted:
+    """One restricted d-simplex: a curve edge (d = 1), a surface triangle
+    (d = 2) or a volume tet (d = 3), with the values the mesh criteria
+    (``refine.violations``) and the writers read.
 
-    def __init__(self, edge, centre, radius, err, curve_id):
-        self.edge = edge          # (u, w) with u < w
-        self.centre = centre      # dual-face intersection with the curve net
-        self.radius = radius      # surface-ball radius
-        self.err = err            # distance ball centre -> edge midpoint
-        self.curve_id = curve_id
-        self.blocked = False      # set when refinement of it was rejected
+    - ``key``: the sorted vertex tuple;
+    - ``centre``, ``radius``: the surface ball, centred where the Voronoi
+      dual meets the feature (a tet's circumball);
+    - ``err``: distance from ``centre`` to the edge midpoint or the
+      triangle's in-plane circumcentre, 0 for a tet;
+    - ``ref``: curve or patch id, -1 for a tet;
+    - ``rho``: circumradius over shortest edge, 1/2 for an edge;
+    - ``quality``: area-length of a triangle, volume-length of a tet, 0 for
+      an edge;
+    - ``tet_id``: a tet's id in the mesh, -1 below d = 3;
+    - ``blocked``: set when a refinement of it was rejected.
+    """
 
+    __slots__ = ("key", "centre", "radius", "err", "ref", "rho", "quality",
+                 "tet_id", "blocked")
 
-class RestrictedTri:
-    __slots__ = ("tri", "centre", "radius", "err", "patch_id", "rho",
-                 "blocked")
-
-    def __init__(self, tri, centre, radius, err, patch_id, rho):
-        self.tri = tri            # sorted vertex triple
-        self.centre = centre      # dual-edge intersection with the surface
+    def __init__(self, key, centre, radius, err, ref, rho, quality,
+                 tet_id=-1):
+        self.key = key
+        self.centre = centre
         self.radius = radius
-        self.err = err            # distance ball centre -> in-plane circumcentre
-        self.patch_id = patch_id
-        self.rho = rho            # circumradius / shortest edge
-        self.blocked = False
-
-
-class RestrictedTet:
-    __slots__ = ("quad", "tet_id", "centre", "radius", "rho", "vlen",
-                 "blocked")
-
-    def __init__(self, quad, tet_id, centre, radius, rho, vlen):
-        self.quad = quad          # sorted vertex quadruple
-        self.tet_id = tet_id
-        self.centre = centre      # circumcentre (interior to the volume)
-        self.radius = radius
+        self.err = err
+        self.ref = ref
         self.rho = rho
-        self.vlen = vlen          # volume-length quality
+        self.quality = quality
+        self.tet_id = tet_id
         self.blocked = False
 
 
@@ -90,17 +86,6 @@ def element_size(kind, radius):
     if kind == 3:
         return _SQRT83 * radius
     raise ValueError(f"bad simplex kind {kind}")
-
-
-def radius_edge_tri(pa, pb, pc):
-    """Circumradius over shortest edge for a triangle."""
-    return _radius_edge(circumcentre_triangle(pa, pb, pc)[1], (pa, pb, pc))
-
-
-def radius_edge_tet(pa, pb, pc, pd):
-    """Circumradius over shortest edge for a tetrahedron."""
-    return _radius_edge(circumsphere_tet(pa, pb, pc, pd)[1],
-                        (pa, pb, pc, pd))
 
 
 def _radius_edge(r2, pts):
@@ -280,7 +265,7 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
 
 
 def classify_edge(mesh, geom, u, w, t0=None, cert=None):
-    """RestrictedEdge when the dual Voronoi face meets the curve network
+    """Restricted edge when the dual Voronoi face meets the curve network
     (``cert`` only counts all-segment scans)."""
     if not geom.segments:
         return None
@@ -295,13 +280,13 @@ def classify_edge(mesh, geom, u, w, t0=None, cert=None):
     centre, curve_id = best
     radius = _dist(centre, pu)
     mid = ((pu[0] + pw[0]) / 2.0, (pu[1] + pw[1]) / 2.0, (pu[2] + pw[2]) / 2.0)
-    return RestrictedEdge((u, w) if u < w else (w, u), centre, radius,
-                          _dist(centre, mid), curve_id)
+    return Restricted((u, w) if u < w else (w, u), centre, radius,
+                      _dist(centre, mid), curve_id, 0.5, 0.0)
 
 
 def classify_facet(mesh, geom, t, i, cert=None):
-    """RestrictedTri when the dual Voronoi edge of facet i of tet t crosses
-    the surface.
+    """Restricted triangle when the dual Voronoi edge of facet i of tet t
+    crosses the surface.
 
     The record depends on the facet alone, not on which of its two tets
     hands it over: the vertices are sorted first, and the dual edge c1-c2
@@ -360,12 +345,12 @@ def classify_facet(mesh, geom, t, i, cert=None):
     centre, patch_id = max(hits, key=lambda h: _d2(h[0], pa))
     radius = _dist(centre, pa)
     cc, r2 = circumcentre_triangle(pa, pb, pc)
-    return RestrictedTri(tri, centre, radius, _dist(centre, cc), patch_id,
-                         _radius_edge(r2, (pa, pb, pc)))
+    return Restricted(tri, centre, radius, _dist(centre, cc), patch_id,
+                      _radius_edge(r2, (pa, pb, pc)), area_length(pa, pb, pc))
 
 
 def classify_tet(mesh, geom, t, cert=None):
-    """RestrictedTet when the circumcentre lies inside the volume (None
+    """Restricted tet when the circumcentre lies inside the volume (None
     when the surface is not closed: then there is no volume).
 
     With ``cert``, a neighbour's settled status replaces the membership ray
@@ -385,8 +370,8 @@ def classify_tet(mesh, geom, t, cert=None):
     quad = mesh.tets[t]
     pts = [mesh.points[v] for v in quad]
     _c, r2, _okc = mesh.circum[t]
-    return RestrictedTet(tuple(sorted(quad)), t, centre, math.sqrt(r2),
-                         _radius_edge(r2, pts), volume_length(*pts))
+    return Restricted(tuple(sorted(quad)), centre, math.sqrt(r2), 0.0, -1,
+                      _radius_edge(r2, pts), volume_length(*pts), t)
 
 
 # ----------------------------------------------------------------------
@@ -402,10 +387,10 @@ def topo_disk_1(edges, expected_curves):
     do not lie on the curve network).  The condition holds when the edges'
     sorted curve ids equal it.
     """
-    ids = tuple(sorted(e.curve_id for e in edges))
+    ids = tuple(sorted(e.ref for e in edges))
     if not edges or ids == expected_curves:
         return None
-    return max(edges, key=lambda e: (e.radius, e.edge))
+    return max(edges, key=lambda e: (e.radius, e.key))
 
 
 def topo_disk_2(p, tris, on_surface, gamma_edges):
@@ -422,14 +407,14 @@ def topo_disk_2(p, tris, on_surface, gamma_edges):
         return None
 
     def failure():
-        return max(tris, key=lambda f: (f.radius, f.tri))
+        return max(tris, key=lambda f: (f.radius, f.key))
 
     if not on_surface:
         return failure()
     # spoke census: neighbour vertex -> incident triangle indices
     spokes = {}
     for idx, f in enumerate(tris):
-        for q in f.tri:
+        for q in f.key:
             if q != p:
                 spokes.setdefault(q, []).append(idx)
     if any(len(v) > 2 for v in spokes.values()):

@@ -2,24 +2,24 @@
 
 One unstructured grid holds line cells for the curve complex, triangle
 cells for the surface complex and tetrahedra for the volume complex.
-Cell data: ``radius_edge`` (rho), ``quality`` (area-length / volume-length,
-0 for lines) and ``feature_id`` (curve / patch id, -1 for tets).  The
-triangles' and tets' rho and the tets' volume-length are the values of
-their restricted records, the ones ``Refiner.audit`` certifies.  Floats
-are written with ``repr`` so a reader recovers them bit-exactly.
+Every cell-data column is read from the cell's ``restricted.Restricted``
+record, the one ``Refiner.audit`` certifies: ``radius_edge`` (``rho``,
+1/2 for lines), ``quality`` (area-length / volume-length, 0 for lines)
+and ``feature_id`` (curve / patch id, -1 for tets).  Floats are written
+with ``repr`` so a reader recovers them bit-exactly.
 """
 
-from .quality import area_length
+# VTK cell type by vertex count: line, triangle, tetrahedron
+_CELL_TYPE = {2: "3", 3: "5", 4: "10"}
 
 
 def write_vtk(path, mesh, restricted):
-    edges = sorted(restricted.edges)
-    tris = sorted(restricted.tris)
-    tets = sorted(restricted.tets)
+    cells = [s for d in (1, 2, 3)
+             for _key, s in sorted(restricted.table[d].items())]
     used = []
     seen = {}
-    for cell in edges + tris + tets:
-        for v in cell:
+    for s in cells:
+        for v in s.key:
             if v not in seen:
                 seen[v] = len(used)
                 used.append(v)
@@ -29,48 +29,19 @@ def write_vtk(path, mesh, restricted):
     for v in used:
         p = mesh.points[v]
         lines.append(f"{p[0]!r} {p[1]!r} {p[2]!r}")
-    ncells = len(edges) + len(tris) + len(tets)
-    size = 3 * len(edges) + 4 * len(tris) + 5 * len(tets)
-    lines.append(f"CELLS {ncells} {size}")
-    for e in edges:
-        lines.append(f"2 {seen[e[0]]} {seen[e[1]]}")
-    for f in tris:
-        lines.append(f"3 {seen[f[0]]} {seen[f[1]]} {seen[f[2]]}")
-    for t in tets:
-        lines.append(f"4 {seen[t[0]]} {seen[t[1]]} {seen[t[2]]} {seen[t[3]]}")
-    lines.append(f"CELL_TYPES {ncells}")
-    lines.extend(["3"] * len(edges))
-    lines.extend(["5"] * len(tris))
-    lines.extend(["10"] * len(tets))
-    lines.append(f"CELL_DATA {ncells}")
-
-    lines.append("SCALARS radius_edge double 1")
-    lines.append("LOOKUP_TABLE default")
-    for e in edges:
-        lines.append(repr(0.5))
-    for f in tris:
-        lines.append(repr(restricted.tris[f].rho))
-    for t in tets:
-        lines.append(repr(restricted.tets[t].rho))
-
-    lines.append("SCALARS quality double 1")
-    lines.append("LOOKUP_TABLE default")
-    for e in edges:
-        lines.append(repr(0.0))
-    for f in tris:
-        pa, pb, pc = (mesh.points[v] for v in f)
-        lines.append(repr(area_length(pa, pb, pc)))
-    for t in tets:
-        lines.append(repr(restricted.tets[t].vlen))
-
-    lines.append("SCALARS feature_id int 1")
-    lines.append("LOOKUP_TABLE default")
-    for e in edges:
-        lines.append(str(restricted.edges[e].curve_id))
-    for f in tris:
-        lines.append(str(restricted.tris[f].patch_id))
-    for t in tets:
-        lines.append("-1")
+    lines.append(f"CELLS {len(cells)} {sum(len(s.key) + 1 for s in cells)}")
+    for s in cells:
+        lines.append(" ".join([str(len(s.key))]
+                              + [str(seen[v]) for v in s.key]))
+    lines.append(f"CELL_TYPES {len(cells)}")
+    lines.extend(_CELL_TYPE[len(s.key)] for s in cells)
+    lines.append(f"CELL_DATA {len(cells)}")
+    for name, kind, field in (("radius_edge", "double", "rho"),
+                              ("quality", "double", "quality"),
+                              ("feature_id", "int", "ref")):
+        lines.append(f"SCALARS {name} {kind} 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(repr(getattr(s, field)) for s in cells)
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -507,10 +507,12 @@ def distance_to_surface(geom, points):
     return out
 
 
-def distance_to_curves(geom, points):
-    """Min distance from each query point to the complex's curve network."""
+def distance_to_curves(geom, points, curve=None):
+    """Min distance from each query point to the complex's curve network,
+    or to its curve of id ``curve`` alone."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    segs = np.asarray([s[:2] for s in geom.segments], dtype=np.intp)
+    segs = np.asarray([s[:2] for s in geom.segments
+                       if curve is None or s[2] == curve], dtype=np.intp)
     a = geom.vertices[segs[:, 0]]
     d = geom.vertices[segs[:, 1]] - a
     dd = (d * d).sum(axis=1)

@@ -7,11 +7,9 @@ from itertools import combinations
 from pscmesh.delaunay import _FACES
 from pscmesh.restricted import classify_edge, classify_facet, classify_tet
 
-# the fields a classifier computes, by dimension (``blocked`` is refiner
-# state)
-_FIELDS = (None, ("edge", "centre", "radius", "err", "curve_id"),
-           ("tri", "centre", "radius", "err", "patch_id", "rho"),
-           ("quad", "tet_id", "centre", "radius", "rho", "vlen"))
+# the fields a classifier computes (``blocked`` is refiner state)
+_FIELDS = ("key", "centre", "radius", "err", "ref", "rho", "quality",
+           "tet_id")
 
 
 def refiner_snapshot(r):
@@ -48,8 +46,8 @@ def assert_bounds_fresh(r):
     assert not r.cert.pending
 
 
-def _fields(d, obj):
-    return None if obj is None else [getattr(obj, f) for f in _FIELDS[d]]
+def _fields(obj):
+    return None if obj is None else [getattr(obj, f) for f in _FIELDS]
 
 
 def fresh_answer(mesh, geom, key, t, i=None):
@@ -79,8 +77,8 @@ def assert_restricted_fresh(r):
                 continue
             live.add(key)
             d = len(key) - 1
-            assert (_fields(d, rs.table[d].get(key))
-                    == _fields(d, fresh_answer(mesh, r.g, key, t, i))), key
+            assert (_fields(rs.table[d].get(key))
+                    == _fields(fresh_answer(mesh, r.g, key, t, i))), key
     for d in (1, 2, 3):
         assert live.issuperset(rs.table[d]), d
 

@@ -224,7 +224,7 @@ def test_criterion_4_cube_benchmark():
         assert d <= 1e-9 * geom.diag
     # every crease recovered as a single 1-manifold chain between its corners
     for cid in range(12):
-        chain = {k: e for k, e in r.rs.edges.items() if e.curve_id == cid}
+        chain = {k: e for k, e in r.rs.edges.items() if e.ref == cid}
         assert chain, f"crease {cid} has no restricted edges"
         deg = {}
         for (u, w) in chain:
@@ -320,11 +320,11 @@ def test_criterion_7_rollback_exactness():
     forced = 0
     while forced < 8:
         live = [e for k, e in sorted(r.rs.edges.items())
-                if e.curve_id == 12 and k not in attacked]
+                if e.ref == 12 and k not in attacked]
         if not live:
             break
         e = live[0]
-        attacked.add(e.edge)
+        attacked.add(e.key)
         c = np.asarray(e.centre)
         p = tuple(c + np.array([0.0, 0.05 * e.radius, 0.0]))
         r._insert(p, "interior", -1, gamma_guard=True, sigma_guard=True)

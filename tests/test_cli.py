@@ -90,29 +90,20 @@ def test_vtk_roundtrip_exact(tmp_path):
     g1 = read_vtk(out)
     # re-write the parsed grid and parse again: resolved cell coordinates
     # survive the text format bit-exactly
+    from pscmesh.refine import RestrictedSets
+    from pscmesh.restricted import Restricted
     from pscmesh.vtk_io import write_vtk
 
     class _Mesh:
         points = {i: p for i, p in enumerate(g1.points)}
 
-    class _E:
-        curve_id = 0
-
-    class _T:
-        patch_id = 0
-        rho = 0.5
-
-    class _K:
-        rho = 0.5
-        vlen = 1.0
-
-    class _RS:
-        edges = {c: _E for c in g1.line_cells}
-        tris = {c: _T for c in g1.triangle_cells}
-        tets = {c: _K for c in g1.tet_cells}
+    rs = RestrictedSets()
+    for cell in g1.cells:
+        rs.table[len(cell) - 1][cell] = Restricted(cell, (0, 0, 0), 0.0, 0.0,
+                                                   0, 0.5, 1.0)
 
     out2 = str(tmp_path / "m2.vtk")
-    write_vtk(out2, _Mesh, _RS)
+    write_vtk(out2, _Mesh, rs)
     g2 = read_vtk(out2)
 
     def resolved(grid):

@@ -133,7 +133,7 @@ def test_polygon_curve_axis_crossing():
     m, (u, w) = edge_mesh(c, [(0.1, 0, -0.2), (0.1, 0, 0.2)])
     e = classify_edge(m, c, u, w)
     assert e is not None
-    assert e.curve_id == 7
+    assert e.ref == 7
     assert np.allclose(e.centre, (0, 0, 0), atol=1e-9)
 
 
@@ -171,7 +171,7 @@ def test_polygon_curve_matches_bruteforce_on_random_polyline():
         crossed += 1
         best = max(want, key=lambda h: math.dist(h[0], m.points[u]))
         assert math.dist(got.centre, best[0]) <= 1e-9
-        assert got.curve_id == best[1]
+        assert got.ref == best[1]
     assert checked > 100 and crossed > 10
 
 
@@ -276,6 +276,22 @@ def test_point_in_volume_open_surface_is_configuration_error():
         c.point_in_volume((0, 0, 0))
 
 
+def test_point_in_volume_shoots_each_ray_direction_once(monkeypatch):
+    # every ray grazes: each of the 8 deterministic directions is tried
+    # once, then the query gives up
+    c = cube()
+    dirs = []
+
+    def grazing(self, p, d, span):
+        dirs.append(d)
+        return None
+
+    monkeypatch.setattr(PiecewiseComplex, "_ray_parity", grazing)
+    with pytest.raises(GeometryError):
+        c.point_in_volume((0.5, 0.5, 0.5))
+    assert len(dirs) == 8 and len(set(dirs)) == 8
+
+
 @spheres((2, 1000), (3, 1000), (4, 1000))
 def test_point_in_volume_matches_winding_numbers(sub, cases):
     c = icosphere(sub)
@@ -291,7 +307,9 @@ def test_point_in_volume_matches_winding_numbers(sub, cases):
 
 def test_sphere_curve_examples():
     c = PiecewiseComplex([(-1, 0, 0), (1, 0, 0)], [(0, 1, 3)], [])
-    hits = sorted(c.intersect_sphere_curve((0, 0, 0), 0.5))
+    tagged = c.intersect_sphere_curve((0, 0, 0), 0.5)
+    assert [cid for _x, cid in tagged] == [3, 3]
+    hits = sorted(x for x, _cid in tagged)
     assert len(hits) == 2
     assert np.allclose(hits, [(-0.5, 0, 0), (0.5, 0, 0)], atol=1e-12)
     assert c.intersect_sphere_curve((0, 0, 0), 5.0) == []
@@ -307,7 +325,8 @@ def test_sphere_curve_matches_bruteforce_on_circle_polyline():
     for _ in range(500):
         centre = tuple(rng.uniform(-1.2, 1.2, 3))
         radius = rng.uniform(0.05, 1.5)
-        got = sorted(c.intersect_sphere_curve(centre, radius))
+        got = sorted(x for x, _cid in c.intersect_sphere_curve(centre,
+                                                                radius))
         want = sorted(sphere_curve_hits(centre, radius, verts, segs))
         assert len(got) == len(want)
         for g, w in zip(got, want):

@@ -32,8 +32,8 @@ GOLDEN = {
                   "fc7dad893b77eee3f5d54d9f3551242fa3867d51e8a5098750c7a41478716d18",
                   "d53a7413d29b5a1338ac26a0b49e43fd9e0e314c761663972f230f41857fc074"),
     "wedge": ("0.4",
-              "a1ccd634e470a58c8e438e60859cf68d634aef86967cc9e397167fd4a6932117",
-              "1d9227ed7eb9f739e0d838f4b1915d73df0c045fda5015f2424cf0f391b48487"),
+              "d77af0882f7b7b1439bedc032f18a77dd081fc75e8d64bd54742f3f0133581c0",
+              "2c7d1f79ec3c4538f204539dd501af8f74c804e2e720ca66fcfd3f194c3028f3"),
     "cube": ("0.35",
              "a6628046000c92fcde4cf1036d1cbc8a831612e74d8ee765667a8cf4bc21dfc7",
              "00aaa64c5bca0ddc115d35f4c08196b5ce37e9119f30d1509b02e1fe105c08ff"),
@@ -55,8 +55,8 @@ CLASSICAL = {
 PERFBENCH = {
     "sphere": ("a14d5f0f15e9179ab7f4d757eda735464fa1e45343d187b24321a86d969537a5",
                "1e269d48c2458d55684523d6d4488c9d85dc1921aaf14508da7173a001a0d910"),
-    "crease": ("484067836cc1de7d322dbeede939d57dc2d78d575ae05b00953f2e19e720703e",
-               "2a6fe0ecb7d2df289bee2a2c023658d60f709f2233a9f493db44f1f1ee1e04d5"),
+    "crease": ("2103398e0faebdc18d56b2ff4970cb9a5bd7a15703f1a8651ccbd2166693b44e",
+               "56f0d585aac4070edb9bacd77ba2221b629db55682a822e43d89d72f2054c4a3"),
     "dense_surface": (
         "423f76989a8e0b0f3ce1901f34605afe835484b3dae4457a700a47515b39a95b",
         "4218eac78ab135e2fe59863cac63aed92431aab48eab2ff9917e942c6c38dd1a"),

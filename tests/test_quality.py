@@ -5,7 +5,8 @@ import numpy as np
 from pscmesh.config import GridSizing, SizingField
 from pscmesh.quality import (area_length, dihedral_angles, relative_edge_length,
                              triangle_angles, volume_length)
-from pscmesh.restricted import radius_edge_tet
+from pscmesh.delaunay import circumsphere_tet
+from pscmesh.restricted import Restricted, _radius_edge
 
 from oracles import random_rotation
 
@@ -145,14 +146,14 @@ def test_report_single_regular_tet():
     class _Mesh:
         points = {i: p for i, p in enumerate(REGULAR)}
 
-    class _K:
-        rho = radius_edge_tet(*REGULAR)
-        vlen = volume_length(*REGULAR)
+    centre, r2, _ok = circumsphere_tet(*REGULAR)
+    tet = Restricted((0, 1, 2, 3), centre, math.sqrt(r2), 0.0, -1,
+                     _radius_edge(r2, REGULAR), volume_length(*REGULAR), 0)
 
     class _RS:
         edges = {}
         tris = {}
-        tets = {(0, 1, 2, 3): _K}
+        tets = {(0, 1, 2, 3): tet}
 
     rep = build_report(_Mesh, _RS, SizingField(h0=1.0))
     hist = rep.histograms["volume_length"]
@@ -178,8 +179,9 @@ def test_report_empty_surface():
 
 
 def test_vtk_and_report_carry_the_certified_record_values(tmp_path):
-    # the writers read rho and the volume-length from the restricted
-    # records, so the files hold exactly the values Refiner.audit checked
+    # the writers read rho, the area-length and the volume-length from the
+    # restricted records, so the files hold exactly the values
+    # Refiner.audit checked
     from pscmesh.config import RefineConfig
     from pscmesh.models import cube
     from pscmesh.quality import write_report
@@ -203,7 +205,16 @@ def test_vtk_and_report_carry_the_certified_record_values(tmp_path):
     assert tris and tets
     assert column("radius_edge", 5) == [f.rho for f in tris]
     assert column("radius_edge", 10) == [t.rho for t in tets]
-    assert column("quality", 10) == [t.vlen for t in tets]
-    line = next(x for x in rep.read_text().splitlines()
-                if x.startswith("metric.volume_length.min = "))
-    assert float(line.split(" = ")[1]) == min(t.vlen for t in tets)
+    assert column("quality", 10) == [t.quality for t in tets]
+    assert column("quality", 5) == [f.quality for f in tris]
+    assert [f.quality for f in tris] == [
+        area_length(*(res.mesh.points[v] for v in f.key)) for f in tris]
+    metric = dict(x.split(" = ") for x in rep.read_text().splitlines()
+                  if x.startswith("metric."))
+    assert float(metric["metric.volume_length.min"]) == min(
+        t.quality for t in tets)
+    # the report aggregates in table order
+    alen = np.array([f.quality for f in rs.tris.values()])
+    for stat, want in (("min", alen.min()), ("max", alen.max()),
+                       ("mean", alen.mean()), ("median", np.median(alen))):
+        assert float(metric[f"metric.area_length.{stat}"]) == want

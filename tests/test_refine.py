@@ -9,14 +9,13 @@ from pscmesh.config import (GridSizing, RefineConfig, SizingField,
 from pscmesh.errors import ValidationError
 from pscmesh.geometry import PiecewiseComplex, load_complex
 from pscmesh.models import cube, icosphere, wedge
-from pscmesh.refine import (BallRegistry, Refiner, bad_simplex_1,
-                            bad_simplex_2, bad_simplex_3,
+from pscmesh.refine import (BallRegistry, Refiner, bad_simplex,
                             protect_sharp_angles, refine,
-                            select_refinement_point)
-from pscmesh.restricted import RestrictedEdge, RestrictedTri, RestrictedTet
+                            select_refinement_point, violations)
+from pscmesh.restricted import Restricted
 
 from oracles import (cavity_locks_ring_walk, containing_ball_scan,
-                     distance_to_surface)
+                     distance_to_curves, distance_to_surface)
 from snapshots import (assert_bounds_fresh, assert_restricted_fresh,
                        assert_undone, record_rollbacks)
 
@@ -31,12 +30,24 @@ def cfg_with(h0, **kw):
 # violation predicates
 
 
+def edge_rec(key, centre, radius, err=0.0, curve=0):
+    return Restricted(key, centre, radius, err, curve, 0.5, 0.0)
+
+
+def tri_rec(key, centre, radius, rho, err=0.0, patch=0):
+    return Restricted(key, centre, radius, err, patch, rho, 1.0)
+
+
+def tet_rec(key, centre, radius, rho, vlen, tet_id=0):
+    return Restricted(key, centre, radius, 0.0, -1, rho, vlen, tet_id)
+
+
 def test_bad_edge_by_size():
     cfg = cfg_with(1.0)
-    e = RestrictedEdge((0, 1), (0, 0, 0), 0.75, 0.0, 0)   # h(e) = 1.5 > 4/3
-    assert bad_simplex_1(e, cfg)
-    e2 = RestrictedEdge((0, 1), (0, 0, 0), 0.5, 0.0, 0)   # h(e) = 1.0, eps 0
-    assert not bad_simplex_1(e2, cfg)
+    e = edge_rec((0, 1), (0, 0, 0), 0.75)   # h(e) = 1.5 > 4/3
+    assert bad_simplex(1, e, cfg)
+    e2 = edge_rec((0, 1), (0, 0, 0), 0.5)   # h(e) = 1.0, eps 0
+    assert not bad_simplex(1, e2, cfg)
 
 
 def test_bad_edge_by_surface_error_sagitta():
@@ -44,32 +55,70 @@ def test_bad_edge_by_surface_error_sagitta():
     # radius 1; size passes at h = 1.55 while the error bound 0.3875 fails
     cfg = cfg_with(1.55)
     sagitta = 1.0 - math.cos(math.radians(60))
-    e = RestrictedEdge((0, 1), (1, 0, 0), 1.0, sagitta, 0)
+    e = edge_rec((0, 1), (1, 0, 0), 1.0, err=sagitta)
     assert 2 * e.radius <= cfg.alpha * 1.55
-    assert bad_simplex_1(e, cfg)
+    assert bad_simplex(1, e, cfg)
 
 
 def test_bad_triangle_rules():
     cfg = cfg_with(10.0)
-    f = RestrictedTri((0, 1, 2), (0, 0, 0), 1.0, 0.0, 0, rho=1.5)
-    assert bad_simplex_2(f, cfg)     # rho 1.5 > 1.25
-    ok = RestrictedTri((0, 1, 2), (0, 0, 0), 1.0, 0.0, 0, rho=0.577)
-    assert not bad_simplex_2(ok, cfg)
+    f = tri_rec((0, 1, 2), (0, 0, 0), 1.0, 1.5)
+    assert bad_simplex(2, f, cfg)     # rho 1.5 > 1.25
+    ok = tri_rec((0, 1, 2), (0, 0, 0), 1.0, 0.577)
+    assert not bad_simplex(2, ok, cfg)
     cfg2 = cfg_with(1.0)
-    big = RestrictedTri((0, 1, 2), (0, 0, 0), 2.0 * cfg2.alpha / math.sqrt(3),
-                        0.0, 0, rho=0.577)
-    assert bad_simplex_2(big, cfg2)  # h(f) twice the allowance
+    big = tri_rec((0, 1, 2), (0, 0, 0), 2.0 * cfg2.alpha / math.sqrt(3),
+                  0.577)
+    assert bad_simplex(2, big, cfg2)  # h(f) twice the allowance
 
 
 def test_bad_tet_rules():
     cfg = cfg_with(10.0)
-    t = RestrictedTet((0, 1, 2, 3), 0, (0, 0, 0), 1.0, rho=2.5, vlen=0.8)
-    assert bad_simplex_3(t, cfg)     # rho 2.5 > 2
-    good = RestrictedTet((0, 1, 2, 3), 0, (0, 0, 0), 1.0, rho=0.62, vlen=1.0)
-    assert not bad_simplex_3(good, cfg)
-    sliver = RestrictedTet((0, 1, 2, 3), 0, (0, 0, 0), 1.0, rho=0.9,
-                           vlen=0.05)
-    assert bad_simplex_3(sliver, cfg)  # volume-length floor
+    t = tet_rec((0, 1, 2, 3), (0, 0, 0), 1.0, 2.5, 0.8)
+    assert bad_simplex(3, t, cfg)     # rho 2.5 > 2
+    good = tet_rec((0, 1, 2, 3), (0, 0, 0), 1.0, 0.62, 1.0)
+    assert not bad_simplex(3, good, cfg)
+    sliver = tet_rec((0, 1, 2, 3), (0, 0, 0), 1.0, 0.9, 0.05)
+    assert bad_simplex(3, sliver, cfg)  # volume-length floor
+
+
+def _at_bound(cert, value):
+    """(d, record) with ``value`` in the field that ``cert`` checks; every
+    other field passes at h = 1."""
+    if cert == "eps_ok":
+        return 1, edge_rec((0, 1), (0, 0, 0), 0.1, err=value)
+    if cert == "size_ok":
+        return 1, edge_rec((0, 1), (0, 0, 0), value / 2.0)  # size = 2 r
+    if cert == "rho_surf_ok":
+        return 2, tri_rec((0, 1, 2), (0, 0, 0), 0.1, value)
+    if cert == "rho_vol_ok":
+        return 3, tet_rec((0, 1, 2, 3), (0, 0, 0), 0.1, value, 1.0)
+    return 3, tet_rec((0, 1, 2, 3), (0, 0, 0), 0.1, 1.0, value)
+
+
+@pytest.mark.parametrize("cert", ["eps_ok", "size_ok", "rho_surf_ok",
+                                  "rho_vol_ok", "vlen_ok"])
+def test_queue_and_audit_share_each_bound(cert):
+    # at its bound scaled by 1 + 1e-9 (the floor by 1 - 1e-9, which fails
+    # itself, so one step inside it) a simplex is queued for refinement but
+    # passes the audit; one step beyond, it fails both
+    cfg = cfg_with(1.0)
+    up = 1.0 + 1e-9
+    edge = {"eps_ok": cfg.eps_rel * 1.0 * up, "size_ok": cfg.alpha * 1.0 * up,
+            "rho_surf_ok": cfg.rho_surf * up, "rho_vol_ok": cfg.rho_vol * up,
+            "vlen_ok": math.nextafter(cfg.vlen_min * (1.0 - 1e-9), math.inf)}
+    lower = cert == "vlen_ok"
+    beyond = math.nextafter(edge[cert], -math.inf if lower else math.inf)
+    for value, passes in ((edge[cert], True), (beyond, False)):
+        d, s = _at_bound(cert, value)
+        assert bad_simplex(d, s, cfg)
+        assert violations(d, s, cfg) == [cert]
+        assert violations(d, s, cfg, 1e-9) == ([] if passes else [cert])
+        r = Refiner(cube(), cfg)
+        r.rs.set(d, s.key, s)
+        audit = r.audit()
+        assert audit[cert] is passes
+        assert all(audit[name] for name in edge if name != cert)
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +156,7 @@ def edge_refiner(sizing, lo=(-1.0, 0.0, 0.0), hi=(1.0, 0.0, 0.0)):
 def test_edge_offcentre_uniform():
     r, _g = edge_refiner(SizingField(h0=0.2))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
-    e = RestrictedEdge((0, 0), (0.35, 0, 0), 0.35, 0.0, 0)
+    e = edge_rec((0, 0), (0.35, 0, 0), 0.35)
     c2, c0, r0 = r._offcentre(1, e, (x1,))
     assert c2 is not None
     assert c0 == r.mesh.points[x1] and r0 == 0.0
@@ -117,7 +166,7 @@ def test_edge_offcentre_uniform():
 def test_edge_offcentre_minimises_angle_to_frontal_vector():
     r, _g = edge_refiner(SizingField(h0=0.2))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
-    back = RestrictedEdge((0, 0), (-0.3, 0, 0), 0.3, 0.0, 0)
+    back = edge_rec((0, 0), (-0.3, 0, 0), 0.3)
     c2, _c0, _r0 = r._offcentre(1, back, (x1,))
     assert c2[0] < 0  # frontal vector points toward -x, so does the pick
 
@@ -127,7 +176,7 @@ def test_edge_offcentre_linear_sizing_fixed_point():
                       [0.1, 0.2] * 4)
     r, _g = edge_refiner(SizingField(grid=grid), lo=(0, 0, 0), hi=(1, 0, 0))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
-    e = RestrictedEdge((0, 0), (0.4, 0, 0), 0.4, 0.0, 0)
+    e = edge_rec((0, 0), (0.4, 0, 0), 0.4)
     c2, _c0, _r0 = r._offcentre(1, e, (x1,))
     # solves h = (0.1 + 0.1 + 0.1 h) / 2 -> 0.1 / 0.95
     assert abs(c2[0] - 0.1 / 0.95) <= 2e-4
@@ -145,8 +194,7 @@ def test_tri_offcentre_equilateral_on_plane():
     r = Refiner(geom, cfg)
     a = r.mesh.insert_point((0, 0, 0), "surface", 0).vid
     b = r.mesh.insert_point((0.2, 0, 0), "surface", 0).vid
-    f = RestrictedTri(tuple(sorted((a, b, b))), (0.1, 0.05, 0), 0.12, 0.0, 0,
-                      rho=1.0)
+    f = tri_rec(tuple(sorted((a, b, b))), (0.1, 0.05, 0), 0.12, 1.0)
     c2, c0, r0 = r._offcentre(2, f, (a, b))
     assert c2 is not None
     assert np.allclose(c0, (0.1, 0, 0), atol=1e-9)
@@ -169,8 +217,7 @@ def test_tri_offcentre_point_lands_on_curved_surface():
     b = r.mesh.insert_point(p2, "surface", 0).vid
     mid = tuple((np.asarray(p1) + p2) / 2)
     outward = tuple(np.asarray(mid) * 2)
-    f = RestrictedTri(tuple(sorted((a, b, b))), outward, 0.3, 0.0, 0,
-                      rho=1.0)
+    f = tri_rec(tuple(sorted((a, b, b))), outward, 0.3, 1.0)
     c2, _c0, _r0 = r._offcentre(2, f, (a, b))
     assert c2 is not None
     assert distance_to_surface(geom, [c2])[0] <= 1e-9 * geom.diag
@@ -185,9 +232,8 @@ def test_tet_offcentre_regular_apex_and_clamp():
            (0.4 + ell / 2, 0.4 + ell * math.sqrt(3) / 2, 0.4)]
     vids = [r.mesh.insert_point(p, "surface", 0).vid for p in pts]
     c0 = tuple(np.mean(pts, axis=0))
-    token = RestrictedTet(tuple(sorted(vids + [0])), 0,
-                          (c0[0], c0[1], c0[2] + 5.0), 1.0, rho=3.0,
-                          vlen=0.5)
+    token = tet_rec(tuple(sorted(vids + [0])), (c0[0], c0[1], c0[2] + 5.0),
+                    1.0, 3.0, 0.5)
     c2, got_c0, got_r0 = r._offcentre(3, token, tuple(sorted(vids)))
     assert np.allclose(got_c0, c0, atol=1e-9)
     assert abs(got_r0 - ell / math.sqrt(3)) < 1e-9
@@ -206,7 +252,7 @@ def test_tet_offcentre_regular_apex_and_clamp():
 
 
 def test_ball_lookup_strict_containment_and_ties():
-    edges = {k: RestrictedEdge(k, c, r, 0.0, 0) for k, c, r in (
+    edges = {k: edge_rec(k, c, r) for k, c, r in (
         ((0, 1), (0.0, 0.0, 0.0), 1.0),
         ((2, 3), (3.0, 0.0, 0.0), 1.0),
         ((0, 9), (0.4, 0.0, 0.0), 1.0),
@@ -225,11 +271,10 @@ def test_ball_lookup_strict_containment_and_ties():
     assert reg.find_containing((0.3, 0, 0), cavity) == (0, 1)
     assert reg.find_containing((1.2, 0, 0), cavity) == (0, 9)
     # the larger ball wins over the smaller key
-    edges[(1, 2)] = RestrictedEdge((1, 2), (1.2, 0.0, 0.0), 1.25, 0.0, 0)
+    edges[(1, 2)] = edge_rec((1, 2), (1.2, 0.0, 0.0), 1.25)
     assert reg.find_containing((0.3, 0, 0), cavity) == (1, 2)
     # triangles are the 3-vertex faces of the same tets
-    tris = {(0, 1, 3): RestrictedTri((0, 1, 3), (0.0, 0.0, 0.0), 1.0, 0.0,
-                                     0, 1.0)}
+    tris = {(0, 1, 3): tri_rec((0, 1, 3), (0.0, 0.0, 0.0), 1.0, 1.0)}
     reg2 = BallRegistry(2, tris)
     assert reg2.find_containing((0.5, 0, 0), cavity) == (0, 1, 3)
     assert reg2.find_containing((0.5, 0, 0), [(0, 1, 2, 4)]) is None
@@ -375,6 +420,19 @@ def test_termination_bounds_graded():
     assert any("81.9" in w for w in warns)
 
 
+def test_termination_bounds_read_the_grid_maximum():
+    # the grid peaks at 4 on x = 2, outside cube(), and dips to 0.5 at the
+    # origin: nu0 = 16 and the surface bound is (sqrt(2)+2) * 16 = 54.63;
+    # the sizing sampled over the cube's surface peaks at 1 (nu0 = 4)
+    geom = cube()
+    grid = GridSizing((0, 0, 0), (1, 1, 1), (3, 2, 2),
+                      [0.5, 1.0, 4.0] + [1.0, 1.0, 4.0] * 3)
+    cfg = RefineConfig(sizing=SizingField(grid=grid))
+    warns = check_termination_bounds(cfg, geom)
+    assert len(warns) == 2
+    assert "54.627" in warns[0] and "nu0=16" in warns[0]
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         RefineConfig(sizing=SizingField(h0=1.0), vlen_min=0.4)
@@ -425,17 +483,40 @@ def test_frontal_edge_next_to_converged_edge():
     r = Refiner(geom, cfg_with(0.3))
     a, b, c = (r.mesh.insert_point(p, "input", i).vid
                for i, p in enumerate(geom.pts))
-    left = RestrictedEdge((a, b), (0.5, 0, 0), 0.5, 0.0, 0)
-    right = RestrictedEdge((b, c), (1.5, 0, 0), 0.5, 0.0, 0)
+    left = edge_rec((a, b), (0.5, 0, 0), 0.5)
+    right = edge_rec((b, c), (1.5, 0, 0), 0.5)
     r.rs.set(1, (a, b), left)
     r.rs.set(1, (b, c), right)
-    assert bad_simplex_1(left, r.cfg) and bad_simplex_1(right, r.cfg)
+    assert bad_simplex(1, left, r.cfg) and bad_simplex(1, right, r.cfg)
     assert r._frontal(1, right) is None
-    good = RestrictedEdge((a, b), (0.1, 0, 0), 0.1, 0.0, 0)
-    assert not bad_simplex_1(good, r.cfg)
+    good = edge_rec((a, b), (0.1, 0, 0), 0.1)
+    assert not bad_simplex(1, good, r.cfg)
     r.rs.set(1, (a, b), good)
     assert r._frontal(1, right) == (b,)
     assert r._frontal(1, good) is None  # its only neighbour is bad
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("h", [0.2, 0.25])
+def test_curve_offcentres_stay_on_their_curve(h, seed):
+    # an edge's off-centre once met the whole curve network: next to the
+    # V-curve's wing tips it landed on the V-curve under a cube crease's
+    # curve id, and the mis-tagged vertex failed its 1-disk test for good
+    # (thousands of duplicates at h 0.2, 8-13 per seed at h 0.25)
+    geom = wedge()
+    res = refine(geom, cfg_with(h, seed=seed))
+    assert res.status == "converged"
+    assert res.stats["duplicates"] == 0
+    # the tets under the volume-length floor next to the apex stay blocked
+    # by the collar lock
+    assert all(ok for name, ok in res.audit.items() if name != "vlen_ok")
+    mesh = res.mesh
+    # a stored point is jittered by at most jitter_scale per axis
+    tol = geom.eps + math.sqrt(3.0) * mesh.jitter_scale
+    for v, meta in enumerate(mesh.meta):
+        if meta.alive and meta.kind == "curve":
+            assert distance_to_curves(geom, [mesh.points[v]],
+                                      meta.ref)[0] <= tol, v
 
 
 def test_curve_only_and_open_inputs_converge():
@@ -487,9 +568,9 @@ def test_gamma_rollback_restores_restricted_sets():
     assert r.run() == "converged"
     events = record_rollbacks(r)
 
-    free_edges = [e for e in r.rs.edges.values() if e.curve_id == 12]
+    free_edges = [e for e in r.rs.edges.values() if e.ref == 12]
     for e in list(free_edges):
-        cur = r.rs.edges.get(e.edge)
+        cur = r.rs.edges.get(e.key)
         if cur is not e:
             continue  # invalidated by an earlier forced insertion
         c = np.asarray(e.centre)
@@ -532,10 +613,10 @@ def test_sigma_rollback_restores_mesh_and_restricted_sets():
 @pytest.mark.parametrize("geom, h, seed, vlen_ok", [
     (lambda: load_complex(str(BENCHMARKS / "icosphere.psc")), 0.5, 0, True),
     (lambda: load_complex(str(BENCHMARKS / "cube.psc")), 0.35, 0, True),
-    # the wedge runs converge with vlen_ok false: the tets under the
+    (lambda: load_complex(str(BENCHMARKS / "wedge.psc")), 0.4, 0, True),
+    # this wedge run converges with vlen_ok false: the tets under the
     # volume-length floor are blocked because inserting their points
     # would delete a protected collar edge
-    (lambda: load_complex(str(BENCHMARKS / "wedge.psc")), 0.4, 0, False),
     (wedge, 0.35, 3, False),
 ], ids=["icosphere", "cube", "wedge.psc", "wedge-h0.35"])
 def test_converged_run_leaves_only_blocked_violations(geom, h, seed, vlen_ok):
@@ -543,9 +624,8 @@ def test_converged_run_leaves_only_blocked_violations(geom, h, seed, vlen_ok):
     res = refine(geom(), cfg)
     assert res.status == "converged"
     assert res.audit["vlen_ok"] == vlen_ok
-    bad = ([e for e in res.rs.edges.values() if bad_simplex_1(e, cfg)]
-           + [f for f in res.rs.tris.values() if bad_simplex_2(f, cfg)]
-           + [t for t in res.rs.tets.values() if bad_simplex_3(t, cfg)])
+    bad = [s for d in (1, 2, 3) for s in res.rs.table[d].values()
+           if bad_simplex(d, s, cfg)]
     assert all(s.blocked for s in bad)
     assert res.stats["blocked"] >= len(bad)
     if not vlen_ok:

@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from pscmesh import restricted
 from pscmesh.config import RefineConfig, SizingField
-from pscmesh.delaunay import TetMesh, _FACES
+from pscmesh.delaunay import (TetMesh, _FACES, circumcentre_triangle,
+                              circumsphere_tet)
 from pscmesh.errors import PscError
 from pscmesh.geometry import PiecewiseComplex
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.refine import Refiner, refine
-from pscmesh.restricted import (RestrictedEdge, RestrictedTri, classify_edge,
+from pscmesh.restricted import (Restricted, _radius_edge, classify_edge,
                                 classify_facet, classify_tet, element_size,
-                                radius_edge_tet, radius_edge_tri, topo_disk_1,
-                                topo_disk_2)
+                                topo_disk_1, topo_disk_2)
 
 from oracles import (circumradius_triangle, distance_to_surface,
                      face_crossings_reference, nearest_among_reference,
@@ -41,16 +41,23 @@ def test_element_size_coefficients():
     assert abs(element_size(3, ell * math.sqrt(3.0 / 8.0)) - ell) < 1e-14
 
 
+def radius_edge(*pts):
+    """Circumradius over shortest edge of a triangle or tet, as the
+    classifiers compute it."""
+    circum = circumcentre_triangle if len(pts) == 3 else circumsphere_tet
+    return _radius_edge(circum(*pts)[1], pts)
+
+
 def test_radius_edge_equilateral_and_regular():
     tri = [(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0)]
-    assert abs(radius_edge_tri(*tri) - 1 / math.sqrt(3)) < 1e-12
+    assert abs(radius_edge(*tri) - 1 / math.sqrt(3)) < 1e-12
     reg = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    assert abs(radius_edge_tet(*reg) - math.sqrt(3.0 / 8.0)) < 1e-12
+    assert abs(radius_edge(*reg) - math.sqrt(3.0 / 8.0)) < 1e-12
 
 
 def test_radius_edge_needle_matches_closed_form():
     tri = [(0, 0, 0), (1, 0, 0), (0.5, 1e-3, 0)]
-    rho = radius_edge_tri(*tri)
+    rho = radius_edge(*tri)
     shortest = min(math.dist(tri[0], tri[2]), math.dist(tri[1], tri[2]),
                    math.dist(tri[0], tri[1]))
     want = circumradius_triangle(*tri) / shortest
@@ -138,12 +145,11 @@ def _d2(a, b):
 
 
 def _record(obj):
-    """The fields of a RestrictedEdge or RestrictedTri, or None."""
+    """The fields of a restricted edge or triangle, or None."""
     if obj is None:
         return None
-    if isinstance(obj, RestrictedEdge):
-        return (obj.edge, obj.centre, obj.radius, obj.err, obj.curve_id)
-    return (obj.tri, obj.centre, obj.radius, obj.err, obj.patch_id, obj.rho)
+    return (obj.key, obj.centre, obj.radius, obj.err, obj.ref, obj.rho,
+            obj.quality)
 
 
 def _check_edges_against_reference(monkeypatch, mesh, geom):
@@ -507,7 +513,7 @@ def test_classify_facet_two_crossings_selects_larger_ball():
             break
     assert found is not None
     assert abs(found.centre[2] - 0.4) < 1e-9  # farther plane wins
-    assert found.patch_id == 1
+    assert found.ref == 1
 
 
 def test_classification_is_pure():
@@ -761,7 +767,7 @@ def test_volume_and_surface_queries_are_mostly_certified(monkeypatch):
 
 
 def _edge(u, w, radius, curve=0, centre=(0, 0, 0)):
-    return RestrictedEdge((u, w), centre, radius, 0.0, curve)
+    return Restricted((u, w), centre, radius, 0.0, curve, 0.5, 0.0)
 
 
 def test_topo_disk_1_chain_vertex_valid():
@@ -803,8 +809,8 @@ def test_topo_disk_1_corner_with_two_edges_of_one_curve_fails():
 
 
 def _tri(a, b, c, radius, patch=0):
-    return RestrictedTri(tuple(sorted((a, b, c))), (0, 0, 0), radius, 0.0,
-                         patch, 1.0)
+    return Restricted(tuple(sorted((a, b, c))), (0, 0, 0), radius, 0.0,
+                      patch, 1.0, 1.0)
 
 
 def test_topo_disk_2_closed_umbrella():

@@ -11,7 +11,17 @@ settings, through the same input file round trip, and prints two lines:
 
 (the second on one line).  ``seed`` is the jitter seed of the mesh.  When
 only digest lines differ between two checkouts, the meshes are the same
-up to float bits; a differing counts line means a different mesh.
+up to float bits; a differing counts line means a different mesh.  Each
+workload ends with one summary line,
+
+    workload summary meshes=.. failed=.. vlen_min=.. alen_min=..
+        h_rel_dev=..
+
+where ``failed`` counts the meshes whose status is not ``converged`` or
+that fail an audit certificate, and the last three are medians over the
+meshes of the report's minimum volume-length and area-length and of the
+benchmark's ``h_rel_dev``: the quality movement of a change that moves
+the meshes, without a benchmark run.
 pscmesh is imported from the ``src/`` of the checkout that holds this
 script.
 
@@ -21,6 +31,7 @@ script.
 
 import argparse
 import hashlib
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -35,17 +46,19 @@ from pscmesh.refine import refine  # noqa: E402
 from pscmesh.vtk_io import write_vtk  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
+from worker import h_rel_dev  # noqa: E402
 from workloads import (WORKLOADS, build_input, make_config,  # noqa: E402
                        mesh_seeds)
 
 
 def digest(workload, seed, tmp):
     """(status, sha256 of the VTK bytes followed by the report bytes, the
-    counts line's fields)."""
+    counts line's fields, the summary line's values for this mesh)."""
     psc = tmp / f"{workload.name}.psc"
     if not psc.exists():
         write_complex(build_input(workload), str(psc))
-    result = refine(load_complex(str(psc)), make_config(workload.h, seed))
+    cfg = make_config(workload.h, seed)
+    result = refine(load_complex(str(psc)), cfg)
     vtk = tmp / "mesh.vtk"
     rep = tmp / "mesh.report.txt"
     write_vtk(str(vtk), result.mesh, result.rs)
@@ -56,7 +69,13 @@ def digest(workload, seed, tmp):
                                            "surface_tris", "volume_tets")}
     fields["cert_passed"] = sum(result.audit.values())
     fields["inserted"] = result.stats["inserted"]
-    return result.status, sha, fields
+    summary = result.report.summary
+    quality = {"failed": (result.status != "converged"
+                          or not all(result.audit.values())),
+               "vlen_min": summary["volume_length"]["min"],
+               "alen_min": summary["area_length"]["min"],
+               "h_rel_dev": h_rel_dev(result.mesh, result.rs, cfg.sizing)}
+    return result.status, sha, fields, quality
 
 
 def main(argv=None):
@@ -72,14 +91,21 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             workload = WORKLOADS[name]
+            meshes = []
             for seed in range(args.seeds):
                 for mesh_seed in mesh_seeds(workload, seed):
-                    status, sha, fields = digest(workload, mesh_seed,
-                                                 Path(tmp))
+                    status, sha, fields, quality = digest(workload, mesh_seed,
+                                                          Path(tmp))
+                    meshes.append(quality)
                     print(name, mesh_seed, status, sha)
                     print(name, mesh_seed, "counts",
                           *(f"{k}={v}" for k, v in fields.items()),
                           flush=True)
+            print(name, "summary", f"meshes={len(meshes)}",
+                  f"failed={sum(q['failed'] for q in meshes)}",
+                  *(f"{k}={statistics.median(q[k] for q in meshes):.4f}"
+                    for k in ("vlen_min", "alen_min", "h_rel_dev")),
+                  flush=True)
 
 
 if __name__ == "__main__":
