@@ -2,8 +2,18 @@
 
 Static structure built once over the input polylines / triangle soup and
 queried read-only afterwards, so concurrent lookups are safe.  Split rule:
-median of primitive box centres along the longest node axis, leaves hold
-at most 8 primitives.
+a node holds a contiguous range of the primitive permutation ``_perm``; it
+is a leaf when the range has at most 8 primitives, else it sorts the range
+stably by primitive box centre along the longest axis of its box and
+splits it at the median position.  The build runs one level at a time in
+numpy passes (the data-parallel build of Lauterbach et al., "Fast BVH
+construction on GPUs", Eurographics 2009): ``np.minimum/maximum.reduceat``
+gives the box of every range of the level, and one stable
+``np.lexsort((centre along the range's axis, range))`` sorts every range
+that splits.  Nodes are then numbered in depth-first preorder, which
+visits them by the first position of their range, an ancestor before the
+descendants that start where it starts; so the nodes, the permutation and
+the order of tied centres are those of the recursive median split.
 
 ``query_box`` is the one traversal; it can also clip by the query's shape.
 ``seg=(p, q, pad)`` drops a node whose box, grown by ``pad``, the segment
@@ -45,48 +55,64 @@ class AABBTree:
         # per-node: (lox, loy, loz, hix, hiy, hiz, left, right, first, count)
         # leaves have left == -1 and reference a slice of self._perm
         self._nodes = []
-        self._perm = np.arange(self.n)
+        self._perm = []     # queries hand out Python ints
+        cover = boxes.reshape(-1, 6)
         if self.n:
-            centres = 0.5 * (boxes[:, :3] + boxes[:, 3:])
-            self._build(boxes, centres, 0, self.n)
-        self._perm = self._perm.tolist()  # queries hand out Python ints
-        self._cover = self._cut(boxes)
+            levels = self._build(boxes)
+            if self.n > _COVER_BOXES:
+                cover = _cut(levels)
+        self._cover = (np.ascontiguousarray(cover[:, :3].T),
+                       np.ascontiguousarray(cover[:, 3:].T))
 
-    def _build(self, boxes, centres, lo, hi):
-        idx = self._perm[lo:hi]
-        blo = boxes[idx, :3].min(axis=0)
-        bhi = boxes[idx, 3:].max(axis=0)
-        box = tuple(map(float, (*blo, *bhi)))
-        node = len(self._nodes)
-        self._nodes.append(None)
-        if hi - lo <= _LEAF_SIZE:
-            self._nodes[node] = (*box, -1, -1, lo, hi - lo)
-            return node
-        axis = int(np.argmax(bhi - blo))
-        order = np.argsort(centres[idx, axis], kind="stable")
-        self._perm[lo:hi] = idx[order]
-        mid = lo + (hi - lo) // 2
-        left = self._build(boxes, centres, lo, mid)
-        right = self._build(boxes, centres, mid, hi)
-        self._nodes[node] = (*box, left, right, 0, 0)
-        return node
-
-    def _cut(self, boxes):
-        """(lo, hi) of the cover boxes, each (3, K): the primitive boxes,
-        or the deepest tree cut of at most ``_COVER_BOXES`` nodes."""
-        if self.n <= _COVER_BOXES:
-            cover = boxes.reshape(-1, 6)
-        else:
-            cut = [0]
-            while True:
-                nxt = [c for nd in cut for c in (
-                    (nd,) if self._nodes[nd][6] < 0 else self._nodes[nd][6:8])]
-                if len(nxt) > _COVER_BOXES or len(nxt) == len(cut):
-                    break
-                cut = nxt
-            cover = np.array([self._nodes[nd][:6] for nd in cut])
-        return (np.ascontiguousarray(cover[:, :3].T),
-                np.ascontiguousarray(cover[:, 3:].T))
+    def _build(self, boxes):
+        """Build the tree one level at a time (see the module docstring);
+        return the levels: each one's ranges [lo, hi) of ``_perm``, their
+        boxes and which of them split."""
+        n = self.n
+        centres = 0.5 * (boxes[:, :3] + boxes[:, 3:])
+        # reduceat over lo0, hi0, lo1, hi1, ...: the even rows are the ranges'
+        # boxes; a padding row n, last in perm, keeps index n in bounds
+        padded = np.vstack((boxes, boxes[:1]))
+        perm = np.arange(n + 1)
+        levels = []
+        lo, hi = np.zeros(1, dtype=np.intp), np.full(1, n, dtype=np.intp)
+        while True:
+            ranged = padded[perm]
+            bounds = _interleave(lo, hi)
+            box = np.hstack((np.minimum.reduceat(ranged[:, :3], bounds),
+                             np.maximum.reduceat(ranged[:, 3:], bounds)))[::2]
+            split = hi - lo > _LEAF_SIZE
+            levels.append((lo, hi, box, split))
+            if not split.any():
+                break
+            lo, hi, box = lo[split], hi[split], box[split]
+            # each split range sorts along its longest axis; the stable
+            # lexsort keeps the ranges in place and ties in their order
+            axis = np.argmax(box[:, 3:] - box[:, :3], axis=1)
+            size = hi - lo
+            rid = np.repeat(np.arange(len(lo)), size)
+            pos = np.arange(len(rid)) + np.repeat(lo - np.cumsum(size) + size,
+                                                  size)
+            ids = perm[pos]
+            perm[pos] = ids[np.lexsort((centres[ids, axis[rid]], rid))]
+            mid = lo + size // 2
+            lo, hi = _interleave(lo, mid), _interleave(mid, hi)
+        # preorder: by first position, of equal ones the larger range (the
+        # ancestor) first; the nodes below the root, in level order, are
+        # the children of the split nodes in (left, right) pairs
+        lo, hi, box, split = (np.concatenate(x) for x in zip(*levels))
+        order = np.lexsort((lo - hi, lo))
+        pre = np.empty_like(order)
+        pre[order] = np.arange(len(order))
+        left = np.full(len(pre), -1)
+        right = left.copy()
+        left[split], right[split] = pre[1::2], pre[2::2]
+        links = np.column_stack((left, right, np.where(split, 0, lo),
+                                 np.where(split, 0, hi - lo)))
+        self._perm = perm[:n].tolist()
+        self._nodes = [tuple(b + k) for b, k in zip(box[order].tolist(),
+                                                    links[order].tolist())]
+        return levels
 
     def lower_distances(self, points):
         """Distance from each of the (P, 3) points to its nearest cover box,
@@ -193,19 +219,41 @@ class AABBTree:
         return self.query_box(lo, hi, plane=plane, ball=ball)
 
 
+def _cut(levels):
+    """Node boxes of the deepest full cut of the tree with at most
+    ``_COVER_BOXES`` nodes, in the order of their ranges.  The cut at depth
+    d holds level d's nodes and the leaves above it."""
+    d, leaves = 0, 0
+    while d + 1 < len(levels):
+        leaves += int((~levels[d][3]).sum())
+        if leaves + len(levels[d + 1][0]) > _COVER_BOXES:
+            break
+        d += 1
+    cut = [(lo[~split], box[~split]) for lo, _hi, box, split
+           in levels[:d]] + [levels[d][::2]]
+    firsts = np.concatenate([lo for lo, _box in cut])
+    return np.concatenate([box for _lo, box in cut])[np.argsort(firsts)]
+
+
+def _interleave(a, b):
+    """a0, b0, a1, b1, ... of two equally long int arrays."""
+    out = np.empty(2 * len(a), dtype=np.intp)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
 def boxes_for_segments(points, segments, pad=0.0):
-    """(n,6) bounds array for vertex-indexed segments."""
-    idx = np.asarray([s[:2] for s in segments], dtype=np.intp).reshape(-1, 2)
-    a = points[idx[:, 0]]
-    b = points[idx[:, 1]]
+    """(n,6) bounds array for segments, an (n, >=2) vertex-index array."""
+    a = points[segments[:, 0]]
+    b = points[segments[:, 1]]
     return np.hstack((np.minimum(a, b) - pad, np.maximum(a, b) + pad))
 
 
 def boxes_for_triangles(points, triangles, pad=0.0):
-    """(n,6) bounds array for vertex-indexed triangles."""
-    idx = np.asarray([t[:3] for t in triangles], dtype=np.intp).reshape(-1, 3)
-    p0 = points[idx[:, 0]]
-    p1 = points[idx[:, 1]]
-    p2 = points[idx[:, 2]]
+    """(n,6) bounds array for triangles, an (n, >=3) vertex-index array."""
+    p0 = points[triangles[:, 0]]
+    p1 = points[triangles[:, 1]]
+    p2 = points[triangles[:, 2]]
     return np.hstack((np.minimum(np.minimum(p0, p1), p2) - pad,
                       np.maximum(np.maximum(p0, p1), p2) + pad))

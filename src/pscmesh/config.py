@@ -143,14 +143,14 @@ class RefineConfig:
             raise ValidationError(f"unknown mode {self.mode!r}")
 
 
-def check_termination_bounds(cfg, geom):
+def check_termination_bounds(cfg):
     """Warn when the radius-edge bounds undercut the guaranteed-termination
     region for the configured sizing; practice usually outperforms these
     bounds, so this never fails the run.
 
     The size ratio nu0 = 2 mu0 / gamma0 takes the sizing field's maximum
     mu0 and minimum gamma0 over its whole domain (a grid's extreme
-    values), so ``geom`` is not read.
+    values).
     """
     sizing = cfg.sizing
     mu0 = sizing.max_value()

@@ -10,7 +10,12 @@ query of ``restricted`` scans.
 
 A ``PiecewiseComplex`` is immutable after construction and safe for
 concurrent read-only queries; both acceleration trees are built in the
-constructor.
+constructor.  The constructor works on the records as int arrays, in
+numpy passes: the input checks report the lowest failing record id (an
+argmax over per-record failure masks, segments before triangles), and one
+sort of the triangle edges by (edge, patch) gives both the patch edge use
+counts that the checks bound and the surface edge census behind
+``surface_closed`` and ``embedded_curves``.
 """
 
 import math
@@ -87,10 +92,11 @@ class PiecewiseComplex:
             raise ValidationError("vertex array must be (n, 3)")
         if not np.isfinite(self.vertices).all():
             raise ValidationError("non-finite vertex coordinate")
-        self.segments = [(int(i), int(j), int(c)) for i, j, c in segments]
-        self.triangles = [(int(i), int(j), int(k), int(p))
-                          for i, j, k, p in triangles]
-        self._validate()
+        seg = _records(segments, 3, "segment")
+        tri = _records(triangles, 4, "triangle")
+        self.segments = list(map(tuple, seg.tolist()))
+        self.triangles = list(map(tuple, tri.tolist()))
+        edge_keys, edge_uses = self._validate(seg, tri)
 
         nv = len(self.vertices)
         if nv:
@@ -102,104 +108,123 @@ class PiecewiseComplex:
         self.diag = float(np.linalg.norm(hi - lo)) or 1.0
         self.eps = 1e-12 * self.diag
 
-        self.pts = [tuple(map(float, p)) for p in self.vertices]
+        self.pts = list(map(tuple, self.vertices.tolist()))
 
-        # curve incidence
-        self.segs_at_vertex = {}
-        for sid, (i, j, _cid) in enumerate(self.segments):
-            self.segs_at_vertex.setdefault(i, []).append(sid)
-            self.segs_at_vertex.setdefault(j, []).append(sid)
+        # curve incidence: each vertex's segment ids ascending, the
+        # vertices in the order the segments first reach them
+        ends = seg[:, :2].ravel()
+        order = np.argsort(ends, kind="stable")
+        starts = np.flatnonzero(_run_starts(ends[order]))
+        bounds = starts.tolist() + [len(ends)]
+        sids = (order // 2).tolist()
+        at = ends[order[starts]].tolist()
+        first = np.argsort(order[starts]).tolist()
+        self.segs_at_vertex = {at[g]: sids[bounds[g]:bounds[g + 1]]
+                               for g in first}
         self.on_curve = np.zeros(nv, dtype=bool)
-        self.on_curve[list(self.segs_at_vertex)] = True
+        self.on_curve[ends] = True
         self.on_surface = np.zeros(nv, dtype=bool)
-        self.on_surface[[v for t in self.triangles for v in t[:3]]] = True
+        self.on_surface[tri[:, :3].ravel()] = True
 
-        # corner-style feature vertices: endpoints and junctions of curves
-        self.feature_vertices = set()
-        for v, sids in self.segs_at_vertex.items():
-            if len(sids) != 2:
-                self.feature_vertices.add(v)
-            else:
-                c0 = self.segments[sids[0]][2]
-                c1 = self.segments[sids[1]][2]
-                if c0 != c1:
-                    self.feature_vertices.add(v)
+        # corner-style feature vertices: endpoints and junctions of curves,
+        # and vertices where two curves meet
+        degree = np.diff(bounds)
+        cid = seg[:, 2]
+        pair = np.minimum(starts + 1, len(ends) - 1)
+        feature = (degree != 2) | (cid[order[starts] // 2]
+                                   != cid[order[pair] // 2])
+        self.feature_vertices = set(at[g] for g in first if feature[g])
 
-        # triangle count of each surface edge
-        use = {}
-        for i, j, k, _p in self.triangles:
-            for e in ((i, j), (j, k), (i, k)):
-                key = (min(e), max(e))
-                use[key] = use.get(key, 0) + 1
-        # closed-surface census for the volume oracle
-        self.surface_closed = bool(self.triangles) and all(
-            c == 2 for c in use.values())
-        # curves whose every segment is also a surface edge ("embedded")
-        self.embedded_curves = set()
-        by_curve = {}
-        for i, j, cid in self.segments:
-            by_curve.setdefault(cid, []).append((min(i, j), max(i, j)))
-        for cid, pairs in by_curve.items():
-            if all(p in use for p in pairs):
-                self.embedded_curves.add(cid)
+        # closed-surface census for the volume oracle: every edge used twice
+        self.surface_closed = bool(len(tri)) and bool((edge_uses == 2).all())
+        # curves whose every segment is also a surface edge ("embedded"),
+        # in the order of their first segment
+        seg_keys = _edge_key(seg[:, 0], seg[:, 1], nv)
+        # edge keys are >= 0: the appended -1 matches no segment
+        found = np.append(edge_keys, -1)[
+            np.searchsorted(edge_keys, seg_keys)] == seg_keys
+        curves, first_seg, inverse = np.unique(cid, return_index=True,
+                                               return_inverse=True)
+        whole = np.bincount(inverse, weights=~found,
+                            minlength=len(curves)) == 0
+        self.embedded_curves = set(
+            curves[whole][np.argsort(first_seg[whole])].tolist())
 
         self.seg_tree = AABBTree(
-            boxes_for_segments(self.vertices, self.segments, pad=self.eps))
+            boxes_for_segments(self.vertices, seg, pad=self.eps))
         self.tri_tree = AABBTree(
-            boxes_for_triangles(self.vertices, self.triangles, pad=self.eps))
+            boxes_for_triangles(self.vertices, tri, pad=self.eps))
         # farthest from the surface that a segment query reports a hit or a
         # membership ray meets its band: eps plus the ray band's reach, the
         # larger of the two slacks (``restricted.DistanceCertificate``)
         self.hit_pad = self.eps + 3.0 * _RAY_BAND * self.diag
 
-    def _validate(self):
+    def _validate(self, seg, tri):
+        """Raise the ``ValidationError`` of the lowest failing segment, else
+        of the lowest failing triangle, its first failing check in the
+        order of the messages below; else return the surface edge census:
+        the sorted distinct edge keys and each one's triangle count.
+
+        A record's check counts the earlier records alike, failing or not:
+        an earlier failing record is reported first anyway.
+        """
         nv = len(self.vertices)
-        seen_pairs = set()
-        per_curve_degree = {}
-        for sid, (i, j, cid) in enumerate(self.segments):
-            if not (0 <= i < nv and 0 <= j < nv):
-                raise ValidationError(f"segment {sid} references missing vertex")
-            if i == j:
-                raise ValidationError(f"segment {sid} is degenerate")
-            key = (min(i, j), max(i, j))
-            if key in seen_pairs:
-                raise ValidationError(f"duplicate segment {key}")
-            seen_pairs.add(key)
-            for v in (i, j):
-                d = per_curve_degree.setdefault((cid, v), 0) + 1
-                per_curve_degree[(cid, v)] = d
-                if d > 2:
-                    raise ValidationError(
-                        f"curve {cid} branches at vertex {v}; polylines must be simple")
-        # areas of the triangles whose indices are valid, in one array pass;
-        # the loop below still reports the lowest failing tid, check by check
-        valid = [tid for tid, t in enumerate(self.triangles)
-                 if min(t[:3]) >= 0 and max(t[:3]) < nv]
-        zero_area = np.zeros(len(self.triangles), dtype=bool)
-        if valid:
-            v = self.vertices[[self.triangles[tid][:3] for tid in valid]]
-            zero_area[valid] = np.linalg.norm(
-                np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1) == 0.0
-        seen_tris = set()
-        patch_edge_use = {}
-        for tid, (i, j, k, pid) in enumerate(self.triangles):
-            if not (0 <= i < nv and 0 <= j < nv and 0 <= k < nv):
-                raise ValidationError(f"triangle {tid} references missing vertex")
-            if len({i, j, k}) != 3:
-                raise ValidationError(f"triangle {tid} is degenerate")
-            key = tuple(sorted((i, j, k)))
-            if key in seen_tris:
-                raise ValidationError(f"duplicate triangle {key}")
-            seen_tris.add(key)
-            if zero_area[tid]:
-                raise ValidationError(f"triangle {tid} has zero area")
-            for e in ((i, j), (j, k), (i, k)):
-                ekey = (pid, min(e), max(e))
-                c = patch_edge_use.setdefault(ekey, 0) + 1
-                patch_edge_use[ekey] = c
-                if c > 2:
-                    raise ValidationError(
-                        f"patch {pid} edge {(min(e), max(e))} used by >2 triangles")
+        segments, triangles = self.segments, self.triangles
+        ok = (seg[:, :2] >= 0) & (seg[:, :2] < nv)
+        ends = np.where(ok, seg[:, :2], -1)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        # earlier endpoints with the same (curve, vertex) as each endpoint
+        degree = _ranks(np.repeat(seg[:, 2], 2), ends.ravel()).reshape(-1, 2)
+        _raise_first([
+            (~ok.all(axis=1),
+             lambda s: f"segment {s} references missing vertex"),
+            (seg[:, 0] == seg[:, 1], lambda s: f"segment {s} is degenerate"),
+            (_ranks(lo, hi) > 0,
+             lambda s: f"duplicate segment {tuple(sorted(segments[s][:2]))}"),
+            ((degree > 1).any(axis=1), lambda s: (
+                f"curve {segments[s][2]} branches at vertex "
+                f"{segments[s][int(np.argmax(degree[s] > 1))]}; "
+                "polylines must be simple")),
+        ])
+
+        ok = (tri[:, :3] >= 0) & (tri[:, :3] < nv)
+        corners = np.where(ok, tri[:, :3], -1)
+        # a zero row stands in for a missing vertex; the cross product as
+        # np.cross computes it, and its squared norm is 0 exactly when
+        # np.linalg.norm's is
+        v = np.vstack((self.vertices, np.zeros((1, 3))))[corners]
+        (x1, y1, z1), (x2, y2, z2) = (v[:, 1] - v[:, 0]).T, (v[:, 2] - v[:, 0]).T
+        nx, ny, nz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+        zero_area = nx * nx + ny * ny + nz * nz == 0.0
+        key = np.sort(corners, axis=1)
+        # the edges (i, j), (j, k), (i, k) of each triangle in turn, sorted
+        # by edge and then patch: one census for the patch edge uses and
+        # for the surface edge counts
+        e = corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 3, 2)
+        edges = _edge_key(e[:, :, 0].ravel(), e[:, :, 1].ravel(), nv)
+        patch = np.repeat(tri[:, 3], 3)
+        order = np.lexsort((patch, edges))
+        uses = np.empty(len(order), dtype=np.intp)
+        uses[order] = _run_ranks(_run_starts(edges[order], patch[order]))
+        uses = uses.reshape(-1, 3)
+
+        def edge_message(t):
+            i, j, k, pid = triangles[t]
+            a, b = ((i, j), (j, k), (i, k))[int(np.argmax(uses[t] > 1))]
+            return f"patch {pid} edge {(min(a, b), max(a, b))} used by >2 triangles"
+
+        _raise_first([
+            (~ok.all(axis=1),
+             lambda t: f"triangle {t} references missing vertex"),
+            ((key[:, 0] == key[:, 1]) | (key[:, 1] == key[:, 2]),
+             lambda t: f"triangle {t} is degenerate"),
+            (_ranks(key[:, 0], key[:, 1], key[:, 2]) > 0,
+             lambda t: f"duplicate triangle {tuple(sorted(triangles[t][:3]))}"),
+            (zero_area, lambda t: f"triangle {t} has zero area"),
+            ((uses > 1).any(axis=1), edge_message),
+        ])
+        firsts = np.flatnonzero(_run_starts(edges[order]))
+        return edges[order[firsts]], np.diff(firsts, append=len(order))
 
     # ------------------------------------------------------------------
     # feature detection
@@ -501,6 +526,59 @@ def _dedupe_tagged(hits, eps):
         if not dup:
             out.append((x, tag))
     return out
+
+
+def _records(rows, width, name):
+    """``rows`` as an (n, width) int64 array."""
+    try:
+        out = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError(
+            f"{name} ids must fit in 64-bit integers") from None
+    if out.shape == (0,):
+        out = out.reshape(0, width)
+    if out.ndim != 2 or out.shape[1] != width:
+        raise ValidationError(f"{name} records must have {width} fields")
+    return out
+
+
+def _edge_key(i, j, nv):
+    """One int per unordered vertex pair, -1 standing for a missing one."""
+    return (np.minimum(i, j) + 1) * (nv + 1) + np.maximum(i, j) + 1
+
+
+def _run_starts(*keys):
+    """Where each run of equal rows of the sorted ``keys`` begins."""
+    start = np.zeros(len(keys[0]), dtype=bool)
+    start[:1] = True
+    for k in keys:
+        start[1:] |= k[1:] != k[:-1]
+    return start
+
+
+def _run_ranks(start):
+    """Position of each sorted row within its run, given where runs begin."""
+    pos = np.arange(len(start))
+    return pos - np.maximum.accumulate(np.where(start, pos, 0))
+
+
+def _ranks(*keys):
+    """How many earlier rows have the same keys as each row."""
+    order = np.lexsort(keys[::-1])
+    out = np.empty(len(order), dtype=np.intp)
+    out[order] = _run_ranks(_run_starts(*(k[order] for k in keys)))
+    return out
+
+
+def _raise_first(checks):
+    """Raise the message of the lowest failing record, of its first failing
+    check: ``checks`` pairs a failure mask over the records with a
+    function from record id to message, in check order."""
+    fails = np.array([mask for mask, _message in checks])
+    failing = fails.any(axis=0)
+    if failing.any():
+        rid = int(np.argmax(failing))
+        raise ValidationError(checks[int(np.argmax(fails[:, rid]))][1](rid))
 
 
 # ----------------------------------------------------------------------

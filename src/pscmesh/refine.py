@@ -320,7 +320,7 @@ class Refiner:
 
     def setup(self):
         cfg = self.cfg
-        self.warnings = check_termination_bounds(cfg, self.g)
+        self.warnings = check_termination_bounds(cfg)
         apexes = self.g.detect_sharp_features()
         self.collars = protect_sharp_angles(self.g, apexes, cfg.sizing,
                                             cfg.collar_beta)
@@ -443,6 +443,24 @@ class Refiner:
                    and not any(a in f and b in f for f, _n in boundary)
                    for a, b in self.protected_edges)
 
+    def _place(self, point, d, ref, guards=False):
+        """Insert the Steiner point of a d-simplex through ``_insert``: a
+        point strictly inside a lower-dimensional surface ball goes to that
+        ball's centre instead (the balls to test are faces of the point's
+        own cavity).  ``guards`` turns on the rollback guards of dimension
+        below d.  Every Steiner point is placed here; ``_insert`` itself
+        stays unguarded."""
+        probe = self.mesh.probe_insert(point)
+        quads = [self.mesh.tets[t] for t in probe[1]]
+        for low in range(1, d):
+            lkey = self.rs.balls[low].find_containing(point, quads)
+            if lkey is not None:
+                obj = self.rs.table[low][lkey]
+                self.stats[("encroach_edge", "encroach_tri")[low - 1]] += 1
+                return self._insert(obj.centre, _KIND[low], obj.ref)
+        return self._insert(point, _KIND[d], ref, gamma_guard=guards and d > 1,
+                            sigma_guard=guards and d > 2, probe=probe)
+
     def _insert(self, point, kind, ref, gamma_guard=False, sigma_guard=False,
                 probe=None):
         """Insert one Steiner point with all Algorithm guards applied.
@@ -491,7 +509,7 @@ class Refiner:
         for d, key, old in reversed(undo):
             self.rs.set(d, key, old)
         _key, best = max(changed.items(), key=lambda kv: (kv[1].radius, kv[0]))
-        return self._insert(best.centre, _KIND[low], best.ref)
+        return self._place(best.centre, low, best.ref)
 
     # ------------------------------------------------------------------
     # frontal machinery
@@ -662,22 +680,7 @@ class Refiner:
                 c2, c0, r0 = self._offcentre(d, token, witness)
                 point, ptype = select_refinement_point(token.centre, c2, c0,
                                                        r0)
-            # a point inside a lower-dimensional surface ball goes to that
-            # ball's centre instead; the balls to test are faces of the
-            # point's own cavity
-            probe = self.mesh.probe_insert(point)
-            quads = [self.mesh.tets[t] for t in probe[1]]
-            for low in range(1, d):
-                lkey = rs.balls[low].find_containing(point, quads)
-                if lkey is not None:
-                    obj = rs.table[low][lkey]
-                    self.stats[("encroach_edge", "encroach_tri")[low - 1]] += 1
-                    st, _vid = self._insert(obj.centre, _KIND[low], obj.ref)
-                    break
-            else:
-                st, _vid = self._insert(point, _KIND[d], token.ref,
-                                        gamma_guard=d > 1, sigma_guard=d > 2,
-                                        probe=probe)
+            st, _vid = self._place(point, d, token.ref, guards=True)
             if st == "inserted":
                 self.stats["type2" if ptype == "II" else "type1"] += 1
                 # a deferred insertion may leave this simplex untouched and
@@ -713,7 +716,7 @@ class Refiner:
             target = self._disk_target(d, v)
             if target is None:
                 continue
-            st, _vid = self._insert(target.centre, _KIND[d], target.ref)
+            st, _vid = self._place(target.centre, d, target.ref)
             if st == "inserted":
                 self.stats[f"disk{d}"] += 1
                 dirty[v] = None

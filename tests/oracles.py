@@ -8,7 +8,10 @@ membership.  The exceptions are differential references that run an
 older or unfiltered rule on the mesh's own queries:
 ``face_crossings_reference`` (curve-edge classification),
 ``containing_ball_scan`` (encroachment over every ball) and
-``cavity_locks_ring_walk`` (collar locks by walking edge rings).
+``cavity_locks_ring_walk`` (collar locks by walking edge rings), and two
+that keep the input layer's earlier loops: ``box_tree_reference`` (the
+recursive median-split build) and ``validate_reference`` (the record by
+record input checks).
 """
 
 import math
@@ -559,3 +562,103 @@ def _point_tris_d2(p, a, b, c):
                          np.minimum(((q_ac - p) ** 2).sum(axis=1),
                                     ((q_bc - p) ** 2).sum(axis=1)))
     return np.where(inside, d_face, d_edges)
+
+
+# ----------------------------------------------------------------------
+# input layer: the recursive box tree build and the input checks
+
+
+def box_tree_reference(boxes, leaf_size=8, cover_boxes=512):
+    """(nodes, perm, cover) of the recursive median-split tree over the
+    (n, 6) ``boxes``: depth-first preorder nodes ``(lox, loy, loz, hix, hiy,
+    hiz, left, right, first, count)`` (leaves have left == -1), the
+    primitive permutation as Python ints, and the cover as (lo, hi), each
+    (3, K): the primitive boxes up to ``cover_boxes`` of them, else the
+    deepest full cut of the tree with at most ``cover_boxes`` nodes."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    n = len(boxes)
+    nodes = []
+    perm = np.arange(n)
+    centres = 0.5 * (boxes[:, :3] + boxes[:, 3:]) if n else None
+
+    def build(lo, hi):
+        idx = perm[lo:hi]
+        blo = boxes[idx, :3].min(axis=0)
+        bhi = boxes[idx, 3:].max(axis=0)
+        box = tuple(map(float, (*blo, *bhi)))
+        node = len(nodes)
+        nodes.append(None)
+        if hi - lo <= leaf_size:
+            nodes[node] = (*box, -1, -1, lo, hi - lo)
+            return node
+        axis = int(np.argmax(bhi - blo))
+        order = np.argsort(centres[idx, axis], kind="stable")
+        perm[lo:hi] = idx[order]
+        mid = lo + (hi - lo) // 2
+        left = build(lo, mid)
+        right = build(mid, hi)
+        nodes[node] = (*box, left, right, 0, 0)
+        return node
+
+    if n:
+        build(0, n)
+    if n <= cover_boxes:
+        cover = boxes.reshape(-1, 6)
+    else:
+        cut = [0]
+        while True:
+            nxt = [c for nd in cut for c in (
+                (nd,) if nodes[nd][6] < 0 else nodes[nd][6:8])]
+            if len(nxt) > cover_boxes or len(nxt) == len(cut):
+                break
+            cut = nxt
+        cover = np.array([nodes[nd][:6] for nd in cut])
+    return nodes, perm.tolist(), (np.ascontiguousarray(cover[:, :3].T),
+                                  np.ascontiguousarray(cover[:, 3:].T))
+
+
+def validate_reference(vertices, segments, triangles):
+    """Raise the ``ValidationError`` that the record-by-record checks raise
+    first for an (n, 3) vertex array and lists of int tuples ``(i, j,
+    curve)`` and ``(i, j, k, patch)``: segments before triangles, each
+    record in id order, its checks in a fixed order."""
+    from pscmesh.errors import ValidationError
+    nv = len(vertices)
+    seen_pairs = set()
+    per_curve_degree = {}
+    for sid, (i, j, cid) in enumerate(segments):
+        if not (0 <= i < nv and 0 <= j < nv):
+            raise ValidationError(f"segment {sid} references missing vertex")
+        if i == j:
+            raise ValidationError(f"segment {sid} is degenerate")
+        key = (min(i, j), max(i, j))
+        if key in seen_pairs:
+            raise ValidationError(f"duplicate segment {key}")
+        seen_pairs.add(key)
+        for v in (i, j):
+            d = per_curve_degree.setdefault((cid, v), 0) + 1
+            per_curve_degree[(cid, v)] = d
+            if d > 2:
+                raise ValidationError(
+                    f"curve {cid} branches at vertex {v}; polylines must be simple")
+    seen_tris = set()
+    patch_edge_use = {}
+    for tid, (i, j, k, pid) in enumerate(triangles):
+        if not (0 <= i < nv and 0 <= j < nv and 0 <= k < nv):
+            raise ValidationError(f"triangle {tid} references missing vertex")
+        if len({i, j, k}) != 3:
+            raise ValidationError(f"triangle {tid} is degenerate")
+        key = tuple(sorted((i, j, k)))
+        if key in seen_tris:
+            raise ValidationError(f"duplicate triangle {key}")
+        seen_tris.add(key)
+        v = np.asarray(vertices, dtype=np.float64)[[i, j, k]]
+        if np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0])) == 0.0:
+            raise ValidationError(f"triangle {tid} has zero area")
+        for e in ((i, j), (j, k), (i, k)):
+            ekey = (pid, min(e), max(e))
+            c = patch_edge_use.setdefault(ekey, 0) + 1
+            patch_edge_use[ekey] = c
+            if c > 2:
+                raise ValidationError(
+                    f"patch {pid} edge {(min(e), max(e))} used by >2 triangles")

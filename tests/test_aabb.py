@@ -1,5 +1,5 @@
 """Properties of the box tree's segment, plane and ball clips, and of its
-cover distance bound.
+cover distance bound, and the level-wise build against the recursive one.
 
 Boxes and query points sit on a grid of quarters and the pad is an eighth,
 so the tree's float arithmetic is exact and a segment, plane or sphere can
@@ -17,7 +17,7 @@ from pscmesh import aabb
 from pscmesh.aabb import AABBTree
 from pscmesh.models import cube, icosphere, wedge
 
-from oracles import distance_to_surface
+from oracles import box_tree_reference, distance_to_surface
 
 PAD = 0.125
 
@@ -271,3 +271,26 @@ def test_cover_is_the_deepest_cut_within_the_box_budget():
     assert got.shape == (40,) and (got >= 0.0).all()
     assert (got <= distance_to_surface(MODELS["icosphere3"], pts)).all()
     assert AABBTree([]).lower_distances(pts).tolist() == [math.inf] * 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2000), st.integers(0, 40), st.integers(0, 12),
+       st.integers(0, 2 ** 32 - 1))
+@example(512, 40, 12, 0)
+@example(513, 40, 12, 0)
+@example(2000, 0, 0, 1)      # every centre tied
+@example(1200, 2, 1, 2)
+def test_level_wise_build_equals_the_recursive_build(n, span, size, seed):
+    # quarter-grid boxes in a cube of half-width span / 4, so that many
+    # centres tie and the stable order of ties decides the permutation
+    rng = np.random.default_rng(seed)
+    lo = rng.integers(-span, span + 1, (n, 3)) / 4.0
+    bxs = np.hstack((lo, lo + rng.integers(0, size + 1, (n, 3)) / 4.0))
+    tree = AABBTree(bxs)
+    nodes, perm, (cover_lo, cover_hi) = box_tree_reference(bxs)
+    # repr also tells a Python float or int from a numpy scalar
+    assert repr(tree._nodes) == repr(nodes)
+    assert repr(tree._perm) == repr(perm)
+    for got, want in zip(tree._cover, (cover_lo, cover_hi)):
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pscmesh.aabb import AABBTree
 from pscmesh.delaunay import TetMesh
@@ -13,7 +14,8 @@ from pscmesh.models import cube, icosphere, wedge
 from pscmesh.restricted import classify_edge
 
 from oracles import (circle_surface_hits, polygon_curve_hits, random_rotation,
-                     segment_surface_hits, sphere_curve_hits, winding_numbers)
+                     segment_surface_hits, sphere_curve_hits, validate_reference,
+                     winding_numbers)
 
 
 def flat_square(half=2.0, z=0.0, patch=0):
@@ -67,6 +69,103 @@ def test_branching_polyline_is_error():
             "e 0 1 0\ne 0 2 0\ne 0 3 0\n")
     with pytest.raises(ValidationError):
         parse_complex(text)
+
+
+FAULTS = ("missing", "repeated", "duplicate", "zero_area", "edge_thrice",
+          "degenerate_segment", "duplicate_segment", "branching_segment")
+
+MODELS = {"cube": cube(), "wedge": wedge(), "icosphere1": icosphere(1)}
+
+
+@st.composite
+def corrupted(draw):
+    """A model's records with up to four faults, each inserted at or
+    moved to a drawn id: (name, vertices, segments, triangles, faults)."""
+    name = draw(st.sampled_from(sorted(MODELS)))
+    base = MODELS[name]
+    verts = base.vertices.tolist()
+    segs, tris = list(base.segments), list(base.triangles)
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=4))
+    vertex = st.integers(0, len(verts) - 1)
+
+    def put(records, rec):
+        records.insert(draw(st.integers(0, len(records))), tuple(rec))
+
+    def pick(records):
+        return records[draw(st.integers(0, len(records) - 1))]
+
+    for fault in faults:
+        nv = len(verts)
+        i, j, k, pid = pick(base.triangles)
+        if fault == "missing":
+            records = segs if segs and draw(st.booleans()) else tris
+            at = draw(st.integers(0, len(records) - 1))
+            rec = list(records[at])
+            rec[draw(st.integers(0, len(rec) - 2))] = draw(
+                st.sampled_from([nv, nv + 7, -1, -5]))
+            records[at] = tuple(rec)
+        elif fault == "repeated":
+            put(tris, draw(st.sampled_from([(i, i, k, pid), (i, j, j, pid),
+                                            (k, j, k, pid)])))
+        elif fault == "duplicate":
+            order = draw(st.permutations((i, j, k)))
+            put(tris, (*order, draw(st.sampled_from([pid, pid + 1]))))
+        elif fault == "zero_area":
+            # a copy of vertex i: the triangle (i, j, copy) is flat exactly
+            verts.append(list(verts[i]))
+            put(tris, (i, j, nv, pid))
+        elif fault == "edge_thrice":
+            a, b = np.asarray(verts[i]), np.asarray(verts[j])
+            verts.append((0.5 * (a + b) + [0.31, 0.57, 0.83]).tolist())
+            put(tris, (i, j, nv, pid))
+        elif fault == "degenerate_segment":
+            v = draw(vertex)
+            put(segs, (v, v, draw(st.integers(0, 3))))
+        elif fault == "duplicate_segment":
+            if segs:
+                a, b, cid = pick(segs)
+            else:
+                a, b, cid = i, j, 0
+                put(segs, (a, b, cid))
+            put(segs, (b, a, draw(st.sampled_from([cid, cid + 1]))))
+        else:
+            v, cid = draw(vertex), draw(st.integers(0, 3))
+            for w in draw(st.lists(vertex, min_size=3, max_size=3,
+                                   unique=True)):
+                put(segs, (v, w, cid))
+    return name, verts, segs, tris, faults
+
+
+def validation_error(build):
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted())
+@example(("cube", cube().vertices.tolist(), cube().segments,
+          cube().triangles, []))
+def test_array_checks_raise_the_error_of_the_record_loop(case):
+    name, verts, segs, tris, faults = case
+    got = validation_error(lambda: PiecewiseComplex(verts, segs, tris))
+    want = validation_error(
+        lambda: validate_reference(np.asarray(verts), segs, tris))
+    assert got == want
+    if not faults:
+        assert got is None
+
+
+def test_malformed_records_are_rejected():
+    with pytest.raises(ValidationError, match="64-bit"):
+        parse_complex("v 0 0 0\nv 1 0 0\nv 0 1 0\nt 0 1 99999999999999999999 0\n")
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    with pytest.raises(ValidationError, match="segment records must have 3"):
+        PiecewiseComplex(verts, [(0, 1)], [])
+    with pytest.raises(ValidationError, match="triangle records must have 4"):
+        PiecewiseComplex(verts, [], [(0, 1, 2)])
 
 
 def test_cube_roundtrip(tmp_path):

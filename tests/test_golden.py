@@ -1,6 +1,7 @@
 """Golden outputs: sha256 of the VTK and report files of ``--seed 42`` CLI
 runs on the bundled benchmarks, in both point-placement modes, and of the
-seed-0 mesh of each perfbench workload.
+seed-0 mesh of each perfbench workload; and sha256 of the structure that
+``PiecewiseComplex`` derives from each of those inputs.
 
 The classical runs reach what the frontal ones never do: the classical
 branch of the queue scan, and (on the wedge) two curve-guard rollbacks.
@@ -9,7 +10,9 @@ The perfbench meshes are built as the benchmark builds them: the input of
 refined with its ``make_config``.
 
 A change that alters any mesh or report must update these digests and
-say why.  Digests taken with Python 3.11.7 and numpy 2.4.6.
+say why.  The input digests cover every value the constructor derives,
+in its order and with its Python types, so a rewrite of the constructor
+or of the box tree build that is not exact shows here first.  Digests taken with Python 3.11.7 and numpy 2.4.6.
 """
 
 import hashlib
@@ -63,6 +66,24 @@ PERFBENCH = {
 }
 
 
+# ``input_digest`` of each bundled benchmark file and of each perfbench
+# input after its .psc round trip
+INPUTS = {
+    "benchmarks/cube.psc":
+        "392424972f9d2e2a133a96e9bc9696c89bf0c4f0c7a5242ed43e2164ae84f9c2",
+    "benchmarks/icosphere.psc":
+        "3e4c01768a92a93ffcca9f8817f1ccc1ab4eb507ce1c3e3df4fd0d42179203a1",
+    "benchmarks/wedge.psc":
+        "819e06fea8788069b2032acd29d929749194ee04ce4d1a1d36d367d1431913cd",
+    "perfbench/crease":
+        "819e06fea8788069b2032acd29d929749194ee04ce4d1a1d36d367d1431913cd",
+    "perfbench/dense_surface":
+        "5712c6b28cae3ccced3cec8de18c240d7ddaef8e29ffc191d7199d323df37d90",
+    "perfbench/sphere":
+        "3e4c01768a92a93ffcca9f8817f1ccc1ab4eb507ce1c3e3df4fd0d42179203a1",
+}
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -110,3 +131,36 @@ def test_perfbench_seed_0_outputs_match_golden_digests(name, tmp_path):
     write_vtk(str(vtk), result.mesh, result.rs)
     write_report(result.report, str(report))
     assert (sha256(vtk), sha256(report)) == PERFBENCH[name]
+
+
+def input_digest(geom):
+    """sha256 over the derived input: vertex tuples, curve incidence,
+    feature vertices, on-curve / on-surface flags, the surface census and
+    both box trees' nodes, permutation and cover."""
+    h = hashlib.sha256()
+    for value in (geom.pts, list(geom.segs_at_vertex.items()),
+                  sorted(geom.feature_vertices), geom.on_curve.tolist(),
+                  geom.on_surface.tolist(), geom.surface_closed,
+                  sorted(geom.embedded_curves)):
+        h.update(repr(value).encode() + b"\n")
+    for tree in (geom.seg_tree, geom.tri_tree):
+        h.update(repr((tree._nodes, tree._perm)).encode() + b"\n")
+        for array in tree._cover:
+            h.update(repr((array.dtype.str, array.shape)).encode())
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def load_input(name, tmp_path):
+    kind, _sep, rest = name.partition("/")
+    if kind == "benchmarks":
+        return load_complex(str(ROOT / name))
+    wl = _workloads()
+    psc = tmp_path / f"{rest}.psc"
+    write_complex(wl.build_input(wl.WORKLOADS[rest]), str(psc))
+    return load_complex(str(psc))
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_derived_input_matches_golden_digest(name, tmp_path):
+    assert input_digest(load_input(name, tmp_path)) == INPUTS[name]

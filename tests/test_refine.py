@@ -15,7 +15,7 @@ from pscmesh.refine import (BallRegistry, Refiner, bad_simplex,
 from pscmesh.restricted import Restricted
 
 from oracles import (cavity_locks_ring_walk, containing_ball_scan,
-                     distance_to_curves, distance_to_surface)
+                     distance_to_curves, distance_to_surface, random_rotation)
 from snapshots import (assert_bounds_fresh, assert_restricted_fresh,
                        assert_undone, record_rollbacks)
 
@@ -394,29 +394,26 @@ def test_protection_halving_until_disjoint():
 
 
 def test_termination_bounds_uniform():
-    geom = cube()
     cfg = cfg_with(1.0)
-    warns = check_termination_bounds(cfg, geom)
+    warns = check_termination_bounds(cfg)
     # nu0 = 2: surface bound (sqrt(2)+2)*2 = 6.83 -> default 1.25 warns
     assert len(warns) == 2
     assert "6.828" in warns[0]
 
 
 def test_termination_bounds_quiet_when_loose():
-    geom = cube()
     cfg = RefineConfig(rho_surf=7.0, rho_vol=28.0, sizing=SizingField(h0=1.0))
-    warns = check_termination_bounds(cfg, geom)
+    warns = check_termination_bounds(cfg)
     assert warns == []
 
 
 def test_termination_bounds_graded():
     # max h over the surface 1, min over the volume 0.5: nu0 = 4 and the
     # volume bound becomes (sqrt(2)+2) * 4 * 6 = 81.94
-    geom = cube()
     grid = GridSizing((0, 0, 0), (1, 1, 1), (2, 2, 2),
                       [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
     cfg = RefineConfig(sizing=SizingField(grid=grid))
-    warns = check_termination_bounds(cfg, geom)
+    warns = check_termination_bounds(cfg)
     assert any("81.9" in w for w in warns)
 
 
@@ -424,11 +421,10 @@ def test_termination_bounds_read_the_grid_maximum():
     # the grid peaks at 4 on x = 2, outside cube(), and dips to 0.5 at the
     # origin: nu0 = 16 and the surface bound is (sqrt(2)+2) * 16 = 54.63;
     # the sizing sampled over the cube's surface peaks at 1 (nu0 = 4)
-    geom = cube()
     grid = GridSizing((0, 0, 0), (1, 1, 1), (3, 2, 2),
                       [0.5, 1.0, 4.0] + [1.0, 1.0, 4.0] * 3)
     cfg = RefineConfig(sizing=SizingField(grid=grid))
-    warns = check_termination_bounds(cfg, geom)
+    warns = check_termination_bounds(cfg)
     assert len(warns) == 2
     assert "54.627" in warns[0] and "nu0=16" in warns[0]
 
@@ -517,6 +513,32 @@ def test_curve_offcentres_stay_on_their_curve(h, seed):
         if meta.alive and meta.kind == "curve":
             assert distance_to_curves(geom, [mesh.points[v]],
                                       meta.ref)[0] <= tol, v
+
+
+# a shift far from the origin, where the rotated wedge also failed
+_WEDGE_SHIFT = (79.14935123348332, 45.44638089714084, 79.14935123348332)
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), _WEDGE_SHIFT],
+                         ids=["rotated", "rotated-shifted"])
+def test_every_steiner_point_takes_the_lower_ball_redirect(shift):
+    # a 2-disk repair once inserted a triangle's surface-ball centre that
+    # lay on a crease, tagged surface; its 1-disk test could never pass and
+    # the 1-disk repairs bisected toward it until the point budget
+    base = wedge()
+    rot = random_rotation(np.random.default_rng(34877))
+    geom = PiecewiseComplex(base.vertices @ rot.T + np.asarray(shift),
+                            base.segments, base.triangles)
+    res = refine(geom, cfg_with(0.5, seed=0, max_points=1000))
+    assert res.status == "converged"
+    assert res.report.counts["points"] == 51
+    assert all(res.audit.values()), res.audit
+    mesh = res.mesh
+    tol = geom.eps + math.sqrt(3.0) * mesh.jitter_scale
+    off = [v for v, meta in enumerate(mesh.meta)
+           if meta.alive and meta.kind in ("surface", "interior")]
+    assert (distance_to_curves(geom, [mesh.points[v] for v in off])
+            > tol).all()
 
 
 def test_curve_only_and_open_inputs_converge():
