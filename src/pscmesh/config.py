@@ -157,17 +157,10 @@ def check_termination_bounds(cfg):
     gamma0 = sizing.min_value()
     nu0 = 2.0 * mu0 / gamma0
     k = math.sqrt(2.0) + 2.0
-    surf_bound = k * nu0
-    vol_bound = k * nu0 * (nu0 + 2.0)
-    warnings = []
-    if cfg.rho_surf < surf_bound:
-        warnings.append(
-            f"rho_surf={cfg.rho_surf:g} is below the guaranteed-termination "
-            f"bound {surf_bound:.3f} (size ratio nu0={nu0:g}); refinement "
-            "usually outperforms the bound in practice")
-    if cfg.rho_vol < vol_bound:
-        warnings.append(
-            f"rho_vol={cfg.rho_vol:g} is below the guaranteed-termination "
-            f"bound {vol_bound:.3f} (size ratio nu0={nu0:g}); refinement "
-            "usually outperforms the bound in practice")
-    return warnings
+    return [f"{name}={rho:g} is below the guaranteed-termination bound "
+            f"{bound:.3f} (size ratio nu0={nu0:g}); refinement usually "
+            "outperforms the bound in practice"
+            for name, rho, bound in (
+                ("rho_surf", cfg.rho_surf, k * nu0),
+                ("rho_vol", cfg.rho_vol, k * nu0 * (nu0 + 2.0)))
+            if rho < bound]

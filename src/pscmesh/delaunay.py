@@ -116,21 +116,16 @@ class InsertRecord:
     end of ``tets``, which never reuses an id.  ``journal`` undoes it: the
     killed tets as (id, quad, neighbours, circumsphere), the overwritten
     outer slots as (tet, slot, old), the old ``vert_tet`` of the cavity
-    vertices, ``_last_tet`` and ``len(tets)``."""
+    vertices, ``_last_tet`` and ``len(tets)``; it is the one record of the
+    killed tets (``refine.Census`` holds their faces)."""
 
-    __slots__ = ("vid", "duplicate", "destroyed_quads", "created", "journal")
+    __slots__ = ("vid", "duplicate", "created", "journal")
 
-    def __init__(self, vid, duplicate, destroyed_quads, created, journal=None):
+    def __init__(self, vid, duplicate, created, journal=None):
         self.vid = vid
         self.duplicate = duplicate
-        self.destroyed_quads = destroyed_quads
         self.created = created
         self.journal = journal
-
-    @property
-    def destroyed(self):
-        """Ids of the killed tets, in ``destroyed_quads`` order."""
-        return [k[0] for k in self.journal[0]] if self.journal else []
 
 
 class TetMesh:
@@ -352,7 +347,7 @@ class TetMesh:
             probe = self.probe_insert(p, jitter=jitter)
         pj, cav, boundary, dup = probe
         if dup is not None:
-            return InsertRecord(dup, True, [], [])
+            return InsertRecord(dup, True, [])
         vid = len(self.points)
         self.points.append(pj)
         self.meta.append(VertexMeta(kind, ref))
@@ -390,8 +385,7 @@ class TetMesh:
                     inner[key] = (nt, i)
         if inner:
             raise MeshError("unpaired internal facet after insertion")
-        rec = InsertRecord(vid, False, [k[1] for k in killed], created,
-                           journal)
+        rec = InsertRecord(vid, False, created, journal)
         self._last_insert = rec
         return rec
 

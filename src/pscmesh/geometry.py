@@ -170,6 +170,8 @@ class PiecewiseComplex:
         """
         nv = len(self.vertices)
         segments, triangles = self.segments, self.triangles
+        # a zero row stands in for a missing vertex
+        verts = np.vstack((self.vertices, np.zeros((1, 3))))
         ok = (seg[:, :2] >= 0) & (seg[:, :2] < nv)
         ends = np.where(ok, seg[:, :2], -1)
         lo, hi = ends.min(axis=1), ends.max(axis=1)
@@ -179,6 +181,8 @@ class PiecewiseComplex:
             (~ok.all(axis=1),
              lambda s: f"segment {s} references missing vertex"),
             (seg[:, 0] == seg[:, 1], lambda s: f"segment {s} is degenerate"),
+            ((verts[ends[:, 0]] == verts[ends[:, 1]]).all(axis=1),
+             lambda s: f"segment {s} has zero length"),
             (_ranks(lo, hi) > 0,
              lambda s: f"duplicate segment {tuple(sorted(segments[s][:2]))}"),
             ((degree > 1).any(axis=1), lambda s: (
@@ -189,10 +193,9 @@ class PiecewiseComplex:
 
         ok = (tri[:, :3] >= 0) & (tri[:, :3] < nv)
         corners = np.where(ok, tri[:, :3], -1)
-        # a zero row stands in for a missing vertex; the cross product as
-        # np.cross computes it, and its squared norm is 0 exactly when
-        # np.linalg.norm's is
-        v = np.vstack((self.vertices, np.zeros((1, 3))))[corners]
+        # the cross product as np.cross computes it, and its squared norm is
+        # 0 exactly when np.linalg.norm's is
+        v = verts[corners]
         (x1, y1, z1), (x2, y2, z2) = (v[:, 1] - v[:, 0]).T, (v[:, 2] - v[:, 0]).T
         nx, ny, nz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
         zero_area = nx * nx + ny * ny + nz * nz == 0.0

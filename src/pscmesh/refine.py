@@ -22,10 +22,10 @@ Sharp curve-curve angles are fenced off before refinement by isosceles
 collars; any Steiner point whose cavity would delete a protected collar
 edge is rejected outright.
 
-The encroachment test and the collar lock both read the candidate's own
-cavity, the tets whose circumballs contain it.  The cavity deletes an
-edge when the edge belongs to a cavity tet and lies on no cavity boundary
-facet.  A surface ball is centred on its simplex's Voronoi dual, a convex
+A probed Steiner point's ``Census`` is the one record of what its
+insertion kills, keeps and creates, and the encroachment test, the collar
+lock, the reclassification and the disk-check marks all read it.  A
+surface ball is centred on its simplex's Voronoi dual, a convex
 combination of the circumcentres of the tets around the simplex, and
 passes through the simplex's vertices, so a point's power with respect to
 the ball is the same combination of its powers with respect to those
@@ -167,30 +167,28 @@ def protect_sharp_angles(geom, apexes, sizing, beta):
 
 
 class BallRegistry:
-    """Surface-ball lookup for the restricted d-simplexes of one table.
+    """Surface-ball lookup for the restricted simplexes of one table.
 
-    A point is only looked up against the restricted d-faces of its own
+    A point is only looked up against the restricted faces of its own
     cavity: a ball that strictly contains it belongs to one of them (see
     the module docstring).  The class keeps its name and its
     ``find_containing`` method because the benchmark tracer wraps
     ``BallRegistry.find_containing`` on the class.
     """
 
-    def __init__(self, d, table):
-        self.d = d
+    def __init__(self, table):
         self.table = table
 
-    def find_containing(self, p, quads):
+    def find_containing(self, p, keys):
         """Key of the largest ball strictly containing p among the restricted
-        d-simplexes that are faces of the tets ``quads``, or None.  Of equal
-        radii the smaller key wins."""
+        simplexes of ``keys`` (a census's faces of the table's dimension),
+        or None.  Of equal radii the smaller key wins."""
         table = self.table
         if not table:
             return None
-        n = self.d + 1
         px, py, pz = p
         best = None     # (-radius, key) of the best ball so far
-        for key in {k for q in quads for k in combinations(sorted(q), n)}:
+        for key in keys:
             obj = table.get(key)
             if obj is None:
                 continue
@@ -200,6 +198,28 @@ class BallRegistry:
                     best is None or (-r, key) < best):
                 best = (-r, key)
         return None if best is None else best[1]
+
+
+class Census:
+    """A probed insertion: ``probe`` is the ``probe_insert`` result,
+    ``faces[d]`` the sorted d-faces of the cavity tets (``faces[0]`` their
+    vertices) and ``kept[d]`` those that survive, every vertex and the
+    boundary facets and edges (a duplicate keeps every face)."""
+
+    __slots__ = ("probe", "faces", "kept")
+
+    def __init__(self, mesh, probe=(None, (), (), None)):
+        self.probe = probe
+        _pj, cav, boundary, dup = probe
+        self.faces = faces = (set(), set(), set(), set())
+        for t in cav:
+            sq = sorted(mesh.tets[t])
+            faces[0].update(sq)
+            for d in _DIMS:
+                faces[d].update(combinations(sq, d + 1))
+        tris = {tuple(sorted(f)) for f, _n in boundary}
+        self.kept = faces if dup is not None else (
+            faces[0], {e for f in tris for e in combinations(f, 2)}, tris, set())
 
 
 class RestrictedSets:
@@ -218,12 +238,12 @@ class RestrictedSets:
         self.tets = {}
         self.table = (None, self.edges, self.tris, self.tets)
         self.at_vertex = (None, {}, {})
-        self.balls = (None, BallRegistry(1, self.edges),
-                      BallRegistry(2, self.tris))
+        self.balls = (None, BallRegistry(self.edges), BallRegistry(self.tris))
 
     def set(self, d, key, obj):
         """Store obj under key in dimension d (None deletes the entry) and
-        return the entry it replaced."""
+        return the entry it replaced.  ``Refiner._reclassify`` calls it only
+        for an entry that changes, and records each call as an undo entry."""
         table = self.table[d]
         old = table.pop(key, None)
         if obj is not None:
@@ -336,12 +356,11 @@ class Refiner:
                 rec = self.mesh.insert_point(wp, "curve", wc)
                 vids.append(rec.vid)
             col.wing_vids = tuple(vids)
-            for wv in vids:
-                pair = (col.apex_vid, wv) if col.apex_vid < wv else (wv, col.apex_vid)
-                self.protected_edges.append(pair)
+            self.protected_edges += [tuple(sorted((col.apex_vid, wv)))
+                                     for wv in vids]
         alive = list(self.mesh.alive_tets())
         self.cert.update(self.mesh, alive)
-        self._reclassify([], alive)
+        self._reclassify(Census(self.mesh), alive)
         self._mark_dirty(range(len(self.mesh.points)))
         self.status = "ready"
 
@@ -362,53 +381,47 @@ class Refiner:
             return classify_facet(self.mesh, self.g, *handle, cert=self.cert)
         return classify_tet(self.mesh, self.g, handle, cert=self.cert)
 
-    def _reclassify(self, destroyed_quads, created_ids):
-        """Re-derive restricted membership around a mesh change.
+    def _reclassify(self, census, created_ids):
+        """Re-derive restricted membership after the insertion of ``census``
+        created the tets ``created_ids``.
 
-        Simplexes of destroyed tets that did not survive are dropped.  A
-        simplex of a created tet is (re)classified unless it survives from
-        a destroyed tet unrestricted: an insertion only shrinks the
-        Voronoi duals of surviving simplexes, so a dual that missed the
-        input still misses (``stats.survivors_skipped``).  The created
-        tets' distance bounds must be in ``cert`` already.  Returns the
-        undo list: every restricted-table write as (d, key, old), once per
-        key; replaying it in reverse restores the tables.
+        The census faces it does not keep die, and are dropped.  A face of a
+        created tet is (re)classified unless it is a kept face that is not
+        restricted: an insertion only shrinks the Voronoi duals of kept
+        faces, so a dual that missed the input still misses
+        (``stats.survivors_skipped``).  The created tets' distance bounds
+        must be in ``cert`` already.  Only entries that change are written.
+        Returns the undo list: every write as (d, key, old), once per key;
+        replaying it in reverse restores the tables.
         """
         mesh = self.mesh
         self.cert.pending = set(created_ids)
-        # keys of each dimension: gone ones, and live ones with the handle
-        # their classifier takes (a tet id, or a (tet, facet index) pair)
-        old = (None, set(), set(), set())
+        # keys of the created tets with the handle their classifier takes
+        # (a tet id, or a (tet, facet index) pair)
         handles = (None, {}, {}, {})
-        for quad in destroyed_quads:
-            sq = sorted(quad)
-            for d in _DIMS:
-                old[d].update(combinations(sq, d + 1))
         for t in created_ids:
             quad = mesh.tets[t]
-            sq = sorted(quad)
-            handles[3][tuple(sq)] = t
-            for pair in combinations(sq, 2):
+            handles[3][tuple(sorted(quad))] = t
+            for pair in combinations(sorted(quad), 2):
                 handles[1].setdefault(pair, t)
-            for i in range(4):
-                f = _FACES[i]
-                key = tuple(sorted((quad[f[0]], quad[f[1]], quad[f[2]])))
-                handles[2].setdefault(key, (t, i))
-        rs = self.rs
-        undo = []
-        for d in _DIMS:
-            for key in sorted(old[d].difference(handles[d])):
-                obj = rs.set(d, key, None)
-                if obj is not None:
-                    undo.append((d, key, obj))
+            for i, f in enumerate(_FACES):
+                handles[2].setdefault(tuple(sorted(quad[j] for j in f)), (t, i))
+        rs, undo = self.rs, []
         for d in _DIMS:
             table = rs.table[d]
+            for key in sorted(census.faces[d] - census.kept[d]):
+                if key in table:
+                    undo.append((d, key, rs.set(d, key, None)))
+        for d in _DIMS:
+            table, kept = rs.table[d], census.kept[d]
             for key in sorted(handles[d]):
-                if key in old[d] and key not in table:
+                known = key in table
+                if not known and key in kept:
                     self.stats["survivors_skipped"] += 1
                     continue
                 obj = self._classify(d, key, handles[d][key])
-                undo.append((d, key, rs.set(d, key, obj)))
+                if known or obj is not None:
+                    undo.append((d, key, rs.set(d, key, obj)))
                 if obj is not None:
                     self._queue(d, key, obj)
         return undo
@@ -431,17 +444,12 @@ class Refiner:
     # ------------------------------------------------------------------
     # guarded insertion
 
-    def _cavity_locks(self, probe):
+    def _cavity_locks(self, census):
         """Whether the probed insertion deletes a protected collar edge: the
-        edge belongs to a cavity tet and lies on no cavity boundary facet,
-        so every tet around it dies."""
-        _pj, cav, boundary, dup = probe
-        if dup is not None:
-            return False
-        tets = self.mesh.tets
-        return any(any(a in tets[t] and b in tets[t] for t in cav)
-                   and not any(a in f and b in f for f, _n in boundary)
-                   for a, b in self.protected_edges)
+        edge is a cavity edge and not a boundary edge, so every tet around
+        it dies."""
+        edges, kept = census.faces[1], census.kept[1]
+        return any(e in edges and e not in kept for e in self.protected_edges)
 
     def _place(self, point, d, ref, guards=False):
         """Insert the Steiner point of a d-simplex through ``_insert``: a
@@ -450,62 +458,61 @@ class Refiner:
         own cavity).  ``guards`` turns on the rollback guards of dimension
         below d.  Every Steiner point is placed here; ``_insert`` itself
         stays unguarded."""
-        probe = self.mesh.probe_insert(point)
-        quads = [self.mesh.tets[t] for t in probe[1]]
+        census = Census(self.mesh, self.mesh.probe_insert(point))
         for low in range(1, d):
-            lkey = self.rs.balls[low].find_containing(point, quads)
+            lkey = self.rs.balls[low].find_containing(point, census.faces[low])
             if lkey is not None:
                 obj = self.rs.table[low][lkey]
                 self.stats[("encroach_edge", "encroach_tri")[low - 1]] += 1
                 return self._insert(obj.centre, _KIND[low], obj.ref)
         return self._insert(point, _KIND[d], ref, gamma_guard=guards and d > 1,
-                            sigma_guard=guards and d > 2, probe=probe)
+                            sigma_guard=guards and d > 2, census=census)
 
     def _insert(self, point, kind, ref, gamma_guard=False, sigma_guard=False,
-                probe=None):
+                census=None):
         """Insert one Steiner point with all Algorithm guards applied.
 
         ``gamma_guard`` / ``sigma_guard`` roll the insertion back when it
-        changes the restricted curve / surface complex.  ``probe`` is the
-        point's ``probe_insert`` result when the caller has it already.
+        changes the restricted curve / surface complex.  ``census`` is the
+        point's ``Census`` when the caller has probed it already.
         Returns (status, vid) with status in {'inserted', 'duplicate',
         'rejected'}; 'inserted' covers rollback-then-deferred insertions.
         """
         if len(self.mesh.points) - 8 >= self.cfg.max_points:
             raise _Budget()
-        if probe is None:
-            probe = self.mesh.probe_insert(point)
-        if probe[3] is not None:
+        if census is None:
+            census = Census(self.mesh, self.mesh.probe_insert(point))
+        if census.probe[3] is not None:
             self.stats["duplicates"] += 1
-            return "duplicate", probe[3]
-        if self._cavity_locks(probe):
+            return "duplicate", census.probe[3]
+        if self._cavity_locks(census):
             self.stats["rejected_protected"] += 1
             return "rejected", None
-        rec = self.mesh.insert_point(point, kind, ref, probe=probe)
-        self.cert.update(self.mesh, rec.created, rec.destroyed)
-        undo = self._reclassify(rec.destroyed_quads, rec.created)
+        rec = self.mesh.insert_point(point, kind, ref, probe=census.probe)
+        self.cert.update(self.mesh, rec.created, census.probe[1])
+        undo = self._reclassify(census, rec.created)
         for low, guard, stat in ((1, gamma_guard, "rollback_gamma"),
                                  (2, sigma_guard, "rollback_sigma")):
             changed = guard and self._changed(undo, low)
             if changed:
                 self.stats[stat] += 1
-                return self._rollback(rec, undo, low, changed)
+                return self._rollback(census, rec, undo, low, changed)
         # every created tet is a cavity boundary facet plus the new vertex
-        self._mark_dirty({rec.vid}.union(*rec.destroyed_quads))
+        self._mark_dirty(census.faces[0] | {rec.vid})
         self.stats["inserted"] += 1
         return "inserted", rec.vid
 
-    def _rollback(self, rec, undo, low, changed):
-        """Undo the offending insertion and defer to the largest surface
-        ball among ``changed``, the simplexes of the disturbed restricted
-        complex of dimension low (``_changed``).
+    def _rollback(self, census, rec, undo, low, changed):
+        """Undo the offending insertion of ``census`` and defer to the
+        largest surface ball among ``changed``, the simplexes of the
+        disturbed restricted complex of dimension low (``_changed``).
 
         The mesh comes back from the record's journal and the restricted
         tables from ``undo``, so the restored objects are the same ones,
         and their queue entries are live again.
         """
         self.mesh.remove_point(rec)
-        self.cert.update(self.mesh, rec.destroyed, rec.created)
+        self.cert.update(self.mesh, census.probe[1], rec.created)
         for d, key, old in reversed(undo):
             self.rs.set(d, key, old)
         _key, best = max(changed.items(), key=lambda kv: (kv[1].radius, kv[0]))

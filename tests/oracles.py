@@ -8,10 +8,11 @@ membership.  The exceptions are differential references that run an
 older or unfiltered rule on the mesh's own queries:
 ``face_crossings_reference`` (curve-edge classification),
 ``containing_ball_scan`` (encroachment over every ball) and
-``cavity_locks_ring_walk`` (collar locks by walking edge rings), and two
-that keep the input layer's earlier loops: ``box_tree_reference`` (the
-recursive median-split build) and ``validate_reference`` (the record by
-record input checks).
+``cavity_locks_ring_walk`` (collar locks by walking edge rings) and
+``cavity_change_reference`` (an insertion's killed and kept faces from the
+faces of the killed and created tets), and two that keep the input
+layer's earlier loops: ``box_tree_reference`` (the recursive median-split
+build) and ``validate_reference`` (the record by record input checks).
 """
 
 import math
@@ -354,6 +355,24 @@ def cavity_locks_ring_walk(mesh, protected_edges, probe):
     return False
 
 
+def tet_faces(quads, n):
+    """The sorted n-vertex faces of the tets ``quads``."""
+    return {k for q in quads for k in combinations(sorted(q), n)}
+
+
+def cavity_change_reference(killed_quads, created_quads):
+    """What an insertion kills and keeps, derived from the tets it kills
+    and creates: ``(killed, kept, dirty)``, where ``killed[d]`` are the
+    d-faces (d = 1, 2, 3) of the killed tets that no created tet has,
+    ``kept[d]`` those that one has, and ``dirty`` the killed tets'
+    vertices, whose restricted stars the insertion can change."""
+    old = [None] + [tet_faces(killed_quads, d + 1) for d in (1, 2, 3)]
+    new = [None] + [tet_faces(created_quads, d + 1) for d in (1, 2, 3)]
+    return ([None] + [old[d] - new[d] for d in (1, 2, 3)],
+            [None] + [old[d] & new[d] for d in (1, 2, 3)],
+            {v for q in killed_quads for v in q})
+
+
 def segment_surface_hits(a, b, vertices, triangles, eps=1e-12):
     """All segment/triangle crossings via per-triangle linear solves."""
     a = np.asarray(a, dtype=np.float64)
@@ -631,6 +650,8 @@ def validate_reference(vertices, segments, triangles):
             raise ValidationError(f"segment {sid} references missing vertex")
         if i == j:
             raise ValidationError(f"segment {sid} is degenerate")
+        if np.array_equal(vertices[i], vertices[j]):
+            raise ValidationError(f"segment {sid} has zero length")
         key = (min(i, j), max(i, j))
         if key in seen_pairs:
             raise ValidationError(f"duplicate segment {key}")

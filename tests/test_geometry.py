@@ -72,7 +72,8 @@ def test_branching_polyline_is_error():
 
 
 FAULTS = ("missing", "repeated", "duplicate", "zero_area", "edge_thrice",
-          "degenerate_segment", "duplicate_segment", "branching_segment")
+          "degenerate_segment", "zero_length_segment", "duplicate_segment",
+          "branching_segment")
 
 MODELS = {"cube": cube(), "wedge": wedge(), "icosphere1": icosphere(1)}
 
@@ -121,6 +122,11 @@ def corrupted(draw):
         elif fault == "degenerate_segment":
             v = draw(vertex)
             put(segs, (v, v, draw(st.integers(0, 3))))
+        elif fault == "zero_length_segment":
+            # a copy of vertex v: the segment (v, copy) has length 0 exactly
+            v = draw(vertex)
+            verts.append(list(verts[v]))
+            put(segs, (v, nv, draw(st.integers(0, 3))))
         elif fault == "duplicate_segment":
             if segs:
                 a, b, cid = pick(segs)
@@ -166,6 +172,10 @@ def test_malformed_records_are_rejected():
         PiecewiseComplex(verts, [(0, 1)], [])
     with pytest.raises(ValidationError, match="triangle records must have 4"):
         PiecewiseComplex(verts, [], [(0, 1, 2)])
+    # two vertex ids at one position on one curve
+    with pytest.raises(ValidationError, match="segment 0 has zero length"):
+        parse_complex("v 0 0 0\nv 0 0 0\nv 1 0 0\nv 0 1 0\n"
+                      "e 0 1 0\ne 1 2 0\ne 2 3 0\n")
 
 
 def test_cube_roundtrip(tmp_path):

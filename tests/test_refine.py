@@ -9,13 +9,14 @@ from pscmesh.config import (GridSizing, RefineConfig, SizingField,
 from pscmesh.errors import ValidationError
 from pscmesh.geometry import PiecewiseComplex, load_complex
 from pscmesh.models import cube, icosphere, wedge
-from pscmesh.refine import (BallRegistry, Refiner, bad_simplex,
+from pscmesh.refine import (BallRegistry, Census, Refiner, bad_simplex,
                             protect_sharp_angles, refine,
                             select_refinement_point, violations)
 from pscmesh.restricted import Restricted
 
 from oracles import (cavity_locks_ring_walk, containing_ball_scan,
-                     distance_to_curves, distance_to_surface, random_rotation)
+                     distance_to_curves, distance_to_surface, random_rotation,
+                     tet_faces)
 from snapshots import (assert_bounds_fresh, assert_restricted_fresh,
                        assert_undone, record_rollbacks)
 
@@ -259,25 +260,28 @@ def test_ball_lookup_strict_containment_and_ties():
         # contains every query point, but is an edge of no cavity tet
         ((5, 7), (0.0, 0.0, 0.0), 9.0))}
     edges[(0, 1)].blocked = True     # blocked simplexes still count
-    reg = BallRegistry(1, edges)
+    reg = BallRegistry(edges)
     cavity = [(3, 1, 0, 2)]
-    assert reg.find_containing((0.5, 0, 0), cavity) == (0, 1)
-    assert reg.find_containing((1.0, 0, 0), cavity) is None  # boundary is out
-    assert reg.find_containing((2.0, 0, 0), cavity) is None
-    assert reg.find_containing((2.5, 0, 0), cavity) == (2, 3)
-    assert reg.find_containing((0.5, 0, 0), []) is None
+    keys = tet_faces(cavity, 2)
+    assert reg.find_containing((0.5, 0, 0), keys) == (0, 1)
+    assert reg.find_containing((1.0, 0, 0), keys) is None  # boundary is out
+    assert reg.find_containing((2.0, 0, 0), keys) is None
+    assert reg.find_containing((2.5, 0, 0), keys) == (2, 3)
+    assert reg.find_containing((0.5, 0, 0), set()) is None
     # overlapping equal-radius balls tie-break on the smaller key
     cavity.append((9, 0, 4, 6))
-    assert reg.find_containing((0.3, 0, 0), cavity) == (0, 1)
-    assert reg.find_containing((1.2, 0, 0), cavity) == (0, 9)
+    keys = tet_faces(cavity, 2)
+    assert reg.find_containing((0.3, 0, 0), keys) == (0, 1)
+    assert reg.find_containing((1.2, 0, 0), keys) == (0, 9)
     # the larger ball wins over the smaller key
     edges[(1, 2)] = edge_rec((1, 2), (1.2, 0.0, 0.0), 1.25)
-    assert reg.find_containing((0.3, 0, 0), cavity) == (1, 2)
+    assert reg.find_containing((0.3, 0, 0), keys) == (1, 2)
     # triangles are the 3-vertex faces of the same tets
     tris = {(0, 1, 3): tri_rec((0, 1, 3), (0.0, 0.0, 0.0), 1.0, 1.0)}
-    reg2 = BallRegistry(2, tris)
-    assert reg2.find_containing((0.5, 0, 0), cavity) == (0, 1, 3)
-    assert reg2.find_containing((0.5, 0, 0), [(0, 1, 2, 4)]) is None
+    reg2 = BallRegistry(tris)
+    assert reg2.find_containing((0.5, 0, 0), tet_faces(cavity, 3)) == (0, 1, 3)
+    assert reg2.find_containing((0.5, 0, 0),
+                                tet_faces([(0, 1, 2, 4)], 3)) is None
 
 
 @pytest.mark.parametrize("geom, h, mode, seed", [
@@ -318,7 +322,7 @@ def test_cavity_locks_match_the_ring_walk(seed):
     def checked(p, jitter=True):
         probe = probe_insert(p, jitter=jitter)
         want = cavity_locks_ring_walk(r.mesh, r.protected_edges, probe)
-        assert r._cavity_locks(probe) == want
+        assert r._cavity_locks(Census(r.mesh, probe)) == want
         locks.append(want)
         return probe
 

@@ -13,14 +13,15 @@ from pscmesh.delaunay import (TetMesh, _FACES, circumcentre_triangle,
 from pscmesh.errors import PscError
 from pscmesh.geometry import PiecewiseComplex
 from pscmesh.models import cube, icosphere, wedge
-from pscmesh.refine import Refiner, refine
+from pscmesh.refine import Census, Refiner, refine
 from pscmesh.restricted import (Restricted, _radius_edge, classify_edge,
                                 classify_facet, classify_tet, element_size,
                                 topo_disk_1, topo_disk_2)
 
-from oracles import (circumradius_triangle, distance_to_surface,
-                     face_crossings_reference, nearest_among_reference,
-                     random_rotation, winding_numbers)
+from oracles import (cavity_change_reference, circumradius_triangle,
+                     distance_to_surface, face_crossings_reference,
+                     nearest_among_reference, random_rotation,
+                     winding_numbers)
 from snapshots import assert_restricted_fresh, fresh_answer
 
 
@@ -638,9 +639,11 @@ def check_survivor_skips(monkeypatch):
         seen.append(key)
         return classify(self, d, key, handle)
 
-    def checked(self, destroyed_quads, created_ids):
+    def checked(self, census, created_ids):
         mesh = self.mesh
-        old = {k for q in destroyed_quads for n in (2, 3, 4)
+        killed_quads = ([k[1] for k in mesh._last_insert.journal[0]]
+                        if census.probe[1] else [])
+        old = {k for q in killed_quads for n in (2, 3, 4)
                for k in combinations(sorted(q), n)}
         handles = {}
         for t in created_ids:
@@ -653,7 +656,7 @@ def check_survivor_skips(monkeypatch):
         survivors = {k for k in handles.keys() & old
                      if k not in self.rs.table[len(k) - 1]}
         seen.clear()
-        undo = reclassify(self, destroyed_quads, created_ids)
+        undo = reclassify(self, census, created_ids)
         missed = sorted(handles.keys() - set(seen))
         assert set(missed) == survivors
         for key in missed:
@@ -693,14 +696,149 @@ def test_skipped_survivors_on_the_lattice_classify_as_unrestricted(
     r.mesh = TetMesh(bounds, seed=2, stats=r.stats)
     alive = sorted(r.mesh.alive_tets())
     r.cert.update(r.mesh, alive)
-    r._reclassify([], alive)
+    r._reclassify(Census(r.mesh), alive)
     for p in points:
-        rec = r.mesh.insert_point(p, jitter=False)
-        r.cert.update(r.mesh, rec.created, rec.destroyed)
-        r._reclassify(rec.destroyed_quads, rec.created)
+        census = Census(r.mesh, r.mesh.probe_insert(p, jitter=False))
+        rec = r.mesh.insert_point(p, probe=census.probe)
+        r.cert.update(r.mesh, rec.created, census.probe[1])
+        r._reclassify(census, rec.created)
     assert len(skipped) == r.stats["survivors_skipped"] > 0
     assert (8, 9) in r.rs.edges and r.stats["segment_scans"] > 0
     assert_restricted_fresh(r)
+
+
+# ----------------------------------------------------------------------
+# the cavity census and the undo list
+
+
+def assert_census_is_the_tet_derivation(census, killed_quads, created_quads):
+    """The census kills and keeps the faces, and holds the vertices, that
+    the faces of the killed and created tets give."""
+    killed, kept, dirty = cavity_change_reference(killed_quads, created_quads)
+    for d in (1, 2, 3):
+        assert census.faces[d] - census.kept[d] == killed[d]
+        assert census.kept[d] == kept[d]
+    assert census.faces[0] == census.kept[0] == dirty
+
+
+def insert_with_census(mesh, p, jitter=True):
+    """Insert p through its census; check the census against the tets the
+    insertion killed and created.  Returns the insertion record."""
+    census = Census(mesh, mesh.probe_insert(p, jitter=jitter))
+    rec = mesh.insert_point(p, probe=census.probe)
+    if rec.duplicate:
+        assert census.kept == census.faces  # nothing is inserted
+    else:
+        assert_census_is_the_tet_derivation(
+            census, [k[1] for k in rec.journal[0]],
+            [mesh.tets[t] for t in rec.created])
+    return rec
+
+
+def test_census_of_random_insertions_is_the_tet_derivation():
+    rng = np.random.default_rng(12)
+    mesh = TetMesh(((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), seed=3)
+    points = [tuple(p) for p in rng.uniform(0.0, 1.0, (80, 3))]
+    recs = [insert_with_census(mesh, p) for p in points + points[5:7]]
+    assert [r.duplicate for r in recs].count(True) == 2
+
+
+def test_census_of_the_unjittered_lattice_is_the_tet_derivation():
+    # exact ties: the corners of each lattice cell are cospherical
+    _geom, bounds, points = lattice_case()
+    mesh = TetMesh(bounds, seed=2)
+    for p in points:
+        assert not insert_with_census(mesh, p, jitter=False).duplicate
+
+
+def test_census_of_every_wedge_probe_is_the_tet_derivation(monkeypatch):
+    """Every probe of a refinement run: the census against the cavity tets
+    and the tets its insertion would create (a boundary facet plus the
+    new vertex), and the disk-check marks of every insertion against the
+    vertices of the tets it killed."""
+    checked = {"probes": 0, "marks": 0}
+    killed = []
+
+    class CheckedCensus(Census):
+        __slots__ = ()
+
+        def __init__(self, mesh, probe=(None, (), (), None)):
+            super().__init__(mesh, probe)
+            _pj, cav, boundary, dup = probe
+            if cav and dup is None:
+                vid = len(mesh.points)
+                assert_census_is_the_tet_derivation(
+                    self, [mesh.tets[t] for t in cav],
+                    [(*f, vid) for f, _n in boundary])
+                checked["probes"] += 1
+
+    reclassify, mark = Refiner._reclassify, Refiner._mark_dirty
+
+    def recording(self, census, created_ids):
+        killed.clear()
+        if census.probe[1]:
+            rec = self.mesh._last_insert
+            killed.append((rec.vid, [k[1] for k in rec.journal[0]]))
+        return reclassify(self, census, created_ids)
+
+    def marking(self, vertices):
+        if killed:
+            vid, quads = killed.pop()
+            _k, _kept, dirty = cavity_change_reference(quads, [])
+            assert set(vertices) == dirty | {vid}
+            checked["marks"] += 1
+        return mark(self, vertices)
+
+    monkeypatch.setattr(refine_mod, "Census", CheckedCensus)
+    monkeypatch.setattr(Refiner, "_reclassify", recording)
+    monkeypatch.setattr(Refiner, "_mark_dirty", marking)
+    r = Refiner(wedge(), RefineConfig(sizing=SizingField(h0=0.35), seed=0))
+    assert r.run() == "converged"
+    assert checked["marks"] == r.stats["inserted"]
+    assert checked["probes"] > r.stats["inserted"]
+
+
+# Refiner.stats of the seed-0 runs, as the earlier reclassification that
+# wrote every classified key gave them
+STATS = {
+    "sphere": {"inserted": 162, "duplicates": 0, "rejected_protected": 0,
+               "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 0,
+               "encroach_tri": 21, "disk1": 0, "disk2": 0, "type2": 43,
+               "type1": 119, "blocked": 0, "dual_certified": 4361,
+               "volume_inherited": 2399, "axis_line_scans": 0,
+               "segment_scans": 0, "survivors_skipped": 8026,
+               "locate_scans": 0, "ray_reshoots": 0},
+    "crease": {"inserted": 85, "duplicates": 0, "rejected_protected": 0,
+               "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 1,
+               "encroach_tri": 19, "disk1": 0, "disk2": 0, "type2": 27,
+               "type1": 58, "blocked": 0, "dual_certified": 2338,
+               "volume_inherited": 1092, "axis_line_scans": 0,
+               "segment_scans": 0, "survivors_skipped": 3952,
+               "locate_scans": 0, "ray_reshoots": 9},
+}
+
+
+@pytest.mark.parametrize("name, geom, h", [
+    ("sphere", lambda: icosphere(2), 0.4),
+    ("crease", wedge, 0.35),
+], ids=["sphere", "crease"])
+def test_reclassify_writes_only_entries_that_change(monkeypatch, name, geom,
+                                                    h):
+    reclassify = Refiner._reclassify
+    calls = []
+
+    def checked(self, census, created_ids):
+        undo = reclassify(self, census, created_ids)
+        assert not [(d, key) for d, key, old in undo
+                    if old is None and key not in self.rs.table[d]]
+        calls.append(len(undo))
+        return undo
+
+    monkeypatch.setattr(Refiner, "_reclassify", checked)
+    r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=0))
+    assert r.run() == "converged"
+    assert len(calls) > STATS[name]["inserted"]
+    assert r.stats == STATS[name]
 
 
 @st.composite

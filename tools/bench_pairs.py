@@ -19,9 +19,19 @@ with every end-to-end metric, and then the claim block of a
     met                             better in at least 9 of 10 pairs and
                                     in the median by more than parent_iqr
 
-"Better" is the metric's direction in the change checkout's
-``BENCHMARK.json``.  For example, with the parent at HEAD checked out
-beside the working tree:
+After the claim block it prints one no-regression line per end-to-end
+metric of ``BENCHMARK.json``, as JSON, from the same runs:
+
+    metric, parent_median, change_median, parent_iqr
+    relative_change                 change_median / parent_median - 1
+    bound                           the metric's bound
+    within_bound                    the change is not worse than the
+                                    parent's median by more than bound
+                                    times its size
+
+"Better" and "worse" follow the metric's direction in the change
+checkout's ``BENCHMARK.json``.  For example, with the parent at HEAD
+checked out beside the working tree:
 
     git worktree add ../parent HEAD
     python3 tools/bench_pairs.py ../parent . dense_surface setup_s
@@ -73,6 +83,23 @@ def claim(parent, change, lower_is_better):
     }
 
 
+def no_regression(name, parent, change, lower_is_better, bound):
+    """The no-regression line of one metric from the paired values."""
+    q1, _q2, q3 = statistics.quantiles(parent, n=4)
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    worse = c_med - p_med if lower_is_better else p_med - c_med
+    return {
+        "metric": name,
+        "parent_median": round(p_med, 4),
+        "change_median": round(c_med, 4),
+        "parent_iqr": round(q3 - q1, 4),
+        "relative_change": (round(c_med / p_med - 1.0, 4) if p_med
+                            else 0.0 if c_med == p_med else None),
+        "bound": bound,
+        "within_bound": worse <= bound * abs(p_med),
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path, help="parent checkout")
@@ -82,25 +109,33 @@ def main(argv=None):
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     if args.metric not in better:
         ap.error(f"unknown metric {args.metric!r}; one of "
                  f"{', '.join(better)}")
-    values = {"parent": [], "change": []}
+    # side -> metric -> the values of the runs in seed order
+    values = {"parent": {}, "change": {}}
     for seed in SEEDS:
         sides = ("parent", "change") if seed % 2 == 0 else ("change",
                                                            "parent")
         for side in sides:
             metrics, summary = run(getattr(args, side), args.workload, seed)
-            values[side].append(metrics[args.metric])
+            for name, value in metrics.items():
+                values[side].setdefault(name, []).append(value)
             print(json.dumps({"seed": seed, "side": side,
                               "correct": summary["correct"],
                               "failed": summary["failed"],
                               "attempted": summary["attempted"],
                               "metrics": metrics}), flush=True)
     block = {"workload": args.workload, "metric": args.metric}
-    block.update(claim(values["parent"], values["change"],
+    block.update(claim(values["parent"][args.metric],
+                       values["change"][args.metric],
                        better[args.metric] == "lower"))
     print(json.dumps(block, indent=1))
+    for name in better:
+        print(json.dumps(no_regression(
+            name, values["parent"][name], values["change"][name],
+            better[name] == "lower", bounds[name])))
 
 
 if __name__ == "__main__":
