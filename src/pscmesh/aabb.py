@@ -16,19 +16,24 @@ descendants that start where it starts; so the nodes, the permutation and
 the order of tied centres are those of the recursive median split.
 
 ``query_box`` is the one traversal; it can also clip by the query's shape.
-``seg=(p, q, pad)`` drops a node whose box, grown by ``pad``, the segment
+It applies the box test and the clips to every node it reaches and then
+to each primitive of a leaf it reaches, by the primitive's own box, so
+what it returns is what the tests pass, not whole leaves.
+``seg=(p, q, pad)`` drops a box that, grown by ``pad``, the segment
 misses: to the box test's axes it adds d x e_x, d x e_y, d x e_z (d = q - p),
 which decide segment-box overlap exactly (Ericson, *Real-Time Collision
 Detection*, 5.3.3) and need no division, so axis-parallel and zero-length
-segments are no special case.  ``plane=(point, normal, pad)`` drops a node
-whose grown box lies strictly on one side of the plane.  ``ball=(centre,
-radius, pad)`` drops a node whose grown box lies strictly inside the ball
-(farthest corner nearer than ``radius - pad``), which holds no point of a
-circle of that radius about ``centre``.  Clips remove whole subtrees, so
-the result is an order-preserving subsequence of the unclipped walk; no
-hit is lost while ``pad`` covers how far outside a primitive's box
-its hit test still accepts one (``geometry`` passes ``eps`` plus its
-barycentric slack times the diagonal, far above the clips' rounding).
+segments are no special case.  ``plane=(point, normal, pad)`` drops a box
+that, grown by ``pad``, lies strictly on one side of the plane.
+``ball=(centre, radius, pad)`` drops a box that, grown by ``pad``, lies
+strictly inside the ball (farthest corner nearer than ``radius - pad``),
+which holds no point of a circle of that radius about ``centre``.  A
+dropped node takes its subtree with it, and a node box contains its
+primitives' boxes, so the result is the order-preserving subsequence of
+the primitives, in tree order, whose own boxes pass; no hit is lost
+while ``pad`` covers how far outside a primitive's box its hit test
+still accepts one (``geometry`` passes ``eps`` plus its barycentric
+slack times the diagonal, far above the clips' rounding).
 
 ``lower_distances`` bounds the distance from many points to the primitives
 from below in a few numpy passes.  It measures the distance to the nearest box
@@ -56,6 +61,10 @@ class AABBTree:
         # leaves have left == -1 and reference a slice of self._perm
         self._nodes = []
         self._perm = []     # queries hand out Python ints
+        # the nodes, then the primitive boxes in _perm order: query_box
+        # reaches the box of _perm[i] at index i - n, so its sign tells a
+        # primitive from a node
+        self._walk = []
         cover = boxes.reshape(-1, 6)
         if self.n:
             levels = self._build(boxes)
@@ -112,6 +121,7 @@ class AABBTree:
         self._perm = perm[:n].tolist()
         self._nodes = [tuple(b + k) for b, k in zip(box[order].tolist(),
                                                     links[order].tolist())]
+        self._walk = self._nodes + ranged[:n].tolist()
         return levels
 
     def lower_distances(self, points):
@@ -145,9 +155,9 @@ class AABBTree:
         return out
 
     def query_box(self, lo, hi, seg=None, plane=None, ball=None):
-        """Primitive ids whose boxes overlap the axis-aligned box [lo, hi],
-        in tree order, less the subtrees that ``seg``, ``plane`` or
-        ``ball`` clip away (see the module docstring)."""
+        """Primitive ids whose own boxes overlap the axis-aligned box
+        [lo, hi] and pass the ``seg``, ``plane`` and ``ball`` clips (see the
+        module docstring), in tree order."""
         if not self.n:
             return []
         qx0, qy0, qz0 = lo
@@ -165,12 +175,14 @@ class AABBTree:
         if ball is not None:
             (bx, by, bz), br, bpad = ball
             rin2 = (br - bpad) ** 2 if br > bpad else -1.0
+        n = self.n
         out = []
         stack = [0]
-        nodes = self._nodes
+        walk = self._walk
         perm = self._perm
         while stack:
-            nd = nodes[stack.pop()]
+            e = stack.pop()
+            nd = walk[e]
             if (nd[3] < qx0 or nd[0] > qx1 or nd[4] < qy0 or
                     nd[1] > qy1 or nd[5] < qz0 or nd[2] > qz1):
                 continue
@@ -197,9 +209,12 @@ class AABBTree:
                             abs(dx * cz - dz * cx) > hx * az + hz * ax + ry or
                             abs(dy * cx - dx * cy) > hx * ay + hy * ax + rz):
                         continue
-            if nd[6] < 0:
-                first, count = nd[8], nd[9]
-                out.extend(perm[first:first + count])
+            if e < 0:
+                out.append(perm[e])
+            elif nd[6] < 0:
+                # the leaf's primitives, popped in _perm order
+                first = nd[8] - n
+                stack.extend(range(first + nd[9] - 1, first - 1, -1))
             else:
                 stack.append(nd[7])
                 stack.append(nd[6])

@@ -177,11 +177,14 @@ class PiecewiseComplex:
         lo, hi = ends.min(axis=1), ends.max(axis=1)
         # earlier endpoints with the same (curve, vertex) as each endpoint
         degree = _ranks(np.repeat(seg[:, 2], 2), ends.ravel()).reshape(-1, 2)
+        # a squared length that underflows to 0 is as fatal as equal ends:
+        # the direction of such a segment divides by its length
+        x, y, z = (verts[ends[:, 1]] - verts[ends[:, 0]]).T
         _raise_first([
             (~ok.all(axis=1),
              lambda s: f"segment {s} references missing vertex"),
             (seg[:, 0] == seg[:, 1], lambda s: f"segment {s} is degenerate"),
-            ((verts[ends[:, 0]] == verts[ends[:, 1]]).all(axis=1),
+            (x * x + y * y + z * z == 0.0,
              lambda s: f"segment {s} has zero length"),
             (_ranks(lo, hi) > 0,
              lambda s: f"duplicate segment {tuple(sorted(segments[s][:2]))}"),

@@ -219,8 +219,6 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
         return []
     pu = mesh.points[u]
     pw = mesh.points[w]
-    link = [mesh.points[x] for x in {x for t in ring for x in mesh.tets[t]}
-            if x != u and x != w]
     reliable = True
     poly = []
     for t in ring:
@@ -244,6 +242,7 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
     offset = ((pu[0] + pw[0]) * nx + (pu[1] + pw[1]) * ny
               + (pu[2] + pw[2]) * nz) / 2.0
     hits = []
+    link = None     # built for the first bisector crossing
     for sid in sorted(cands):
         i, j, cid = geom.segments[sid]
         a = geom.pts[i]
@@ -259,6 +258,10 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
         t = min(max(t, 0.0), 1.0)
         y = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]),
              a[2] + t * (b[2] - a[2]))
+        if link is None:
+            link = [mesh.points[x]
+                    for x in {x for r in ring for x in mesh.tets[r]}
+                    if x != u and x != w]
         if _nearest_among(mesh, y, (u, w), link):
             hits.append((y, cid))
     return hits

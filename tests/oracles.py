@@ -10,9 +10,10 @@ older or unfiltered rule on the mesh's own queries:
 ``containing_ball_scan`` (encroachment over every ball) and
 ``cavity_locks_ring_walk`` (collar locks by walking edge rings) and
 ``cavity_change_reference`` (an insertion's killed and kept faces from the
-faces of the killed and created tets), and two that keep the input
+faces of the killed and created tets), and three that keep the input
 layer's earlier loops: ``box_tree_reference`` (the recursive median-split
-build) and ``validate_reference`` (the record by record input checks).
+build), ``query_box_reference`` (the box query that returned whole leaves)
+and ``validate_reference`` (the record by record input checks).
 """
 
 import math
@@ -584,7 +585,8 @@ def _point_tris_d2(p, a, b, c):
 
 
 # ----------------------------------------------------------------------
-# input layer: the recursive box tree build and the input checks
+# input layer: the recursive box tree build, its leaf-level walk and
+# the input checks
 
 
 def box_tree_reference(boxes, leaf_size=8, cover_boxes=512):
@@ -636,6 +638,69 @@ def box_tree_reference(boxes, leaf_size=8, cover_boxes=512):
                                   np.ascontiguousarray(cover[:, 3:].T))
 
 
+def query_box_reference(tree, lo, hi, seg=None, plane=None, ball=None):
+    """The leaf-level walk of ``AABBTree.query_box`` that the per-primitive
+    tests replaced, kept verbatim: every primitive of each leaf whose node
+    box passes the box test and the ``seg``, ``plane`` and ``ball`` clips,
+    in tree order, whether or not its own box passes them."""
+    if not tree.n:
+        return []
+    qx0, qy0, qz0 = lo
+    qx1, qy1, qz1 = hi
+    if seg is not None:
+        (px, py, pz), (qx, qy, qz), pad = seg
+        dx, dy, dz = qx - px, qy - py, qz - pz
+        ax, ay, az = abs(dx), abs(dy), abs(dz)
+        rx, ry, rz = pad * (ay + az), pad * (az + ax), pad * (ax + ay)
+    if plane is not None:
+        o, (nx, ny, nz), pad = plane
+        off = nx * o[0] + ny * o[1] + nz * o[2]
+        anx, any_, anz = abs(nx), abs(ny), abs(nz)
+        rn = pad * (anx + any_ + anz)
+    if ball is not None:
+        (bx, by, bz), br, bpad = ball
+        rin2 = (br - bpad) ** 2 if br > bpad else -1.0
+    out = []
+    stack = [0]
+    nodes = tree._nodes
+    perm = tree._perm
+    while stack:
+        nd = nodes[stack.pop()]
+        if (nd[3] < qx0 or nd[0] > qx1 or nd[4] < qy0 or
+                nd[1] > qy1 or nd[5] < qz0 or nd[2] > qz1):
+            continue
+        if ball is not None and (max(bx - nd[0], nd[3] - bx) ** 2
+                                 + max(by - nd[1], nd[4] - by) ** 2
+                                 + max(bz - nd[2], nd[5] - bz) ** 2 < rin2):
+            continue
+        if seg is not None or plane is not None:
+            # box centre c and half extents h
+            cx = 0.5 * (nd[0] + nd[3])
+            cy = 0.5 * (nd[1] + nd[4])
+            cz = 0.5 * (nd[2] + nd[5])
+            hx = 0.5 * (nd[3] - nd[0])
+            hy = 0.5 * (nd[4] - nd[1])
+            hz = 0.5 * (nd[5] - nd[2])
+            if plane is not None and (abs(nx * cx + ny * cy + nz * cz - off)
+                                      > hx * anx + hy * any_ + hz * anz + rn):
+                continue
+            if seg is not None:
+                cx -= px
+                cy -= py
+                cz -= pz
+                if (abs(dz * cy - dy * cz) > hy * az + hz * ay + rx or
+                        abs(dx * cz - dz * cx) > hx * az + hz * ax + ry or
+                        abs(dy * cx - dx * cy) > hx * ay + hy * ax + rz):
+                    continue
+        if nd[6] < 0:
+            first, count = nd[8], nd[9]
+            out.extend(perm[first:first + count])
+        else:
+            stack.append(nd[7])
+            stack.append(nd[6])
+    return out
+
+
 def validate_reference(vertices, segments, triangles):
     """Raise the ``ValidationError`` that the record-by-record checks raise
     first for an (n, 3) vertex array and lists of int tuples ``(i, j,
@@ -650,7 +715,9 @@ def validate_reference(vertices, segments, triangles):
             raise ValidationError(f"segment {sid} references missing vertex")
         if i == j:
             raise ValidationError(f"segment {sid} is degenerate")
-        if np.array_equal(vertices[i], vertices[j]):
+        x, y, z = (float(b) - float(a) for a, b in zip(vertices[i],
+                                                       vertices[j]))
+        if x * x + y * y + z * z == 0.0:
             raise ValidationError(f"segment {sid} has zero length")
         key = (min(i, j), max(i, j))
         if key in seen_pairs:

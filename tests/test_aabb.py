@@ -1,5 +1,7 @@
-"""Properties of the box tree's segment, plane and ball clips, and of its
-cover distance bound, and the level-wise build against the recursive one.
+"""Properties of the box tree's segment, plane and ball clips, applied to
+each node and each primitive it reaches, and of its cover distance bound;
+the level-wise build against the recursive one; and the box query against
+its earlier leaf-level walk during refinement.
 
 Boxes and query points sit on a grid of quarters and the pad is an eighth,
 so the tree's float arithmetic is exact and a segment, plane or sphere can
@@ -11,13 +13,18 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pscmesh import aabb
+from pscmesh import aabb, restricted
 from pscmesh.aabb import AABBTree
+from pscmesh.config import RefineConfig, SizingField
+from pscmesh.geometry import PiecewiseComplex
 from pscmesh.models import cube, icosphere, wedge
+from pscmesh.refine import Refiner
 
-from oracles import box_tree_reference, distance_to_surface
+from oracles import (box_tree_reference, distance_to_surface,
+                     query_box_reference)
 
 PAD = 0.125
 
@@ -170,6 +177,43 @@ def test_ball_clip_keeps_every_box_that_reaches_the_sphere(data):
     assert set(got) >= set(range(len(bxs) - len(touching), len(bxs)))
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_query_returns_exactly_the_primitives_whose_own_boxes_pass(data):
+    # on the quarter grid, with a quarter-grid ball radius, every test of
+    # the walk is exact, so the result must be exactly the primitives of the
+    # leaf-level walk whose own boxes pass the exact references, in order
+    bxs = data.draw(boxes())
+    tree = AABBTree(bxs)
+    kind = data.draw(st.sampled_from(("box", "seg", "plane", "ball")))
+    c = data.draw(st.one_of(point, on_box_face(bxs)))
+    q = data.draw(st.one_of(point, on_box_face(bxs), st.just(c)))
+    n = data.draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+    r = data.draw(st.integers(0, 60).map(lambda k: k / 4.0))
+    clip, passes = {
+        "box": ({}, lambda b: True),
+        "seg": ({"seg": (c, q, PAD)}, lambda b: meets_segment(grown(b), c, q)),
+        "plane": ({"plane": (c, n, PAD)},
+                  lambda b: meets_plane(grown(b), c, n)),
+        "ball": ({"ball": (c, r, PAD)}, lambda b: reaches_sphere(b, c, r)),
+    }[kind]
+    if kind == "seg":
+        lo = tuple(min(c[k], q[k]) - PAD for k in range(3))
+        hi = tuple(max(c[k], q[k]) + PAD for k in range(3))
+    else:
+        lo = tuple(x - r for x in c)
+        hi = tuple(x + r for x in c)
+    got = tree.query_box(lo, hi, **clip)
+    leaves = query_box_reference(tree, lo, hi, **clip)
+    assert got == [i for i in leaves
+                   if overlaps(bxs[i], lo, hi) and passes(bxs[i])]
+    assert all(overlaps(bxs[i], lo, hi) for i in got)
+    assert set(got) == {i for i, b in enumerate(bxs)
+                        if overlaps(b, lo, hi) and passes(b)}
+    assert is_subsequence(got, query_box_reference(tree, lo, hi))
+    assert all(type(i) is int for i in got)
+
+
 def test_queries_touching_a_padded_box_are_kept():
     # a unit box grown by PAD, and a segment across one of its edges that
     # touches it only there: for each edge direction, only the clip axis
@@ -200,20 +244,20 @@ def test_queries_touching_a_padded_box_are_kept():
 
 def test_clips_prune_a_lattice():
     # 1,000 unit boxes, all inside both queries' bounding boxes; the main
-    # diagonal meets 64 of them (at least at a corner), the plane x = 4.5
-    # cuts 100, and the tree keeps whole leaves of 8
+    # diagonal meets 64 of them (at least at a corner) and the plane
+    # x = 4.5 cuts 100, and the clips keep exactly those
     bxs = [(i, j, k, i + 1, j + 1, k + 1)
            for i in range(10) for j in range(10) for k in range(10)]
     tree = AABBTree(bxs)
     ids = tree.query_segment((0, 0, 0), (10, 10, 10))
     want = {i for i, b in enumerate(bxs)
             if meets_segment(b, (0, 0, 0), (10, 10, 10))}
-    assert len(want) == 64 and set(ids) >= want and len(ids) < 300
+    assert len(want) == 64 and len(ids) == 64 and set(ids) == want
     assert all(type(i) is int for i in ids)  # plain ints, not numpy scalars
     ids = tree.query_sphere((4.5, 5, 5), 20.0,
                             plane=((4.5, 5, 5), (1, 0, 0), 0.0))
     want = {i for i, b in enumerate(bxs) if b[0] == 4}
-    assert set(ids) >= want and len(ids) < 200
+    assert len(ids) == 100 and set(ids) == want
 
 
 # ----------------------------------------------------------------------
@@ -294,3 +338,53 @@ def test_level_wise_build_equals_the_recursive_build(n, span, size, seed):
     for got, want in zip(tree._cover, (cover_lo, cover_hi)):
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# the per-primitive walk against the leaf-level walk during refinement
+
+
+@pytest.mark.parametrize("geom, h, kinds", [
+    (lambda: icosphere(2), 0.4, ("segment", "ray", "disk")),
+    (wedge, 0.35, ("segment", "ray", "disk", "sphere", "face")),
+], ids=["sphere", "crease"])
+def test_refine_queries_hit_alike_with_the_leaf_level_walk(monkeypatch, geom,
+                                                           h, kinds):
+    # every surface, ray, disk and curve query of a seed-0 refine runs
+    # twice, on the per-primitive walk and on the leaf-level walk, and
+    # must find the same hits in the same order
+    leaf_level = []
+
+    def query_box(tree, *args, **kwargs):
+        if leaf_level:
+            return query_box_reference(tree, *args, **kwargs)
+        return walk(tree, *args, **kwargs)
+
+    def both(fn, name):
+        def checked(*args, **kwargs):
+            got = fn(*args, **kwargs)
+            leaf_level.append(True)
+            try:
+                want = fn(*args, **kwargs)
+            finally:
+                leaf_level.pop()
+            assert got == want
+            calls[name] += 1
+            return got
+        return checked
+
+    walk = AABBTree.query_box
+    monkeypatch.setattr(AABBTree, "query_box", query_box)
+    calls = dict.fromkeys(("segment", "ray", "disk", "sphere", "face"), 0)
+    for name, attr in (("segment", "intersect_segment_surface"),
+                       ("ray", "_ray_parity"),
+                       ("disk", "intersect_disk_surface"),
+                       ("sphere", "intersect_sphere_curve")):
+        monkeypatch.setattr(PiecewiseComplex, attr,
+                            both(getattr(PiecewiseComplex, attr), name))
+    monkeypatch.setattr(restricted, "_face_crossings",
+                        both(restricted._face_crossings, "face"))
+    r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=0))
+    assert r.run() == "converged"
+    # every query kind of the input runs (icosphere(2) has no curves)
+    assert all(calls[k] >= 40 for k in kinds)

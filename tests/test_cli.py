@@ -70,6 +70,15 @@ def test_zero_length_segment_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: segment 0 has zero length\n"
 
 
+def test_underflowing_segment_exits_1(tmp_path, capsys):
+    # ends 1e-200 apart: distinct coordinates, but a squared length of 0
+    path = tmp_path / "tiny.psc"
+    path.write_text("v 0 0 0\nv 1e-200 0 0\nv 1 0 0\nv 0 1 0\n"
+                    "e 0 1 0\ne 1 2 0\ne 2 3 0\n")
+    assert main(["--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: segment 0 has zero length\n"
+
+
 def test_run_cube_writes_valid_outputs(tmp_path):
     src = write_cube(tmp_path)
     out = str(tmp_path / "cube.vtk")

@@ -3,15 +3,19 @@
 For each workload of ``perfbench/workloads.py`` and each ``--seed`` in
 ``0 .. --seeds - 1``, this refines every jitter seed the benchmark's
 untraced run refines (``workloads.mesh_seeds``) with the benchmark's
-settings, through the same input file round trip, and prints two lines:
+settings, through the same input file round trip, and prints three lines:
 
     workload seed status sha256(vtk + report)
     workload seed counts points=.. curve_edges=.. surface_tris=..
         volume_tets=.. cert_passed=.. inserted=..
+    workload seed stats axis_line_scans=.. blocked=.. ...
 
-(the second on one line).  ``seed`` is the jitter seed of the mesh.  When
-only digest lines differ between two checkouts, the meshes are the same
-up to float bits; a differing counts line means a different mesh.  Each
+(the second and third each on one line; the third holds every counter of
+``Refiner.stats``, sorted by name).  ``seed`` is the jitter seed of the
+mesh.  When only digest lines differ between two checkouts, the meshes
+are the same up to float bits; a differing counts line means a different
+mesh.  A differing stats line with equal digests means the same meshes
+reached by different work (say, more ray re-shoots).  Each
 workload ends with one summary line,
 
     workload summary meshes=.. failed=.. vlen_min=.. alen_min=..
@@ -53,7 +57,8 @@ from workloads import (WORKLOADS, build_input, make_config,  # noqa: E402
 
 def digest(workload, seed, tmp):
     """(status, sha256 of the VTK bytes followed by the report bytes, the
-    counts line's fields, the summary line's values for this mesh)."""
+    counts line's fields, ``Refiner.stats``, the summary line's values for
+    this mesh)."""
     psc = tmp / f"{workload.name}.psc"
     if not psc.exists():
         write_complex(build_input(workload), str(psc))
@@ -75,7 +80,7 @@ def digest(workload, seed, tmp):
                "vlen_min": summary["volume_length"]["min"],
                "alen_min": summary["area_length"]["min"],
                "h_rel_dev": h_rel_dev(result.mesh, result.rs, cfg.sizing)}
-    return result.status, sha, fields, quality
+    return result.status, sha, fields, result.stats, quality
 
 
 def main(argv=None):
@@ -94,12 +99,14 @@ def main(argv=None):
             meshes = []
             for seed in range(args.seeds):
                 for mesh_seed in mesh_seeds(workload, seed):
-                    status, sha, fields, quality = digest(workload, mesh_seed,
-                                                          Path(tmp))
+                    status, sha, fields, stats, quality = digest(
+                        workload, mesh_seed, Path(tmp))
                     meshes.append(quality)
                     print(name, mesh_seed, status, sha)
                     print(name, mesh_seed, "counts",
-                          *(f"{k}={v}" for k, v in fields.items()),
+                          *(f"{k}={v}" for k, v in fields.items()))
+                    print(name, mesh_seed, "stats",
+                          *(f"{k}={stats[k]}" for k in sorted(stats)),
                           flush=True)
             print(name, "summary", f"meshes={len(meshes)}",
                   f"failed={sum(q['failed'] for q in meshes)}",
