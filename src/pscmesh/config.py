@@ -139,6 +139,8 @@ class RefineConfig:
             raise ValidationError("alpha must be positive")
         if self.collar_beta < 1.0:
             raise ValidationError("collar spacing factor must be >= 1")
+        if self.max_points < 0:
+            raise ValidationError("max_points must not be negative")
         if self.mode not in ("classical", "frontal"):
             raise ValidationError(f"unknown mode {self.mode!r}")
 

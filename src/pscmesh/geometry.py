@@ -15,7 +15,7 @@ numpy passes: the input checks report the lowest failing record id (an
 argmax over per-record failure masks, segments before triangles), and one
 sort of the triangle edges by (edge, patch) gives both the patch edge use
 counts that the checks bound and the surface edge census behind
-``surface_closed`` and ``embedded_curves``.
+``surface_closed``, ``embedded_curves`` and ``open_edge``.
 """
 
 import math
@@ -149,6 +149,13 @@ class PiecewiseComplex:
                             minlength=len(curves)) == 0
         self.embedded_curves = set(
             curves[whole][np.argsort(first_seg[whole])].tolist())
+        # the lowest edge of one triangle that no segment follows, or None:
+        # an open boundary that no restricted curve edge bounds, where the
+        # 2-disk condition never holds (``Refiner.setup`` rejects it)
+        rim = edge_keys[edge_uses == 1]
+        rim = rim[~np.isin(rim, seg_keys)][:1].tolist()
+        self.open_edge = ((rim[0] // (nv + 1) - 1, rim[0] % (nv + 1) - 1)
+                          if rim else None)
 
         self.seg_tree = AABBTree(
             boxes_for_segments(self.vertices, seg, pad=self.eps))

@@ -42,7 +42,7 @@ from itertools import combinations
 
 from .config import check_termination_bounds
 from .delaunay import _FACES, TetMesh, circumcentre_triangle
-from .errors import ProtectionError
+from .errors import ProtectionError, ValidationError
 from .geometry import _dot, _norm, _sub, _unit
 from .quality import QualityReport, build_report
 from .restricted import (DistanceCertificate, classify_edge, classify_facet,
@@ -330,7 +330,7 @@ class Refiner:
         self.warnings = []
         self.status = "new"
         # per-tet distance bounds that let classification skip empty queries
-        self.cert = DistanceCertificate(geom, self.rs.tets, self.stats)
+        self.cert = DistanceCertificate(geom, self.stats)
         # wall seconds spent in each cascade stage by run()
         self.stage_s = dict.fromkeys(("edges", "disk1", "tris", "disk2",
                                       "tets"), 0.0)
@@ -340,6 +340,10 @@ class Refiner:
 
     def setup(self):
         cfg = self.cfg
+        if self.g.open_edge is not None:
+            raise ValidationError(
+                f"surface edge {self.g.open_edge} bounds one triangle and "
+                "follows no curve segment: an open surface must end on curves")
         self.warnings = check_termination_bounds(cfg)
         apexes = self.g.detect_sharp_features()
         self.collars = protect_sharp_angles(self.g, apexes, cfg.sizing,
@@ -358,9 +362,7 @@ class Refiner:
             col.wing_vids = tuple(vids)
             self.protected_edges += [tuple(sorted((col.apex_vid, wv)))
                                      for wv in vids]
-        alive = list(self.mesh.alive_tets())
-        self.cert.update(self.mesh, alive)
-        self._reclassify(Census(self.mesh), alive)
+        self._reclassify(Census(self.mesh), list(self.mesh.alive_tets()))
         self._mark_dirty(range(len(self.mesh.points)))
         self.status = "ready"
 
@@ -389,13 +391,13 @@ class Refiner:
         created tet is (re)classified unless it is a kept face that is not
         restricted: an insertion only shrinks the Voronoi duals of kept
         faces, so a dual that missed the input still misses
-        (``stats.survivors_skipped``).  The created tets' distance bounds
-        must be in ``cert`` already.  Only entries that change are written.
+        (``stats.survivors_skipped``).  The created tets are bounded in
+        ``cert`` first.  Only entries that change are written.
         Returns the undo list: every write as (d, key, old), once per key;
         replaying it in reverse restores the tables.
         """
         mesh = self.mesh
-        self.cert.pending = set(created_ids)
+        self.cert.update(mesh, created_ids)
         # keys of the created tets with the handle their classifier takes
         # (a tet id, or a (tet, facet index) pair)
         handles = (None, {}, {}, {})
@@ -489,30 +491,29 @@ class Refiner:
             self.stats["rejected_protected"] += 1
             return "rejected", None
         rec = self.mesh.insert_point(point, kind, ref, probe=census.probe)
-        self.cert.update(self.mesh, rec.created, census.probe[1])
         undo = self._reclassify(census, rec.created)
         for low, guard, stat in ((1, gamma_guard, "rollback_gamma"),
                                  (2, sigma_guard, "rollback_sigma")):
             changed = guard and self._changed(undo, low)
             if changed:
                 self.stats[stat] += 1
-                return self._rollback(census, rec, undo, low, changed)
+                return self._rollback(rec, undo, low, changed)
         # every created tet is a cavity boundary facet plus the new vertex
         self._mark_dirty(census.faces[0] | {rec.vid})
         self.stats["inserted"] += 1
         return "inserted", rec.vid
 
-    def _rollback(self, census, rec, undo, low, changed):
-        """Undo the offending insertion of ``census`` and defer to the
+    def _rollback(self, rec, undo, low, changed):
+        """Undo the offending insertion ``rec`` and defer to the
         largest surface ball among ``changed``, the simplexes of the
         disturbed restricted complex of dimension low (``_changed``).
 
         The mesh comes back from the record's journal and the restricted
         tables from ``undo``, so the restored objects are the same ones,
-        and their queue entries are live again.
+        and their queue entries are live again.  The certificate keeps its
+        entries by tet id, so the restored tets find theirs intact.
         """
         self.mesh.remove_point(rec)
-        self.cert.update(self.mesh, census.probe[1], rec.created)
         for d, key, old in reversed(undo):
             self.rs.set(d, key, old)
         _key, best = max(changed.items(), key=lambda kv: (kv[1].radius, kv[0]))
@@ -623,6 +624,8 @@ class Refiner:
             if cand is None:
                 return None, c0, r0
             hn = min(max(0.5 * (h0 + sizing.value(cand)), 0.5 * h0), 2.0 * h0)
+            if hn == h:
+                return cand, c0, r0
             done = abs(hn - h) <= 1e-3 * h
             h = hn
             if done:

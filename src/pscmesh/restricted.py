@@ -138,32 +138,32 @@ class DistanceCertificate:
       farther than pad from the surface, lie on the same side.  So under
       (*) a tet takes its neighbour's volume status.
 
-    ``Refiner`` keeps ``bound`` to the live tets, and ``pending``
-    to the created tets whose volume status is not settled yet.  ``tets``
-    is the restricted tet table, which holds the settled status of every
-    other non-ghost tet; ``stats`` counts what the certificate skipped
+    ``bound[t]`` and ``inside[t]``, t's volume status (None until
+    ``classify_tet`` settles it; a ghost's never is), are lists indexed by
+    tet id like ``mesh.circum``.  A killed tet keeps its entries for an
+    undo that restores it, and ``update`` overwrites the ids an undone
+    insertion created.  ``stats`` counts what the certificate skipped
     (``dual_certified``, ``volume_inherited``), the facets that took the
     axis-line path (``axis_line_scans``), the edges whose unreliable ring
     scanned every curve segment (``segment_scans``) and the membership
     rays re-shot after a grazing ray (``ray_reshoots``).
     """
 
-    def __init__(self, geom, tets, stats):
+    def __init__(self, geom, stats):
         self.tree = geom.tri_tree
         self.pad = geom.hit_pad
-        self.bound = {}
-        self.pending = set()
-        self.tets = tets
+        self.bound = []
+        self.inside = []
         self.stats = stats
 
-    def update(self, mesh, created, dropped=()):
-        """Drop the bounds of dead tets and bound the created ones, in one
-        numpy batch."""
-        for t in dropped:
-            del self.bound[t]
-        if created:
-            d = self.tree.lower_distances([mesh.circum[t][0] for t in created])
-            self.bound.update(zip(created, d.tolist()))
+    def update(self, mesh, created):
+        """Bound the created tets, in one numpy batch, and unsettle them."""
+        grow = len(mesh.tets) - len(self.bound)
+        self.bound += [0.0] * grow
+        self.inside += [None] * grow
+        d = self.tree.lower_distances([mesh.circum[t][0] for t in created])
+        for t, b in zip(created, d.tolist()):
+            self.bound[t], self.inside[t] = b, None
 
     def clears(self, t1, c1, t2, c2):
         """True when (*) holds for tets t1, t2 with circumcentres c1, c2."""
@@ -171,17 +171,17 @@ class DistanceCertificate:
                 > (1.0 + 2e-12) * math.dist(c1, c2) + 2.0 * self.pad)
 
     def inherited(self, mesh, t, centre):
-        """Volume status of tet t taken from a settled, non-ghost neighbour
-        with a reliable circumcentre across which (*) holds, or None."""
+        """Volume status of tet t taken from a settled neighbour with a
+        reliable circumcentre across which (*) holds, or None."""
         if not mesh.circum[t][2]:
             return None
         for n in mesh.neigh[t]:
-            if n == -1 or n in self.pending or mesh.is_ghost(n):
+            if n == -1 or self.inside[n] is None:
                 continue
             cn, _r2, ok = mesh.circum[n]
             if ok and self.clears(t, centre, n, cn):
                 self.stats["volume_inherited"] += 1
-                return tuple(sorted(mesh.tets[n])) in self.tets
+                return self.inside[n]
         return None
 
 
@@ -359,8 +359,6 @@ def classify_tet(mesh, geom, t, cert=None):
     With ``cert``, a neighbour's settled status replaces the membership ray
     where the certificate allows, and t's own status becomes settled.
     """
-    if cert is not None:
-        cert.pending.discard(t)
     if not geom.surface_closed or mesh.is_ghost(t):
         return None
     centre, _ok = mesh.voronoi_vertex(t)
@@ -368,6 +366,8 @@ def classify_tet(mesh, geom, t, cert=None):
     if inside is None:
         inside = geom.point_in_volume(centre,
                                       None if cert is None else cert.stats)
+    if cert is not None:
+        cert.inside[t] = inside
     if not inside:
         return None
     quad = mesh.tets[t]

@@ -30,20 +30,25 @@ def refiner_snapshot(r):
         # disk-check marks in queue order
         "dirty1": list(r.dirty[1]),
         "dirty2": list(r.dirty[2]),
-        # distance bounds by tet id, and the unsettled tets
-        "bound": dict(r.cert.bound),
-        "pending": set(r.cert.pending),
+        # the certificate's entries of the live tets (a dead id's are
+        # never read)
+        "cert": {t: (r.cert.bound[t], r.cert.inside[t])
+                 for t in m.alive_tets()},
     }
 
 
 def assert_bounds_fresh(r):
-    """The certificate holds a bound for exactly the live tets, each equal
-    to a fresh one: none outlived its tet or an undo."""
-    alive = sorted(r.mesh.alive_tets())
-    assert sorted(r.cert.bound) == alive
-    fresh = r.g.tri_tree.lower_distances([r.mesh.circum[t][0] for t in alive])
+    """Every live tet's bound equals a fresh one, and every live non-ghost
+    tet's volume status is settled and says whether its key is in the
+    restricted tet table: no entry outlived its tet or an undo."""
+    mesh = r.mesh
+    alive = sorted(mesh.alive_tets())
+    fresh = r.g.tri_tree.lower_distances([mesh.circum[t][0] for t in alive])
     assert [r.cert.bound[t] for t in alive] == fresh.tolist()
-    assert not r.cert.pending
+    for t in alive:
+        if not mesh.is_ghost(t):
+            assert r.cert.inside[t] is (tuple(sorted(mesh.tets[t]))
+                                        in r.rs.tets), t
 
 
 def _fields(obj):

@@ -344,15 +344,17 @@ def test_level_wise_build_equals_the_recursive_build(n, span, size, seed):
 # the per-primitive walk against the leaf-level walk during refinement
 
 
-@pytest.mark.parametrize("geom, h, kinds", [
-    (lambda: icosphere(2), 0.4, ("segment", "ray", "disk")),
-    (wedge, 0.35, ("segment", "ray", "disk", "sphere", "face")),
+@pytest.mark.parametrize("geom, h, kinds, seeds", [
+    (lambda: icosphere(2), 0.4, ("segment", "ray", "disk"), (0,)),
+    # an off-centre under uniform sizing takes one sphere or disk query,
+    # so two seeds keep every kind of query past 40
+    (wedge, 0.35, ("segment", "ray", "disk", "sphere", "face"), (0, 1)),
 ], ids=["sphere", "crease"])
 def test_refine_queries_hit_alike_with_the_leaf_level_walk(monkeypatch, geom,
-                                                           h, kinds):
-    # every surface, ray, disk and curve query of a seed-0 refine runs
-    # twice, on the per-primitive walk and on the leaf-level walk, and
-    # must find the same hits in the same order
+                                                           h, kinds, seeds):
+    # every surface, ray, disk and curve query of the refines runs twice,
+    # on the per-primitive walk and on the leaf-level walk, and must find
+    # the same hits in the same order
     leaf_level = []
 
     def query_box(tree, *args, **kwargs):
@@ -384,7 +386,8 @@ def test_refine_queries_hit_alike_with_the_leaf_level_walk(monkeypatch, geom,
                             both(getattr(PiecewiseComplex, attr), name))
     monkeypatch.setattr(restricted, "_face_crossings",
                         both(restricted._face_crossings, "face"))
-    r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=0))
-    assert r.run() == "converged"
+    for seed in seeds:
+        r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=seed))
+        assert r.run() == "converged"
     # every query kind of the input runs (icosphere(2) has no curves)
     assert all(calls[k] >= 40 for k in kinds)

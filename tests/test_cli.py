@@ -79,6 +79,24 @@ def test_underflowing_segment_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: segment 0 has zero length\n"
 
 
+def test_open_surface_off_the_curves_exits_1(tmp_path, capsys):
+    # a lone triangle: no restricted curve edge can bound its rim, so the
+    # run would never converge
+    path = tmp_path / "sheet.psc"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nt 0 1 2 0\n")
+    assert main(["--input", str(path), "--hfun", "0.3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: surface edge (0, 1) bounds one triangle and follows no curve "
+        "segment: an open surface must end on curves\n")
+
+
+def test_negative_point_budget_exits_1(tmp_path, capsys):
+    src = write_cube(tmp_path)
+    assert main(["--input", src, "--max-points", "-3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: max_points must not be negative\n")
+
+
 def test_run_cube_writes_valid_outputs(tmp_path):
     src = write_cube(tmp_path)
     out = str(tmp_path / "cube.vtk")

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pscmesh.aabb import AABBTree
 from pscmesh.config import (GridSizing, RefineConfig, SizingField,
                             check_termination_bounds)
+from pscmesh.delaunay import TetMesh
 from pscmesh.errors import ValidationError
 from pscmesh.geometry import PiecewiseComplex, load_complex
 from pscmesh.models import cube, icosphere, wedge
@@ -154,11 +156,17 @@ def edge_refiner(sizing, lo=(-1.0, 0.0, 0.0), hi=(1.0, 0.0, 0.0)):
     return r, geom
 
 
-def test_edge_offcentre_uniform():
-    r, _g = edge_refiner(SizingField(h0=0.2))
+def test_edge_offcentre_uniform(monkeypatch):
+    r, g = edge_refiner(SizingField(h0=0.2))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
     e = edge_rec((0, 0), (0.35, 0, 0), 0.35)
+    radii = []
+    query = g.intersect_sphere_curve
+    monkeypatch.setattr(g, "intersect_sphere_curve",
+                        lambda c, s: radii.append(s) or query(c, s))
     c2, c0, r0 = r._offcentre(1, e, (x1,))
+    # the half-sum step returns h itself: the candidate at h is the answer
+    assert radii == [0.2]
     assert c2 is not None
     assert c0 == r.mesh.points[x1] and r0 == 0.0
     assert np.allclose(c2, (0.2, 0, 0), atol=1e-9)
@@ -442,6 +450,9 @@ def test_config_validation():
         RefineConfig(sizing=SizingField(h0=1.0), rho_vol=0.1)
     with pytest.raises(ValidationError):
         SizingField(h0=-1.0)
+    with pytest.raises(ValidationError, match="max_points"):
+        RefineConfig(sizing=SizingField(h0=1.0), max_points=-1)
+    assert RefineConfig(sizing=SizingField(h0=1.0), max_points=0)
 
 
 # ----------------------------------------------------------------------
@@ -561,6 +572,21 @@ def test_curve_only_and_open_inputs_converge():
     assert results[0].stats["disk1"] == 0
 
 
+def test_open_surface_off_the_curves_is_rejected_at_setup():
+    # the square's edge (0, 3) bounds one triangle and follows no segment,
+    # so the 2-disk condition could never hold along it
+    geom = PiecewiseComplex([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+                            [(0, 1, 0), (1, 2, 0), (2, 3, 0)],
+                            [(0, 1, 2, 0), (0, 2, 3, 0)])
+    assert geom.open_edge == (0, 3)
+    assert flat_patch().open_edge == (0, 1)
+    assert icosphere(1).open_edge is None
+    r = Refiner(geom, cfg_with(0.3))
+    with pytest.raises(ValidationError, match=r"surface edge \(0, 3\)"):
+        r.setup()
+    assert r.status == "new"
+
+
 def test_refine_wrapper_returns_mesh_sets_report():
     geom = icosphere(1)
     res = refine(geom, cfg_with(0.5))
@@ -610,7 +636,7 @@ def test_gamma_rollback_restores_restricted_sets():
     assert r.stats["rollback_gamma"] >= 1
 
 
-def test_sigma_rollback_restores_mesh_and_restricted_sets():
+def test_sigma_rollback_restores_mesh_and_restricted_sets(monkeypatch):
     # interior points just inside the cube next to surface ball centres
     # change the restricted surface, so the surface guard takes them back
     geom = cube()
@@ -618,6 +644,15 @@ def test_sigma_rollback_restores_mesh_and_restricted_sets():
     r = Refiner(geom, cfg)
     assert r.run() == "converged"
     events = record_rollbacks(r)
+    # each insertion bounds its created tets once, and an undo never does:
+    # the restored tets keep their certificate entries under their old ids
+    calls = {"bound": 0, "insert": 0}
+    for name, owner, attr in (("bound", AABBTree, "lower_distances"),
+                              ("insert", TetMesh, "insert_point")):
+        def counted(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
     mid = np.mean(geom.bounds, axis=0)
     for _key, f in sorted(r.rs.tris.items())[:10]:
         c = np.asarray(f.centre)
@@ -626,6 +661,7 @@ def test_sigma_rollback_restores_mesh_and_restricted_sets():
         r._insert(p, "interior", -1, sigma_guard=True)
     assert r.stats["rollback_sigma"] >= 1
     assert len(events) == r.stats["rollback_sigma"]
+    assert calls["bound"] == calls["insert"] > r.stats["rollback_sigma"]
     for before, after in events:
         assert_undone(before, after)
     assert_bounds_fresh(r)

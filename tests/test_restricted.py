@@ -164,7 +164,7 @@ def _check_edges_against_reference(monkeypatch, mesh, geom):
     edges = sorted({tuple(sorted(pair)) for t in mesh.alive_tets()
                     for pair in combinations(mesh.tets[t], 2)})
     stats = {"segment_scans": 0}
-    cert = restricted.DistanceCertificate(geom, {}, stats)
+    cert = restricted.DistanceCertificate(geom, stats)
     got = [_record(classify_edge(mesh, geom, u, w, cert=cert))
            for u, w in edges]
     brute = nearest_among_reference(mesh)
@@ -694,13 +694,10 @@ def test_skipped_survivors_on_the_lattice_classify_as_unrestricted(
     geom, bounds, points = lattice_case()
     r = Refiner(geom, RefineConfig(sizing=SizingField(h0=1.0)))
     r.mesh = TetMesh(bounds, seed=2, stats=r.stats)
-    alive = sorted(r.mesh.alive_tets())
-    r.cert.update(r.mesh, alive)
-    r._reclassify(Census(r.mesh), alive)
+    r._reclassify(Census(r.mesh), sorted(r.mesh.alive_tets()))
     for p in points:
         census = Census(r.mesh, r.mesh.probe_insert(p, jitter=False))
         rec = r.mesh.insert_point(p, probe=census.probe)
-        r.cert.update(r.mesh, rec.created, census.probe[1])
         r._reclassify(census, rec.created)
     assert len(skipped) == r.stats["survivors_skipped"] > 0
     assert (8, 9) in r.rs.edges and r.stats["segment_scans"] > 0
