@@ -80,10 +80,6 @@ class SizingField:
         self.h0 = h0
         self.grid = grid
 
-    @property
-    def mode(self):
-        return "uniform" if self.h0 is not None else "gridded"
-
     def value(self, p):
         if self.h0 is not None:
             return self.h0
@@ -141,6 +137,10 @@ class RefineConfig:
             raise ValidationError("collar spacing factor must be >= 1")
         if self.max_points < 0:
             raise ValidationError("max_points must not be negative")
+        # the jitter keys on seed << 32 in 64 bits, so seeds that agree
+        # modulo 2**32 would give the same mesh
+        if not 0 <= self.seed < 2 ** 32:
+            raise ValidationError("seed must lie in [0, 2**32)")
         if self.mode not in ("classical", "frontal"):
             raise ValidationError(f"unknown mode {self.mode!r}")
 

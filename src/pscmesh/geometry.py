@@ -88,6 +88,8 @@ class PiecewiseComplex:
 
     def __init__(self, vertices, segments, triangles):
         self.vertices = np.asarray(vertices, dtype=np.float64)
+        if self.vertices.shape == (0,):
+            self.vertices = self.vertices.reshape(0, 3)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValidationError("vertex array must be (n, 3)")
         if not np.isfinite(self.vertices).all():
@@ -286,35 +288,49 @@ class PiecewiseComplex:
                 hits.append((x, self.triangles[tid][3]))
         return _dedupe_tagged(hits, self.eps)
 
-    def _segment_triangle_point(self, a, b, tid):
+    def _crossing(self, a, d, tid, tol, dn):
+        """Moeller-Trumbore crossing of the line a + t d with triangle tid:
+        (v, w, t), the barycentrics of the hit along the triangle's edges
+        e1 = p1 - p0 and e2 = p2 - p0 and its line parameter.  When the line
+        is parallel to the triangle, |det| <= tol (dn |e1| |e2|) with dn the
+        length of d, it returns the slab pair (|(a - p0) . n|, |n|) of the
+        normal n = e1 x e2 instead."""
         # the vector helpers written out, in their operation order
         i, j, k, _p = self.triangles[tid]
         p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
-        dx = b[0] - a[0]; dy = b[1] - a[1]; dz = b[2] - a[2]
+        dx, dy, dz = d
         e1x = p1[0] - p0[0]; e1y = p1[1] - p0[1]; e1z = p1[2] - p0[2]
         e2x = p2[0] - p0[0]; e2y = p2[1] - p0[1]; e2z = p2[2] - p0[2]
         px = dy * e1z - dz * e1y
         py = dz * e1x - dx * e1z
         pz = dx * e1y - dy * e1x
         det = px * e2x + py * e2y + pz * e2z
-        scale = (math.sqrt(dx * dx + dy * dy + dz * dz)
-                 * math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
-                 * math.sqrt(e2x * e2x + e2y * e2y + e2z * e2z))
-        if abs(det) <= 1e-14 * scale:
-            return None  # parallel to the triangle plane
-        inv = 1.0 / det
         tx = a[0] - p0[0]; ty = a[1] - p0[1]; tz = a[2] - p0[2]
+        if abs(det) <= tol * (dn * math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
+                              * math.sqrt(e2x * e2x + e2y * e2y + e2z * e2z)):
+            nx = e1y * e2z - e1z * e2y
+            ny = e1z * e2x - e1x * e2z
+            nz = e1x * e2y - e1y * e2x
+            return (abs(tx * nx + ty * ny + tz * nz),
+                    math.sqrt(nx * nx + ny * ny + nz * nz))
+        inv = 1.0 / det
         v = (tx * px + ty * py + tz * pz) * inv
-        if v < -_HIT_SLACK or v > 1.0 + _HIT_SLACK:
-            return None
         qx = ty * e2z - tz * e2y
         qy = tz * e2x - tx * e2z
         qz = tx * e2y - ty * e2x
         w = (dx * qx + dy * qy + dz * qz) * inv
-        if w < -_HIT_SLACK or v + w > 1.0 + _HIT_SLACK:
-            return None
         t = (e1x * qx + e1y * qy + e1z * qz) * inv
-        if t < -1e-12 or t > 1.0 + 1e-12:
+        return v, w, t
+
+    def _segment_triangle_point(self, a, b, tid):
+        dx = b[0] - a[0]; dy = b[1] - a[1]; dz = b[2] - a[2]
+        hit = self._crossing(a, (dx, dy, dz), tid, 1e-14,
+                             math.sqrt(dx * dx + dy * dy + dz * dz))
+        if len(hit) == 2:
+            return None  # parallel to the triangle plane
+        v, w, t = hit
+        if (v < -_HIT_SLACK or v > 1.0 + _HIT_SLACK or w < -_HIT_SLACK
+                or v + w > 1.0 + _HIT_SLACK or t < -1e-12 or t > 1.0 + 1e-12):
             return None
         t = min(max(t, 0.0), 1.0)
         return (a[0] + t * dx, a[1] + t * dy, a[2] + t * dz)
@@ -344,40 +360,19 @@ class PiecewiseComplex:
         band = _RAY_BAND
         cands = self.tri_tree.query_segment(
             p, q, pad=self.eps, slack=3.0 * band * self.diag)
-        dx, dy, dz = d
         crossings = 0
-        # the vector helpers written out, in their operation order
         for tid in cands:
-            i, j, k, _pid = self.triangles[tid]
-            p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
-            e1x = p1[0] - p0[0]; e1y = p1[1] - p0[1]; e1z = p1[2] - p0[2]
-            e2x = p2[0] - p0[0]; e2y = p2[1] - p0[1]; e2z = p2[2] - p0[2]
-            px = dy * e1z - dz * e1y
-            py = dz * e1x - dx * e1z
-            pz = dx * e1y - dy * e1x
-            det = px * e2x + py * e2y + pz * e2z
-            scale = (math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
-                     * math.sqrt(e2x * e2x + e2y * e2y + e2z * e2z))
-            tx = p[0] - p0[0]; ty = p[1] - p0[1]; tz = p[2] - p0[2]
-            if abs(det) <= 1e-12 * scale:
+            hit = self._crossing(p, d, tid, 1e-12, 1.0)
+            if len(hit) == 2:
                 # ray nearly parallel: only dangerous when it actually
                 # grazes the triangle's slab (the clipped walk only offers
                 # triangles the ray passes near)
-                nx = e1y * e2z - e1z * e2y
-                ny = e1z * e2x - e1x * e2z
-                nz = e1x * e2y - e1y * e2x
-                nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-                if abs(tx * nx + ty * ny + tz * nz) <= band * nn * span:
+                off, nn = hit
+                if off <= band * nn * span:
                     return None
                 continue
-            inv = 1.0 / det
-            v = (tx * px + ty * py + tz * pz) * inv
-            qx = ty * e2z - tz * e2y
-            qy = tz * e2x - tx * e2z
-            qz = tx * e2y - ty * e2x
-            w = (dx * qx + dy * qy + dz * qz) * inv
-            t = (e1x * qx + e1y * qy + e1z * qz) * inv
-            if t <= self.eps / 1.0 or t > span:
+            v, w, t = hit
+            if t <= self.eps or t > span:
                 if -band < v < 1.0 + band and -band < w and v + w < 1.0 + band \
                         and abs(t) <= self.eps:
                     return False  # p lies on the surface: not interior

@@ -10,8 +10,9 @@ d = 3.  Every successful insertion restarts the cascade from d = 1.
 A bad restricted d-simplex gets its surface-ball centre (circumcentre for
 a tet) or an off-centre.  A point that falls inside the surface ball of a
 restricted simplex of lower dimension goes to that ball's centre instead,
-and an insertion that changes a restricted complex of lower dimension is
-rolled back and deferred to the largest changed ball of that complex.
+which is placed by the same rule, and an insertion that changes a
+restricted complex of lower dimension is rolled back and deferred to the
+largest changed ball of that complex.
 
 Two point-placement modes are supported: ``classical`` always inserts the
 surface-ball centre / circumcentre, while ``frontal`` prefers size-optimal
@@ -340,6 +341,9 @@ class Refiner:
 
     def setup(self):
         cfg = self.cfg
+        if not (self.g.segments or self.g.triangles):
+            raise ValidationError(
+                "the input has no curve segments and no triangles")
         if self.g.open_edge is not None:
             raise ValidationError(
                 f"surface edge {self.g.open_edge} bounds one triangle and "
@@ -454,49 +458,42 @@ class Refiner:
         return any(e in edges and e not in kept for e in self.protected_edges)
 
     def _place(self, point, d, ref, guards=False):
-        """Insert the Steiner point of a d-simplex through ``_insert``: a
-        point strictly inside a lower-dimensional surface ball goes to that
-        ball's centre instead (the balls to test are faces of the point's
-        own cavity).  ``guards`` turns on the rollback guards of dimension
-        below d.  Every Steiner point is placed here; ``_insert`` itself
-        stays unguarded."""
+        """Insert the Steiner point of a d-simplex; every point enters the
+        mesh here.  A point strictly inside a lower-dimensional surface ball
+        (a face of its own cavity) is replaced by that ball's centre, placed
+        in turn as the Steiner point of its own dimension.  ``guards`` turns
+        on ``_insert``'s rollback guards for a point that is not redirected."""
         census = Census(self.mesh, self.mesh.probe_insert(point))
         for low in range(1, d):
             lkey = self.rs.balls[low].find_containing(point, census.faces[low])
             if lkey is not None:
                 obj = self.rs.table[low][lkey]
                 self.stats[("encroach_edge", "encroach_tri")[low - 1]] += 1
-                return self._insert(obj.centre, _KIND[low], obj.ref)
-        return self._insert(point, _KIND[d], ref, gamma_guard=guards and d > 1,
-                            sigma_guard=guards and d > 2, census=census)
+                return self._place(obj.centre, low, obj.ref)
+        return self._insert(census, d, ref, guards)
 
-    def _insert(self, point, kind, ref, gamma_guard=False, sigma_guard=False,
-                census=None):
-        """Insert one Steiner point with all Algorithm guards applied.
-
-        ``gamma_guard`` / ``sigma_guard`` roll the insertion back when it
-        changes the restricted curve / surface complex.  ``census`` is the
-        point's ``Census`` when the caller has probed it already.
-        Returns (status, vid) with status in {'inserted', 'duplicate',
-        'rejected'}; 'inserted' covers rollback-then-deferred insertions.
+    def _insert(self, census, d, ref, guards=False):
+        """Insert ``census.probe`` as the Steiner point of a d-simplex.  With
+        ``guards``, an insertion that changes a restricted complex of
+        dimension below d is rolled back.  Returns (status, vid) with status
+        in {'inserted', 'duplicate', 'rejected'}; 'inserted' covers
+        rollback-then-deferred insertions.
         """
         if len(self.mesh.points) - 8 >= self.cfg.max_points:
             raise _Budget()
-        if census is None:
-            census = Census(self.mesh, self.mesh.probe_insert(point))
-        if census.probe[3] is not None:
+        probe = census.probe
+        if probe[3] is not None:
             self.stats["duplicates"] += 1
-            return "duplicate", census.probe[3]
+            return "duplicate", probe[3]
         if self._cavity_locks(census):
             self.stats["rejected_protected"] += 1
             return "rejected", None
-        rec = self.mesh.insert_point(point, kind, ref, probe=census.probe)
+        rec = self.mesh.insert_point(probe[0], _KIND[d], ref, probe=probe)
         undo = self._reclassify(census, rec.created)
-        for low, guard, stat in ((1, gamma_guard, "rollback_gamma"),
-                                 (2, sigma_guard, "rollback_sigma")):
-            changed = guard and self._changed(undo, low)
+        for low in range(1, d) if guards else ():
+            changed = self._changed(undo, low)
             if changed:
-                self.stats[stat] += 1
+                self.stats[("rollback_gamma", "rollback_sigma")[low - 1]] += 1
                 return self._rollback(rec, undo, low, changed)
         # every created tet is a cavity boundary facet plus the new vertex
         self._mark_dirty(census.faces[0] | {rec.vid})

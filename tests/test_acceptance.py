@@ -16,7 +16,7 @@ from pscmesh.models import cube, icosphere, wedge, write_benchmarks
 from pscmesh.predicates import insphere, orient3d
 from pscmesh.quality import (area_length, dihedral_angles, relative_edge_length,
                              triangle_angles, volume_length)
-from pscmesh.refine import Refiner
+from pscmesh.refine import Census, Refiner
 
 from oracles import (brute_force_delaunay, distance_to_curves,
                      distance_to_surface, rational_insphere, rational_orient3d)
@@ -327,7 +327,7 @@ def test_criterion_7_rollback_exactness():
         attacked.add(e.key)
         c = np.asarray(e.centre)
         p = tuple(c + np.array([0.0, 0.05 * e.radius, 0.0]))
-        r._insert(p, "interior", -1, gamma_guard=True, sigma_guard=True)
+        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 3, -1, guards=True)
         forced += 1
     assert forced >= 5
     assert len(events) >= 5, "forced scenario produced no rollbacks"

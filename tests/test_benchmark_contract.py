@@ -14,7 +14,7 @@ import numpy as np
 
 from pscmesh.config import RefineConfig, SizingField
 from pscmesh.models import cube, icosphere, wedge
-from pscmesh.refine import Refiner
+from pscmesh.refine import Census, Refiner
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -94,7 +94,7 @@ def test_rollback_is_counted_as_a_remove_point_call():
     tracing = load_tracing()
     tracer = tracing.install()
     try:
-        r._insert(p, "interior", -1, sigma_guard=True)
+        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 3, -1, guards=True)
     finally:
         tracer.uninstall()
     assert r.stats["rollback_sigma"] == 1

@@ -90,6 +90,29 @@ def test_open_surface_off_the_curves_exits_1(tmp_path, capsys):
         "segment: an open surface must end on curves\n")
 
 
+@pytest.mark.parametrize("text", ["", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"],
+                         ids=["empty", "points-only"])
+def test_input_with_nothing_to_mesh_exits_1(text, tmp_path, capsys):
+    path = tmp_path / "bare.psc"
+    path.write_text(text)
+    assert main(["--input", str(path), "--hfun", "0.3",
+                 "--output", str(tmp_path / "m.vtk"),
+                 "--report", str(tmp_path / "r.txt"),
+                 "--manifest", str(tmp_path / "m.txt")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the input has no curve segments and no triangles\n")
+    assert not (tmp_path / "m.vtk").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_seed_outside_32_bits_exits_1(seed, tmp_path, capsys):
+    # the jitter keys on the seed shifted into the high 32 of 64 bits, so
+    # seeds 0 and 2**32 (or -1 and 2**32 - 1) would give the same mesh
+    src = write_cube(tmp_path)
+    assert main(["--input", src, "--seed", seed]) == 1
+    assert capsys.readouterr().err == "error: seed must lie in [0, 2**32)\n"
+
+
 def test_negative_point_budget_exits_1(tmp_path, capsys):
     src = write_cube(tmp_path)
     assert main(["--input", src, "--max-points", "-3"]) == 1
@@ -168,7 +191,7 @@ def test_grid_sizing_file(tmp_path):
     path.write_text("dims 2 2 2\norigin 0 0 0\nspacing 1 1 1\n"
                     "values 0.2 0.2 0.2 0.2 0.2 0.2 0.2 0.1\n")
     sizing = load_sizing(f"grid:{path}", cube())
-    assert sizing.mode == "gridded"
+    assert sizing.h0 is None and sizing.grid is not None
     assert abs(sizing.value((0, 0, 0)) - 0.2) < 1e-12
     assert abs(sizing.value((1, 1, 1)) - 0.1) < 1e-12
     assert abs(sizing.value((1, 1, 0.5)) - 0.15) < 1e-12

@@ -35,8 +35,8 @@ GOLDEN = {
                   "fc7dad893b77eee3f5d54d9f3551242fa3867d51e8a5098750c7a41478716d18",
                   "d53a7413d29b5a1338ac26a0b49e43fd9e0e314c761663972f230f41857fc074"),
     "wedge": ("0.4",
-              "d77af0882f7b7b1439bedc032f18a77dd081fc75e8d64bd54742f3f0133581c0",
-              "2c7d1f79ec3c4538f204539dd501af8f74c804e2e720ca66fcfd3f194c3028f3"),
+              "ee1f1f609dcfb6fb4fc8757ce23ad85d2a9deec0f63d27c5b7fbd356c3de730b",
+              "d6c7eeab2d24a0911326b7035fc1c5a7ac3e8a487dee76dac40bd75586541c52"),
     "cube": ("0.35",
              "a6628046000c92fcde4cf1036d1cbc8a831612e74d8ee765667a8cf4bc21dfc7",
              "00aaa64c5bca0ddc115d35f4c08196b5ce37e9119f30d1509b02e1fe105c08ff"),
@@ -47,8 +47,8 @@ CLASSICAL = {
                   "9f9fc52b9ccf828790746f9a0738a71bbb3d0fa0976f1bda2b23ab1ca0dc1609",
                   "0a1451fa4d1a0d775552c30c114e504e62e21e80f596f9737ca363f9e37546cd"),
     "wedge": ("0.4",
-              "0d96720ac7ae87b713b832af1200f77ef4d191fc42f4d0bab658290e7988f045",
-              "4c888eda3c2e046c41889a7c4818ffc4749bf39ceccbe6c1e2d3546af6536251"),
+              "53aba449a30fa7d03ca73ffbdbcf31d3a09bb1bc6b553ceae86244e90918479d",
+              "2b26ac762736a9a5f46ebc86171bd259b72d01c561718e2be959ab059a733845"),
     "cube": ("0.35",
              "52f10dc9d868e3e572e6043ec73942259196f75bb5b85a57c0f6f383eaeccce9",
              "736dc8b681906eed46612cfddfa4af8ebc1a310ca90543e619541376d9a85267"),

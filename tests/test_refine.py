@@ -453,6 +453,10 @@ def test_config_validation():
     with pytest.raises(ValidationError, match="max_points"):
         RefineConfig(sizing=SizingField(h0=1.0), max_points=-1)
     assert RefineConfig(sizing=SizingField(h0=1.0), max_points=0)
+    for seed in (-1, 2 ** 32):
+        with pytest.raises(ValidationError, match="seed"):
+            RefineConfig(sizing=SizingField(h0=1.0), seed=seed)
+    assert RefineConfig(sizing=SizingField(h0=1.0), seed=2 ** 32 - 1)
 
 
 # ----------------------------------------------------------------------
@@ -556,6 +560,26 @@ def test_every_steiner_point_takes_the_lower_ball_redirect(shift):
             > tol).all()
 
 
+def test_no_inserted_point_lies_inside_a_lower_ball():
+    # a redirect target is placed like any other Steiner point: the centre
+    # of a triangle's surface ball that lies inside a restricted curve
+    # edge's ball goes on to that edge's centre
+    r = Refiner(wedge(), cfg_with(0.35, seed=1_000_000))
+    insert = r._insert
+    inside = []
+
+    def checked(census, d, ref, guards=False):
+        p = census.probe[0]
+        inside.extend((d, low) for low in range(1, d)
+                      if containing_ball_scan(r.rs.table[low], p) is not None)
+        return insert(census, d, ref, guards)
+
+    r._insert = checked
+    assert r.run() == "converged"
+    assert r.stats["encroach_tri"] > 0
+    assert not inside
+
+
 def test_curve_only_and_open_inputs_converge():
     # without a closed surface there is no volume; the bent curve also
     # meets a second curve at a degree-2 junction (input vertex 1)
@@ -627,7 +651,7 @@ def test_gamma_rollback_restores_restricted_sets():
             continue  # invalidated by an earlier forced insertion
         c = np.asarray(e.centre)
         p = tuple(c + np.array([0.0, 0.05 * e.radius, 0.0]))
-        r._insert(p, "interior", -1, gamma_guard=True)
+        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 2, -1, guards=True)
     assert events, "no rollback was ever triggered"
     for before, after in events:
         assert_undone(before, after)
@@ -639,6 +663,8 @@ def test_gamma_rollback_restores_restricted_sets():
 def test_sigma_rollback_restores_mesh_and_restricted_sets(monkeypatch):
     # interior points just inside the cube next to surface ball centres
     # change the restricted surface, so the surface guard takes them back
+    # (one near a cube edge changes the curves first, and the curve guard
+    # takes it back)
     geom = cube()
     cfg = RefineConfig(sizing=SizingField(h0=0.35), mode="classical", seed=0)
     r = Refiner(geom, cfg)
@@ -658,10 +684,11 @@ def test_sigma_rollback_restores_mesh_and_restricted_sets(monkeypatch):
         c = np.asarray(f.centre)
         inward = (mid - c) / np.linalg.norm(mid - c)
         p = tuple(c + 0.05 * f.radius * inward)
-        r._insert(p, "interior", -1, sigma_guard=True)
+        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 3, -1, guards=True)
+    rollbacks = r.stats["rollback_gamma"] + r.stats["rollback_sigma"]
     assert r.stats["rollback_sigma"] >= 1
-    assert len(events) == r.stats["rollback_sigma"]
-    assert calls["bound"] == calls["insert"] > r.stats["rollback_sigma"]
+    assert len(events) == rollbacks
+    assert calls["bound"] == calls["insert"] > rollbacks
     for before, after in events:
         assert_undone(before, after)
     assert_bounds_fresh(r)
@@ -676,11 +703,12 @@ def test_sigma_rollback_restores_mesh_and_restricted_sets(monkeypatch):
     (lambda: load_complex(str(BENCHMARKS / "icosphere.psc")), 0.5, 0, True),
     (lambda: load_complex(str(BENCHMARKS / "cube.psc")), 0.35, 0, True),
     (lambda: load_complex(str(BENCHMARKS / "wedge.psc")), 0.4, 0, True),
+    (wedge, 0.35, 3, True),
     # this wedge run converges with vlen_ok false: the tets under the
     # volume-length floor are blocked because inserting their points
     # would delete a protected collar edge
-    (wedge, 0.35, 3, False),
-], ids=["icosphere", "cube", "wedge.psc", "wedge-h0.35"])
+    (lambda: load_complex(str(BENCHMARKS / "wedge.psc")), 0.4, 42, False),
+], ids=["icosphere", "cube", "wedge.psc", "wedge-h0.35", "wedge.psc-seed42"])
 def test_converged_run_leaves_only_blocked_violations(geom, h, seed, vlen_ok):
     cfg = cfg_with(h, seed=seed)
     res = refine(geom(), cfg)

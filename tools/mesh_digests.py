@@ -18,14 +18,16 @@ mesh.  A differing stats line with equal digests means the same meshes
 reached by different work (say, more ray re-shoots).  Each
 workload ends with one summary line,
 
-    workload summary meshes=.. failed=.. vlen_min=.. alen_min=..
-        h_rel_dev=..
+    workload summary meshes=.. failed=.. inserted=.. vlen_min=..
+        alen_min=.. h_rel_dev=..
 
 where ``failed`` counts the meshes whose status is not ``converged`` or
-that fail an audit certificate, and the last three are medians over the
-meshes of the report's minimum volume-length and area-length and of the
-benchmark's ``h_rel_dev``: the quality movement of a change that moves
-the meshes, without a benchmark run.
+that fail an audit certificate, ``inserted`` is the total of the
+``inserted`` counter over the meshes, and the last three are medians over
+the meshes of the report's minimum volume-length and area-length and of
+the benchmark's ``h_rel_dev``: the quality movement of a change that
+moves the meshes, and the refinement work it costs or saves, without a
+benchmark run.
 pscmesh is imported from the ``src/`` of the checkout that holds this
 script.
 
@@ -77,6 +79,7 @@ def digest(workload, seed, tmp):
     summary = result.report.summary
     quality = {"failed": (result.status != "converged"
                           or not all(result.audit.values())),
+               "inserted": result.stats["inserted"],
                "vlen_min": summary["volume_length"]["min"],
                "alen_min": summary["area_length"]["min"],
                "h_rel_dev": h_rel_dev(result.mesh, result.rs, cfg.sizing)}
@@ -110,6 +113,7 @@ def main(argv=None):
                           flush=True)
             print(name, "summary", f"meshes={len(meshes)}",
                   f"failed={sum(q['failed'] for q in meshes)}",
+                  f"inserted={sum(q['inserted'] for q in meshes)}",
                   *(f"{k}={statistics.median(q[k] for q in meshes):.4f}"
                     for k in ("vlen_min", "alen_min", "h_rel_dev")),
                   flush=True)
