@@ -54,7 +54,10 @@ def build_parser():
                    help="size-constraint slack factor")
     p.add_argument("--collar-beta", type=float, default=cfg.collar_beta,
                    help="protecting-collar spacing factor")
-    p.add_argument("--max-points", type=int, default=cfg.max_points)
+    p.add_argument("--max-points", type=int, default=cfg.max_points,
+                   help="stop refining once the mesh has held this many "
+                        "vertices besides its 8 box corners, setup's and "
+                        "rolled-back ones included (default %(default)d)")
     p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--compare", action="store_true",
                    help="run classical and frontal modes and summarise both")

@@ -272,21 +272,46 @@ class PiecewiseComplex:
     # ------------------------------------------------------------------
     # intersection oracle
 
-    def intersect_segment_surface(self, a, b):
+    def surface_candidates(self, a, b, tube=0.0):
+        """Ids of the triangles the tree walk of segment a-b keeps, with the
+        walk's box pad and clip slack both grown by ``tube``."""
+        return self.tri_tree.query_segment(
+            a, b, pad=self.eps + tube,
+            slack=3.0 * _HIT_SLACK * self.diag + tube)
+
+    def intersect_segment_surface(self, a, b, cands=None):
         """Hits of segment a-b with the surface, deduplicated at shared edges.
 
-        Returns ``[(point, patch_id), ...]``.
+        Returns ``[(point, patch_id), ...]``.  ``cands`` replaces the tree
+        walk (``surface_candidates(a, b)``) by a list that holds every
+        triangle the walk keeps (``restricted.Restricted.walk``); a listed
+        triangle counts a hit only when the walk's box test keeps its box,
+        so the hits are the walk's.
         """
         if not self.triangles:
             return []
-        cands = self.tri_tree.query_segment(
-            a, b, pad=self.eps, slack=3.0 * _HIT_SLACK * self.diag)
+        walked = cands is None
+        if walked:
+            cands = self.surface_candidates(a, b)
         hits = []
         for tid in sorted(cands):
             x = self._segment_triangle_point(a, b, tid)
-            if x is not None:
+            if x is not None and (walked or self._box_kept(tid, a, b)):
                 hits.append((x, self.triangles[tid][3]))
         return _dedupe_tagged(hits, self.eps)
+
+    def _box_kept(self, tid, a, b):
+        """Whether the box test of the walk of segment a-b keeps triangle
+        tid: its tree box and the segment's bounding box, both grown by
+        eps, overlap (the same float operations)."""
+        i, j, k, _p = self.triangles[tid]
+        p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
+        eps = self.eps
+        for x in range(3):
+            if (max(p0[x], p1[x], p2[x]) + eps < min(a[x], b[x]) - eps
+                    or min(p0[x], p1[x], p2[x]) - eps > max(a[x], b[x]) + eps):
+                return False
+        return True
 
     def _crossing(self, a, d, tid, tol, dn):
         """Moeller-Trumbore crossing of the line a + t d with triangle tid:

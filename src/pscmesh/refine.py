@@ -319,7 +319,8 @@ class Refiner:
                       "blocked": 0, "dual_certified": 0,
                       "volume_inherited": 0, "axis_line_scans": 0,
                       "segment_scans": 0, "survivors_skipped": 0,
-                      "locate_scans": 0, "ray_reshoots": 0}
+                      "walks_reused": 0, "locate_scans": 0,
+                      "ray_reshoots": 0}
         self.mesh = TetMesh(geom.bounds, seed=cfg.seed, stats=self.stats)
         self.rs = RestrictedSets()
         # bad-simplex heaps and disk-check marks, indexed by dimension
@@ -384,7 +385,8 @@ class Refiner:
             return classify_edge(self.mesh, self.g, key[0], key[1], t0=handle,
                                  cert=self.cert)
         if d == 2:
-            return classify_facet(self.mesh, self.g, *handle, cert=self.cert)
+            return classify_facet(self.mesh, self.g, *handle, cert=self.cert,
+                                  rec=self.rs.tris.get(key))
         return classify_tet(self.mesh, self.g, handle, cert=self.cert)
 
     def _reclassify(self, census, created_ids):

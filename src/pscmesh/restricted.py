@@ -27,6 +27,24 @@ its dual before.  A surviving simplex whose dual missed the input still
 misses it, so ``Refiner`` reclassifies only the new simplexes and the
 surviving restricted ones, whose dual may have shrunk off the input and
 whose surface ball moves with it.
+
+A restricted triangle's record keeps its last surface walk (``walk``):
+the dual segment s and the triangles that the tree walk of s keeps with
+its box pad and clip slack both grown by a tube of eps + 1e-9 |s|
+(``_WALK_TUBE``; eps keeps a short segment's tube above the walk's
+rounding).  When the facet survives an insertion and both ends of its
+new dual segment s' lie within half that tube of s, ``classify_facet``
+tests the stored triangles instead of walking again (``stats.
+walks_reused``); a fresh classification tests its own tube-grown walk
+alike.  Every point of s' then lies within half the tube of s,
+so the stored triangles hold all that the walk of s' keeps, with half a
+tube to spare for rounding.  An extra one reports no hit: the walk's clip
+slack covers how far outside a triangle's box its hit test accepts one
+(the pad invariant of ``aabb``), and ``intersect_segment_surface`` counts
+a hit from a listed triangle only when the walk's box test, whose pad is
+eps alone, keeps it.  So the hits, their order and the record are those
+of a fresh walk.  Shrinking duals make reuse common; the tube check
+alone makes it exact.
 """
 
 import math
@@ -38,6 +56,8 @@ from .quality import area_length, volume_length
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT83 = math.sqrt(8.0 / 3.0)
+# a stored surface walk's tube, relative to its dual segment's length
+_WALK_TUBE = 1e-9
 
 
 class Restricted:
@@ -55,14 +75,18 @@ class Restricted:
     - ``quality``: area-length of a triangle, volume-length of a tet, 0 for
       an edge;
     - ``tet_id``: a tet's id in the mesh, -1 below d = 3;
+    - ``walk``: a triangle's last surface walk (a, b, r2, ids), None for an
+      edge or a tet: the dual segment a-b it walked, the squared half tube
+      r2 and the ids the walk kept with its pads grown by the tube (see the
+      module docstring);
     - ``blocked``: set when a refinement of it was rejected.
     """
 
     __slots__ = ("key", "centre", "radius", "err", "ref", "rho", "quality",
-                 "tet_id", "blocked")
+                 "tet_id", "walk", "blocked")
 
     def __init__(self, key, centre, radius, err, ref, rho, quality,
-                 tet_id=-1):
+                 tet_id=-1, walk=None):
         self.key = key
         self.centre = centre
         self.radius = radius
@@ -71,6 +95,7 @@ class Restricted:
         self.rho = rho
         self.quality = quality
         self.tet_id = tet_id
+        self.walk = walk
         self.blocked = False
 
 
@@ -287,7 +312,27 @@ def classify_edge(mesh, geom, u, w, t0=None, cert=None):
                       _dist(centre, mid), curve_id, 0.5, 0.0)
 
 
-def classify_facet(mesh, geom, t, i, cert=None):
+def _walk(geom, a, b):
+    """A fresh surface walk of segment a-b (``Restricted.walk``)."""
+    tube = geom.eps + _WALK_TUBE * math.dist(a, b)
+    return (a, b, 0.25 * tube * tube, geom.surface_candidates(a, b, tube))
+
+
+def _in_tube(x, walk):
+    """Whether point x lies within half the tube of a stored walk's
+    segment a-b (``Restricted.walk``)."""
+    a, b, r2, _ids = walk
+    dx = b[0] - a[0]; dy = b[1] - a[1]; dz = b[2] - a[2]
+    wx = x[0] - a[0]; wy = x[1] - a[1]; wz = x[2] - a[2]
+    dd = dx * dx + dy * dy + dz * dz
+    s = min(max((wx * dx + wy * dy + wz * dz) / dd, 0.0), 1.0) if dd else 0.0
+    wx -= s * dx
+    wy -= s * dy
+    wz -= s * dz
+    return wx * wx + wy * wy + wz * wz <= r2
+
+
+def classify_facet(mesh, geom, t, i, cert=None, rec=None):
     """Restricted triangle when the dual Voronoi edge of facet i of tet t
     crosses the surface.
 
@@ -302,6 +347,8 @@ def classify_facet(mesh, geom, t, i, cert=None):
     c1-c2 passes, in exact arithmetic and without circumcentres, which
     also bounds the axis-line scan taken when one is unreliable.  With
     ``cert``, a dual edge it proves clear of the surface is not queried.
+    ``rec``, the facet's current record, lends its stored walk when the
+    new dual segment lies within its tube (see the module docstring).
     """
     if not geom.triangles:
         return None
@@ -340,8 +387,14 @@ def classify_facet(mesh, geom, t, i, cert=None):
               cc[2] - span * n[2] / nn)
         p2 = (cc[0] + span * n[0] / nn, cc[1] + span * n[1] / nn,
               cc[2] + span * n[2] / nn)
+    walk = None if rec is None else rec.walk
+    if walk is not None and _in_tube(p1, walk) and _in_tube(p2, walk):
+        if cert is not None:
+            cert.stats["walks_reused"] += 1
+    else:
+        walk = _walk(geom, p1, p2)
     apexes = (mesh.points[a1], mesh.points[a2])
-    hits = [h for h in geom.intersect_segment_surface(p1, p2)
+    hits = [h for h in geom.intersect_segment_surface(p1, p2, walk[3])
             if _nearest_among(mesh, h[0], tri, apexes)]
     if not hits:
         return None
@@ -349,7 +402,8 @@ def classify_facet(mesh, geom, t, i, cert=None):
     radius = _dist(centre, pa)
     cc, r2 = circumcentre_triangle(pa, pb, pc)
     return Restricted(tri, centre, radius, _dist(centre, cc), patch_id,
-                      _radius_edge(r2, (pa, pb, pc)), area_length(pa, pb, pc))
+                      _radius_edge(r2, (pa, pb, pc)), area_length(pa, pb, pc),
+                      walk=walk)
 
 
 def classify_tet(mesh, geom, t, cert=None):

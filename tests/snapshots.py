@@ -7,7 +7,10 @@ from itertools import combinations
 from pscmesh.delaunay import _FACES
 from pscmesh.restricted import classify_edge, classify_facet, classify_tet
 
-# the fields a classifier computes (``blocked`` is refiner state)
+# the fields a classifier computes (``blocked`` is refiner state).  Not
+# ``walk``: a kept facet's record keeps an earlier walk, which a fresh
+# classification does not repeat.  Rollback snapshots compare records by
+# identity, so they do cover ``walk``
 _FIELDS = ("key", "centre", "radius", "err", "ref", "rho", "quality",
            "tet_id")
 

@@ -135,6 +135,36 @@ def test_segment_clip_keeps_every_box_the_segment_meets(data):
                         if meets_segment(grown(b), p, q)}
 
 
+# offsets on the grid of eighths within half of a tube of 1/2
+near_offset = st.tuples(*[st.integers(-2, 2)] * 3).filter(
+    lambda k: k[0] ** 2 + k[1] ** 2 + k[2] ** 2 <= 4).map(
+    lambda k: tuple(x / 8.0 for x in k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_tube_grown_walk_keeps_what_a_nearby_walk_keeps(data):
+    # s2 runs between two points of s (at quarter steps along it), each
+    # moved by at most half the tube: every point of s2 lies within half
+    # the tube of s, so what the walk of s2 keeps at the normal pads, the
+    # walk of s keeps with its pad and slack grown by the tube (the reuse
+    # of ``restricted.Restricted.walk``)
+    bxs = data.draw(boxes())
+    tree = AABBTree(bxs)
+    p = data.draw(st.one_of(point, on_box_face(bxs)))
+    q = data.draw(st.one_of(point, on_box_face(bxs), st.just(p)))
+    tube = 0.5
+    slack = data.draw(st.sampled_from([0.0, 0.125, 0.25]))
+    s2 = []
+    for _ in range(2):
+        t = data.draw(st.integers(0, 4)) / 4.0
+        v = data.draw(near_offset)
+        s2.append(tuple(p[k] + t * (q[k] - p[k]) + v[k] for k in range(3)))
+    got = tree.query_segment(*s2, pad=PAD, slack=slack)
+    assert set(got) <= set(tree.query_segment(p, q, pad=PAD + tube,
+                                              slack=slack + tube))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_plane_clip_keeps_every_box_the_plane_meets(data):

@@ -146,7 +146,8 @@ def _d2(a, b):
 
 
 def _record(obj):
-    """The fields of a restricted edge or triangle, or None."""
+    """The classification fields of a restricted edge or triangle, or None
+    (not ``walk``, which caches how the query ran)."""
     if obj is None:
         return None
     return (obj.key, obj.centre, obj.radius, obj.err, obj.ref, obj.rho,
@@ -523,10 +524,8 @@ def test_classification_is_pure():
     t = next(t for t in m.alive_tets() if not m.is_ghost(t))
     a = classify_facet(m, geom, t, 0)
     b = classify_facet(m, geom, t, 0)
-    if a is None:
-        assert b is None
-    else:
-        assert a.centre == b.centre and a.radius == b.radius
+    # the classification fields; ``walk`` is a cache of the query
+    assert _record(a) == _record(b)
 
 
 # ----------------------------------------------------------------------
@@ -586,9 +585,9 @@ def check_certified_skips(monkeypatch):
     inherited statuses]."""
     checked = [0, 0]
 
-    def facet(mesh, geom, t, i, cert=None):
+    def facet(mesh, geom, t, i, cert=None, rec=None):
         before = cert.stats["dual_certified"]
-        out = classify_facet(mesh, geom, t, i, cert=cert)
+        out = classify_facet(mesh, geom, t, i, cert=cert, rec=rec)
         if cert.stats["dual_certified"] > before:
             c1, ok1 = mesh.voronoi_vertex(t)
             c2, ok2 = mesh.voronoi_vertex(mesh.neigh[t][i])
@@ -796,7 +795,7 @@ def test_census_of_every_wedge_probe_is_the_tet_derivation(monkeypatch):
 
 
 # Refiner.stats of the seed-0 runs, as the earlier reclassification that
-# wrote every classified key gave them
+# wrote every classified key gave them (``walks_reused`` came later)
 STATS = {
     "sphere": {"inserted": 162, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 0,
@@ -804,14 +803,14 @@ STATS = {
                "type1": 119, "blocked": 0, "dual_certified": 4361,
                "volume_inherited": 2399, "axis_line_scans": 0,
                "segment_scans": 0, "survivors_skipped": 8026,
-               "locate_scans": 0, "ray_reshoots": 0},
+               "walks_reused": 904, "locate_scans": 0, "ray_reshoots": 0},
     "crease": {"inserted": 85, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 1,
                "encroach_tri": 19, "disk1": 0, "disk2": 0, "type2": 27,
                "type1": 58, "blocked": 0, "dual_certified": 2338,
                "volume_inherited": 1092, "axis_line_scans": 0,
                "segment_scans": 0, "survivors_skipped": 3952,
-               "locate_scans": 0, "ray_reshoots": 9},
+               "walks_reused": 370, "locate_scans": 0, "ray_reshoots": 9},
 }
 
 
@@ -875,6 +874,132 @@ def test_certified_skips_find_nothing_under_rigid_motions(case):
             pass
     assert checked == [r.stats["dual_certified"], r.stats["volume_inherited"]]
     assert checked[0] > 0
+
+
+# ----------------------------------------------------------------------
+# reused surface walks
+
+
+def check_reused_walks(monkeypatch):
+    """Wrap the facet classifier that ``Refiner`` calls, so that every
+    query that tests a reused walk's triangles is re-run on a fresh walk
+    and must find the same hits, and the record must equal a fresh
+    classification's.  Returns the reuses checked, in a one-item list."""
+    checked = [0]
+    isect = PiecewiseComplex.intersect_segment_surface
+    queries = []
+
+    def recording(geom, a, b, cands=None):
+        out = isect(geom, a, b, cands)
+        queries.append((a, b, cands, out))
+        return out
+
+    def facet(mesh, geom, t, i, cert=None, rec=None):
+        before = cert.stats["walks_reused"]
+        queries.clear()
+        out = classify_facet(mesh, geom, t, i, cert=cert, rec=rec)
+        if cert.stats["walks_reused"] > before:
+            (a, b, cands, hits), = queries
+            assert cands is rec.walk[3]
+            assert hits == isect(geom, a, b)
+            assert _record(out) == _record(classify_facet(mesh, geom, t, i))
+            checked[0] += 1
+        return out
+
+    monkeypatch.setattr(PiecewiseComplex, "intersect_segment_surface",
+                        recording)
+    monkeypatch.setattr(refine_mod, "classify_facet", facet)
+    return checked
+
+
+def _rotated_cube():
+    base = cube()
+    rot = random_rotation(np.random.default_rng(5))
+    return PiecewiseComplex(base.vertices @ rot.T, base.segments,
+                            base.triangles)
+
+
+@pytest.mark.parametrize("geom, h", [
+    (lambda: icosphere(2), 0.4),
+    (wedge, 0.35),
+    (lambda: icosphere(4), 0.7),
+    (_rotated_cube, 0.3),
+], ids=["sphere", "crease", "dense_surface", "rotated-cube"])
+def test_reused_walks_find_what_a_fresh_walk_finds(monkeypatch, geom, h):
+    checked = check_reused_walks(monkeypatch)
+    r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=0))
+    assert r.run() == "converged"
+    assert checked[0] == r.stats["walks_reused"] > 0
+
+
+def _moved_walk(walk, shift):
+    """``walk`` with its segment moved ``shift`` half tubes off its line,
+    and no triangles."""
+    a, b, r2, _ids = walk
+    d = [b[k] - a[k] for k in range(3)]
+    axis = min(range(3), key=lambda k: abs(d[k]))
+    e = [0.0, 0.0, 0.0]
+    e[axis] = 1.0
+    u = np.cross(d, e)
+    v = shift * math.sqrt(r2) * u / np.linalg.norm(u)
+    return (tuple((np.asarray(a) + v).tolist()),
+            tuple((np.asarray(b) + v).tolist()), r2, [])
+
+
+def test_a_walk_outside_its_tube_is_not_reused():
+    # hand-made stale records of a restricted facet: each one's segment is
+    # its dual segment moved off by 0.8 or 1.2 half tubes, and it lists no
+    # triangle.  Within half the tube the empty list is tested and finds
+    # nothing; beyond it the facet walks afresh and finds its hit
+    r = Refiner(icosphere(2), RefineConfig(sizing=SizingField(h0=0.4), seed=0))
+    r.setup()
+    mesh, geom = r.mesh, r.g
+    t, i, rec = next((t, i, r.rs.tris[key]) for t in sorted(mesh.alive_tets())
+                     for i, f in enumerate(_FACES)
+                     if (key := tuple(sorted(mesh.tets[t][j] for j in f)))
+                     in r.rs.tris)
+    fresh = _record(classify_facet(mesh, geom, t, i))
+    assert fresh is not None and rec.walk[3]
+    for shift, reused in ((0.8, True), (1.2, False)):
+        stale = Restricted(rec.key, rec.centre, rec.radius, rec.err, rec.ref,
+                           rec.rho, rec.quality,
+                           walk=_moved_walk(rec.walk, shift))
+        before = r.stats["walks_reused"]
+        out = classify_facet(mesh, geom, t, i, cert=r.cert, rec=stale)
+        assert r.stats["walks_reused"] - before == reused
+        if reused:
+            assert out is None
+        else:
+            assert _record(out) == fresh and out.walk == rec.walk
+
+
+def test_a_reused_walk_keeps_what_the_walk_of_a_nearby_segment_keeps():
+    # one triangle in the plane z = 0 whose tree box ends at x = 1 + eps.
+    # The vertical segment s2 at the largest x that the walk's box test
+    # keeps crosses the plane within the hit test's slack of the triangle,
+    # and hits.  The walk of s1, s2 moved 0.9 half tubes farther out, drops
+    # the triangle at the normal pads, but the tube-grown walk keeps it
+    geom = PiecewiseComplex([(1, -1, 0), (1, 1, 0), (-1, 0, 0)], [],
+                            [(0, 1, 2, 0)])
+    eps = geom.eps
+    x = 1.0 + 3.0 * eps
+    while x - eps > 1.0 + eps:
+        x = math.nextafter(x, 0.0)
+    s2 = ((x, 0.0, -1.0), (x, 0.0, 1.0))
+    hits = geom.intersect_segment_surface(*s2)
+    assert len(hits) == 1
+    tube = eps + restricted._WALK_TUBE * 2.0
+    s1 = tuple((px + 0.45 * tube, py, pz) for px, py, pz in s2)
+    assert geom.surface_candidates(*s1) == []
+    walk = restricted._walk(geom, *s1)
+    assert all(restricted._in_tube(p, walk) for p in s2)
+    assert geom.intersect_segment_surface(*s2, walk[3]) == hits
+    # a listed triangle whose box the walk's box test drops reports no hit,
+    # though the hit test's slack reaches the crossing
+    s3 = tuple((1.0 + 1e-10, py, pz) for _px, py, pz in s2)
+    assert geom.surface_candidates(*s3) == []
+    assert geom._segment_triangle_point(*s3, 0) is not None
+    assert geom.intersect_segment_surface(*s3, [0]) == []
 
 
 def test_volume_and_surface_queries_are_mostly_certified(monkeypatch):
