@@ -25,21 +25,22 @@ stays its 6-float box and the walk derives them from it, so the tree
 grows by 6 floats per node rather than per primitive (0.36 MiB on
 ``icosphere(4)``'s 5,120 triangles).  A leaf tests its primitives in one
 inner loop, in ``_perm`` order, rather than through the walk's stack.
-``seg=(p, q, pad)`` drops a box that, grown by ``pad``, the segment
-misses: to the box test's axes it adds d x e_x, d x e_y, d x e_z (d = q - p),
-which decide segment-box overlap exactly (Ericson, *Real-Time Collision
-Detection*, 5.3.3) and need no division, so axis-parallel and zero-length
-segments are no special case.  ``plane=(point, normal, pad)`` drops a box
-that, grown by ``pad``, lies strictly on one side of the plane.
-``ball=(centre, radius, pad)`` drops a box that, grown by ``pad``, lies
-strictly inside the ball (farthest corner nearer than ``radius - pad``),
-which holds no point of a circle of that radius about ``centre``.  A
-dropped node takes its subtree with it, and a node box contains its
-primitives' boxes, so the result is the order-preserving subsequence of
-the primitives, in tree order, whose own boxes pass; no hit is lost
-while ``pad`` covers how far outside a primitive's box its hit test
-still accepts one (``geometry`` passes ``eps`` plus its barycentric
-slack times the diagonal, far above the clips' rounding).
+Every test grows each box by the query's one ``pad``.  The box test keeps
+a box that, grown by ``pad``, overlaps the query box.  ``seg=(p, q)``
+drops a box that, grown by ``pad``, the segment misses: to the box test's
+axes it adds d x e_x, d x e_y, d x e_z (d = q - p), which decide
+segment-box overlap exactly (Ericson, *Real-Time Collision Detection*,
+5.3.3) and need no division, so axis-parallel and zero-length segments
+are no special case.  ``plane=(point, normal)`` drops a box that, grown
+by ``pad``, lies strictly on one side of the plane.  ``ball=(centre,
+radius)`` drops a box that, grown by ``pad``, lies strictly inside the
+ball (farthest corner nearer than ``radius - pad``), which holds no point
+of a circle of that radius about ``centre``.  A dropped node takes its
+subtree with it, and a node box contains its primitives' boxes, so the
+result is the order-preserving subsequence of the primitives, in tree
+order, whose own boxes pass; no hit is lost while ``pad`` covers how far
+outside a primitive's box its hit test still accepts one, on every axis
+alike (``geometry`` passes ``hit_pad``, far above the tests' rounding).
 
 ``lower_distances`` bounds the distance from many points to the primitives
 from below in a few numpy passes.  It measures the distance to the nearest box
@@ -171,27 +172,27 @@ class AABBTree:
             out[first:first + m] = np.sqrt(acc.min(axis=1))
         return out
 
-    def query_box(self, lo, hi, seg=None, plane=None, ball=None):
-        """Primitive ids whose own boxes overlap the axis-aligned box
-        [lo, hi] and pass the ``seg``, ``plane`` and ``ball`` clips (see the
-        module docstring), in tree order."""
+    def query_box(self, lo, hi, pad=0.0, seg=None, plane=None, ball=None):
+        """Primitive ids whose own boxes, grown by ``pad``, overlap the
+        axis-aligned box [lo, hi] and pass the ``seg``, ``plane`` and
+        ``ball`` clips (see the module docstring), in tree order."""
         if not self.n:
             return []
-        qx0, qy0, qz0 = lo
-        qx1, qy1, qz1 = hi
+        qx0 = lo[0] - pad; qy0 = lo[1] - pad; qz0 = lo[2] - pad
+        qx1 = hi[0] + pad; qy1 = hi[1] + pad; qz1 = hi[2] + pad
         if seg is not None:
-            (px, py, pz), (qx, qy, qz), pad = seg
+            (px, py, pz), (qx, qy, qz) = seg
             dx, dy, dz = qx - px, qy - py, qz - pz
             ax, ay, az = abs(dx), abs(dy), abs(dz)
             rx, ry, rz = pad * (ay + az), pad * (az + ax), pad * (ax + ay)
         if plane is not None:
-            o, (nx, ny, nz), pad = plane
+            o, (nx, ny, nz) = plane
             off = nx * o[0] + ny * o[1] + nz * o[2]
             anx, any_, anz = abs(nx), abs(ny), abs(nz)
             rn = pad * (anx + any_ + anz)
         if ball is not None:
-            (bx, by, bz), br, bpad = ball
-            rin2 = (br - bpad) ** 2 if br > bpad else -1.0
+            (bx, by, bz), br = ball
+            rin2 = (br - pad) ** 2 if br > pad else -1.0
         n = self.n
         out = []
         stack = [0]
@@ -260,18 +261,18 @@ class AABBTree:
                 out.append(perm[i])
         return out
 
-    def query_segment(self, p, q, pad=0.0, slack=0.0):
-        """Candidates for the segment p-q: boxes meeting its bounding box
-        grown by ``pad``, under nodes the segment passes within ``pad +
-        slack`` of."""
-        lo = (min(p[0], q[0]) - pad, min(p[1], q[1]) - pad, min(p[2], q[2]) - pad)
-        hi = (max(p[0], q[0]) + pad, max(p[1], q[1]) + pad, max(p[2], q[2]) + pad)
-        return self.query_box(lo, hi, seg=(p, q, pad + slack))
+    def query_segment(self, p, q, pad=0.0):
+        """Candidates for the segment p-q, boxes grown by ``pad``."""
+        lo = (min(p[0], q[0]), min(p[1], q[1]), min(p[2], q[2]))
+        hi = (max(p[0], q[0]), max(p[1], q[1]), max(p[2], q[2]))
+        return self.query_box(lo, hi, pad, seg=(p, q))
 
-    def query_sphere(self, centre, radius, plane=None, ball=None):
+    def query_sphere(self, centre, radius, pad=0.0, plane=None, ball=None):
+        """Candidates for the sphere about ``centre``, boxes grown by
+        ``pad``; ``plane`` and ``ball`` as in ``query_box``."""
         lo = (centre[0] - radius, centre[1] - radius, centre[2] - radius)
         hi = (centre[0] + radius, centre[1] + radius, centre[2] + radius)
-        return self.query_box(lo, hi, plane=plane, ball=ball)
+        return self.query_box(lo, hi, pad, plane=plane, ball=ball)
 
 
 def _cut(levels):

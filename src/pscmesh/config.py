@@ -113,6 +113,8 @@ class RefineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.sizing is None:
+            raise ValidationError("config carries no sizing field")
         # a nan slips through the comparisons below and an inf switches a
         # bound off
         for name in ("rho_surf", "rho_vol", "eps_rel", "vlen_min", "alpha",

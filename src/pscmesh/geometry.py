@@ -40,9 +40,8 @@ _RAY_DIRS = [
 ]
 
 # Barycentric slack of the segment and disk hit tests.  Barycentrics >= -s
-# span the triangle scaled by 1 + 3s about its centroid, so the tree clips of
-# these queries (and of the membership rays, slack ``band``) are padded by
-# 3s x the diagonal.
+# span the triangle scaled by 1 + 3s about its centroid, so a hit lies
+# within 3s x the diagonal of its triangle (``hit_pad`` covers it).
 _HIT_SLACK = 1e-10
 
 # Half-width of the band about triangle edges in which a membership ray is
@@ -163,9 +162,11 @@ class PiecewiseComplex:
             boxes_for_segments(self.vertices, seg, pad=self.eps))
         self.tri_tree = AABBTree(
             boxes_for_triangles(self.vertices, tri, pad=self.eps))
-        # farthest from the surface that a segment query reports a hit or a
-        # membership ray meets its band: eps plus the ray band's reach, the
-        # larger of the two slacks (``restricted.DistanceCertificate``)
+        # farthest from the surface that a segment or disk query reports a
+        # hit or a membership ray meets its band: eps plus the ray band's
+        # reach, the larger of the two slacks.  Every triangle-tree query
+        # grows its boxes by it, so the walk keeps every triangle its hit
+        # test accepts (``aabb``; ``restricted.DistanceCertificate``)
         self.hit_pad = self.eps + 3.0 * _RAY_BAND * self.diag
 
     def _validate(self, seg, tri):
@@ -273,45 +274,29 @@ class PiecewiseComplex:
     # intersection oracle
 
     def surface_candidates(self, a, b, tube=0.0):
-        """Ids of the triangles the tree walk of segment a-b keeps, with the
-        walk's box pad and clip slack both grown by ``tube``."""
-        return self.tri_tree.query_segment(
-            a, b, pad=self.eps + tube,
-            slack=3.0 * _HIT_SLACK * self.diag + tube)
+        """Ids of the triangles the tree walk of segment a-b keeps, its
+        boxes grown by ``hit_pad`` plus ``tube``."""
+        return self.tri_tree.query_segment(a, b, self.hit_pad + tube)
 
     def intersect_segment_surface(self, a, b, cands=None):
         """Hits of segment a-b with the surface, deduplicated at shared edges.
 
         Returns ``[(point, patch_id), ...]``.  ``cands`` replaces the tree
         walk (``surface_candidates(a, b)``) by a list that holds every
-        triangle the walk keeps (``restricted.Restricted.walk``); a listed
-        triangle counts a hit only when the walk's box test keeps its box,
-        so the hits are the walk's.
+        triangle the walk keeps (``restricted.Restricted.walk``).  The walk
+        keeps every triangle whose hit test accepts a-b, so an extra listed
+        triangle reports no hit and the hits are the walk's.
         """
         if not self.triangles:
             return []
-        walked = cands is None
-        if walked:
+        if cands is None:
             cands = self.surface_candidates(a, b)
         hits = []
         for tid in sorted(cands):
             x = self._segment_triangle_point(a, b, tid)
-            if x is not None and (walked or self._box_kept(tid, a, b)):
+            if x is not None:
                 hits.append((x, self.triangles[tid][3]))
         return _dedupe_tagged(hits, self.eps)
-
-    def _box_kept(self, tid, a, b):
-        """Whether the box test of the walk of segment a-b keeps triangle
-        tid: its tree box and the segment's bounding box, both grown by
-        eps, overlap (the same float operations)."""
-        i, j, k, _p = self.triangles[tid]
-        p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
-        eps = self.eps
-        for x in range(3):
-            if (max(p0[x], p1[x], p2[x]) + eps < min(a[x], b[x]) - eps
-                    or min(p0[x], p1[x], p2[x]) - eps > max(a[x], b[x]) + eps):
-                return False
-        return True
 
     def _crossing(self, a, d, tid, tol, dn):
         """Moeller-Trumbore crossing of the line a + t d with triangle tid:
@@ -383,8 +368,7 @@ class PiecewiseComplex:
     def _ray_parity(self, p, d, span):
         q = (p[0] + span * d[0], p[1] + span * d[1], p[2] + span * d[2])
         band = _RAY_BAND
-        cands = self.tri_tree.query_segment(
-            p, q, pad=self.eps, slack=3.0 * band * self.diag)
+        cands = self.tri_tree.query_segment(p, q, self.hit_pad)
         crossings = 0
         for tid in cands:
             hit = self._crossing(p, d, tid, 1e-12, 1.0)
@@ -418,7 +402,7 @@ class PiecewiseComplex:
             raise ValueError("radius must be positive")
         if not self.segments:
             return []
-        cands = self.seg_tree.query_sphere(centre, radius + self.eps)
+        cands = self.seg_tree.query_sphere(centre, radius, self.eps)
         hits = []
         for sid in sorted(cands):
             i, j, cid = self.segments[sid]
@@ -447,10 +431,9 @@ class PiecewiseComplex:
             return []
         nrm = _unit(normal)
         e1, e2 = _plane_basis(nrm)
-        pad = self.eps + 3.0 * _HIT_SLACK * self.diag
-        cands = self.tri_tree.query_sphere(centre, radius + self.eps,
-                                           plane=(centre, nrm, pad),
-                                           ball=(centre, radius, pad))
+        cands = self.tri_tree.query_sphere(centre, radius, self.hit_pad,
+                                           plane=(centre, nrm),
+                                           ball=(centre, radius))
         hits = []
         for tid in sorted(cands):
             i, j, k, _pid = self.triangles[tid]

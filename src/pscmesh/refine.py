@@ -308,8 +308,6 @@ class Refiner:
     """Runs the full protection + refinement pipeline on one input."""
 
     def __init__(self, geom, cfg):
-        if cfg.sizing is None:
-            raise ValueError("config carries no sizing field")
         self.g = geom
         self.cfg = cfg
         self.stats = {"inserted": 0, "duplicates": 0, "rejected_protected": 0,

@@ -30,21 +30,19 @@ whose surface ball moves with it.
 
 A restricted triangle's record keeps its last surface walk (``walk``):
 the dual segment s and the triangles that the tree walk of s keeps with
-its box pad and clip slack both grown by a tube of eps + 1e-9 |s|
-(``_WALK_TUBE``; eps keeps a short segment's tube above the walk's
-rounding).  When the facet survives an insertion and both ends of its
-new dual segment s' lie within half that tube of s, ``classify_facet``
-tests the stored triangles instead of walking again (``stats.
-walks_reused``); a fresh classification tests its own tube-grown walk
-alike.  Every point of s' then lies within half the tube of s,
-so the stored triangles hold all that the walk of s' keeps, with half a
-tube to spare for rounding.  An extra one reports no hit: the walk's clip
-slack covers how far outside a triangle's box its hit test accepts one
-(the pad invariant of ``aabb``), and ``intersect_segment_surface`` counts
-a hit from a listed triangle only when the walk's box test, whose pad is
-eps alone, keeps it.  So the hits, their order and the record are those
-of a fresh walk.  Shrinking duals make reuse common; the tube check
-alone makes it exact.
+its pad grown by a tube of eps + 1e-9 |s| (``_WALK_TUBE``; eps keeps a
+short segment's tube above the walk's rounding).  When the facet
+survives an insertion and both ends of its new dual segment s' lie
+within half that tube of s, ``classify_facet`` tests the stored
+triangles instead of walking again (``stats.walks_reused``); a fresh
+classification tests its own tube-grown walk alike.  Every point of s'
+then lies within half the tube of s, so the stored triangles hold all
+that the walk of s' keeps, with half a tube to spare for rounding.  An
+extra one reports no hit: the walk's one pad, ``hit_pad``, covers how
+far outside a triangle's box its hit test accepts one (the pad invariant
+of ``aabb``), so the walk of s' keeps every triangle that reports a hit.
+So the hits, their order and the record are those of a fresh walk.
+Shrinking duals make reuse common; the tube check alone makes it exact.
 """
 
 import math
@@ -77,7 +75,7 @@ class Restricted:
     - ``tet_id``: a tet's id in the mesh, -1 below d = 3;
     - ``walk``: a triangle's last surface walk (a, b, r2, ids), None for an
       edge or a tet: the dual segment a-b it walked, the squared half tube
-      r2 and the ids the walk kept with its pads grown by the tube (see the
+      r2 and the ids the walk kept with its pad grown by the tube (see the
       module docstring);
     - ``blocked``: set when a refinement of it was rejected.
     """
@@ -145,7 +143,8 @@ class DistanceCertificate:
     no point of the dual edge c1-c2 lies within pad + 1e-12 |c1 c2| of the
     surface: such a point x would give d(c1) + d(c2) <= |c1 x| + |x c2| +
     2 (pad + 1e-12 |c1 c2|), which (*) exceeds.  The pad is
-    ``geom.hit_pad`` = eps + 3e-9 diag, and it covers both queries:
+    ``geom.hit_pad`` = eps + 3e-9 diag, the one pad by which every
+    triangle-tree walk grows its boxes, and it covers both queries:
 
     - ``intersect_segment_surface`` reports a point of the segment whose
       barycentrics are at least -1e-10 (``_HIT_SLACK``).  Such a point lies
@@ -251,12 +250,11 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
         reliable = reliable and ok
         poly.append(c)
     if reliable and len(poly) >= 3:
-        pad = geom.eps
-        lo = (min(p[0] for p in poly) - pad, min(p[1] for p in poly) - pad,
-              min(p[2] for p in poly) - pad)
-        hi = (max(p[0] for p in poly) + pad, max(p[1] for p in poly) + pad,
-              max(p[2] for p in poly) + pad)
-        cands = geom.seg_tree.query_box(lo, hi)
+        lo = (min(p[0] for p in poly), min(p[1] for p in poly),
+              min(p[2] for p in poly))
+        hi = (max(p[0] for p in poly), max(p[1] for p in poly),
+              max(p[2] for p in poly))
+        cands = geom.seg_tree.query_box(lo, hi, geom.eps)
     else:
         if cert is not None:
             cert.stats["segment_scans"] += 1

@@ -638,28 +638,30 @@ def box_tree_reference(boxes, leaf_size=8, cover_boxes=512):
                                   np.ascontiguousarray(cover[:, 3:].T))
 
 
-def query_box_reference(tree, lo, hi, seg=None, plane=None, ball=None):
+def query_box_reference(tree, lo, hi, pad=0.0, seg=None, plane=None,
+                        ball=None):
     """The leaf-level walk of ``AABBTree.query_box`` that the per-primitive
-    tests replaced, kept verbatim: every primitive of each leaf whose node
-    box passes the box test and the ``seg``, ``plane`` and ``ball`` clips,
-    in tree order, whether or not its own box passes them."""
+    tests replaced, with its one ``pad``: every primitive of each leaf whose
+    node box, grown by ``pad``, passes the box test and the ``seg``,
+    ``plane`` and ``ball`` clips, in tree order, whether or not its own box
+    passes them."""
     if not tree.n:
         return []
-    qx0, qy0, qz0 = lo
-    qx1, qy1, qz1 = hi
+    qx0 = lo[0] - pad; qy0 = lo[1] - pad; qz0 = lo[2] - pad
+    qx1 = hi[0] + pad; qy1 = hi[1] + pad; qz1 = hi[2] + pad
     if seg is not None:
-        (px, py, pz), (qx, qy, qz), pad = seg
+        (px, py, pz), (qx, qy, qz) = seg
         dx, dy, dz = qx - px, qy - py, qz - pz
         ax, ay, az = abs(dx), abs(dy), abs(dz)
         rx, ry, rz = pad * (ay + az), pad * (az + ax), pad * (ax + ay)
     if plane is not None:
-        o, (nx, ny, nz), pad = plane
+        o, (nx, ny, nz) = plane
         off = nx * o[0] + ny * o[1] + nz * o[2]
         anx, any_, anz = abs(nx), abs(ny), abs(nz)
         rn = pad * (anx + any_ + anz)
     if ball is not None:
-        (bx, by, bz), br, bpad = ball
-        rin2 = (br - bpad) ** 2 if br > bpad else -1.0
+        (bx, by, bz), br = ball
+        rin2 = (br - pad) ** 2 if br > pad else -1.0
     out = []
     stack = [0]
     nodes = tree._nodes

@@ -146,23 +146,23 @@ near_offset = st.tuples(*[st.integers(-2, 2)] * 3).filter(
 def test_the_tube_grown_walk_keeps_what_a_nearby_walk_keeps(data):
     # s2 runs between two points of s (at quarter steps along it), each
     # moved by at most half the tube: every point of s2 lies within half
-    # the tube of s, so what the walk of s2 keeps at the normal pads, the
-    # walk of s keeps with its pad and slack grown by the tube (the reuse
-    # of ``restricted.Restricted.walk``)
+    # the tube of s, so what the walk of s2 keeps at its pad, the walk of s
+    # keeps with its pad grown by half the tube, and so by the whole tube
+    # (the reuse of ``restricted.Restricted.walk``)
     bxs = data.draw(boxes())
     tree = AABBTree(bxs)
     p = data.draw(st.one_of(point, on_box_face(bxs)))
     q = data.draw(st.one_of(point, on_box_face(bxs), st.just(p)))
     tube = 0.5
-    slack = data.draw(st.sampled_from([0.0, 0.125, 0.25]))
+    pad = data.draw(st.sampled_from([0.0, 0.125, 0.25]))
     s2 = []
     for _ in range(2):
         t = data.draw(st.integers(0, 4)) / 4.0
         v = data.draw(near_offset)
         s2.append(tuple(p[k] + t * (q[k] - p[k]) + v[k] for k in range(3)))
-    got = tree.query_segment(*s2, pad=PAD, slack=slack)
-    assert set(got) <= set(tree.query_segment(p, q, pad=PAD + tube,
-                                              slack=slack + tube))
+    got = set(tree.query_segment(*s2, pad))
+    assert got <= set(tree.query_segment(p, q, pad + 0.5 * tube))
+    assert got <= set(tree.query_segment(p, q, pad + tube))
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,10 +178,11 @@ def test_plane_clip_keeps_every_box_the_plane_meets(data):
     radius = data.draw(st.integers(1, 60).map(lambda k: k / 4.0))
     lo = tuple(o[k] - radius for k in range(3))
     hi = tuple(o[k] + radius for k in range(3))
-    got = tree.query_sphere(o, radius, plane=(o, n, PAD))
-    assert is_subsequence(got, tree.query_box(lo, hi))
+    got = tree.query_sphere(o, radius, PAD, plane=(o, n))
+    assert is_subsequence(got, tree.query_box(lo, hi, PAD))
     assert set(got) >= {i for i, b in enumerate(bxs)
-                        if overlaps(b, lo, hi) and meets_plane(grown(b), o, n)}
+                        if overlaps(grown(b), lo, hi)
+                        and meets_plane(grown(b), o, n)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -199,10 +200,10 @@ def test_ball_clip_keeps_every_box_that_reaches_the_sphere(data):
     radius = data.draw(st.sampled_from((r, r + 1.0)))
     lo = tuple(c[k] - radius for k in range(3))
     hi = tuple(c[k] + radius for k in range(3))
-    got = tree.query_sphere(c, radius, ball=(c, r, PAD))
-    assert is_subsequence(got, tree.query_box(lo, hi))
+    got = tree.query_sphere(c, radius, PAD, ball=(c, r))
+    assert is_subsequence(got, tree.query_box(lo, hi, PAD))
     want = {i for i, b in enumerate(bxs)
-            if overlaps(b, lo, hi) and reaches_sphere(b, c, r)}
+            if overlaps(grown(b), lo, hi) and reaches_sphere(b, c, r)}
     assert set(got) >= want
     assert set(got) >= set(range(len(bxs) - len(touching), len(bxs)))
 
@@ -212,7 +213,8 @@ def test_ball_clip_keeps_every_box_that_reaches_the_sphere(data):
 def test_query_returns_exactly_the_primitives_whose_own_boxes_pass(data):
     # on the quarter grid, with a quarter-grid ball radius, every test of
     # the walk is exact, so the result must be exactly the primitives of the
-    # leaf-level walk whose own boxes pass the exact references, in order
+    # leaf-level walk whose own boxes, grown by the pad, pass the exact
+    # references, in order
     bxs = data.draw(boxes())
     tree = AABBTree(bxs)
     kind = data.draw(st.sampled_from(("box", "seg", "plane", "ball")))
@@ -222,54 +224,59 @@ def test_query_returns_exactly_the_primitives_whose_own_boxes_pass(data):
     r = data.draw(st.integers(0, 60).map(lambda k: k / 4.0))
     clip, passes = {
         "box": ({}, lambda b: True),
-        "seg": ({"seg": (c, q, PAD)}, lambda b: meets_segment(grown(b), c, q)),
-        "plane": ({"plane": (c, n, PAD)},
-                  lambda b: meets_plane(grown(b), c, n)),
-        "ball": ({"ball": (c, r, PAD)}, lambda b: reaches_sphere(b, c, r)),
+        "seg": ({"seg": (c, q)}, lambda b: meets_segment(grown(b), c, q)),
+        "plane": ({"plane": (c, n)}, lambda b: meets_plane(grown(b), c, n)),
+        "ball": ({"ball": (c, r)}, lambda b: reaches_sphere(b, c, r)),
     }[kind]
     if kind == "seg":
-        lo = tuple(min(c[k], q[k]) - PAD for k in range(3))
-        hi = tuple(max(c[k], q[k]) + PAD for k in range(3))
+        lo = tuple(min(c[k], q[k]) for k in range(3))
+        hi = tuple(max(c[k], q[k]) for k in range(3))
     else:
         lo = tuple(x - r for x in c)
         hi = tuple(x + r for x in c)
-    got = tree.query_box(lo, hi, **clip)
-    leaves = query_box_reference(tree, lo, hi, **clip)
+    got = tree.query_box(lo, hi, PAD, **clip)
+    leaves = query_box_reference(tree, lo, hi, PAD, **clip)
     assert got == [i for i in leaves
-                   if overlaps(bxs[i], lo, hi) and passes(bxs[i])]
-    assert all(overlaps(bxs[i], lo, hi) for i in got)
+                   if overlaps(grown(bxs[i]), lo, hi) and passes(bxs[i])]
+    assert all(overlaps(grown(bxs[i]), lo, hi) for i in got)
     assert set(got) == {i for i, b in enumerate(bxs)
-                        if overlaps(b, lo, hi) and passes(b)}
-    assert is_subsequence(got, query_box_reference(tree, lo, hi))
+                        if overlaps(grown(b), lo, hi) and passes(b)}
+    assert is_subsequence(got, query_box_reference(tree, lo, hi, PAD))
     assert all(type(i) is int for i in got)
 
 
 def test_queries_touching_a_padded_box_are_kept():
-    # a unit box grown by PAD, and a segment across one of its edges that
-    # touches it only there: for each edge direction, only the clip axis
-    # d x e of that direction separates them when the pad is ignored
+    # a unit box grown by PAD, and a segment that touches it only there:
+    # across one of its edges, where for each edge direction only the clip
+    # axis d x e of that direction separates them at a smaller pad, or
+    # from a point of one of its faces outward, where the box test's axis
+    # separates them at a smaller pad
     box = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
     tree = AABBTree([box])
-    p, q = (0.5, 2.125, 0.125), (0.5, 0.125, 2.125)
-    for shift in range(3):
-        def rot(x):
-            return tuple(x[(k - shift) % 3] for k in range(3))
-        assert meets_segment(grown(box), rot(p), rot(q))
-        assert tree.query_segment(rot(p), rot(q), pad=PAD) == [0]
-        assert tree.query_segment(rot(p), rot(q), pad=0.0, slack=0.1) == []
+    for p, q in (((0.5, 2.125, 0.125), (0.5, 0.125, 2.125)),
+                 ((1.125, 0.5, 0.5), (2.125, 0.75, 0.25))):
+        for shift in range(3):
+            def rot(x):
+                return tuple(x[(k - shift) % 3] for k in range(3))
+            assert meets_segment(grown(box), rot(p), rot(q))
+            assert tree.query_segment(rot(p), rot(q), PAD) == [0]
+            assert tree.query_segment(rot(p), rot(q), 0.1) == []
     # planes through a corner, along an edge and on a face of the grown box
     for o, n in (((1.125, 1.125, 1.125), (1, 1, 1)),
                  ((-0.125, 1.125, 0.5), (-1, 2, 0)),
                  ((0.5, 0.5, -0.125), (0, 0, -3))):
         assert meets_plane(grown(box), o, n)
-        assert tree.query_sphere(o, 5.0, plane=(o, n, PAD)) == [0]
-        assert tree.query_sphere(o, 5.0, plane=(o, n, 0.1)) == []
+        assert tree.query_sphere(o, 5.0, PAD, plane=(o, n)) == [0]
+        assert tree.query_sphere(o, 5.0, 0.1, plane=(o, n)) == []
     # a ball about a centre 7 from the box's farthest corner (1, 1, 1),
     # along (2, 3, 6): the box grown by PAD lies strictly inside it only
     # once the radius exceeds 7 + PAD
     o = (1.0 - 2.0, 1.0 - 3.0, 1.0 - 6.0)
     for r, kept in ((7.0 + PAD, [0]), (7.0 + 2 * PAD, [])):
-        assert tree.query_sphere(o, 10.0, ball=(o, r, PAD)) == kept
+        assert tree.query_sphere(o, 10.0, PAD, ball=(o, r)) == kept
+    # a sphere whose box touches the grown box's face x = 1 + PAD
+    assert tree.query_sphere((3.125, 0.5, 0.5), 2.0, PAD) == [0]
+    assert tree.query_sphere((3.125, 0.5, 0.5), 2.0, 0.1) == []
 
 
 def test_clips_prune_a_lattice():
@@ -285,7 +292,7 @@ def test_clips_prune_a_lattice():
     assert len(want) == 64 and len(ids) == 64 and set(ids) == want
     assert all(type(i) is int for i in ids)  # plain ints, not numpy scalars
     ids = tree.query_sphere((4.5, 5, 5), 20.0,
-                            plane=((4.5, 5, 5), (1, 0, 0), 0.0))
+                            plane=((4.5, 5, 5), (1, 0, 0)))
     want = {i for i, b in enumerate(bxs) if b[0] == 4}
     assert len(ids) == 100 and set(ids) == want
 

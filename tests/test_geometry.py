@@ -3,13 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pscmesh.aabb import AABBTree
 from pscmesh.delaunay import TetMesh
 from pscmesh.errors import GeometryError, ParseError, ValidationError
-from pscmesh.geometry import PiecewiseComplex, load_complex, parse_complex, \
-    write_complex
+from pscmesh.geometry import _HIT_SLACK, _RAY_BAND, _RAY_DIRS, \
+    PiecewiseComplex, load_complex, parse_complex, write_complex
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.restricted import classify_edge
 
@@ -450,6 +450,19 @@ def test_disk_surface_examples():
     assert c.intersect_disk_surface((0, 0, 1), (0, 0, 1), 0.5) == []
 
 
+@pytest.mark.parametrize("delta", [1e-11, 5e-11, 1e-10])
+def test_a_circle_within_the_hit_slack_beyond_a_triangle_box_hits(delta):
+    # the triangle's edge x = 1 + delta lies beyond the extreme point
+    # (1, 0, 0) of the unit circle in z = 0, by more than the tree box's
+    # eps and less than the hit test's barycentric slack reaches
+    c = PiecewiseComplex([(1 + delta, 0, -1), (1 + delta, 0, 1),
+                          (3 + delta, 0, 0)], [], [(0, 1, 2, 0)])
+    assert delta > 2.0 * c.eps
+    hits = c.intersect_disk_surface((0, 0, 0), (0, 0, 1), 1.0)
+    assert len(hits) == 1
+    assert math.dist(hits[0], (1.0, 0.0, 0.0)) <= 1e-12
+
+
 @spheres((1, 200), (3, 30), (4, 8))
 def test_disk_surface_matches_bruteforce_on_sphere(sub, cases):
     c = icosphere(sub)
@@ -478,8 +491,8 @@ def test_clipped_queries_equal_unclipped_on_grazing_cases(monkeypatch):
     with monkeypatch.context() as m:
         # the same queries on a tree walk that ignores the clips
         m.setattr(tree, "query_box",
-                  lambda lo, hi, seg=None, plane=None, ball=None:
-                  AABBTree.query_box(tree, lo, hi))
+                  lambda lo, hi, pad=0.0, seg=None, plane=None, ball=None:
+                  AABBTree.query_box(tree, lo, hi, pad))
         assert got == ([c.intersect_segment_surface(a, b) for a, b in segs],
                        [c.point_in_volume(a) for a, _b in segs],
                        [c.intersect_disk_surface(*d) for d in disks])
@@ -488,6 +501,109 @@ def test_clipped_queries_equal_unclipped_on_grazing_cases(monkeypatch):
     assert all(inside[6:-1:3])
     assert not any(inside[7:-1:3]) and not any(inside[8:-1:3])
     assert sum(map(bool, got[0])) > 20 and sum(map(bool, got[2])) >= 4
+
+
+def handed_out(geom, run, every=False):
+    """The ids that geom's triangle-tree queries hand out while ``run()``
+    queries geom, and run's result.  With ``every``, each query hands out
+    every triangle instead."""
+    tree = geom.tri_tree
+    ids = []
+
+    def recorded(*args, **kwargs):
+        out = (list(range(tree.n)) if every
+               else AABBTree.query_box(tree, *args, **kwargs))
+        ids.extend(out)
+        return out
+
+    tree.query_box = recorded
+    try:
+        return ids, run()
+    finally:
+        del tree.query_box
+
+
+unit = st.tuples(*[st.integers(-16, 16)] * 3).filter(any).map(
+    lambda v: np.asarray(v) / math.hypot(*v))
+
+
+@st.composite
+def near_triangle(draw):
+    """A fat random triangle and a point in its plane outside it: beyond
+    one of its edges or vertices by up to 3 x the slack of a drawn query
+    kind times the triangle's extent.  Returns (complex, point, normal,
+    kind)."""
+    pts = np.asarray(draw(st.tuples(*[st.tuples(
+        *[st.integers(-1000, 1000)] * 3)] * 3))) / 1000.0
+    n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+    edges = [np.linalg.norm(pts[(k + 1) % 3] - pts[k]) for k in range(3)]
+    # every altitude at least a twentieth of the longest edge
+    assume(np.linalg.norm(n) >= 0.05 * max(edges) ** 2 > 0.0)
+    n /= np.linalg.norm(n)
+    geom = PiecewiseComplex(pts, [], [(0, 1, 2, 0)])
+    kind = draw(st.sampled_from(("segment", "ray", "disk")))
+    reach = 3.0 * (_RAY_BAND if kind == "ray" else _HIT_SLACK) * geom.diag
+    off = draw(st.floats(0.0, 1.0)) * reach
+    k = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        # beyond vertex k, away from the centroid
+        out = pts[k] - pts.mean(axis=0)
+        x = pts[k] + off * out / np.linalg.norm(out)
+    else:
+        # beyond edge k-(k+1), away from the third vertex
+        e = pts[(k + 1) % 3] - pts[k]
+        out = np.cross(e, n)
+        out /= np.linalg.norm(out)
+        if np.dot(pts[(k + 2) % 3] - pts[k], out) > 0.0:
+            out = -out
+        x = pts[k] + draw(st.floats(0.0, 1.0)) * e + off * out
+    return geom, x, n, kind
+
+
+@settings(max_examples=600, deadline=None)
+@given(near_triangle(), st.data())
+def test_the_walk_keeps_every_triangle_its_hit_test_accepts(case, data):
+    # a segment, membership ray or disk circle passes within its hit
+    # test's reach outside a triangle; whenever the hit test accepts the
+    # triangle (the ray's band catches it), the tree walk of that query
+    # hands it out
+    geom, x, n, kind = case
+    size = st.floats(0.05, 1.5).map(lambda f: f * geom.diag)
+    if kind == "segment":
+        u = data.draw(unit)
+        assume(abs(np.dot(u, n)) >= 0.2)
+        a = tuple((x - data.draw(size) * u).tolist())
+        b = tuple((x + data.draw(size) * u).tolist())
+        accepted = geom._segment_triangle_point(a, b, 0) is not None
+        ids, hits = handed_out(geom, lambda: geom.intersect_segment_surface(
+            a, b))
+        assert bool(hits) == accepted
+    elif kind == "ray":
+        d = data.draw(st.sampled_from(_RAY_DIRS))
+        assume(abs(np.dot(d, n)) >= 0.2)
+        p = tuple((x - data.draw(size) * np.asarray(d)).tolist())
+        span = 3.0 * geom.diag + math.dist(p, geom.bounds[0])
+        hit = geom._crossing(p, d, 0, 1e-12, 1.0)
+        v, w, _t = hit
+        band = _RAY_BAND
+        accepted = -band < v and -band < w and v + w < 1.0 + band
+        ids, _inside = handed_out(geom, lambda: geom._ray_parity(p, d, span))
+    else:
+        m = data.draw(unit)
+        assume(np.linalg.norm(np.cross(m, n)) >= 0.2)
+        w = np.cross(m, data.draw(unit))
+        assume(np.linalg.norm(w) >= 0.2)
+        r = data.draw(size)
+        c = tuple((x - r * w / np.linalg.norm(w)).tolist())
+        disk = (c, tuple(m.tolist()), r)
+        _all, want = handed_out(
+            geom, lambda: geom.intersect_disk_surface(*disk), every=True)
+        accepted = bool(want)
+        ids, hits = handed_out(geom, lambda: geom.intersect_disk_surface(
+            *disk))
+        assert hits == want
+    if accepted:
+        assert 0 in ids
 
 
 def test_membership_rays_collect_few_candidates_on_dense_input(monkeypatch):

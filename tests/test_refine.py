@@ -442,6 +442,8 @@ def test_termination_bounds_read_the_grid_maximum():
 
 
 def test_config_validation():
+    with pytest.raises(ValidationError, match="sizing"):
+        RefineConfig()
     with pytest.raises(ValidationError):
         RefineConfig(sizing=SizingField(h0=1.0), vlen_min=0.4)
     with pytest.raises(ValidationError):

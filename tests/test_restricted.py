@@ -975,31 +975,33 @@ def test_a_walk_outside_its_tube_is_not_reused():
 
 def test_a_reused_walk_keeps_what_the_walk_of_a_nearby_segment_keeps():
     # one triangle in the plane z = 0 whose tree box ends at x = 1 + eps.
-    # The vertical segment s2 at the largest x that the walk's box test
-    # keeps crosses the plane within the hit test's slack of the triangle,
-    # and hits.  The walk of s1, s2 moved 0.9 half tubes farther out, drops
-    # the triangle at the normal pads, but the tube-grown walk keeps it
+    # The vertical segment s3 crosses the plane 1e-10 beyond that box,
+    # within the hit test's slack of the triangle: the walk, whose one pad
+    # covers that slack, keeps the triangle, and s3 hits
     geom = PiecewiseComplex([(1, -1, 0), (1, 1, 0), (-1, 0, 0)], [],
                             [(0, 1, 2, 0)])
     eps = geom.eps
-    x = 1.0 + 3.0 * eps
-    while x - eps > 1.0 + eps:
-        x = math.nextafter(x, 0.0)
-    s2 = ((x, 0.0, -1.0), (x, 0.0, 1.0))
-    hits = geom.intersect_segment_surface(*s2)
-    assert len(hits) == 1
-    tube = eps + restricted._WALK_TUBE * 2.0
+    x = 1.0 + 1e-10
+    assert x > 1.0 + 2.0 * eps
+    s3 = ((x, 0.0, -1.0), (x, 0.0, 1.0))
+    assert geom.surface_candidates(*s3) == [0]
+    hits = geom.intersect_segment_surface(*s3)
+    assert hits == [((x, 0.0, 0.0), 0)]
+    # s2, s3 drawn out to length 20, has a tube wider than the walk's pad.
+    # s1, s2 moved 0.9 half tubes farther out, passes beyond that pad: its
+    # plain walk drops the triangle, which reports no hit for s1 even when
+    # listed, and its tube-grown walk keeps it, with s2's hit
+    s2 = ((x, 0.0, -10.0), (x, 0.0, 10.0))
+    assert geom.intersect_segment_surface(*s2) == hits
+    tube = eps + restricted._WALK_TUBE * 20.0
     s1 = tuple((px + 0.45 * tube, py, pz) for px, py, pz in s2)
+    assert 0.45 * tube > geom.hit_pad
     assert geom.surface_candidates(*s1) == []
+    assert geom.intersect_segment_surface(*s1, [0]) == []
     walk = restricted._walk(geom, *s1)
+    assert walk[3] == [0]
     assert all(restricted._in_tube(p, walk) for p in s2)
     assert geom.intersect_segment_surface(*s2, walk[3]) == hits
-    # a listed triangle whose box the walk's box test drops reports no hit,
-    # though the hit test's slack reaches the crossing
-    s3 = tuple((1.0 + 1e-10, py, pz) for _px, py, pz in s2)
-    assert geom.surface_candidates(*s3) == []
-    assert geom._segment_triangle_point(*s3, 0) is not None
-    assert geom.intersect_segment_surface(*s3, [0]) == []
 
 
 def test_volume_and_surface_queries_are_mostly_certified(monkeypatch):

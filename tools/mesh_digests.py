@@ -27,15 +27,19 @@ that fail an audit certificate, ``inserted`` is the total of the
 the meshes of the report's minimum volume-length and area-length and of
 the benchmark's ``h_rel_dev``: the quality movement of a change that
 moves the meshes, and the refinement work it costs or saves, without a
-benchmark run.
+benchmark run.  ``--mode classical`` refines the same meshes with the
+classical insertion rule instead of the benchmark's frontal one, so that
+one ``diff`` compares the two modes.
 pscmesh is imported from the ``src/`` of the checkout that holds this
 script.
 
     python3 tools/mesh_digests.py > a.txt
     python3 tools/mesh_digests.py --seeds 3 crease sphere
+    python3 tools/mesh_digests.py --mode classical > c.txt; diff a.txt c.txt
 """
 
 import argparse
+import dataclasses
 import hashlib
 import statistics
 import sys
@@ -57,14 +61,14 @@ from workloads import (WORKLOADS, build_input, make_config,  # noqa: E402
                        mesh_seeds)
 
 
-def digest(workload, seed, tmp):
+def digest(workload, seed, tmp, mode):
     """(status, sha256 of the VTK bytes followed by the report bytes, the
     counts line's fields, ``Refiner.stats``, the summary line's values for
     this mesh)."""
     psc = tmp / f"{workload.name}.psc"
     if not psc.exists():
         write_complex(build_input(workload), str(psc))
-    cfg = make_config(workload.h, seed)
+    cfg = dataclasses.replace(make_config(workload.h, seed), mode=mode)
     result = refine(load_complex(str(psc)), cfg)
     vtk = tmp / "mesh.vtk"
     rep = tmp / "mesh.report.txt"
@@ -92,6 +96,10 @@ def main(argv=None):
                     help=f"of {', '.join(sorted(WORKLOADS))} (default: all)")
     ap.add_argument("--seeds", type=int, default=10,
                     help="benchmark seeds 0 .. SEEDS-1 (default %(default)s)")
+    ap.add_argument("--mode", choices=("frontal", "classical"),
+                    default="frontal",
+                    help="insertion rule (default %(default)s, the "
+                    "benchmark's)")
     args = ap.parse_args(argv)
     names = args.workloads or sorted(WORKLOADS)
     for name in set(names) - WORKLOADS.keys():
@@ -103,7 +111,7 @@ def main(argv=None):
             for seed in range(args.seeds):
                 for mesh_seed in mesh_seeds(workload, seed):
                     status, sha, fields, stats, quality = digest(
-                        workload, mesh_seed, Path(tmp))
+                        workload, mesh_seed, Path(tmp), args.mode)
                     meshes.append(quality)
                     print(name, mesh_seed, status, sha)
                     print(name, mesh_seed, "counts",
