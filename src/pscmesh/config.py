@@ -1,6 +1,7 @@
 """Refinement configuration, sizing fields and the termination sanity check."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,12 @@ class RefineConfig:
             raise ValidationError("alpha must be positive")
         if self.collar_beta < 1.0:
             raise ValidationError("collar spacing factor must be >= 1")
+        # a nan budget never trips, a float seed cannot key the jitter and
+        # a numpy one would wrap in its 64-bit key
+        for name in ("max_points", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValidationError(f"{name} must be an integer")
+            setattr(self, name, int(getattr(self, name)))
         if self.max_points < 0:
             raise ValidationError("max_points must not be negative")
         # the jitter keys on seed << 32 in 64 bits, so seeds that agree

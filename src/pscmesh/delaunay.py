@@ -14,6 +14,10 @@ cospherical or coplanar configuration.  ``TetMesh.points`` holds the
 jittered coordinates and is the authoritative vertex data for every
 downstream consumer.
 
+The mesh keeps no side index from vertices to tets: a star walk starts at
+the tet that point location (a visibility walk) finds for the vertex, and
+an edge's ring at a tet of that star.
+
 Single-writer: mutating calls are strictly sequential; read accessors are
 safe between mutations.
 """
@@ -115,9 +119,9 @@ class InsertRecord:
     """What one insertion changed.  The created tets take fresh ids at the
     end of ``tets``, which never reuses an id.  ``journal`` undoes it: the
     killed tets as (id, quad, neighbours, circumsphere), the overwritten
-    outer slots as (tet, slot, old), the old ``vert_tet`` of the cavity
-    vertices, ``_last_tet`` and ``len(tets)``; it is the one record of the
-    killed tets (``refine.Census`` holds their faces)."""
+    outer slots as (tet, slot, old), ``_last_tet`` and ``len(tets)``; it
+    is the one record of the killed tets (``refine.Census`` holds their
+    faces)."""
 
     __slots__ = ("vid", "duplicate", "created", "journal")
 
@@ -153,7 +157,6 @@ class TetMesh:
         self.tets = []      # tuple4 or None
         self.neigh = []     # list4 of tet ids, -1 at the outer hull
         self.circum = []    # (centre, r2, reliable)
-        self.vert_tet = []
         self._last_tet = -1
         self._last_insert = None
 
@@ -179,7 +182,6 @@ class TetMesh:
         for i, c in enumerate(corners):
             self.points.append(self._jitter(c, i))
             self.meta.append(VertexMeta("shell"))
-            self.vert_tet.append(-1)
         # brute-force Delaunay of the 8 jittered corners
         quads = []
         for quad in combinations(range(8), 4):
@@ -213,8 +215,6 @@ class TetMesh:
         self.tets.append(quad)
         self.neigh.append([-2, -2, -2, -2])
         self.circum.append(circumsphere_tet(*(self.points[v] for v in quad)))
-        for v in quad:
-            self.vert_tet[v] = t
         self._last_tet = t
         return t
 
@@ -240,11 +240,11 @@ class TetMesh:
         return tuple(self.points[v] for v in self.tets[t])
 
     def tets_around_vertex(self, v):
-        # vert_tet never goes stale: every cavity vertex lies on the cavity
-        # boundary, so it gets a new tet, and an undo restores the old one
-        t0 = self.vert_tet[v]
-        if t0 < 0 or self.tets[t0] is None or v not in self.tets[t0]:
+        # under exact predicates a tet whose closure holds a vertex has it
+        # as a corner, so point location finds the star's first tet
+        if not self.meta[v].alive:
             raise MeshError(f"vertex {v} has no incident tets")
+        t0 = self.locate(self.points[v])
         seen = {t0: None}
         stack = [t0]
         while stack:
@@ -351,12 +351,9 @@ class TetMesh:
         vid = len(self.points)
         self.points.append(pj)
         self.meta.append(VertexMeta(kind, ref))
-        self.vert_tet.append(-1)
         killed = [(t, self.tets[t], self.neigh[t], self.circum[t]) for t in cav]
         outer_slots = []
-        old_vert_tet = {v: self.vert_tet[v] for k in killed for v in k[1]}
-        journal = (killed, outer_slots, old_vert_tet, self._last_tet,
-                   len(self.tets))
+        journal = (killed, outer_slots, self._last_tet, len(self.tets))
         for t in cav:
             self.tets[t] = self.neigh[t] = self.circum[t] = None
         created = []
@@ -405,7 +402,7 @@ class TetMesh:
         if rec is not self._last_insert:
             raise MeshError("only the latest insertion can be undone")
         self._last_insert = None
-        killed, outer_slots, old_vert_tet, last_tet, n_tets = rec.journal
+        killed, outer_slots, last_tet, n_tets = rec.journal
         del self.tets[n_tets:], self.neigh[n_tets:], self.circum[n_tets:]
         for (t, quad, neigh, circum) in killed:
             self.tets[t] = quad
@@ -413,9 +410,6 @@ class TetMesh:
             self.circum[t] = circum
         for (outer, slot, old) in outer_slots:
             self.neigh[outer][slot] = old
-        for v, t in old_vert_tet.items():
-            self.vert_tet[v] = t
-        self.vert_tet[rec.vid] = -1
         self.meta[rec.vid].alive = False
         self._last_tet = last_tet
 
@@ -437,39 +431,29 @@ class TetMesh:
         """Ordered tets around edge (u, w); (ring, closed flag).
 
         Consecutive ring tets share a face {u, w, pivot}; the walk crosses
-        the face opposite the entry pivot each step.
+        the face opposite the entry pivot each step.  An interior edge's
+        ring comes back closed.  Only a hull edge, which joins two shell
+        corners, has an open ring: it comes back as the tets from t0 up to
+        the hull, with ``closed`` False.
         """
         if t0 is None:
             t0 = self.find_tet_with_edge(u, w)
             if t0 is None:
                 raise MeshError(f"edge ({u}, {w}) not in the triangulation")
         quad0 = self.tets[t0]
-        oa, ob = (x for x in quad0 if x != u and x != w)
-
-        def walk(first_exit_opposite, first_entry):
-            out = []
-            t = self.neigh[t0][quad0.index(first_exit_opposite)]
-            entry = first_entry
-            guard = 0
-            while t != -1 and t != t0:
-                out.append(t)
-                quad = self.tets[t]
-                o1, o2 = (x for x in quad if x != u and x != w)
-                nxt = self.neigh[t][quad.index(entry)]
-                entry = o2 if o1 == entry else o1
-                t = nxt
-                guard += 1
-                if guard > len(self.tets) + 8:
-                    raise MeshError("broken ring adjacency")
-            return out, t == t0
-
-        fwd, closed = walk(oa, ob)
-        ring = [t0] + fwd
-        if closed:
-            return ring, True
-        back, _ = walk(ob, oa)
-        back.reverse()
-        return back + ring, False
+        oa, entry = (x for x in quad0 if x != u and x != w)
+        ring = [t0]
+        t = self.neigh[t0][quad0.index(oa)]
+        while t != -1 and t != t0:
+            ring.append(t)
+            quad = self.tets[t]
+            o1, o2 = (x for x in quad if x != u and x != w)
+            nxt = self.neigh[t][quad.index(entry)]
+            entry = o2 if o1 == entry else o1
+            t = nxt
+            if len(ring) > len(self.tets) + 8:
+                raise MeshError("broken ring adjacency")
+        return ring, t == t0
 
     def edge_exists(self, u, w):
         return self.find_tet_with_edge(u, w) is not None

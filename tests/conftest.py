@@ -1,4 +1,8 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+HERE = Path(__file__).resolve().parent
+# the helper modules of this directory, and this checkout's own package
+# ahead of any installed copy
+sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent / "src"))

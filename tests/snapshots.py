@@ -24,7 +24,6 @@ def refiner_snapshot(r):
         "neigh": [None if n is None else list(n) for n in m.neigh],
         "circum": list(m.circum),
         "last_tet": m._last_tet,
-        "vert_tet": list(m.vert_tet),
         "rs_edges": dict(rs.edges),
         "rs_tris": dict(rs.tris),
         "rs_tets": dict(rs.tets),
@@ -92,17 +91,14 @@ def assert_restricted_fresh(r):
 
 
 def assert_undone(before, after):
-    """``after`` equals ``before`` except for the one dead vertex that the
-    undone insertion leaves behind in ``vert_tet``."""
-    n = len(before["vert_tet"])
-    assert after["vert_tet"][:n] == before["vert_tet"]
-    assert after["vert_tet"][n:] == [-1]
+    """``after`` equals ``before``: mesh arrays by value, restricted tables
+    by object identity."""
     for key in before:
         if key.startswith("rs_"):
             assert after[key].keys() == before[key].keys(), key
             assert all(after[key][k] is obj
                        for k, obj in before[key].items()), key
-        elif key != "vert_tet":
+        else:
             assert after[key] == before[key], key
 
 

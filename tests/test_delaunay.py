@@ -1,10 +1,14 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from pscmesh.config import RefineConfig, SizingField
 from pscmesh.delaunay import TetMesh, circumcentre_triangle, circumsphere_tet
 from pscmesh.errors import MeshError
+from pscmesh.models import icosphere, wedge
+from pscmesh.refine import refine
 
 from oracles import brute_force_delaunay
 
@@ -86,7 +90,7 @@ def _mesh_state(m):
     # the fourth item lists the dead tet slots, whose ids are never reused
     return (list(m.tets), [None if n is None else list(n) for n in m.neigh],
             list(m.circum), [t for t, q in enumerate(m.tets) if q is None],
-            m._last_tet, list(m.vert_tet))
+            m._last_tet)
 
 
 def test_insert_remove_roundtrip_restores_state():
@@ -97,12 +101,60 @@ def test_insert_remove_roundtrip_restores_state():
     before = _mesh_state(m)
     rec = m.insert_point((0.41, 0.52, 0.63))
     m.remove_point(rec)
-    tets, neigh, circum, free, last, vert_tet = _mesh_state(m)
-    assert (tets, neigh, circum, free, last) == before[:5]
-    assert vert_tet == before[5] + [-1]
+    assert _mesh_state(m) == before
     assert not m.meta[rec.vid].alive
     # the dead vertex keeps its id: the next insertion takes the one after
     assert m.insert_point((0.3, 0.3, 0.3)).vid == rec.vid + 1
+
+
+def _holders(m, *vs):
+    return {t for t in m.alive_tets() if all(v in m.tets[t] for v in vs)}
+
+
+def test_star_queries_find_every_incident_tet():
+    # stars and edges come from point location alone, so check them
+    # against scans of the live tets, also after an undo
+    rng = np.random.default_rng(5)
+    m = TetMesh(UNIT, seed=6)
+    for p in rng.uniform(0, 1, (60, 3)):
+        m.insert_point(tuple(p))
+    rec = m.insert_point((0.47, 0.51, 0.53))
+    m.remove_point(rec)
+    live = [v for v in range(len(m.points)) if m.meta[v].alive]
+    assert len(live) == len(m.points) - 1
+    for v in live:
+        assert set(m.tets_around_vertex(v)) == _holders(m, v), v
+    with pytest.raises(MeshError):
+        m.tets_around_vertex(rec.vid)
+    for u, w in rng.choice(live, (200, 2)):
+        u, w = int(u), int(w)
+        if u != w:
+            assert m.edge_exists(u, w) == bool(_holders(m, u, w)), (u, w)
+
+
+@pytest.mark.parametrize("model, h", [(wedge, 0.35),
+                                      (lambda: icosphere(2), 0.4)],
+                         ids=["wedge", "icosphere2"])
+def test_edge_rings_of_refined_meshes(model, h):
+    m = refine(model(), RefineConfig(sizing=SizingField(h0=h), seed=0)).mesh
+    holders = {}
+    for t in m.alive_tets():
+        for e in combinations(sorted(m.tets[t]), 2):
+            holders.setdefault(e, set()).add(t)
+    hull = 0
+    for (u, w), tets in holders.items():
+        ring, closed = m.edge_ring(u, w)
+        assert all(u in m.tets[t] and w in m.tets[t] for t in ring)
+        assert len(set(ring)) == len(ring)
+        if w >= 8:
+            assert closed, (u, w)
+            assert set(ring) == tets, (u, w)
+        elif not closed:
+            # a hull edge: its tets from the first one up to the hull
+            assert set(ring) <= tets, (u, w)
+            hull += 1
+    assert hull > 0
+    assert not m.edge_ring(0, 1)[1]
 
 
 def test_remove_back_to_single_star():

@@ -455,7 +455,16 @@ def test_config_validation():
     with pytest.raises(ValidationError, match="max_points"):
         RefineConfig(sizing=SizingField(h0=1.0), max_points=-1)
     assert RefineConfig(sizing=SizingField(h0=1.0), max_points=0)
-    for seed in (-1, 2 ** 32):
+    # a nan budget would never trip, so the run would go on past it
+    for budget in (2.5, float("nan")):
+        with pytest.raises(ValidationError, match="max_points"):
+            RefineConfig(sizing=SizingField(h0=1.0), max_points=budget)
+    cfg = RefineConfig(sizing=SizingField(h0=1.0), max_points=np.int64(7),
+                       seed=np.uint32(3))
+    # a numpy seed would wrap in the jitter's 64-bit key
+    assert (cfg.max_points, cfg.seed) == (7, 3)
+    assert (type(cfg.max_points), type(cfg.seed)) == (int, int)
+    for seed in (-1, 2 ** 32, 1.5):
         with pytest.raises(ValidationError, match="seed"):
             RefineConfig(sizing=SizingField(h0=1.0), seed=seed)
     assert RefineConfig(sizing=SizingField(h0=1.0), seed=2 ** 32 - 1)
