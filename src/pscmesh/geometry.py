@@ -97,8 +97,6 @@ class PiecewiseComplex:
         tri = _records(triangles, 4, "triangle")
         self.segments = list(map(tuple, seg.tolist()))
         self.triangles = list(map(tuple, tri.tolist()))
-        edge_keys, edge_uses = self._validate(seg, tri)
-
         nv = len(self.vertices)
         if nv:
             lo = self.vertices.min(axis=0)
@@ -108,6 +106,7 @@ class PiecewiseComplex:
         self.bounds = (tuple(lo), tuple(hi))
         self.diag = float(np.linalg.norm(hi - lo)) or 1.0
         self.eps = 1e-12 * self.diag
+        edge_keys, edge_uses = self._validate(seg, tri)
 
         self.pts = list(map(tuple, self.vertices.tolist()))
 
@@ -172,8 +171,10 @@ class PiecewiseComplex:
     def _validate(self, seg, tri):
         """Raise the ``ValidationError`` of the lowest failing segment, else
         of the lowest failing triangle, its first failing check in the
-        order of the messages below; else return the surface edge census:
-        the sorted distinct edge keys and each one's triangle count.
+        order of the messages below, else of an extent outside the float
+        kernels' range, else of the lowest vertex that the mesh would merge
+        with a lower one; else return the surface edge census: the sorted
+        distinct edge keys and each one's triangle count.
 
         A record's check counts the earlier records alike, failing or not:
         an earlier failing record is reported first anyway.
@@ -239,6 +240,22 @@ class PiecewiseComplex:
             (zero_area, lambda t: f"triangle {t} has zero area"),
             ((uses > 1).any(axis=1), edge_message),
         ])
+        # the float kernels overflow or underflow well outside this range
+        # (insphere multiplies five coordinate differences): models scaled
+        # by 2^+-160 mesh bit for bit as unscaled, by 2^+-233 they degrade
+        if not 1e-50 <= self.diag <= 1e50:
+            raise ValidationError(f"bounding box diagonal {self.diag:.3g} is "
+                                  "outside [1e-50, 1e+50]; rescale the input")
+        # the kernel snaps a point within snap_tol (1e-11 diag, max norm) of
+        # a vertex onto it after jittering both by up to 1e-12 diag per axis
+        reach = 1.2e-11 * self.diag
+        near = _near_lower(self.vertices, self.bounds[0], reach)
+        if near.any():
+            v = int(np.argmax(near))
+            dist = np.abs(self.vertices[:v] - self.vertices[v]).max(axis=1)
+            raise ValidationError(
+                f"vertex {v} lies within {reach:.3g} of vertex "
+                f"{int(np.argmax(dist <= reach))}; the mesh would merge them")
         firsts = np.flatnonzero(_run_starts(edges[order]))
         return edges[order[firsts]], np.diff(firsts, append=len(order))
 
@@ -542,6 +559,28 @@ def _dedupe_tagged(hits, eps):
         if not dup:
             out.append((x, tag))
     return out
+
+
+def _near_lower(pts, lo, reach):
+    """Whether each row of ``pts`` lies within max-norm distance ``reach``
+    of an earlier row; ``lo`` is the rows' lower bounds."""
+    near = np.zeros(len(pts), dtype=bool)
+    # rows within reach lie within reach x |u|_1 of each other along a ray
+    # direction u, a sort key on which axis-aligned layouts rarely put two
+    # rows level; twice that covers the rounding of the key
+    u = np.asarray(_RAY_DIRS[0])
+    key = (pts - lo) @ u
+    order = np.argsort(key)
+    key = key[order]
+    width = 2.0 * reach * np.abs(u).sum()
+    # the pairs m apart in key order, while any of them is that close
+    m = 1
+    while (key[m:] - key[:-m] <= width).any():
+        a, b = order[:-m], order[m:]
+        hit = np.abs(pts[a] - pts[b]).max(axis=1) <= reach
+        near[np.maximum(a, b)[hit]] = True
+        m += 1
+    return near
 
 
 def _records(rows, width, name):

@@ -548,7 +548,7 @@ class Refiner:
                 n = mesh.neigh[token.tet_id][i]
                 keys = () if n == -1 else (tuple(sorted(mesh.tets[n])),)
             else:
-                keys = (k for k in sorted(rs.at_vertex[d].get(face[0], ()))
+                keys = (k for k in rs.at_vertex[d].get(face[0], ())
                         if k != key and face[-1] in k)
             if any(k in table and not bad_simplex(d, table[k], cfg)
                    for k in keys):
@@ -706,10 +706,9 @@ class Refiner:
     def _disk_target(self, d, v):
         """Largest-ball simplex of v's restricted d-star when its d-disk
         condition fails, else None."""
-        keys = sorted(self.rs.at_vertex[d].get(v, ()))
-        if not keys:
+        objs = [self.rs.table[d][k] for k in self.rs.at_vertex[d].get(v, ())]
+        if not objs:
             return None
-        objs = [self.rs.table[d][k] for k in keys]
         if d == 1:
             return topo_disk_1(objs, self._curve_ids(v))
         return topo_disk_2(v, objs, self._on_surface(v), self.rs.edges.keys())

@@ -460,45 +460,27 @@ def topo_disk_2(p, tris, on_surface, gamma_edges):
     """
     if not tris:
         return None
-
-    def failure():
-        return max(tris, key=lambda f: (f.radius, f.key))
-
-    if not on_surface:
-        return failure()
     # spoke census: neighbour vertex -> incident triangle indices
     spokes = {}
     for idx, f in enumerate(tris):
         for q in f.key:
             if q != p:
                 spokes.setdefault(q, []).append(idx)
-    if any(len(v) > 2 for v in spokes.values()):
-        return failure()  # non-manifold spoke
-    # edge-connected components over shared spokes
-    parent = list(range(len(tris)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for members in spokes.values():
-        if len(members) == 2:
-            a, b = find(members[0]), find(members[1])
-            if a != b:
-                parent[a] = b
-    if len({find(i) for i in range(len(tris))}) != 1:
-        return failure()  # pinched fan
-    boundary = [q for q, members in spokes.items() if len(members) == 1]
-    if not boundary:
-        # closed umbrella: a single cycle has as many triangles as spokes
-        if len(tris) == len(spokes):
-            return None
-        return failure()
-    if len(boundary) == 2:
-        ok = all(((p, q) if p < q else (q, p)) in gamma_edges
-                 for q in boundary)
-        if ok:
-            return None
-    return failure()
+    # with no spoke on more than two triangles the fan is a path or a cycle
+    # of triangles, so one walk across shared spokes tells whether it is one
+    # piece; a cycle has no end spoke (on one triangle), a path two
+    seen = {0}
+    stack = [0]
+    while stack:
+        for q in tris[stack.pop()].key:
+            for j in spokes.get(q, ()):
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    ends = [q for q, members in spokes.items() if len(members) == 1]
+    if (on_surface and len(seen) == len(tris)
+            and all(len(members) <= 2 for members in spokes.values())
+            and (not ends or len(ends) == 2 and all(
+                ((p, q) if p < q else (q, p)) in gamma_edges for q in ends))):
+        return None
+    return max(tris, key=lambda f: (f.radius, f.key))

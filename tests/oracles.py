@@ -10,7 +10,8 @@ older or unfiltered rule on the mesh's own queries:
 ``containing_ball_scan`` (encroachment over every ball) and
 ``cavity_locks_ring_walk`` (collar locks by walking edge rings) and
 ``cavity_change_reference`` (an insertion's killed and kept faces from the
-faces of the killed and created tets), and three that keep the input
+faces of the killed and created tets), ``umbrella_reference`` (the 2-disk
+test by a search over the orderings of a fan), and three that keep the input
 layer's earlier loops: ``box_tree_reference`` (the recursive median-split
 build), ``query_box_reference`` (the box query that returned whole leaves)
 and ``validate_reference`` (the record by record input checks).
@@ -18,7 +19,7 @@ and ``validate_reference`` (the record by record input checks).
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -707,7 +708,8 @@ def validate_reference(vertices, segments, triangles):
     """Raise the ``ValidationError`` that the record-by-record checks raise
     first for an (n, 3) vertex array and lists of int tuples ``(i, j,
     curve)`` and ``(i, j, k, patch)``: segments before triangles, each
-    record in id order, its checks in a fixed order."""
+    record in id order, its checks in a fixed order; then the bounding box
+    diagonal, then every pair of vertices in turn."""
     from pscmesh.errors import ValidationError
     nv = len(vertices)
     seen_pairs = set()
@@ -752,3 +754,57 @@ def validate_reference(vertices, segments, triangles):
             if c > 2:
                 raise ValidationError(
                     f"patch {pid} edge {(min(e), max(e))} used by >2 triangles")
+    verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    diag = (float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+            if nv else 0.0) or 1.0
+    if not 1e-50 <= diag <= 1e50:
+        raise ValidationError(f"bounding box diagonal {diag:.3g} is outside "
+                              "[1e-50, 1e+50]; rescale the input")
+    # the kernel's duplicate snap (1e-11 diag) plus two jitters (1e-12 diag)
+    reach = 1.2e-11 * diag
+    for j in range(nv):
+        for i in range(j):
+            if max(abs(float(a) - float(b))
+                   for a, b in zip(vertices[i], vertices[j])) <= reach:
+                raise ValidationError(f"vertex {j} lies within {reach:.3g} "
+                                      f"of vertex {i}; the mesh would merge "
+                                      "them")
+
+
+# ----------------------------------------------------------------------
+# topological disks
+
+
+def umbrella_reference(p, tris, on_surface, gamma_edges):
+    """``restricted.topo_disk_2`` by brute force: None when ``tris`` is
+    empty, or when p lies on the surface and some ordering of the triangles
+    chains them into one umbrella, each sharing a spoke (an edge at p) with
+    the one before and no spoke visited twice, except that the last
+    triangle may close the chain back onto the first spoke; an open chain
+    must end on two spokes in ``gamma_edges``.  Otherwise the triangle with
+    the largest (radius, key)."""
+    if not tris:
+        return None
+    links = [tuple(q for q in f.key if q != p) for f in tris]
+
+    def umbrella():
+        for order in permutations(links):
+            for chain in (list(order[0]), list(order[0][::-1])):
+                for x, y in order[1:]:
+                    if chain[-1] not in (x, y):
+                        break
+                    chain.append(y if chain[-1] == x else x)
+                else:
+                    if len(set(chain)) == len(chain):
+                        ends = (chain[0], chain[-1])
+                        if all((min(p, q), max(p, q)) in gamma_edges
+                               for q in ends):
+                            return True
+                    elif (chain[0] == chain[-1]
+                          and len(set(chain)) == len(chain) - 1):
+                        return True
+        return False
+
+    if on_surface and umbrella():
+        return None
+    return max(tris, key=lambda f: (f.radius, f.key))

@@ -79,6 +79,17 @@ def test_underflowing_segment_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: segment 0 has zero length\n"
 
 
+def test_input_beyond_the_float_range_exits_1(tmp_path, capsys):
+    # the kernel's shell corners lie 5 diagonals out, where its predicates
+    # overflow: the input is rejected before it gets there
+    path = tmp_path / "huge.psc"
+    path.write_text("v 0 0 0\nv 1e200 0 0\nv 0 1e200 0\ne 0 1 0\ne 1 2 0\n")
+    assert main(["--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bounding box diagonal ")
+    assert "is outside [1e-50, 1e+50]" in err
+
+
 def test_open_surface_off_the_curves_exits_1(tmp_path, capsys):
     # a lone triangle: no restricted curve edge can bound its rim, so the
     # run would never converge

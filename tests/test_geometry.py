@@ -73,7 +73,7 @@ def test_branching_polyline_is_error():
 
 FAULTS = ("missing", "repeated", "duplicate", "zero_area", "edge_thrice",
           "degenerate_segment", "zero_length_segment", "duplicate_segment",
-          "branching_segment")
+          "branching_segment", "near_vertex")
 
 MODELS = {"cube": cube(), "wedge": wedge(), "icosphere1": icosphere(1)}
 
@@ -119,6 +119,12 @@ def corrupted(draw):
             a, b = np.asarray(verts[i]), np.asarray(verts[j])
             verts.append((0.5 * (a + b) + [0.31, 0.57, 0.83]).tolist())
             put(tris, (i, j, nv, pid))
+        elif fault == "near_vertex":
+            # an unused vertex inside, at or outside the snap's reach of v
+            at = np.array(verts[draw(vertex)])
+            at[draw(st.integers(0, 2))] += draw(st.sampled_from(
+                [0.0, 1.1e-11, 1.2e-11, 1.3e-11, -1.3e-11])) * base.diag
+            verts.append(at.tolist())
         elif fault == "degenerate_segment":
             v = draw(vertex)
             put(segs, (v, v, draw(st.integers(0, 3))))
@@ -176,6 +182,15 @@ def test_malformed_records_are_rejected():
     with pytest.raises(ValidationError, match="segment 0 has zero length"):
         parse_complex("v 0 0 0\nv 0 0 0\nv 1 0 0\nv 0 1 0\n"
                       "e 0 1 0\ne 1 2 0\ne 2 3 0\n")
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-100])
+def test_extents_beyond_the_float_kernels_are_rejected(scale):
+    text = (f"v 0 0 0\nv {scale} 0 0\nv 0 {scale} 0\n"
+            "e 0 1 0\ne 1 2 0\n")
+    with pytest.raises(ValidationError, match=r"outside \[1e-50, 1e\+50\]"):
+        with np.errstate(over="ignore"):
+            parse_complex(text)
 
 
 def test_cube_roundtrip(tmp_path):

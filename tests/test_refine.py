@@ -571,6 +571,46 @@ def test_every_steiner_point_takes_the_lower_ball_redirect(shift):
             > tol).all()
 
 
+@pytest.mark.parametrize("base, h, points",
+                         [(wedge(), 0.35, 98), (icosphere(2), 0.4, 170)],
+                         ids=["wedge", "icosphere2"])
+def test_power_of_two_scales_mesh_alike_inside_the_extent_range(base, h,
+                                                                points):
+    # 2^k scales every float exactly, so 2^+-160 gives the unscaled mesh;
+    # at 2^+-233 (a diagonal near 1e+-70) the float kernels degrade
+    def scaled(k):
+        return PiecewiseComplex(base.vertices * 2.0 ** k, base.segments,
+                                base.triangles)
+
+    for k in (233, -233):
+        with pytest.raises(ValidationError, match="bounding box diagonal"):
+            scaled(k)
+    outcomes = [(res.status, res.report.counts["points"],
+                 sum(res.audit.values()),
+                 res.report.summary["volume_length"]["min"])
+                for res in (refine(scaled(k), cfg_with(h * 2.0 ** k))
+                            for k in (0, 160, -160))]
+    assert outcomes == [("converged", points, 8, outcomes[0][3])] * 3
+
+
+def test_vertices_the_mesh_would_merge_are_rejected():
+    # vertices 1 and 2 end two curves: equal or 1e-13 apart, their seeds
+    # snap to one mesh vertex, which keeps the curve incidence of only one
+    # of them; 1e-9 apart, both keep their own
+    def two_curves(gap):
+        return PiecewiseComplex([(0, 0, 0), (1, 0, 0), (1 + gap, 0, 0),
+                                 (1, 1, 0)], [(0, 1, 0), (2, 3, 1)], [])
+
+    for gap in (0.0, 1e-13):
+        with pytest.raises(ValidationError,
+                           match="vertex 2 lies within 1.7e-11 of vertex 1"):
+            two_curves(gap)
+    res = refine(two_curves(1e-9), cfg_with(0.3))
+    assert res.status == "converged"
+    assert res.report.counts["points"] == 10
+    assert all(res.audit.values()), res.audit
+
+
 def test_no_inserted_point_lies_inside_a_lower_ball():
     # a redirect target is placed like any other Steiner point: the centre
     # of a triangle's surface ball that lies inside a restricted curve

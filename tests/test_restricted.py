@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pscmesh import restricted
 from pscmesh.config import RefineConfig, SizingField
@@ -21,7 +21,7 @@ from pscmesh.restricted import (Restricted, _radius_edge, classify_edge,
 from oracles import (cavity_change_reference, circumradius_triangle,
                      distance_to_surface, face_crossings_reference,
                      nearest_among_reference, random_rotation,
-                     winding_numbers)
+                     umbrella_reference, winding_numbers)
 from snapshots import assert_restricted_fresh, fresh_answer
 
 
@@ -1109,3 +1109,40 @@ def test_topo_disk_2_off_surface_vertex_fails():
     tris = [_tri(0, 1, 2, 0.2)]
     assert topo_disk_2(0, tris, False, set()) is tris[0]
     assert topo_disk_2(0, [], False, set()) is None
+
+
+@st.composite
+def fans(draw):
+    """(p, up to 7 triangles at p, on_surface, gamma_edges): one or two
+    chains, open or closed, over spokes 1..8 and a few stray triangles, so
+    that closed and open umbrellas, pinched fans and spokes on three or
+    more triangles all occur."""
+    p = draw(st.sampled_from([0, 9]))
+    labels = draw(st.permutations(range(1, 9)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(2, 6))
+        start = draw(st.integers(0, 8 - n))
+        ring = labels[start:start + n]
+        pairs += zip(ring, ring[1:])
+        if n > 2 and draw(st.booleans()):
+            pairs.append((ring[-1], ring[0]))
+    pairs += draw(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                           max_size=1))
+    keys = list(dict.fromkeys(tuple(sorted((p, a, b)))
+                              for a, b in pairs if a != b))[:7]
+    assume(keys)
+    tris = [Restricted(k, (0, 0, 0), draw(st.sampled_from([0.1, 0.2, 0.3])),
+                       0.0, 0, 1.0, 1.0) for k in keys]
+    ends = draw(st.one_of(st.just(range(1, 9)), st.sets(st.integers(1, 8))))
+    gamma = {(min(p, q), max(p, q)) for q in ends}
+    return p, tris, draw(st.booleans()), gamma
+
+
+@settings(max_examples=400, deadline=None)
+@given(fans())
+# a closed umbrella beside an open one whose ends follow curve edges
+@example((0, [_tri(0, 1, 2, 0.1), _tri(0, 2, 3, 0.1), _tri(0, 3, 1, 0.1),
+              _tri(0, 4, 5, 0.2)], True, {(0, 4), (0, 5)}))
+def test_topo_disk_2_matches_a_search_over_fan_orderings(fan):
+    assert topo_disk_2(*fan) is umbrella_reference(*fan)

@@ -1,0 +1,100 @@
+"""The scripts under ``tools/`` that compare a change with its parent:
+``mesh_digests.py`` (the meshes) and ``bench_pairs.py`` (the benchmark's
+paired statistics)."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from pscmesh.config import RefineConfig, SizingField
+from pscmesh.models import cube
+from pscmesh.refine import Refiner
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import bench_pairs  # noqa: E402
+
+
+def test_mesh_digests_prints_three_lines_per_mesh_and_a_summary():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mesh_digests.py"), "--seeds",
+         "1", "dense_surface"], stdout=subprocess.PIPE, text=True,
+        check=True).stdout.splitlines()
+    *meshes, summary = [line.split() for line in out]
+    assert summary[:3] == ["dense_surface", "summary",
+                           f"meshes={len(meshes) // 3}"]
+    assert len(meshes) % 3 == 0 and meshes
+    stats = Refiner(cube(), RefineConfig(sizing=SizingField(h0=0.5))).stats
+    for digest, counts, line in zip(*[iter(meshes)] * 3):
+        assert digest[0] == counts[0] == line[0] == "dense_surface"
+        assert digest[1] == counts[1] == line[1]
+        assert len(digest[3]) == 64 and counts[2] == "counts"
+        assert line[2] == "stats"
+        assert [field.split("=")[0] for field in line[3:]] == sorted(stats)
+
+
+# ten pairs (parent, change) of a metric, seed by seed
+PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+
+
+def mirrored(values, lower_is_better):
+    """``values``, written for a metric where lower is better, for the
+    given direction: negated when higher is better."""
+    return values if lower_is_better else [-v for v in values]
+
+
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "higher"])
+def test_claim_counts_ties_for_neither_side(lower):
+    change = PARENT[:5] + [p - 0.05 for p in PARENT[5:]]
+    block = bench_pairs.claim(mirrored(PARENT, lower),
+                              mirrored(change, lower), lower)
+    assert block["change_better_pairs"] == 5
+    assert block["pairs"] == 10
+    assert not block["met"]
+    # seen from the other side, the five ties are no wins either
+    assert bench_pairs.claim(mirrored(change, lower), mirrored(PARENT, lower),
+                             lower)["change_better_pairs"] == 0
+
+
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "higher"])
+def test_claim_needs_a_median_gain_beyond_the_parent_iqr(lower):
+    # nine wins of 0.05 against a parent IQR of 0.55: not met
+    change = [p - 0.05 for p in PARENT[:9]] + [PARENT[9] + 0.05]
+    block = bench_pairs.claim(mirrored(PARENT, lower),
+                              mirrored(change, lower), lower)
+    assert block["change_better_pairs"] == 9
+    assert block["parent_iqr"] == pytest.approx(0.55)
+    assert not block["met"]
+    # the same nine wins by more than the IQR: met
+    change = [p - 1.0 for p in PARENT[:9]] + [PARENT[9] + 0.05]
+    block = bench_pairs.claim(mirrored(PARENT, lower),
+                              mirrored(change, lower), lower)
+    assert block["change_better_pairs"] == 9
+    assert block["met"]
+
+
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "higher"])
+def test_no_regression_holds_exactly_at_the_bound(lower):
+    # medians 2.0 and 2.0 +- 0.5: a change of 0.25 x 2.0, the bound itself
+    parent = [2.0] * 10
+    worse = 0.5 if lower else -0.5
+    line = bench_pairs.no_regression("m", parent, [2.0 + worse] * 10, lower,
+                                     0.25)
+    assert line["within_bound"]
+    assert line["relative_change"] == (0.25 if lower else -0.25)
+    beyond = [2.0 + 1.0001 * worse] * 10
+    assert not bench_pairs.no_regression("m", parent, beyond, lower,
+                                         0.25)["within_bound"]
+    better = [2.0 - 4.0 * worse] * 10
+    assert bench_pairs.no_regression("m", parent, better, lower,
+                                     0.25)["within_bound"]
+
+
+def test_failed_share_allows_no_larger_share():
+    same = bench_pairs.failed_share([26, 140], [13, 70])
+    assert same["within_bound"]
+    assert same["parent_share"] == same["change_share"] == 0.1857
+    assert not bench_pairs.failed_share([26, 140], [27, 140])["within_bound"]
+    assert bench_pairs.failed_share([0, 0], [0, 0])["within_bound"]
