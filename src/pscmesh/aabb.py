@@ -8,12 +8,18 @@ stably by primitive box centre along the longest axis of its box and
 splits it at the median position.  The build runs one level at a time in
 numpy passes (the data-parallel build of Lauterbach et al., "Fast BVH
 construction on GPUs", Eurographics 2009): ``np.minimum/maximum.reduceat``
-gives the box of every range of the level, and one stable
-``np.lexsort((centre along the range's axis, range))`` sorts every range
-that splits.  Nodes are then numbered in depth-first preorder, which
-visits them by the first position of their range, an ancestor before the
-descendants that start where it starts; so the nodes, the permutation and
-the order of tied centres are those of the recursive median split.
+gives the box of every range of the level, and one stable ``np.argsort``
+of the int keys ``range * 3n + rank`` sorts every range that splits.  The
+rank is that of the primitive's box centre along the range's axis among
+all 3n centre coordinates, ranked once per tree: equal coordinates share
+a rank and a lower one has a lower rank, so the keys order the positions
+by range and then by centre exactly as a stable lexsort by (range,
+centre) does, and the stable sort keeps the ties in their order alike.
+A tree whose root is a leaf ranks nothing.  Nodes are then numbered in depth-first
+preorder, which visits them by the first position of their range, an
+ancestor before the descendants that start where it starts; so the
+nodes, the permutation and the order of tied centres are those of the
+recursive median split.
 
 ``query_box`` is the one traversal; it can also clip by the query's shape.
 It applies the box test and the clips to every node it reaches and then
@@ -85,7 +91,11 @@ class AABBTree:
         return the levels: each one's ranges [lo, hi) of ``_perm``, their
         boxes and which of them split."""
         n = self.n
-        centres = 0.5 * (boxes[:, :3] + boxes[:, 3:])
+        if n > _LEAF_SIZE:
+            # the (3, n) dense ranks of the centre coordinates among all 3n
+            # of them: equal ones (-0.0 and 0.0 too) share a rank
+            centres = 0.5 * (boxes[:, :3] + boxes[:, 3:])
+            rank = np.unique(centres.T, return_inverse=True)[1].reshape(3, n)
         # reduceat over lo0, hi0, lo1, hi1, ...: the even rows are the ranges'
         # boxes; a padding row n, last in perm, keeps index n in bounds
         padded = np.vstack((boxes, boxes[:1]))
@@ -103,14 +113,16 @@ class AABBTree:
                 break
             lo, hi, box = lo[split], hi[split], box[split]
             # each split range sorts along its longest axis; the stable
-            # lexsort keeps the ranges in place and ties in their order
+            # sort by (range, rank) keeps the ranges in place and ties in
+            # their order
             axis = np.argmax(box[:, 3:] - box[:, :3], axis=1)
             size = hi - lo
             rid = np.repeat(np.arange(len(lo)), size)
             pos = np.arange(len(rid)) + np.repeat(lo - np.cumsum(size) + size,
                                                   size)
             ids = perm[pos]
-            perm[pos] = ids[np.lexsort((centres[ids, axis[rid]], rid))]
+            perm[pos] = ids[np.argsort(rid * 3 * n + rank[axis[rid], ids],
+                                       kind="stable")]
             mid = lo + size // 2
             lo, hi = _interleave(lo, mid), _interleave(mid, hi)
         # preorder: by first position, of equal ones the larger range (the

@@ -104,7 +104,10 @@ class PiecewiseComplex:
         else:
             lo = hi = np.zeros(3)
         self.bounds = (tuple(lo), tuple(hi))
-        self.diag = float(np.linalg.norm(hi - lo)) or 1.0
+        # an extent near the float range overflows to inf, which
+        # ``_validate`` rejects
+        with np.errstate(over="ignore"):
+            self.diag = float(np.linalg.norm(hi - lo)) or 1.0
         self.eps = 1e-12 * self.diag
         edge_keys, edge_uses = self._validate(seg, tri)
 
@@ -189,14 +192,16 @@ class PiecewiseComplex:
         # earlier endpoints with the same (curve, vertex) as each endpoint
         degree = _ranks(np.repeat(seg[:, 2], 2), ends.ravel()).reshape(-1, 2)
         # a squared length that underflows to 0 is as fatal as equal ends:
-        # the direction of such a segment divides by its length
-        x, y, z = (verts[ends[:, 1]] - verts[ends[:, 0]]).T
+        # the direction of such a segment divides by its length (one that
+        # overflows fails the extent check below)
+        with np.errstate(over="ignore"):
+            x, y, z = (verts[ends[:, 1]] - verts[ends[:, 0]]).T
+            zero_length = x * x + y * y + z * z == 0.0
         _raise_first([
             (~ok.all(axis=1),
              lambda s: f"segment {s} references missing vertex"),
             (seg[:, 0] == seg[:, 1], lambda s: f"segment {s} is degenerate"),
-            (x * x + y * y + z * z == 0.0,
-             lambda s: f"segment {s} has zero length"),
+            (zero_length, lambda s: f"segment {s} has zero length"),
             (_ranks(lo, hi) > 0,
              lambda s: f"duplicate segment {tuple(sorted(segments[s][:2]))}"),
             ((degree > 1).any(axis=1), lambda s: (
@@ -210,9 +215,11 @@ class PiecewiseComplex:
         # the cross product as np.cross computes it, and its squared norm is
         # 0 exactly when np.linalg.norm's is
         v = verts[corners]
-        (x1, y1, z1), (x2, y2, z2) = (v[:, 1] - v[:, 0]).T, (v[:, 2] - v[:, 0]).T
-        nx, ny, nz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
-        zero_area = nx * nx + ny * ny + nz * nz == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            (x1, y1, z1), (x2, y2, z2) = ((v[:, 1] - v[:, 0]).T,
+                                          (v[:, 2] - v[:, 0]).T)
+            nx, ny, nz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+            zero_area = nx * nx + ny * ny + nz * nz == 0.0
         key = np.sort(corners, axis=1)
         # the edges (i, j), (j, k), (i, k) of each triangle in turn, sorted
         # by edge and then patch: one census for the patch edge uses and
@@ -244,8 +251,10 @@ class PiecewiseComplex:
         # (insphere multiplies five coordinate differences): models scaled
         # by 2^+-160 mesh bit for bit as unscaled, by 2^+-233 they degrade
         if not 1e-50 <= self.diag <= 1e50:
-            raise ValidationError(f"bounding box diagonal {self.diag:.3g} is "
-                                  "outside [1e-50, 1e+50]; rescale the input")
+            size = ("exceeds 1e+50" if math.isinf(self.diag) else
+                    f"{self.diag:.3g} is outside [1e-50, 1e+50]")
+            raise ValidationError(f"bounding box diagonal {size}; "
+                                  "rescale the input")
         # the kernel snaps a point within snap_tol (1e-11 diag, max norm) of
         # a vertex onto it after jittering both by up to 1e-12 diag per axis
         reach = 1.2e-11 * self.diag
@@ -491,8 +500,11 @@ class PiecewiseComplex:
         """Well-separated subset of input vertices to seed refinement.
 
         Greedy farthest-point selection starting from the vertex nearest
-        the low bounding-box corner; curve vertices are exhausted before
-        surface-only vertices.  Every curve feature vertex (endpoint,
+        the low bounding-box corner (the lowest id of the nearest);
+        curve vertices are exhausted before surface-only vertices.  Each
+        pick is the vertex of the stage farthest from those picked so far,
+        the lowest id of the farthest: an argmax over the stage's free
+        vertices in id order.  Every curve feature vertex (endpoint,
         junction) and every ``forced`` vertex (the acute apexes of
         ``detect_sharp_features``) is always included on top of the greedy
         picks, in ascending id order: a restricted curve chain can only
@@ -507,23 +519,21 @@ class PiecewiseComplex:
         if nv <= n:
             chosen = list(range(nv))
         else:
-            on_curve = [v for v in range(nv) if self.on_curve[v]]
-            rest = [v for v in range(nv) if not self.on_curve[v]]
-            pool = on_curve if on_curve else rest
+            stages = (self.on_curve, ~self.on_curve)
+            pool = np.flatnonzero(stages[0] if stages[0].any() else stages[1])
             corner = np.asarray(self.bounds[0])
             d2 = ((self.vertices[pool] - corner) ** 2).sum(axis=1)
-            chosen = [pool[int(np.argmin(d2))]]
+            chosen = [int(pool[np.argmin(d2)])]
             mind = ((self.vertices - self.vertices[chosen[0]]) ** 2).sum(axis=1)
-            for stage in (on_curve, rest):
-                stage_set = [v for v in stage if v not in chosen]
-                while stage_set and len(chosen) < n:
-                    best = max(stage_set, key=lambda v: (mind[v], -v))
+            for stage in stages:
+                free = stage.copy()
+                free[chosen] = False
+                while len(chosen) < n and free.any():
+                    best = int(np.argmax(np.where(free, mind, -np.inf)))
                     chosen.append(best)
-                    stage_set.remove(best)
+                    free[best] = False
                     dd = ((self.vertices - self.vertices[best]) ** 2).sum(axis=1)
                     np.minimum(mind, dd, out=mind)
-                if len(chosen) >= n:
-                    break
         for v in sorted(self.feature_vertices.union(forced)):
             if v not in chosen:
                 chosen.append(v)
@@ -640,32 +650,89 @@ def _raise_first(checks):
 # .psc text format
 
 
+# the records by tag, in file order: fields after the tag and their cast
+_RECORDS = {"v": (3, float), "e": (3, int), "t": (4, int)}
+
+
 def parse_complex(text):
     """Parse the line-oriented geometry format.
 
     Records: ``v x y z``, ``e i j curveId``, ``t i j k patchId``; ``#``
-    starts a comment; indices are 0-based.
+    starts a comment; indices are 0-based.  The records are read in one
+    pass (``_read_records``); a text that is not all records raises the
+    ``ParseError`` of its first bad line (``_raise_parse_error``).
     """
-    verts = []
-    segs = []
-    tris = []
+    records = _read_records(text)
+    if records is None:
+        _raise_parse_error(text)
+    return PiecewiseComplex(*records)
+
+
+def _read_records(text):
+    """The vertex, segment and triangle records of ``text`` as (n, 3)
+    float64, (n, 3) and (n, 4) int arrays, or None when a line that is not
+    blank once its comment is cut is not a record.
+
+    The lines, comments cut, are grouped by their first character, and
+    each group's lines are joined and split into one token list.  It holds
+    one record per line when its length is the line count times the
+    record's width (tag included), the tag sits at every width-th token and
+    every other token casts: no value casts from a token that starts with
+    the tag's letter, so no line can start between two tags.  The casts are
+    ``_raise_parse_error``'s ``float`` and ``int``, and all of them run
+    before any array is built; an id beyond int64 stays a Python int for
+    the constructor to report after the checks that precede it.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [ln.split("#", 1)[0] for ln in lines]
+    lines = [ln.lstrip() for ln in lines]
+    groups = [[ln for ln in lines if ln[:1] == tag] for tag in _RECORDS]
+    if sum(map(len, groups)) + lines.count("") != len(lines):
+        return None
+    del lines
+    values = []
+    for tag, (fields, cast) in _RECORDS.items():
+        rows = groups.pop(0)
+        tokens = " ".join(rows).split()
+        if (len(tokens) != (fields + 1) * len(rows)
+                or tokens[::fields + 1].count(tag) != len(rows)):
+            return None
+        del rows, tokens[::fields + 1]
+        try:
+            values.append(list(map(cast, tokens)))
+        except ValueError:
+            return None
+    verts, segs, tris = values
+    return (np.array(verts, dtype=np.float64).reshape(-1, 3),
+            _id_rows(segs, 3), _id_rows(tris, 4))
+
+
+def _id_rows(ids, width):
+    """The ints ``ids`` as rows of ``width``: int64, or Python ints when
+    one does not fit."""
+    try:
+        out = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        out = np.array(ids, dtype=object)
+    return out.reshape(-1, width)
+
+
+def _raise_parse_error(text):
+    """Raise the ``ParseError`` of the first line that is not a record:
+    ``line N: unrecognised record 'tag'`` for an unknown tag or field
+    count, else ``line N:`` and the message of the failing cast."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        tag, *values = line.split()
+        if tag not in _RECORDS or len(values) != _RECORDS[tag][0]:
+            raise ParseError(f"line {ln}: unrecognised record {tag!r}")
         try:
-            if parts[0] == "v" and len(parts) == 4:
-                verts.append(tuple(float(x) for x in parts[1:]))
-            elif parts[0] == "e" and len(parts) == 4:
-                segs.append(tuple(int(x) for x in parts[1:]))
-            elif parts[0] == "t" and len(parts) == 5:
-                tris.append(tuple(int(x) for x in parts[1:]))
-            else:
-                raise ParseError(f"line {ln}: unrecognised record {parts[0]!r}")
+            list(map(_RECORDS[tag][1], values))
         except ValueError as exc:
             raise ParseError(f"line {ln}: {exc}") from exc
-    return PiecewiseComplex(verts, segs, tris)
 
 
 def load_complex(path):

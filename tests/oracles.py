@@ -11,10 +11,13 @@ older or unfiltered rule on the mesh's own queries:
 ``cavity_locks_ring_walk`` (collar locks by walking edge rings) and
 ``cavity_change_reference`` (an insertion's killed and kept faces from the
 faces of the killed and created tets), ``umbrella_reference`` (the 2-disk
-test by a search over the orderings of a fan), and three that keep the input
-layer's earlier loops: ``box_tree_reference`` (the recursive median-split
-build), ``query_box_reference`` (the box query that returned whole leaves)
-and ``validate_reference`` (the record by record input checks).
+test by a search over the orderings of a fan), and those that keep the
+input layer's earlier loops: ``box_tree_reference`` (the recursive
+median-split build), ``box_tree_lexsort_reference`` (the level-wise build
+with one float lexsort per level), ``query_box_reference`` (the box query
+that returned whole leaves), ``validate_reference`` (the record by record
+input checks), ``parse_lines_reference`` (the line by line parser) and
+``initial_sampling_reference`` (the greedy seed pick by brute force).
 """
 
 import math
@@ -639,6 +642,56 @@ def box_tree_reference(boxes, leaf_size=8, cover_boxes=512):
                                   np.ascontiguousarray(cover[:, 3:].T))
 
 
+def box_tree_lexsort_reference(boxes, leaf_size=8):
+    """(perm, walk) of ``AABBTree`` over the (n, 6) ``boxes`` as the
+    level-wise build made them when each level sorted its split ranges by
+    one stable ``np.lexsort((centre along the range's axis, range))``."""
+    from pscmesh.aabb import _interleave
+    boxes = np.asarray(boxes, dtype=np.float64)
+    n = len(boxes)
+    if not n:
+        return [], []
+    centres = 0.5 * (boxes[:, :3] + boxes[:, 3:])
+    padded = np.vstack((boxes, boxes[:1]))
+    perm = np.arange(n + 1)
+    levels = []
+    lo, hi = np.zeros(1, dtype=np.intp), np.full(1, n, dtype=np.intp)
+    while True:
+        ranged = padded[perm]
+        bounds = _interleave(lo, hi)
+        box = np.hstack((np.minimum.reduceat(ranged[:, :3], bounds),
+                         np.maximum.reduceat(ranged[:, 3:], bounds)))[::2]
+        split = hi - lo > leaf_size
+        levels.append((lo, hi, box, split))
+        if not split.any():
+            break
+        lo, hi, box = lo[split], hi[split], box[split]
+        axis = np.argmax(box[:, 3:] - box[:, :3], axis=1)
+        size = hi - lo
+        rid = np.repeat(np.arange(len(lo)), size)
+        pos = np.arange(len(rid)) + np.repeat(lo - np.cumsum(size) + size,
+                                              size)
+        ids = perm[pos]
+        perm[pos] = ids[np.lexsort((centres[ids, axis[rid]], rid))]
+        mid = lo + size // 2
+        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
+    lo, hi, box, split = (np.concatenate(x) for x in zip(*levels))
+    order = np.lexsort((lo - hi, lo))
+    pre = np.empty_like(order)
+    pre[order] = np.arange(len(order))
+    left = np.full(len(pre), -1)
+    right = left.copy()
+    left[split], right[split] = pre[1::2], pre[2::2]
+    links = np.column_stack((left, right, np.where(split, 0, lo),
+                             np.where(split, 0, hi - lo)))
+    box = box[order]
+    ch = np.hstack((0.5 * (box[:, :3] + box[:, 3:]),
+                    0.5 * (box[:, 3:] - box[:, :3])))
+    walk = [tuple(b + k + c) for b, k, c in zip(
+        box.tolist(), links[order].tolist(), ch.tolist())]
+    return perm[:n].tolist(), walk + ranged[:n].tolist()
+
+
 def query_box_reference(tree, lo, hi, pad=0.0, seg=None, plane=None,
                         ball=None):
     """The leaf-level walk of ``AABBTree.query_box`` that the per-primitive
@@ -758,8 +811,10 @@ def validate_reference(vertices, segments, triangles):
     diag = (float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
             if nv else 0.0) or 1.0
     if not 1e-50 <= diag <= 1e50:
-        raise ValidationError(f"bounding box diagonal {diag:.3g} is outside "
-                              "[1e-50, 1e+50]; rescale the input")
+        size = ("exceeds 1e+50" if math.isinf(diag) else
+                f"{diag:.3g} is outside [1e-50, 1e+50]")
+        raise ValidationError(f"bounding box diagonal {size}; rescale the "
+                              "input")
     # the kernel's duplicate snap (1e-11 diag) plus two jitters (1e-12 diag)
     reach = 1.2e-11 * diag
     for j in range(nv):
@@ -769,6 +824,66 @@ def validate_reference(vertices, segments, triangles):
                 raise ValidationError(f"vertex {j} lies within {reach:.3g} "
                                       f"of vertex {i}; the mesh would merge "
                                       "them")
+
+
+def parse_lines_reference(text):
+    """``geometry.parse_complex`` as the line by line loop that the
+    one-pass read replaced."""
+    from pscmesh.errors import ParseError
+    from pscmesh.geometry import PiecewiseComplex
+    verts = []
+    segs = []
+    tris = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "v" and len(parts) == 4:
+                verts.append(tuple(float(x) for x in parts[1:]))
+            elif parts[0] == "e" and len(parts) == 4:
+                segs.append(tuple(int(x) for x in parts[1:]))
+            elif parts[0] == "t" and len(parts) == 5:
+                tris.append(tuple(int(x) for x in parts[1:]))
+            else:
+                raise ParseError(f"line {ln}: unrecognised record {parts[0]!r}")
+        except ValueError as exc:
+            raise ParseError(f"line {ln}: {exc}") from exc
+    return PiecewiseComplex(verts, segs, tris)
+
+
+def initial_sampling_reference(geom, n, forced=()):
+    """``PiecewiseComplex.initial_sampling`` by brute force: the first pick
+    is the pool vertex nearest the low bounding box corner, and each greedy
+    pick recomputes every free stage vertex's squared distance to the
+    nearest earlier pick and takes the largest, the lowest id of equals."""
+    pts = [tuple(map(float, p)) for p in geom.vertices]
+    nv = len(pts)
+
+    def d2(a, b):
+        dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+        return dx * dx + dy * dy + dz * dz
+
+    if nv <= n:
+        chosen = list(range(nv))
+    else:
+        curve = [v for v in range(nv) if geom.on_curve[v]]
+        rest = [v for v in range(nv) if not geom.on_curve[v]]
+        corner = tuple(map(float, geom.bounds[0]))
+        # min picks the first, the lowest id, of equal distances
+        chosen = [min(curve or rest, key=lambda v: d2(pts[v], corner))]
+        for stage in (curve, rest):
+            while len(chosen) < n:
+                free = [v for v in stage if v not in chosen]
+                if not free:
+                    break
+                gap = [min(d2(pts[v], pts[c]) for c in chosen) for v in free]
+                chosen.append(free[gap.index(max(gap))])
+    for v in sorted(set(geom.feature_vertices) | set(forced)):
+        if v not in chosen:
+            chosen.append(v)
+    return chosen
 
 
 # ----------------------------------------------------------------------

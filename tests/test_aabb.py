@@ -1,6 +1,7 @@
 """Properties of the box tree's segment, plane and ball clips, applied to
 each node and each primitive it reaches, and of its cover distance bound;
-the level-wise build against the recursive one; and the box query against
+the level-wise build against the recursive one and against its earlier
+float lexsort per level; and the box query against
 its earlier leaf-level walk during refinement.
 
 Boxes and query points sit on a grid of quarters and the pad is an eighth,
@@ -23,8 +24,8 @@ from pscmesh.geometry import PiecewiseComplex
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.refine import Refiner
 
-from oracles import (box_tree_reference, distance_to_surface,
-                     query_box_reference)
+from oracles import (box_tree_lexsort_reference, box_tree_reference,
+                     distance_to_surface, query_box_reference)
 
 PAD = 0.125
 
@@ -375,6 +376,44 @@ def test_level_wise_build_equals_the_recursive_build(n, span, size, seed):
     for got, want in zip(tree._cover, (cover_lo, cover_hi)):
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+
+def build_boxes(kind):
+    """(n, 6) boxes whose centres tie along the split axes, or ("uniform")
+    whose coordinates differ and interleave across the axes."""
+    rng = np.random.default_rng(7)
+    if kind == "uniform":
+        lo = rng.uniform(0.0, 1.0, (1000, 3))
+        return np.hstack((lo, lo + rng.uniform(0.0, 0.01, (1000, 3))))
+    if kind == "lattice":
+        # quarter-grid boxes on a 6 x 6 x 6 lattice, three sizes per axis
+        lo = rng.integers(0, 6, (1500, 3)) / 4.0
+        return np.hstack((lo, lo + rng.integers(0, 3, (1500, 3)) / 4.0))
+    if kind == "duplicated":
+        lo = rng.uniform(-1.0, 1.0, (40, 3))
+        base = np.hstack((lo, lo + rng.uniform(0.0, 0.5, (40, 3))))
+        return base[rng.integers(0, 40, 900)]
+    # x extents -0.0 to -0.0, 0.0 to 0.0 and -1 to 1 in turn: every x
+    # centre is a zero of either sign, and x is the longest axis
+    x = np.array([[-0.0, -0.0], [0.0, 0.0], [-1.0, 1.0]])[np.arange(600) % 3]
+    yz = rng.integers(0, 3, (600, 2)) / 4.0
+    return np.column_stack((x[:, 0], yz, x[:, 1], yz + 0.25))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "duplicated", "signed_zero",
+                                  "uniform", "icosphere4"])
+def test_rank_keyed_build_equals_the_lexsort_build(kind):
+    if kind == "icosphere4":
+        geom = icosphere(4)
+        bxs = aabb.boxes_for_triangles(geom.vertices,
+                                       np.array(geom.triangles), geom.eps)
+        tree = geom.tri_tree
+    else:
+        bxs = build_boxes(kind)
+        tree = AABBTree(bxs)
+    perm, walk = box_tree_lexsort_reference(bxs)
+    assert repr(tree._perm) == repr(perm)
+    assert repr(tree._walk) == repr(walk)
 
 
 # ----------------------------------------------------------------------

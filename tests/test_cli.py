@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,8 @@ from pscmesh.errors import ValidationError
 from pscmesh.geometry import load_complex, write_complex
 from pscmesh.models import cube
 from pscmesh.vtk_io import read_vtk
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_cube(tmp_path):
@@ -79,15 +84,20 @@ def test_underflowing_segment_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: segment 0 has zero length\n"
 
 
-def test_input_beyond_the_float_range_exits_1(tmp_path, capsys):
+def test_input_beyond_the_float_range_exits_1(tmp_path):
     # the kernel's shell corners lie 5 diagonals out, where its predicates
-    # overflow: the input is rejected before it gets there
+    # overflow: the input is rejected before it gets there, with one error
+    # line and no numpy overflow warning
     path = tmp_path / "huge.psc"
     path.write_text("v 0 0 0\nv 1e200 0 0\nv 0 1e200 0\ne 0 1 0\ne 1 2 0\n")
-    assert main(["--input", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: bounding box diagonal ")
-    assert "is outside [1e-50, 1e+50]" in err
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from pscmesh.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "--input", str(path)],
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.returncode == 1
+    assert run.stderr == ("error: bounding box diagonal exceeds 1e+50; "
+                          "rescale the input\n")
 
 
 def test_open_surface_off_the_curves_exits_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -7,15 +8,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pscmesh.aabb import AABBTree
 from pscmesh.delaunay import TetMesh
-from pscmesh.errors import GeometryError, ParseError, ValidationError
+from pscmesh.errors import GeometryError, ParseError, PscError, \
+    ValidationError
 from pscmesh.geometry import _HIT_SLACK, _RAY_BAND, _RAY_DIRS, \
     PiecewiseComplex, load_complex, parse_complex, write_complex
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.restricted import classify_edge
 
-from oracles import (circle_surface_hits, polygon_curve_hits, random_rotation,
-                     segment_surface_hits, sphere_curve_hits, validate_reference,
-                     winding_numbers)
+from oracles import (circle_surface_hits, initial_sampling_reference,
+                     parse_lines_reference, polygon_curve_hits,
+                     random_rotation, segment_surface_hits, sphere_curve_hits,
+                     validate_reference, winding_numbers)
 
 
 def flat_square(half=2.0, z=0.0, patch=0):
@@ -184,13 +187,113 @@ def test_malformed_records_are_rejected():
                       "e 0 1 0\ne 1 2 0\ne 2 3 0\n")
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-100])
-def test_extents_beyond_the_float_kernels_are_rejected(scale):
-    text = (f"v 0 0 0\nv {scale} 0 0\nv 0 {scale} 0\n"
-            "e 0 1 0\ne 1 2 0\n")
-    with pytest.raises(ValidationError, match=r"outside \[1e-50, 1e\+50\]"):
-        with np.errstate(over="ignore"):
+@pytest.mark.parametrize("scale, records, message", [
+    (1e200, "e 0 1 0\ne 1 2 0\n", r"diagonal exceeds 1e\+50;"),
+    (1e200, "t 0 1 3 0\nt 1 2 3 0\n", r"diagonal exceeds 1e\+50;"),
+    (1e60, "e 0 1 0\ne 1 2 0\n",
+     r"diagonal 1\.41e\+60 is outside \[1e-50, 1e\+50\];"),
+    (1e-100, "e 0 1 0\ne 1 2 0\n",
+     r"diagonal 1\.41e-100 is outside \[1e-50, 1e\+50\];")],
+    ids=["1e+200", "1e+200-surface", "1e+60", "1e-100"])
+def test_extents_beyond_the_float_kernels_are_rejected(scale, records,
+                                                       message):
+    text = (f"v 0 0 0\nv {scale} 0 0\nv 0 {scale} 0\nv {scale} {scale} 0\n"
+            + records)
+    # an overflowing diagonal, squared length or cross product does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
             parse_complex(text)
+
+
+# tokens for a record's fields: ones that cast, odd ones that cast too, and
+# ones that do not
+FLOAT_TOKENS = ["0.25", "-0.0", "1e-3", "1_0", "nan", "-inf", "+7", "zzz",
+                "1,5", "0x1", "1__0"]
+INT_TOKENS = ["0", "+1", "-1", "1_0", "\u0663", str(2 ** 63),
+              str(-2 ** 63 - 1), str(10 ** 20), "1.0", "zzz", ""]
+PARSE_FAULTS = ("comment_line", "trailing_comment", "inner_comment", "blank",
+                "drop_field", "add_field", "tag", "glue")
+
+
+@st.composite
+def psc_texts(draw):
+    """A model's records as a .psc text: each tag's records in order, the
+    tags interleaved, written with drawn separators, leading and trailing
+    space and line ends, with up to three drawn field tokens and up to
+    three other faults."""
+    base = MODELS[draw(st.sampled_from(sorted(MODELS)))]
+    rnd = draw(st.randoms(use_true_random=False))
+    queues = [[["v", *map(repr, p)] for p in base.vertices.tolist()],
+              [["e", *map(str, r)] for r in base.segments],
+              [["t", *map(str, r)] for r in base.triangles]]
+    blocks = draw(st.booleans())
+    lines = []
+    while any(queues):
+        q = next(q for q in queues if q) if blocks else rnd.choice(
+            [q for q in queues if q])
+        lines.append(q.pop(0))
+    faults = ["token"] * draw(st.integers(0, 3)) + draw(
+        st.lists(st.sampled_from(PARSE_FAULTS), max_size=3))
+    for fault in faults:
+        at = rnd.randrange(len(lines) + 1)
+        rec = lines[min(at, len(lines) - 1)]
+        if fault == "comment_line":
+            lines.insert(at, ["#", "v", "0", "0"])
+        elif fault == "trailing_comment":
+            rec.append("#note")
+        elif fault == "inner_comment":
+            rec.insert(rnd.randrange(len(rec) + 1), "#")
+        elif fault == "blank":
+            lines.insert(at, [])
+        elif fault == "drop_field" and len(rec) > 1:
+            del rec[rnd.randrange(1, len(rec))]
+        elif fault == "add_field":
+            rec.append("0")
+        elif fault == "tag" and rec:
+            rec[0] = rnd.choice(["q", "vt", "V", "f", "e1", "tt", "#t"])
+        elif fault == "token" and len(rec) > 1:
+            rec[rnd.randrange(1, len(rec))] = rnd.choice(
+                FLOAT_TOKENS if rec[0] == "v" else INT_TOKENS)
+        elif fault == "glue" and at + 1 < len(lines):
+            lines[at:at + 2] = [lines[at] + lines[at + 1]]
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    text = ""
+    for rec in lines:
+        sep = rnd.choice([" ", "\t", "  ", " \t"])
+        text += (rnd.choice(["", " ", "\t"]) + sep.join(rec)
+                 + rnd.choice(["", " ", "\t"])
+                 + (rnd.choice(["\n", "\r\n", "\r"]) if ends == "mixed"
+                    else ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def parsed(parse, text):
+    """The records ``parse`` reads from ``text``, or its error's type and
+    message."""
+    try:
+        c = parse(text)
+    except PscError as exc:
+        return type(exc), str(exc)
+    return (c.vertices.dtype, c.vertices.shape, c.vertices.tobytes(),
+            c.segments, c.triangles)
+
+
+TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(psc_texts())
+# an id beyond int64 is reported after the vertex checks, and after the
+# casts of all lines
+@example(TRIANGLE + f"e 0 1 {2 ** 63}\nt 0 1 zzz 0\n")
+@example(TRIANGLE + f"e 0 {10 ** 20} 0\nv 0 0 nan\nt 0 1 2 0\n")
+@example(TRIANGLE + f"t 0 1 2 {-2 ** 63 - 1}\ne 0 {2 ** 64} 0\n")
+@example(TRIANGLE + "v 0 0 1 v\nv 1 1\nt 0 1 2 0\n")
+@example(TRIANGLE + "t 0 1 2 0 # t 1 2 3 0\n\x0c\u2028t\t1 2 3 0\n")
+@example("")
+def test_one_pass_parse_reads_what_the_line_loop_reads(text):
+    assert parsed(parse_complex, text) == parsed(parse_lines_reference, text)
 
 
 def test_cube_roundtrip(tmp_path):
@@ -668,6 +771,30 @@ def test_initial_sampling_collinear_includes_endpoints():
 def test_initial_sampling_all_when_fewer_vertices():
     c = parse_complex("v 0 0 0\nv 1 0 0\nv 0 1 0\nt 0 1 2 0\n")
     assert sorted(c.initial_sampling(8)) == [0, 1, 2]
+
+
+def sampling_complex(layout):
+    """Points with a curve through some of them: on a 5 x 5 x 4 lattice,
+    where most distances tie, or at random; "bare" is the lattice without
+    the curve."""
+    if layout == "random":
+        verts = np.random.default_rng(3).uniform(-1.0, 1.0, (80, 3))
+    else:
+        verts = np.array([(x, y, z) for z in range(4) for y in range(5)
+                          for x in range(5)], dtype=float)
+    path = [] if layout == "bare" else [0, 1, 2, 7, 12, 37, 62, 61]
+    return PiecewiseComplex(verts, [(a, b, 0) for a, b in zip(path,
+                                                                path[1:])], [])
+
+
+@pytest.mark.parametrize("layout", ["lattice", "random", "bare"])
+@pytest.mark.parametrize("n", [4, 8, 20])
+@pytest.mark.parametrize("forced", [(), (5, 44, 79)], ids=["free", "forced"])
+def test_initial_sampling_equals_the_brute_force_greedy_pick(layout, n,
+                                                             forced):
+    geom = sampling_complex(layout)
+    assert geom.initial_sampling(n, forced) == initial_sampling_reference(
+        geom, n, forced)
 
 
 def test_initial_sampling_well_separated():

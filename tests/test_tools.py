@@ -1,6 +1,7 @@
 """The scripts under ``tools/`` that compare a change with its parent:
-``mesh_digests.py`` (the meshes) and ``bench_pairs.py`` (the benchmark's
-paired statistics)."""
+``mesh_digests.py`` (the meshes), ``bench_pairs.py`` (the benchmark's
+paired statistics) and ``ab_refine.py`` (setup and refine times in one
+process)."""
 
 import subprocess
 import sys
@@ -33,6 +34,27 @@ def test_mesh_digests_prints_three_lines_per_mesh_and_a_summary():
         assert len(digest[3]) == 64 and counts[2] == "counts"
         assert line[2] == "stats"
         assert [field.split("=")[0] for field in line[3:]] == sorted(stats)
+
+
+def test_ab_refine_prints_setup_and_refine_ratios_per_pair():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_refine.py"), str(ROOT),
+         str(ROOT), "crease", "--rounds", "1"], stdout=subprocess.PIPE,
+        text=True, check=True).stdout.splitlines()
+    *pairs, refine, setup = [line.split() for line in out]
+    assert pairs
+    for seed, *times in pairs:
+        int(seed)
+        for p, c, ratio in (times[:3], times[3:]):
+            assert float(p) > 0.0 and float(c) > 0.0
+            # the times are rounded to 0.1 ms, the ratio is not
+            assert float(ratio) == pytest.approx(float(c) / float(p),
+                                                 rel=0.05)
+    for line, phase in ((refine, "refine"), (setup, "setup")):
+        assert line[:3] == ["crease", phase, "change/parent"]
+        assert line[3].startswith("median=")
+        assert line[-1].startswith("wins=")
+        assert line[-1].endswith(f"/{len(pairs)}")
 
 
 # ten pairs (parent, change) of a metric, seed by seed
