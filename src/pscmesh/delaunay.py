@@ -194,18 +194,7 @@ class TetMesh:
             pts = [self.points[q] for q in tup]
             if all(insphere(*pts, self.points[q]) <= 0 for q in others):
                 quads.append(tup)
-        facet_map = {}
-        for tup in quads:
-            t = self._alloc_tet(tup)
-            for i in range(4):
-                key = tuple(sorted(tup[j] for j in _FACES[i]))
-                if key in facet_map:
-                    ot, oi = facet_map.pop(key)
-                    self.neigh[t][i] = ot
-                    self.neigh[ot][oi] = t
-                else:
-                    facet_map[key] = (t, i)
-        for (t, i) in facet_map.values():
+        for t, i in self._glue([self._alloc_tet(tup) for tup in quads]):
             self.neigh[t][i] = -1
         self._last_tet = 0
 
@@ -217,6 +206,25 @@ class TetMesh:
         self.circum.append(circumsphere_tet(*(self.points[v] for v in quad)))
         self._last_tet = t
         return t
+
+    def _glue(self, new):
+        """Pair the unset (-2) neighbour slots of the tets ``new`` across
+        their shared facets; returns the (tet, slot) pairs left unpaired."""
+        open_facets = {}
+        for t in new:
+            quad = self.tets[t]
+            nb = self.neigh[t]
+            for i in range(4):
+                if nb[i] != -2:
+                    continue
+                key = tuple(sorted(quad[j] for j in _FACES[i]))
+                other = open_facets.pop(key, None)
+                if other is None:
+                    open_facets[key] = (t, i)
+                else:
+                    nb[i] = other[0]
+                    self.neigh[other[0]][other[1]] = t
+        return list(open_facets.values())
 
     def _canonical(self, quad):
         q = sorted(quad)
@@ -357,30 +365,16 @@ class TetMesh:
         for t in cav:
             self.tets[t] = self.neigh[t] = self.circum[t] = None
         created = []
-        inner = {}
         for (fverts, outer) in boundary:
             nt = self._alloc_tet((fverts[0], fverts[1], fverts[2], vid))
             created.append(nt)
-            quad = self.tets[nt]
-            fset = frozenset(fverts)
-            oi = next(i for i in range(4) if quad[i] not in fset)
-            self.neigh[nt][oi] = outer
+            self.neigh[nt][self.tets[nt].index(vid)] = outer
             if outer != -1:
                 oquad = self.tets[outer]
-                ooi = next(i for i in range(4) if oquad[i] not in fset)
+                ooi = next(i for i in range(4) if oquad[i] not in fverts)
                 outer_slots.append((outer, ooi, self.neigh[outer][ooi]))
                 self.neigh[outer][ooi] = nt
-            for i in range(4):
-                if i == oi:
-                    continue
-                key = tuple(sorted(quad[j] for j in _FACES[i]))
-                if key in inner:
-                    ot, oi2 = inner.pop(key)
-                    self.neigh[nt][i] = ot
-                    self.neigh[ot][oi2] = nt
-                else:
-                    inner[key] = (nt, i)
-        if inner:
+        if self._glue(created):
             raise MeshError("unpaired internal facet after insertion")
         rec = InsertRecord(vid, False, created, journal)
         self._last_insert = rec
@@ -459,25 +453,11 @@ class TetMesh:
         return self.find_tet_with_edge(u, w) is not None
 
     def nearest_vertex(self, p):
-        """Vertex of X nearest to p (greedy descent over Delaunay stars)."""
-        t = self.locate(p)
-        quad = self.tets[t]
-        v = min(quad, key=lambda x: ((self.points[x][0] - p[0]) ** 2
-                                     + (self.points[x][1] - p[1]) ** 2
-                                     + (self.points[x][2] - p[2]) ** 2))
-        bd = ((self.points[v][0] - p[0]) ** 2
-              + (self.points[v][1] - p[1]) ** 2
-              + (self.points[v][2] - p[2]) ** 2)
-        while True:
-            best = v
-            for t2 in self.tets_around_vertex(v):
-                for x in self.tets[t2]:
-                    q = self.points[x]
-                    dx = ((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
-                          + (q[2] - p[2]) ** 2)
-                    if dx < bd:
-                        best = x
-                        bd = dx
-            if best == v:
-                return v
-            v = best
+        """Live vertex nearest to p, the lowest id on ties (a scan).
+
+        Nothing in the package calls it.  It is kept only because the
+        benchmark tracer wraps it by name; ROADMAP item 8 deletes it along
+        with that tracer change.
+        """
+        return min((v for v, meta in enumerate(self.meta) if meta.alive),
+                   key=lambda v: math.dist(self.points[v], p))

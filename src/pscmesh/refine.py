@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import check_termination_bounds
-from .delaunay import _FACES, TetMesh, circumcentre_triangle
+from .delaunay import TetMesh, circumcentre_triangle
 from .errors import ProtectionError, ValidationError
 from .geometry import _dot, _norm, _sub, _unit
 from .quality import QualityReport, build_report
@@ -407,11 +407,13 @@ class Refiner:
         handles = (None, {}, {}, {})
         for t in created_ids:
             quad = mesh.tets[t]
-            handles[3][tuple(sorted(quad))] = t
-            for pair in combinations(sorted(quad), 2):
+            key = tuple(sorted(quad))
+            handles[3][key] = t
+            for pair in combinations(key, 2):
                 handles[1].setdefault(pair, t)
-            for i, f in enumerate(_FACES):
-                handles[2].setdefault(tuple(sorted(quad[j] for j in f)), (t, i))
+            # the k-th facet of the sorted key lacks key[3 - k]
+            for k, facet in enumerate(combinations(key, 3)):
+                handles[2].setdefault(facet, (t, quad.index(key[3 - k])))
         rs, undo = self.rs, []
         for d in _DIMS:
             table = rs.table[d]
@@ -524,9 +526,10 @@ class Refiner:
         None.
 
         Faces are the vertex keys (v,) of an edge, the edges (a,b), (a,c),
-        (b,c) of a triangle or the facets of a tet in ``_FACES`` order.  A
-        face is frontal when it is a converged restricted (d-1)-simplex
-        itself or when a converged restricted d-simplex shares it.
+        (b,c) of a triangle or the facets of a tet in slot order (facet i
+        lacks the tet's vertex i).  A face is frontal when it is a converged
+        restricted (d-1)-simplex itself or when a converged restricted
+        d-simplex shares it.
         """
         mesh = self.mesh
         rs = self.rs
@@ -534,8 +537,8 @@ class Refiner:
         table = rs.table[d]
         if d == 3:
             quad = mesh.tets[token.tet_id]
-            faces = (tuple(sorted((quad[a], quad[b], quad[c])))
-                     for a, b, c in _FACES)
+            faces = (tuple(v for v in token.key if v != quad[i])
+                     for i in range(4))
         else:
             key = token.key
             faces = combinations(key, d)

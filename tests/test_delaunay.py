@@ -69,12 +69,33 @@ def test_insert_on_shared_facet_keeps_adjacency_symmetric():
 
 
 def _assert_involution(m):
+    # slot i of t faces the facet opposite tets[t][i]: its neighbour holds
+    # exactly that facet of t and points back at t across it, and only the
+    # hull facets face nothing (-1): three shell corners on one box face,
+    # i.e. sharing a bit of their corner index
     for t in m.alive_tets():
+        quad = m.tets[t]
         for i in range(4):
             n = m.neigh[t][i]
-            assert n != -2
-            if n != -1:
-                assert t in m.neigh[n], (t, n)
+            facet = set(quad) - {quad[i]}
+            assert n != -2, (t, i)
+            if n == -1:
+                assert all(v < 8 for v in facet), (t, i)
+                assert any(len({v >> k & 1 for v in facet}) == 1
+                           for k in range(3)), (t, i)
+                continue
+            nquad = m.tets[n]
+            assert nquad is not None, (t, i, n)
+            assert set(nquad) & set(quad) == facet, (t, i, n)
+            back = m.neigh[n].index(t)
+            assert set(nquad) - {nquad[back]} == facet, (t, i, n)
+
+
+def test_fresh_mesh_adjacency():
+    m = TetMesh(UNIT, seed=0)
+    _assert_involution(m)
+    # the box hull: two triangles on each of its six faces
+    assert sum(n.count(-1) for n in m.neigh) == 12
 
 
 def test_random_insertions_match_bruteforce():
@@ -194,8 +215,8 @@ def test_randomized_insert_remove_sequences_stay_delaunay():
             m.remove_point(rec)
             undone += 1
         ops += 1
+        _assert_involution(m)
         if ops % 30 == 0:
-            _assert_involution(m)
             assert kernel_tets(m, ghost=True) == full_oracle(m)
     assert undone > 30
 
@@ -221,6 +242,19 @@ def test_probe_cavity_holds_exactly_the_conflicting_tets():
         assert all(n == -1 or insphere(*m.tet_points(n), pj) <= 0
                    for _face, n in boundary)
         m.insert_point(tuple(p), probe=probe)
+
+
+def test_insert_with_an_unpaired_facet_raises():
+    # a cavity boundary with one facet missing leaves the new tets on that
+    # facet's edges without a partner across their side facets
+    m = TetMesh(UNIT, seed=16)
+    rng = np.random.default_rng(8)
+    for p in rng.uniform(0, 1, (10, 3)):
+        m.insert_point(tuple(p))
+    pj, cav, boundary, dup = m.probe_insert((0.5, 0.5, 0.5))
+    assert dup is None and len(boundary) > 4
+    with pytest.raises(MeshError, match="unpaired internal facet"):
+        m.insert_point(None, probe=(pj, cav, boundary[1:], dup))
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +389,21 @@ def test_nearest_vertex():
         best = min(range(len(m.points)),
                    key=lambda v: math.dist(m.points[v], q))
         assert math.dist(m.points[got], q) <= math.dist(m.points[best], q) + 1e-15
+
+
+def test_nearest_vertex_never_returns_an_undone_vertex():
+    # remove_point keeps the undone vertex in points, marked dead
+    m = TetMesh(UNIT, seed=17)
+    rng = np.random.default_rng(22)
+    for p in rng.uniform(0, 1, (20, 3)):
+        m.insert_point(tuple(p))
+    rec = m.insert_point((0.45, 0.55, 0.5))
+    m.remove_point(rec)
+    got = m.nearest_vertex(m.points[rec.vid])
+    assert got != rec.vid and m.meta[got].alive
+    live = [v for v in range(len(m.points)) if m.meta[v].alive]
+    assert got == min(live, key=lambda v: math.dist(m.points[v],
+                                                    m.points[rec.vid]))
 
 
 def test_triangle_circumcentre():
