@@ -365,17 +365,22 @@ class TetMesh:
         for t in cav:
             self.tets[t] = self.neigh[t] = self.circum[t] = None
         created = []
-        for (fverts, outer) in boundary:
-            nt = self._alloc_tet((fverts[0], fverts[1], fverts[2], vid))
-            created.append(nt)
-            self.neigh[nt][self.tets[nt].index(vid)] = outer
-            if outer != -1:
-                oquad = self.tets[outer]
-                ooi = next(i for i in range(4) if oquad[i] not in fverts)
-                outer_slots.append((outer, ooi, self.neigh[outer][ooi]))
-                self.neigh[outer][ooi] = nt
-        if self._glue(created):
-            raise MeshError("unpaired internal facet after insertion")
+        try:
+            for (fverts, outer) in boundary:
+                nt = self._alloc_tet((fverts[0], fverts[1], fverts[2], vid))
+                created.append(nt)
+                self.neigh[nt][self.tets[nt].index(vid)] = outer
+                if outer != -1:
+                    oquad = self.tets[outer]
+                    ooi = next(i for i in range(4) if oquad[i] not in fverts)
+                    outer_slots.append((outer, ooi, self.neigh[outer][ooi]))
+                    self.neigh[outer][ooi] = nt
+            if self._glue(created):
+                raise MeshError("unpaired internal facet after insertion")
+        except MeshError:
+            # a failed carve leaves the mesh as it was before it
+            self._restore(vid, journal)
+            raise
         rec = InsertRecord(vid, False, created, journal)
         self._last_insert = rec
         return rec
@@ -396,7 +401,11 @@ class TetMesh:
         if rec is not self._last_insert:
             raise MeshError("only the latest insertion can be undone")
         self._last_insert = None
-        killed, outer_slots, last_tet, n_tets = rec.journal
+        self._restore(rec.vid, rec.journal)
+
+    def _restore(self, vid, journal):
+        """Roll the arrays back by an insertion's journal; vertex vid dies."""
+        killed, outer_slots, last_tet, n_tets = journal
         del self.tets[n_tets:], self.neigh[n_tets:], self.circum[n_tets:]
         for (t, quad, neigh, circum) in killed:
             self.tets[t] = quad
@@ -404,7 +413,7 @@ class TetMesh:
             self.circum[t] = circum
         for (outer, slot, old) in outer_slots:
             self.neigh[outer][slot] = old
-        self.meta[rec.vid].alive = False
+        self.meta[vid].alive = False
         self._last_tet = last_tet
 
     # ------------------------------------------------------------------

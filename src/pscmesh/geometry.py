@@ -24,29 +24,19 @@ import numpy as np
 
 from .aabb import AABBTree, boxes_for_segments, boxes_for_triangles
 from .errors import GeometryError, ParseError, ValidationError
+from .predicates import _scaled_ints, orient3d
 
-# Deterministic ray directions for membership parity tests; deliberately
-# irrational-looking so axis-aligned geometry rarely produces degenerate
-# hits on the first try.
-_RAY_DIRS = [
-    (0.540302305868, 0.642092615934, 0.543838457147),
-    (-0.716318165366, 0.423883297253, 0.553693963657),
-    (0.285601248744, -0.874212080485, 0.392949292571),
-    (0.833049961066, 0.181709755168, -0.522529270834),
-    (-0.219115673143, -0.521018621818, -0.824940230486),
-    (0.975897449331, -0.205276096894, 0.071806273738),
-    (-0.425324925181, 0.904116295256, -0.041155874841),
-    (0.062378812061, 0.352755418432, 0.933632034464),
-]
+# An irrational-looking direction, along which axis-aligned layouts rarely
+# put two points level (``point_in_volume``, ``_near_lower``).
+_RAY_DIR = (0.540302305868, 0.642092615934, 0.543838457147)
 
 # Barycentric slack of the segment and disk hit tests.  Barycentrics >= -s
 # span the triangle scaled by 1 + 3s about its centroid, so a hit lies
 # within 3s x the diagonal of its triangle (``hit_pad`` covers it).
 _HIT_SLACK = 1e-10
 
-# Half-width of the band about triangle edges in which a membership ray is
-# re-shot rather than counted.
-_RAY_BAND = 1e-9
+# Slack of the triangle-tree walks' pad, ten times ``_HIT_SLACK``.
+_PAD_SLACK = 1e-9
 
 
 def _unit(v):
@@ -164,12 +154,11 @@ class PiecewiseComplex:
             boxes_for_segments(self.vertices, seg, pad=self.eps))
         self.tri_tree = AABBTree(
             boxes_for_triangles(self.vertices, tri, pad=self.eps))
-        # farthest from the surface that a segment or disk query reports a
-        # hit or a membership ray meets its band: eps plus the ray band's
-        # reach, the larger of the two slacks.  Every triangle-tree query
-        # grows its boxes by it, so the walk keeps every triangle its hit
-        # test accepts (``aabb``; ``restricted.DistanceCertificate``)
-        self.hit_pad = self.eps + 3.0 * _RAY_BAND * self.diag
+        # every triangle-tree query grows its boxes by it, so the walk keeps
+        # every triangle that an exact crossing touches or a hit test
+        # accepts, up to 3 _HIT_SLACK diag away (``aabb``); the tenfold
+        # margin costs skipped queries (``restricted``), never an answer
+        self.hit_pad = self.eps + 3.0 * _PAD_SLACK * self.diag
 
     def _validate(self, seg, tri):
         """Raise the ``ValidationError`` of the lowest failing segment, else
@@ -324,31 +313,24 @@ class PiecewiseComplex:
                 hits.append((x, self.triangles[tid][3]))
         return _dedupe_tagged(hits, self.eps)
 
-    def _crossing(self, a, d, tid, tol, dn):
-        """Moeller-Trumbore crossing of the line a + t d with triangle tid:
-        (v, w, t), the barycentrics of the hit along the triangle's edges
-        e1 = p1 - p0 and e2 = p2 - p0 and its line parameter.  When the line
-        is parallel to the triangle, |det| <= tol (dn |e1| |e2|) with dn the
-        length of d, it returns the slab pair (|(a - p0) . n|, |n|) of the
-        normal n = e1 x e2 instead."""
+    def _segment_triangle_point(self, a, b, tid):
+        """Moeller-Trumbore hit of segment a-b with triangle tid, its
+        barycentrics within ``_HIT_SLACK``, or None."""
         # the vector helpers written out, in their operation order
         i, j, k, _p = self.triangles[tid]
         p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
-        dx, dy, dz = d
+        dx = b[0] - a[0]; dy = b[1] - a[1]; dz = b[2] - a[2]
         e1x = p1[0] - p0[0]; e1y = p1[1] - p0[1]; e1z = p1[2] - p0[2]
         e2x = p2[0] - p0[0]; e2y = p2[1] - p0[1]; e2z = p2[2] - p0[2]
         px = dy * e1z - dz * e1y
         py = dz * e1x - dx * e1z
         pz = dx * e1y - dy * e1x
         det = px * e2x + py * e2y + pz * e2z
+        if abs(det) <= 1e-14 * (math.sqrt(dx * dx + dy * dy + dz * dz)
+                                * math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
+                                * math.sqrt(e2x * e2x + e2y * e2y + e2z * e2z)):
+            return None  # parallel to the triangle plane
         tx = a[0] - p0[0]; ty = a[1] - p0[1]; tz = a[2] - p0[2]
-        if abs(det) <= tol * (dn * math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
-                              * math.sqrt(e2x * e2x + e2y * e2y + e2z * e2z)):
-            nx = e1y * e2z - e1z * e2y
-            ny = e1z * e2x - e1x * e2z
-            nz = e1x * e2y - e1y * e2x
-            return (abs(tx * nx + ty * ny + tz * nz),
-                    math.sqrt(nx * nx + ny * ny + nz * nz))
         inv = 1.0 / det
         v = (tx * px + ty * py + tz * pz) * inv
         qx = ty * e2z - tz * e2y
@@ -356,68 +338,45 @@ class PiecewiseComplex:
         qz = tx * e2y - ty * e2x
         w = (dx * qx + dy * qy + dz * qz) * inv
         t = (e1x * qx + e1y * qy + e1z * qz) * inv
-        return v, w, t
-
-    def _segment_triangle_point(self, a, b, tid):
-        dx = b[0] - a[0]; dy = b[1] - a[1]; dz = b[2] - a[2]
-        hit = self._crossing(a, (dx, dy, dz), tid, 1e-14,
-                             math.sqrt(dx * dx + dy * dy + dz * dz))
-        if len(hit) == 2:
-            return None  # parallel to the triangle plane
-        v, w, t = hit
         if (v < -_HIT_SLACK or v > 1.0 + _HIT_SLACK or w < -_HIT_SLACK
                 or v + w > 1.0 + _HIT_SLACK or t < -1e-12 or t > 1.0 + 1e-12):
             return None
         t = min(max(t, 0.0), 1.0)
         return (a[0] + t * dx, a[1] + t * dy, a[2] + t * dz)
 
-    def point_in_volume(self, p, stats=None):
-        """Ray-parity membership in the enclosed volume.
-
-        Requires a closed surface; degenerate rays are re-shot along the
-        next deterministic direction, and ``stats["ray_reshoots"]`` counts
-        the re-shots when ``stats`` is given.  Points on the surface itself
-        are reported as outside.
+    def point_in_volume(self, p):
+        """Whether p lies in the enclosed volume (a closed surface's): the
+        crossing parity from p to a point beyond the input's box.  A point
+        on the surface takes the side ``_ray_parity``'s shift moves it to.
         """
         if not self.surface_closed:
             raise GeometryError("surface is not closed; volume undefined")
         p = (float(p[0]), float(p[1]), float(p[2]))
         span = 3.0 * self.diag + _norm(_sub(p, self.bounds[0]))
-        for i, d in enumerate(_RAY_DIRS):
-            res = self._ray_parity(p, d, span)
-            if res is not None:
-                if i and stats is not None:
-                    stats["ray_reshoots"] += i
-                return res
-        raise GeometryError("membership ray retries exhausted")
+        d = _RAY_DIR
+        return self._ray_parity(p, (p[0] + span * d[0], p[1] + span * d[1],
+                                    p[2] + span * d[2]))
 
-    def _ray_parity(self, p, d, span):
-        q = (p[0] + span * d[0], p[1] + span * d[1], p[2] + span * d[2])
-        band = _RAY_BAND
-        cands = self.tri_tree.query_segment(p, q, self.hit_pad)
-        crossings = 0
-        for tid in cands:
-            hit = self._crossing(p, d, tid, 1e-12, 1.0)
-            if len(hit) == 2:
-                # ray nearly parallel: only dangerous when it actually
-                # grazes the triangle's slab (the clipped walk only offers
-                # triangles the ray passes near)
-                off, nn = hit
-                if off <= band * nn * span:
-                    return None
+    def _ray_parity(self, a, b):
+        """Whether segment a-b crosses the surface an odd number of times,
+        exactly, with a and b translated by the infinitesimal (e, e^2, e^3)
+        (Simulation of Simplicity; Edelsbrunner & Muecke, ACM TOG 1990): a
+        triangle is crossed when a and b lie on opposite sides of its plane
+        and the ``orient3d(a, b, p_i, p_j)`` of its edges agree.  The shift
+        breaks every tie (``_shifted``): a crossing through a shared edge
+        or vertex counts once, and nothing grazes."""
+        odd = False
+        for tid in self.tri_tree.query_segment(a, b, self.hit_pad):
+            i, j, k, _p = self.triangles[tid]
+            p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
+            if (_shifted(orient3d(p0, p1, p2, a), p0, p1, p0, p2)
+                    == _shifted(orient3d(p0, p1, p2, b), p0, p1, p0, p2)):
                 continue
-            v, w, t = hit
-            if t <= self.eps or t > span:
-                if -band < v < 1.0 + band and -band < w and v + w < 1.0 + band \
-                        and abs(t) <= self.eps:
-                    return False  # p lies on the surface: not interior
-                continue
-            if v < -band or w < -band or v + w > 1.0 + band:
-                continue
-            if v < band or w < band or v + w > 1.0 - band:
-                return None  # grazes an edge or vertex: re-shoot
-            crossings += 1
-        return crossings % 2 == 1
+            s0 = _shifted(orient3d(a, b, p0, p1), a, b, p0, p1)
+            if (_shifted(orient3d(a, b, p1, p2), a, b, p1, p2) == s0
+                    and _shifted(orient3d(a, b, p2, p0), a, b, p2, p0) == s0):
+                odd = not odd
+        return odd
 
     def intersect_sphere_curve(self, centre, radius):
         """Points of the curve network at exact distance ``radius`` from
@@ -540,6 +499,19 @@ class PiecewiseComplex:
         return chosen
 
 
+def _shifted(s, a, b, c, d):
+    """The exact sign s of an ``orient3d``, or when it is 0 the sign of its
+    e-term under the shift of ``_ray_parity``: that of the first nonzero
+    component of the exact (b - a) x (d - c), or 0 when that vanishes."""
+    if s:
+        return s
+    ax, ay, az, bx, by, bz, cx, cy, cz, dx, dy, dz = _scaled_ints(
+        [*a, *b, *c, *d])
+    n = _cross((bx - ax, by - ay, bz - az), (dx - cx, dy - cy, dz - cz))
+    first = next((x for x in n if x), 0)
+    return (first > 0) - (first < 0)
+
+
 def _point_in_triangle3(x, p0, p1, p2, slack):
     v0 = _sub(p2, p0)
     v1 = _sub(p1, p0)
@@ -578,7 +550,7 @@ def _near_lower(pts, lo, reach):
     # rows within reach lie within reach x |u|_1 of each other along a ray
     # direction u, a sort key on which axis-aligned layouts rarely put two
     # rows level; twice that covers the rounding of the key
-    u = np.asarray(_RAY_DIRS[0])
+    u = np.asarray(_RAY_DIR)
     key = (pts - lo) @ u
     order = np.argsort(key)
     key = key[order]

@@ -317,8 +317,7 @@ class Refiner:
                       "blocked": 0, "dual_certified": 0,
                       "volume_inherited": 0, "axis_line_scans": 0,
                       "segment_scans": 0, "survivors_skipped": 0,
-                      "walks_reused": 0, "locate_scans": 0,
-                      "ray_reshoots": 0}
+                      "walks_reused": 0, "locate_scans": 0}
         self.mesh = TetMesh(geom.bounds, seed=cfg.seed, stats=self.stats)
         self.rs = RestrictedSets()
         # bad-simplex heaps and disk-check marks, indexed by dimension

@@ -153,14 +153,9 @@ class DistanceCertificate:
       1e-12 of the segment's parameter beyond an end is clamped onto that
       end, which moves it by at most 1e-12 |c1 c2|.  So under (*) the
       query of the facet's dual edge returns no hit.
-    - ``point_in_volume`` answers from a ray that passes no triangle edge
-      within the band 1e-9 of its barycentric range (it re-shoots
-      otherwise), and counts the crossings beyond eps along the ray.  It
-      answers "on the surface" only for a point within eps + 3e-9 diag of
-      the surface.  A point farther than pad from the surface thus gets its
-      true side, and the two circumcentres, joined by a segment that stays
-      farther than pad from the surface, lie on the same side.  So under
-      (*) a tet takes its neighbour's volume status.
+    - ``point_in_volume`` and the dual-edge parity count exact crossings
+      (``_ray_parity``).  An exact crossing lies at distance 0, so under
+      (*) the parity is 0: a tet takes its neighbour's volume status.
 
     ``bound[t]`` and ``inside[t]``, t's volume status (None until
     ``classify_tet`` settles it; a ghost's never is), are lists indexed by
@@ -168,9 +163,8 @@ class DistanceCertificate:
     undo that restores it, and ``update`` overwrites the ids an undone
     insertion created.  ``stats`` counts what the certificate skipped
     (``dual_certified``, ``volume_inherited``), the facets that took the
-    axis-line path (``axis_line_scans``), the edges whose unreliable ring
-    scanned every curve segment (``segment_scans``) and the membership
-    rays re-shot after a grazing ray (``ray_reshoots``).
+    axis-line path (``axis_line_scans``) and the edges whose unreliable
+    ring scanned every curve segment (``segment_scans``).
     """
 
     def __init__(self, geom, stats):
@@ -194,19 +188,21 @@ class DistanceCertificate:
         return (self.bound[t1] + self.bound[t2]
                 > (1.0 + 2e-12) * math.dist(c1, c2) + 2.0 * self.pad)
 
-    def inherited(self, mesh, t, centre):
-        """Volume status of tet t taken from a settled neighbour with a
-        reliable circumcentre across which (*) holds, or None."""
-        if not mesh.circum[t][2]:
-            return None
-        for n in mesh.neigh[t]:
-            if n == -1 or self.inside[n] is None:
-                continue
-            cn, _r2, ok = mesh.circum[n]
-            if ok and self.clears(t, centre, n, cn):
+    def inherited(self, mesh, geom, t, centre):
+        """Volume status of tet t taken from a settled neighbour, or None
+        when none is settled.  Across a facet where (*) holds the status
+        carries over; else the first settled neighbour's is flipped when
+        their dual edge crosses the surface an odd number of times."""
+        settled = [n for n in mesh.neigh[t]
+                   if n != -1 and self.inside[n] is not None]
+        for n in settled:
+            if self.clears(t, centre, n, mesh.circum[n][0]):
                 self.stats["volume_inherited"] += 1
                 return self.inside[n]
-        return None
+        if not settled:
+            return None
+        n = settled[0]
+        return self.inside[n] != geom._ray_parity(mesh.circum[n][0], centre)
 
 
 # ----------------------------------------------------------------------
@@ -408,16 +404,16 @@ def classify_tet(mesh, geom, t, cert=None):
     """Restricted tet when the circumcentre lies inside the volume (None
     when the surface is not closed: then there is no volume).
 
-    With ``cert``, a neighbour's settled status replaces the membership ray
-    where the certificate allows, and t's own status becomes settled.
+    With ``cert``, a settled neighbour's status and the parity of their
+    dual edge replace the membership query (``inherited``), and t's own
+    status becomes settled.
     """
     if not geom.surface_closed or mesh.is_ghost(t):
         return None
     centre, _ok = mesh.voronoi_vertex(t)
-    inside = None if cert is None else cert.inherited(mesh, t, centre)
+    inside = None if cert is None else cert.inherited(mesh, geom, t, centre)
     if inside is None:
-        inside = geom.point_in_volume(centre,
-                                      None if cert is None else cert.stats)
+        inside = geom.point_in_volume(centre)
     if cert is not None:
         cert.inside[t] = inside
     if not inside:

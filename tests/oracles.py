@@ -3,8 +3,9 @@
 Everything here is written from first principles and deliberately avoids
 the library's own code paths: exact rational arithmetic for predicate
 signs, literal all-pairs enumeration for the Delaunay property and the
-intersection queries, and generalized winding numbers for volume
-membership.  The exceptions are differential references that run an
+intersection queries, generalized winding numbers for volume
+membership and a symbolically shifted crossing parity
+(``parity_reference``).  The exceptions are differential references that run an
 older or unfiltered rule on the mesh's own queries:
 ``face_crossings_reference`` (curve-edge classification),
 ``containing_ball_scan`` (encroachment over every ball) and
@@ -376,6 +377,69 @@ def cavity_change_reference(killed_quads, created_quads):
     return ([None] + [old[d] - new[d] for d in (1, 2, 3)],
             [None] + [old[d] & new[d] for d in (1, 2, 3)],
             {v for q in killed_quads for v in q})
+
+
+def _shifted_coords(p):
+    """Point p translated by the infinitesimal (e, e^2, e^3): per axis, its
+    coordinate as the coefficient list of a polynomial in e."""
+    x, y, z = _frac(p)
+    return [[x, 1], [y, 0, 1], [z, 0, 0, 1]]
+
+
+def _poly_add(p, q, sign=1):
+    """p + sign q, for polynomials as coefficient lists."""
+    n = max(len(p), len(q))
+    p = p + [0] * (n - len(p))
+    q = q + [0] * (n - len(q))
+    return [x + sign * y for x, y in zip(p, q)]
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _limit_orient(a, b, c, d):
+    """Sign of det[b - a, c - a, d - a] as e -> 0+, for points whose
+    coordinates are polynomials in e: the sign of its lowest nonzero
+    coefficient, 0 when it vanishes identically."""
+    s = rational_orient3d(*([x[0] for x in p] for p in (a, b, c, d)))
+    if s:
+        return s
+    u, v, w = ([_poly_add(p[i], a[i], -1) for i in range(3)]
+               for p in (b, c, d))
+    det = [0]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        minor = _poly_add(_poly_mul(v[j], w[k]), _poly_mul(v[k], w[j]), -1)
+        det = _poly_add(det, _poly_mul(u[i], minor))
+    for x in det:
+        if x:
+            return 1 if x > 0 else -1
+    return 0
+
+
+def parity_reference(a, b, vertices, triangles):
+    """Whether segment a-b, translated by (e, e^2, e^3) for an infinitely
+    small e > 0, crosses the triangles an odd number of times.
+
+    Every triangle is tested, in rational arithmetic on polynomials in e: a
+    triangle counts when the shifted a and b lie strictly on opposite sides
+    of its plane and the shifted line passes its three edges on one side.
+    """
+    a, b = _shifted_coords(a), _shifted_coords(b)
+    odd = False
+    for i, j, k, _pid in triangles:
+        p = [[[x] for x in _frac(vertices[v])] for v in (i, j, k)]
+        if _limit_orient(*p, a) == _limit_orient(*p, b):
+            continue
+        sides = {_limit_orient(a, b, p[q], p[(q + 1) % 3]) for q in range(3)}
+        if len(sides) == 1:
+            odd = not odd
+    return odd
 
 
 def segment_surface_hits(a, b, vertices, triangles, eps=1e-12):

@@ -294,7 +294,7 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
                           "type1", "type2", "blocked", "dual_certified",
                           "volume_inherited", "axis_line_scans",
                           "segment_scans", "survivors_skipped",
-                          "walks_reused", "locate_scans", "ray_reshoots"}
+                          "walks_reused", "locate_scans"}
     assert stats["inserted"] > 0
     assert stats["dual_certified"] > 0 and stats["volume_inherited"] > 0
     assert stats["survivors_skipped"] > 0

@@ -255,6 +255,32 @@ def test_insert_with_an_unpaired_facet_raises():
     assert dup is None and len(boundary) > 4
     with pytest.raises(MeshError, match="unpaired internal facet"):
         m.insert_point(None, probe=(pj, cav, boundary[1:], dup))
+    # the failed carve is rolled back: the mesh is whole, the new vertex
+    # is dead and the next insertion goes through
+    _assert_involution(m)
+    assert not m.meta[-1].alive
+    rec = m.insert_point((0.3, 0.3, 0.3))
+    assert not rec.duplicate and rec.created
+    _assert_involution(m)
+
+
+def test_insert_with_a_flat_new_tet_rolls_back():
+    # the probe's point moved onto a vertex of the last boundary facet: the
+    # earlier facets make tets, then that facet makes a flat one
+    m = TetMesh(UNIT, seed=16)
+    rng = np.random.default_rng(8)
+    for p in rng.uniform(0, 1, (10, 3)):
+        m.insert_point(tuple(p))
+    before = (list(m.tets), [list(n) for n in m.neigh if n is not None])
+    _pj, cav, boundary, dup = m.probe_insert((0.5, 0.5, 0.5))
+    v = next(x for x in boundary[-1][0] if x not in boundary[0][0])
+    with pytest.raises(MeshError, match="flat tetrahedron"):
+        m.insert_point(None, probe=(m.points[v], cav, boundary, dup))
+    assert (list(m.tets), [list(n) for n in m.neigh if n is not None]) \
+        == before
+    assert not m.meta[-1].alive
+    _assert_involution(m)
+    assert m.insert_point((0.3, 0.3, 0.3)).created
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,15 @@ from pscmesh.aabb import AABBTree
 from pscmesh.delaunay import TetMesh
 from pscmesh.errors import GeometryError, ParseError, PscError, \
     ValidationError
-from pscmesh.geometry import _HIT_SLACK, _RAY_BAND, _RAY_DIRS, \
-    PiecewiseComplex, load_complex, parse_complex, write_complex
+from pscmesh.geometry import _HIT_SLACK, PiecewiseComplex, load_complex, \
+    parse_complex, write_complex
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.restricted import classify_edge
 
 from oracles import (circle_surface_hits, initial_sampling_reference,
-                     parse_lines_reference, polygon_curve_hits,
-                     random_rotation, segment_surface_hits, sphere_curve_hits,
+                     parity_reference, parse_lines_reference,
+                     polygon_curve_hits, random_rotation,
+                     segment_surface_hits, sphere_curve_hits,
                      validate_reference, winding_numbers)
 
 
@@ -503,22 +504,6 @@ def test_point_in_volume_open_surface_is_configuration_error():
         c.point_in_volume((0, 0, 0))
 
 
-def test_point_in_volume_shoots_each_ray_direction_once(monkeypatch):
-    # every ray grazes: each of the 8 deterministic directions is tried
-    # once, then the query gives up
-    c = cube()
-    dirs = []
-
-    def grazing(self, p, d, span):
-        dirs.append(d)
-        return None
-
-    monkeypatch.setattr(PiecewiseComplex, "_ray_parity", grazing)
-    with pytest.raises(GeometryError):
-        c.point_in_volume((0.5, 0.5, 0.5))
-    assert len(dirs) == 8 and len(set(dirs)) == 8
-
-
 @spheres((2, 1000), (3, 1000), (4, 1000))
 def test_point_in_volume_matches_winding_numbers(sub, cases):
     c = icosphere(sub)
@@ -614,10 +599,13 @@ def test_clipped_queries_equal_unclipped_on_grazing_cases(monkeypatch):
         assert got == ([c.intersect_segment_surface(a, b) for a, b in segs],
                        [c.point_in_volume(a) for a, _b in segs],
                        [c.intersect_disk_surface(*d) for d in disks])
-    # the centre is inside; starts outside or on a vertex or edge are not
+    # the centre is inside and starts outside are not; a start on a vertex
+    # or edge takes the side that the symbolic shift moves it to
     inside = got[1]
-    assert all(inside[6:-1:3])
-    assert not any(inside[7:-1:3]) and not any(inside[8:-1:3])
+    assert all(inside[6:-1:3]) and not any(inside[7:-1:3])
+    far = (3.0, 0.5, 0.25)
+    assert inside[8:-1:3] == [parity_reference(a, far, c.vertices, c.triangles)
+                              for a, _b in segs[8:-1:3]]
     assert sum(map(bool, got[0])) > 20 and sum(map(bool, got[2])) >= 4
 
 
@@ -648,9 +636,9 @@ unit = st.tuples(*[st.integers(-16, 16)] * 3).filter(any).map(
 @st.composite
 def near_triangle(draw):
     """A fat random triangle and a point in its plane outside it: beyond
-    one of its edges or vertices by up to 3 x the slack of a drawn query
-    kind times the triangle's extent.  Returns (complex, point, normal,
-    kind)."""
+    one of its edges or vertices by up to 3 x the hit slack times the
+    triangle's extent.  Returns (complex, point, normal, kind), kind the
+    drawn query kind."""
     pts = np.asarray(draw(st.tuples(*[st.tuples(
         *[st.integers(-1000, 1000)] * 3)] * 3))) / 1000.0
     n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
@@ -659,8 +647,8 @@ def near_triangle(draw):
     assume(np.linalg.norm(n) >= 0.05 * max(edges) ** 2 > 0.0)
     n /= np.linalg.norm(n)
     geom = PiecewiseComplex(pts, [], [(0, 1, 2, 0)])
-    kind = draw(st.sampled_from(("segment", "ray", "disk")))
-    reach = 3.0 * (_RAY_BAND if kind == "ray" else _HIT_SLACK) * geom.diag
+    kind = draw(st.sampled_from(("segment", "disk")))
+    reach = 3.0 * _HIT_SLACK * geom.diag
     off = draw(st.floats(0.0, 1.0)) * reach
     k = draw(st.integers(0, 2))
     if draw(st.booleans()):
@@ -681,10 +669,9 @@ def near_triangle(draw):
 @settings(max_examples=600, deadline=None)
 @given(near_triangle(), st.data())
 def test_the_walk_keeps_every_triangle_its_hit_test_accepts(case, data):
-    # a segment, membership ray or disk circle passes within its hit
-    # test's reach outside a triangle; whenever the hit test accepts the
-    # triangle (the ray's band catches it), the tree walk of that query
-    # hands it out
+    # a segment or disk circle passes within its hit test's reach outside
+    # a triangle; whenever the hit test accepts the triangle, the tree walk
+    # of that query hands it out
     geom, x, n, kind = case
     size = st.floats(0.05, 1.5).map(lambda f: f * geom.diag)
     if kind == "segment":
@@ -696,16 +683,6 @@ def test_the_walk_keeps_every_triangle_its_hit_test_accepts(case, data):
         ids, hits = handed_out(geom, lambda: geom.intersect_segment_surface(
             a, b))
         assert bool(hits) == accepted
-    elif kind == "ray":
-        d = data.draw(st.sampled_from(_RAY_DIRS))
-        assume(abs(np.dot(d, n)) >= 0.2)
-        p = tuple((x - data.draw(size) * np.asarray(d)).tolist())
-        span = 3.0 * geom.diag + math.dist(p, geom.bounds[0])
-        hit = geom._crossing(p, d, 0, 1e-12, 1.0)
-        v, w, _t = hit
-        band = _RAY_BAND
-        accepted = -band < v and -band < w and v + w < 1.0 + band
-        ids, _inside = handed_out(geom, lambda: geom._ray_parity(p, d, span))
     else:
         m = data.draw(unit)
         assume(np.linalg.norm(np.cross(m, n)) >= 0.2)
@@ -722,6 +699,88 @@ def test_the_walk_keeps_every_triangle_its_hit_test_accepts(case, data):
         assert hits == want
     if accepted:
         assert 0 in ids
+
+
+def crease_edges(geom):
+    """The surface edges whose two triangles are not coplanar."""
+    normals = {}
+    for i, j, k, _p in geom.triangles:
+        p0, p1, p2 = (geom.vertices[v] for v in (i, j, k))
+        n = np.cross(p1 - p0, p2 - p0)
+        for e in ((i, j), (j, k), (k, i)):
+            normals.setdefault(tuple(sorted(e)), []).append(
+                n / np.linalg.norm(n))
+    return [e for e, (n1, n2) in sorted(normals.items())
+            if np.linalg.norm(np.cross(n1, n2)) > 1e-6]
+
+
+@st.composite
+def parity_case(draw):
+    """A closed model, unmoved or rigidly moved, and three points on and
+    near its surface: vertices, points on faces and edges, points 1e-13 to
+    1e-9 diag off a crease edge and points in and around the box.  The
+    second point may mirror the first through a surface point, so that the
+    segment between them passes through it.  On the unmoved cube and wedge
+    every point is dyadic, so these lie exactly on the surface."""
+    make = draw(st.sampled_from([cube, wedge, lambda: icosphere(1)]))
+    base = make()
+    seed = draw(st.none() | st.integers(0, 2 ** 32 - 1))
+    verts = base.vertices
+    if seed is not None:
+        verts = verts @ random_rotation(np.random.default_rng(seed)).T
+    geom = PiecewiseComplex(verts, base.segments, base.triangles)
+    dyadic = st.integers(0, 16).map(lambda k: k / 16.0)
+    on_surface = ("vertex", "face", "edge")
+
+    def point(kinds=on_surface + ("crease", "free")):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "vertex":
+            return np.asarray(geom.pts[draw(st.integers(0, len(geom.pts) - 1))])
+        i, j, k, _p = draw(st.sampled_from(geom.triangles))
+        if kind == "face":
+            u, v = draw(dyadic), draw(dyadic)
+            assume(u + v <= 1.0)
+            return (1.0 - u - v) * verts[i] + u * verts[j] + v * verts[k]
+        if kind == "edge":
+            i, j = draw(st.sampled_from(((i, j), (j, k), (k, i))))
+            return verts[i] + draw(dyadic) * (verts[j] - verts[i])
+        if kind == "crease":
+            i, j = draw(st.sampled_from(crease_edges(geom)))
+            e = verts[j] - verts[i]
+            off = np.cross(e, draw(unit))
+            assume(np.linalg.norm(off) >= 0.2 * np.linalg.norm(e))
+            dist = 10.0 ** draw(st.floats(-13.0, -9.0)) * geom.diag
+            return (verts[i] + draw(st.floats(0.0, 1.0)) * e
+                    + dist * off / np.linalg.norm(off))
+        lo, hi = map(np.asarray, geom.bounds)
+        return lo + np.asarray(draw(st.tuples(*[dyadic] * 3))) * 2.0 * (
+            hi - lo) - 0.5 * (hi - lo)
+
+    a = point()
+    b = 2.0 * point(on_surface) - a if draw(st.booleans()) else point()
+    return (geom,) + tuple(tuple(map(float, x)) for x in (a, b, point()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parity_case())
+def test_crossing_parity_is_exact(case):
+    # the walk's parity equals the rational reference and the parity over
+    # every triangle, a closed polygon crosses the surface an even number
+    # of times, and membership is the parity to a point outside the box
+    geom, a, b, c = case
+    verts, tris = geom.vertices, geom.triangles
+    odd = []
+    for p, q in ((a, b), (b, c), (c, a)):
+        want = parity_reference(p, q, verts, tris)
+        assert geom._ray_parity(p, q) == want
+        _ids, every = handed_out(geom, lambda: geom._ray_parity(p, q),
+                                 every=True)
+        assert every == want
+        odd.append(want)
+    assert sum(odd) % 2 == 0
+    far = tuple(np.asarray(geom.bounds[1]) + geom.diag * np.array(
+        [1.0, 0.3, 0.7]))
+    assert geom.point_in_volume(a) == parity_reference(a, far, verts, tris)
 
 
 def test_membership_rays_collect_few_candidates_on_dense_input(monkeypatch):

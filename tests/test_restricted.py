@@ -580,8 +580,9 @@ refine_mod = importlib.import_module("pscmesh.refine")
 def check_certified_skips(monkeypatch):
     """Wrap the facet and tet classifiers that ``Refiner`` calls, so that
     every dual-edge query the certificate skips is re-run unskipped and
-    must find no hit, and every inherited volume status must equal the
-    membership ray.  Returns the counts checked, [skipped queries,
+    must find no hit, and every settled volume status, whether inherited,
+    flipped by a dual-edge parity or queried, must equal the membership
+    query.  Returns the counts checked, [skipped queries,
     inherited statuses]."""
     checked = [0, 0]
 
@@ -599,10 +600,11 @@ def check_certified_skips(monkeypatch):
     def tet(mesh, geom, t, cert=None):
         before = cert.stats["volume_inherited"]
         out = classify_tet(mesh, geom, t, cert=cert)
-        if cert.stats["volume_inherited"] > before:
+        if cert.inside[t] is not None:
             centre, _ok = mesh.voronoi_vertex(t)
-            assert (out is not None) == geom.point_in_volume(centre)
-            checked[1] += 1
+            assert cert.inside[t] == (out is not None) \
+                == geom.point_in_volume(centre)
+            checked[1] += cert.stats["volume_inherited"] > before
         return out
 
     monkeypatch.setattr(refine_mod, "classify_facet", facet)
@@ -803,14 +805,14 @@ STATS = {
                "type1": 119, "blocked": 0, "dual_certified": 4361,
                "volume_inherited": 2399, "axis_line_scans": 0,
                "segment_scans": 0, "survivors_skipped": 8026,
-               "walks_reused": 904, "locate_scans": 0, "ray_reshoots": 0},
+               "walks_reused": 904, "locate_scans": 0},
     "crease": {"inserted": 85, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 1,
                "encroach_tri": 19, "disk1": 0, "disk2": 0, "type2": 27,
                "type1": 58, "blocked": 0, "dual_certified": 2338,
                "volume_inherited": 1092, "axis_line_scans": 0,
                "segment_scans": 0, "survivors_skipped": 3952,
-               "walks_reused": 370, "locate_scans": 0, "ray_reshoots": 9},
+               "walks_reused": 370, "locate_scans": 0},
 }
 
 
@@ -858,10 +860,8 @@ def test_certified_skips_find_nothing_under_rigid_motions(case):
     # a tilted cube face has a box that fills much of the cube, so the box
     # cover may settle no volume status there; dual edges are still skipped.
     # Far from the origin, a moved input may not converge, or may end in a
-    # typed error when every membership ray of a circumcentre next to a
-    # crease grazes an edge; both faults predate the certificates.  The
-    # point budget bounds such a run, and every skip up to its end is
-    # still checked.
+    # typed error; both faults predate the certificates.  The point budget
+    # bounds such a run, and every skip up to its end is still checked.
     geom, h = case
     with pytest.MonkeyPatch.context() as mp:
         checked = check_certified_skips(mp)
@@ -1007,7 +1007,7 @@ def test_a_reused_walk_keeps_what_the_walk_of_a_nearby_segment_keeps():
 def test_volume_and_surface_queries_are_mostly_certified(monkeypatch):
     # without the distance certificates this run makes 2,929
     # point_in_volume and 9,033 intersect_segment_surface calls; with
-    # them, 530 and 2,304
+    # them, 220 (and 310 dual-edge parities) and 2,051
     calls = {"point_in_volume": 0, "intersect_segment_surface": 0}
     for name in calls:
         original = getattr(PiecewiseComplex, name)

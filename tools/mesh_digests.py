@@ -15,7 +15,7 @@ settings, through the same input file round trip, and prints three lines:
 mesh.  When only digest lines differ between two checkouts, the meshes
 are the same up to float bits; a differing counts line means a different
 mesh.  A differing stats line with equal digests means the same meshes
-reached by different work (say, more ray re-shoots).  Each
+reached by different work (say, fewer certified queries).  Each
 workload ends with one summary line,
 
     workload summary meshes=.. failed=.. inserted=.. vlen_min=..
