@@ -6,6 +6,24 @@ and ``v(tau) = 6 sqrt(2) V / rms(e)^3``, normalised so equilateral
 triangles and regular tetrahedra score exactly 1.  Angles are reported in
 degrees.  All functions are pure and operate on immutable snapshots, so
 they can safely run concurrently.
+
+``build_report`` measures all restricted simplexes at once, in numpy
+passes over (3, n) coordinate arrays, and ``triangle_angles`` and
+``dihedral_angles`` are one-row calls of the same kernels.  The report
+is bit-for-bit the one a per-element Python loop writes
+(``tests/oracles.py::report_reference``), because the passes keep every
+float operation of that loop:
+
+* the same association order: dot and cross products go through
+  ``geometry._dot`` / ``_cross`` on component rows, so a dot product is
+  ``(x0*y0 + x1*y1) + x2*y2``; ``sum``, ``einsum`` and ``@`` may
+  reassociate it;
+* the libm ``atan2``: each angle is ``math.degrees(math.atan2(y, x))``
+  of one element, since ``np.arctan2``'s SIMD loops can round the last
+  bit differently;
+* the same element order, since the mean is summed in it: triangles in
+  table order, corners 0, 1, 2; tets in table order, edges (0,1), (0,2),
+  (0,3), (1,2), (1,3), (2,3); edges sorted.
 """
 
 import math
@@ -55,42 +73,74 @@ def volume_length(pa, pb, pc, pd):
     return _V_NORM * vol / ms ** 1.5
 
 
-def triangle_angles(pa, pb, pc):
-    """Interior angles in degrees."""
-    out = []
-    pts = (pa, pb, pc)
-    for i in range(3):
-        u = _sub(pts[(i + 1) % 3], pts[i])
-        v = _sub(pts[(i + 2) % 3], pts[i])
-        out.append(math.degrees(math.atan2(_norm(_cross(u, v)), _dot(u, v))))
-    return out
+_TRI_EDGES = ((0, 1), (1, 2), (0, 2))
+_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def dihedral_angles(pa, pb, pc, pd):
-    """The six interior dihedral angles of a tetrahedron, in degrees.
+def _angle_terms(u, v):
+    """(|u x v|, u . v), the atan2 arguments of the angle between u and v."""
+    c = _cross(u, v)
+    return np.sqrt(_dot(c, c)), _dot(u, v)
+
+
+def _degrees(y, x):
+    """``math.degrees(math.atan2(y, x))`` of each element, in row-major
+    order."""
+    return list(map(math.degrees, map(math.atan2, y.ravel().tolist(),
+                                      x.ravel().tolist())))
+
+
+def _triangle_terms(pts):
+    """The atan2 arguments of the corner angles of n triangles, two (n, 3)
+    arrays; ``pts`` holds the corners as (3, n) coordinate arrays."""
+    ys, xs = zip(*(_angle_terms(_sub(pts[(i + 1) % 3], pts[i]),
+                                _sub(pts[(i + 2) % 3], pts[i]))
+                   for i in range(3)))
+    return np.stack(ys, axis=1), np.stack(xs, axis=1)
+
+
+def _dihedral_terms(pts):
+    """The atan2 arguments of the dihedral angles of n tetrahedra at the
+    edges of ``_TET_EDGES``, two (n, 6) arrays; ``pts`` holds the corners
+    as (3, n) coordinate arrays.  A zero-length edge gets y = NaN.
 
     For each edge the angle is measured between the in-face
     perpendiculars toward the two opposite vertices.
     """
-    pts = (pa, pb, pc, pd)
-    out = []
-    for (i, j) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        k, l = (x for x in range(4) if x not in (i, j))
-        d = _sub(pts[j], pts[i])
-        dn = _dot(d, d)
-        if dn == 0.0:
-            out.append(float("nan"))
-            continue
+    ys, xs = [], []
+    # as float arithmetic in Python: an overflow gives inf, 0/0 NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for (i, j) in _TET_EDGES:
+            d = _sub(pts[j], pts[i])
+            dn = _dot(d, d)
 
-        def perp(x):
-            w = _sub(pts[x], pts[i])
-            s = _dot(w, d) / dn
-            return (w[0] - s * d[0], w[1] - s * d[1], w[2] - s * d[2])
+            def perp(k):
+                w = _sub(pts[k], pts[i])
+                s = _dot(w, d) / dn
+                return (w[0] - s * d[0], w[1] - s * d[1], w[2] - s * d[2])
 
-        u = perp(k)
-        v = perp(l)
-        out.append(math.degrees(math.atan2(_norm(_cross(u, v)), _dot(u, v))))
-    return out
+            k, l = (k for k in range(4) if k not in (i, j))
+            y, x = _angle_terms(perp(k), perp(l))
+            ys.append(np.where(dn == 0.0, np.nan, y))
+            xs.append(x)
+    return np.stack(ys, axis=1), np.stack(xs, axis=1)
+
+
+def _columns(*pts):
+    """The points as (3, 1) coordinate arrays: one row for a kernel."""
+    return [np.asarray(p, dtype=np.float64).reshape(3, 1) for p in pts]
+
+
+def triangle_angles(pa, pb, pc):
+    """Interior angles in degrees."""
+    return _degrees(*_triangle_terms(_columns(pa, pb, pc)))
+
+
+def dihedral_angles(pa, pb, pc, pd):
+    """The six interior dihedral angles of a tetrahedron, in degrees, at
+    the edges (0,1), (0,2), (0,3), (1,2), (1,3), (2,3); NaN at an edge of
+    length 0."""
+    return _degrees(*_dihedral_terms(_columns(pa, pb, pc, pd)))
 
 
 def relative_edge_length(pa, pb, sizing):
@@ -129,51 +179,48 @@ class QualityReport:
 
 
 def build_report(mesh, restricted, sizing, wall_time=0.0, converged=True):
-    """Aggregate quality metrics over the restricted complexes."""
+    """Aggregate quality metrics over the restricted complexes.
+
+    ``mesh.points`` maps each vertex id of a restricted key to its point;
+    any mapping will do.
+    """
     rep = QualityReport()
     rep.wall_time = wall_time
     rep.converged = converged
-    pts = mesh.points
-
     rep.counts["curve_edges"] = len(restricted.edges)
     rep.counts["surface_tris"] = len(restricted.tris)
     rep.counts["volume_tets"] = len(restricted.tets)
-    used = set()
-    for key in restricted.edges:
-        used.update(key)
-    for key in restricted.tris:
-        used.update(key)
-    for key in restricted.tets:
-        used.update(key)
+    keys = [np.array(list(table), dtype=np.int64).reshape(-1, width)
+            for table, width in ((restricted.edges, 2), (restricted.tris, 3),
+                                 (restricted.tets, 4))]
+    used = np.unique(np.concatenate([k.ravel() for k in keys]))
     rep.counts["points"] = len(used)
+    coords = np.array([mesh.points[v] for v in used.tolist()],
+                      dtype=np.float64).reshape(-1, 3).T
+    edges, tris, tets = (np.searchsorted(used, k) for k in keys)
+
+    def corners(ids):
+        return [coords[:, col] for col in ids.T]
 
     # the records' area-lengths, and their volume-lengths, which
     # Refiner.audit certified
-    a_vals = [f.quality for f in restricted.tris.values()]
-    v_vals = [t.quality for t in restricted.tets.values()]
-    tri_angs = []
-    for key in restricted.tris:
-        tri_angs.extend(triangle_angles(*(pts[v] for v in key)))
-    dih_angs = []
-    for key in restricted.tets:
-        angs = dihedral_angles(*(pts[v] for v in key))
-        if all(math.isfinite(x) for x in angs):
-            dih_angs.extend(angs)
-    edges = set(restricted.edges)
-    for key in restricted.tris:
-        a, b, c = key
-        edges.update(((a, b), (b, c), (a, c)))
-    for key in restricted.tets:
-        a, b, c, d = key
-        edges.update(((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
-    h_r = [relative_edge_length(pts[u], pts[w], sizing)
-           for (u, w) in sorted(edges)]
-
-    rep._add_metric("area_length", a_vals)
-    rep._add_metric("volume_length", v_vals)
-    rep._add_metric("tri_angle", tri_angs)
-    rep._add_metric("dihedral_angle", dih_angs)
-    rep._add_metric("rel_edge_length", h_r)
+    rep._add_metric("area_length",
+                    [f.quality for f in restricted.tris.values()])
+    rep._add_metric("volume_length",
+                    [t.quality for t in restricted.tets.values()])
+    rep._add_metric("tri_angle", _degrees(*_triangle_terms(corners(tris))))
+    dih = np.reshape(_degrees(*_dihedral_terms(corners(tets))), (-1, 6))
+    rep._add_metric("dihedral_angle", dih[np.isfinite(dih).all(axis=1)])
+    # every edge once, sorted: u * n + w orders the pairs (u, w) as tuples
+    n = len(used)
+    pairs = np.concatenate([edges] + [tris[:, list(e)] for e in _TRI_EDGES]
+                           + [tets[:, list(e)] for e in _TET_EDGES])
+    u, w = np.divmod(np.unique(pairs[:, 0] * n + pairs[:, 1]), n)
+    pa, pb = coords[:, u], coords[:, w]
+    d = pb - pa
+    mids = ((pa + pb) / 2.0).T.tolist()
+    h = np.array([sizing.value(m) for m in mids], dtype=np.float64)
+    rep._add_metric("rel_edge_length", np.sqrt(_dot(d, d)) / h)
     return rep
 
 

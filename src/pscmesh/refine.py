@@ -279,7 +279,8 @@ class RefineResult:
     stats: dict         # the driver counters, Refiner.stats
     audit: dict         # certificate name -> bool, Refiner.audit()
     warnings: list      # termination-bound warnings
-    timings: dict       # wall seconds of "setup", "refine" and each
+    timings: dict       # wall seconds of "setup", "refine", "report"
+                        # (build_report), "audit" (Refiner.audit) and each
                         # cascade stage ("stage.edges", ... "stage.tets")
 
 
@@ -297,11 +298,14 @@ def refine(geom, cfg):
     t2 = time.perf_counter()
     report = build_report(refiner.mesh, refiner.rs, cfg.sizing,
                           wall_time=t2 - t1, converged=status == "converged")
-    timings = {"setup": t1 - t0, "refine": t2 - t1,
+    t3 = time.perf_counter()
+    audit = refiner.audit()
+    t4 = time.perf_counter()
+    timings = {"setup": t1 - t0, "refine": t2 - t1, "report": t3 - t2,
+               "audit": t4 - t3,
                **{f"stage.{k}": v for k, v in refiner.stage_s.items()}}
     return RefineResult(refiner.mesh, refiner.rs, report, status,
-                        refiner.stats, refiner.audit(), refiner.warnings,
-                        timings)
+                        refiner.stats, audit, refiner.warnings, timings)
 
 
 class Refiner:

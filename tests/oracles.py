@@ -17,8 +17,10 @@ input layer's earlier loops: ``box_tree_reference`` (the recursive
 median-split build), ``box_tree_lexsort_reference`` (the level-wise build
 with one float lexsort per level), ``query_box_reference`` (the box query
 that returned whole leaves), ``validate_reference`` (the record by record
-input checks), ``parse_lines_reference`` (the line by line parser) and
-``initial_sampling_reference`` (the greedy seed pick by brute force).
+input checks), ``parse_lines_reference`` (the line by line parser),
+``initial_sampling_reference`` (the greedy seed pick by brute force) and
+``report_reference`` (the quality report by one scalar call per triangle,
+tet and edge).
 """
 
 import math
@@ -987,3 +989,106 @@ def umbrella_reference(p, tris, on_surface, gamma_edges):
     if on_surface and umbrella():
         return None
     return max(tris, key=lambda f: (f.radius, f.key))
+
+
+# ----------------------------------------------------------------------
+# the quality report, element by element
+
+
+def _sub3(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _norm3(a):
+    return math.sqrt(_dot3(a, a))
+
+
+def _triangle_angles_scalar(pa, pb, pc):
+    out = []
+    pts = (pa, pb, pc)
+    for i in range(3):
+        u = _sub3(pts[(i + 1) % 3], pts[i])
+        v = _sub3(pts[(i + 2) % 3], pts[i])
+        out.append(math.degrees(math.atan2(_norm3(_cross3(u, v)),
+                                           _dot3(u, v))))
+    return out
+
+
+def _dihedral_angles_scalar(pa, pb, pc, pd):
+    pts = (pa, pb, pc, pd)
+    out = []
+    for (i, j) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        k, l = (x for x in range(4) if x not in (i, j))
+        d = _sub3(pts[j], pts[i])
+        dn = _dot3(d, d)
+        if dn == 0.0:
+            out.append(float("nan"))
+            continue
+
+        def perp(x):
+            w = _sub3(pts[x], pts[i])
+            s = _dot3(w, d) / dn
+            return (w[0] - s * d[0], w[1] - s * d[1], w[2] - s * d[2])
+
+        u = perp(k)
+        v = perp(l)
+        out.append(math.degrees(math.atan2(_norm3(_cross3(u, v)),
+                                           _dot3(u, v))))
+    return out
+
+
+def _relative_edge_length_scalar(pa, pb, sizing):
+    mid = ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0,
+           (pa[2] + pb[2]) / 2.0)
+    return _norm3(_sub3(pb, pa)) / sizing.value(mid)
+
+
+def report_reference(mesh, rs, sizing):
+    """``quality.build_report(mesh, rs, sizing)`` by one Python call per
+    triangle, tet and edge: the per-element loop the numpy passes
+    replaced."""
+    from pscmesh.quality import QualityReport
+
+    rep = QualityReport()
+    pts = mesh.points
+    rep.counts["curve_edges"] = len(rs.edges)
+    rep.counts["surface_tris"] = len(rs.tris)
+    rep.counts["volume_tets"] = len(rs.tets)
+    used = set()
+    for table in (rs.edges, rs.tris, rs.tets):
+        for key in table:
+            used.update(key)
+    rep.counts["points"] = len(used)
+    a_vals = [f.quality for f in rs.tris.values()]
+    v_vals = [t.quality for t in rs.tets.values()]
+    tri_angs = []
+    for key in rs.tris:
+        tri_angs.extend(_triangle_angles_scalar(*(pts[v] for v in key)))
+    dih_angs = []
+    for key in rs.tets:
+        angs = _dihedral_angles_scalar(*(pts[v] for v in key))
+        if all(math.isfinite(x) for x in angs):
+            dih_angs.extend(angs)
+    edges = set(rs.edges)
+    for a, b, c in rs.tris:
+        edges.update(((a, b), (b, c), (a, c)))
+    for a, b, c, d in rs.tets:
+        edges.update(((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
+    h_r = [_relative_edge_length_scalar(pts[u], pts[w], sizing)
+           for (u, w) in sorted(edges)]
+    rep._add_metric("area_length", a_vals)
+    rep._add_metric("volume_length", v_vals)
+    rep._add_metric("tri_angle", tri_angs)
+    rep._add_metric("dihedral_angle", dih_angs)
+    rep._add_metric("rel_edge_length", h_r)
+    return rep

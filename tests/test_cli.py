@@ -260,7 +260,8 @@ def test_compare_mode_writes_a_manifest_per_mode(tmp_path, capsys):
         assert entries["status"] == "converged"
         assert entries["output.mesh"] == str(tmp_path / f"cmp.vtk.{mode}.vtk")
         assert entries["output.report"] == str(tmp_path / f"cmp.rep.{mode}.txt")
-        for phase in ("load", "setup", "refine", "write"):
+        for phase in ("load", "setup", "refine", "report", "audit",
+                      "write"):
             assert float(entries[f"time.{phase}_s"]) >= 0.0
         assert int(entries["stats.inserted"]) > 0
         assert entries["audit.converged"] == "1"
@@ -278,7 +279,7 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
     entries = dict(line.split(" = ", 1)
                    for line in open(man).read().splitlines())
-    for phase in ("load", "setup", "refine", "write"):
+    for phase in ("load", "setup", "refine", "report", "audit", "write"):
         assert float(entries[f"time.{phase}_s"]) >= 0.0
     # the cascade stages run inside refine; each printed value is rounded
     # to 3 decimals, so the sum may exceed it by 6 half-units

@@ -1,14 +1,22 @@
 import math
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from pscmesh.config import GridSizing, SizingField
-from pscmesh.quality import (area_length, dihedral_angles, relative_edge_length,
-                             triangle_angles, volume_length)
+from pscmesh.config import GridSizing, RefineConfig, SizingField
+from pscmesh.models import icosphere, wedge
+from pscmesh.quality import (area_length, build_report, dihedral_angles,
+                             relative_edge_length, triangle_angles,
+                             volume_length, write_report)
 from pscmesh.delaunay import circumsphere_tet
+from pscmesh.refine import refine
 from pscmesh.restricted import Restricted, _radius_edge
 
-from oracles import random_rotation
+from oracles import random_rotation, report_reference
 
 EQUILATERAL = [(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0)]
 REGULAR = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
@@ -218,3 +226,76 @@ def test_vtk_and_report_carry_the_certified_record_values(tmp_path):
     for stat, want in (("min", alen.min()), ("max", alen.max()),
                        ("mean", alen.mean()), ("median", np.median(alen))):
         assert float(metric[f"metric.area_length.{stat}"]) == want
+
+
+def report_bytes(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.txt"
+        write_report(report, str(path))
+        return path.read_bytes()
+
+
+def assert_report_matches_reference(mesh, rs, sizing):
+    assert (report_bytes(build_report(mesh, rs, sizing))
+            == report_bytes(report_reference(mesh, rs, sizing)))
+
+
+@st.composite
+def fake_meshes(draw):
+    """(mesh, restricted sets, sizing) over a dict of points with sparse
+    ids: random edges, triangles and tets (keys in random vertex order),
+    and always a tet with a repeated vertex (a zero-length edge), a
+    collinear triangle and a coplanar tet."""
+    coord = st.floats(-4.0, 4.0, allow_nan=False)
+    pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=3,
+                        max_size=9))
+    p0, p1, p2 = (np.array(p) for p in pts[:3])
+    s, t = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    pts += [pts[0], tuple(p0 + s * (p1 - p0)),
+            tuple(p0 + s * (p1 - p0) + t * (p2 - p0))]
+    ids = draw(st.lists(st.integers(0, 10 ** 6), min_size=len(pts),
+                        max_size=len(pts), unique=True))
+    points = dict(zip(ids, pts))
+    rep, col, cop = ids[-3:]
+    keys = {2: [], 3: [(ids[0], ids[1], col)],
+            4: [(ids[0], rep, ids[1], ids[2]), (ids[0], ids[1], ids[2], cop)]}
+    for width in (2, 3, 4):
+        keys[width] += draw(st.lists(st.permutations(ids).map(
+            lambda p, w=width: tuple(p[:w])), max_size=8))
+
+    def table(width, measure):
+        return {k: SimpleNamespace(quality=measure(*(points[v] for v in k)))
+                for k in keys[width]}
+
+    rs = SimpleNamespace(edges=table(2, lambda a, b: 0.0),
+                         tris=table(3, area_length),
+                         tets=table(4, volume_length))
+    if draw(st.booleans()):
+        sizing = SizingField(h0=draw(st.floats(0.05, 2.0)))
+    else:
+        dims = draw(st.tuples(*[st.integers(1, 4)] * 3))
+        n = dims[0] * dims[1] * dims[2]
+        grid = GridSizing(draw(st.tuples(*[st.floats(-3.0, 0.0)] * 3)),
+                          draw(st.tuples(*[st.floats(0.1, 2.0)] * 3)), dims,
+                          draw(st.lists(st.floats(0.05, 2.0), min_size=n,
+                                        max_size=n)))
+        sizing = SizingField(grid=grid)
+    return SimpleNamespace(points=points), rs, sizing
+
+
+@settings(max_examples=300, deadline=None)
+@given(fake_meshes())
+def test_report_equals_the_per_element_reference(case):
+    # the numpy passes keep every float operation of the per-element loop
+    # in its order, so the written reports agree to the byte
+    assert_report_matches_reference(*case)
+
+
+@pytest.mark.parametrize("model,h", [(wedge, 0.35),
+                                     (lambda: icosphere(2), 0.4)],
+                         ids=["wedge", "icosphere2"])
+def test_report_of_a_refined_model_equals_the_reference(model, h):
+    sizing = SizingField(h0=h)
+    res = refine(model(), RefineConfig(sizing=sizing, seed=0))
+    assert res.rs.tris and res.rs.tets
+    assert_report_matches_reference(res.mesh, res.rs, sizing)

@@ -674,7 +674,7 @@ def test_refine_wrapper_returns_mesh_sets_report():
     assert len(res.warnings) == 2
     stages = {f"stage.{k}" for k in ("edges", "disk1", "tris", "disk2",
                                      "tets")}
-    assert set(res.timings) == {"setup", "refine"} | stages
+    assert set(res.timings) == {"setup", "refine", "report", "audit"} | stages
     assert sum(res.timings[k] for k in stages) <= res.timings["refine"]
 
 

@@ -1,7 +1,7 @@
 """The scripts under ``tools/`` that compare a change with its parent:
 ``mesh_digests.py`` (the meshes), ``bench_pairs.py`` (the benchmark's
-paired statistics) and ``ab_refine.py`` (setup and refine times in one
-process)."""
+paired statistics) and ``ab_refine.py`` (setup, refine and write times
+in one process)."""
 
 import subprocess
 import sys
@@ -41,16 +41,18 @@ def test_ab_refine_prints_setup_and_refine_ratios_per_pair():
         [sys.executable, str(ROOT / "tools" / "ab_refine.py"), str(ROOT),
          str(ROOT), "crease", "--rounds", "1"], stdout=subprocess.PIPE,
         text=True, check=True).stdout.splitlines()
-    *pairs, refine, setup = [line.split() for line in out]
+    *pairs, refine, setup, write = [line.split() for line in out]
     assert pairs
     for seed, *times in pairs:
         int(seed)
-        for p, c, ratio in (times[:3], times[3:]):
+        assert len(times) == 9
+        for p, c, ratio in (times[:3], times[3:6], times[6:]):
             assert float(p) > 0.0 and float(c) > 0.0
             # the times are rounded to 0.1 ms, the ratio is not
             assert float(ratio) == pytest.approx(float(c) / float(p),
                                                  rel=0.05)
-    for line, phase in ((refine, "refine"), (setup, "setup")):
+    for line, phase in ((refine, "refine"), (setup, "setup"),
+                        (write, "write")):
         assert line[:3] == ["crease", phase, "change/parent"]
         assert line[3].startswith("median=")
         assert line[-1].startswith("wins=")

@@ -1,5 +1,5 @@
-"""Time the setup and ``Refiner.run()`` of two checkouts in one process,
-in pairs.
+"""Time the setup, ``Refiner.run()`` and write phase of two checkouts in
+one process, in pairs.
 
     python3 tools/ab_refine.py PARENT CHANGE WORKLOAD [--rounds N]
 
@@ -13,10 +13,12 @@ file once.  Then, for ``--rounds`` rounds, every mesh of
 side: the parent first for the even pairs and the change first for the
 odd ones.  As in ``perfbench/worker.py``, the setup is ``load_complex``
 of the side's file + ``Refiner(...)`` + ``setup()``, timed apart from
-``run()``.  It prints one line per pair, ``seed parent_s change_s
-change/parent`` of ``run()`` and then the same three columns of the
-setup, and last, for each of the two, the median and quartiles of the
-ratios and the pairs the change won.
+``run()``, and the write phase is ``write_vtk`` + ``build_report`` +
+``write_report`` of the refined mesh, the fastest of five.  It prints one
+line per pair, ``seed parent_s change_s change/parent`` of ``run()`` and
+then the same three columns of the setup and of the write phase, and
+last, for each of the three, the median and quartiles of the ratios and
+the pairs the change won.
 
 A sizing aid, not evidence for a claim: the two sides share one process,
 its heap and its caches, where the benchmark runs each checkout in a
@@ -33,10 +35,14 @@ import time
 from pathlib import Path
 
 
+WRITE_REPEATS = 5
+
+
 def load(checkout, wl, workload, psc):
-    """(load_complex, Refiner, psc, {jitter seed: config}) of one
+    """(load_complex, Refiner, psc, {jitter seed: config}, write) of one
     checkout's package, which writes the workload's input to ``psc``;
-    ``wl`` is the ``workloads`` module."""
+    ``wl`` is the ``workloads`` module and ``write(refiner, status, sizing)``
+    the side's write phase, into files beside ``psc``."""
     for name in [m for m in sys.modules
                  if m == "pscmesh" or m.startswith("pscmesh.")]:
         del sys.modules[name]
@@ -44,18 +50,28 @@ def load(checkout, wl, workload, psc):
     sys.path.insert(0, src)
     try:
         from pscmesh.geometry import load_complex, write_complex
+        from pscmesh.quality import build_report, write_report
         from pscmesh.refine import Refiner
+        from pscmesh.vtk_io import write_vtk
         write_complex(wl.build_input(workload), str(psc))
         cfgs = {s: wl.make_config(workload.h, s)
                 for s in wl.mesh_seeds(workload, 0)}
     finally:
         sys.path.remove(src)
-    return load_complex, Refiner, psc, cfgs
+
+    def write(refiner, status, sizing):
+        write_vtk(str(psc.with_suffix(".vtk")), refiner.mesh, refiner.rs)
+        write_report(build_report(refiner.mesh, refiner.rs, sizing,
+                                  converged=status == "converged"),
+                     str(psc.with_suffix(".report.txt")))
+
+    return load_complex, Refiner, psc, cfgs, write
 
 
 def run_s(side, seed):
-    """Wall seconds of one setup and of the ``Refiner.run()`` after it."""
-    load_complex, refiner_cls, psc, cfgs = side
+    """Wall seconds of one setup, of the ``Refiner.run()`` after it and of
+    the fastest of ``WRITE_REPEATS`` write phases after that."""
+    load_complex, refiner_cls, psc, cfgs, write = side
     gc.collect()
     t0 = time.perf_counter()
     refiner = refiner_cls(load_complex(str(psc)), cfgs[seed])
@@ -63,8 +79,14 @@ def run_s(side, seed):
     setup = time.perf_counter() - t0
     gc.collect()
     t0 = time.perf_counter()
-    refiner.run()
-    return time.perf_counter() - t0, setup
+    status = refiner.run()
+    refine = time.perf_counter() - t0
+    writes = []
+    for _ in range(WRITE_REPEATS):
+        t0 = time.perf_counter()
+        write(refiner, status, cfgs[seed].sizing)
+        writes.append(time.perf_counter() - t0)
+    return refine, setup, min(writes)
 
 
 def summary(workload, phase, ratios):
@@ -94,7 +116,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         parent = load(args.parent, wl, workload, Path(tmp) / "parent.psc")
         change = load(args.change, wl, workload, Path(tmp) / "change.psc")
-        refine_ratios, setup_ratios = [], []
+        ratios = ([], [], [])
         seeds = wl.mesh_seeds(workload, 0)
         for k in range(args.rounds * len(seeds)):
             seed = seeds[k % len(seeds)]
@@ -104,12 +126,12 @@ def main(argv=None):
             else:
                 c = run_s(change, seed)
                 p = run_s(parent, seed)
-            refine_ratios.append(c[0] / p[0])
-            setup_ratios.append(c[1] / p[1])
-            print(f"{seed} {p[0]:.4f} {c[0]:.4f} {c[0] / p[0]:.4f}"
-                  f" {p[1]:.4f} {c[1]:.4f} {c[1] / p[1]:.4f}", flush=True)
-    print(summary(args.workload, "refine", refine_ratios))
-    print(summary(args.workload, "setup", setup_ratios))
+            for phase in range(3):
+                ratios[phase].append(c[phase] / p[phase])
+            print(seed, *(f"{p[i]:.4f} {c[i]:.4f} {c[i] / p[i]:.4f}"
+                          for i in range(3)), flush=True)
+    for phase, phase_ratios in zip(("refine", "setup", "write"), ratios):
+        print(summary(args.workload, phase, phase_ratios))
 
 
 if __name__ == "__main__":
