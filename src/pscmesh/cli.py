@@ -114,7 +114,10 @@ def make_config(args, geom):
 
 
 def _default_paths(args):
-    stem = args.input[:-4] if args.input.endswith(".psc") else args.input
+    # the unset paths share the stem of --output (.vtk cut) when it is
+    # given, else of the input (.psc cut)
+    path, ext = (args.output, ".vtk") if args.output else (args.input, ".psc")
+    stem = path[:-4] if path.endswith(ext) else path
     out = args.output or stem + ".vtk"
     rep = args.report or stem + ".report.txt"
     man = args.manifest or stem + ".manifest.txt"

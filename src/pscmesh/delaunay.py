@@ -32,6 +32,9 @@ from .predicates import insphere, orient3d
 # tet (v0, v1, v2, v3), orient3d(face_i, v_i) > 0.
 _FACES = ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))
 
+# The shell's corner count: vertex ids below it are the box corners.
+SHELL = 8
+
 _M64 = (1 << 64) - 1
 _WALK_CAP = 20000
 
@@ -184,12 +187,12 @@ class TetMesh:
             self.meta.append(VertexMeta("shell"))
         # brute-force Delaunay of the 8 jittered corners
         quads = []
-        for quad in combinations(range(8), 4):
+        for quad in combinations(range(SHELL), 4):
             pa, pb, pc, pd = (self.points[q] for q in quad)
             o = orient3d(pa, pb, pc, pd)
             if o == 0:
                 raise MeshError("degenerate shell corners")
-            others = [q for q in range(8) if q not in quad]
+            others = [q for q in range(SHELL) if q not in quad]
             tup = quad if o > 0 else (quad[0], quad[1], quad[3], quad[2])
             pts = [self.points[q] for q in tup]
             if all(insphere(*pts, self.points[q]) <= 0 for q in others):
@@ -242,7 +245,7 @@ class TetMesh:
         return (t for t, q in enumerate(self.tets) if q is not None)
 
     def is_ghost(self, t):
-        return any(v < 8 for v in self.tets[t])
+        return any(v < SHELL for v in self.tets[t])
 
     def tet_points(self, t):
         return tuple(self.points[v] for v in self.tets[t])

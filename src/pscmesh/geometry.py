@@ -10,15 +10,17 @@ query of ``restricted`` scans.
 
 A ``PiecewiseComplex`` is immutable after construction and safe for
 concurrent read-only queries; both acceleration trees are built in the
-constructor.  The constructor works on the records as int arrays, in
-numpy passes: the input checks report the lowest failing record id (an
-argmax over per-record failure masks, segments before triangles), and one
-sort of the triangle edges by (edge, patch) gives both the patch edge use
-counts that the checks bound and the surface edge census behind
-``surface_closed``, ``embedded_curves`` and ``open_edge``.
+constructor.  The constructor checks the segments in one loop, which also
+builds the curve incidence, and then the triangles in numpy passes over
+their int array: the lowest failing triangle is an argmax over
+per-triangle failure masks, and one sort of the triangle edges by (edge,
+patch) gives both the patch edge use counts that the checks bound and the
+surface edge census behind ``surface_closed``, ``embedded_curves`` and
+``open_edge``.  Either way a record's checks run in a fixed order.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -83,11 +85,49 @@ class PiecewiseComplex:
             raise ValidationError("vertex array must be (n, 3)")
         if not np.isfinite(self.vertices).all():
             raise ValidationError("non-finite vertex coordinate")
+        self.pts = list(map(tuple, self.vertices.tolist()))
         seg = _records(segments, 3, "segment")
         tri = _records(triangles, 4, "triangle")
         self.segments = list(map(tuple, seg.tolist()))
         self.triangles = list(map(tuple, tri.tolist()))
         nv = len(self.vertices)
+
+        # the segment checks, each segment's in the order of the messages,
+        # and the curve incidence: each vertex's segment ids ascending, the
+        # vertices in the order the segments first reach them
+        self.segs_at_vertex = at = {}
+        pairs = set()
+        curve_degree = {}
+        for sid, (i, j, cid) in enumerate(self.segments):
+            if not (0 <= i < nv and 0 <= j < nv):
+                raise ValidationError(f"segment {sid} references missing vertex")
+            if i == j:
+                raise ValidationError(f"segment {sid} is degenerate")
+            # a squared length that underflows to 0 is as fatal as equal
+            # ends: the direction of such a segment divides by its length
+            # (one that overflows fails the extent check of ``_validate``)
+            x, y, z = _sub(self.pts[j], self.pts[i])
+            if x * x + y * y + z * z == 0.0:
+                raise ValidationError(f"segment {sid} has zero length")
+            pair = (min(i, j), max(i, j))
+            if pair in pairs:
+                raise ValidationError(f"duplicate segment {pair}")
+            pairs.add(pair)
+            for v in (i, j):
+                degree = curve_degree.get((cid, v), 0)
+                if degree == 2:
+                    raise ValidationError(f"curve {cid} branches at vertex "
+                                          f"{v}; polylines must be simple")
+                curve_degree[(cid, v)] = degree + 1
+                at.setdefault(v, []).append(sid)
+        self.on_curve = np.zeros(nv, dtype=bool)
+        self.on_curve[list(at)] = True
+        # corner-style feature vertices: endpoints and junctions of curves,
+        # and vertices where two curves meet
+        self.feature_vertices = {
+            v for v, sids in at.items() if len(sids) != 2
+            or self.segments[sids[0]][2] != self.segments[sids[1]][2]}
+
         if nv:
             lo = self.vertices.min(axis=0)
             hi = self.vertices.max(axis=0)
@@ -99,49 +139,22 @@ class PiecewiseComplex:
         with np.errstate(over="ignore"):
             self.diag = float(np.linalg.norm(hi - lo)) or 1.0
         self.eps = 1e-12 * self.diag
-        edge_keys, edge_uses = self._validate(seg, tri)
-
-        self.pts = list(map(tuple, self.vertices.tolist()))
-
-        # curve incidence: each vertex's segment ids ascending, the
-        # vertices in the order the segments first reach them
-        ends = seg[:, :2].ravel()
-        order = np.argsort(ends, kind="stable")
-        starts = np.flatnonzero(_run_starts(ends[order]))
-        bounds = starts.tolist() + [len(ends)]
-        sids = (order // 2).tolist()
-        at = ends[order[starts]].tolist()
-        first = np.argsort(order[starts]).tolist()
-        self.segs_at_vertex = {at[g]: sids[bounds[g]:bounds[g + 1]]
-                               for g in first}
-        self.on_curve = np.zeros(nv, dtype=bool)
-        self.on_curve[ends] = True
+        edge_keys, edge_uses = self._validate(tri)
         self.on_surface = np.zeros(nv, dtype=bool)
         self.on_surface[tri[:, :3].ravel()] = True
-
-        # corner-style feature vertices: endpoints and junctions of curves,
-        # and vertices where two curves meet
-        degree = np.diff(bounds)
-        cid = seg[:, 2]
-        pair = np.minimum(starts + 1, len(ends) - 1)
-        feature = (degree != 2) | (cid[order[starts] // 2]
-                                   != cid[order[pair] // 2])
-        self.feature_vertices = set(at[g] for g in first if feature[g])
 
         # closed-surface census for the volume oracle: every edge used twice
         self.surface_closed = bool(len(tri)) and bool((edge_uses == 2).all())
         # curves whose every segment is also a surface edge ("embedded"),
         # in the order of their first segment
         seg_keys = _edge_key(seg[:, 0], seg[:, 1], nv)
-        # edge keys are >= 0: the appended -1 matches no segment
-        found = np.append(edge_keys, -1)[
-            np.searchsorted(edge_keys, seg_keys)] == seg_keys
-        curves, first_seg, inverse = np.unique(cid, return_index=True,
-                                               return_inverse=True)
-        whole = np.bincount(inverse, weights=~found,
-                            minlength=len(curves)) == 0
-        self.embedded_curves = set(
-            curves[whole][np.argsort(first_seg[whole])].tolist())
+        # the segment keys that are surface edge keys: a set as small as
+        # the curves, so a dense surface's edges are not held past here
+        surface = set(seg_keys.tolist()).intersection(edge_keys.tolist())
+        whole = {}
+        for (_i, _j, cid), key in zip(self.segments, seg_keys.tolist()):
+            whole[cid] = whole.get(cid, True) and key in surface
+        self.embedded_curves = {cid for cid, ok in whole.items() if ok}
         # the lowest edge of one triangle that no segment follows, or None:
         # an open boundary that no restricted curve edge bounds, where the
         # 2-disk condition never holds (``Refiner.setup`` rejects it)
@@ -160,45 +173,21 @@ class PiecewiseComplex:
         # margin costs skipped queries (``restricted``), never an answer
         self.hit_pad = self.eps + 3.0 * _PAD_SLACK * self.diag
 
-    def _validate(self, seg, tri):
-        """Raise the ``ValidationError`` of the lowest failing segment, else
-        of the lowest failing triangle, its first failing check in the
-        order of the messages below, else of an extent outside the float
-        kernels' range, else of the lowest vertex that the mesh would merge
-        with a lower one; else return the surface edge census: the sorted
-        distinct edge keys and each one's triangle count.
+    def _validate(self, tri):
+        """Raise the ``ValidationError`` of the lowest failing triangle, its
+        first failing check in the order of the messages below, else of an
+        extent outside the float kernels' range, else of the lowest vertex
+        that the mesh would merge with a lower one; else return the surface
+        edge census: the sorted distinct edge keys and each one's triangle
+        count.
 
-        A record's check counts the earlier records alike, failing or not:
-        an earlier failing record is reported first anyway.
+        A triangle's check counts the earlier triangles alike, failing or
+        not: an earlier failing triangle is reported first anyway.
         """
         nv = len(self.vertices)
-        segments, triangles = self.segments, self.triangles
+        triangles = self.triangles
         # a zero row stands in for a missing vertex
         verts = np.vstack((self.vertices, np.zeros((1, 3))))
-        ok = (seg[:, :2] >= 0) & (seg[:, :2] < nv)
-        ends = np.where(ok, seg[:, :2], -1)
-        lo, hi = ends.min(axis=1), ends.max(axis=1)
-        # earlier endpoints with the same (curve, vertex) as each endpoint
-        degree = _ranks(np.repeat(seg[:, 2], 2), ends.ravel()).reshape(-1, 2)
-        # a squared length that underflows to 0 is as fatal as equal ends:
-        # the direction of such a segment divides by its length (one that
-        # overflows fails the extent check below)
-        with np.errstate(over="ignore"):
-            x, y, z = (verts[ends[:, 1]] - verts[ends[:, 0]]).T
-            zero_length = x * x + y * y + z * z == 0.0
-        _raise_first([
-            (~ok.all(axis=1),
-             lambda s: f"segment {s} references missing vertex"),
-            (seg[:, 0] == seg[:, 1], lambda s: f"segment {s} is degenerate"),
-            (zero_length, lambda s: f"segment {s} has zero length"),
-            (_ranks(lo, hi) > 0,
-             lambda s: f"duplicate segment {tuple(sorted(segments[s][:2]))}"),
-            ((degree > 1).any(axis=1), lambda s: (
-                f"curve {segments[s][2]} branches at vertex "
-                f"{segments[s][int(np.argmax(degree[s] > 1))]}; "
-                "polylines must be simple")),
-        ])
-
         ok = (tri[:, :3] >= 0) & (tri[:, :3] < nv)
         corners = np.where(ok, tri[:, :3], -1)
         # the cross product as np.cross computes it, and its squared norm is
@@ -269,15 +258,12 @@ class PiecewiseComplex:
         """
         apexes = []
         for v in sorted(self.segs_at_vertex):
-            sids = self.segs_at_vertex[v]
             p = self.pts[v]
-            for x in range(len(sids)):
-                for y in range(x + 1, len(sids)):
-                    u1 = self._away_dir(sids[x], v, p)
-                    u2 = self._away_dir(sids[y], v, p)
-                    ang = math.atan2(_norm(_cross(u1, u2)), _dot(u1, u2))
-                    if ang <= math.pi / 3.0 + 1e-12:
-                        apexes.append((v, (sids[x], sids[y]), ang))
+            for pair in combinations(self.segs_at_vertex[v], 2):
+                u1, u2 = (self._away_dir(sid, v, p) for sid in pair)
+                ang = math.atan2(_norm(_cross(u1, u2)), _dot(u1, u2))
+                if ang <= math.pi / 3.0 + 1e-12:
+                    apexes.append((v, pair, ang))
         return apexes
 
     def _away_dir(self, sid, v, p):

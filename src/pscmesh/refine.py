@@ -38,11 +38,12 @@ at the restricted faces of the cavity tets.
 import heapq
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
 from .config import check_termination_bounds
-from .delaunay import TetMesh, circumcentre_triangle
+from .delaunay import SHELL, TetMesh, circumcentre_triangle
 from .errors import ProtectionError, ValidationError
 from .geometry import _dot, _norm, _sub, _unit
 from .quality import QualityReport, build_report
@@ -105,19 +106,11 @@ def select_refinement_point(c1, c2, c0, r0):
     return c1, "I"
 
 
-class ProtectedFeature:
-    """Isosceles collar around one acutely meeting curve pair."""
-
-    __slots__ = ("apex_gvid", "apex_vid", "wing_points", "wing_vids",
-                 "wing_curves", "radius")
-
-    def __init__(self, apex_gvid, wing_points, wing_curves, radius):
-        self.apex_gvid = apex_gvid
-        self.wing_points = wing_points
-        self.wing_curves = wing_curves
-        self.radius = radius
-        self.apex_vid = -1
-        self.wing_vids = ()
+# Isosceles collar around one acutely meeting curve pair: the apex's input
+# vertex id, the two wing points on the curves (sorted), their curve ids and
+# the collar radius.  In the mesh it is the two protected apex-wing edges.
+ProtectedFeature = namedtuple(
+    "ProtectedFeature", "apex_gvid wing_points wing_curves radius")
 
 
 def protect_sharp_angles(geom, apexes, sizing, beta):
@@ -159,12 +152,9 @@ def protect_sharp_angles(geom, apexes, sizing, beta):
                     raise ProtectionError(
                         f"collar radius underflow at apex vertex {v}")
                 changed = True
-    out = []
-    for v in order:
-        wings = sorted(hits[v], key=lambda h: h[0])
-        out.append(ProtectedFeature(v, tuple(h[0] for h in wings),
-                                    tuple(h[1] for h in wings), radii[v]))
-    return out
+    # the wings sorted by point: their points, then their curve ids
+    return [ProtectedFeature(v, *zip(*sorted(hits[v], key=lambda h: h[0])),
+                             radii[v]) for v in order]
 
 
 class BallRegistry:
@@ -360,14 +350,10 @@ class Refiner:
             rec = self.mesh.insert_point(self.g.pts[gv], "input", gv)
             gmap[gv] = rec.vid
         for col in self.collars:
-            col.apex_vid = gmap[col.apex_gvid]
-            vids = []
+            apex = gmap[col.apex_gvid]
             for wp, wc in zip(col.wing_points, col.wing_curves):
-                rec = self.mesh.insert_point(wp, "curve", wc)
-                vids.append(rec.vid)
-            col.wing_vids = tuple(vids)
-            self.protected_edges += [tuple(sorted((col.apex_vid, wv)))
-                                     for wv in vids]
+                wing = self.mesh.insert_point(wp, "curve", wc).vid
+                self.protected_edges.append((min(apex, wing), max(apex, wing)))
         self._reclassify(Census(self.mesh), list(self.mesh.alive_tets()))
         self._mark_dirty(range(len(self.mesh.points)))
         self.status = "ready"
@@ -484,7 +470,7 @@ class Refiner:
         in {'inserted', 'duplicate', 'rejected'}; 'inserted' covers
         rollback-then-deferred insertions.
         """
-        if len(self.mesh.points) - 8 >= self.cfg.max_points:
+        if len(self.mesh.points) - SHELL >= self.cfg.max_points:
             raise _Budget()
         probe = census.probe
         if probe[3] is not None:
@@ -805,7 +791,7 @@ class Refiner:
                             "vlen_ok")}
         out["disks_ok"] = all(
             self._disk_target(d, v) is None
-            for v in range(8, len(self.mesh.points))
+            for v in range(SHELL, len(self.mesh.points))
             if self.mesh.meta[v].alive for d in (1, 2))
         out["protected_ok"] = all(
             self.mesh.edge_exists(a, b) and (a, b) in self.rs.edges

@@ -9,9 +9,11 @@ ball centred on that dual intersection: when the dual crosses the
 geometry several times, the ball of maximum radius is kept.  A tet
 carries its circumball.
 
-Classification is pure: it reads the mesh and geometry and returns fresh
-records, so re-running it over an unchanged mesh reproduces identical
-restricted sets.  A record depends on its simplex alone, not on the tet
+Classification reads the mesh and geometry and returns fresh records,
+so re-running it over an unchanged mesh reproduces identical restricted
+sets.  It writes only into a ``DistanceCertificate`` passed to it:
+``classify_tet`` stores the tet's volume status in ``cert.inside[t]``,
+and all three classifiers count into ``cert.stats``.  A record depends on its simplex alone, not on the tet
 or tet id that hands the simplex over: every float operation runs in an
 order fixed by the simplex's vertex ids.  Duals are closed (Edelsbrunner
 & Shah, 1997): a point where a star vertex ties the simplex belongs to
@@ -48,7 +50,7 @@ Shrinking duals make reuse common; the tube check alone makes it exact.
 import math
 from itertools import combinations
 
-from .delaunay import _FACES, circumcentre_triangle
+from .delaunay import _FACES, SHELL, circumcentre_triangle
 from .geometry import _cross, _norm, _sub
 from .quality import area_length, volume_length
 
@@ -291,7 +293,7 @@ def classify_edge(mesh, geom, u, w, t0=None, cert=None):
     (``cert`` only counts all-segment scans)."""
     if not geom.segments:
         return None
-    if u < 8 and w < 8:
+    if u < SHELL and w < SHELL:
         return None  # dual faces of pure-shell edges cannot reach the input
     hits = _face_crossings(mesh, geom, u, w, t0, cert)
     if not hits:
@@ -349,7 +351,7 @@ def classify_facet(mesh, geom, t, i, cert=None, rec=None):
     quad = mesh.tets[t]
     f = _FACES[i]
     tri = tuple(sorted((quad[f[0]], quad[f[1]], quad[f[2]])))
-    if tri[2] < 8:
+    if tri[2] < SHELL:
         return None
     t2 = mesh.neigh[t][i]
     if t2 == -1:

@@ -17,7 +17,9 @@ input layer's earlier loops: ``box_tree_reference`` (the recursive
 median-split build), ``box_tree_lexsort_reference`` (the level-wise build
 with one float lexsort per level), ``query_box_reference`` (the box query
 that returned whole leaves), ``validate_reference`` (the record by record
-input checks), ``parse_lines_reference`` (the line by line parser),
+input checks), ``curve_census_reference`` (the curve incidence, feature
+vertices and embedded curves by the numpy passes the constructor once
+ran), ``parse_lines_reference`` (the line by line parser),
 ``initial_sampling_reference`` (the greedy seed pick by brute force) and
 ``report_reference`` (the quality report by one scalar call per triangle,
 tet and edge).
@@ -890,6 +892,66 @@ def validate_reference(vertices, segments, triangles):
                 raise ValidationError(f"vertex {j} lies within {reach:.3g} "
                                       f"of vertex {i}; the mesh would merge "
                                       "them")
+
+
+def curve_census_reference(nv, segments, triangles):
+    """``(segs_at_vertex, on_curve, feature_vertices, embedded_curves,
+    open_edge)`` of a valid complex with ``nv`` vertices, by the numpy
+    passes of the constructor that the segment loop replaced: a stable
+    argsort of the segment ends for the incidence, a comparison of each
+    vertex's first two segments' curves for the features, and a
+    ``searchsorted`` / ``unique`` / ``bincount`` census of the segment
+    edges among the surface edges."""
+    seg = np.asarray(segments, dtype=np.int64).reshape(-1, 3)
+    tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 4)
+
+    def edge_key(i, j):
+        return (np.minimum(i, j) + 1) * (nv + 1) + np.maximum(i, j) + 1
+
+    def run_starts(keys):
+        start = np.zeros(len(keys), dtype=bool)
+        start[:1] = True
+        start[1:] = keys[1:] != keys[:-1]
+        return start
+
+    # each vertex's segment ids ascending, the vertices in the order the
+    # segments first reach them
+    ends = seg[:, :2].ravel()
+    order = np.argsort(ends, kind="stable")
+    starts = np.flatnonzero(run_starts(ends[order]))
+    bounds = starts.tolist() + [len(ends)]
+    sids = (order // 2).tolist()
+    at = ends[order[starts]].tolist()
+    first = np.argsort(order[starts]).tolist()
+    segs_at_vertex = {at[g]: sids[bounds[g]:bounds[g + 1]] for g in first}
+    on_curve = np.zeros(nv, dtype=bool)
+    on_curve[ends] = True
+    degree = np.diff(bounds)
+    cid = seg[:, 2]
+    pair = np.minimum(starts + 1, len(ends) - 1)
+    feature = (degree != 2) | (cid[order[starts] // 2]
+                               != cid[order[pair] // 2])
+    feature_vertices = set(at[g] for g in first if feature[g])
+
+    e = tri[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)
+    edge_keys, edge_uses = np.unique(edge_key(e[:, 0], e[:, 1]),
+                                     return_counts=True)
+    seg_keys = edge_key(seg[:, 0], seg[:, 1])
+    # edge keys are >= 0: the appended -1 matches no segment
+    found = np.append(edge_keys, -1)[
+        np.searchsorted(edge_keys, seg_keys)] == seg_keys
+    curves, first_seg, inverse = np.unique(cid, return_index=True,
+                                           return_inverse=True)
+    whole = np.bincount(inverse, weights=~found,
+                        minlength=len(curves)) == 0
+    embedded_curves = set(
+        curves[whole][np.argsort(first_seg[whole])].tolist())
+    rim = edge_keys[edge_uses == 1]
+    rim = rim[~np.isin(rim, seg_keys)][:1].tolist()
+    open_edge = ((rim[0] // (nv + 1) - 1, rim[0] % (nv + 1) - 1)
+                 if rim else None)
+    return (segs_at_vertex, on_curve, feature_vertices, embedded_curves,
+            open_edge)
 
 
 def parse_lines_reference(text):

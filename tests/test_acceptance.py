@@ -14,8 +14,9 @@ from pscmesh.config import RefineConfig, SizingField
 from pscmesh.delaunay import TetMesh
 from pscmesh.models import cube, icosphere, wedge, write_benchmarks
 from pscmesh.predicates import insphere, orient3d
-from pscmesh.quality import (area_length, dihedral_angles, relative_edge_length,
-                             triangle_angles, volume_length)
+from pscmesh.quality import (area_length, build_report, dihedral_angles,
+                             relative_edge_length, triangle_angles,
+                             volume_length)
 from pscmesh.refine import Census, Refiner
 
 from oracles import (brute_force_delaunay, distance_to_curves,
@@ -76,10 +77,10 @@ def full_certificates(r, geom):
     aud["sigma_closed"] = closed
     aud["sigma_chi2"] = chi == 2
     aud["sigma_connected"] = comps == 1
-    angs = []
-    for key in r.rs.tris:
-        angs.extend(triangle_angles(*(r.mesh.points[v] for v in key)))
-    aud["min_surface_angle_23_5"] = (not angs) or min(angs) >= 23.5
+    # the report's triangle angles are triangle_angles of every triangle
+    min_angle = build_report(r.mesh, r.rs, r.cfg.sizing).summary[
+        "tri_angle"]["min"]
+    aud["min_surface_angle_23_5"] = (not r.rs.tris) or min_angle >= 23.5
     centres = [f.centre for f in r.rs.tris.values()]
     if centres:
         aud["sdb_on_surface"] = distance_to_surface(geom, centres).max() \
@@ -266,8 +267,13 @@ def test_criterion_5_sharp_wedge():
     assert status == "converged"
     assert len(r.collars) == 1
     col = r.collars[0]
-    d1 = math.dist(r.mesh.points[col.apex_vid], r.mesh.points[col.wing_vids[0]])
-    d2 = math.dist(r.mesh.points[col.apex_vid], r.mesh.points[col.wing_vids[1]])
+    # the two apex-wing edges share the apex
+    assert len(r.protected_edges) == 2
+    (apex,) = set(r.protected_edges[0]) & set(r.protected_edges[1])
+    d1, d2 = (math.dist(r.mesh.points[a], r.mesh.points[b])
+              for (a, b) in r.protected_edges)
+    meta = r.mesh.meta[apex]
+    assert (meta.kind, meta.ref) == ("input", col.apex_gvid)
     assert abs(d1 - d2) <= 1e-9 * max(d1, d2)
     for (a, b) in r.protected_edges:
         assert r.mesh.edge_exists(a, b)

@@ -246,6 +246,24 @@ def test_compare_mode_runs_both(tmp_path, capsys):
     assert os.path.exists(str(tmp_path / "cmp.vtk.frontal.vtk"))
 
 
+@pytest.mark.parametrize("compare", [False, True], ids=["plain", "compare"])
+def test_report_and_manifest_default_beside_the_output(compare, tmp_path,
+                                                       capsys):
+    src_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    src_dir.mkdir()
+    out_dir.mkdir()
+    src = write_cube(src_dir)
+    argv = ["--input", src, "--hfun", "0.5", "--max-points", "20",
+            "--output", str(out_dir / "y.vtk")]
+    assert main(argv + ["--compare"] * compare) == 2
+    names = ["y.vtk", "y.report.txt", "y.manifest.txt"]
+    if compare:
+        names = [f"{name}.{mode}.{name.rsplit('.', 1)[1]}"
+                 for name in names for mode in ("classical", "frontal")]
+    assert sorted(os.listdir(out_dir)) == sorted(names)
+    assert os.listdir(src_dir) == ["cube.psc"]
+
+
 def test_compare_mode_writes_a_manifest_per_mode(tmp_path, capsys):
     src = write_cube(tmp_path)
     man = str(tmp_path / "cmp.man")

@@ -15,7 +15,8 @@ from pscmesh.geometry import _HIT_SLACK, PiecewiseComplex, load_complex, \
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.restricted import classify_edge
 
-from oracles import (circle_surface_hits, initial_sampling_reference,
+from oracles import (circle_surface_hits, curve_census_reference,
+                     initial_sampling_reference,
                      parity_reference, parse_lines_reference,
                      polygon_curve_hits, random_rotation,
                      segment_surface_hits, sphere_curve_hits,
@@ -172,6 +173,63 @@ def test_array_checks_raise_the_error_of_the_record_loop(case):
     assert got == want
     if not faults:
         assert got is None
+
+
+@st.composite
+def curve_networks(draw):
+    """A valid complex: a model's surface, whole or a drawn subset of its
+    triangles (often open), up to three free vertices, optionally the
+    model's curves, and 1-4 more curves, each a simple polyline, open or
+    closed, whose steps follow a surface edge or jump to any vertex; the
+    segments shuffled, each one's ends in drawn order: (vertices,
+    segments, triangles)."""
+    base = MODELS[draw(st.sampled_from(sorted(MODELS)))]
+    tris = list(base.triangles)
+    if draw(st.booleans()):
+        tris = draw(st.lists(st.sampled_from(tris), min_size=1, unique=True))
+    verts = base.vertices.tolist() + [
+        [3.0 + 0.5 * x, 0.25 * x, -2.0] for x in range(draw(st.integers(0, 3)))]
+    nv = len(verts)
+    around = {}
+    for i, j, k, _pid in base.triangles:
+        for a, b in ((i, j), (j, k), (i, k), (j, i), (k, j), (k, i)):
+            around.setdefault(a, set()).add(b)
+    segs = list(base.segments) if draw(st.booleans()) else []
+    used = {(min(i, j), max(i, j)) for i, j, _cid in segs}
+    vertex = st.integers(0, nv - 1)
+    for cid in draw(st.lists(st.integers(100, 109), min_size=1, max_size=4,
+                             unique=True)):
+        path = [draw(vertex)]
+        for _ in range(draw(st.integers(1, 6))):
+            step = (st.sampled_from(sorted(around[path[-1]]))
+                    if path[-1] in around and draw(st.booleans()) else vertex)
+            path.append(draw(step))
+            pair = (min(path[-2:]), max(path[-2:]))
+            if path[-1] in path[:-1] or pair in used:
+                path.pop()
+                break
+            used.add(pair)
+        pair = (min(path[0], path[-1]), max(path[0], path[-1]))
+        if len(path) > 2 and pair not in used and draw(st.booleans()):
+            used.add(pair)
+            path.append(path[0])
+        for a, b in zip(path, path[1:]):
+            segs.append((a, b, cid) if draw(st.booleans()) else (b, a, cid))
+    return verts, draw(st.permutations(segs)), tris
+
+
+@settings(max_examples=200, deadline=None)
+@given(curve_networks())
+def test_curve_census_equals_the_numpy_reference(case):
+    verts, segs, tris = case
+    geom = PiecewiseComplex(verts, segs, tris)
+    at, on_curve, features, embedded, open_edge = curve_census_reference(
+        len(verts), segs, tris)
+    assert list(geom.segs_at_vertex.items()) == list(at.items())
+    assert geom.on_curve.tolist() == on_curve.tolist()
+    assert geom.feature_vertices == features
+    assert geom.embedded_curves == embedded
+    assert geom.open_edge == open_edge
 
 
 def test_malformed_records_are_rejected():

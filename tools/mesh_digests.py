@@ -11,7 +11,9 @@ settings, through the same input file round trip, and prints three lines:
     workload seed stats axis_line_scans=.. blocked=.. ...
 
 (the second and third each on one line; the third holds every counter of
-``Refiner.stats``, sorted by name).  ``seed`` is the jitter seed of the
+``Refiner.stats``, sorted by name).  ``cert_passed`` counts the 8
+``Refiner.audit()`` certificates that hold; perfbench's ``cert_passed``
+adds three surface-shape certificates, 11 in all on a closed input.  ``seed`` is the jitter seed of the
 mesh.  When only digest lines differ between two checkouts, the meshes
 are the same up to float bits; a differing counts line means a different
 mesh.  A differing stats line with equal digests means the same meshes
