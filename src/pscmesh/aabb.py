@@ -46,7 +46,9 @@ subtree with it, and a node box contains its primitives' boxes, so the
 result is the order-preserving subsequence of the primitives, in tree
 order, whose own boxes pass; no hit is lost while ``pad`` covers how far
 outside a primitive's box its hit test still accepts one, on every axis
-alike (``geometry`` passes ``hit_pad``, far above the tests' rounding).
+alike.  An exact crossing lies in its triangle, at distance 0, and only
+the disk test has slack; ``geometry`` passes ``hit_pad``, far above the
+tests' rounding and that slack.
 
 ``lower_distances`` bounds the distance from many points to the primitives
 from below in a few numpy passes.  It measures the distance to the nearest box

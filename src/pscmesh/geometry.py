@@ -32,9 +32,9 @@ from .predicates import _scaled_ints, orient3d
 # put two points level (``point_in_volume``, ``_near_lower``).
 _RAY_DIR = (0.540302305868, 0.642092615934, 0.543838457147)
 
-# Barycentric slack of the segment and disk hit tests.  Barycentrics >= -s
-# span the triangle scaled by 1 + 3s about its centroid, so a hit lies
-# within 3s x the diagonal of its triangle (``hit_pad`` covers it).
+# Barycentric slack of the disk hit test.  Barycentrics >= -s span the
+# triangle scaled by 1 + 3s about its centroid, so a hit lies within 3s x
+# the diagonal of its triangle (``hit_pad`` covers it).
 _HIT_SLACK = 1e-10
 
 # Slack of the triangle-tree walks' pad, ten times ``_HIT_SLACK``.
@@ -168,9 +168,10 @@ class PiecewiseComplex:
         self.tri_tree = AABBTree(
             boxes_for_triangles(self.vertices, tri, pad=self.eps))
         # every triangle-tree query grows its boxes by it, so the walk keeps
-        # every triangle that an exact crossing touches or a hit test
-        # accepts, up to 3 _HIT_SLACK diag away (``aabb``); the tenfold
-        # margin costs skipped queries (``restricted``), never an answer
+        # every triangle that an exact crossing touches (at distance 0) or
+        # the disk test accepts, up to 3 _HIT_SLACK diag away (``aabb``);
+        # the tenfold margin costs skipped queries (``restricted``), never
+        # an answer
         self.hit_pad = self.eps + 3.0 * _PAD_SLACK * self.diag
 
     def _validate(self, tri):
@@ -280,28 +281,28 @@ class PiecewiseComplex:
         return self.tri_tree.query_segment(a, b, self.hit_pad + tube)
 
     def intersect_segment_surface(self, a, b, cands=None):
-        """Hits of segment a-b with the surface, deduplicated at shared edges.
-
-        Returns ``[(point, patch_id), ...]``.  ``cands`` replaces the tree
-        walk (``surface_candidates(a, b)``) by a list that holds every
-        triangle the walk keeps (``restricted.Restricted.walk``).  The walk
-        keeps every triangle whose hit test accepts a-b, so an extra listed
-        triangle reports no hit and the hits are the walk's.
-        """
+        """Hits ``[(point, patch_id), ...]`` of segment a-b with the surface:
+        the triangles it crosses (``_crosses``) at the points
+        ``_segment_triangle_point`` gives, those within eps of each other
+        (the two sides of a thin fold) merged.  ``cands`` replaces the tree
+        walk (``surface_candidates``) by a list that holds every triangle
+        the walk keeps (``restricted.Restricted.walk``): a crossing lies in
+        its triangle, at distance 0, so the hits are the walk's."""
         if not self.triangles:
             return []
         if cands is None:
             cands = self.surface_candidates(a, b)
-        hits = []
-        for tid in sorted(cands):
-            x = self._segment_triangle_point(a, b, tid)
-            if x is not None:
-                hits.append((x, self.triangles[tid][3]))
-        return _dedupe_tagged(hits, self.eps)
+        return _dedupe_tagged([(self._segment_triangle_point(a, b, tid),
+                                self.triangles[tid][3])
+                               for tid in sorted(cands)
+                               if self._crosses(a, b, tid)], self.eps)
 
     def _segment_triangle_point(self, a, b, tid):
-        """Moeller-Trumbore hit of segment a-b with triangle tid, its
-        barycentrics within ``_HIT_SLACK``, or None."""
+        """The point where segment a-b crosses triangle tid: by the float
+        Moeller-Trumbore parameter t, clamped, where its rounding moves the
+        point less than 1e-10 diag; else (a segment all but parallel to the
+        triangle) by the exact t = V(a) / (V(a) - V(b)), V the volume over
+        the triangle, which a crossing puts in [0, 1]."""
         # the vector helpers written out, in their operation order
         i, j, k, _p = self.triangles[tid]
         p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
@@ -312,28 +313,30 @@ class PiecewiseComplex:
         py = dz * e1x - dx * e1z
         pz = dx * e1y - dy * e1x
         det = px * e2x + py * e2y + pz * e2z
-        if abs(det) <= 1e-14 * (math.sqrt(dx * dx + dy * dy + dz * dz)
-                                * math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
-                                * math.sqrt(e2x * e2x + e2y * e2y + e2z * e2z)):
-            return None  # parallel to the triangle plane
         tx = a[0] - p0[0]; ty = a[1] - p0[1]; tz = a[2] - p0[2]
-        inv = 1.0 / det
-        v = (tx * px + ty * py + tz * pz) * inv
         qx = ty * e2z - tz * e2y
         qy = tz * e2x - tx * e2z
         qz = tx * e2y - ty * e2x
-        w = (dx * qx + dy * qy + dz * qz) * inv
-        t = (e1x * qx + e1y * qy + e1z * qz) * inv
-        if (v < -_HIT_SLACK or v > 1.0 + _HIT_SLACK or w < -_HIT_SLACK
-                or v + w > 1.0 + _HIT_SLACK or t < -1e-12 or t > 1.0 + 1e-12):
-            return None
-        t = min(max(t, 0.0), 1.0)
+        # |t - exact t| |d| is below 1e-15 (9 unit roundoffs) times the
+        # permanents of e1.q and det times |d| over |det|; 1-norms bound them
+        dn = abs(dx) + abs(dy) + abs(dz)
+        if 1e-15 * dn * (dn + abs(tx) + abs(ty) + abs(tz)) * (
+                abs(e1x) + abs(e1y) + abs(e1z)) * (
+                abs(e2x) + abs(e2y) + abs(e2z)) < 1e-10 * self.diag * abs(det):
+            t = min(max((e1x * qx + e1y * qy + e1z * qz) * (1.0 / det), 0.0),
+                    1.0)
+        else:
+            ints = _scaled_ints([*a, *b, *p0, *p1, *p2])
+            ia, ib, i0, i1, i2 = (ints[m:m + 3] for m in range(0, 15, 3))
+            n = _cross(_sub(i1, i0), _sub(i2, i0))
+            va = _dot(n, _sub(ia, i0))
+            t = va / (va - _dot(n, _sub(ib, i0)))
         return (a[0] + t * dx, a[1] + t * dy, a[2] + t * dz)
 
     def point_in_volume(self, p):
         """Whether p lies in the enclosed volume (a closed surface's): the
         crossing parity from p to a point beyond the input's box.  A point
-        on the surface takes the side ``_ray_parity``'s shift moves it to.
+        on the surface takes the side ``_crosses``'s shift moves it to.
         """
         if not self.surface_closed:
             raise GeometryError("surface is not closed; volume undefined")
@@ -344,25 +347,28 @@ class PiecewiseComplex:
                                     p[2] + span * d[2]))
 
     def _ray_parity(self, a, b):
-        """Whether segment a-b crosses the surface an odd number of times,
-        exactly, with a and b translated by the infinitesimal (e, e^2, e^3)
-        (Simulation of Simplicity; Edelsbrunner & Muecke, ACM TOG 1990): a
-        triangle is crossed when a and b lie on opposite sides of its plane
-        and the ``orient3d(a, b, p_i, p_j)`` of its edges agree.  The shift
-        breaks every tie (``_shifted``): a crossing through a shared edge
-        or vertex counts once, and nothing grazes."""
-        odd = False
-        for tid in self.tri_tree.query_segment(a, b, self.hit_pad):
-            i, j, k, _p = self.triangles[tid]
-            p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
-            if (_shifted(orient3d(p0, p1, p2, a), p0, p1, p0, p2)
-                    == _shifted(orient3d(p0, p1, p2, b), p0, p1, p0, p2)):
-                continue
-            s0 = _shifted(orient3d(a, b, p0, p1), a, b, p0, p1)
-            if (_shifted(orient3d(a, b, p1, p2), a, b, p1, p2) == s0
-                    and _shifted(orient3d(a, b, p2, p0), a, b, p2, p0) == s0):
-                odd = not odd
-        return odd
+        """Whether segment a-b crosses the surface an odd number of times
+        (``_crosses``)."""
+        return sum(self._crosses(a, b, tid) for tid in
+                   self.tri_tree.query_segment(a, b, self.hit_pad)) % 2 == 1
+
+    def _crosses(self, a, b, tid):
+        """Whether segment a-b crosses triangle tid, exactly, with a and b
+        translated by the infinitesimal (e, e^2, e^3) (Simulation of
+        Simplicity; Edelsbrunner & Muecke, ACM TOG 1990): when the
+        ``orient3d(a, b, p_i, p_j)`` of its edges agree and a and b lie on
+        opposite sides of its plane.  The shift breaks every tie
+        (``_tie``): a crossing through a shared edge or vertex counts once,
+        and nothing grazes.  The edge tests go first: most triangles of a
+        walk that a-b misses still have a and b on opposite sides."""
+        i, j, k, _p = self.triangles[tid]
+        p0 = self.pts[i]; p1 = self.pts[j]; p2 = self.pts[k]
+        s0 = orient3d(a, b, p0, p1) or _tie(a, b, p0, p1)
+        if ((orient3d(a, b, p1, p2) or _tie(a, b, p1, p2)) != s0
+                or (orient3d(a, b, p2, p0) or _tie(a, b, p2, p0)) != s0):
+            return False
+        return ((orient3d(p0, p1, p2, a) or _tie(p0, p1, p0, p2))
+                != (orient3d(p0, p1, p2, b) or _tie(p0, p1, p0, p2)))
 
     def intersect_sphere_curve(self, centre, radius):
         """Points of the curve network at exact distance ``radius`` from
@@ -485,12 +491,10 @@ class PiecewiseComplex:
         return chosen
 
 
-def _shifted(s, a, b, c, d):
-    """The exact sign s of an ``orient3d``, or when it is 0 the sign of its
-    e-term under the shift of ``_ray_parity``: that of the first nonzero
-    component of the exact (b - a) x (d - c), or 0 when that vanishes."""
-    if s:
-        return s
+def _tie(a, b, c, d):
+    """The sign of the e-term of an ``orient3d`` that is exactly 0, under
+    the shift of ``_crosses``: that of the first nonzero component of the
+    exact (b - a) x (d - c), or 0 when that vanishes."""
     ax, ay, az, bx, by, bz, cx, cy, cz, dx, dy, dz = _scaled_ints(
         [*a, *b, *c, *d])
     n = _cross((bx - ax, by - ay, bz - az), (dx - cx, dy - cy, dz - cz))

@@ -40,10 +40,9 @@ triangles instead of walking again (``stats.walks_reused``); a fresh
 classification tests its own tube-grown walk alike.  Every point of s'
 then lies within half the tube of s, so the stored triangles hold all
 that the walk of s' keeps, with half a tube to spare for rounding.  An
-extra one reports no hit: the walk's one pad, ``hit_pad``, covers how
-far outside a triangle's box its hit test accepts one (the pad invariant
-of ``aabb``), so the walk of s' keeps every triangle that reports a hit.
-So the hits, their order and the record are those of a fresh walk.
+extra one reports no hit: a triangle that s' crosses holds a point of
+s', an exact crossing at distance 0, so the walk of s' keeps it.  So the
+hits, their order and the record are those of a fresh walk.
 Shrinking duals make reuse common; the tube check alone makes it exact.
 """
 
@@ -146,18 +145,12 @@ class DistanceCertificate:
     surface: such a point x would give d(c1) + d(c2) <= |c1 x| + |x c2| +
     2 (pad + 1e-12 |c1 c2|), which (*) exceeds.  The pad is
     ``geom.hit_pad`` = eps + 3e-9 diag, the one pad by which every
-    triangle-tree walk grows its boxes, and it covers both queries:
-
-    - ``intersect_segment_surface`` reports a point of the segment whose
-      barycentrics are at least -1e-10 (``_HIT_SLACK``).  Such a point lies
-      in the triangle scaled by 1 + 3e-10 about its centroid, so within
-      3e-10 diag of the triangle, plus eps of rounding.  A crossing up to
-      1e-12 of the segment's parameter beyond an end is clamped onto that
-      end, which moves it by at most 1e-12 |c1 c2|.  So under (*) the
-      query of the facet's dual edge returns no hit.
-    - ``point_in_volume`` and the dual-edge parity count exact crossings
-      (``_ray_parity``).  An exact crossing lies at distance 0, so under
-      (*) the parity is 0: a tet takes its neighbour's volume status.
+    triangle-tree walk grows its boxes.  Both queries of the dual edge
+    count exact crossings (``_crosses``): ``intersect_segment_surface``
+    reports the crossed triangles and ``_ray_parity`` the parity of their
+    count.  An exact crossing lies in its triangle, at distance 0, so under
+    (*) the facet's query returns no hit and the parity is 0: a tet takes
+    its neighbour's volume status.
 
     ``bound[t]`` and ``inside[t]``, t's volume status (None until
     ``classify_tet`` settles it; a ghost's never is), are lists indexed by

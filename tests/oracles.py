@@ -4,8 +4,9 @@ Everything here is written from first principles and deliberately avoids
 the library's own code paths: exact rational arithmetic for predicate
 signs, literal all-pairs enumeration for the Delaunay property and the
 intersection queries, generalized winding numbers for volume
-membership and a symbolically shifted crossing parity
-(``parity_reference``).  The exceptions are differential references that run an
+membership and the triangles that a symbolically shifted segment
+crosses (``crossings_reference``, whose parity is ``parity_reference``).
+The exceptions are differential references that run an
 older or unfiltered rule on the mesh's own queries:
 ``face_crossings_reference`` (curve-edge classification),
 ``containing_ball_scan`` (encroachment over every ball) and
@@ -40,14 +41,19 @@ def _frac(p):
     return [Fraction(float(x)) for x in p]
 
 
-def rational_orient3d(a, b, c, d):
+def rational_volume(a, b, c, d):
+    """det[b - a, c - a, d - a], exactly, as a Fraction."""
     a, b, c, d = _frac(a), _frac(b), _frac(c), _frac(d)
     u = [b[i] - a[i] for i in range(3)]
     v = [c[i] - a[i] for i in range(3)]
     w = [d[i] - a[i] for i in range(3)]
-    det = (u[0] * (v[1] * w[2] - v[2] * w[1])
-           - u[1] * (v[0] * w[2] - v[2] * w[0])
-           + u[2] * (v[0] * w[1] - v[1] * w[0]))
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def rational_orient3d(a, b, c, d):
+    det = rational_volume(a, b, c, d)
     return (det > 0) - (det < 0)
 
 
@@ -426,24 +432,49 @@ def _limit_orient(a, b, c, d):
     return 0
 
 
-def parity_reference(a, b, vertices, triangles):
-    """Whether segment a-b, translated by (e, e^2, e^3) for an infinitely
-    small e > 0, crosses the triangles an odd number of times.
+def crossings_reference(a, b, vertices, triangles):
+    """Ids of the triangles that segment a-b, translated by (e, e^2, e^3)
+    for an infinitely small e > 0, crosses.
 
-    Every triangle is tested, in rational arithmetic on polynomials in e: a
-    triangle counts when the shifted a and b lie strictly on opposite sides
-    of its plane and the shifted line passes its three edges on one side.
+    Every triangle whose bounding box meets the segment's is tested, in
+    rational arithmetic on polynomials in e: a triangle is crossed when the
+    shifted a and b lie strictly on opposite sides of its plane and the
+    shifted line passes its three edges on one side.  As e -> 0 such a
+    crossing tends to a point of both the closed segment and the closed
+    triangle, so of both boxes, whose float comparisons are exact.
     """
+    corners = np.asarray(vertices, dtype=np.float64)[
+        np.asarray(triangles, dtype=np.int64).reshape(-1, 4)[:, :3]]
+    near = ((corners.max(axis=1) >= np.minimum(a, b))
+            & (corners.min(axis=1) <= np.maximum(a, b))).all(axis=1)
     a, b = _shifted_coords(a), _shifted_coords(b)
-    odd = False
-    for i, j, k, _pid in triangles:
+    crossed = []
+    for tid in np.flatnonzero(near).tolist():
+        i, j, k, _pid = triangles[tid]
         p = [[[x] for x in _frac(vertices[v])] for v in (i, j, k)]
         if _limit_orient(*p, a) == _limit_orient(*p, b):
             continue
         sides = {_limit_orient(a, b, p[q], p[(q + 1) % 3]) for q in range(3)}
         if len(sides) == 1:
-            odd = not odd
-    return odd
+            crossed.append(tid)
+    return crossed
+
+
+def parity_reference(a, b, vertices, triangles):
+    """Whether segment a-b, shifted as in ``crossings_reference``, crosses
+    the triangles an odd number of times."""
+    return len(crossings_reference(a, b, vertices, triangles)) % 2 == 1
+
+
+def crossing_point_reference(a, b, p0, p1, p2):
+    """Where the line of segment a-b meets the plane of triangle p0 p1 p2,
+    exactly, rounded to floats: a + t (b - a) for t = V(a) / (V(a) - V(b)),
+    V(x) the volume of (p0, p1, p2, x).  A crossed triangle (see
+    ``crossings_reference``) has V(a) != V(b), and t in [0, 1]."""
+    va, vb = (rational_volume(p0, p1, p2, x) for x in (a, b))
+    t = va / (va - vb)
+    a, b = _frac(a), _frac(b)
+    return tuple(float(a[m] + t * (b[m] - a[m])) for m in range(3))
 
 
 def segment_surface_hits(a, b, vertices, triangles, eps=1e-12):

@@ -15,11 +15,11 @@ from pscmesh.geometry import _HIT_SLACK, PiecewiseComplex, load_complex, \
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.restricted import classify_edge
 
-from oracles import (circle_surface_hits, curve_census_reference,
-                     initial_sampling_reference,
-                     parity_reference, parse_lines_reference,
-                     polygon_curve_hits, random_rotation,
-                     segment_surface_hits, sphere_curve_hits,
+from oracles import (circle_surface_hits, crossing_point_reference,
+                     crossings_reference, curve_census_reference,
+                     initial_sampling_reference, parity_reference,
+                     parse_lines_reference, polygon_curve_hits,
+                     random_rotation, segment_surface_hits, sphere_curve_hits,
                      validate_reference, winding_numbers)
 
 
@@ -537,6 +537,18 @@ def grazing_disks(c, tangent=False):
     return disks
 
 
+def exact_hits(c, a, b):
+    """The exact points where a-b crosses c's surface
+    (``crossings_reference``), merged within eps as the hits are."""
+    out = []
+    for t in crossings_reference(a, b, c.vertices, c.triangles):
+        y = crossing_point_reference(a, b,
+                                     *c.vertices[list(c.triangles[t][:3])])
+        if all(max(abs(y[m] - x[m]) for m in range(3)) > c.eps for x in out):
+            out.append(y)
+    return out
+
+
 @spheres((1, 300), (3, 45), (4, 12))
 def test_segment_surface_matches_bruteforce_randomised(sub, cases):
     c = icosphere(sub)
@@ -545,9 +557,7 @@ def test_segment_surface_matches_bruteforce_randomised(sub, cases):
             for _ in range(cases)]
     for a, b in segs + grazing_segments(c):
         got = sorted(h[0] for h in c.intersect_segment_surface(a, b))
-        want = sorted(h[0] for h in
-                      segment_surface_hits(a, b, c.vertices, c.triangles))
-        assert_same_points(got, want, 1e-9)
+        assert_same_points(got, sorted(exact_hits(c, a, b)), 1e-9)
 
 
 def test_point_in_volume_examples():
@@ -664,7 +674,9 @@ def test_clipped_queries_equal_unclipped_on_grazing_cases(monkeypatch):
     far = (3.0, 0.5, 0.25)
     assert inside[8:-1:3] == [parity_reference(a, far, c.vertices, c.triangles)
                               for a, _b in segs[8:-1:3]]
-    assert sum(map(bool, got[0])) > 20 and sum(map(bool, got[2])) >= 4
+    # every chord and every segment from the centre hits; of the segments
+    # that end on a vertex or edge, one's shifted end lies inside
+    assert sum(map(bool, got[0])) == 15 and sum(map(bool, got[2])) >= 4
 
 
 def handed_out(geom, run, every=False):
@@ -695,8 +707,8 @@ unit = st.tuples(*[st.integers(-16, 16)] * 3).filter(any).map(
 def near_triangle(draw):
     """A fat random triangle and a point in its plane outside it: beyond
     one of its edges or vertices by up to 3 x the hit slack times the
-    triangle's extent.  Returns (complex, point, normal, kind), kind the
-    drawn query kind."""
+    triangle's extent, or for a segment query as far inside it too.
+    Returns (complex, point, normal, kind), kind the drawn query kind."""
     pts = np.asarray(draw(st.tuples(*[st.tuples(
         *[st.integers(-1000, 1000)] * 3)] * 3))) / 1000.0
     n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
@@ -707,7 +719,7 @@ def near_triangle(draw):
     geom = PiecewiseComplex(pts, [], [(0, 1, 2, 0)])
     kind = draw(st.sampled_from(("segment", "disk")))
     reach = 3.0 * _HIT_SLACK * geom.diag
-    off = draw(st.floats(0.0, 1.0)) * reach
+    off = draw(st.floats(-1.0 if kind == "segment" else 0.0, 1.0)) * reach
     k = draw(st.integers(0, 2))
     if draw(st.booleans()):
         # beyond vertex k, away from the centroid
@@ -727,9 +739,10 @@ def near_triangle(draw):
 @settings(max_examples=600, deadline=None)
 @given(near_triangle(), st.data())
 def test_the_walk_keeps_every_triangle_its_hit_test_accepts(case, data):
-    # a segment or disk circle passes within its hit test's reach outside
-    # a triangle; whenever the hit test accepts the triangle, the tree walk
-    # of that query hands it out
+    # a disk circle passes within its hit test's reach outside a triangle,
+    # a segment that far outside or inside it; whenever the hit test
+    # accepts the triangle (for a segment: crosses it exactly), the tree
+    # walk of that query hands it out
     geom, x, n, kind = case
     size = st.floats(0.05, 1.5).map(lambda f: f * geom.diag)
     if kind == "segment":
@@ -737,7 +750,7 @@ def test_the_walk_keeps_every_triangle_its_hit_test_accepts(case, data):
         assume(abs(np.dot(u, n)) >= 0.2)
         a = tuple((x - data.draw(size) * u).tolist())
         b = tuple((x + data.draw(size) * u).tolist())
-        accepted = geom._segment_triangle_point(a, b, 0) is not None
+        accepted = geom._crosses(a, b, 0)
         ids, hits = handed_out(geom, lambda: geom.intersect_segment_surface(
             a, b))
         assert bool(hits) == accepted
@@ -759,8 +772,8 @@ def test_the_walk_keeps_every_triangle_its_hit_test_accepts(case, data):
         assert 0 in ids
 
 
-def crease_edges(geom):
-    """The surface edges whose two triangles are not coplanar."""
+def edge_normals(geom):
+    """Each surface edge's unit triangle normals, by sorted edge."""
     normals = {}
     for i, j, k, _p in geom.triangles:
         p0, p1, p2 = (geom.vertices[v] for v in (i, j, k))
@@ -768,55 +781,154 @@ def crease_edges(geom):
         for e in ((i, j), (j, k), (k, i)):
             normals.setdefault(tuple(sorted(e)), []).append(
                 n / np.linalg.norm(n))
-    return [e for e, (n1, n2) in sorted(normals.items())
+    return normals
+
+
+def crease_edges(geom):
+    """The surface edges whose two triangles are not coplanar."""
+    return [e for e, (n1, n2) in sorted(edge_normals(geom).items())
             if np.linalg.norm(np.cross(n1, n2)) > 1e-6]
 
 
+dyadic = st.integers(0, 16).map(lambda k: k / 16.0)
+ON_SURFACE = ("vertex", "face", "edge")
+
+
 @st.composite
-def parity_case(draw):
-    """A closed model, unmoved or rigidly moved, and three points on and
-    near its surface: vertices, points on faces and edges, points 1e-13 to
-    1e-9 diag off a crease edge and points in and around the box.  The
-    second point may mirror the first through a surface point, so that the
-    segment between them passes through it.  On the unmoved cube and wedge
-    every point is dyadic, so these lie exactly on the surface."""
-    make = draw(st.sampled_from([cube, wedge, lambda: icosphere(1)]))
-    base = make()
+def closed_model(draw):
+    """Cube, wedge or icosphere(1), unmoved or rigidly moved."""
+    base = draw(st.sampled_from([cube, wedge, lambda: icosphere(1)]))()
     seed = draw(st.none() | st.integers(0, 2 ** 32 - 1))
     verts = base.vertices
     if seed is not None:
         verts = verts @ random_rotation(np.random.default_rng(seed)).T
-    geom = PiecewiseComplex(verts, base.segments, base.triangles)
-    dyadic = st.integers(0, 16).map(lambda k: k / 16.0)
-    on_surface = ("vertex", "face", "edge")
+    return PiecewiseComplex(verts, base.segments, base.triangles)
 
-    def point(kinds=on_surface + ("crease", "free")):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "vertex":
-            return np.asarray(geom.pts[draw(st.integers(0, len(geom.pts) - 1))])
+
+def model_point(draw, geom, kinds=ON_SURFACE + ("crease", "free")):
+    """A point on or near geom's surface, of one of ``kinds``: a vertex, a
+    point on a face or an edge, a point 1e-13 to 1e-9 diag off a crease
+    edge, or a point in and around the box.  On the unmoved cube and
+    wedge every point is dyadic, so the first three lie exactly on the
+    surface."""
+    verts = geom.vertices
+    kind = draw(st.sampled_from(kinds))
+    if kind == "vertex":
+        return np.asarray(geom.pts[draw(st.integers(0, len(geom.pts) - 1))])
+    i, j, k, _p = draw(st.sampled_from(geom.triangles))
+    if kind == "face":
+        u, v = draw(dyadic), draw(dyadic)
+        assume(u + v <= 1.0)
+        return (1.0 - u - v) * verts[i] + u * verts[j] + v * verts[k]
+    if kind == "edge":
+        i, j = draw(st.sampled_from(((i, j), (j, k), (k, i))))
+        return verts[i] + draw(dyadic) * (verts[j] - verts[i])
+    if kind == "crease":
+        i, j = draw(st.sampled_from(crease_edges(geom)))
+        e = verts[j] - verts[i]
+        off = np.cross(e, draw(unit))
+        assume(np.linalg.norm(off) >= 0.2 * np.linalg.norm(e))
+        dist = 10.0 ** draw(st.floats(-13.0, -9.0)) * geom.diag
+        return (verts[i] + draw(st.floats(0.0, 1.0)) * e
+                + dist * off / np.linalg.norm(off))
+    lo, hi = map(np.asarray, geom.bounds)
+    return lo + np.asarray(draw(st.tuples(*[dyadic] * 3))) * 2.0 * (
+        hi - lo) - 0.5 * (hi - lo)
+
+
+def model_segment_end(draw, geom, a):
+    """A second point for a segment from a: a ``model_point``, or the
+    mirror image of a through one on the surface, so that the segment
+    passes through it."""
+    if draw(st.booleans()):
+        return 2.0 * model_point(draw, geom, ON_SURFACE) - a
+    return model_point(draw, geom)
+
+
+@st.composite
+def parity_case(draw):
+    """A ``closed_model`` and three points of ``model_point``, the second
+    maybe mirrored through a surface point (``model_segment_end``)."""
+    geom = draw(closed_model())
+    a = model_point(draw, geom)
+    b = model_segment_end(draw, geom, a)
+    return (geom,) + tuple(tuple(map(float, x))
+                           for x in (a, b, model_point(draw, geom)))
+
+
+@st.composite
+def segment_case(draw):
+    """A ``closed_model`` and a segment on and near its surface: between
+    two points of ``model_point`` (``model_segment_end``); across a point
+    of a crease edge, normal to the edge and to the sum of its triangles'
+    normals, so that it grazes the crease; or along a face through a point
+    of it, its ends 1e-17 to 1e-6 diag off the face's plane on either
+    side, where a float solve of the crossing loses all or some digits."""
+    geom = draw(closed_model())
+    kind = draw(st.sampled_from(("points", "graze", "tilt")))
+    if kind == "points":
+        a = model_point(draw, geom)
+        b = model_segment_end(draw, geom, a)
+        return geom, tuple(map(float, a)), tuple(map(float, b))
+    verts = geom.vertices
+    if kind == "graze":
+        i, j = draw(st.sampled_from(crease_edges(geom)))
+        e = verts[j] - verts[i]
+        x = verts[i] + draw(dyadic) * e
+        d = np.cross(e, sum(edge_normals(geom)[(i, j)]))
+        tilt = np.zeros(3)
+    else:
         i, j, k, _p = draw(st.sampled_from(geom.triangles))
-        if kind == "face":
-            u, v = draw(dyadic), draw(dyadic)
-            assume(u + v <= 1.0)
-            return (1.0 - u - v) * verts[i] + u * verts[j] + v * verts[k]
-        if kind == "edge":
-            i, j = draw(st.sampled_from(((i, j), (j, k), (k, i))))
-            return verts[i] + draw(dyadic) * (verts[j] - verts[i])
-        if kind == "crease":
-            i, j = draw(st.sampled_from(crease_edges(geom)))
-            e = verts[j] - verts[i]
-            off = np.cross(e, draw(unit))
-            assume(np.linalg.norm(off) >= 0.2 * np.linalg.norm(e))
-            dist = 10.0 ** draw(st.floats(-13.0, -9.0)) * geom.diag
-            return (verts[i] + draw(st.floats(0.0, 1.0)) * e
-                    + dist * off / np.linalg.norm(off))
-        lo, hi = map(np.asarray, geom.bounds)
-        return lo + np.asarray(draw(st.tuples(*[dyadic] * 3))) * 2.0 * (
-            hi - lo) - 0.5 * (hi - lo)
+        u, v = draw(dyadic), draw(dyadic)
+        assume(u + v <= 1.0)
+        x = (1.0 - u - v) * verts[i] + u * verts[j] + v * verts[k]
+        n = np.cross(verts[j] - verts[i], verts[k] - verts[i])
+        n /= np.linalg.norm(n)
+        d = np.cross(n, draw(unit))
+        tilt = 10.0 ** draw(st.floats(-17.0, -6.0)) * geom.diag * n
+    assume(np.linalg.norm(d) > 0.0)
+    d *= draw(st.floats(0.05, 1.0)) * geom.diag / np.linalg.norm(d)
+    return geom, tuple(map(float, x - d - tilt)), tuple(map(float,
+                                                           x + d + tilt))
 
-    a = point()
-    b = 2.0 * point(on_surface) - a if draw(st.booleans()) else point()
-    return (geom,) + tuple(tuple(map(float, x)) for x in (a, b, point()))
+
+# the unit tetrahedron, and segments on which a float hit test with
+# barycentric slack and a near-parallel cutoff disagreed with the exact
+# crossings: one passing 1e-11 beyond a vertex (two hits, no crossing),
+# one tilted 1e-17 off the face z = 0 (no hit, one crossing) and two whose
+# float determinant underflows, to -1e-323 and, on the tetrahedron halved,
+# to 0
+TETRAHEDRON = PiecewiseComplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                               [], [(0, 2, 1, 0), (0, 1, 3, 1), (0, 3, 2, 2),
+                                    (1, 2, 3, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_case())
+@example((TETRAHEDRON, (1.0 + 1e-11, 0.0, -1.0), (1.0 + 1e-11, 0.0, 1.0)))
+@example((TETRAHEDRON, (0.2, 0.2, -1e-17), (0.3, 0.2, 1e-17)))
+@example((TETRAHEDRON, (0.2, 0.2, -5e-324), (0.3, 0.2, 5e-324)))
+@example((PiecewiseComplex(0.5 * TETRAHEDRON.vertices, [],
+                           TETRAHEDRON.triangles),
+          (0.1, 0.1, -5e-324), (0.15, 0.1, 5e-324)))
+def test_segment_hits_are_the_exact_crossings(case):
+    # every hit is a triangle that the shifted segment crosses, with its
+    # patch, within 1e-9 diag of the exact crossing point; and every
+    # crossing lies that near a hit, plus the eps that merges hits
+    geom, a, b = case
+    verts, tris = geom.vertices, geom.triangles
+    tol = 1e-9 * geom.diag
+    crossings = [(crossing_point_reference(a, b, *verts[list(tris[t][:3])]),
+                  tris[t][3])
+                 for t in crossings_reference(a, b, verts, tris)]
+    hits = geom.intersect_segment_surface(a, b)
+    assert len(hits) <= len(crossings)
+    for x, patch in hits:
+        assert all(map(math.isfinite, x))
+        assert any(math.dist(x, y) <= tol for y, p in crossings if p == patch)
+    for y, _p in crossings:
+        assert any(max(abs(x[m] - y[m]) for m in range(3)) <= geom.eps + tol
+                   for x, _q in hits)
 
 
 @settings(max_examples=150, deadline=None)

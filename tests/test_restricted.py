@@ -797,7 +797,8 @@ def test_census_of_every_wedge_probe_is_the_tet_derivation(monkeypatch):
 
 
 # Refiner.stats of the seed-0 runs, as the earlier reclassification that
-# wrote every classified key gave them (``walks_reused`` came later)
+# wrote every classified key gave them (``walks_reused`` came later; on
+# crease, exact facet crossings moved one reused walk to a skipped survivor)
 STATS = {
     "sphere": {"inserted": 162, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 0,
@@ -811,8 +812,8 @@ STATS = {
                "encroach_tri": 19, "disk1": 0, "disk2": 0, "type2": 27,
                "type1": 58, "blocked": 0, "dual_certified": 2338,
                "volume_inherited": 1092, "axis_line_scans": 0,
-               "segment_scans": 0, "survivors_skipped": 3952,
-               "walks_reused": 370, "locate_scans": 0},
+               "segment_scans": 0, "survivors_skipped": 3953,
+               "walks_reused": 369, "locate_scans": 0},
 }
 
 
@@ -975,22 +976,21 @@ def test_a_walk_outside_its_tube_is_not_reused():
 
 def test_a_reused_walk_keeps_what_the_walk_of_a_nearby_segment_keeps():
     # one triangle in the plane z = 0 whose tree box ends at x = 1 + eps.
-    # The vertical segment s3 crosses the plane 1e-10 beyond that box,
-    # within the hit test's slack of the triangle: the walk, whose one pad
-    # covers that slack, keeps the triangle, and s3 hits
+    # The vertical segment s3 crosses the triangle exactly, 1e-12 inside
+    # its edge x = 1: the walk keeps the triangle, and s3 hits
     geom = PiecewiseComplex([(1, -1, 0), (1, 1, 0), (-1, 0, 0)], [],
                             [(0, 1, 2, 0)])
     eps = geom.eps
-    x = 1.0 + 1e-10
-    assert x > 1.0 + 2.0 * eps
+    x = 1.0 - 1e-12
+    assert x < 1.0
     s3 = ((x, 0.0, -1.0), (x, 0.0, 1.0))
     assert geom.surface_candidates(*s3) == [0]
     hits = geom.intersect_segment_surface(*s3)
     assert hits == [((x, 0.0, 0.0), 0)]
     # s2, s3 drawn out to length 20, has a tube wider than the walk's pad.
-    # s1, s2 moved 0.9 half tubes farther out, passes beyond that pad: its
-    # plain walk drops the triangle, which reports no hit for s1 even when
-    # listed, and its tube-grown walk keeps it, with s2's hit
+    # s1, s2 moved 0.9 half tubes out past the edge, passes beyond that
+    # pad: its plain walk drops the triangle, which s1 does not cross even
+    # when listed, and its tube-grown walk keeps it, with s2's hit
     s2 = ((x, 0.0, -10.0), (x, 0.0, 10.0))
     assert geom.intersect_segment_surface(*s2) == hits
     tube = eps + restricted._WALK_TUBE * 20.0

@@ -23,17 +23,23 @@ def test_mesh_digests_prints_three_lines_per_mesh_and_a_summary():
         [sys.executable, str(ROOT / "tools" / "mesh_digests.py"), "--seeds",
          "1", "dense_surface"], stdout=subprocess.PIPE, text=True,
         check=True).stdout.splitlines()
-    *meshes, summary = [line.split() for line in out]
+    *meshes, summary, totals = [line.split() for line in out]
     assert summary[:3] == ["dense_surface", "summary",
                            f"meshes={len(meshes) // 3}"]
     assert len(meshes) % 3 == 0 and meshes
     stats = Refiner(cube(), RefineConfig(sizing=SizingField(h0=0.5))).stats
+    sums = dict.fromkeys(sorted(stats), 0)
     for digest, counts, line in zip(*[iter(meshes)] * 3):
         assert digest[0] == counts[0] == line[0] == "dense_surface"
         assert digest[1] == counts[1] == line[1]
         assert len(digest[3]) == 64 and counts[2] == "counts"
         assert line[2] == "stats"
         assert [field.split("=")[0] for field in line[3:]] == sorted(stats)
+        for field in line[3:]:
+            key, value = field.split("=")
+            sums[key] += int(value)
+    assert totals[:2] == ["dense_surface", "totals"]
+    assert totals[2:] == [f"{k}={v}" for k, v in sums.items()]
 
 
 def test_ab_refine_prints_setup_and_refine_ratios_per_pair():

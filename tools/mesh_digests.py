@@ -18,7 +18,7 @@ mesh.  When only digest lines differ between two checkouts, the meshes
 are the same up to float bits; a differing counts line means a different
 mesh.  A differing stats line with equal digests means the same meshes
 reached by different work (say, fewer certified queries).  Each
-workload ends with one summary line,
+workload's meshes are followed by one summary line,
 
     workload summary meshes=.. failed=.. inserted=.. vlen_min=..
         alen_min=.. h_rel_dev=..
@@ -29,9 +29,15 @@ that fail an audit certificate, ``inserted`` is the total of the
 the meshes of the report's minimum volume-length and area-length and of
 the benchmark's ``h_rel_dev``: the quality movement of a change that
 moves the meshes, and the refinement work it costs or saves, without a
-benchmark run.  ``--mode classical`` refines the same meshes with the
-classical insertion rule instead of the benchmark's frontal one, so that
-one ``diff`` compares the two modes.
+benchmark run.  The workload ends with one totals line,
+
+    workload totals axis_line_scans=.. blocked=.. ...
+
+which sums each ``Refiner.stats`` counter over the meshes, sorted by
+name, so that a change that moves the work alone shows as one differing
+line.  ``--mode classical`` refines the same meshes with the classical
+insertion rule instead of the benchmark's frontal one, so that one
+``diff`` compares the two modes.
 pscmesh is imported from the ``src/`` of the checkout that holds this
 script.
 
@@ -110,11 +116,14 @@ def main(argv=None):
         for name in names:
             workload = WORKLOADS[name]
             meshes = []
+            totals = {}
             for seed in range(args.seeds):
                 for mesh_seed in mesh_seeds(workload, seed):
                     status, sha, fields, stats, quality = digest(
                         workload, mesh_seed, Path(tmp), args.mode)
                     meshes.append(quality)
+                    for k, v in stats.items():
+                        totals[k] = totals.get(k, 0) + v
                     print(name, mesh_seed, status, sha)
                     print(name, mesh_seed, "counts",
                           *(f"{k}={v}" for k, v in fields.items()))
@@ -127,6 +136,8 @@ def main(argv=None):
                   *(f"{k}={statistics.median(q[k] for q in meshes):.4f}"
                     for k in ("vlen_min", "alen_min", "h_rel_dev")),
                   flush=True)
+            print(name, "totals",
+                  *(f"{k}={totals[k]}" for k in sorted(totals)), flush=True)
 
 
 if __name__ == "__main__":
