@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 
 from .config import GridSizing, RefineConfig, SizingField
 from .errors import PscError, ValidationError
-from .geometry import load_complex
+from .geometry import load_complex, read_text
 from .quality import write_report
 from .refine import refine
 from .vtk_io import write_vtk
@@ -81,26 +81,26 @@ def load_sizing(arg, geom):
 def _load_grid(path):
     dims = origin = spacing = None
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "dims":
-                    dims = [int(x) for x in parts[1:4]]
-                elif parts[0] == "origin":
-                    origin = [float(x) for x in parts[1:4]]
-                elif parts[0] == "spacing":
-                    spacing = [float(x) for x in parts[1:4]]
-                elif parts[0] == "values":
-                    values.extend(float(x) for x in parts[1:])
-                else:
-                    values.extend(float(x) for x in parts)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"sizing grid {path!r} line {lineno}: {exc}") from exc
+    text = read_text(path, "sizing grid")
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "dims":
+                dims = [int(x) for x in parts[1:4]]
+            elif parts[0] == "origin":
+                origin = [float(x) for x in parts[1:4]]
+            elif parts[0] == "spacing":
+                spacing = [float(x) for x in parts[1:4]]
+            elif parts[0] == "values":
+                values.extend(float(x) for x in parts[1:])
+            else:
+                values.extend(float(x) for x in parts)
+        except ValueError as exc:
+            raise ValidationError(
+                f"sizing grid {path!r} line {lineno}: {exc}") from exc
     if dims is None or origin is None or spacing is None:
         raise ValidationError(f"sizing grid {path!r} missing dims/origin/spacing")
     return GridSizing(origin, spacing, dims, values)

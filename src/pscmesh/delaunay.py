@@ -26,7 +26,7 @@ import math
 from itertools import combinations
 
 from .errors import MeshError
-from .predicates import insphere, orient3d
+from .predicates import _scaled_ints, insphere, orient3d
 
 # Face i is opposite vertex i and wound so that, for a positively oriented
 # tet (v0, v1, v2, v3), orient3d(face_i, v_i) > 0.
@@ -48,11 +48,11 @@ def _splitmix64(x):
 
 
 def circumsphere_tet(pa, pb, pc, pd):
-    """Circumcentre, squared radius and a reliability flag for a tet.
-
-    The flag drops when the circumradius exceeds 1e6 times the shortest
-    edge (nearly degenerate element) or the linear system is singular.
-    """
+    """Circumcentre and squared radius of a tet: the float solve when its
+    determinant is finite and nonzero and the circumradius is within 1e6
+    shortest edges (a screen for nearly flat tets, not an error bound),
+    else the exact solve, each value correctly rounded.  Exactly coplanar
+    points give the centroid and an infinite radius."""
     ux = pb[0] - pa[0]; uy = pb[1] - pa[1]; uz = pb[2] - pa[2]
     vx = pc[0] - pa[0]; vy = pc[1] - pa[1]; vz = pc[2] - pa[2]
     wx = pd[0] - pa[0]; wy = pd[1] - pa[1]; wz = pd[2] - pa[2]
@@ -70,10 +70,7 @@ def circumsphere_tet(pa, pb, pc, pd):
     uvz = ux * vy - uy * vx
     den = 2.0 * (ux * vwx + uy * vwy + uz * vwz)
     if den == 0.0 or not math.isfinite(den):
-        cx = (pa[0] + pb[0] + pc[0] + pd[0]) / 4.0
-        cy = (pa[1] + pb[1] + pc[1] + pd[1]) / 4.0
-        cz = (pa[2] + pb[2] + pc[2] + pd[2]) / 4.0
-        return (cx, cy, cz), math.inf, False
+        return _circumsphere_exact(pa, pb, pc, pd)
     xx = (uu * vwx + vv * wux + ww * uvx) / den
     xy = (uu * vwy + vv * wuy + ww * uvy) / den
     xz = (uu * vwz + vv * wuz + ww * uvz) / den
@@ -82,8 +79,41 @@ def circumsphere_tet(pa, pb, pc, pd):
                  (vx - ux) ** 2 + (vy - uy) ** 2 + (vz - uz) ** 2,
                  (wx - ux) ** 2 + (wy - uy) ** 2 + (wz - uz) ** 2,
                  (wx - vx) ** 2 + (wy - vy) ** 2 + (wz - vz) ** 2)
-    reliable = r2 <= (1e6 ** 2) * min_e2 and math.isfinite(r2)
-    return (pa[0] + xx, pa[1] + xy, pa[2] + xz), r2, reliable
+    if r2 <= (1e6 ** 2) * min_e2 and math.isfinite(r2):
+        return (pa[0] + xx, pa[1] + xy, pa[2] + xz), r2
+    return _circumsphere_exact(pa, pb, pc, pd)
+
+
+def _circumsphere_exact(*pts):
+    """``circumsphere_tet`` on integers: the same solve, rounded once."""
+    # 1.0 rides along to read off the common scale 2**k of the lift
+    (ax, ay, az, bx, by, bz, cx, cy, cz,
+     dx, dy, dz, scale) = _scaled_ints([x for p in pts for x in p] + [1.0])
+    ux = bx - ax; uy = by - ay; uz = bz - az
+    vx = cx - ax; vy = cy - ay; vz = cz - az
+    wx = dx - ax; wy = dy - ay; wz = dz - az
+    vwx = vy * wz - vz * wy; vwy = vz * wx - vx * wz; vwz = vx * wy - vy * wx
+    den = 2 * (ux * vwx + uy * vwy + uz * vwz)
+    if den == 0:
+        return tuple(sum(p[i] for p in pts) / 4.0 for i in range(3)), math.inf
+    uu = ux * ux + uy * uy + uz * uz
+    vv = vx * vx + vy * vy + vz * vz
+    ww = wx * wx + wy * wy + wz * wz
+    # the centre's offset from pa is (nx, ny, nz) / (den * scale)
+    nx = uu * vwx + vv * (wy * uz - wz * uy) + ww * (uy * vz - uz * vy)
+    ny = uu * vwy + vv * (wz * ux - wx * uz) + ww * (uz * vx - ux * vz)
+    nz = uu * vwz + vv * (wx * uy - wy * ux) + ww * (ux * vy - uy * vx)
+    q = den * scale
+    return ((_round(ax * den + nx, q), _round(ay * den + ny, q),
+             _round(az * den + nz, q)),
+            _round(nx * nx + ny * ny + nz * nz, q * q))
+
+
+def _round(num, den):
+    try:
+        return num / den  # correctly rounded
+    except OverflowError:  # beyond the doubles
+        return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 def circumcentre_triangle(pa, pb, pc):
@@ -159,7 +189,7 @@ class TetMesh:
         # append-only: a killed tet leaves None behind, ids are never reused
         self.tets = []      # tuple4 or None
         self.neigh = []     # list4 of tet ids, -1 at the outer hull
-        self.circum = []    # (centre, r2, reliable)
+        self.circum = []    # (centre, r2)
         self._last_tet = -1
         self._last_insert = None
 
@@ -280,16 +310,15 @@ class TetMesh:
         return True
 
     def locate(self, p):
-        """Tet containing p (visibility walk with a linear-scan fallback)."""
+        """Tet containing p: a visibility walk, which ends in a Delaunay mesh
+        whatever its face order, with a linear-scan fallback."""
         t = self._last_tet
         if t < 0 or self.tets[t] is None:
             t = next(self.alive_tets())
-        for step in range(_WALK_CAP):
+        for _step in range(_WALK_CAP):
             quad = self.tets[t]
             moved = False
-            rot = (step * 2654435761) % 4
-            for k in range(4):
-                i = (k + rot) % 4
+            for i in range(4):
                 f = _FACES[i]
                 if orient3d(self.points[quad[f[0]]], self.points[quad[f[1]]],
                             self.points[quad[f[2]]], p) < 0:
@@ -421,11 +450,6 @@ class TetMesh:
 
     # ------------------------------------------------------------------
     # Voronoi duals
-
-    def voronoi_vertex(self, t):
-        """Circumcentre of tet t plus its reliability flag."""
-        c, _r2, ok = self.circum[t]
-        return c, ok
 
     def find_tet_with_edge(self, u, w):
         for t in self.tets_around_vertex(u):

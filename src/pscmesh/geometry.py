@@ -699,8 +699,19 @@ def _raise_parse_error(text):
 
 def load_complex(path):
     """Read and validate a geometry file; builds the spatial index."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex(fh.read())
+    return parse_complex(read_text(path, "input"))
+
+
+def read_text(path, what):
+    """A UTF-8 file's text as text mode reads it; a byte that does not
+    decode is a ``ParseError`` naming ``what``, the path and its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {str(path)!r}: byte 0x{data[exc.start]:02x}"
+                         f" at offset {exc.start} is not UTF-8") from None
 
 
 def write_complex(cplx, path):

@@ -309,8 +309,7 @@ class Refiner:
                       "encroach_edge": 0, "encroach_tri": 0,
                       "disk1": 0, "disk2": 0, "type2": 0, "type1": 0,
                       "blocked": 0, "dual_certified": 0,
-                      "volume_inherited": 0, "axis_line_scans": 0,
-                      "segment_scans": 0, "survivors_skipped": 0,
+                      "volume_inherited": 0, "survivors_skipped": 0,
                       "walks_reused": 0, "locate_scans": 0}
         self.mesh = TetMesh(geom.bounds, seed=cfg.seed, stats=self.stats)
         self.rs = RestrictedSets()
@@ -369,8 +368,7 @@ class Refiner:
 
     def _classify(self, d, key, handle):
         if d == 1:
-            return classify_edge(self.mesh, self.g, key[0], key[1], t0=handle,
-                                 cert=self.cert)
+            return classify_edge(self.mesh, self.g, key[0], key[1], t0=handle)
         if d == 2:
             return classify_facet(self.mesh, self.g, *handle, cert=self.cert,
                                   rec=self.rs.tris.get(key))

@@ -50,7 +50,6 @@ import math
 from itertools import combinations
 
 from .delaunay import _FACES, SHELL, circumcentre_triangle
-from .geometry import _cross, _norm, _sub
 from .quality import area_length, volume_length
 
 _SQRT3 = math.sqrt(3.0)
@@ -157,9 +156,9 @@ class DistanceCertificate:
     tet id like ``mesh.circum``.  A killed tet keeps its entries for an
     undo that restores it, and ``update`` overwrites the ids an undone
     insertion created.  ``stats`` counts what the certificate skipped
-    (``dual_certified``, ``volume_inherited``), the facets that took the
-    axis-line path (``axis_line_scans``) and the edges whose unreliable
-    ring scanned every curve segment (``segment_scans``).
+    (``dual_certified``, ``volume_inherited``) and the facet walks reused
+    (``walks_reused``).  c1 and c2 are the stored circumcentres, usable
+    for every tet (``circumsphere_tet``), and c1-c2 is what both query.
     """
 
     def __init__(self, geom, stats):
@@ -213,7 +212,7 @@ def _nearest_among(mesh, y, own, rivals):
             >= min(_d2(y, mesh.points[v]) for v in own))
 
 
-def _face_crossings(mesh, geom, u, w, t0, cert=None):
+def _face_crossings(mesh, geom, u, w, t0):
     """Verified intersections of the dual face of edge (u, w) with the
     curve network: [(point, curve_id), ...].
 
@@ -224,32 +223,17 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
     bisector of u and one link vertex.  So a candidate is a hit when no
     link vertex is strictly nearer to it than both u and w
     (``_nearest_among``; a tie lies on the closed face): exact in exact
-    arithmetic, local to the edge's star and free of circumcentres, so
-    unreliable rings lose no accuracy.  A ring with an unreliable
-    circumcentre has no box to query, so it scans every curve segment;
-    ``cert`` counts these scans (``segment_scans``).
+    arithmetic, local to the edge's star and free of circumcentres; the
+    ring's circumcentres (the face's corners) only bound the query box.
     """
     ring, closed = mesh.edge_ring(u, w, t0=t0)
     if not closed:
         return []
     pu = mesh.points[u]
     pw = mesh.points[w]
-    reliable = True
-    poly = []
-    for t in ring:
-        c, ok = mesh.voronoi_vertex(t)
-        reliable = reliable and ok
-        poly.append(c)
-    if reliable and len(poly) >= 3:
-        lo = (min(p[0] for p in poly), min(p[1] for p in poly),
-              min(p[2] for p in poly))
-        hi = (max(p[0] for p in poly), max(p[1] for p in poly),
-              max(p[2] for p in poly))
-        cands = geom.seg_tree.query_box(lo, hi, geom.eps)
-    else:
-        if cert is not None:
-            cert.stats["segment_scans"] += 1
-        cands = range(len(geom.segments))
+    poly = list(zip(*(mesh.circum[t][0] for t in ring)))
+    cands = geom.seg_tree.query_box(tuple(map(min, poly)),
+                                    tuple(map(max, poly)), geom.eps)
     nx = pw[0] - pu[0]
     ny = pw[1] - pu[1]
     nz = pw[2] - pu[2]
@@ -281,14 +265,14 @@ def _face_crossings(mesh, geom, u, w, t0, cert=None):
     return hits
 
 
-def classify_edge(mesh, geom, u, w, t0=None, cert=None):
-    """Restricted edge when the dual Voronoi face meets the curve network
-    (``cert`` only counts all-segment scans)."""
+def classify_edge(mesh, geom, u, w, t0=None):
+    """Restricted edge when the dual Voronoi face meets the curve network;
+    ``t0``, a tet on the edge, starts its ring walk."""
     if not geom.segments:
         return None
     if u < SHELL and w < SHELL:
         return None  # dual faces of pure-shell edges cannot reach the input
-    hits = _face_crossings(mesh, geom, u, w, t0, cert)
+    hits = _face_crossings(mesh, geom, u, w, t0)
     if not hits:
         return None
     pu = mesh.points[u]
@@ -333,8 +317,7 @@ def classify_facet(mesh, geom, t, i, cert=None, rec=None):
     point of c1-c2 centres a ball through the facet inside the union of
     the two empty Delaunay balls, so it passes; beyond c1 or c2 on the
     axis line, that side's apex is nearer.  So on the axis line exactly
-    c1-c2 passes, in exact arithmetic and without circumcentres, which
-    also bounds the axis-line scan taken when one is unreliable.  With
+    c1-c2 passes, in exact arithmetic, and c1-c2 is the query.  With
     ``cert``, a dual edge it proves clear of the surface is not queried.
     ``rec``, the facet's current record, lends its stored walk when the
     new dual segment lies within its tube (see the module docstring).
@@ -349,33 +332,16 @@ def classify_facet(mesh, geom, t, i, cert=None, rec=None):
     t2 = mesh.neigh[t][i]
     if t2 == -1:
         return None  # outer-box hull facet
-    p1, ok1 = mesh.voronoi_vertex(t)
-    p2, ok2 = mesh.voronoi_vertex(t2)
-    reliable = ok1 and ok2
-    if reliable and cert is not None and cert.clears(t, p1, t2, p2):
+    p1 = mesh.circum[t][0]
+    p2 = mesh.circum[t2][0]
+    if cert is not None and cert.clears(t, p1, t2, p2):
         cert.stats["dual_certified"] += 1
         return None
     a1 = quad[i]
     a2 = next(x for x in mesh.tets[t2] if x not in tri)
     pa, pb, pc = (mesh.points[v] for v in tri)
-    if reliable:
-        if a2 < a1:
-            p1, p2 = p2, p1
-    else:
-        # near-degenerate circumcentre(s): scan along the facet's axis line
-        # instead, which is accurate however thin the adjacent tets are
-        if cert is not None:
-            cert.stats["axis_line_scans"] += 1
-        cc, _r2 = circumcentre_triangle(pa, pb, pc)
-        n = _cross(_sub(pb, pa), _sub(pc, pa))
-        nn = _norm(n)
-        if nn == 0.0:
-            return None
-        span = 2.0 * geom.diag + math.dist(cc, geom.bounds[0])
-        p1 = (cc[0] - span * n[0] / nn, cc[1] - span * n[1] / nn,
-              cc[2] - span * n[2] / nn)
-        p2 = (cc[0] + span * n[0] / nn, cc[1] + span * n[1] / nn,
-              cc[2] + span * n[2] / nn)
+    if a2 < a1:
+        p1, p2 = p2, p1
     walk = None if rec is None else rec.walk
     if walk is not None and _in_tube(p1, walk) and _in_tube(p2, walk):
         if cert is not None:
@@ -405,7 +371,7 @@ def classify_tet(mesh, geom, t, cert=None):
     """
     if not geom.surface_closed or mesh.is_ghost(t):
         return None
-    centre, _ok = mesh.voronoi_vertex(t)
+    centre, r2 = mesh.circum[t]
     inside = None if cert is None else cert.inherited(mesh, geom, t, centre)
     if inside is None:
         inside = geom.point_in_volume(centre)
@@ -415,7 +381,6 @@ def classify_tet(mesh, geom, t, cert=None):
         return None
     quad = mesh.tets[t]
     pts = [mesh.points[v] for v in quad]
-    _c, r2, _okc = mesh.circum[t]
     return Restricted(tuple(sorted(quad)), centre, math.sqrt(r2), 0.0, -1,
                       _radius_edge(r2, pts), volume_length(*pts), t)
 

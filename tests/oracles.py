@@ -273,21 +273,13 @@ def face_crossings_reference(mesh, geom, u, w, nearest_among):
         return []
     pu = mesh.points[u]
     pw = mesh.points[w]
-    reliable = True
-    poly = []
-    for t in ring:
-        c, ok = mesh.voronoi_vertex(t)
-        reliable = reliable and ok
-        poly.append(c)
-    if reliable and len(poly) >= 3:
-        pad = geom.eps
-        lo = (min(p[0] for p in poly) - pad, min(p[1] for p in poly) - pad,
-              min(p[2] for p in poly) - pad)
-        hi = (max(p[0] for p in poly) + pad, max(p[1] for p in poly) + pad,
-              max(p[2] for p in poly) + pad)
-        cands = geom.seg_tree.query_box(lo, hi)
-    else:
-        cands = range(len(geom.segments))
+    poly = [mesh.circum[t][0] for t in ring]
+    pad = geom.eps
+    lo = (min(p[0] for p in poly) - pad, min(p[1] for p in poly) - pad,
+          min(p[2] for p in poly) - pad)
+    hi = (max(p[0] for p in poly) + pad, max(p[1] for p in poly) + pad,
+          max(p[2] for p in poly) + pad)
+    cands = geom.seg_tree.query_box(lo, hi)
     nx = pw[0] - pu[0]
     ny = pw[1] - pu[1]
     nz = pw[2] - pu[2]

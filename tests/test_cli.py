@@ -141,6 +141,25 @@ def test_negative_point_budget_exits_1(tmp_path, capsys):
         "error: max_points must not be negative\n")
 
 
+@pytest.mark.parametrize("which", ["input", "grid"])
+def test_non_utf8_file_exits_1_naming_the_byte(which, tmp_path, capsys):
+    # an undecodable byte is an input error, not a traceback: the message
+    # names the file and the byte's offset
+    src = write_cube(tmp_path)
+    bad = tmp_path / "bad"
+    if which == "input":
+        bad.write_bytes(b"v 0 0 0\nv 1 0 \xff\n")
+        argv, what = ["--input", str(bad)], "input"
+    else:
+        bad.write_bytes(b"dims 2 2 2\xff\n")
+        argv, what = ["--input", src, "--hfun", f"grid:{bad}"], "sizing grid"
+    assert main(argv + ["--output", str(tmp_path / "m.vtk")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {what} {str(bad)!r}: byte 0xff at offset "
+        f"{bad.read_bytes().index(0xff)} is not UTF-8\n")
+    assert not (tmp_path / "m.vtk").exists()
+
+
 def test_run_cube_writes_valid_outputs(tmp_path):
     src = write_cube(tmp_path)
     out = str(tmp_path / "cube.vtk")
@@ -311,8 +330,7 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
                           "rollback_gamma", "rollback_sigma",
                           "encroach_edge", "encroach_tri", "disk1", "disk2",
                           "type1", "type2", "blocked", "dual_certified",
-                          "volume_inherited", "axis_line_scans",
-                          "segment_scans", "survivors_skipped",
+                          "volume_inherited", "survivors_skipped",
                           "walks_reused", "locate_scans"}
     assert stats["inserted"] > 0
     assert stats["dual_certified"] > 0 and stats["volume_inherited"] > 0

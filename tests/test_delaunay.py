@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pscmesh.config import RefineConfig, SizingField
 from pscmesh.delaunay import TetMesh, circumcentre_triangle, circumsphere_tet
@@ -10,7 +11,7 @@ from pscmesh.errors import MeshError
 from pscmesh.models import icosphere, wedge
 from pscmesh.refine import refine
 
-from oracles import brute_force_delaunay
+from oracles import brute_force_delaunay, rational_circumball
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
@@ -288,16 +289,14 @@ def test_insert_with_a_flat_new_tet_rolls_back():
 
 
 def test_circumsphere_unit_right_tet():
-    c, r2, ok = circumsphere_tet((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert ok
+    c, r2 = circumsphere_tet((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert np.allclose(c, (0.5, 0.5, 0.5), atol=1e-12)
     assert abs(r2 - 0.75) < 1e-12
 
 
 def test_circumsphere_regular_tet_is_centroid():
     pts = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    c, _r2, ok = circumsphere_tet(*pts)
-    assert ok
+    c, _r2 = circumsphere_tet(*pts)
     assert np.allclose(c, (0, 0, 0), atol=1e-12)
 
 
@@ -305,18 +304,81 @@ def test_circumsphere_equidistance_randomized():
     rng = np.random.default_rng(12)
     for _ in range(300):
         pts = rng.uniform(-1, 1, (4, 3))
-        c, r2, ok = circumsphere_tet(*(tuple(p) for p in pts))
-        if not ok:
-            continue
+        c, r2 = circumsphere_tet(*(tuple(p) for p in pts))
         r = math.sqrt(r2)
         for p in pts:
             assert abs(math.dist(c, p) - r) <= 1e-9 * max(r, 1.0)
 
 
-def test_voronoi_vertex_flags_near_degenerate():
-    _c, _r2, ok = circumsphere_tet((0, 0, 0), (1, 0, 0), (0, 1, 0),
-                                   (0.5, 0.5, 1e-9))
-    assert not ok
+_COORD = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+_POINT = st.tuples(_COORD, _COORD, _COORD)
+
+
+@st.composite
+def ill_conditioned_tets(draw):
+    """Four points whose circumradius exceeds 1e6 shortest edges: a fat
+    triangle abc plus d, either about 1e-9 from a (one short edge) or
+    within 1e-12 of the plane of abc, inside the triangle (so far from
+    cocircular: the centre lies more than 1e7 away)."""
+    a, b, c = draw(_POINT), draw(_POINT), draw(_POINT)
+    e1 = np.subtract(b, a)
+    e2 = np.subtract(c, a)
+    n = np.cross(e1, e2)
+    assume(min(np.linalg.norm(e1), np.linalg.norm(e2),
+               math.dist(b, c)) >= 0.2)
+    assume(np.linalg.norm(n) >= 0.05)
+    if draw(st.booleans()):
+        off = draw(_POINT)
+        d = tuple(a[i] + 1e-9 * off[i] for i in range(3))
+    else:
+        s = draw(st.floats(0.1, 0.45))
+        t = draw(st.floats(0.1, 0.45))
+        h = draw(st.floats(-1e-12, 1e-12))
+        n = n / np.linalg.norm(n)
+        d = tuple(float(a[i] + s * e1[i] + t * e2[i] + h * n[i])
+                  for i in range(3))
+    return a, b, c, d
+
+
+_UNDERFLOW = ((0.0, 0.0, 0.0), (1e-170, 0.0, 0.0), (0.0, 1.0, 0.0),
+              (0.0, 0.0, 1e-170))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ill_conditioned_tets(), st.integers(-60, 60))
+@example(_UNDERFLOW, 0)
+@example(_UNDERFLOW, -40)
+@example(_UNDERFLOW, 40)
+@example(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+          (0.5, 0.5, 1e-9)), 0)
+@example(((0.2, 0.2, 0.2), (0.2, 0.1, 0.2), (0.1, 0.2, 0.2),
+          (0.2 + 3e-9, 0.2 + 2e-9, 0.2 + 1e-9)), 0)
+def test_ill_conditioned_circumsphere_is_the_rounded_exact_one(pts, k):
+    # where the float solve is ill-conditioned, the centre and the squared
+    # radius are the exact ones, each correctly rounded, at every
+    # power-of-two scale.  The underflow tet's float determinant is 0
+    # although its exact one is not; an exactly coplanar draw gives the
+    # centroid
+    pts = [tuple(math.ldexp(x, k) for x in p) for p in pts]
+    centre, r2 = circumsphere_tet(*pts)
+    ball = rational_circumball(*pts)
+    if ball is None:
+        assert r2 == math.inf
+        assert centre == tuple(sum(p[i] for p in pts) / 4.0 for i in range(3))
+        return
+    want_centre, want_r2 = ball
+    min_e2 = min(math.dist(p, q) ** 2 for p, q in combinations(pts, 2))
+    assert _rounded(want_r2) > 1e12 * min_e2  # the float solve stands down
+    assert centre == tuple(_rounded(x) for x in want_centre)
+    assert r2 == _rounded(want_r2)
+
+
+def _rounded(x):
+    """float(x) for a Fraction, saturating to +-inf past the doubles."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def test_voronoi_edges_orthogonal_to_facets():
@@ -332,8 +394,8 @@ def test_voronoi_edges_orthogonal_to_facets():
             if n == -1:
                 continue
             # the dual edge classify_facet intersects with the surface
-            p1 = m.voronoi_vertex(t)[0]
-            p2 = m.voronoi_vertex(n)[0]
+            p1 = m.circum[t][0]
+            p2 = m.circum[n][0]
             seg = np.subtract(p2, p1)
             f = _FACES[i]
             for (x, y) in ((f[0], f[1]), (f[0], f[2])):
@@ -347,7 +409,7 @@ def dual_face(m, u, w):
     # the dual polygon of edge (u, w) as restricted._face_crossings builds
     # it: the circumcentres of the ring of tets around the edge, in order
     ring, closed = m.edge_ring(u, w)
-    return [m.voronoi_vertex(t)[0] for t in ring], closed
+    return [m.circum[t][0] for t in ring], closed
 
 
 def test_voronoi_face_pentagon_ring():

@@ -445,10 +445,9 @@ def test_polygon_curve_matches_bruteforce_on_random_polyline():
         if w < 8:
             continue
         ring, closed = m.edge_ring(u, w)
-        duals = [m.voronoi_vertex(t) for t in ring]
-        if not closed or not all(ok for _c, ok in duals):
+        if not closed:
             continue
-        want = polygon_curve_hits([cc for cc, _ok in duals], pts, segs)
+        want = polygon_curve_hits([m.circum[t][0] for t in ring], pts, segs)
         got = classify_edge(m, c, u, w)
         checked += 1
         if not want:

@@ -154,7 +154,7 @@ def test_report_single_regular_tet():
     class _Mesh:
         points = {i: p for i, p in enumerate(REGULAR)}
 
-    centre, r2, _ok = circumsphere_tet(*REGULAR)
+    centre, r2 = circumsphere_tet(*REGULAR)
     tet = Restricted((0, 1, 2, 3), centre, math.sqrt(r2), 0.0, -1,
                      _radius_edge(r2, REGULAR), volume_length(*REGULAR), 0)
 

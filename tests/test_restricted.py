@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pscmesh import restricted
+from pscmesh import delaunay, restricted
 from pscmesh.config import RefineConfig, SizingField
 from pscmesh.delaunay import (TetMesh, _FACES, circumcentre_triangle,
                               circumsphere_tet)
@@ -154,56 +154,73 @@ def _record(obj):
             obj.quality)
 
 
-def _check_edges_against_reference(monkeypatch, mesh, geom):
+def record_exact_circumspheres(monkeypatch):
+    """Wrap the exact branch of ``circumsphere_tet``, taken where its float
+    solve is ill-conditioned.  Returns the list of the circumspheres it
+    solves, kept alive so that ``exact_tets`` can match them by identity."""
+    made = []
+    exact = delaunay._circumsphere_exact
+
+    def recording(*pts):
+        made.append(exact(*pts))
+        return made[-1]
+
+    monkeypatch.setattr(delaunay, "_circumsphere_exact", recording)
+    return made
+
+
+def exact_tets(mesh, made):
+    """The live tets whose stored circumsphere is one of ``made``."""
+    ids = {id(c) for c in made}
+    return {t for t in mesh.alive_tets() if id(mesh.circum[t]) in ids}
+
+
+def _check_edges_against_reference(monkeypatch, mesh, geom, exact=()):
     """classify_edge on every mesh edge, against its result with the
     unfiltered reference face query, which confirms each candidate by a
     scan of every live vertex (ties going to the edge).  Returns the edge
-    keys with a closed ring, those among them with an unreliable
-    circumcentre, the reference hits tied exactly between u or w and a
-    link vertex, the edges whose two results differ, and the all-segment
-    scans counted in ``stats.segment_scans``."""
+    keys with a closed ring, those among them whose ring holds one of the
+    tets ``exact``, the reference hits tied exactly between u or w and a
+    link vertex, and the edges whose two results differ."""
     edges = sorted({tuple(sorted(pair)) for t in mesh.alive_tets()
                     for pair in combinations(mesh.tets[t], 2)})
-    stats = {"segment_scans": 0}
-    cert = restricted.DistanceCertificate(geom, stats)
-    got = [_record(classify_edge(mesh, geom, u, w, cert=cert))
-           for u, w in edges]
+    got = [_record(classify_edge(mesh, geom, u, w)) for u, w in edges]
     brute = nearest_among_reference(mesh)
     with monkeypatch.context() as m:
         m.setattr(restricted, "_face_crossings",
-                  lambda mesh, geom, u, w, t0, cert=None:
+                  lambda mesh, geom, u, w, t0:
                   face_crossings_reference(mesh, geom, u, w, brute))
         want = [_record(classify_edge(mesh, geom, u, w))
                 for u, w in edges]
     assert any(want)
     differ = [e for e, a, b in zip(edges, got, want) if a != b]
-    closed, unreliable, ties = [], [], 0
+    closed, through_exact, ties = [], [], 0
     for u, w in edges:
         ring, is_closed = mesh.edge_ring(u, w)
         if not is_closed or (u < 8 and w < 8):
             continue
         closed.append((u, w))
-        if not all(mesh.voronoi_vertex(t)[1] for t in ring):
-            unreliable.append((u, w))
+        if any(t in exact for t in ring):
+            through_exact.append((u, w))
         link = {x for t in ring for x in mesh.tets[t]} - {u, w}
         for y, _cid in face_crossings_reference(mesh, geom, u, w, brute):
             dmin = min(_d2(y, mesh.points[u]), _d2(y, mesh.points[w]))
             ties += any(_d2(y, mesh.points[x]) == dmin for x in link)
-    return closed, unreliable, ties, differ, stats["segment_scans"]
+    return closed, through_exact, ties, differ
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_classify_edge_matches_unfiltered_reference_on_wedge(monkeypatch,
                                                              seed):
-    # every edge of a refined creased input (whose rings all have reliable
-    # circumcentres at these seeds): every point of the bisector plane
-    # outside the closed dual face is strictly nearer some link vertex, so
-    # the star test confirms exactly the hits of a scan of every vertex
+    # every edge of a refined creased input: every point of the bisector
+    # plane outside the closed dual face is strictly nearer some link
+    # vertex, so the star test confirms exactly the hits of a scan of
+    # every vertex
     geom = wedge()
     res = refine(geom, RefineConfig(sizing=SizingField(h0=0.35), seed=seed))
-    closed, _unreliable, _ties, differ, scans = (
+    closed, _exact, _ties, differ = (
         _check_edges_against_reference(monkeypatch, res.mesh, geom))
-    assert len(closed) > 400 and differ == [] and scans == 0
+    assert len(closed) > 400 and differ == []
 
 
 def lattice_case():
@@ -213,8 +230,7 @@ def lattice_case():
     its centre; the curve passes through the centre (0.05, 0.05, 0.05) of
     the first cell.  The last point, about 4e-9 from the corner (0.2, 0.2,
     0.2), gives the tets on that short edge circumradii above 1e6 times
-    its length: their circumcentres are unreliable, and the rings through
-    them take the all-segments path.
+    its length: ``circumsphere_tet`` solves their circumcentres exactly.
     """
     s = 0.1
     verts = [(-0.025, 0.025, 0.0), (0.125, 0.075, 0.1), (0.05, 0.15, 0.15),
@@ -231,14 +247,18 @@ def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
     # two agree on every edge but two: the curve vertex (0.05, 0.15, 0.15)
     # on the dual faces of (22, 25) and (24, 25) ties vertices 12 and 21,
     # outside those stars, in exact arithmetic, and rounding puts them
-    # about 2 ulps nearer (relative 4.6e-16).  Only the scan sees that
+    # about 2 ulps nearer (relative 4.6e-16).  Only the scan sees that.
+    # The rings through the three tets on the short edge, whose
+    # circumcentres are solved exactly, agree as well
+    made = record_exact_circumspheres(monkeypatch)
     geom, bounds, points = lattice_case()
     mesh = TetMesh(bounds, seed=2)
     for p in points:
         mesh.insert_point(p, jitter=False)
-    closed, unreliable, ties, differ, scans = (
-        _check_edges_against_reference(monkeypatch, mesh, geom))
-    assert closed and unreliable and ties > 0 and scans > 0
+    exact = exact_tets(mesh, made)
+    closed, through_exact, ties, differ = (
+        _check_edges_against_reference(monkeypatch, mesh, geom, exact))
+    assert len(exact) == 3 and closed and through_exact and ties > 0
     assert differ == [(22, 25), (24, 25)]
     brute = nearest_among_reference(mesh)
     for u, w in differ:
@@ -268,8 +288,7 @@ def test_tie_with_a_rival_is_a_hit():
 
 
 def test_refinement_confirms_dual_hits_without_a_walk(monkeypatch):
-    # refinement confirms every dual hit from the Delaunay star alone, and
-    # on jittered input every edge ring has reliable circumcentres
+    # refinement confirms every dual hit from the Delaunay star alone
     calls = [0]
     nearest = TetMesh.nearest_vertex
 
@@ -283,7 +302,6 @@ def test_refinement_confirms_dual_hits_without_a_walk(monkeypatch):
                                              seed=0))
         refiner.setup()
         assert refiner.run() == "converged"
-        assert refiner.stats["segment_scans"] == 0
     assert calls[0] == 0
 
 
@@ -295,12 +313,7 @@ def test_star_test_matches_brute_force_nearest_vertex(monkeypatch, model, h,
                                                       seed):
     # every closed-ring edge and every non-hull facet of a refined mesh
     # classifies the same when the star test is replaced by a scan of all
-    # live mesh vertices (ties to the simplex, as in the star test).  A
-    # reliable dual edge only meets the surface between its circumcentres,
-    # where every apex passes, so the comparison is repeated with every
-    # circumcentre marked unreliable: facets then scan their whole axis
-    # line and rings all curve segments, and the star test alone bounds
-    # the dual
+    # live mesh vertices (ties to the simplex, as in the star test)
     geom = model()
     mesh = refine(geom, RefineConfig(sizing=SizingField(h0=h),
                                      seed=seed)).mesh
@@ -323,18 +336,12 @@ def test_star_test_matches_brute_force_nearest_vertex(monkeypatch, model, h,
                  for t, i in facets.values()])
 
     brute = nearest_among_reference(mesh)
-    voronoi_vertex = mesh.voronoi_vertex
-    for unreliable in (False, True):
-        with monkeypatch.context() as m:
-            if unreliable:
-                m.setattr(mesh, "voronoi_vertex",
-                          lambda t: (voronoi_vertex(t)[0], False))
-            got = classify_all()
-            m.setattr(restricted, "_nearest_among",
-                      lambda mesh, y, own, rivals: brute(y, own))
-            want = classify_all()
-        assert got == want
-        assert any(got[1]) and (any(got[0]) or not geom.segments)
+    got = classify_all()
+    monkeypatch.setattr(restricted, "_nearest_among",
+                        lambda mesh, y, own, rivals: brute(y, own))
+    want = classify_all()
+    assert got == want
+    assert any(got[1]) and (any(got[0]) or not geom.segments)
 
 
 # ----------------------------------------------------------------------
@@ -439,8 +446,8 @@ def test_dense_sphere_sample_restores_input_triangulation():
 def lattice_with_surface():
     """(geometry, mesh) of ``lattice_case`` plus two squares: one in the
     plane z = 0.15 of cell centres, where the eight corners of a cell tie,
-    and one at z = 0.21, which the facets of the unreliable tets reach
-    only by their axis-line scan."""
+    and one at z = 0.21, near the short edge whose tets have exactly
+    solved circumcentres."""
     geom, bounds, points = lattice_case()
     verts = list(geom.pts)
     tris = []
@@ -467,12 +474,14 @@ def _refined(model, h):
     _refined(cube, 0.35), _refined(wedge, 0.35),
     _refined(lambda: icosphere(2), 0.4), lattice_with_surface,
 ], ids=["cube", "wedge", "icosphere2", "lattice"])
-def test_facet_record_is_the_same_from_either_tet(case):
+def test_facet_record_is_the_same_from_either_tet(monkeypatch, case):
     # a facet's record depends on the facet alone: its sorted vertices and
     # the smaller apex fix the dual edge's direction, the hit it keeps and
     # the order of every float operation, whichever tet hands it over
+    made = record_exact_circumspheres(monkeypatch)
     geom, mesh = case()
-    differ = hits = axis_line = 0
+    exact = exact_tets(mesh, made)
+    differ = hits = exact_hits = 0
     for t in mesh.alive_tets():
         for i, t2 in enumerate(mesh.neigh[t]):
             if t2 < t:
@@ -483,10 +492,10 @@ def test_facet_record_is_the_same_from_either_tet(case):
             differ += a != b
             if a is not None:
                 hits += 1
-                axis_line += not (mesh.circum[t][2] and mesh.circum[t2][2])
+                exact_hits += t in exact or t2 in exact
     assert differ == 0 and hits > 0, (differ, hits)
     if case is lattice_with_surface:
-        assert axis_line > 0
+        assert exact_hits > 0  # hits on dual edges with exact centres
 
 
 def test_classify_facet_two_crossings_selects_larger_ball():
@@ -543,7 +552,7 @@ def test_classify_tet_cube_interior():
             assert classify_tet(m, geom, t) is None
             continue
         obj = classify_tet(m, geom, t)
-        centre, _ok = m.voronoi_vertex(t)
+        centre = m.circum[t][0]
         inside = geom.point_in_volume(centre)
         assert (obj is not None) == inside
         seen_in += bool(inside)
@@ -560,9 +569,7 @@ def test_classify_tet_matches_winding_oracle():
         if m.is_ghost(t):
             continue
         obj = classify_tet(m, geom, t)
-        centre, ok = m.voronoi_vertex(t)
-        if not ok:
-            continue
+        centre = m.circum[t][0]
         w = winding_numbers([centre], geom.vertices, geom.triangles)[0]
         if abs(abs(w) - 0.5) < 1e-6:
             continue  # centre essentially on the surface
@@ -590,9 +597,9 @@ def check_certified_skips(monkeypatch):
         before = cert.stats["dual_certified"]
         out = classify_facet(mesh, geom, t, i, cert=cert, rec=rec)
         if cert.stats["dual_certified"] > before:
-            c1, ok1 = mesh.voronoi_vertex(t)
-            c2, ok2 = mesh.voronoi_vertex(mesh.neigh[t][i])
-            assert ok1 and ok2 and out is None
+            c1 = mesh.circum[t][0]
+            c2 = mesh.circum[mesh.neigh[t][i]][0]
+            assert out is None
             assert geom.intersect_segment_surface(c1, c2) == []
             checked[0] += 1
         return out
@@ -601,7 +608,7 @@ def check_certified_skips(monkeypatch):
         before = cert.stats["volume_inherited"]
         out = classify_tet(mesh, geom, t, cert=cert)
         if cert.inside[t] is not None:
-            centre, _ok = mesh.voronoi_vertex(t)
+            centre = mesh.circum[t][0]
             assert cert.inside[t] == (out is not None) \
                 == geom.point_in_volume(centre)
             checked[1] += cert.stats["volume_inherited"] > before
@@ -687,11 +694,12 @@ def test_skipped_survivors_classify_as_unrestricted(monkeypatch, geom, h):
 def test_skipped_survivors_on_the_lattice_classify_as_unrestricted(
         monkeypatch):
     # the lattice inserted through the refiner's bookkeeping, so the skips
-    # meet exact ties and unreliable circumcentres.  The curve crosses the
-    # bisector of vertices 8 = (0, 0, 0) and 9 = (0, 0, 0.1) at the centre
-    # of the first cell, which all its corners tie: that point lies on the
-    # closed dual face of (8, 9) whatever is inserted later
+    # meet exact ties and exactly solved circumcentres.  The curve crosses
+    # the bisector of vertices 8 = (0, 0, 0) and 9 = (0, 0, 0.1) at the
+    # centre of the first cell, which all its corners tie: that point lies
+    # on the closed dual face of (8, 9) whatever is inserted later
     skipped = check_survivor_skips(monkeypatch)
+    made = record_exact_circumspheres(monkeypatch)
     geom, bounds, points = lattice_case()
     r = Refiner(geom, RefineConfig(sizing=SizingField(h0=1.0)))
     r.mesh = TetMesh(bounds, seed=2, stats=r.stats)
@@ -701,7 +709,7 @@ def test_skipped_survivors_on_the_lattice_classify_as_unrestricted(
         rec = r.mesh.insert_point(p, probe=census.probe)
         r._reclassify(census, rec.created)
     assert len(skipped) == r.stats["survivors_skipped"] > 0
-    assert (8, 9) in r.rs.edges and r.stats["segment_scans"] > 0
+    assert (8, 9) in r.rs.edges and exact_tets(r.mesh, made)
     assert_restricted_fresh(r)
 
 
@@ -804,15 +812,13 @@ STATS = {
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 0,
                "encroach_tri": 21, "disk1": 0, "disk2": 0, "type2": 43,
                "type1": 119, "blocked": 0, "dual_certified": 4361,
-               "volume_inherited": 2399, "axis_line_scans": 0,
-               "segment_scans": 0, "survivors_skipped": 8026,
+               "volume_inherited": 2399, "survivors_skipped": 8026,
                "walks_reused": 904, "locate_scans": 0},
     "crease": {"inserted": 85, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 1,
                "encroach_tri": 19, "disk1": 0, "disk2": 0, "type2": 27,
                "type1": 58, "blocked": 0, "dual_certified": 2338,
-               "volume_inherited": 1092, "axis_line_scans": 0,
-               "segment_scans": 0, "survivors_skipped": 3953,
+               "volume_inherited": 1092, "survivors_skipped": 3953,
                "walks_reused": 369, "locate_scans": 0},
 }
 

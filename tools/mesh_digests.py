@@ -8,7 +8,7 @@ settings, through the same input file round trip, and prints three lines:
     workload seed status sha256(vtk + report)
     workload seed counts points=.. curve_edges=.. surface_tris=..
         volume_tets=.. cert_passed=.. inserted=..
-    workload seed stats axis_line_scans=.. blocked=.. ...
+    workload seed stats blocked=.. disk1=.. ...
 
 (the second and third each on one line; the third holds every counter of
 ``Refiner.stats``, sorted by name).  ``cert_passed`` counts the 8
@@ -31,7 +31,7 @@ the benchmark's ``h_rel_dev``: the quality movement of a change that
 moves the meshes, and the refinement work it costs or saves, without a
 benchmark run.  The workload ends with one totals line,
 
-    workload totals axis_line_scans=.. blocked=.. ...
+    workload totals blocked=.. disk1=.. ...
 
 which sums each ``Refiner.stats`` counter over the meshes, sorted by
 name, so that a change that moves the work alone shows as one differing
