@@ -20,8 +20,8 @@ from .predicates import insphere, orient3d
 from .quality import (QualityReport, area_length, build_report,
                       dihedral_angles, relative_edge_length, triangle_angles,
                       volume_length, write_report)
-from .refine import (RefineResult, Refiner, bad_simplex, protect_sharp_angles,
-                     refine, select_refinement_point, violations)
+from .refine import (RefineResult, Refiner, protect_sharp_angles, refine,
+                     select_refinement_point, violations)
 from .restricted import (Restricted, classify_edge, classify_facet,
                          classify_tet, element_size, topo_disk_1, topo_disk_2)
 from .vtk_io import read_vtk, write_vtk

@@ -7,10 +7,11 @@ ghost logic -- tets touching a shell corner are simply "ghost" and ignored
 by the restricted classification.
 
 Degeneracy policy: every stored point receives a deterministic jitter of
-1e-12 x geometry diagonal, keyed on (seed, vertex index).  Combined with
-the exact predicates this keeps the point set in general position, so
-cavities and dual constructions never meet an exactly
-cospherical or coplanar configuration.  ``TetMesh.points`` holds the
+``jitter_scale`` (1e-12 x geometry diagonal), keyed on (seed, vertex
+index).  Combined with the exact predicates this keeps the point set in
+general position, so cavities and dual constructions never meet an
+exactly cospherical or coplanar configuration (a mesh whose
+``jitter_scale`` is set to 0 meets them).  ``TetMesh.points`` holds the
 jittered coordinates and is the authoritative vertex data for every
 downstream consumer.
 
@@ -166,7 +167,7 @@ class InsertRecord:
 
 
 class TetMesh:
-    def __init__(self, bounds, seed=0, stats=None):
+    def __init__(self, bounds, seed=0):
         lo, hi = bounds
         cx = (lo[0] + hi[0]) / 2.0
         cy = (lo[1] + hi[1]) / 2.0
@@ -181,8 +182,6 @@ class TetMesh:
         self.snap_tol = 1e-11 * diag
         self.jitter_scale = 1e-12 * diag
         self.seed = seed
-        # counts the point locations that fell back to a linear scan
-        self.stats = {"locate_scans": 0} if stats is None else stats
 
         self.points = []
         self.meta = []
@@ -301,6 +300,9 @@ class TetMesh:
         return list(seen)
 
     def _contains(self, t, p):
+        """Whether tet t's closure holds p.  Nothing in the package calls
+        it: it is kept only because the benchmark tracer wraps it by name
+        (ROADMAP item 8 deletes both)."""
         quad = self.tets[t]
         for i in range(4):
             f = _FACES[i]
@@ -310,8 +312,9 @@ class TetMesh:
         return True
 
     def locate(self, p):
-        """Tet containing p: a visibility walk, which ends in a Delaunay mesh
-        whatever its face order, with a linear-scan fallback."""
+        """Tet containing p, by a visibility walk.  In a Delaunay mesh it
+        never visits a tet twice (Edelsbrunner 1990), so it ends; a walk
+        that outruns ``_WALK_CAP`` steps raises ``MeshError``."""
         t = self._last_tet
         if t < 0 or self.tets[t] is None:
             t = next(self.alive_tets())
@@ -330,21 +333,17 @@ class TetMesh:
                     break
             if not moved:
                 return t
-        self.stats["locate_scans"] += 1
-        for t in self.alive_tets():
-            if self._contains(t, p):
-                return t
-        raise MeshError("point location failed")
+        raise MeshError("point location did not end: the mesh is not Delaunay")
 
     # ------------------------------------------------------------------
     # insertion
 
-    def probe_insert(self, p, jitter=True):
-        """Jitter p and compute its cavity without mutating the mesh.
+    def probe_insert(self, p):
+        """Jitter p as the next vertex and find its cavity; mutates nothing.
 
         Returns (pj, cavity dict, boundary facets, duplicate vertex id).
         """
-        pj = self._jitter(p, len(self.points)) if jitter else tuple(map(float, p))
+        pj = self._jitter(p, len(self.points))
         t0 = self.locate(pj)
         cav = {t0: None}
         stack = [t0]
@@ -377,14 +376,15 @@ class TetMesh:
                     boundary.append(((quad[f[0]], quad[f[1]], quad[f[2]]), n))
         return pj, cav, boundary, None
 
-    def insert_point(self, p, kind="interior", ref=-1, jitter=True, probe=None):
-        """Bowyer-Watson insertion; returns an InsertRecord.
+    def insert_point(self, p, kind="interior", ref=-1, probe=None):
+        """Bowyer-Watson insertion of p, jittered as ``probe_insert`` does
+        (``probe`` is its result, if taken); returns an InsertRecord.
 
         A point within snap tolerance of an existing vertex is not
         inserted; the record flags the duplicate and carries its id.
         """
         if probe is None:
-            probe = self.probe_insert(p, jitter=jitter)
+            probe = self.probe_insert(p)
         pj, cav, boundary, dup = probe
         if dup is not None:
             return InsertRecord(dup, True, [])

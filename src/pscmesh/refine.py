@@ -62,7 +62,7 @@ def violations(d, s, cfg, tol=0.0):
     triangle / tet) and ``vlen_ok`` (a tet's volume-length floor).
 
     Every bound is relaxed by the factor 1 + tol (the floor by 1 - tol):
-    the refinement queue applies them at tol 0 (``bad_simplex``), the
+    the refinement queue applies them at tol 0 (``Restricted.bad``), the
     certificates at 1e-9.
     """
     h = cfg.sizing.value(s.centre)
@@ -78,11 +78,6 @@ def violations(d, s, cfg, tol=0.0):
     if d == 3 and s.quality <= cfg.vlen_min * (1.0 - tol):
         out.append("vlen_ok")
     return out
-
-
-def bad_simplex(d, s, cfg):
-    """Whether the restricted d-simplex s needs refinement."""
-    return bool(violations(d, s, cfg))
 
 
 # kind of a Steiner point placed for a restricted d-simplex
@@ -310,8 +305,8 @@ class Refiner:
                       "disk1": 0, "disk2": 0, "type2": 0, "type1": 0,
                       "blocked": 0, "dual_certified": 0,
                       "volume_inherited": 0, "survivors_skipped": 0,
-                      "walks_reused": 0, "locate_scans": 0}
-        self.mesh = TetMesh(geom.bounds, seed=cfg.seed, stats=self.stats)
+                      "walks_reused": 0}
+        self.mesh = TetMesh(geom.bounds, seed=cfg.seed)
         self.rs = RestrictedSets()
         # bad-simplex heaps and disk-check marks, indexed by dimension
         self.queues = (None, [], [], [])
@@ -361,7 +356,7 @@ class Refiner:
     # classification bookkeeping
 
     def _queue(self, d, key, obj):
-        if bad_simplex(d, obj, self.cfg):
+        if obj.bad:
             self._stamp += 1
             prio = -obj.radius if d == 1 else -obj.rho
             heapq.heappush(self.queues[d], (prio, self._stamp, key, obj))
@@ -383,7 +378,8 @@ class Refiner:
         restricted: an insertion only shrinks the Voronoi duals of kept
         faces, so a dual that missed the input still misses
         (``stats.survivors_skipped``).  The created tets are bounded in
-        ``cert`` first.  Only entries that change are written.
+        ``cert`` first.  Only entries that change are written, and a stored
+        record gets its verdict (``Restricted.bad``) and is queued.
         Returns the undo list: every write as (d, key, old), once per key;
         replaying it in reverse restores the tables.
         """
@@ -418,6 +414,7 @@ class Refiner:
                 if known or obj is not None:
                     undo.append((d, key, rs.set(d, key, obj)))
                 if obj is not None:
+                    obj.bad = bool(violations(d, obj, self.cfg))
                     self._queue(d, key, obj)
         return undo
 
@@ -464,8 +461,8 @@ class Refiner:
     def _insert(self, census, d, ref, guards=False):
         """Insert ``census.probe`` as the Steiner point of a d-simplex.  With
         ``guards``, an insertion that changes a restricted complex of
-        dimension below d is rolled back.  Returns (status, vid) with status
-        in {'inserted', 'duplicate', 'rejected'}; 'inserted' covers
+        dimension below d is rolled back.  Returns the status, one of
+        'inserted', 'duplicate' or 'rejected'; 'inserted' covers
         rollback-then-deferred insertions.
         """
         if len(self.mesh.points) - SHELL >= self.cfg.max_points:
@@ -473,10 +470,10 @@ class Refiner:
         probe = census.probe
         if probe[3] is not None:
             self.stats["duplicates"] += 1
-            return "duplicate", probe[3]
+            return "duplicate"
         if self._cavity_locks(census):
             self.stats["rejected_protected"] += 1
-            return "rejected", None
+            return "rejected"
         rec = self.mesh.insert_point(probe[0], _KIND[d], ref, probe=probe)
         undo = self._reclassify(census, rec.created)
         for low in range(1, d) if guards else ():
@@ -487,7 +484,7 @@ class Refiner:
         # every created tet is a cavity boundary facet plus the new vertex
         self._mark_dirty(census.faces[0] | {rec.vid})
         self.stats["inserted"] += 1
-        return "inserted", rec.vid
+        return "inserted"
 
     def _rollback(self, rec, undo, low, changed):
         """Undo the offending insertion ``rec`` and defer to the
@@ -520,7 +517,6 @@ class Refiner:
         """
         mesh = self.mesh
         rs = self.rs
-        cfg = self.cfg
         table = rs.table[d]
         if d == 3:
             quad = mesh.tets[token.tet_id]
@@ -531,7 +527,7 @@ class Refiner:
             faces = combinations(key, d)
         for i, face in enumerate(faces):
             obj = rs.table[d - 1].get(face) if d > 1 else None
-            if obj is not None and not bad_simplex(d - 1, obj, cfg):
+            if obj is not None and not obj.bad:
                 return face
             # keys of the other d-simplexes on the face
             if d == 3:
@@ -540,8 +536,7 @@ class Refiner:
             else:
                 keys = (k for k in rs.at_vertex[d].get(face[0], ())
                         if k != key and face[-1] in k)
-            if any(k in table and not bad_simplex(d, table[k], cfg)
-                   for k in keys):
+            if any(k in table and not table[k].bad for k in keys):
                 return face
         return None
 
@@ -677,8 +672,7 @@ class Refiner:
                 c2, c0, r0 = self._offcentre(d, token, witness)
                 point, ptype = select_refinement_point(token.centre, c2, c0,
                                                        r0)
-            st, _vid = self._place(point, d, token.ref, guards=True)
-            if st == "inserted":
+            if self._place(point, d, token.ref, guards=True) == "inserted":
                 self.stats["type2" if ptype == "II" else "type1"] += 1
                 # a deferred insertion may leave this simplex untouched and
                 # still in violation: put it back in line
@@ -712,8 +706,7 @@ class Refiner:
             target = self._disk_target(d, v)
             if target is None:
                 continue
-            st, _vid = self._place(target.centre, d, target.ref)
-            if st == "inserted":
+            if self._place(target.centre, d, target.ref) == "inserted":
                 self.stats[f"disk{d}"] += 1
                 dirty[v] = None
                 return True

@@ -77,11 +77,13 @@ class Restricted:
       edge or a tet: the dual segment a-b it walked, the squared half tube
       r2 and the ids the walk kept with its pad grown by the tube (see the
       module docstring);
+    - ``bad``: whether it fails a refinement bound (``violations`` at tol
+      0), set by the refiner when it stores the record;
     - ``blocked``: set when a refinement of it was rejected.
     """
 
     __slots__ = ("key", "centre", "radius", "err", "ref", "rho", "quality",
-                 "tet_id", "walk", "blocked")
+                 "tet_id", "walk", "bad", "blocked")
 
     def __init__(self, key, centre, radius, err, ref, rho, quality,
                  tet_id=-1, walk=None):

@@ -6,6 +6,7 @@ check that a traced refinement still calls through the patched names, and
 check that the box queries it counts still pass through ``query_box``.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -16,7 +17,8 @@ from pscmesh.config import RefineConfig, SizingField
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.refine import Census, Refiner
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -36,6 +38,23 @@ def test_tracer_installs_and_restores_every_traced_name():
     tracer.uninstall()
     assert refine.Refiner.setup is setup
     assert refine.classify_edge is classify_edge
+
+
+def test_only_the_tracer_keeps_nearest_vertex_and_contains():
+    # a name the tracer patches but no code of the package loads lives on
+    # for the tracer alone (ROADMAP item 8); a new one fails here
+    tracer = load_tracing().install()
+    patched = {attr for _owner, attr, _fn in tracer._restore}
+    tracer.uninstall()
+    loaded = set()
+    for path in (ROOT / "src" / "pscmesh").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+    assert patched - loaded - {"__init__"} == {"nearest_vertex", "_contains"}
 
 
 def test_traced_refinement_calls_through_every_patched_driver_name(

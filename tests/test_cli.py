@@ -331,7 +331,7 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
                           "encroach_edge", "encroach_tri", "disk1", "disk2",
                           "type1", "type2", "blocked", "dual_certified",
                           "volume_inherited", "survivors_skipped",
-                          "walks_reused", "locate_scans"}
+                          "walks_reused"}
     assert stats["inserted"] > 0
     assert stats["dual_certified"] > 0 and stats["volume_inherited"] > 0
     assert stats["survivors_skipped"] > 0

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pscmesh.config import RefineConfig, SizingField
-from pscmesh.delaunay import TetMesh, circumcentre_triangle, circumsphere_tet
+from pscmesh.delaunay import (_FACES, SHELL, TetMesh, circumcentre_triangle,
+                              circumsphere_tet)
 from pscmesh.errors import MeshError
 from pscmesh.models import icosphere, wedge
 from pscmesh.refine import refine
 
-from oracles import brute_force_delaunay, rational_circumball
+from oracles import (brute_force_delaunay, rational_circumball,
+                     rational_orient3d)
+from test_restricted import lattice_case
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
@@ -282,6 +285,74 @@ def test_insert_with_a_flat_new_tet_rolls_back():
     assert not m.meta[-1].alive
     _assert_involution(m)
     assert m.insert_point((0.3, 0.3, 0.3)).created
+
+
+def _random_mesh(seed, n):
+    m = TetMesh(UNIT, seed=seed)
+    for p in np.random.default_rng(seed).uniform(0, 1, (n, 3)):
+        m.insert_point(tuple(p))
+    return m
+
+
+# ----------------------------------------------------------------------
+# point location
+
+
+def _locate_queries(m, rng):
+    """Random points inside the shell, every live vertex, and every edge
+    midpoint and facet centroid of the live tets but those of the shell
+    corners alone, which rounding can put outside the shell."""
+    quads = [m.tets[t] for t in m.alive_tets()]
+    edges = {e for q in quads for e in combinations(sorted(q), 2)
+             if e[-1] >= SHELL}
+    facets = {f for q in quads for f in combinations(sorted(q), 3)
+              if f[-1] >= SHELL}
+    pts = m.points
+    lo, hi = np.asarray(m.box_lo), np.asarray(m.box_hi)
+    mid, half = (lo + hi) / 2.0, 0.45 * (hi - lo)
+    return ([tuple(p) for p in rng.uniform(mid - half, mid + half, (40, 3))]
+            + [pts[v] for v in range(len(pts)) if m.meta[v].alive]
+            + [tuple((pts[u][i] + pts[w][i]) / 2.0 for i in range(3))
+               for u, w in sorted(edges)]
+            + [tuple(sum(pts[v][i] for v in f) / 3.0 for i in range(3))
+               for f in sorted(facets)])
+
+
+def _lattice_mesh():
+    _geom, bounds, points = lattice_case()
+    m = TetMesh(bounds, seed=2)
+    m.jitter_scale = 0.0  # exact ties: each cell's corners are cospherical
+    for p in points:
+        m.insert_point(p)
+    return m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, "lattice"])
+def test_locate_returns_a_live_tet_whose_closure_holds_the_point(seed):
+    m = _lattice_mesh() if seed == "lattice" else _random_mesh(seed, 50)
+    rng = np.random.default_rng(5)
+    live = sorted(m.alive_tets())
+    for p in _locate_queries(m, rng):
+        m._last_tet = int(rng.choice(live))  # walk from anywhere
+        quad = m.tets[m.locate(p)]
+        assert quad is not None
+        for f in _FACES:
+            assert rational_orient3d(*(m.points[quad[i]] for i in f), p) >= 0
+
+
+def test_a_walk_that_does_not_end_raises():
+    # a neighbour slot pointing back at its own tet makes the walk cycle,
+    # as only a mesh that is not Delaunay can; no scan hides it
+    m = _random_mesh(0, 30)
+    t = m._last_tet
+    quad = m.tets[t]
+    far = next(u for u in m.alive_tets() if not set(m.tets[u]) & set(quad))
+    p = tuple(sum(x) / 4.0 for x in zip(*m.tet_points(far)))
+    i = next(i for i, f in enumerate(_FACES)
+             if rational_orient3d(*(m.points[quad[j]] for j in f), p) < 0)
+    m.neigh[t][i] = t
+    with pytest.raises(MeshError, match="point location did not end"):
+        m.locate(p)
 
 
 # ----------------------------------------------------------------------

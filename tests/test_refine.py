@@ -11,7 +11,7 @@ from pscmesh.delaunay import TetMesh
 from pscmesh.errors import ValidationError
 from pscmesh.geometry import PiecewiseComplex, load_complex
 from pscmesh.models import cube, icosphere, wedge
-from pscmesh.refine import (BallRegistry, Census, Refiner, bad_simplex,
+from pscmesh.refine import (BallRegistry, Census, Refiner,
                             protect_sharp_angles, refine,
                             select_refinement_point, violations)
 from pscmesh.restricted import Restricted
@@ -48,9 +48,9 @@ def tet_rec(key, centre, radius, rho, vlen, tet_id=0):
 def test_bad_edge_by_size():
     cfg = cfg_with(1.0)
     e = edge_rec((0, 1), (0, 0, 0), 0.75)   # h(e) = 1.5 > 4/3
-    assert bad_simplex(1, e, cfg)
+    assert violations(1, e, cfg)
     e2 = edge_rec((0, 1), (0, 0, 0), 0.5)   # h(e) = 1.0, eps 0
-    assert not bad_simplex(1, e2, cfg)
+    assert not violations(1, e2, cfg)
 
 
 def test_bad_edge_by_surface_error_sagitta():
@@ -60,29 +60,29 @@ def test_bad_edge_by_surface_error_sagitta():
     sagitta = 1.0 - math.cos(math.radians(60))
     e = edge_rec((0, 1), (1, 0, 0), 1.0, err=sagitta)
     assert 2 * e.radius <= cfg.alpha * 1.55
-    assert bad_simplex(1, e, cfg)
+    assert violations(1, e, cfg)
 
 
 def test_bad_triangle_rules():
     cfg = cfg_with(10.0)
     f = tri_rec((0, 1, 2), (0, 0, 0), 1.0, 1.5)
-    assert bad_simplex(2, f, cfg)     # rho 1.5 > 1.25
+    assert violations(2, f, cfg)     # rho 1.5 > 1.25
     ok = tri_rec((0, 1, 2), (0, 0, 0), 1.0, 0.577)
-    assert not bad_simplex(2, ok, cfg)
+    assert not violations(2, ok, cfg)
     cfg2 = cfg_with(1.0)
     big = tri_rec((0, 1, 2), (0, 0, 0), 2.0 * cfg2.alpha / math.sqrt(3),
                   0.577)
-    assert bad_simplex(2, big, cfg2)  # h(f) twice the allowance
+    assert violations(2, big, cfg2)  # h(f) twice the allowance
 
 
 def test_bad_tet_rules():
     cfg = cfg_with(10.0)
     t = tet_rec((0, 1, 2, 3), (0, 0, 0), 1.0, 2.5, 0.8)
-    assert bad_simplex(3, t, cfg)     # rho 2.5 > 2
+    assert violations(3, t, cfg)     # rho 2.5 > 2
     good = tet_rec((0, 1, 2, 3), (0, 0, 0), 1.0, 0.62, 1.0)
-    assert not bad_simplex(3, good, cfg)
+    assert not violations(3, good, cfg)
     sliver = tet_rec((0, 1, 2, 3), (0, 0, 0), 1.0, 0.9, 0.05)
-    assert bad_simplex(3, sliver, cfg)  # volume-length floor
+    assert violations(3, sliver, cfg)  # volume-length floor
 
 
 def _at_bound(cert, value):
@@ -114,7 +114,6 @@ def test_queue_and_audit_share_each_bound(cert):
     beyond = math.nextafter(edge[cert], -math.inf if lower else math.inf)
     for value, passes in ((edge[cert], True), (beyond, False)):
         d, s = _at_bound(cert, value)
-        assert bad_simplex(d, s, cfg)
         assert violations(d, s, cfg) == [cert]
         assert violations(d, s, cfg, 1e-9) == ([] if passes else [cert])
         r = Refiner(cube(), cfg)
@@ -327,8 +326,8 @@ def test_cavity_locks_match_the_ring_walk(seed):
     probe_insert = r.mesh.probe_insert
     locks = []
 
-    def checked(p, jitter=True):
-        probe = probe_insert(p, jitter=jitter)
+    def checked(p):
+        probe = probe_insert(p)
         want = cavity_locks_ring_walk(r.mesh, r.protected_edges, probe)
         assert r._cavity_locks(Census(r.mesh, probe)) == want
         locks.append(want)
@@ -511,12 +510,13 @@ def test_frontal_edge_next_to_converged_edge():
                for i, p in enumerate(geom.pts))
     left = edge_rec((a, b), (0.5, 0, 0), 0.5)
     right = edge_rec((b, c), (1.5, 0, 0), 0.5)
+    good = edge_rec((a, b), (0.1, 0, 0), 0.1)
+    for s in (left, right, good):  # the verdict _reclassify stores
+        s.bad = bool(violations(1, s, r.cfg))
+    assert left.bad and right.bad and not good.bad
     r.rs.set(1, (a, b), left)
     r.rs.set(1, (b, c), right)
-    assert bad_simplex(1, left, r.cfg) and bad_simplex(1, right, r.cfg)
     assert r._frontal(1, right) is None
-    good = edge_rec((a, b), (0.1, 0, 0), 0.1)
-    assert not bad_simplex(1, good, r.cfg)
     r.rs.set(1, (a, b), good)
     assert r._frontal(1, right) == (b,)
     assert r._frontal(1, good) is None  # its only neighbour is bad
@@ -766,7 +766,10 @@ def test_converged_run_leaves_only_blocked_violations(geom, h, seed, vlen_ok):
     assert res.status == "converged"
     assert res.audit["vlen_ok"] == vlen_ok
     bad = [s for d in (1, 2, 3) for s in res.rs.table[d].values()
-           if bad_simplex(d, s, cfg)]
+           if violations(d, s, cfg)]
+    # every record carries the verdict it was queued by
+    assert all(s.bad == (s in bad) for d in (1, 2, 3)
+               for s in res.rs.table[d].values())
     assert all(s.blocked for s in bad)
     assert res.stats["blocked"] >= len(bad)
     if not vlen_ok:

@@ -253,8 +253,9 @@ def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
     made = record_exact_circumspheres(monkeypatch)
     geom, bounds, points = lattice_case()
     mesh = TetMesh(bounds, seed=2)
+    mesh.jitter_scale = 0.0
     for p in points:
-        mesh.insert_point(p, jitter=False)
+        mesh.insert_point(p)
     exact = exact_tets(mesh, made)
     closed, through_exact, ties, differ = (
         _check_edges_against_reference(monkeypatch, mesh, geom, exact))
@@ -280,7 +281,8 @@ def test_tie_with_a_rival_is_a_hit():
     # y lies on the bisector of the simplex vertex and the rival, so on the
     # boundary of the closed dual; a rival one ulp nearer rejects it
     mesh = TetMesh(((0.0,) * 3, (2.0,) * 3))
-    own = (mesh.insert_point((0.0, 0.0, 0.0), jitter=False).vid,)
+    mesh.jitter_scale = 0.0
+    own = (mesh.insert_point((0.0, 0.0, 0.0)).vid,)
     rival = (2.0, 0.0, 0.0)
     assert restricted._nearest_among(mesh, (1.0, 0.0, 0.0), own, [rival])
     assert not restricted._nearest_among(
@@ -457,8 +459,9 @@ def lattice_with_surface():
                   (-0.05, 0.25, z)]
         tris += [(n, n + 1, n + 2, pid), (n, n + 2, n + 3, pid)]
     mesh = TetMesh(bounds, seed=2)
+    mesh.jitter_scale = 0.0
     for p in points:
-        mesh.insert_point(p, jitter=False)
+        mesh.insert_point(p)
     return PiecewiseComplex(verts, geom.segments, tris), mesh
 
 
@@ -702,10 +705,11 @@ def test_skipped_survivors_on_the_lattice_classify_as_unrestricted(
     made = record_exact_circumspheres(monkeypatch)
     geom, bounds, points = lattice_case()
     r = Refiner(geom, RefineConfig(sizing=SizingField(h0=1.0)))
-    r.mesh = TetMesh(bounds, seed=2, stats=r.stats)
+    r.mesh = TetMesh(bounds, seed=2)
+    r.mesh.jitter_scale = 0.0
     r._reclassify(Census(r.mesh), sorted(r.mesh.alive_tets()))
     for p in points:
-        census = Census(r.mesh, r.mesh.probe_insert(p, jitter=False))
+        census = Census(r.mesh, r.mesh.probe_insert(p))
         rec = r.mesh.insert_point(p, probe=census.probe)
         r._reclassify(census, rec.created)
     assert len(skipped) == r.stats["survivors_skipped"] > 0
@@ -727,10 +731,10 @@ def assert_census_is_the_tet_derivation(census, killed_quads, created_quads):
     assert census.faces[0] == census.kept[0] == dirty
 
 
-def insert_with_census(mesh, p, jitter=True):
+def insert_with_census(mesh, p):
     """Insert p through its census; check the census against the tets the
     insertion killed and created.  Returns the insertion record."""
-    census = Census(mesh, mesh.probe_insert(p, jitter=jitter))
+    census = Census(mesh, mesh.probe_insert(p))
     rec = mesh.insert_point(p, probe=census.probe)
     if rec.duplicate:
         assert census.kept == census.faces  # nothing is inserted
@@ -753,8 +757,9 @@ def test_census_of_the_unjittered_lattice_is_the_tet_derivation():
     # exact ties: the corners of each lattice cell are cospherical
     _geom, bounds, points = lattice_case()
     mesh = TetMesh(bounds, seed=2)
+    mesh.jitter_scale = 0.0
     for p in points:
-        assert not insert_with_census(mesh, p, jitter=False).duplicate
+        assert not insert_with_census(mesh, p).duplicate
 
 
 def test_census_of_every_wedge_probe_is_the_tet_derivation(monkeypatch):
@@ -813,13 +818,13 @@ STATS = {
                "encroach_tri": 21, "disk1": 0, "disk2": 0, "type2": 43,
                "type1": 119, "blocked": 0, "dual_certified": 4361,
                "volume_inherited": 2399, "survivors_skipped": 8026,
-               "walks_reused": 904, "locate_scans": 0},
+               "walks_reused": 904},
     "crease": {"inserted": 85, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 1,
                "encroach_tri": 19, "disk1": 0, "disk2": 0, "type2": 27,
                "type1": 58, "blocked": 0, "dual_certified": 2338,
                "volume_inherited": 1092, "survivors_skipped": 3953,
-               "walks_reused": 369, "locate_scans": 0},
+               "walks_reused": 369},
 }
 
 
