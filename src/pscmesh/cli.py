@@ -65,13 +65,14 @@ def build_parser():
 
 
 def load_sizing(arg, geom):
-    """Resolve --hfun into a sizing field."""
+    """Resolve --hfun into a uniform ``SizingField`` (3% of the mean
+    bounding-box dimension when unset) or a grid:PATH's ``GridSizing``."""
     if arg is None:
         lo, hi = geom.bounds
         mean_dim = sum(hi[i] - lo[i] for i in range(3)) / 3.0
         return SizingField(h0=0.03 * mean_dim)
     if arg.startswith("grid:"):
-        return SizingField(grid=_load_grid(arg[5:]))
+        return _load_grid(arg[5:])
     try:
         return SizingField(h0=float(arg))
     except ValueError as exc:
@@ -79,31 +80,32 @@ def load_sizing(arg, geom):
 
 
 def _load_grid(path):
-    dims = origin = spacing = None
+    header = {}
     values = []
     text = read_text(path, "sizing grid")
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        word, *rest = line.split()
         try:
-            if parts[0] == "dims":
-                dims = [int(x) for x in parts[1:4]]
-            elif parts[0] == "origin":
-                origin = [float(x) for x in parts[1:4]]
-            elif parts[0] == "spacing":
-                spacing = [float(x) for x in parts[1:4]]
-            elif parts[0] == "values":
-                values.extend(float(x) for x in parts[1:])
+            if word in ("dims", "origin", "spacing"):
+                if word in header:
+                    raise ValueError(f"a second {word} line")
+                if len(rest) != 3:
+                    raise ValueError(f"{word} needs 3 values, not {len(rest)}")
+                kind = int if word == "dims" else float
+                header[word] = [kind(x) for x in rest]
             else:
-                values.extend(float(x) for x in parts)
+                values.extend(float(x) for x in
+                              (rest if word == "values" else [word, *rest]))
         except ValueError as exc:
             raise ValidationError(
                 f"sizing grid {path!r} line {lineno}: {exc}") from exc
-    if dims is None or origin is None or spacing is None:
+    if len(header) < 3:
         raise ValidationError(f"sizing grid {path!r} missing dims/origin/spacing")
-    return GridSizing(origin, spacing, dims, values)
+    return GridSizing(header["origin"], header["spacing"], header["dims"],
+                      values)
 
 
 def make_config(args, geom):
@@ -136,8 +138,8 @@ def _write_manifest(path, args, cfg, result, timings, outputs):
     lines.extend(f"cfg.{f.name} = {getattr(cfg, f.name)!r}"
                  for f in fields(RefineConfig)
                  if f.name not in ("sizing", "mode", "seed"))
-    h0 = cfg.sizing.h0
-    lines.append(f"cfg.hfun = {'gridded' if h0 is None else repr(h0)}")
+    gridded = isinstance(cfg.sizing, GridSizing)
+    lines.append(f"cfg.hfun = {'gridded' if gridded else repr(cfg.sizing.h0)}")
     for k in sorted(timings):
         key = k if k.startswith("stage.") else f"time.{k}"
         lines.append(f"{key}_s = {timings[k]:.3f}")

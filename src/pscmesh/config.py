@@ -71,26 +71,22 @@ class GridSizing:
 
 
 class SizingField:
-    """Target edge length h(x): uniform scalar or interpolated grid."""
+    """Uniform target edge length h0; ``GridSizing`` is the graded field,
+    and ``RefineConfig.sizing`` takes either."""
 
-    def __init__(self, h0=None, grid=None):
-        if (h0 is None) == (grid is None):
-            raise ValidationError("sizing needs exactly one of h0 / grid")
-        if h0 is not None and not 0.0 < h0 < math.inf:
+    def __init__(self, h0):
+        if not 0.0 < h0 < math.inf:
             raise ValidationError("uniform sizing must be positive and finite")
         self.h0 = h0
-        self.grid = grid
 
     def value(self, p):
-        if self.h0 is not None:
-            return self.h0
-        return self.grid.value(p)
+        return self.h0
 
     def min_value(self):
-        return self.h0 if self.h0 is not None else self.grid.min_value()
+        return self.h0
 
     def max_value(self):
-        return self.h0 if self.h0 is not None else self.grid.max_value()
+        return self.h0
 
 
 @dataclass
@@ -105,7 +101,7 @@ class RefineConfig:
     rho_surf: float = 1.25
     rho_vol: float = 2.0
     eps_rel: float = 0.25
-    sizing: SizingField = None
+    sizing: SizingField | GridSizing = None
     vlen_min: float = 1.0 / 3.0
     alpha: float = 4.0 / 3.0
     mode: str = "frontal"

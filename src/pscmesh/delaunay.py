@@ -15,9 +15,10 @@ exactly cospherical or coplanar configuration (a mesh whose
 jittered coordinates and is the authoritative vertex data for every
 downstream consumer.
 
-The mesh keeps no side index from vertices to tets: a star walk starts at
-the tet that point location (a visibility walk) finds for the vertex, and
-an edge's ring at a tet of that star.
+The mesh keeps no side index from vertices to tets and answers no vertex
+query: every edge query starts from a tet its caller holds (refinement
+holds one of the cavity it has just carved), and point location (a
+visibility walk) serves insertion alone.
 
 Single-writer: mutating calls are strictly sequential; read accessors are
 safe between mutations.
@@ -279,26 +280,6 @@ class TetMesh:
     def tet_points(self, t):
         return tuple(self.points[v] for v in self.tets[t])
 
-    def tets_around_vertex(self, v):
-        # under exact predicates a tet whose closure holds a vertex has it
-        # as a corner, so point location finds the star's first tet
-        if not self.meta[v].alive:
-            raise MeshError(f"vertex {v} has no incident tets")
-        t0 = self.locate(self.points[v])
-        seen = {t0: None}
-        stack = [t0]
-        while stack:
-            t = stack.pop()
-            quad = self.tets[t]
-            for i in range(4):
-                if quad[i] == v:
-                    continue
-                n = self.neigh[t][i]
-                if n != -1 and n not in seen:
-                    seen[n] = None
-                    stack.append(n)
-        return list(seen)
-
     def _contains(self, t, p):
         """Whether tet t's closure holds p.  Nothing in the package calls
         it: it is kept only because the benchmark tracer wraps it by name
@@ -451,30 +432,21 @@ class TetMesh:
     # ------------------------------------------------------------------
     # Voronoi duals
 
-    def find_tet_with_edge(self, u, w):
-        for t in self.tets_around_vertex(u):
-            if w in self.tets[t]:
-                return t
-        return None
-
-    def edge_ring(self, u, w, t0=None):
-        """Ordered tets around edge (u, w); (ring, closed flag).
+    def edge_ring(self, u, w, t0):
+        """Ordered tets around edge (u, w), from t0, a tet on the edge.
 
         Consecutive ring tets share a face {u, w, pivot}; the walk crosses
-        the face opposite the entry pivot each step.  An interior edge's
-        ring comes back closed.  Only a hull edge, which joins two shell
-        corners, has an open ring: it comes back as the tets from t0 up to
-        the hull, with ``closed`` False.
+        the face opposite the entry pivot each step until it is back at t0.
+        An interior edge's ring is a closed cycle, so a walk that reaches
+        the hull (a hull edge joins two shell corners) raises ``MeshError``.
         """
-        if t0 is None:
-            t0 = self.find_tet_with_edge(u, w)
-            if t0 is None:
-                raise MeshError(f"edge ({u}, {w}) not in the triangulation")
         quad0 = self.tets[t0]
         oa, entry = (x for x in quad0 if x != u and x != w)
         ring = [t0]
         t = self.neigh[t0][quad0.index(oa)]
-        while t != -1 and t != t0:
+        while t != t0:
+            if t == -1:
+                raise MeshError(f"edge ({u}, {w}) lies on the hull")
             ring.append(t)
             quad = self.tets[t]
             o1, o2 = (x for x in quad if x != u and x != w)
@@ -483,10 +455,11 @@ class TetMesh:
             t = nxt
             if len(ring) > len(self.tets) + 8:
                 raise MeshError("broken ring adjacency")
-        return ring, t == t0
+        return ring
 
     def edge_exists(self, u, w):
-        return self.find_tet_with_edge(u, w) is not None
+        """Whether a live tet has corners u and w: one scan, no walk."""
+        return any(q is not None and u in q and w in q for q in self.tets)
 
     def nearest_vertex(self, p):
         """Live vertex nearest to p, the lowest id on ties (a scan).

@@ -363,7 +363,7 @@ class Refiner:
 
     def _classify(self, d, key, handle):
         if d == 1:
-            return classify_edge(self.mesh, self.g, key[0], key[1], t0=handle)
+            return classify_edge(self.mesh, self.g, key[0], key[1], handle)
         if d == 2:
             return classify_facet(self.mesh, self.g, *handle, cert=self.cert,
                                   rec=self.rs.tris.get(key))

@@ -218,19 +218,18 @@ def _face_crossings(mesh, geom, u, w, t0):
     """Verified intersections of the dual face of edge (u, w) with the
     curve network: [(point, curve_id), ...].
 
-    Candidate points come from bisector-plane crossings of nearby curve
-    segments.  The Voronoi face of a Delaunay edge with a closed ring is
-    the part of its bisector plane that no link vertex (a ring-tet vertex
-    other than u and w) is nearer to: each side of the face lies on the
-    bisector of u and one link vertex.  So a candidate is a hit when no
-    link vertex is strictly nearer to it than both u and w
+    The edge's ring is walked from t0, a tet on the edge (``edge_ring``;
+    a hull edge raises).  Candidate points come from bisector-plane
+    crossings of nearby curve segments.  The Voronoi face of an interior
+    edge is the part of its bisector plane that no link vertex (a ring-tet
+    vertex other than u and w) is nearer to: each side of the face lies on
+    the bisector of u and one link vertex.  So a candidate is a hit when
+    no link vertex is strictly nearer to it than both u and w
     (``_nearest_among``; a tie lies on the closed face): exact in exact
     arithmetic, local to the edge's star and free of circumcentres; the
     ring's circumcentres (the face's corners) only bound the query box.
     """
-    ring, closed = mesh.edge_ring(u, w, t0=t0)
-    if not closed:
-        return []
+    ring = mesh.edge_ring(u, w, t0)
     pu = mesh.points[u]
     pw = mesh.points[w]
     poly = list(zip(*(mesh.circum[t][0] for t in ring)))
@@ -267,9 +266,10 @@ def _face_crossings(mesh, geom, u, w, t0):
     return hits
 
 
-def classify_edge(mesh, geom, u, w, t0=None):
+def classify_edge(mesh, geom, u, w, t0):
     """Restricted edge when the dual Voronoi face meets the curve network;
-    ``t0``, a tet on the edge, starts its ring walk."""
+    ``t0``, a tet on the edge that the caller holds, starts its ring walk
+    (an edge of two shell corners, as every hull edge is, needs none)."""
     if not geom.segments:
         return None
     if u < SHELL and w < SHELL:

@@ -6,7 +6,8 @@ signs, literal all-pairs enumeration for the Delaunay property and the
 intersection queries, generalized winding numbers for volume
 membership and the triangles that a symbolically shifted segment
 crosses (``crossings_reference``, whose parity is ``parity_reference``).
-The exceptions are differential references that run an
+``holders`` finds the tets on a set of vertices by a scan of the live
+tets.  The exceptions are differential references that run an
 older or unfiltered rule on the mesh's own queries:
 ``face_crossings_reference`` (curve-edge classification),
 ``containing_ball_scan`` (encroachment over every ball) and
@@ -257,9 +258,23 @@ def polygon_curve_hits(poly, vertices, segments, eps=1e-12):
     return hits
 
 
-def face_crossings_reference(mesh, geom, u, w, nearest_among):
-    """Crossings of the dual face of mesh edge (u, w) with the curve
-    network, [(point, curve_id), ...], with every bisector-plane candidate
+def holders(mesh, *vertices):
+    """The live tets that have every one of ``vertices`` as a corner, by a
+    scan of the live tets: the tets an edge or star query should find."""
+    return {t for t in mesh.alive_tets()
+            if all(v in mesh.tets[t] for v in vertices)}
+
+
+def holder(mesh, *vertices):
+    """The lowest-id tet of ``holders``: a start for an edge query from a
+    test that holds no tet, as refinement holds one of its cavity."""
+    return min(holders(mesh, *vertices))
+
+
+def face_crossings_reference(mesh, geom, u, w, t0, nearest_among):
+    """Crossings of the dual face of mesh edge (u, w), its ring walked
+    from the tet t0, with the curve network, [(point, curve_id), ...],
+    with every bisector-plane candidate
     confirmed by ``nearest_among`` (``nearest_among_reference``: a scan of
     every live vertex, ties going to the edge) and none rejected
     beforehand.
@@ -268,9 +283,7 @@ def face_crossings_reference(mesh, geom, u, w, nearest_among):
     star test, kept verbatim (same candidates, same float expressions) so
     that the production path must agree with it bit for bit.
     """
-    ring, closed = mesh.edge_ring(u, w)
-    if not closed:
-        return []
+    ring = mesh.edge_ring(u, w, t0)
     pu = mesh.points[u]
     pw = mesh.points[w]
     poly = [mesh.circum[t][0] for t in ring]
@@ -357,7 +370,7 @@ def cavity_locks_ring_walk(mesh, protected_edges, probe):
                       if a in mesh.tets[t] and b in mesh.tets[t]), None)
         if start is None:
             continue
-        ring, _closed = mesh.edge_ring(a, b, t0=start)
+        ring = mesh.edge_ring(a, b, start)
         if all(t in cav for t in ring):
             return True
     return False

@@ -61,7 +61,7 @@ def fresh_answer(mesh, geom, key, t, i=None):
     """Fresh classification, with no certificate and no skip, of the
     simplex ``key`` of tet t (facet i of t for a facet)."""
     if len(key) == 2:
-        return classify_edge(mesh, geom, *key, t0=t)
+        return classify_edge(mesh, geom, *key, t)
     if len(key) == 4:
         return classify_tet(mesh, geom, t)
     return classify_facet(mesh, geom, t, i)

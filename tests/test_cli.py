@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pscmesh.cli import build_parser, load_sizing, main, make_config
+from pscmesh.config import GridSizing
 from pscmesh.errors import ValidationError
 from pscmesh.geometry import load_complex, write_complex
 from pscmesh.models import cube
@@ -231,7 +232,7 @@ def test_grid_sizing_file(tmp_path):
     path.write_text("dims 2 2 2\norigin 0 0 0\nspacing 1 1 1\n"
                     "values 0.2 0.2 0.2 0.2 0.2 0.2 0.2 0.1\n")
     sizing = load_sizing(f"grid:{path}", cube())
-    assert sizing.h0 is None and sizing.grid is not None
+    assert isinstance(sizing, GridSizing)
     assert abs(sizing.value((0, 0, 0)) - 0.2) < 1e-12
     assert abs(sizing.value((1, 1, 1)) - 0.1) < 1e-12
     assert abs(sizing.value((1, 1, 0.5)) - 0.15) < 1e-12
@@ -345,6 +346,44 @@ def test_manifest_records_timings_stats_audit_and_warnings(tmp_path, capsys):
 
 
 GRID = "dims 2 2 2\norigin 0 0 0\nspacing 1 1 1\nvalues " + "0.2 " * 8 + "\n"
+
+
+@pytest.mark.parametrize("grid, lineno, why", [
+    (GRID.replace("dims 2 2 2", "dims 2 2 2 9"), 1,
+     "dims needs 3 values, not 4"),
+    (GRID.replace("origin 0 0 0", "origin 0 0"), 2,
+     "origin needs 3 values, not 2"),
+    (GRID.replace("spacing 1 1 1", "spacing 1 1 1 1"), 3,
+     "spacing needs 3 values, not 4"),
+    ("origin 0 0 0\n" + GRID, 3, "a second origin line"),
+    (GRID + "dims 2 2 2\n", 5, "a second dims line"),
+], ids=["dims-4", "origin-2", "spacing-4", "origin-twice",
+        "dims-after-values"])
+def test_grid_header_lines_carry_three_values_once(grid, lineno, why,
+                                                   tmp_path):
+    # a header line with a value too many, or a second one that would
+    # replace the first, is an error naming its line
+    path = tmp_path / "size.grid"
+    path.write_text(grid)
+    with pytest.raises(ValidationError) as exc:
+        load_sizing(f"grid:{path}", cube())
+    assert str(exc.value) == f"sizing grid {str(path)!r} line {lineno}: {why}"
+
+
+@pytest.mark.parametrize("hfun, want", [("0.3", "0.3"), ("grid", "gridded")])
+def test_manifest_names_the_sizing(hfun, want, tmp_path):
+    src = write_cube(tmp_path)
+    if hfun == "grid":
+        path = tmp_path / "size.grid"
+        path.write_text(GRID)
+        hfun = f"grid:{path}"
+    man = tmp_path / "m.txt"
+    main(["--input", src, "--hfun", hfun, "--max-points", "20",
+          "--output", str(tmp_path / "m.vtk"),
+          "--report", str(tmp_path / "r.txt"), "--manifest", str(man)])
+    entries = dict(line.split(" = ", 1) for line in
+                   man.read_text().splitlines())
+    assert entries["cfg.hfun"] == want
 
 
 @pytest.mark.parametrize("flags, grid", [

@@ -12,8 +12,8 @@ from pscmesh.errors import MeshError
 from pscmesh.models import icosphere, wedge
 from pscmesh.refine import refine
 
-from oracles import (brute_force_delaunay, rational_circumball,
-                     rational_orient3d)
+from oracles import (brute_force_delaunay, holder, holders,
+                     rational_circumball, rational_orient3d)
 from test_restricted import lattice_case
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -132,13 +132,9 @@ def test_insert_remove_roundtrip_restores_state():
     assert m.insert_point((0.3, 0.3, 0.3)).vid == rec.vid + 1
 
 
-def _holders(m, *vs):
-    return {t for t in m.alive_tets() if all(v in m.tets[t] for v in vs)}
-
-
 def test_star_queries_find_every_incident_tet():
-    # stars and edges come from point location alone, so check them
-    # against scans of the live tets, also after an undo
+    # edge_exists against the live tets that hold both vertices, also
+    # after an undo, which leaves a dead vertex behind
     rng = np.random.default_rng(5)
     m = TetMesh(UNIT, seed=6)
     for p in rng.uniform(0, 1, (60, 3)):
@@ -147,39 +143,42 @@ def test_star_queries_find_every_incident_tet():
     m.remove_point(rec)
     live = [v for v in range(len(m.points)) if m.meta[v].alive]
     assert len(live) == len(m.points) - 1
-    for v in live:
-        assert set(m.tets_around_vertex(v)) == _holders(m, v), v
-    with pytest.raises(MeshError):
-        m.tets_around_vertex(rec.vid)
+    assert not any(m.edge_exists(rec.vid, v) for v in live)
     for u, w in rng.choice(live, (200, 2)):
         u, w = int(u), int(w)
         if u != w:
-            assert m.edge_exists(u, w) == bool(_holders(m, u, w)), (u, w)
+            assert m.edge_exists(u, w) == bool(holders(m, u, w)), (u, w)
 
 
 @pytest.mark.parametrize("model, h", [(wedge, 0.35),
                                       (lambda: icosphere(2), 0.4)],
                          ids=["wedge", "icosphere2"])
 def test_edge_rings_of_refined_meshes(model, h):
+    # from every tet on an interior edge, the ring is every tet on it,
+    # each the neighbour of the one before it; a hull edge raises from
+    # every tet on it
     m = refine(model(), RefineConfig(sizing=SizingField(h0=h), seed=0)).mesh
-    holders = {}
+    on_edge, hull = {}, set()
     for t in m.alive_tets():
-        for e in combinations(sorted(m.tets[t]), 2):
-            holders.setdefault(e, set()).add(t)
-    hull = 0
-    for (u, w), tets in holders.items():
-        ring, closed = m.edge_ring(u, w)
-        assert all(u in m.tets[t] and w in m.tets[t] for t in ring)
-        assert len(set(ring)) == len(ring)
-        if w >= 8:
-            assert closed, (u, w)
+        quad = m.tets[t]
+        for e in combinations(sorted(quad), 2):
+            on_edge.setdefault(e, set()).add(t)
+        for i in range(4):
+            if m.neigh[t][i] == -1:
+                hull.update(combinations(sorted(quad[k] for k in _FACES[i]),
+                                         2))
+    assert hull and all(w < 8 for _u, w in hull)
+    for (u, w), tets in on_edge.items():
+        for t0 in tets:
+            if (u, w) in hull:
+                with pytest.raises(MeshError, match="hull"):
+                    m.edge_ring(u, w, t0)
+                continue
+            ring = m.edge_ring(u, w, t0)
+            assert ring[0] == t0 and len(ring) == len(tets), (u, w)
             assert set(ring) == tets, (u, w)
-        elif not closed:
-            # a hull edge: its tets from the first one up to the hull
-            assert set(ring) <= tets, (u, w)
-            hull += 1
-    assert hull > 0
-    assert not m.edge_ring(0, 1)[1]
+            assert all(b in m.neigh[a]
+                       for a, b in zip(ring, ring[1:] + ring[:1])), (u, w)
 
 
 def test_remove_back_to_single_star():
@@ -479,8 +478,7 @@ def test_voronoi_edges_orthogonal_to_facets():
 def dual_face(m, u, w):
     # the dual polygon of edge (u, w) as restricted._face_crossings builds
     # it: the circumcentres of the ring of tets around the edge, in order
-    ring, closed = m.edge_ring(u, w)
-    return [m.circum[t][0] for t in ring], closed
+    return [m.circum[t][0] for t in m.edge_ring(u, w, holder(m, u, w))]
 
 
 def test_voronoi_face_pentagon_ring():
@@ -492,8 +490,7 @@ def test_voronoi_face_pentagon_ring():
         m.insert_point((0.7 * math.cos(a), 0.7 * math.sin(a), 0.01 * a))
     ra = m.insert_point((0.0, 0.0, -0.6))
     rb = m.insert_point((0.0, 0.0, 0.6))
-    polygon, closed = dual_face(m, ra.vid, rb.vid)
-    assert closed
+    polygon = dual_face(m, ra.vid, rb.vid)
     assert len(polygon) == 5
     axis = np.subtract(m.points[rb.vid], m.points[ra.vid])
     axis = axis / np.linalg.norm(axis)
@@ -518,8 +515,8 @@ def test_voronoi_face_normals_parallel_to_edges():
                 seen.add((u, w))
                 if u < 8:
                     continue
-                polygon, closed = dual_face(m, u, w)
-                if not closed or len(polygon) < 3:
+                polygon = dual_face(m, u, w)
+                if len(polygon) < 3:
                     continue
                 d = np.subtract(m.points[w], m.points[u])
                 d = d / np.linalg.norm(d)
@@ -532,10 +529,10 @@ def test_voronoi_face_normals_parallel_to_edges():
 def test_voronoi_face_hull_edge_marked_unbounded():
     m = TetMesh(UNIT, seed=14)
     m.insert_point((0.5, 0.5, 0.5))
-    # a box edge: two shell corners differing in one coordinate
-    polygon, closed = dual_face(m, 0, 1)
-    assert not closed
-    assert len(polygon) >= 1
+    # a box edge: two shell corners differing in one coordinate.  Its
+    # ring is open, so its dual face is unbounded and the walk raises
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) lies on the hull"):
+        dual_face(m, 0, 1)
 
 
 def test_nearest_vertex():

@@ -16,7 +16,7 @@ from pscmesh.models import cube, icosphere, wedge
 from pscmesh.restricted import classify_edge
 
 from oracles import (circle_surface_hits, crossing_point_reference,
-                     crossings_reference, curve_census_reference,
+                     crossings_reference, curve_census_reference, holder,
                      initial_sampling_reference, parity_reference,
                      parse_lines_reference, polygon_curve_hits,
                      random_rotation, segment_surface_hits, sphere_curve_hits,
@@ -417,7 +417,7 @@ def test_polygon_curve_axis_crossing():
     c = PiecewiseComplex([(0, 0, -1), (0, 0, 1)], [(0, 1, 7)], [])
     # the edge u-w along z has its dual face in the plane z = 0
     m, (u, w) = edge_mesh(c, [(0.1, 0, -0.2), (0.1, 0, 0.2)])
-    e = classify_edge(m, c, u, w)
+    e = classify_edge(m, c, u, w, holder(m, u, w))
     assert e is not None
     assert e.ref == 7
     assert np.allclose(e.centre, (0, 0, 0), atol=1e-9)
@@ -428,7 +428,7 @@ def test_polygon_curve_disjoint():
     # in the Voronoi cell of the third point, outside the dual face
     c = PiecewiseComplex([(-1, 5, 5), (1, 5, 5)], [(0, 1, 0)], [])
     m, (u, w, _x) = edge_mesh(c, [(-0.2, 0, 0), (0.2, 0, 0), (0, 4.5, 4.5)])
-    assert classify_edge(m, c, u, w) is None
+    assert classify_edge(m, c, u, w, holder(m, u, w)) is None
 
 
 def test_polygon_curve_matches_bruteforce_on_random_polyline():
@@ -438,17 +438,17 @@ def test_polygon_curve_matches_bruteforce_on_random_polyline():
     c = PiecewiseComplex(pts, segs, [])
     lo, hi = (np.asarray(b) for b in c.bounds)
     m, _vids = edge_mesh(c, [tuple(p) for p in rng.uniform(lo, hi, (40, 3))])
-    edges = {tuple(sorted(pair)) for t in m.alive_tets()
-             for pair in combinations(m.tets[t], 2)}
+    edges = {}
+    for t in m.alive_tets():
+        for pair in combinations(sorted(m.tets[t]), 2):
+            edges.setdefault(pair, t)
     checked = crossed = 0
-    for u, w in sorted(edges):
+    for (u, w), t0 in sorted(edges.items()):
         if w < 8:
             continue
-        ring, closed = m.edge_ring(u, w)
-        if not closed:
-            continue
+        ring = m.edge_ring(u, w, t0)
         want = polygon_curve_hits([m.circum[t][0] for t in ring], pts, segs)
-        got = classify_edge(m, c, u, w)
+        got = classify_edge(m, c, u, w, t0)
         checked += 1
         if not want:
             assert got is None

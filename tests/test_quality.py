@@ -119,8 +119,7 @@ def test_relative_edge_length_gridded_matches_trilinear_oracle():
     rng = np.random.default_rng(8)
     dims = (4, 3, 5)
     vals = rng.uniform(0.1, 0.5, dims[0] * dims[1] * dims[2])
-    grid = GridSizing((0, 0, 0), (0.5, 0.5, 0.5), dims, vals)
-    s = SizingField(grid=grid)
+    s = GridSizing((0, 0, 0), (0.5, 0.5, 0.5), dims, vals)
     V = vals.reshape(dims[2], dims[1], dims[0])
 
     def oracle(p):
@@ -275,11 +274,10 @@ def fake_meshes(draw):
     else:
         dims = draw(st.tuples(*[st.integers(1, 4)] * 3))
         n = dims[0] * dims[1] * dims[2]
-        grid = GridSizing(draw(st.tuples(*[st.floats(-3.0, 0.0)] * 3)),
-                          draw(st.tuples(*[st.floats(0.1, 2.0)] * 3)), dims,
-                          draw(st.lists(st.floats(0.05, 2.0), min_size=n,
-                                        max_size=n)))
-        sizing = SizingField(grid=grid)
+        sizing = GridSizing(draw(st.tuples(*[st.floats(-3.0, 0.0)] * 3)),
+                            draw(st.tuples(*[st.floats(0.1, 2.0)] * 3)), dims,
+                            draw(st.lists(st.floats(0.05, 2.0), min_size=n,
+                                          max_size=n)))
     return SimpleNamespace(points=points), rs, sizing
 
 

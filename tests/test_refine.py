@@ -182,7 +182,7 @@ def test_edge_offcentre_minimises_angle_to_frontal_vector():
 def test_edge_offcentre_linear_sizing_fixed_point():
     grid = GridSizing((0, -0.5, -0.5), (1.0, 1.0, 1.0), (2, 2, 2),
                       [0.1, 0.2] * 4)
-    r, _g = edge_refiner(SizingField(grid=grid), lo=(0, 0, 0), hi=(1, 0, 0))
+    r, _g = edge_refiner(grid, lo=(0, 0, 0), hi=(1, 0, 0))
     x1 = r.mesh.insert_point((0, 0, 0), "curve", 0).vid
     e = edge_rec((0, 0), (0.4, 0, 0), 0.4)
     c2, _c0, _r0 = r._offcentre(1, e, (x1,))
@@ -423,7 +423,7 @@ def test_termination_bounds_graded():
     # volume bound becomes (sqrt(2)+2) * 4 * 6 = 81.94
     grid = GridSizing((0, 0, 0), (1, 1, 1), (2, 2, 2),
                       [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
-    cfg = RefineConfig(sizing=SizingField(grid=grid))
+    cfg = RefineConfig(sizing=grid)
     warns = check_termination_bounds(cfg)
     assert any("81.9" in w for w in warns)
 
@@ -434,7 +434,7 @@ def test_termination_bounds_read_the_grid_maximum():
     # the sizing sampled over the cube's surface peaks at 1 (nu0 = 4)
     grid = GridSizing((0, 0, 0), (1, 1, 1), (3, 2, 2),
                       [0.5, 1.0, 4.0] + [1.0, 1.0, 4.0] * 3)
-    cfg = RefineConfig(sizing=SizingField(grid=grid))
+    cfg = RefineConfig(sizing=grid)
     warns = check_termination_bounds(cfg)
     assert len(warns) == 2
     assert "54.627" in warns[0] and "nu0=16" in warns[0]

@@ -19,7 +19,7 @@ from pscmesh.restricted import (Restricted, _radius_edge, classify_edge,
                                 topo_disk_1, topo_disk_2)
 
 from oracles import (cavity_change_reference, circumradius_triangle,
-                     distance_to_surface, face_crossings_reference,
+                     distance_to_surface, face_crossings_reference, holder,
                      nearest_among_reference, random_rotation,
                      umbrella_reference, winding_numbers)
 from snapshots import assert_restricted_fresh, fresh_answer
@@ -81,7 +81,7 @@ def test_classify_edge_consecutive_samples_on_segment():
     geom, m, vids = x_axis_setup()
     for a, b in zip(vids, vids[1:]):
         key = (min(a, b), max(a, b))
-        e = classify_edge(m, geom, *key)
+        e = classify_edge(m, geom, *key, holder(m, *key))
         assert e is not None
         lo = min(m.points[a][0], m.points[b][0])
         hi = max(m.points[a][0], m.points[b][0])
@@ -107,7 +107,8 @@ def test_classify_edge_far_from_curve_is_none():
     for s in vids[:-1]:
         if m.edge_exists(min(p, s), max(p, s)):
             hit_edges += 1
-            assert classify_edge(m, geom, min(p, s), max(p, s)) is None
+            assert classify_edge(m, geom, min(p, s), max(p, s),
+                                 holder(m, p, s)) is None
     assert hit_edges > 0
 
 
@@ -117,7 +118,7 @@ def test_classify_edge_two_crossings_selects_larger_ball():
     geom = PiecewiseComplex(verts, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], [])
     m, vids = mesh_with([(0, 0, -1), (0, 0, 1)], geom.bounds, seed=5)
     u, w = sorted(vids)
-    e = classify_edge(m, geom, u, w)
+    e = classify_edge(m, geom, u, w, holder(m, u, w))
     assert e is not None
     assert abs(e.centre[0] - 0.4) < 1e-6  # the farther crossing wins
     assert abs(e.radius - math.sqrt(0.16 + 1.0)) < 1e-6
@@ -134,7 +135,7 @@ def test_classify_edge_error_is_chord_sagitta():
                (-1.0, 0.0, 0.0)]
     m, vids = mesh_with(samples, geom.bounds, seed=7)
     key = (min(vids[0], vids[1]), max(vids[0], vids[1]))
-    e = classify_edge(m, geom, *key)
+    e = classify_edge(m, geom, *key, holder(m, *key))
     assert e is not None
     sagitta = 1.0 - math.cos(ang)
     assert abs(e.err - sagitta) < 1e-3
@@ -178,32 +179,36 @@ def exact_tets(mesh, made):
 def _check_edges_against_reference(monkeypatch, mesh, geom, exact=()):
     """classify_edge on every mesh edge, against its result with the
     unfiltered reference face query, which confirms each candidate by a
-    scan of every live vertex (ties going to the edge).  Returns the edge
-    keys with a closed ring, those among them whose ring holds one of the
-    tets ``exact``, the reference hits tied exactly between u or w and a
-    link vertex, and the edges whose two results differ."""
-    edges = sorted({tuple(sorted(pair)) for t in mesh.alive_tets()
-                    for pair in combinations(mesh.tets[t], 2)})
-    got = [_record(classify_edge(mesh, geom, u, w)) for u, w in edges]
+    scan of every live vertex (ties going to the edge).  Returns the keys
+    of the edges with a non-shell vertex (whose rings are closed), those
+    among them whose ring holds one of the tets ``exact``, the reference
+    hits tied exactly between u or w and a link vertex, and the edges
+    whose two results differ."""
+    edges = {}
+    for t in mesh.alive_tets():
+        for pair in combinations(sorted(mesh.tets[t]), 2):
+            edges.setdefault(pair, t)
+    edges = sorted(edges.items())
+    got = [_record(classify_edge(mesh, geom, u, w, t)) for (u, w), t in edges]
     brute = nearest_among_reference(mesh)
     with monkeypatch.context() as m:
         m.setattr(restricted, "_face_crossings",
                   lambda mesh, geom, u, w, t0:
-                  face_crossings_reference(mesh, geom, u, w, brute))
-        want = [_record(classify_edge(mesh, geom, u, w))
-                for u, w in edges]
+                  face_crossings_reference(mesh, geom, u, w, t0, brute))
+        want = [_record(classify_edge(mesh, geom, u, w, t))
+                for (u, w), t in edges]
     assert any(want)
-    differ = [e for e, a, b in zip(edges, got, want) if a != b]
+    differ = [e for (e, _t), a, b in zip(edges, got, want) if a != b]
     closed, through_exact, ties = [], [], 0
-    for u, w in edges:
-        ring, is_closed = mesh.edge_ring(u, w)
-        if not is_closed or (u < 8 and w < 8):
-            continue
+    for (u, w), t0 in edges:
+        if w < 8:
+            continue  # every hull edge joins two shell corners
+        ring = mesh.edge_ring(u, w, t0)
         closed.append((u, w))
         if any(t in exact for t in ring):
             through_exact.append((u, w))
         link = {x for t in ring for x in mesh.tets[t]} - {u, w}
-        for y, _cid in face_crossings_reference(mesh, geom, u, w, brute):
+        for y, _cid in face_crossings_reference(mesh, geom, u, w, t0, brute):
             dmin = min(_d2(y, mesh.points[u]), _d2(y, mesh.points[w]))
             ties += any(_d2(y, mesh.points[x]) == dmin for x in link)
     return closed, through_exact, ties, differ
@@ -263,10 +268,11 @@ def test_classify_edge_matches_unfiltered_reference_on_lattice(monkeypatch):
     assert differ == [(22, 25), (24, 25)]
     brute = nearest_among_reference(mesh)
     for u, w in differ:
-        ring, _closed = mesh.edge_ring(u, w)
+        t0 = holder(mesh, u, w)
+        ring = mesh.edge_ring(u, w, t0)
         star = {x for t in ring for x in mesh.tets[t]}
-        want = face_crossings_reference(mesh, geom, u, w, brute)
-        got = restricted._face_crossings(mesh, geom, u, w, None)
+        want = face_crossings_reference(mesh, geom, u, w, t0, brute)
+        got = restricted._face_crossings(mesh, geom, u, w, t0)
         extra = [y for y, cid in got if (y, cid) not in want]
         assert extra and all(h in got for h in want)
         for y in extra:
@@ -313,9 +319,10 @@ def test_refinement_confirms_dual_hits_without_a_walk(monkeypatch):
                          ids=["wedge", "icosphere2"])
 def test_star_test_matches_brute_force_nearest_vertex(monkeypatch, model, h,
                                                       seed):
-    # every closed-ring edge and every non-hull facet of a refined mesh
-    # classifies the same when the star test is replaced by a scan of all
-    # live mesh vertices (ties to the simplex, as in the star test)
+    # every edge with a non-shell vertex and every non-hull facet of a
+    # refined mesh classifies the same when the star test is replaced by
+    # a scan of all live mesh vertices (ties to the simplex, as in the
+    # star test)
     geom = model()
     mesh = refine(geom, RefineConfig(sizing=SizingField(h0=h),
                                      seed=seed)).mesh
@@ -328,11 +335,10 @@ def test_star_test_matches_brute_force_nearest_vertex(monkeypatch, model, h,
             tri = tuple(sorted(quad[k] for k in _FACES[i]))
             if mesh.neigh[t][i] != -1:
                 facets.setdefault(tri, (t, i))
-    edges = [(u, w, t) for (u, w), t in edges.items()
-             if mesh.edge_ring(u, w, t0=t)[1]]
+    edges = [(u, w, t) for (u, w), t in edges.items() if w >= 8]
 
     def classify_all():
-        return ([_record(classify_edge(mesh, geom, u, w, t0=t))
+        return ([_record(classify_edge(mesh, geom, u, w, t))
                  for u, w, t in edges],
                 [_record(classify_facet(mesh, geom, t, i))
                  for t, i in facets.values()])
@@ -512,7 +518,6 @@ def test_classify_facet_two_crossings_selects_larger_ball():
     pts = [(0.0, 0.0, 0.1), (ell, 0.0, 0.1),
            (ell / 2, ell * math.sqrt(3) / 2, 0.1)]
     m, vids = mesh_with(pts, geom.bounds, seed=11)
-    t = m.find_tet_with_edge(vids[0], vids[1])
     found = None
     for tt in m.alive_tets():
         quad = m.tets[tt]

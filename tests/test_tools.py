@@ -1,7 +1,8 @@
 """The scripts under ``tools/`` that compare a change with its parent:
 ``mesh_digests.py`` (the meshes), ``bench_pairs.py`` (the benchmark's
-paired statistics) and ``ab_refine.py`` (setup, refine and write times
-in one process)."""
+paired statistics), ``ab_refine.py`` (setup, refine and write times in
+one process) and ``line_trace.py`` (the package lines the meshes never
+run)."""
 
 import subprocess
 import sys
@@ -40,6 +41,41 @@ def test_mesh_digests_prints_three_lines_per_mesh_and_a_summary():
             sums[key] += int(value)
     assert totals[:2] == ["dense_surface", "totals"]
     assert totals[2:] == [f"{k}={v}" for k, v in sums.items()]
+
+
+def test_line_trace_reports_the_tracer_only_functions_as_never_entered(
+        capsys):
+    # nearest_vertex and _contains are the names that only the benchmark
+    # tracer keeps (test_benchmark_contract.py pins them); the driver's
+    # step runs on every mesh
+    argv = ["--seeds", "1", "dense_surface"]
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "line_trace.py"), *argv],
+        stdout=subprocess.PIPE, text=True, check=True).stdout
+    found = {}
+    for line in out.splitlines():
+        module, name, span, what = line.split()
+        first, last = map(int, span.split("-"))
+        assert module.endswith(".py") and first <= last
+        assert what == "never" or what.startswith("lines=")
+        found[module, name] = what
+    for name in ("TetMesh._contains", "TetMesh.nearest_vertex"):
+        assert found["delaunay.py", name] == "never"
+    assert found.get(("refine.py", "Refiner._step"), "") != "never"
+    # the same lines in this process, whose tracer comes back afterwards
+    import line_trace
+
+    def outer(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        line_trace.main(argv)
+        assert sys.gettrace() is outer
+    finally:
+        sys.settrace(previous)
+    assert capsys.readouterr().out == out
 
 
 def test_ab_refine_prints_setup_and_refine_ratios_per_pair():

@@ -69,10 +69,11 @@ from workloads import (WORKLOADS, build_input, make_config,  # noqa: E402
                        mesh_seeds)
 
 
-def digest(workload, seed, tmp, mode):
-    """(status, sha256 of the VTK bytes followed by the report bytes, the
-    counts line's fields, ``Refiner.stats``, the summary line's values for
-    this mesh)."""
+def refine_mesh(workload, seed, tmp, mode):
+    """Refine the benchmark mesh of jitter seed ``seed`` in ``mode`` from
+    the workload's input file (written to ``tmp`` once) and write its VTK
+    and report files there; returns (config, ``RefineResult``, VTK path,
+    report path)."""
     psc = tmp / f"{workload.name}.psc"
     if not psc.exists():
         write_complex(build_input(workload), str(psc))
@@ -82,6 +83,14 @@ def digest(workload, seed, tmp, mode):
     rep = tmp / "mesh.report.txt"
     write_vtk(str(vtk), result.mesh, result.rs)
     write_report(result.report, str(rep))
+    return cfg, result, vtk, rep
+
+
+def digest(workload, seed, tmp, mode):
+    """(status, sha256 of the VTK bytes followed by the report bytes, the
+    counts line's fields, ``Refiner.stats``, the summary line's values for
+    this mesh)."""
+    cfg, result, vtk, rep = refine_mesh(workload, seed, tmp, mode)
     sha = hashlib.sha256(vtk.read_bytes() + rep.read_bytes()).hexdigest()
     counts = result.report.counts
     fields = {key: counts[key] for key in ("points", "curve_edges",
@@ -98,8 +107,10 @@ def digest(workload, seed, tmp, mode):
     return result.status, sha, fields, result.stats, quality
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+def parse_args(doc, argv=None):
+    """The workload names (default: all) and the parsed ``--seeds`` and
+    ``--mode`` of a command line; ``doc``'s first line describes it."""
+    ap = argparse.ArgumentParser(description=doc.split("\n")[0])
     ap.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                     help=f"of {', '.join(sorted(WORKLOADS))} (default: all)")
     ap.add_argument("--seeds", type=int, default=10,
@@ -112,6 +123,11 @@ def main(argv=None):
     names = args.workloads or sorted(WORKLOADS)
     for name in set(names) - WORKLOADS.keys():
         ap.error(f"unknown workload {name!r}")
+    return names, args
+
+
+def main(argv=None):
+    names, args = parse_args(__doc__, argv)
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             workload = WORKLOADS[name]
