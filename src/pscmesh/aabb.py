@@ -150,12 +150,6 @@ class AABBTree:
         self._walk += ranged[:n].tolist()
         return levels
 
-    @property
-    def _nodes(self):
-        """Per node (lox, loy, loz, hix, hiy, hiz, left, right, first,
-        count), in preorder."""
-        return [e[:10] for e in self._walk[:len(self._walk) - self.n]]
-
     def lower_distances(self, points):
         """Distance from each of the (P, 3) points to its nearest cover box,
         a lower bound on its distance to every primitive (+inf for an

@@ -3,8 +3,9 @@
 The triangulation always tessellates a large bounding box (10x the
 geometry's bounding-box diagonal, carried by 8 shell corner vertices);
 every real point is inserted strictly inside it, so there is no infinite
-ghost logic -- tets touching a shell corner are simply "ghost" and ignored
-by the restricted classification.
+ghost logic: no simplex touching a shell corner is restricted, and the
+restricted classification rejects them all by one rule (``restricted``
+gives its proof).
 
 Degeneracy policy: every stored point receives a deterministic jitter of
 ``jitter_scale`` (1e-12 x geometry diagonal), keyed on (seed, vertex
@@ -274,9 +275,6 @@ class TetMesh:
     def alive_tets(self):
         return (t for t, q in enumerate(self.tets) if q is not None)
 
-    def is_ghost(self, t):
-        return any(v < SHELL for v in self.tets[t])
-
     def tet_points(self, t):
         return tuple(self.points[v] for v in self.tets[t])
 
@@ -297,8 +295,6 @@ class TetMesh:
         never visits a tet twice (Edelsbrunner 1990), so it ends; a walk
         that outruns ``_WALK_CAP`` steps raises ``MeshError``."""
         t = self._last_tet
-        if t < 0 or self.tets[t] is None:
-            t = next(self.alive_tets())
         for _step in range(_WALK_CAP):
             quad = self.tets[t]
             moved = False

@@ -288,8 +288,6 @@ class PiecewiseComplex:
         walk (``surface_candidates``) by a list that holds every triangle
         the walk keeps (``restricted.Restricted.walk``): a crossing lies in
         its triangle, at distance 0, so the hits are the walk's."""
-        if not self.triangles:
-            return []
         if cands is None:
             cands = self.surface_candidates(a, b)
         return _dedupe_tagged([(self._segment_triangle_point(a, b, tid),
@@ -377,8 +375,6 @@ class PiecewiseComplex:
         curve id of the first of them."""
         if radius <= 0.0:
             raise ValueError("radius must be positive")
-        if not self.segments:
-            return []
         cands = self.seg_tree.query_sphere(centre, radius, self.eps)
         hits = []
         for sid in sorted(cands):
@@ -404,8 +400,6 @@ class PiecewiseComplex:
         """Hits of the boundary circle of an oriented disk with the surface."""
         if radius <= 0.0:
             raise ValueError("radius must be positive")
-        if not self.triangles:
-            return []
         nrm = _unit(normal)
         e1, e2 = _plane_basis(nrm)
         cands = self.tri_tree.query_sphere(centre, radius, self.hit_pad,

@@ -529,10 +529,11 @@ class Refiner:
             obj = rs.table[d - 1].get(face) if d > 1 else None
             if obj is not None and not obj.bad:
                 return face
-            # keys of the other d-simplexes on the face
+            # keys of the other d-simplexes on the face (a restricted
+            # tet has no shell corner, so no facet on the hull)
             if d == 3:
                 n = mesh.neigh[token.tet_id][i]
-                keys = () if n == -1 else (tuple(sorted(mesh.tets[n])),)
+                keys = (tuple(sorted(mesh.tets[n])),)
             else:
                 keys = (k for k in rs.at_vertex[d].get(face[0], ())
                         if k != key and face[-1] in k)

@@ -13,14 +13,29 @@ Classification reads the mesh and geometry and returns fresh records,
 so re-running it over an unchanged mesh reproduces identical restricted
 sets.  It writes only into a ``DistanceCertificate`` passed to it:
 ``classify_tet`` stores the tet's volume status in ``cert.inside[t]``,
-and all three classifiers count into ``cert.stats``.  A record depends on its simplex alone, not on the tet
-or tet id that hands the simplex over: every float operation runs in an
-order fixed by the simplex's vertex ids.  Duals are closed (Edelsbrunner
+and the facet and tet classifiers count into ``cert.stats``.  A record
+depends on its simplex alone, not on the tet or tet id that hands the
+simplex over: every float operation runs in an order fixed by the
+simplex's vertex ids.  Duals are closed (Edelsbrunner
 & Shah, 1997): a point where a star vertex ties the simplex belongs to
 the dual, so every hit is confirmed from the Delaunay star of the simplex
 alone, with no point-location walk (``_nearest_among``).  With a
 ``DistanceCertificate``, the facet and tet classifiers skip queries that
 provably find nothing; it changes no result.
+
+No simplex that touches a shell corner is restricted, and each classifier
+first rejects one, by its smallest vertex id (below ``SHELL``).  Each
+corner lies 5 diagonals of the input's box from the box's centre along
+every axis, so more than 4.5 diagonals from every point of the box.
+Every such point lies within one diagonal of a seed vertex (the refiner
+inserts input vertices before it classifies), so it is nearer to that
+seed than to any corner by more than 3.5 diagonals.  A point of a
+simplex's dual is no nearer to any vertex than to the simplex's own, so
+no input point lies on the dual of a simplex with a corner, and no tet
+with a corner has its circumcentre in the box, or its empty ball would
+hold the seed.  The hit tests' slack is a few 1e-9 diagonals.  Every
+hull edge and facet joins corners alone, so no classifier meets the
+hull.
 
 Inserting a vertex only cuts the Voronoi cells of the vertices already
 there (Cheng, Dey & Shewchuk, *Delaunay Mesh Generation*, 2012, ch. 4):
@@ -154,13 +169,16 @@ class DistanceCertificate:
     its neighbour's volume status.
 
     ``bound[t]`` and ``inside[t]``, t's volume status (None until
-    ``classify_tet`` settles it; a ghost's never is), are lists indexed by
-    tet id like ``mesh.circum``.  A killed tet keeps its entries for an
-    undo that restores it, and ``update`` overwrites the ids an undone
-    insertion created.  ``stats`` counts what the certificate skipped
-    (``dual_certified``, ``volume_inherited``) and the facet walks reused
-    (``walks_reused``).  c1 and c2 are the stored circumcentres, usable
-    for every tet (``circumsphere_tet``), and c1-c2 is what both query.
+    ``classify_tet`` settles it; a tet with a shell corner is never
+    settled), are lists indexed by tet id like ``mesh.circum``.  A killed
+    tet keeps its entries for an undo that restores it, and ``update``
+    overwrites the ids an undone insertion created.  ``stats`` counts what
+    the certificate skipped (``dual_certified``, ``volume_inherited``) and
+    the facet walks reused (``walks_reused``).  The classifiers reject a
+    simplex with a shell corner before they ask the certificate, so it
+    counts facets and tets with no shell corner alone.  c1 and c2 are the
+    stored circumcentres, usable for every tet (``circumsphere_tet``), and
+    c1-c2 is what both query.
     """
 
     def __init__(self, geom, stats):
@@ -188,9 +206,9 @@ class DistanceCertificate:
         """Volume status of tet t taken from a settled neighbour, or None
         when none is settled.  Across a facet where (*) holds the status
         carries over; else the first settled neighbour's is flipped when
-        their dual edge crosses the surface an odd number of times."""
-        settled = [n for n in mesh.neigh[t]
-                   if n != -1 and self.inside[n] is not None]
+        their dual edge crosses the surface an odd number of times.  t has
+        no shell corner, so it has four neighbours."""
+        settled = [n for n in mesh.neigh[t] if self.inside[n] is not None]
         for n in settled:
             if self.clears(t, centre, n, mesh.circum[n][0]):
                 self.stats["volume_inherited"] += 1
@@ -268,12 +286,10 @@ def _face_crossings(mesh, geom, u, w, t0):
 
 def classify_edge(mesh, geom, u, w, t0):
     """Restricted edge when the dual Voronoi face meets the curve network;
-    ``t0``, a tet on the edge that the caller holds, starts its ring walk
-    (an edge of two shell corners, as every hull edge is, needs none)."""
-    if not geom.segments:
+    ``t0``, a tet on the edge that the caller holds, starts its ring walk.
+    An edge with a shell corner, as every hull edge has, is not walked."""
+    if min(u, w) < SHELL or not geom.segments:
         return None
-    if u < SHELL and w < SHELL:
-        return None  # dual faces of pure-shell edges cannot reach the input
     hits = _face_crossings(mesh, geom, u, w, t0)
     if not hits:
         return None
@@ -324,16 +340,12 @@ def classify_facet(mesh, geom, t, i, cert=None, rec=None):
     ``rec``, the facet's current record, lends its stored walk when the
     new dual segment lies within its tube (see the module docstring).
     """
-    if not geom.triangles:
-        return None
     quad = mesh.tets[t]
     f = _FACES[i]
     tri = tuple(sorted((quad[f[0]], quad[f[1]], quad[f[2]])))
-    if tri[2] < SHELL:
+    if tri[0] < SHELL or not geom.triangles:
         return None
     t2 = mesh.neigh[t][i]
-    if t2 == -1:
-        return None  # outer-box hull facet
     p1 = mesh.circum[t][0]
     p2 = mesh.circum[t2][0]
     if cert is not None and cert.clears(t, p1, t2, p2):
@@ -371,7 +383,7 @@ def classify_tet(mesh, geom, t, cert=None):
     dual edge replace the membership query (``inherited``), and t's own
     status becomes settled.
     """
-    if not geom.surface_closed or mesh.is_ghost(t):
+    if min(mesh.tets[t]) < SHELL or not geom.surface_closed:
         return None
     centre, r2 = mesh.circum[t]
     inside = None if cert is None else cert.inherited(mesh, geom, t, centre)

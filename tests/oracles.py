@@ -796,6 +796,12 @@ def box_tree_lexsort_reference(boxes, leaf_size=8):
     return perm[:n].tolist(), walk + ranged[:n].tolist()
 
 
+def tree_nodes(tree):
+    """``AABBTree``'s nodes in preorder, as ``box_tree_reference`` gives
+    them: the first ten fields of each node entry of ``_walk``."""
+    return [e[:10] for e in tree._walk[:len(tree._walk) - tree.n]]
+
+
 def query_box_reference(tree, lo, hi, pad=0.0, seg=None, plane=None,
                         ball=None):
     """The leaf-level walk of ``AABBTree.query_box`` that the per-primitive
@@ -822,7 +828,7 @@ def query_box_reference(tree, lo, hi, pad=0.0, seg=None, plane=None,
         rin2 = (br - pad) ** 2 if br > pad else -1.0
     out = []
     stack = [0]
-    nodes = tree._nodes
+    nodes = tree_nodes(tree)
     perm = tree._perm
     while stack:
         nd = nodes[stack.pop()]

@@ -4,7 +4,7 @@ state a Refiner keeps incrementally."""
 
 from itertools import combinations
 
-from pscmesh.delaunay import _FACES
+from pscmesh.delaunay import _FACES, SHELL
 from pscmesh.restricted import classify_edge, classify_facet, classify_tet
 
 # the fields a classifier computes (``blocked`` is refiner state).  Not
@@ -40,15 +40,15 @@ def refiner_snapshot(r):
 
 
 def assert_bounds_fresh(r):
-    """Every live tet's bound equals a fresh one, and every live non-ghost
-    tet's volume status is settled and says whether its key is in the
-    restricted tet table: no entry outlived its tet or an undo."""
+    """Every live tet's bound equals a fresh one, and the volume status of
+    every live tet with no shell corner is settled and says whether its key
+    is in the restricted tet table: no entry outlived its tet or an undo."""
     mesh = r.mesh
     alive = sorted(mesh.alive_tets())
     fresh = r.g.tri_tree.lower_distances([mesh.circum[t][0] for t in alive])
     assert [r.cert.bound[t] for t in alive] == fresh.tolist()
     for t in alive:
-        if not mesh.is_ghost(t):
+        if min(mesh.tets[t]) >= SHELL:
             assert r.cert.inside[t] is (tuple(sorted(mesh.tets[t]))
                                         in r.rs.tets), t
 

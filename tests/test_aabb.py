@@ -25,7 +25,7 @@ from pscmesh.models import cube, icosphere, wedge
 from pscmesh.refine import Refiner
 
 from oracles import (box_tree_lexsort_reference, box_tree_reference,
-                     distance_to_surface, query_box_reference)
+                     distance_to_surface, query_box_reference, tree_nodes)
 
 PAD = 0.125
 
@@ -371,7 +371,7 @@ def test_level_wise_build_equals_the_recursive_build(n, span, size, seed):
     tree = AABBTree(bxs)
     nodes, perm, (cover_lo, cover_hi) = box_tree_reference(bxs)
     # repr also tells a Python float or int from a numpy scalar
-    assert repr(tree._nodes) == repr(nodes)
+    assert repr(tree_nodes(tree)) == repr(nodes)
     assert repr(tree._perm) == repr(perm)
     for got, want in zip(tree._cover, (cover_lo, cover_hi)):
         assert got.dtype == want.dtype and got.flags.c_contiguous

@@ -22,7 +22,7 @@ UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 def kernel_tets(mesh, ghost=False):
     out = set()
     for t in mesh.alive_tets():
-        if ghost or not mesh.is_ghost(t):
+        if ghost or min(mesh.tets[t]) >= SHELL:
             out.add(tuple(sorted(mesh.tets[t])))
     return out
 

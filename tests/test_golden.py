@@ -27,6 +27,8 @@ from pscmesh.quality import write_report
 from pscmesh.refine import refine
 from pscmesh.vtk_io import write_vtk
 
+from oracles import tree_nodes
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
 
@@ -144,7 +146,7 @@ def input_digest(geom):
                   sorted(geom.embedded_curves)):
         h.update(repr(value).encode() + b"\n")
     for tree in (geom.seg_tree, geom.tri_tree):
-        h.update(repr((tree._nodes, tree._perm)).encode() + b"\n")
+        h.update(repr((tree_nodes(tree), tree._perm)).encode() + b"\n")
         for array in tree._cover:
             h.update(repr((array.dtype.str, array.shape)).encode())
             h.update(array.tobytes())
