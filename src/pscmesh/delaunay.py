@@ -29,7 +29,8 @@ import math
 from itertools import combinations
 
 from .errors import MeshError
-from .predicates import _scaled_ints, insphere, orient3d
+from .predicates import (_insphere_int, _orient3d_int, _scaled_ints,
+                         insphere, orient3d)
 
 # Face i is opposite vertex i and wound so that, for a positively oriented
 # tet (v0, v1, v2, v3), orient3d(face_i, v_i) > 0.
@@ -209,6 +210,11 @@ class TetMesh:
         return tuple(out)
 
     def _init_shell(self):
+        """The 8 jittered box corners and their Delaunay tets, by brute
+        force over the 70 quads.  The corners are cospherical up to the
+        jitter, so nearly every ``insphere`` filter would fail: the shell
+        is decided on the corners scaled to integers once, every sign by
+        the exact integer cores of ``predicates``."""
         lo = self.box_lo
         hi = self.box_hi
         corners = [(x, y, z) for x in (lo[0], hi[0])
@@ -216,17 +222,21 @@ class TetMesh:
         for i, c in enumerate(corners):
             self.points.append(self._jitter(c, i))
             self.meta.append(VertexMeta("shell"))
-        # brute-force Delaunay of the 8 jittered corners
+        flat = _scaled_ints([x for p in self.points for x in p])
+        ints = [flat[m:m + 3] for m in range(0, 3 * SHELL, 3)]
         quads = []
         for quad in combinations(range(SHELL), 4):
-            pa, pb, pc, pd = (self.points[q] for q in quad)
-            o = orient3d(pa, pb, pc, pd)
+            o = _orient3d_int(*(ints[q] for q in quad))
             if o == 0:
+                # far from the origin the jitter falls below a float step
+                # and four corners of a box face can come out coplanar
+                # (FOUND 52 of CHANGES.md); ROADMAP item 11 removes the cause,
+                # and this raise stays its typed error
                 raise MeshError("degenerate shell corners")
-            others = [q for q in range(SHELL) if q not in quad]
             tup = quad if o > 0 else (quad[0], quad[1], quad[3], quad[2])
-            pts = [self.points[q] for q in tup]
-            if all(insphere(*pts, self.points[q]) <= 0 for q in others):
+            pts = [ints[q] for q in tup]
+            if all(_insphere_int(*pts, ints[q]) <= 0
+                   for q in range(SHELL) if q not in quad):
                 quads.append(tup)
         for t, i in self._glue([self._alloc_tet(tup) for tup in quads]):
             self.neigh[t][i] = -1

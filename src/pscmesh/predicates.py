@@ -8,12 +8,17 @@ double precision together with a conservative forward error bound; the
 cheap result is kept whenever its magnitude clears the bound, otherwise
 the determinant is re-evaluated exactly.
 
-Exact evaluation uses arbitrary-precision integers.  Every finite IEEE
-double is a dyadic rational, so after rescaling all coordinates of one
-call by a common power of two the determinant becomes an integer
-expression that Python evaluates without rounding.  NaN or overflowing
-intermediate values fail the filter comparisons and fall through to the
-exact path as well.
+Exact evaluation uses arbitrary-precision integers and is one scaling
+plus an integer core.  Every finite IEEE double is a dyadic rational, so
+``_scaled_ints`` lifts all coordinates of a batch by one common power of
+two to integers, and ``_orient3d_int`` / ``_insphere_int`` evaluate the
+determinant on them without rounding; a common positive scale leaves
+every sign as it was.  ``orient3d_exact`` and ``insphere_exact`` scale the
+coordinates of their own call; a caller that decides many predicates on
+one small point set (the bounding shell of ``delaunay.TetMesh``) scales
+its points once and calls the cores.  NaN or overflowing intermediate
+values fail the filter comparisons and fall through to the exact path as
+well.
 """
 
 __all__ = ["orient3d", "insphere", "orient3d_exact", "insphere_exact"]
@@ -120,10 +125,20 @@ def _scaled_ints(vals):
 
 def orient3d_exact(a, b, c, d):
     """Integer-arithmetic evaluation of orient3d; always correct."""
-    (ax, ay, az, bx, by, bz,
-     cx, cy, cz, dx, dy, dz) = _scaled_ints(
-        [a[0], a[1], a[2], b[0], b[1], b[2],
-         c[0], c[1], c[2], d[0], d[1], d[2]])
+    s = _scaled_ints([*a, *b, *c, *d])
+    return _orient3d_int(s[0:3], s[3:6], s[6:9], s[9:12])
+
+
+def insphere_exact(a, b, c, d, e):
+    """Integer-arithmetic evaluation of insphere; always correct."""
+    s = _scaled_ints([*a, *b, *c, *d, *e])
+    return _insphere_int(s[0:3], s[3:6], s[6:9], s[9:12], s[12:15])
+
+
+def _orient3d_int(a, b, c, d):
+    """``orient3d`` of points whose coordinates are integers, all scaled
+    by one common factor (``_scaled_ints`` of the batch)."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = a, b, c, d
     ux = bx - ax; uy = by - ay; uz = bz - az
     vx = cx - ax; vy = cy - ay; vz = cz - az
     wx = dx - ax; wy = dy - ay; wz = dz - az
@@ -133,12 +148,11 @@ def orient3d_exact(a, b, c, d):
     return (det > 0) - (det < 0)
 
 
-def insphere_exact(a, b, c, d, e):
-    """Integer-arithmetic evaluation of insphere; always correct."""
-    (ax, ay, az, bx, by, bz, cx, cy, cz,
-     dx, dy, dz, ex, ey, ez) = _scaled_ints(
-        [a[0], a[1], a[2], b[0], b[1], b[2], c[0], c[1], c[2],
-         d[0], d[1], d[2], e[0], e[1], e[2]])
+def _insphere_int(a, b, c, d, e):
+    """``insphere`` of points whose coordinates are integers, all scaled
+    by one common factor (``_scaled_ints`` of the batch)."""
+    ((ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz),
+     (ex, ey, ez)) = a, b, c, d, e
     aex = ax - ex; aey = ay - ey; aez = az - ez
     bex = bx - ex; bey = by - ey; bez = bz - ez
     cex = cx - ex; cey = cy - ey; cez = cz - ez

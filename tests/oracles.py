@@ -9,6 +9,8 @@ crosses (``crossings_reference``, whose parity is ``parity_reference``).
 ``holders`` finds the tets on a set of vertices by a scan of the live
 tets.  The exceptions are differential references that run an
 older or unfiltered rule on the mesh's own queries:
+``shell_reference`` (the bounding shell decided by the filtered
+predicates, one call at a time),
 ``face_crossings_reference`` (curve-edge classification),
 ``containing_ball_scan`` (encroachment over every ball) and
 ``cavity_locks_ring_walk`` (collar locks by walking edge rings) and
@@ -269,6 +271,44 @@ def holder(mesh, *vertices):
     """The lowest-id tet of ``holders``: a start for an edge query from a
     test that holds no tet, as refinement holds one of its cavity."""
     return min(holders(mesh, *vertices))
+
+
+def shell_reference(bounds, seed):
+    """``TetMesh(bounds, seed)``'s bounding shell as ``(tets, neigh,
+    circum)``, its brute-force loop over the 70 corner quads deciding
+    every sign by the filtered ``orient3d`` and ``insphere``, each call
+    scaling its own coordinates: the loop as it ran before the shell was
+    decided on corners scaled once, kept verbatim."""
+    from pscmesh.delaunay import SHELL, TetMesh, VertexMeta
+    from pscmesh.errors import MeshError
+    from pscmesh.predicates import insphere, orient3d
+
+    class FilteredShell(TetMesh):
+        def _init_shell(self):
+            lo = self.box_lo
+            hi = self.box_hi
+            corners = [(x, y, z) for x in (lo[0], hi[0])
+                       for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+            for i, c in enumerate(corners):
+                self.points.append(self._jitter(c, i))
+                self.meta.append(VertexMeta("shell"))
+            quads = []
+            for quad in combinations(range(SHELL), 4):
+                pa, pb, pc, pd = (self.points[q] for q in quad)
+                o = orient3d(pa, pb, pc, pd)
+                if o == 0:
+                    raise MeshError("degenerate shell corners")
+                others = [q for q in range(SHELL) if q not in quad]
+                tup = quad if o > 0 else (quad[0], quad[1], quad[3], quad[2])
+                pts = [self.points[q] for q in tup]
+                if all(insphere(*pts, self.points[q]) <= 0 for q in others):
+                    quads.append(tup)
+            for t, i in self._glue([self._alloc_tet(tup) for tup in quads]):
+                self.neigh[t][i] = -1
+            self._last_tet = 0
+
+    mesh = FilteredShell(bounds, seed)
+    return mesh.tets, mesh.neigh, mesh.circum
 
 
 def face_crossings_reference(mesh, geom, u, w, t0, nearest_among):

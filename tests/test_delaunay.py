@@ -13,7 +13,8 @@ from pscmesh.models import icosphere, wedge
 from pscmesh.refine import refine
 
 from oracles import (brute_force_delaunay, holder, holders,
-                     rational_circumball, rational_orient3d)
+                     rational_circumball, rational_insphere,
+                     rational_orient3d, shell_reference)
 from test_restricted import lattice_case
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -100,6 +101,71 @@ def test_fresh_mesh_adjacency():
     _assert_involution(m)
     # the box hull: two triangles on each of its six faces
     assert sum(n.count(-1) for n in m.neigh) == 12
+
+
+def _shell_box(extent, shift, k):
+    """A box of the given extent, its lower corner ``shift`` diagonals
+    from the origin, both scaled by 2**k."""
+    diag = math.sqrt(sum(e * e for e in extent))
+    lo = tuple(math.ldexp(s * diag, k) for s in shift)
+    return lo, tuple(x + math.ldexp(e, k) for x, e in zip(lo, extent))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from([(1.0, 1.0, 1.0), (1.0, 1.0, 0.05), (0.05, 1.0, 1.0),
+                        (1.0, 0.3, 0.7)]),
+       st.tuples(*[st.floats(-1e3, 1e3)] * 3), st.integers(-20, 20))
+@example(0, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 0)
+@example(7, (1.0, 1.0, 0.05), (0.0, 0.0, 0.0), -20)
+@example(3, (1.0, 1.0, 1.0), (1e3, 1e3, 1e3), 20)
+@example(5, (1.0, 1.0, 0.05), (-1e3, 1e3, -1e3), 0)
+def test_shell_equals_the_filtered_loop_and_is_exactly_delaunay(
+        seed, extent, shift, k):
+    # the shell decided on corners scaled once is the one the filtered
+    # predicates build call by call, and it is checked apart in Fractions
+    bounds = _shell_box(extent, shift, k)
+    try:
+        want = shell_reference(bounds, seed)
+    except MeshError as exc:
+        with pytest.raises(MeshError, match=str(exc)):
+            TetMesh(bounds, seed)
+        return
+    m = TetMesh(bounds, seed)
+    assert (m.tets, m.neigh, m.circum) == want
+    corners = m.points
+    assert len(corners) == SHELL
+    for t in m.alive_tets():
+        quad = m.tets[t]
+        pts = [corners[v] for v in quad]
+        assert rational_orient3d(*pts) == 1, quad
+        for v in range(SHELL):
+            if v not in quad:
+                assert rational_insphere(*pts, corners[v]) <= 0, (quad, v)
+        for i in range(4):
+            if m.neigh[t][i] != -1:
+                continue
+            facet = [quad[j] for j in _FACES[i]]
+            for v in range(SHELL):
+                if v not in facet:
+                    assert rational_orient3d(
+                        *(corners[f] for f in facet), corners[v]) == 1, (
+                        facet, v)
+    _assert_involution(m)
+
+
+@pytest.mark.parametrize("at", [1e4, 1e6])
+def test_a_unit_box_far_from_the_origin_raises_degenerate_shell(at):
+    # the jitter (1e-12 diag) falls below a float step there and four
+    # corners of a box face come out exactly coplanar.  This pins today's
+    # typed error, not a goal: ROADMAP item 11 meshes in a shifted local
+    # frame, where these boxes build their shell
+    with pytest.raises(MeshError, match="degenerate shell corners"):
+        TetMesh(((at,) * 3, (at + 1,) * 3))
+
+
+def test_a_unit_box_at_1e3_builds_the_shell():
+    assert len(TetMesh(((1e3,) * 3, (1e3 + 1,) * 3)).tets) == 10
 
 
 def test_random_insertions_match_bruteforce():

@@ -1,8 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from pscmesh.predicates import insphere, insphere_exact, orient3d, orient3d_exact
+from pscmesh.predicates import (_insphere_int, _orient3d_int, _scaled_ints,
+                                insphere, insphere_exact, orient3d,
+                                orient3d_exact)
 
 from oracles import rational_insphere, rational_orient3d
 
@@ -77,3 +81,61 @@ def test_huge_coordinates_fall_back_exactly():
     assert orient3d(a, b, c, d) == 1
     assert insphere(a, b, c, d, (1e159, 1e159, 1e159)) == rational_insphere(
         a, b, c, d, (1e159, 1e159, 1e159))
+
+
+# one coordinate: a 53-bit integer times 2**e, from the subnormals up to
+# 2**1000, each coordinate of a batch drawing its own exponent
+_EXP = st.integers(-1074, 947)
+_COORD = st.builds(math.ldexp, st.integers(-(2 ** 53 - 1), 2 ** 53 - 1), _EXP)
+
+
+@st.composite
+def _box_corners(draw):
+    """Six corners of an axis-aligned box whose axes each carry their own
+    power of two: the four on a face are exactly coplanar, and all eight
+    corners lie exactly on one sphere."""
+    axes = []
+    for _ in range(3):
+        x0 = draw(st.integers(-(2 ** 40), 2 ** 40))
+        side = draw(st.integers(1, 2 ** 40))
+        k = draw(_EXP)
+        axes.append((math.ldexp(x0, k), math.ldexp(x0 + side, k)))
+    corners = [(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]]
+    return draw(st.permutations(corners))[:6]
+
+
+def _assert_cores_match_the_rational_oracle(pts):
+    # the batch is scaled once, as the bounding shell scales its corners;
+    # every orientation and every insphere sign of it is then exact
+    ints = _scaled_ints([x for p in pts for x in p])
+    lifted = [ints[m:m + 3] for m in range(0, len(ints), 3)]
+    for quad in combinations(range(len(pts)), 4):
+        o = _orient3d_int(*(lifted[q] for q in quad))
+        assert o == rational_orient3d(*(pts[q] for q in quad)), quad
+        if o == 0:
+            continue
+        if o < 0:
+            quad = (quad[0], quad[2], quad[1], quad[3])
+        for q in range(len(pts)):
+            if q not in quad:
+                assert _insphere_int(*(lifted[v] for v in quad),
+                                     lifted[q]) == rational_insphere(
+                    *(pts[v] for v in quad), pts[q]), (quad, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=6, max_size=6))
+def test_integer_cores_match_the_rational_oracle_across_exponents(pts):
+    _assert_cores_match_the_rational_oracle(pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_box_corners())
+def test_integer_cores_decide_exact_ties_across_exponents(pts):
+    _assert_cores_match_the_rational_oracle(pts)
+    ints = _scaled_ints([x for p in pts for x in p])
+    lifted = [ints[m:m + 3] for m in range(0, 18, 3)]
+    # any six of a box's eight corners hold four on one plane: a face, or
+    # a rectangle through two opposite edges
+    assert any(_orient3d_int(*(lifted[q] for q in quad)) == 0
+               for quad in combinations(range(6), 4))

@@ -1,8 +1,8 @@
 """The scripts under ``tools/`` that compare a change with its parent:
 ``mesh_digests.py`` (the meshes), ``bench_pairs.py`` (the benchmark's
-paired statistics), ``ab_refine.py`` (setup, refine and write times in
-one process) and ``line_trace.py`` (the package lines the meshes never
-run)."""
+paired statistics), ``ab_refine.py`` (setup, refine and write times and
+the setup's parts in one process) and ``line_trace.py`` (the package
+lines the meshes never run)."""
 
 import subprocess
 import sys
@@ -83,18 +83,25 @@ def test_ab_refine_prints_setup_and_refine_ratios_per_pair():
         [sys.executable, str(ROOT / "tools" / "ab_refine.py"), str(ROOT),
          str(ROOT), "crease", "--rounds", "1"], stdout=subprocess.PIPE,
         text=True, check=True).stdout.splitlines()
-    *pairs, refine, setup, write = [line.split() for line in out]
+    phases = ("refine", "setup", "write", "load_complex", "Refiner",
+              "Refiner.setup")
+    pairs, summaries = out[:-6], [line.split() for line in out[-6:]]
     assert pairs
-    for seed, *times in pairs:
+    for pair in pairs:
+        seed, *times = pair.split()
         int(seed)
-        assert len(times) == 9
-        for p, c, ratio in (times[:3], times[3:6], times[6:]):
+        assert len(times) == 3 * len(phases)
+        for i in range(0, len(times), 3):
+            p, c, ratio = times[i:i + 3]
             assert float(p) > 0.0 and float(c) > 0.0
             # the times are rounded to 0.1 ms, the ratio is not
             assert float(ratio) == pytest.approx(float(c) / float(p),
                                                  rel=0.05)
-    for line, phase in ((refine, "refine"), (setup, "setup"),
-                        (write, "write")):
+        # the setup's parts sum to it, up to the rounding of each
+        for side in (0, 1):
+            parts = sum(float(times[i + side]) for i in (9, 12, 15))
+            assert parts == pytest.approx(float(times[3 + side]), abs=3e-4)
+    for line, phase in zip(summaries, phases):
         assert line[:3] == ["crease", phase, "change/parent"]
         assert line[3].startswith("median=")
         assert line[-1].startswith("wins=")

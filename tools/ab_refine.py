@@ -14,11 +14,14 @@ side: the parent first for the even pairs and the change first for the
 odd ones.  As in ``perfbench/worker.py``, the setup is ``load_complex``
 of the side's file + ``Refiner(...)`` + ``setup()``, timed apart from
 ``run()``, and the write phase is ``write_vtk`` + ``build_report`` +
-``write_report`` of the refined mesh, the fastest of five.  It prints one
-line per pair, ``seed parent_s change_s change/parent`` of ``run()`` and
-then the same three columns of the setup and of the write phase, and
-last, for each of the three, the median and quartiles of the ratios and
-the pairs the change won.
+``write_report`` of the refined mesh, the fastest of five.  The three
+parts of the setup are timed apart as well, so that a change to the setup
+can name the part it moved.  It prints one line per pair, ``seed
+parent_s change_s change/parent`` of ``run()`` and then the same three
+columns of the setup, of the write phase and of the setup's parts
+``load_complex``, ``Refiner`` and ``Refiner.setup``, and last, for each
+of the six, the median and quartiles of the ratios and the pairs the
+change won.
 
 A sizing aid, not evidence for a claim: the two sides share one process,
 its heap and its caches, where the benchmark runs each checkout in a
@@ -36,6 +39,8 @@ from pathlib import Path
 
 
 WRITE_REPEATS = 5
+PHASES = ("refine", "setup", "write", "load_complex", "Refiner",
+          "Refiner.setup")
 
 
 def load(checkout, wl, workload, psc):
@@ -69,24 +74,28 @@ def load(checkout, wl, workload, psc):
 
 
 def run_s(side, seed):
-    """Wall seconds of one setup, of the ``Refiner.run()`` after it and of
-    the fastest of ``WRITE_REPEATS`` write phases after that."""
+    """Wall seconds of ``PHASES``: the ``Refiner.run()`` after one setup,
+    the setup, the fastest of ``WRITE_REPEATS`` write phases after the
+    run, and the setup's three parts."""
     load_complex, refiner_cls, psc, cfgs, write = side
     gc.collect()
     t0 = time.perf_counter()
-    refiner = refiner_cls(load_complex(str(psc)), cfgs[seed])
+    pc = load_complex(str(psc))
+    t1 = time.perf_counter()
+    refiner = refiner_cls(pc, cfgs[seed])
+    t2 = time.perf_counter()
     refiner.setup()
-    setup = time.perf_counter() - t0
+    t3 = time.perf_counter()
     gc.collect()
-    t0 = time.perf_counter()
+    t4 = time.perf_counter()
     status = refiner.run()
-    refine = time.perf_counter() - t0
+    refine = time.perf_counter() - t4
     writes = []
     for _ in range(WRITE_REPEATS):
-        t0 = time.perf_counter()
+        t5 = time.perf_counter()
         write(refiner, status, cfgs[seed].sizing)
-        writes.append(time.perf_counter() - t0)
-    return refine, setup, min(writes)
+        writes.append(time.perf_counter() - t5)
+    return refine, t3 - t0, min(writes), t1 - t0, t2 - t1, t3 - t2
 
 
 def summary(workload, phase, ratios):
@@ -116,7 +125,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         parent = load(args.parent, wl, workload, Path(tmp) / "parent.psc")
         change = load(args.change, wl, workload, Path(tmp) / "change.psc")
-        ratios = ([], [], [])
+        ratios = tuple([] for _ in PHASES)
         seeds = wl.mesh_seeds(workload, 0)
         for k in range(args.rounds * len(seeds)):
             seed = seeds[k % len(seeds)]
@@ -126,11 +135,11 @@ def main(argv=None):
             else:
                 c = run_s(change, seed)
                 p = run_s(parent, seed)
-            for phase in range(3):
-                ratios[phase].append(c[phase] / p[phase])
+            for phase, phase_ratios in enumerate(ratios):
+                phase_ratios.append(c[phase] / p[phase])
             print(seed, *(f"{p[i]:.4f} {c[i]:.4f} {c[i] / p[i]:.4f}"
-                          for i in range(3)), flush=True)
-    for phase, phase_ratios in zip(("refine", "setup", "write"), ratios):
+                          for i in range(len(PHASES))), flush=True)
+    for phase, phase_ratios in zip(PHASES, ratios):
         print(summary(args.workload, phase, phase_ratios))
 
 
