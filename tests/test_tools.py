@@ -94,13 +94,13 @@ def test_ab_refine_prints_setup_and_refine_ratios_per_pair():
         for i in range(0, len(times), 3):
             p, c, ratio = times[i:i + 3]
             assert float(p) > 0.0 and float(c) > 0.0
-            # the times are rounded to 0.1 ms, the ratio is not
+            # the times are rounded to 1 us, the ratio is not
             assert float(ratio) == pytest.approx(float(c) / float(p),
                                                  rel=0.05)
         # the setup's parts sum to it, up to the rounding of each
         for side in (0, 1):
             parts = sum(float(times[i + side]) for i in (9, 12, 15))
-            assert parts == pytest.approx(float(times[3 + side]), abs=3e-4)
+            assert parts == pytest.approx(float(times[3 + side]), abs=3e-6)
     for line, phase in zip(summaries, phases):
         assert line[:3] == ["crease", phase, "change/parent"]
         assert line[3].startswith("median=")

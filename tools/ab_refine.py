@@ -137,7 +137,8 @@ def main(argv=None):
                 p = run_s(parent, seed)
             for phase, phase_ratios in enumerate(ratios):
                 phase_ratios.append(c[phase] / p[phase])
-            print(seed, *(f"{p[i]:.4f} {c[i]:.4f} {c[i] / p[i]:.4f}"
+            # the setup's parts take about a millisecond: times to 1 us
+            print(seed, *(f"{p[i]:.6f} {c[i]:.6f} {c[i] / p[i]:.4f}"
                           for i in range(len(PHASES))), flush=True)
     for phase, phase_ratios in zip(PHASES, ratios):
         print(summary(args.workload, phase, phase_ratios))
