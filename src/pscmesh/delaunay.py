@@ -9,12 +9,12 @@ gives its proof).
 
 Degeneracy policy: every stored point receives a deterministic jitter of
 ``jitter_scale`` (1e-12 x geometry diagonal), keyed on (seed, vertex
-index).  Combined with the exact predicates this keeps the point set in
-general position, so cavities and dual constructions never meet an
-exactly cospherical or coplanar configuration (a mesh whose
-``jitter_scale`` is set to 0 meets them).  ``TetMesh.points`` holds the
-jittered coordinates and is the authoritative vertex data for every
-downstream consumer.
+index), which with the exact predicates keeps the point set in general
+position.  The kernel does not rely on it: its cavity rule is strict and
+a created tet takes its orientation from the cavity (``_alloc_tet``), so
+a mesh with ``jitter_scale`` 0 stays valid through cospherical ties.
+``TetMesh.points`` holds the jittered coordinates and is the
+authoritative vertex data for every downstream consumer.
 
 The mesh keeps no side index from vertices to tets and answers no vertex
 query: every edge query starts from a tet its caller holds (refinement
@@ -243,7 +243,20 @@ class TetMesh:
         self._last_tet = 0
 
     def _alloc_tet(self, quad):
-        quad = self._canonical(quad)
+        """Store a positively oriented quad under a fresh id: sorted, the
+        last two swapped when sorting is odd.  No predicate runs: the shell
+        quads are oriented exactly, and a created tet (f, p) is positive.
+        ``_FACES`` winds f towards the apex a of the killed tet K, and p is
+        strictly inside K's circumball (by the strict rule, or in the
+        located tet and no duplicate) but, unless f is on the hull (then p
+        is inside the shell), not strictly inside the outer tet's.  The two
+        balls differ and pass through f, so the difference of the powers
+        to them is affine, zero exactly on f's plane and negative at p and
+        at a (the mesh is Delaunay, a is off the plane), jitter or not."""
+        a, b, c, d = quad
+        w, x, y, z = sorted(quad)
+        odd = (a > b) ^ (a > c) ^ (a > d) ^ (b > c) ^ (b > d) ^ (c > d)
+        quad = (w, x, z, y) if odd else (w, x, y, z)
         t = len(self.tets)
         self.tets.append(quad)
         self.neigh.append([-2, -2, -2, -2])
@@ -270,15 +283,6 @@ class TetMesh:
                     self.neigh[other[0]][other[1]] = t
         return list(open_facets.values())
 
-    def _canonical(self, quad):
-        q = sorted(quad)
-        o = orient3d(*(self.points[v] for v in q))
-        if o == 0:
-            raise MeshError(f"flat tetrahedron {q}")
-        if o < 0:
-            q[2], q[3] = q[3], q[2]
-        return tuple(q)
-
     # ------------------------------------------------------------------
     # queries
 
@@ -289,9 +293,8 @@ class TetMesh:
         return tuple(self.points[v] for v in self.tets[t])
 
     def _contains(self, t, p):
-        """Whether tet t's closure holds p.  Nothing in the package calls
-        it: it is kept only because the benchmark tracer wraps it by name
-        (ROADMAP item 8 deletes both)."""
+        """Whether tet t's closure holds p.  Kept only for the benchmark
+        tracer, which wraps it by name (ROADMAP item 8 deletes both)."""
         quad = self.tets[t]
         for i in range(4):
             f = _FACES[i]
@@ -468,11 +471,8 @@ class TetMesh:
         return any(q is not None and u in q and w in q for q in self.tets)
 
     def nearest_vertex(self, p):
-        """Live vertex nearest to p, the lowest id on ties (a scan).
-
-        Nothing in the package calls it.  It is kept only because the
-        benchmark tracer wraps it by name; ROADMAP item 8 deletes it along
-        with that tracer change.
-        """
+        """Live vertex nearest to p, the lowest id on ties (a scan).  Kept
+        only for the benchmark tracer, which wraps it by name (ROADMAP item
+        8 deletes both)."""
         return min((v for v, meta in enumerate(self.meta) if meta.alive),
                    key=lambda v: math.dist(self.points[v], p))

@@ -58,7 +58,8 @@ def area_length(pa, pb, pc):
 
 
 def volume_length(pa, pb, pc, pd):
-    """Normalised volume-length ratio; 1 for regular, 0 for coplanar."""
+    """Normalised volume-length ratio; 1 for regular, 0 for coplanar and
+    for edges so short (below about 1e-108) that rms(e)^3 underflows."""
     ab = _sub(pb, pa)
     ac = _sub(pc, pa)
     ad = _sub(pd, pa)
@@ -68,9 +69,8 @@ def volume_length(pa, pb, pc, pd):
     vol = abs(_dot(ab, _cross(ac, ad))) / 6.0
     ms = (_dot(ab, ab) + _dot(ac, ac) + _dot(ad, ad)
           + _dot(bc, bc) + _dot(bd, bd) + _dot(cd, cd)) / 6.0
-    if ms == 0.0:
-        return 0.0
-    return _V_NORM * vol / ms ** 1.5
+    den = ms ** 1.5
+    return _V_NORM * vol / den if den else 0.0
 
 
 _TRI_EDGES = ((0, 1), (1, 2), (0, 2))

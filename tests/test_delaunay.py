@@ -10,11 +10,13 @@ from pscmesh.delaunay import (_FACES, SHELL, TetMesh, circumcentre_triangle,
                               circumsphere_tet)
 from pscmesh.errors import MeshError
 from pscmesh.models import icosphere, wedge
+from pscmesh.predicates import orient3d_exact
 from pscmesh.refine import refine
 
 from oracles import (brute_force_delaunay, holder, holders,
                      rational_circumball, rational_insphere,
                      rational_orient3d, shell_reference)
+from test_golden import _workloads
 from test_restricted import lattice_case
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -291,13 +293,50 @@ def test_randomized_insert_remove_sequences_stay_delaunay():
 
 
 def test_orientation_always_positive():
-    from pscmesh.predicates import orient3d
+    # every stored quad is its sorted key, the last two swapped exactly
+    # when sorting it is an odd permutation, and exactly positive: on
+    # random points, and on the unjittered lattice, whose cells' corners
+    # tie, so the strict cavity rule keeps the cospherical tets outside
     rng = np.random.default_rng(3)
     m = TetMesh(UNIT, seed=4)
     for p in rng.uniform(0, 1, (40, 3)):
         m.insert_point(tuple(p))
-    for t in m.alive_tets():
-        assert orient3d(*(m.points[v] for v in m.tets[t])) > 0
+    for mesh in (m, _lattice_mesh()):
+        for t in mesh.alive_tets():
+            quad = mesh.tets[t]
+            w, x, y, z = sorted(quad)
+            odd = sum(a > b for a, b in combinations(quad, 2)) % 2
+            assert quad == ((w, x, z, y) if odd else (w, x, y, z))
+            assert orient3d_exact(*(mesh.points[v] for v in quad)) > 0
+
+
+@pytest.mark.parametrize("name", ["crease", "sphere", "dense_surface"])
+def test_every_allocated_tet_is_stored_in_its_exact_canonical_form(
+        name, monkeypatch):
+    # every tet the first benchmark mesh allocates, shell and created: the
+    # stored quad is the sorted quad, its last two swapped exactly when the
+    # sorted quad is negatively oriented, and no quad is flat
+    wl = _workloads()
+    workload = wl.WORKLOADS[name]
+    made = []
+    alloc = TetMesh._alloc_tet
+
+    def recording(self, quad):
+        t = alloc(self, quad)
+        made.append((self.points, tuple(quad), self.tets[t]))
+        return t
+
+    monkeypatch.setattr(TetMesh, "_alloc_tet", recording)
+    result = refine(wl.build_input(workload),
+                    wl.make_config(workload.h, 0))
+    assert result.status == "converged" and len(made) > 500
+    for points, quad, stored in made:
+        key = sorted(quad)
+        o = orient3d_exact(*(points[v] for v in key))
+        assert o != 0, quad
+        if o < 0:
+            key[2], key[3] = key[3], key[2]
+        assert stored == tuple(key), quad
 
 
 def test_probe_cavity_holds_exactly_the_conflicting_tets():
@@ -320,36 +359,19 @@ def test_insert_with_an_unpaired_facet_raises():
     rng = np.random.default_rng(8)
     for p in rng.uniform(0, 1, (10, 3)):
         m.insert_point(tuple(p))
+    before = _mesh_state(m)
     pj, cav, boundary, dup = m.probe_insert((0.5, 0.5, 0.5))
     assert dup is None and len(boundary) > 4
     with pytest.raises(MeshError, match="unpaired internal facet"):
         m.insert_point(None, probe=(pj, cav, boundary[1:], dup))
-    # the failed carve is rolled back: the mesh is whole, the new vertex
-    # is dead and the next insertion goes through
+    # the failed carve is rolled back: the mesh is as it was, the new
+    # vertex is dead and the next insertion goes through
+    assert _mesh_state(m) == before
     _assert_involution(m)
     assert not m.meta[-1].alive
     rec = m.insert_point((0.3, 0.3, 0.3))
     assert not rec.duplicate and rec.created
     _assert_involution(m)
-
-
-def test_insert_with_a_flat_new_tet_rolls_back():
-    # the probe's point moved onto a vertex of the last boundary facet: the
-    # earlier facets make tets, then that facet makes a flat one
-    m = TetMesh(UNIT, seed=16)
-    rng = np.random.default_rng(8)
-    for p in rng.uniform(0, 1, (10, 3)):
-        m.insert_point(tuple(p))
-    before = (list(m.tets), [list(n) for n in m.neigh if n is not None])
-    _pj, cav, boundary, dup = m.probe_insert((0.5, 0.5, 0.5))
-    v = next(x for x in boundary[-1][0] if x not in boundary[0][0])
-    with pytest.raises(MeshError, match="flat tetrahedron"):
-        m.insert_point(None, probe=(m.points[v], cav, boundary, dup))
-    assert (list(m.tets), [list(n) for n in m.neigh if n is not None]) \
-        == before
-    assert not m.meta[-1].alive
-    _assert_involution(m)
-    assert m.insert_point((0.3, 0.3, 0.3)).created
 
 
 def _random_mesh(seed, n):

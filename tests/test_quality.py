@@ -33,6 +33,11 @@ def test_area_length_anchors():
 def test_volume_length_anchors():
     assert abs(volume_length(*REGULAR) - 1.0) < 1e-12
     assert volume_length((0, 0, 0), (1, 0, 0), (0, 1, 0), (0.4, 0.4, 0)) == 0.0
+    # rms(e)^3 underflows to 0 below edges of about 1e-108: such a tet
+    # measures 0, flat or not
+    for tiny in ((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 1.03e-149)), \
+            ((0, 0, 0), (1e-120, 0, 0), (0, 1e-120, 0), (0, 0, 1e-120)):
+        assert volume_length(*tiny) == 0.0
     # right-corner tet: V = 1/6, mean squared edge 3/2
     want = 6 * math.sqrt(2) * (1 / 6.0) / (1.5 ** 1.5)
     assert abs(volume_length(*CORNER) - want) < 1e-12
