@@ -19,7 +19,8 @@ authoritative vertex data for every downstream consumer.
 The mesh keeps no side index from vertices to tets and answers no vertex
 query: every edge query starts from a tet its caller holds (refinement
 holds one of the cavity it has just carved), and point location (a
-visibility walk) serves insertion alone.
+visibility walk) serves insertion alone.  Insertion makes a tet per cavity
+boundary facet f, keyed ``sorted(f) + (vid,)``, and glues them by f's edges.
 
 Single-writer: mutating calls are strictly sequential; read accessors are
 safe between mutations.
@@ -256,24 +257,23 @@ class TetMesh:
         a, b, c, d = quad
         w, x, y, z = sorted(quad)
         odd = (a > b) ^ (a > c) ^ (a > d) ^ (b > c) ^ (b > d) ^ (c > d)
-        quad = (w, x, z, y) if odd else (w, x, y, z)
+        quad = a, b, c, d = (w, x, z, y) if odd else (w, x, y, z)
         t = len(self.tets)
         self.tets.append(quad)
         self.neigh.append([-2, -2, -2, -2])
-        self.circum.append(circumsphere_tet(*(self.points[v] for v in quad)))
+        pts = self.points
+        self.circum.append(circumsphere_tet(pts[a], pts[b], pts[c], pts[d]))
         self._last_tet = t
         return t
 
     def _glue(self, new):
-        """Pair the unset (-2) neighbour slots of the tets ``new`` across
-        their shared facets; returns the (tet, slot) pairs left unpaired."""
+        """Pair the neighbour slots of the tets ``new`` across their shared
+        facets; returns the (tet, slot) pairs left unpaired."""
         open_facets = {}
         for t in new:
             quad = self.tets[t]
             nb = self.neigh[t]
             for i in range(4):
-                if nb[i] != -2:
-                    continue
                 key = tuple(sorted(quad[j] for j in _FACES[i]))
                 other = open_facets.pop(key, None)
                 if other is None:
@@ -288,9 +288,6 @@ class TetMesh:
 
     def alive_tets(self):
         return (t for t, q in enumerate(self.tets) if q is not None)
-
-    def tet_points(self, t):
-        return tuple(self.points[v] for v in self.tets[t])
 
     def _contains(self, t, p):
         """Whether tet t's closure holds p.  Kept only for the benchmark
@@ -310,18 +307,15 @@ class TetMesh:
         t = self._last_tet
         for _step in range(_WALK_CAP):
             quad = self.tets[t]
-            moved = False
             for i in range(4):
                 f = _FACES[i]
                 if orient3d(self.points[quad[f[0]]], self.points[quad[f[1]]],
                             self.points[quad[f[2]]], p) < 0:
-                    nt = self.neigh[t][i]
-                    if nt == -1:
+                    t = self.neigh[t][i]
+                    if t == -1:
                         raise MeshError("point outside the bounding shell")
-                    t = nt
-                    moved = True
                     break
-            if not moved:
+            else:
                 return t
         raise MeshError("point location did not end: the mesh is not Delaunay")
 
@@ -334,33 +328,35 @@ class TetMesh:
         Returns (pj, cavity dict, boundary facets, duplicate vertex id).
         """
         pj = self._jitter(p, len(self.points))
+        pts, tets, neigh = self.points, self.tets, self.neigh
         t0 = self.locate(pj)
         cav = {t0: None}
         stack = [t0]
         while stack:
             t = stack.pop()
-            for i in range(4):
-                n = self.neigh[t][i]
+            for n in neigh[t]:
                 if n == -1 or n in cav:
                     continue
-                if insphere(*self.tet_points(n), pj) > 0:
+                a, b, c, d = tets[n]
+                if insphere(pts[a], pts[b], pts[c], pts[d], pj) > 0:
                     cav[n] = None
                     stack.append(n)
-        # duplicate snap against cavity vertices
+        # duplicate snap against cavity vertices, one axis at a time
+        tol, (px, py, pz) = self.snap_tol, pj
         best = None
         for t in cav:
-            for v in self.tets[t]:
-                q = self.points[v]
-                d = max(abs(q[0] - pj[0]), abs(q[1] - pj[1]), abs(q[2] - pj[2]))
-                if d <= self.snap_tol and (best is None or d < best[0]):
-                    best = (d, v)
+            for v in tets[t]:
+                q = pts[v]
+                if abs(q[0] - px) <= tol and abs(q[1] - py) <= tol:
+                    d = max(abs(q[0] - px), abs(q[1] - py), abs(q[2] - pz))
+                    if d <= tol and (best is None or d < best[0]):
+                        best = (d, v)
         if best is not None:
             return pj, cav, [], best[1]
         boundary = []
         for t in cav:
-            quad = self.tets[t]
-            for i in range(4):
-                n = self.neigh[t][i]
+            quad = tets[t]
+            for i, n in enumerate(neigh[t]):
                 if n == -1 or n not in cav:
                     f = _FACES[i]
                     boundary.append(((quad[f[0]], quad[f[1]], quad[f[2]]), n))
@@ -371,7 +367,9 @@ class TetMesh:
         (``probe`` is its result, if taken); returns an InsertRecord.
 
         A point within snap tolerance of an existing vertex is not
-        inserted; the record flags the duplicate and carries its id.
+        inserted; the record flags the duplicate and carries its id.  Each
+        boundary edge (a, b) joins the two created tets on facet (a, b, vid);
+        an unpaired one restores the mesh and raises ``MeshError``.
         """
         if probe is None:
             probe = self.probe_insert(p)
@@ -381,29 +379,38 @@ class TetMesh:
         vid = len(self.points)
         self.points.append(pj)
         self.meta.append(VertexMeta(kind, ref))
-        killed = [(t, self.tets[t], self.neigh[t], self.circum[t]) for t in cav]
+        tets, neigh, circum = self.tets, self.neigh, self.circum
+        killed = [(t, tets[t], neigh[t], circum[t]) for t in cav]
         outer_slots = []
-        journal = (killed, outer_slots, self._last_tet, len(self.tets))
+        journal = (killed, outer_slots, self._last_tet, len(tets))
         for t in cav:
-            self.tets[t] = self.neigh[t] = self.circum[t] = None
-        created = []
-        try:
-            for (fverts, outer) in boundary:
-                nt = self._alloc_tet((fverts[0], fverts[1], fverts[2], vid))
-                created.append(nt)
-                self.neigh[nt][self.tets[nt].index(vid)] = outer
-                if outer != -1:
-                    oquad = self.tets[outer]
-                    ooi = next(i for i in range(4) if oquad[i] not in fverts)
-                    outer_slots.append((outer, ooi, self.neigh[outer][ooi]))
-                    self.neigh[outer][ooi] = nt
-            if self._glue(created):
-                raise MeshError("unpaired internal facet after insertion")
-        except MeshError:
+            tets[t] = neigh[t] = circum[t] = None
+        open_edges = {}     # boundary edge -> (created tet, slot) to pair
+        for (a, b, c), outer in boundary:
+            nt = self._alloc_tet((a, b, c, vid))
+            # stored: sorted(f) + (vid,), maybe with the last two swapped
+            w, x, y, z = tets[nt]
+            s, vs = (y, 3) if z == vid else (z, 2)   # f's largest, vid's slot
+            nb = neigh[nt]
+            nb[vs] = outer
+            for edge, slot in (((x, s), 0), ((w, s), 1), ((w, x), 5 - vs)):
+                other = open_edges.pop(edge, None)
+                if other is None:
+                    open_edges[edge] = (nt, slot)
+                else:
+                    nb[slot] = other[0]
+                    neigh[other[0]][other[1]] = nt
+            if outer != -1:
+                oquad = tets[outer]
+                ooi = oquad.index(sum(oquad) - a - b - c)
+                outer_slots.append((outer, ooi, neigh[outer][ooi]))
+                neigh[outer][ooi] = nt
+        if open_edges:
             # a failed carve leaves the mesh as it was before it
             self._restore(vid, journal)
-            raise
-        rec = InsertRecord(vid, False, created, journal)
+            raise MeshError("unpaired internal facet after insertion")
+        rec = InsertRecord(vid, False, list(range(journal[3], len(tets))),
+                           journal)
         self._last_insert = rec
         return rec
 

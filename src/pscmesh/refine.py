@@ -199,7 +199,8 @@ class Census:
         _pj, cav, boundary, dup = probe
         self.faces = faces = (set(), set(), set(), set())
         for t in cav:
-            sq = sorted(mesh.tets[t])
+            q = mesh.tets[t]
+            sq = q if q[2] < q[3] else (q[0], q[1], q[3], q[2])  # sorted
             faces[0].update(sq)
             for d in _DIMS:
                 faces[d].update(combinations(sq, d + 1))
@@ -361,14 +362,6 @@ class Refiner:
             prio = -obj.radius if d == 1 else -obj.rho
             heapq.heappush(self.queues[d], (prio, self._stamp, key, obj))
 
-    def _classify(self, d, key, handle):
-        if d == 1:
-            return classify_edge(self.mesh, self.g, key[0], key[1], handle)
-        if d == 2:
-            return classify_facet(self.mesh, self.g, *handle, cert=self.cert,
-                                  rec=self.rs.tris.get(key))
-        return classify_tet(self.mesh, self.g, handle, cert=self.cert)
-
     def _reclassify(self, census, created_ids):
         """Re-derive restricted membership after the insertion of ``census``
         created the tets ``created_ids``.
@@ -383,26 +376,27 @@ class Refiner:
         Returns the undo list: every write as (d, key, old), once per key;
         replaying it in reverse restores the tables.
         """
-        mesh = self.mesh
-        self.cert.update(mesh, created_ids)
+        mesh, g, cert = self.mesh, self.g, self.cert
+        cert.update(mesh, created_ids)
         # keys of the created tets with the handle their classifier takes
         # (a tet id, or a (tet, facet index) pair)
         handles = (None, {}, {}, {})
         for t in created_ids:
-            quad = mesh.tets[t]
-            key = tuple(sorted(quad))
+            q = mesh.tets[t]
+            # facet k of the sorted key lacks key[3 - k], in slot slots[k]
+            if q[2] < q[3]:
+                key, slots = q, (3, 2, 1, 0)
+            else:
+                key, slots = (q[0], q[1], q[3], q[2]), (2, 3, 1, 0)
             handles[3][key] = t
             for pair in combinations(key, 2):
                 handles[1].setdefault(pair, t)
-            # the k-th facet of the sorted key lacks key[3 - k]
-            for k, facet in enumerate(combinations(key, 3)):
-                handles[2].setdefault(facet, (t, quad.index(key[3 - k])))
+            for facet, i in zip(combinations(key, 3), slots):
+                handles[2].setdefault(facet, (t, i))
         rs, undo = self.rs, []
         for d in _DIMS:
-            table = rs.table[d]
-            for key in sorted(census.faces[d] - census.kept[d]):
-                if key in table:
-                    undo.append((d, key, rs.set(d, key, None)))
+            dead = (census.faces[d] - census.kept[d]) & rs.table[d].keys()
+            undo += [(d, key, rs.set(d, key, None)) for key in sorted(dead)]
         for d in _DIMS:
             table, kept = rs.table[d], census.kept[d]
             for key in sorted(handles[d]):
@@ -410,7 +404,14 @@ class Refiner:
                 if not known and key in kept:
                     self.stats["survivors_skipped"] += 1
                     continue
-                obj = self._classify(d, key, handles[d][key])
+                h = handles[d][key]
+                if d == 1:
+                    obj = classify_edge(mesh, g, key[0], key[1], h)
+                elif d == 2:
+                    obj = classify_facet(mesh, g, *h, cert=cert,
+                                         rec=rs.tris.get(key))
+                else:
+                    obj = classify_tet(mesh, g, h, cert=cert)
                 if known or obj is not None:
                     undo.append((d, key, rs.set(d, key, obj)))
                 if obj is not None:
@@ -785,8 +786,9 @@ class Refiner:
             self._disk_target(d, v) is None
             for v in range(SHELL, len(self.mesh.points))
             if self.mesh.meta[v].alive for d in (1, 2))
-        out["protected_ok"] = all(
-            self.mesh.edge_exists(a, b) and (a, b) in self.rs.edges
-            for (a, b) in self.protected_edges)
+        protected = set(self.protected_edges)
+        held = {e for q in self.mesh.tets if protected and q is not None
+                for e in combinations(sorted(q), 2) if e in protected}
+        out["protected_ok"] = held == protected <= self.rs.edges.keys()
         out["converged"] = self.status == "converged"
         return out

@@ -62,10 +62,9 @@ Shrinking duals make reuse common; the tube check alone makes it exact.
 """
 
 import math
-from itertools import combinations
 
 from .delaunay import _FACES, SHELL, circumcentre_triangle
-from .quality import area_length, volume_length
+from .quality import _A_NORM, _V_NORM
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT83 = math.sqrt(8.0 / 3.0)
@@ -128,11 +127,47 @@ def element_size(kind, radius):
     raise ValueError(f"bad simplex kind {kind}")
 
 
-def _radius_edge(r2, pts):
-    le = min(_d2(p, q) for p, q in combinations(pts, 2))
-    if le == 0.0:
-        return math.inf
-    return math.sqrt(r2 / le)
+# Shape kernels: (radius-edge ratio, area- or volume-length) from one set of
+# edge vectors, with the float operations of their references (``quality``,
+# ``tests/oracles.py::radius_edge_reference``): under glibc's ``pow``,
+# ``x ** 2`` and ``x * x`` differ in the last bit for about 1 double in 1,400.
+def _triangle_shape(r2, pa, pb, pc):
+    abx = pb[0] - pa[0]; aby = pb[1] - pa[1]; abz = pb[2] - pa[2]
+    acx = pc[0] - pa[0]; acy = pc[1] - pa[1]; acz = pc[2] - pa[2]
+    bcx = pc[0] - pb[0]; bcy = pc[1] - pb[1]; bcz = pc[2] - pb[2]
+    le = min(abx ** 2 + aby ** 2 + abz ** 2, acx ** 2 + acy ** 2 + acz ** 2,
+             bcx ** 2 + bcy ** 2 + bcz ** 2)
+    nx = aby * acz - abz * acy; ny = abz * acx - abx * acz
+    nz = abx * acy - aby * acx
+    area = 0.5 * math.sqrt(nx * nx + ny * ny + nz * nz)
+    ms = ((abx * abx + aby * aby + abz * abz)
+          + (acx * acx + acy * acy + acz * acz)
+          + (bcx * bcx + bcy * bcy + bcz * bcz)) / 3.0
+    return (math.inf if le == 0.0 else math.sqrt(r2 / le),
+            _A_NORM * area / ms if ms != 0.0 else 0.0)
+
+
+def _tet_shape(r2, pa, pb, pc, pd):
+    abx = pb[0] - pa[0]; aby = pb[1] - pa[1]; abz = pb[2] - pa[2]
+    acx = pc[0] - pa[0]; acy = pc[1] - pa[1]; acz = pc[2] - pa[2]
+    adx = pd[0] - pa[0]; ady = pd[1] - pa[1]; adz = pd[2] - pa[2]
+    bcx = pc[0] - pb[0]; bcy = pc[1] - pb[1]; bcz = pc[2] - pb[2]
+    bdx = pd[0] - pb[0]; bdy = pd[1] - pb[1]; bdz = pd[2] - pb[2]
+    cdx = pd[0] - pc[0]; cdy = pd[1] - pc[1]; cdz = pd[2] - pc[2]
+    le = min(abx ** 2 + aby ** 2 + abz ** 2, acx ** 2 + acy ** 2 + acz ** 2,
+             adx ** 2 + ady ** 2 + adz ** 2, bcx ** 2 + bcy ** 2 + bcz ** 2,
+             bdx ** 2 + bdy ** 2 + bdz ** 2, cdx ** 2 + cdy ** 2 + cdz ** 2)
+    vol = abs(abx * (acy * adz - acz * ady) + aby * (acz * adx - acx * adz)
+              + abz * (acx * ady - acy * adx)) / 6.0
+    ms = ((abx * abx + aby * aby + abz * abz)
+          + (acx * acx + acy * acy + acz * acz)
+          + (adx * adx + ady * ady + adz * adz)
+          + (bcx * bcx + bcy * bcy + bcz * bcz)
+          + (bdx * bdx + bdy * bdy + bdz * bdz)
+          + (cdx * cdx + cdy * cdy + cdz * cdz)) / 6.0
+    den = ms ** 1.5
+    return (math.inf if le == 0.0 else math.sqrt(r2 / le),
+            _V_NORM * vol / den if den else 0.0)
 
 
 def _d2(a, b):
@@ -228,8 +263,15 @@ def _nearest_among(mesh, y, own, rivals):
     apexes) is strictly nearer to y than every vertex of ``own``.  A tie
     is a hit: y lies on the closed dual, whose boundary is where a rival
     ties the simplex."""
-    return (min(_d2(y, x) for x in rivals)
-            >= min(_d2(y, mesh.points[v]) for v in own))
+    y0, y1, y2 = y
+    pts = mesh.points
+    d = math.inf    # the squared distance to the nearest of ``own``
+    for x in map(pts.__getitem__, own):
+        d = min(d, (y0 - x[0]) ** 2 + (y1 - x[1]) ** 2 + (y2 - x[2]) ** 2)
+    for x in rivals:
+        if (y0 - x[0]) ** 2 + (y1 - x[1]) ** 2 + (y2 - x[2]) ** 2 < d:
+            return False
+    return True
 
 
 def _face_crossings(mesh, geom, u, w, t0):
@@ -352,8 +394,7 @@ def classify_facet(mesh, geom, t, i, cert=None, rec=None):
         cert.stats["dual_certified"] += 1
         return None
     a1 = quad[i]
-    a2 = next(x for x in mesh.tets[t2] if x not in tri)
-    pa, pb, pc = (mesh.points[v] for v in tri)
+    a2 = sum(mesh.tets[t2]) - sum(tri)     # t2's vertex off the facet
     if a2 < a1:
         p1, p2 = p2, p1
     walk = None if rec is None else rec.walk
@@ -362,17 +403,17 @@ def classify_facet(mesh, geom, t, i, cert=None, rec=None):
             cert.stats["walks_reused"] += 1
     else:
         walk = _walk(geom, p1, p2)
-    apexes = (mesh.points[a1], mesh.points[a2])
+    pts = mesh.points
     hits = [h for h in geom.intersect_segment_surface(p1, p2, walk[3])
-            if _nearest_among(mesh, h[0], tri, apexes)]
+            if _nearest_among(mesh, h[0], tri, (pts[a1], pts[a2]))]
     if not hits:
         return None
+    pa, pb, pc = pts[tri[0]], pts[tri[1]], pts[tri[2]]
     centre, patch_id = max(hits, key=lambda h: _d2(h[0], pa))
-    radius = _dist(centre, pa)
     cc, r2 = circumcentre_triangle(pa, pb, pc)
-    return Restricted(tri, centre, radius, _dist(centre, cc), patch_id,
-                      _radius_edge(r2, (pa, pb, pc)), area_length(pa, pb, pc),
-                      walk=walk)
+    rho, quality = _triangle_shape(r2, pa, pb, pc)
+    return Restricted(tri, centre, _dist(centre, pa), _dist(centre, cc),
+                      patch_id, rho, quality, walk=walk)
 
 
 def classify_tet(mesh, geom, t, cert=None):
@@ -393,10 +434,10 @@ def classify_tet(mesh, geom, t, cert=None):
         cert.inside[t] = inside
     if not inside:
         return None
-    quad = mesh.tets[t]
-    pts = [mesh.points[v] for v in quad]
-    return Restricted(tuple(sorted(quad)), centre, math.sqrt(r2), 0.0, -1,
-                      _radius_edge(r2, pts), volume_length(*pts), t)
+    (a, b, c, d), pts = mesh.tets[t], mesh.points
+    rho, quality = _tet_shape(r2, pts[a], pts[b], pts[c], pts[d])
+    return Restricted((a, b, c, d) if c < d else (a, b, d, c), centre,
+                      math.sqrt(r2), 0.0, -1, rho, quality, t)
 
 
 # ----------------------------------------------------------------------

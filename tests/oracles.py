@@ -7,8 +7,9 @@ intersection queries, generalized winding numbers for volume
 membership and the triangles that a symbolically shifted segment
 crosses (``crossings_reference``, whose parity is ``parity_reference``).
 ``holders`` finds the tets on a set of vertices by a scan of the live
-tets.  The exceptions are differential references that run an
-older or unfiltered rule on the mesh's own queries:
+tets, and ``adjacency_errors`` checks every neighbour slot of the live
+tets against the facets the tets hold.  The exceptions are differential
+references that run an older or unfiltered rule on the mesh's own queries:
 ``shell_reference`` (the bounding shell decided by the filtered
 predicates, one call at a time),
 ``face_crossings_reference`` (curve-edge classification),
@@ -24,9 +25,10 @@ that returned whole leaves), ``validate_reference`` (the record by record
 input checks), ``curve_census_reference`` (the curve incidence, feature
 vertices and embedded curves by the numpy passes the constructor once
 ran), ``parse_lines_reference`` (the line by line parser),
-``initial_sampling_reference`` (the greedy seed pick by brute force) and
+``initial_sampling_reference`` (the greedy seed pick by brute force),
 ``report_reference`` (the quality report by one scalar call per triangle,
-tet and edge).
+tet and edge) and ``radius_edge_reference`` (a record's radius-edge ratio
+as the classifiers computed it before their shape kernels).
 """
 
 import math
@@ -258,6 +260,36 @@ def polygon_curve_hits(poly, vertices, segments, eps=1e-12):
         if total >= 2.0 * math.pi - 1e-6:
             hits.append((tuple(x), cid))
     return hits
+
+
+def adjacency_errors(mesh):
+    """The (tet, slot) pairs of the live tets whose neighbour is wrong.
+
+    Slot i of t faces the facet opposite ``tets[t][i]``.  Its neighbour n
+    is a live tet that points back at t from exactly one slot and holds
+    exactly that facet opposite that slot; only a hull facet (three shell
+    corners on one box face, i.e. sharing a bit of their corner index)
+    faces nothing (-1).
+    """
+    bad = []
+    for t, quad in enumerate(mesh.tets):
+        if quad is None:
+            continue
+        for i, n in enumerate(mesh.neigh[t]):
+            facet = set(quad) - {quad[i]}
+            if n == -1:
+                ok = (all(v < 8 for v in facet)
+                      and any(len({v >> k & 1 for v in facet}) == 1
+                              for k in range(3)))
+            else:
+                nquad = mesh.tets[n] if 0 <= n < len(mesh.tets) else None
+                back = [j for j in range(4)
+                        if nquad is not None and mesh.neigh[n][j] == t]
+                ok = (len(back) == 1 and set(nquad) & set(quad) == facet
+                      and set(nquad) - {nquad[back[0]]} == facet)
+            if not ok:
+                bad.append((t, i))
+    return bad
 
 
 def holders(mesh, *vertices):
@@ -637,6 +669,18 @@ def circle_surface_hits(centre, normal, radius, vertices, triangles,
                    for g in uniq):
             uniq.append(h)
     return uniq
+
+
+def radius_edge_reference(r2, pts):
+    """Circumradius over shortest edge from the squared circumradius r2,
+    one squared distance per pair of ``pts``: the rule the classifiers ran
+    per element before their shape kernels (``restricted._triangle_shape``,
+    ``_tet_shape``), which keep its float operations."""
+    le = min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
+             for p, q in combinations(pts, 2))
+    if le == 0.0:
+        return math.inf
+    return math.sqrt(r2 / le)
 
 
 def circumradius_triangle(pa, pb, pc):

@@ -13,8 +13,8 @@ from pscmesh.models import icosphere, wedge
 from pscmesh.predicates import orient3d_exact
 from pscmesh.refine import refine
 
-from oracles import (brute_force_delaunay, holder, holders,
-                     rational_circumball, rational_insphere,
+from oracles import (adjacency_errors, brute_force_delaunay, holder,
+                     holders, rational_circumball, rational_insphere,
                      rational_orient3d, shell_reference)
 from test_golden import _workloads
 from test_restricted import lattice_case
@@ -76,26 +76,7 @@ def test_insert_on_shared_facet_keeps_adjacency_symmetric():
 
 
 def _assert_involution(m):
-    # slot i of t faces the facet opposite tets[t][i]: its neighbour holds
-    # exactly that facet of t and points back at t across it, and only the
-    # hull facets face nothing (-1): three shell corners on one box face,
-    # i.e. sharing a bit of their corner index
-    for t in m.alive_tets():
-        quad = m.tets[t]
-        for i in range(4):
-            n = m.neigh[t][i]
-            facet = set(quad) - {quad[i]}
-            assert n != -2, (t, i)
-            if n == -1:
-                assert all(v < 8 for v in facet), (t, i)
-                assert any(len({v >> k & 1 for v in facet}) == 1
-                           for k in range(3)), (t, i)
-                continue
-            nquad = m.tets[n]
-            assert nquad is not None, (t, i, n)
-            assert set(nquad) & set(quad) == facet, (t, i, n)
-            back = m.neigh[n].index(t)
-            assert set(nquad) - {nquad[back]} == facet, (t, i, n)
+    assert adjacency_errors(m) == []
 
 
 def test_fresh_mesh_adjacency():
@@ -177,6 +158,10 @@ def test_random_insertions_match_bruteforce():
         m.insert_point(tuple(p))
     _assert_involution(m)
     assert kernel_tets(m, ghost=True) == full_oracle(m)
+
+
+def _tet_points(m, t):
+    return [m.points[v] for v in m.tets[t]]
 
 
 def _mesh_state(m):
@@ -339,6 +324,32 @@ def test_every_allocated_tet_is_stored_in_its_exact_canonical_form(
         assert stored == tuple(key), quad
 
 
+@pytest.mark.parametrize("name", ["crease", "sphere", "dense_surface"])
+def test_every_insertion_leaves_the_adjacency_exact(name, monkeypatch):
+    # the created tets are glued by the cavity's boundary edges: after every
+    # insertion (and undo) of the first benchmark mesh, neighbours are
+    # symmetric, share exactly the facet opposite each other's slot, and
+    # only hull facets face -1
+    wl = _workloads()
+    workload = wl.WORKLOADS[name]
+    checked = []
+
+    def checking(method):
+        def run(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            assert adjacency_errors(self) == []
+            checked.append(method.__name__)
+            return out
+        return run
+
+    for method in (TetMesh.insert_point, TetMesh.remove_point):
+        monkeypatch.setattr(TetMesh, method.__name__, checking(method))
+    result = refine(wl.build_input(workload), wl.make_config(workload.h, 0))
+    assert result.status == "converged"
+    # every vertex but the shell's, live or dead, came from one checked call
+    assert checked.count("insert_point") >= len(result.mesh.points) - SHELL
+
+
 def test_probe_cavity_holds_exactly_the_conflicting_tets():
     from pscmesh.predicates import insphere
     m = TetMesh(UNIT, seed=9)
@@ -346,8 +357,8 @@ def test_probe_cavity_holds_exactly_the_conflicting_tets():
     for p in rng.uniform(0, 1, (30, 3)):
         probe = m.probe_insert(tuple(p))
         pj, cav, boundary, _dup = probe
-        assert all(insphere(*m.tet_points(t), pj) > 0 for t in cav)
-        assert all(n == -1 or insphere(*m.tet_points(n), pj) <= 0
+        assert all(insphere(*_tet_points(m, t), pj) > 0 for t in cav)
+        assert all(n == -1 or insphere(*_tet_points(m, n), pj) <= 0
                    for _face, n in boundary)
         m.insert_point(tuple(p), probe=probe)
 
@@ -434,7 +445,7 @@ def test_a_walk_that_does_not_end_raises():
     t = m._last_tet
     quad = m.tets[t]
     far = next(u for u in m.alive_tets() if not set(m.tets[u]) & set(quad))
-    p = tuple(sum(x) / 4.0 for x in zip(*m.tet_points(far)))
+    p = tuple(sum(x) / 4.0 for x in zip(*_tet_points(m, far)))
     i = next(i for i, f in enumerate(_FACES)
              if rational_orient3d(*(m.points[quad[j]] for j in f), p) < 0)
     m.neigh[t][i] = t

@@ -14,9 +14,9 @@ from pscmesh.quality import (area_length, build_report, dihedral_angles,
                              volume_length, write_report)
 from pscmesh.delaunay import circumsphere_tet
 from pscmesh.refine import refine
-from pscmesh.restricted import Restricted, _radius_edge
+from pscmesh.restricted import Restricted
 
-from oracles import random_rotation, report_reference
+from oracles import radius_edge_reference, random_rotation, report_reference
 
 EQUILATERAL = [(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0)]
 REGULAR = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
@@ -160,7 +160,8 @@ def test_report_single_regular_tet():
 
     centre, r2 = circumsphere_tet(*REGULAR)
     tet = Restricted((0, 1, 2, 3), centre, math.sqrt(r2), 0.0, -1,
-                     _radius_edge(r2, REGULAR), volume_length(*REGULAR), 0)
+                     radius_edge_reference(r2, REGULAR),
+                     volume_length(*REGULAR), 0)
 
     class _RS:
         edges = {}

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from pscmesh.aabb import AABBTree
 from pscmesh.config import (GridSizing, RefineConfig, SizingField,
                             check_termination_bounds)
-from pscmesh.delaunay import TetMesh
+from pscmesh.delaunay import SHELL, TetMesh
 from pscmesh.errors import ValidationError
 from pscmesh.geometry import PiecewiseComplex, load_complex
 from pscmesh.models import cube, icosphere, wedge
@@ -774,3 +775,42 @@ def test_converged_run_leaves_only_blocked_violations(geom, h, seed, vlen_ok):
     assert res.stats["blocked"] >= len(bad)
     if not vlen_ok:
         assert res.stats["rejected_protected"] > 0
+
+
+def test_protected_ok_equals_one_edge_exists_scan_per_collar_edge(
+        tmp_path, monkeypatch):
+    # the golden wedge.psc --seed 42 run: audit's one scan of the live tets
+    # answers protected_ok as one edge_exists scan per collar edge does,
+    # also for a list with an edge the mesh lacks and one it holds that is
+    # no restricted curve edge
+    from pscmesh.cli import main
+    runs = []
+    audit = Refiner.audit
+
+    def recording(self):
+        runs.append(self)
+        return audit(self)
+
+    monkeypatch.setattr(Refiner, "audit", recording)
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    assert main(["--input", str(bench / "wedge.psc"), "--hfun", "0.4",
+                 "--seed", "42", "--output", str(tmp_path / "w.vtk"),
+                 "--report", str(tmp_path / "w.report.txt"),
+                 "--manifest", str(tmp_path / "w.manifest.txt")]) == 0
+    (r,) = runs
+    collar = list(r.protected_edges)
+    assert len(collar) == 2
+    live = {e for q in r.mesh.tets if q is not None
+            for e in combinations(sorted(q), 2)}
+    u = collar[0][0]
+    missing = next((u, v) for v in range(u + 1, len(r.mesh.points))
+                   if (u, v) not in live)
+    unrestricted = next(e for e in sorted(live)
+                        if e[0] >= SHELL and e not in r.rs.edges)
+    wants = []
+    for edges in (collar, collar + [missing], [unrestricted] + collar):
+        r.protected_edges = edges
+        wants.append(all(r.mesh.edge_exists(a, b) and (a, b) in r.rs.edges
+                         for a, b in edges))
+        assert audit(r)["protected_ok"] == wants[-1]
+    assert wants == [True, False, False]

@@ -13,15 +13,16 @@ from pscmesh.delaunay import (SHELL, TetMesh, _FACES, circumcentre_triangle,
 from pscmesh.errors import PscError
 from pscmesh.geometry import PiecewiseComplex
 from pscmesh.models import cube, icosphere, wedge
+from pscmesh.quality import area_length, volume_length
 from pscmesh.refine import Census, Refiner, refine
-from pscmesh.restricted import (Restricted, _radius_edge, classify_edge,
-                                classify_facet, classify_tet, element_size,
-                                topo_disk_1, topo_disk_2)
+from pscmesh.restricted import (Restricted, _tet_shape, _triangle_shape,
+                                classify_edge, classify_facet, classify_tet,
+                                element_size, topo_disk_1, topo_disk_2)
 
 from oracles import (cavity_change_reference, circumradius_triangle,
                      distance_to_surface, face_crossings_reference, holder,
-                     nearest_among_reference, random_rotation,
-                     umbrella_reference, winding_numbers)
+                     nearest_among_reference, radius_edge_reference,
+                     random_rotation, umbrella_reference, winding_numbers)
 from snapshots import assert_restricted_fresh, fresh_answer
 
 
@@ -45,8 +46,9 @@ def test_element_size_coefficients():
 def radius_edge(*pts):
     """Circumradius over shortest edge of a triangle or tet, as the
     classifiers compute it."""
-    circum = circumcentre_triangle if len(pts) == 3 else circumsphere_tet
-    return _radius_edge(circum(*pts)[1], pts)
+    if len(pts) == 3:
+        return _triangle_shape(circumcentre_triangle(*pts)[1], *pts)[0]
+    return _tet_shape(circumsphere_tet(*pts)[1], *pts)[0]
 
 
 def test_radius_edge_equilateral_and_regular():
@@ -64,6 +66,37 @@ def test_radius_edge_needle_matches_closed_form():
     want = circumradius_triangle(*tri) / shortest
     assert rho > 100
     assert abs(rho - want) < 1e-6 * want
+
+
+# a coordinate difference whose square differs in the last bit between
+# ``x ** 2`` (glibc's pow) and ``x * x``
+_X = 0.4127425118455319
+_COORD = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
+
+
+def _bits(values):
+    return [float.hex(v) for v in values]
+
+
+def test_the_pinned_difference_squares_apart():
+    assert _X ** 2 == 0.17035638108455903
+    assert _X * _X == 0.17035638108455906
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=4, max_size=4))
+@example([(0.0, 0.0, 0.0), (_X, 0.0, 0.0), (0.0, _X, 0.0), (0.0, 0.0, _X)])
+def test_shape_kernels_equal_the_per_element_references_bit_for_bit(pts):
+    # the triangle kernel against circumcentre_triangle's r2, the shortest
+    # edge by x ** 2 and quality.area_length; the tet kernel against
+    # circumsphere_tet's r2, the same shortest edge and volume_length
+    tri = pts[:3]
+    r2 = circumcentre_triangle(*tri)[1]
+    assert _bits(_triangle_shape(r2, *tri)) == _bits(
+        (radius_edge_reference(r2, tri), area_length(*tri)))
+    r2 = circumsphere_tet(*pts)[1]
+    assert _bits(_tet_shape(r2, *pts)) == _bits(
+        (radius_edge_reference(r2, pts), volume_length(*pts)))
 
 
 # ----------------------------------------------------------------------
@@ -700,12 +733,22 @@ def check_survivor_skips(monkeypatch):
     certificate (``fresh_answer``) returns None.  Returns the skipped keys."""
     skipped = []
     reclassify = Refiner._reclassify
-    classify = Refiner._classify
     seen = []
 
-    def recording(self, d, key, handle):
-        seen.append(key)
-        return classify(self, d, key, handle)
+    # the classifiers the driver calls by name, each keyed as it records
+    driver = importlib.import_module("pscmesh.refine")
+    for name, key_of in (
+            ("classify_edge", lambda mesh, u, w, t0: (min(u, w), max(u, w))),
+            ("classify_facet", lambda mesh, t, i: tuple(sorted(
+                mesh.tets[t][j] for j in _FACES[i]))),
+            ("classify_tet", lambda mesh, t: tuple(sorted(mesh.tets[t])))):
+
+        def recording(mesh, geom, *args, classify=getattr(driver, name),
+                      key_of=key_of, **kwargs):
+            seen.append(key_of(mesh, *args))
+            return classify(mesh, geom, *args, **kwargs)
+
+        monkeypatch.setattr(driver, name, recording)
 
     def checked(self, census, created_ids):
         mesh = self.mesh
@@ -732,7 +775,6 @@ def check_survivor_skips(monkeypatch):
         skipped.extend(missed)
         return undo
 
-    monkeypatch.setattr(Refiner, "_classify", recording)
     monkeypatch.setattr(Refiner, "_reclassify", checked)
     return skipped
 

@@ -1,8 +1,8 @@
 """The scripts under ``tools/`` that compare a change with its parent:
 ``mesh_digests.py`` (the meshes), ``bench_pairs.py`` (the benchmark's
-paired statistics), ``ab_refine.py`` (setup, refine and write times and
-the setup's parts in one process) and ``line_trace.py`` (the package
-lines the meshes never run)."""
+paired statistics), ``ab_refine.py`` (setup, refine and write times, the
+setup's parts and the cascade stages in one process) and ``line_trace.py``
+(the package lines the meshes never run)."""
 
 import subprocess
 import sys
@@ -84,8 +84,10 @@ def test_ab_refine_prints_setup_and_refine_ratios_per_pair():
          str(ROOT), "crease", "--rounds", "1"], stdout=subprocess.PIPE,
         text=True, check=True).stdout.splitlines()
     phases = ("refine", "setup", "write", "load_complex", "Refiner",
-              "Refiner.setup")
-    pairs, summaries = out[:-6], [line.split() for line in out[-6:]]
+              "Refiner.setup", "stage.edges", "stage.disk1", "stage.tris",
+              "stage.disk2", "stage.tets")
+    n = len(phases)
+    pairs, summaries = out[:-n], [line.split() for line in out[-n:]]
     assert pairs
     for pair in pairs:
         seed, *times = pair.split()
@@ -101,6 +103,9 @@ def test_ab_refine_prints_setup_and_refine_ratios_per_pair():
         for side in (0, 1):
             parts = sum(float(times[i + side]) for i in (9, 12, 15))
             assert parts == pytest.approx(float(times[3 + side]), abs=3e-6)
+            # the five stages run inside run(), which times them all
+            stages = sum(float(times[i + side]) for i in range(18, 33, 3))
+            assert 0.0 < stages <= float(times[side]) + 3e-6
     for line, phase in zip(summaries, phases):
         assert line[:3] == ["crease", phase, "change/parent"]
         assert line[3].startswith("median=")

@@ -1,5 +1,5 @@
-"""Time the setup, ``Refiner.run()`` and write phase of two checkouts in
-one process, in pairs.
+"""Time the setup, ``Refiner.run()`` and its cascade stages and the write
+phase of two checkouts in one process, in pairs.
 
     python3 tools/ab_refine.py PARENT CHANGE WORKLOAD [--rounds N]
 
@@ -16,12 +16,15 @@ of the side's file + ``Refiner(...)`` + ``setup()``, timed apart from
 ``run()``, and the write phase is ``write_vtk`` + ``build_report`` +
 ``write_report`` of the refined mesh, the fastest of five.  The three
 parts of the setup are timed apart as well, so that a change to the setup
-can name the part it moved.  It prints one line per pair, ``seed
-parent_s change_s change/parent`` of ``run()`` and then the same three
-columns of the setup, of the write phase and of the setup's parts
-``load_complex``, ``Refiner`` and ``Refiner.setup``, and last, for each
-of the six, the median and quartiles of the ratios and the pairs the
-change won.
+can name the part it moved, and so are the five cascade stages of
+``run()`` from ``Refiner.stage_s``, so that a change to the refinement can
+name the stage it moved.  It prints one line per pair, ``seed parent_s
+change_s change/parent`` of ``run()`` and then the same three columns of
+the setup, of the write phase, of the setup's parts ``load_complex``,
+``Refiner`` and ``Refiner.setup`` and of the stages ``stage.edges``,
+``stage.disk1``, ``stage.tris``, ``stage.disk2`` and ``stage.tets``, and
+last, for each of the eleven, the median and quartiles of the ratios and
+the pairs the change won.
 
 A sizing aid, not evidence for a claim: the two sides share one process,
 its heap and its caches, where the benchmark runs each checkout in a
@@ -39,8 +42,9 @@ from pathlib import Path
 
 
 WRITE_REPEATS = 5
+STAGES = ("edges", "disk1", "tris", "disk2", "tets")
 PHASES = ("refine", "setup", "write", "load_complex", "Refiner",
-          "Refiner.setup")
+          "Refiner.setup", *(f"stage.{name}" for name in STAGES))
 
 
 def load(checkout, wl, workload, psc):
@@ -76,7 +80,7 @@ def load(checkout, wl, workload, psc):
 def run_s(side, seed):
     """Wall seconds of ``PHASES``: the ``Refiner.run()`` after one setup,
     the setup, the fastest of ``WRITE_REPEATS`` write phases after the
-    run, and the setup's three parts."""
+    run, the setup's three parts and the run's ``Refiner.stage_s``."""
     load_complex, refiner_cls, psc, cfgs, write = side
     gc.collect()
     t0 = time.perf_counter()
@@ -95,7 +99,8 @@ def run_s(side, seed):
         t5 = time.perf_counter()
         write(refiner, status, cfgs[seed].sizing)
         writes.append(time.perf_counter() - t5)
-    return refine, t3 - t0, min(writes), t1 - t0, t2 - t1, t3 - t2
+    return (refine, t3 - t0, min(writes), t1 - t0, t2 - t1, t3 - t2,
+            *(refiner.stage_s[name] for name in STAGES))
 
 
 def summary(workload, phase, ratios):
@@ -137,7 +142,8 @@ def main(argv=None):
                 p = run_s(parent, seed)
             for phase, phase_ratios in enumerate(ratios):
                 phase_ratios.append(c[phase] / p[phase])
-            # the setup's parts take about a millisecond: times to 1 us
+            # the setup's parts and some stages take about a millisecond:
+            # times to 1 us
             print(seed, *(f"{p[i]:.6f} {c[i]:.6f} {c[i] / p[i]:.4f}"
                           for i in range(len(PHASES))), flush=True)
     for phase, phase_ratios in zip(PHASES, ratios):
