@@ -16,11 +16,16 @@ their int array: the lowest failing triangle is an argmax over
 per-triangle failure masks, and one sort of the triangle edges by (edge,
 patch) gives both the patch edge use counts that the checks bound and the
 surface edge census behind ``surface_closed``, ``embedded_curves`` and
-``open_edge``.  Either way a record's checks run in a fixed order.
+``open_edge``.  Either way a record's checks run in a fixed order.  The
+Python tuples that the queries' loops read (``pts``, ``segments``,
+``triangles``) are grouped from the float64 and int64 arrays that the
+numpy passes and the trees read.
 """
 
 import math
+from bisect import bisect_left
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -85,11 +90,11 @@ class PiecewiseComplex:
             raise ValidationError("vertex array must be (n, 3)")
         if not np.isfinite(self.vertices).all():
             raise ValidationError("non-finite vertex coordinate")
-        self.pts = list(map(tuple, self.vertices.tolist()))
+        self.pts = _tuples(self.vertices)
         seg = _records(segments, 3, "segment")
         tri = _records(triangles, 4, "triangle")
-        self.segments = list(map(tuple, seg.tolist()))
-        self.triangles = list(map(tuple, tri.tolist()))
+        self.segments = _tuples(seg)
+        self.triangles = _tuples(tri)
         nv = len(self.vertices)
 
         # the segment checks, each segment's in the order of the messages,
@@ -148,12 +153,13 @@ class PiecewiseComplex:
         # curves whose every segment is also a surface edge ("embedded"),
         # in the order of their first segment
         seg_keys = _edge_key(seg[:, 0], seg[:, 1], nv)
-        # the segment keys that are surface edge keys: a set as small as
-        # the curves, so a dense surface's edges are not held past here
-        surface = set(seg_keys.tolist()).intersection(edge_keys.tolist())
+        # whether each segment is a surface edge, by bisecting the sorted
+        # edge keys (no key is -1)
+        follows = np.append(edge_keys, -1)[edge_keys.searchsorted(seg_keys)]
         whole = {}
-        for (_i, _j, cid), key in zip(self.segments, seg_keys.tolist()):
-            whole[cid] = whole.get(cid, True) and key in surface
+        for (_i, _j, cid), ok in zip(self.segments,
+                                     (follows == seg_keys).tolist()):
+            whole[cid] = whole.get(cid, True) and ok
         self.embedded_curves = {cid for cid, ok in whole.items() if ok}
         # the lowest edge of one triangle that no segment follows, or None:
         # an open boundary that no restricted curve edge bounds, where the
@@ -186,7 +192,6 @@ class PiecewiseComplex:
         not: an earlier failing triangle is reported first anyway.
         """
         nv = len(self.vertices)
-        triangles = self.triangles
         # a zero row stands in for a missing vertex
         verts = np.vstack((self.vertices, np.zeros((1, 3))))
         ok = (tri[:, :3] >= 0) & (tri[:, :3] < nv)
@@ -199,7 +204,11 @@ class PiecewiseComplex:
                                           (v[:, 2] - v[:, 0]).T)
             nx, ny, nz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
             zero_area = nx * nx + ny * ny + nz * nz == 0.0
-        key = np.sort(corners, axis=1)
+        # the corners sorted: least, middle and greatest
+        c0, c1, c2 = corners.T
+        least = np.minimum(np.minimum(c0, c1), c2)
+        most = np.maximum(np.maximum(c0, c1), c2)
+        middle = c0 + c1 + c2 - least - most
         # the edges (i, j), (j, k), (i, k) of each triangle in turn, sorted
         # by edge and then patch: one census for the patch edge uses and
         # for the surface edge counts
@@ -212,17 +221,18 @@ class PiecewiseComplex:
         uses = uses.reshape(-1, 3)
 
         def edge_message(t):
-            i, j, k, pid = triangles[t]
+            i, j, k, pid = tri[t].tolist()
             a, b = ((i, j), (j, k), (i, k))[int(np.argmax(uses[t] > 1))]
             return f"patch {pid} edge {(min(a, b), max(a, b))} used by >2 triangles"
 
         _raise_first([
             (~ok.all(axis=1),
              lambda t: f"triangle {t} references missing vertex"),
-            ((key[:, 0] == key[:, 1]) | (key[:, 1] == key[:, 2]),
+            ((least == middle) | (middle == most),
              lambda t: f"triangle {t} is degenerate"),
-            (_ranks(key[:, 0], key[:, 1], key[:, 2]) > 0,
-             lambda t: f"duplicate triangle {tuple(sorted(triangles[t][:3]))}"),
+            (_ranks(least, middle, most) > 0,
+             lambda t: "duplicate triangle "
+                       f"{tuple(sorted(tri[t, :3].tolist()))}"),
             (zero_area, lambda t: f"triangle {t} has zero area"),
             ((uses > 1).any(axis=1), edge_message),
         ])
@@ -563,6 +573,13 @@ def _records(rows, width, name):
     return out
 
 
+def _tuples(rows):
+    """The rows of a 2-d array as tuples of Python scalars, grouped from
+    one flat list: no list is built per row."""
+    flat = iter(rows.ravel().tolist())
+    return list(zip(*[flat] * rows.shape[1]))
+
+
 def _edge_key(i, j, nv):
     """One int per unordered vertex pair, -1 standing for a missing one."""
     return (np.minimum(i, j) + 1) * (nv + 1) + np.maximum(i, j) + 1
@@ -629,22 +646,32 @@ def _read_records(text):
     float64, (n, 3) and (n, 4) int arrays, or None when a line that is not
     blank once its comment is cut is not a record.
 
-    The lines, comments cut, are grouped by their first character, and
-    each group's lines are joined and split into one token list.  It holds
-    one record per line when its length is the line count times the
-    record's width (tag included), the tag sits at every width-th token and
-    every other token casts: no value casts from a token that starts with
-    the tag's letter, so no line can start between two tags.  The casts are
-    ``_raise_parse_error``'s ``float`` and ``int``, and all of them run
-    before any array is built; an id beyond int64 stays a Python int for
-    the constructor to report after the checks that precede it.
+    The lines end at ``"\\n"`` alone (``read_text`` maps ``"\\r\\n"``
+    and ``"\\r"`` to it); every other break that ``str.splitlines`` knows is
+    whitespace within a line, as ``str.split`` has it.  The lines, comments
+    cut and leading whitespace stripped, are grouped by their first
+    character in one stable sort, so each tag's lines form one run in file
+    order after the blank ones.  Each run is joined and split into one token
+    list.  It holds one record per line when its length is the line count
+    times the record's width (tag included), the tag sits at every width-th
+    token and every other token casts: no value casts from a token that
+    starts with the tag's letter, so no line can start between two tags.
+    The casts are ``_raise_parse_error``'s ``float`` and ``int``, and all
+    of them run before any array is built; an id beyond int64 stays a
+    Python int for the constructor to report after the checks that precede
+    it.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
     if "#" in text:
         lines = [ln.split("#", 1)[0] for ln in lines]
-    lines = [ln.lstrip() for ln in lines]
-    groups = [[ln for ln in lines if ln[:1] == tag] for tag in _RECORDS]
-    if sum(map(len, groups)) + lines.count("") != len(lines):
+    # sorted by first character ("" for a blank line), stably; a
+    # one-character probe compares with a line as with its first character,
+    # so bisection finds where each run begins: the blank lines are those
+    # below "\0", a tag's below the next character
+    lines = sorted(map(str.lstrip, lines), key=itemgetter(slice(1)))
+    groups = [lines[bisect_left(lines, tag):
+                    bisect_left(lines, chr(ord(tag) + 1))] for tag in _RECORDS]
+    if bisect_left(lines, "\0") + sum(map(len, groups)) != len(lines):
         return None
     del lines
     values = []
@@ -678,7 +705,7 @@ def _raise_parse_error(text):
     """Raise the ``ParseError`` of the first line that is not a record:
     ``line N: unrecognised record 'tag'`` for an unknown tag or field
     count, else ``line N:`` and the message of the failing cast."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -697,15 +724,20 @@ def load_complex(path):
 
 
 def read_text(path, what):
-    """A UTF-8 file's text as text mode reads it; a byte that does not
-    decode is a ``ParseError`` naming ``what``, the path and its offset."""
+    """A UTF-8 file's text as text mode reads it, less one leading
+    byte-order mark; a byte that does not decode is a ``ParseError`` naming
+    ``what``, the path and its offset."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} {str(path)!r}: byte 0x{data[exc.start]:02x}"
                          f" at offset {exc.start} is not UTF-8") from None
+    # dropped after a plain decode, so that an error's offset counts the
+    # mark's three bytes
+    text = text.removeprefix("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_complex(cplx, path):

@@ -1088,7 +1088,7 @@ def parse_lines_reference(text):
     verts = []
     segs = []
     tris = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 import warnings
 from itertools import combinations
 
@@ -51,6 +53,46 @@ def test_parse_bad_record_is_error():
         parse_complex("v 0 0 0\nq 1 2 3\n")
     with pytest.raises(ParseError):
         parse_complex("v 0 0 zzz\n")
+
+
+# the line breaks of str.splitlines other than "\n", "\r\n" and "\r"
+OTHER_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029")
+
+
+@pytest.mark.parametrize("sep", OTHER_BREAKS, ids=lambda sep: f"{ord(sep):#x}")
+def test_only_newlines_end_lines(sep):
+    # the break separates tokens within a line: line 1 holds two records
+    with pytest.raises(ParseError, match="^line 1: unrecognised record 'v'$"):
+        parse_complex(f"v 0 0 0{sep}v 1 0 0\nv 0 zz 0\n")
+    # and line numbers count the newlines alone
+    with pytest.raises(ParseError, match="^line 2: could not convert "
+                                         "string to float: 'zz'$"):
+        parse_complex(f"{sep}v 0 0 0{sep}\nv 0 zz{sep}0\n")
+    c = parse_complex(f"{sep}v 0{sep}0 0\nv 1 0 0{sep}\n{sep}\nv 0 1 0\n"
+                      "t 0 1 2 0\n")
+    assert c.pts == [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    plain, marked = tmp_path / "plain.psc", tmp_path / "marked.psc"
+    write_complex(cube(), str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = load_complex(str(plain)), load_complex(str(marked))
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert (a.pts, a.segments, a.triangles) == (b.pts, b.segments,
+                                                b.triangles)
+    # one mark only: a second one is the first line's text
+    marked.write_bytes(b"\xef\xbb\xbf" * 2 + plain.read_bytes())
+    with pytest.raises(ParseError,
+                       match=r"^line 1: unrecognised record '\\ufeffv'$"):
+        load_complex(str(marked))
+    # an undecodable byte's offset counts the mark's three bytes
+    data = b"\xef\xbb\xbfv 0 0 0\nv 1 \xff 0\n"
+    marked.write_bytes(data)
+    with pytest.raises(ParseError, match=f"byte 0xff at offset "
+                                         f"{data.index(0xff)} is not UTF-8$"):
+        load_complex(str(marked))
 
 
 def test_duplicate_segment_is_error():
@@ -366,6 +408,70 @@ def test_cube_roundtrip(tmp_path):
     assert c.point_in_volume((0.5, 0.5, 0.5))
     w = winding_numbers([(0.5, 0.5, 0.5)], c.vertices, c.triangles)[0]
     assert abs(abs(w) - 1.0) < 1e-9
+
+
+# every attribute of a loaded complex that the package reads, and of its two
+# trees; a tree attribute is named "tree.attribute"
+LOADED = ("pts", "segments", "triangles", "segs_at_vertex", "feature_vertices",
+          "on_curve", "on_surface", "surface_closed", "embedded_curves",
+          "open_edge", "bounds", "diag", "eps", "hit_pad",
+          *(f"{tree}.{name}" for tree in ("seg_tree", "tri_tree")
+            for name in ("_perm", "_walk", "_cover")))
+
+
+def loaded_digests(model, path):
+    """``model`` written to ``path`` and loaded back: the first 16 hex digits
+    of the SHA-256 of each ``LOADED`` attribute's repr, arrays printed in
+    full and to the last bit.  A repr tells a tuple from a list and a
+    Python float from a numpy one."""
+    write_complex(model, str(path))
+    c = load_complex(str(path))
+    out = {}
+    with np.printoptions(threshold=sys.maxsize, floatmode="unique"):
+        for name in LOADED:
+            obj = c
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            out[name] = hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+    return out
+
+
+# ``loaded_digests`` as the parse and build of 13f5087 give them
+LOADED_DIGESTS = {
+    "cube": (
+        "1bd3d4b10c6963fb 8eb05062dc2ded04 29b3cf8b27b65970 5465d86eff5c89d3 "
+        "8df435965cf2a370 d992e216cec2e420 d992e216cec2e420 3cbc87c7681f34db "
+        "a096de4e0e18ceee dc937b59892604f5 1db53b74b39f4279 cf35d0b009c91f65 "
+        "85d30e4fecbcbd65 3cb365ad383c4438 dd47cffedc1d6f13 1d8f5149217d4f2a "
+        "a3869c102875b5f1 fb904d93e83e9167 2b57b6cbe0c1d29d f2aef17a90b95e55"),
+    "wedge": (
+        "451c56dca480e9d1 0bdccb1536a85a98 29b3cf8b27b65970 dd2ee53dc6bb83fb "
+        "b34f921f10b2ac83 8ceb9d01a885e348 6f5d41f6c421f105 3cbc87c7681f34db "
+        "a096de4e0e18ceee dc937b59892604f5 1db53b74b39f4279 cf35d0b009c91f65 "
+        "85d30e4fecbcbd65 3cb365ad383c4438 338d2f674877bbdc 98bb885c4020809f "
+        "3c6255b8ae1f088c fb904d93e83e9167 2b57b6cbe0c1d29d f2aef17a90b95e55"),
+    "icosphere2": (
+        "6eda44c77a738cc4 4f53cda18c2baa0c e329c6d2a0f7fba9 44136fa355b3678a "
+        "513b0cfc87b24ef3 6334b66be3d5c27a 8b1fe75cd013ac69 3cbc87c7681f34db "
+        "513b0cfc87b24ef3 dc937b59892604f5 1f51e64fa84df2b9 6fd35544be672dee "
+        "6eab8034e690bfa1 a9bb6b98a7b80ed0 4f53cda18c2baa0c 4f53cda18c2baa0c "
+        "e62ba0ca13d27cb2 d3149c30a0bab1a6 c53645cbce897628 e9ffd53d5a776af8"),
+    "icosphere4": (
+        "e5df23f5ccd676f9 4f53cda18c2baa0c 41a082e2ab20b7e6 44136fa355b3678a "
+        "513b0cfc87b24ef3 061c8b35df219369 1454caeb2c92a2ed 3cbc87c7681f34db "
+        "513b0cfc87b24ef3 dc937b59892604f5 1f51e64fa84df2b9 6fd35544be672dee "
+        "6eab8034e690bfa1 a9bb6b98a7b80ed0 4f53cda18c2baa0c 4f53cda18c2baa0c "
+        "e62ba0ca13d27cb2 3252eab71c4c2632 be742f941dd99097 91f130bddbd8ca15"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADED_DIGESTS))
+def test_the_loaded_complex_is_pinned(name, tmp_path):
+    model = {"cube": cube, "wedge": wedge, "icosphere2": lambda: icosphere(2),
+             "icosphere4": lambda: icosphere(4)}[name]()
+    got = loaded_digests(model, tmp_path / f"{name}.psc")
+    want = dict(zip(LOADED, LOADED_DIGESTS[name].split()))
+    assert got == want
 
 
 # ----------------------------------------------------------------------

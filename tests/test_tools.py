@@ -1,8 +1,9 @@
 """The scripts under ``tools/`` that compare a change with its parent:
 ``mesh_digests.py`` (the meshes), ``bench_pairs.py`` (the benchmark's
 paired statistics), ``ab_refine.py`` (setup, refine and write times, the
-setup's parts and the cascade stages in one process) and ``line_trace.py``
-(the package lines the meshes never run)."""
+setup's parts and the cascade stages in one process), ``line_trace.py``
+(the package lines the meshes never run) and ``load_cost.py`` (the parts
+of ``load_complex`` and the memory a loaded complex holds)."""
 
 import subprocess
 import sys
@@ -76,6 +77,27 @@ def test_line_trace_reports_the_tracer_only_functions_as_never_entered(
     finally:
         sys.settrace(previous)
     assert capsys.readouterr().out == out
+
+
+def test_load_cost_prints_every_part_within_the_total():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "load_cost.py"), "1", "-k",
+         "1"], stdout=subprocess.PIPE, text=True,
+        check=True).stdout.splitlines()
+    assert len(out) == 1
+    name, *fields = out[0].split()
+    assert name == "icosphere(1)"
+    values = dict(field.split("=") for field in fields)
+    parts = ("read_text_s", "read_records_s", "complex_s", "seg_tree_s",
+             "tri_tree_s")
+    assert list(values) == ["triangles", "total_s", *parts,
+                            "retained_mib", "peak_mib"]
+    assert values["triangles"] == "80"
+    assert all(float(values[part]) >= 0.0 for part in parts)
+    # each printed time is rounded to 1 us
+    assert (sum(float(values[part]) for part in parts)
+            <= float(values["total_s"]) + 3e-6)
+    assert 0.0 < float(values["retained_mib"]) <= float(values["peak_mib"])
 
 
 def test_ab_refine_prints_setup_and_refine_ratios_per_pair():
