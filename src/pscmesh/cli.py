@@ -209,10 +209,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         return run(parser.parse_args(argv))
-    except PscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

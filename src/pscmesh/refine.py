@@ -3,9 +3,9 @@
 One driver instance owns the tetrahedralisation and the restricted sets
 exclusively (single-threaded).  The rules are written once and indexed by
 simplex dimension d: 1 for curve edges, 2 for surface triangles and 3 for
-volume tetrahedra.  The loop runs, in strict order of priority, the
-refinement stage of d = 1, the 1-disk stage, d = 2, the 2-disk stage and
-d = 3.  Every successful insertion restarts the cascade from d = 1.
+volume tetrahedra, and run only for the complexes the input has (the d of
+``Refiner.dims``).  The loop runs, by priority, the stages of d = 1, the
+1-disk, d = 2, the 2-disk and d = 3; a successful insertion restarts it.
 
 A bad restricted d-simplex gets its surface-ball centre (circumcentre for
 a tet) or an off-centre.  A point that falls inside the surface ball of a
@@ -170,8 +170,6 @@ class BallRegistry:
         simplexes of ``keys`` (a census's faces of the table's dimension),
         or None.  Of equal radii the smaller key wins."""
         table = self.table
-        if not table:
-            return None
         px, py, pz = p
         best = None     # (-radius, key) of the best ball so far
         for key in keys:
@@ -187,14 +185,14 @@ class BallRegistry:
 
 
 class Census:
-    """A probed insertion: ``probe`` is the ``probe_insert`` result,
-    ``faces[d]`` the sorted d-faces of the cavity tets (``faces[0]`` their
-    vertices) and ``kept[d]`` those that survive, every vertex and the
-    boundary facets and edges (a duplicate keeps every face)."""
+    """A probed insertion: ``probe`` is the ``probe_insert`` result; for d
+    in ``dims``, ``faces[d]`` are the sorted d-faces of the cavity tets and
+    ``kept[d]`` those that survive, the boundary facets and edges; every
+    vertex is in ``faces[0]`` and survives (a duplicate keeps every face)."""
 
     __slots__ = ("probe", "faces", "kept")
 
-    def __init__(self, mesh, probe=(None, (), (), None)):
+    def __init__(self, mesh, probe=(None, (), (), None), dims=_DIMS):
         self.probe = probe
         _pj, cav, boundary, dup = probe
         self.faces = faces = (set(), set(), set(), set())
@@ -202,11 +200,11 @@ class Census:
             q = mesh.tets[t]
             sq = q if q[2] < q[3] else (q[0], q[1], q[3], q[2])  # sorted
             faces[0].update(sq)
-            for d in _DIMS:
+            for d in dims:
                 faces[d].update(combinations(sq, d + 1))
         tris = {tuple(sorted(f)) for f, _n in boundary}
-        self.kept = faces if dup is not None else (
-            faces[0], {e for f in tris for e in combinations(f, 2)}, tris, set())
+        self.kept = faces if dup is not None else (faces[0], {e for f in tris
+            if 1 in dims for e in combinations(f, 2)}, tris, set())
 
 
 class RestrictedSets:
@@ -307,6 +305,8 @@ class Refiner:
                       "blocked": 0, "dual_certified": 0,
                       "volume_inherited": 0, "survivors_skipped": 0,
                       "walks_reused": 0}
+        self.dims = tuple(d for d, has in zip(_DIMS, (
+            geom.segments, geom.triangles, geom.surface_closed)) if has)
         self.mesh = TetMesh(geom.bounds, seed=cfg.seed)
         self.rs = RestrictedSets()
         # bad-simplex heaps and disk-check marks, indexed by dimension
@@ -319,7 +319,7 @@ class Refiner:
         self.status = "new"
         # per-tet distance bounds that let classification skip empty queries
         self.cert = DistanceCertificate(geom, self.stats)
-        # wall seconds spent in each cascade stage by run()
+        # wall seconds of each cascade stage in run(); 0 if it never runs
         self.stage_s = dict.fromkeys(("edges", "disk1", "tris", "disk2",
                                       "tets"), 0.0)
 
@@ -328,7 +328,7 @@ class Refiner:
 
     def setup(self):
         cfg = self.cfg
-        if not (self.g.segments or self.g.triangles):
+        if not self.dims:
             raise ValidationError(
                 "the input has no curve segments and no triangles")
         if self.g.open_edge is not None:
@@ -363,8 +363,8 @@ class Refiner:
             heapq.heappush(self.queues[d], (prio, self._stamp, key, obj))
 
     def _reclassify(self, census, created_ids):
-        """Re-derive restricted membership after the insertion of ``census``
-        created the tets ``created_ids``.
+        """Re-derive restricted membership, in the complexes of ``dims``,
+        after the insertion of ``census`` created the tets ``created_ids``.
 
         The census faces it does not keep die, and are dropped.  A face of a
         created tet is (re)classified unless it is a kept face that is not
@@ -376,7 +376,7 @@ class Refiner:
         Returns the undo list: every write as (d, key, old), once per key;
         replaying it in reverse restores the tables.
         """
-        mesh, g, cert = self.mesh, self.g, self.cert
+        mesh, g, cert, dims = self.mesh, self.g, self.cert, self.dims
         cert.update(mesh, created_ids)
         # keys of the created tets with the handle their classifier takes
         # (a tet id, or a (tet, facet index) pair)
@@ -388,17 +388,19 @@ class Refiner:
                 key, slots = q, (3, 2, 1, 0)
             else:
                 key, slots = (q[0], q[1], q[3], q[2]), (2, 3, 1, 0)
-            handles[3][key] = t
-            for pair in combinations(key, 2):
-                handles[1].setdefault(pair, t)
-            for facet, i in zip(combinations(key, 3), slots):
-                handles[2].setdefault(facet, (t, i))
+            if 1 in dims:
+                for pair in combinations(key, 2):
+                    handles[1].setdefault(pair, t)
+            if 2 in dims:
+                for facet, i in zip(combinations(key, 3), slots):
+                    handles[2].setdefault(facet, (t, i))
+            if 3 in dims:
+                handles[3][key] = t
         rs, undo = self.rs, []
-        for d in _DIMS:
-            dead = (census.faces[d] - census.kept[d]) & rs.table[d].keys()
-            undo += [(d, key, rs.set(d, key, None)) for key in sorted(dead)]
-        for d in _DIMS:
+        for d in dims:
             table, kept = rs.table[d], census.kept[d]
+            dead = (census.faces[d] - kept) & table.keys()
+            undo += [(d, key, rs.set(d, key, None)) for key in sorted(dead)]
             for key in sorted(handles[d]):
                 known = key in table
                 if not known and key in kept:
@@ -430,9 +432,8 @@ class Refiner:
 
     def _mark_dirty(self, vertices):
         """Queue the restricted stars of vertices for the disk stages."""
-        for v in sorted(vertices):
-            self.dirty[1][v] = None
-            self.dirty[2][v] = None
+        for d in {1, 2}.intersection(self.dims):
+            self.dirty[d].update(dict.fromkeys(sorted(vertices)))
 
     # ------------------------------------------------------------------
     # guarded insertion
@@ -450,7 +451,7 @@ class Refiner:
         (a face of its own cavity) is replaced by that ball's centre, placed
         in turn as the Steiner point of its own dimension.  ``guards`` turns
         on ``_insert``'s rollback guards for a point that is not redirected."""
-        census = Census(self.mesh, self.mesh.probe_insert(point))
+        census = Census(self.mesh, self.mesh.probe_insert(point), self.dims)
         for low in range(1, d):
             lkey = self.rs.balls[low].find_containing(point, census.faces[low])
             if lkey is not None:
@@ -746,9 +747,10 @@ class Refiner:
     def run(self):
         if self.status == "new":
             self.setup()
-        stages = (("edges", self._step, 1), ("disk1", self._step_disk, 1),
-                  ("tris", self._step, 2), ("disk2", self._step_disk, 2),
-                  ("tets", self._step, 3))
+        stages = [(name, step, d) for name, step, d in (
+            ("edges", self._step, 1), ("disk1", self._step_disk, 1),
+            ("tris", self._step, 2), ("disk2", self._step_disk, 2),
+            ("tets", self._step, 3)) if d in self.dims]
         clock = time.perf_counter
         try:
             progressed = True

@@ -42,8 +42,9 @@ there (Cheng, Dey & Shewchuk, *Delaunay Mesh Generation*, 2012, ch. 4):
 the dual of an edge or facet that survives an insertion is a subset of
 its dual before.  A surviving simplex whose dual missed the input still
 misses it, so ``Refiner`` reclassifies only the new simplexes and the
-surviving restricted ones, whose dual may have shrunk off the input and
-whose surface ball moves with it.
+surviving restricted ones of the complexes the input has
+(``Refiner.dims``), whose dual may have shrunk off the input and whose
+surface ball moves with it.
 
 A restricted triangle's record keeps its last surface walk (``walk``):
 the dual segment s and the triangles that the tree walk of s keeps with
@@ -330,7 +331,7 @@ def classify_edge(mesh, geom, u, w, t0):
     """Restricted edge when the dual Voronoi face meets the curve network;
     ``t0``, a tet on the edge that the caller holds, starts its ring walk.
     An edge with a shell corner, as every hull edge has, is not walked."""
-    if min(u, w) < SHELL or not geom.segments:
+    if min(u, w) < SHELL:
         return None
     hits = _face_crossings(mesh, geom, u, w, t0)
     if not hits:
@@ -385,7 +386,7 @@ def classify_facet(mesh, geom, t, i, cert=None, rec=None):
     quad = mesh.tets[t]
     f = _FACES[i]
     tri = tuple(sorted((quad[f[0]], quad[f[1]], quad[f[2]])))
-    if tri[0] < SHELL or not geom.triangles:
+    if tri[0] < SHELL:
         return None
     t2 = mesh.neigh[t][i]
     p1 = mesh.circum[t][0]

@@ -729,8 +729,11 @@ def test_certified_skips_would_find_nothing(monkeypatch, geom, h):
 def check_survivor_skips(monkeypatch):
     """Wrap ``Refiner._reclassify`` so that every simplex of a created tet
     that it does not classify is checked: it is a face of a destroyed tet
-    that was not restricted, and a fresh classification with no
-    certificate (``fresh_answer``) returns None.  Returns the skipped keys."""
+    that was not restricted, or a simplex of a complex the input lacks
+    (curves with no curve segments, a surface with no triangles, a volume
+    with no closed surface), and a fresh classification with no
+    certificate (``fresh_answer``) returns None.  Returns the skipped
+    survivors."""
     skipped = []
     reclassify = Refiner._reclassify
     seen = []
@@ -751,7 +754,9 @@ def check_survivor_skips(monkeypatch):
         monkeypatch.setattr(driver, name, recording)
 
     def checked(self, census, created_ids):
-        mesh = self.mesh
+        mesh, g = self.mesh, self.g
+        has = {d for d, part in zip((1, 2, 3), (
+            g.segments, g.triangles, g.surface_closed)) if part}
         killed_quads = ([k[1] for k in mesh._last_insert.journal[0]]
                         if census.probe[1] else [])
         old = {k for q in killed_quads for n in (2, 3, 4)
@@ -764,15 +769,16 @@ def check_survivor_skips(monkeypatch):
             for i, f in enumerate(_FACES):
                 handles.setdefault(tuple(sorted(quad[j] for j in f)), (t, i))
             handles.setdefault(tuple(sorted(quad)), (t,))
-        survivors = {k for k in handles.keys() & old
-                     if k not in self.rs.table[len(k) - 1]}
+        survivors = {k for k in handles.keys() & old if len(k) - 1 in has
+                     and k not in self.rs.table[len(k) - 1]}
+        lacked = {k for k in handles if len(k) - 1 not in has}
         seen.clear()
         undo = reclassify(self, census, created_ids)
         missed = sorted(handles.keys() - set(seen))
-        assert set(missed) == survivors
+        assert set(missed) == survivors | lacked
         for key in missed:
-            assert fresh_answer(mesh, self.g, key, *handles[key]) is None, key
-        skipped.extend(missed)
+            assert fresh_answer(mesh, g, key, *handles[key]) is None, key
+        skipped.extend(sorted(survivors))
         return undo
 
     monkeypatch.setattr(Refiner, "_reclassify", checked)
@@ -790,6 +796,56 @@ def test_skipped_survivors_classify_as_unrestricted(monkeypatch, geom, h):
     r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=0))
     assert r.run() == "converged"
     assert len(skipped) == r.stats["survivors_skipped"] > 0
+    assert_restricted_fresh(r)
+
+
+def open_square():
+    """The unit square in z = 0 as two triangles, its rim on four curve
+    segments: curves and a surface, no volume."""
+    return PiecewiseComplex([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+                            [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 0, 3)],
+                            [(0, 1, 2, 0), (0, 2, 3, 0)])
+
+
+def polyline():
+    """Three segments bent out of one plane: curves alone."""
+    return PiecewiseComplex([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)],
+                            [(0, 1, 0), (1, 2, 0), (2, 3, 0)], [])
+
+
+# the classifier of each complex, with the cascade stages that refine it
+CLASSIFIERS = {"classify_edge": ("edges", "disk1"),
+               "classify_facet": ("tris", "disk2"),
+               "classify_tet": ("tets",)}
+
+
+@pytest.mark.parametrize("geom, h, lacks", [
+    (lambda: icosphere(2), 0.4, {"classify_edge"}),
+    (open_square, 0.3, {"classify_tet"}),
+    (polyline, 0.3, {"classify_facet", "classify_tet"}),
+    (wedge, 0.35, set()),
+], ids=["sphere", "open_square", "polyline", "crease"])
+def test_classification_follows_the_complexes_of_the_input(monkeypatch, geom,
+                                                           h, lacks):
+    # the driver never classifies, nor refines, a simplex of a complex the
+    # input lacks, and the fresh classification of every live simplex shows
+    # that none of them would have been restricted
+    driver = importlib.import_module("pscmesh.refine")
+    calls = dict.fromkeys(CLASSIFIERS, 0)
+    for name in CLASSIFIERS:
+
+        def counting(*args, classify=getattr(driver, name), name=name,
+                     **kwargs):
+            calls[name] += 1
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(driver, name, counting)
+    r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=0))
+    assert r.run() == "converged"
+    assert all(r.audit().values())
+    assert {name for name, n in calls.items() if not n} == lacks
+    assert all(r.stage_s[stage] == 0.0 for name in lacks
+               for stage in CLASSIFIERS[name])
     assert_restricted_fresh(r)
 
 
@@ -872,8 +928,8 @@ def test_census_of_every_wedge_probe_is_the_tet_derivation(monkeypatch):
     class CheckedCensus(Census):
         __slots__ = ()
 
-        def __init__(self, mesh, probe=(None, (), (), None)):
-            super().__init__(mesh, probe)
+        def __init__(self, mesh, probe=(None, (), (), None), dims=(1, 2, 3)):
+            super().__init__(mesh, probe, dims)
             _pj, cav, boundary, dup = probe
             if cav and dup is None:
                 vid = len(mesh.points)
@@ -912,13 +968,15 @@ def test_census_of_every_wedge_probe_is_the_tet_derivation(monkeypatch):
 # wrote every classified key gave them (``walks_reused`` came later; on
 # crease, exact facet crossings moved one reused walk to a skipped survivor;
 # ``dual_certified`` fell when it came to count facets with no shell corner
-# alone)
+# alone; sphere's ``survivors_skipped`` fell from 8026 to 2647 when the
+# edges of its curve-less input stopped being built, so stopped being
+# counted as skipped)
 STATS = {
     "sphere": {"inserted": 162, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 0,
                "encroach_tri": 21, "disk1": 0, "disk2": 0, "type2": 43,
                "type1": 119, "blocked": 0, "dual_certified": 3529,
-               "volume_inherited": 2399, "survivors_skipped": 8026,
+               "volume_inherited": 2399, "survivors_skipped": 2647,
                "walks_reused": 904},
     "crease": {"inserted": 85, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 1,

@@ -17,6 +17,7 @@ from pscmesh.refine import Refiner
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
+import ab_refine  # noqa: E402
 import bench_pairs  # noqa: E402
 
 
@@ -134,6 +135,18 @@ def test_ab_refine_prints_setup_and_refine_ratios_per_pair():
         assert line[-1].startswith("wins=")
         assert line[-1].endswith(f"/{len(pairs)}")
 
+
+def test_ab_refine_leaves_a_phase_that_did_not_run_out_of_its_summary():
+    # a stage of a complex the input lacks takes 0 s on one side or both
+    assert ab_refine.ratio(0.0, 0.5) is None
+    assert ab_refine.ratio(0.5, 0.0) is None
+    assert ab_refine.ratio(0.0, 0.0) is None
+    assert ab_refine.ratio(0.25, 0.5) == 0.5
+    assert (ab_refine.summary("sphere", "stage.edges", [None] * 4)
+            == "sphere stage.edges change/parent did not run")
+    line = ab_refine.summary("sphere", "stage.tris", [0.5, None, 2.0, 0.5])
+    assert line.split()[3:] == ["median=0.5000", "quartiles=0.5000,2.0000",
+                                "wins=2/3"]
 
 # ten pairs (parent, change) of a metric, seed by seed
 PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]

@@ -24,7 +24,10 @@ the setup, of the write phase, of the setup's parts ``load_complex``,
 ``Refiner`` and ``Refiner.setup`` and of the stages ``stage.edges``,
 ``stage.disk1``, ``stage.tris``, ``stage.disk2`` and ``stage.tets``, and
 last, for each of the eleven, the median and quartiles of the ratios and
-the pairs the change won.
+the pairs the change won.  A phase that takes 0 s on either side of a
+pair, such as the stage of a complex the input lacks, did not run there:
+its ratio prints as ``-`` and is left out of the summary, whose line
+says ``did not run`` when no pair is left.
 
 A sizing aid, not evidence for a claim: the two sides share one process,
 its heap and its caches, where the benchmark runs each checkout in a
@@ -103,13 +106,23 @@ def run_s(side, seed):
             *(refiner.stage_s[name] for name in STAGES))
 
 
+def ratio(change, parent):
+    """change/parent of one phase's seconds, or None when either side took
+    0 s: the phase did not run."""
+    return change / parent if change and parent else None
+
+
 def summary(workload, phase, ratios):
-    """The median and quartiles of one phase's ratios and the pairs won."""
-    q1, _q2, q3 = statistics.quantiles(ratios, n=4)
+    """The median and quartiles of one phase's ratios and the pairs won,
+    the pairs where it did not run (ratio None) left out."""
+    ran = [r for r in ratios if r is not None]
+    if not ran:
+        return f"{workload} {phase} change/parent did not run"
+    q1, _q2, q3 = statistics.quantiles(ran, n=4)
     return (f"{workload} {phase} change/parent "
-            f"median={statistics.median(ratios):.4f}"
+            f"median={statistics.median(ran):.4f}"
             f" quartiles={q1:.4f},{q3:.4f}"
-            f" wins={sum(r < 1.0 for r in ratios)}/{len(ratios)}")
+            f" wins={sum(r < 1.0 for r in ran)}/{len(ran)}")
 
 
 def main(argv=None):
@@ -140,12 +153,14 @@ def main(argv=None):
             else:
                 c = run_s(change, seed)
                 p = run_s(parent, seed)
-            for phase, phase_ratios in enumerate(ratios):
-                phase_ratios.append(c[phase] / p[phase])
+            pair = [ratio(c[i], p[i]) for i in range(len(PHASES))]
+            for phase_ratios, r in zip(ratios, pair):
+                phase_ratios.append(r)
             # the setup's parts and some stages take about a millisecond:
             # times to 1 us
-            print(seed, *(f"{p[i]:.6f} {c[i]:.6f} {c[i] / p[i]:.4f}"
-                          for i in range(len(PHASES))), flush=True)
+            print(seed, *(f"{p[i]:.6f} {c[i]:.6f} "
+                          f"{'-' if r is None else f'{r:.4f}'}"
+                          for i, r in enumerate(pair)), flush=True)
     for phase, phase_ratios in zip(PHASES, ratios):
         print(summary(args.workload, phase, phase_ratios))
 
