@@ -17,9 +17,8 @@ from .errors import (GeometryError, MeshError, ParseError, ProtectionError,
 from .geometry import PiecewiseComplex, load_complex, parse_complex, \
     write_complex
 from .predicates import insphere, orient3d
-from .quality import (QualityReport, area_length, build_report,
-                      dihedral_angles, relative_edge_length, triangle_angles,
-                      volume_length, write_report)
+from .quality import (QualityReport, build_report, relative_edge_length,
+                      write_report)
 from .refine import (RefineResult, Refiner, protect_sharp_angles, refine,
                      select_refinement_point, violations)
 from .restricted import (Restricted, classify_edge, classify_facet,

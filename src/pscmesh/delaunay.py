@@ -473,10 +473,6 @@ class TetMesh:
                 raise MeshError("broken ring adjacency")
         return ring
 
-    def edge_exists(self, u, w):
-        """Whether a live tet has corners u and w: one scan, no walk."""
-        return any(q is not None and u in q and w in q for q in self.tets)
-
     def nearest_vertex(self, p):
         """Live vertex nearest to p, the lowest id on ties (a scan).  Kept
         only for the benchmark tracer, which wraps it by name (ROADMAP item

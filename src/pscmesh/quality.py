@@ -3,16 +3,16 @@
 The area-length and volume-length ratios are the robust shape measures
 used for reporting and sliver control: ``a(f) = (4/sqrt(3)) A / rms(e)^2``
 and ``v(tau) = 6 sqrt(2) V / rms(e)^3``, normalised so equilateral
-triangles and regular tetrahedra score exactly 1.  Angles are reported in
+triangles and regular tetrahedra score exactly 1.  The restricted records
+carry them (``Restricted.quality``, from ``restricted._triangle_shape`` and
+``_tet_shape``), and the report reads them there.  Angles are reported in
 degrees.  All functions are pure and operate on immutable snapshots, so
 they can safely run concurrently.
 
 ``build_report`` measures all restricted simplexes at once, in numpy
-passes over (3, n) coordinate arrays, and ``triangle_angles`` and
-``dihedral_angles`` are one-row calls of the same kernels.  The report
-is bit-for-bit the one a per-element Python loop writes
-(``tests/oracles.py::report_reference``), because the passes keep every
-float operation of that loop:
+passes over (3, n) coordinate arrays.  The report is bit-for-bit the one
+a per-element Python loop writes (``tests/oracles.py::report_reference``),
+because the passes keep every float operation of that loop:
 
 * the same association order: dot and cross products go through
   ``geometry._dot`` / ``_cross`` on component rows, so a dot product is
@@ -32,9 +32,6 @@ import numpy as np
 
 from .geometry import _cross, _dot, _norm, _sub
 
-_A_NORM = 4.0 / math.sqrt(3.0)
-_V_NORM = 6.0 * math.sqrt(2.0)
-
 HIST_BINS = 64
 HIST_RANGES = {
     "area_length": (0.0, 1.0),
@@ -43,35 +40,6 @@ HIST_RANGES = {
     "dihedral_angle": (0.0, 180.0),
     "rel_edge_length": (0.0, 2.0),  # values beyond 2 land in the top bin
 }
-
-
-def area_length(pa, pb, pc):
-    """Normalised area-length ratio; 1 for equilateral, 0 for collinear."""
-    ab = _sub(pb, pa)
-    ac = _sub(pc, pa)
-    bc = _sub(pc, pb)
-    area = 0.5 * _norm(_cross(ab, ac))
-    ms = (_dot(ab, ab) + _dot(ac, ac) + _dot(bc, bc)) / 3.0
-    if ms == 0.0:
-        return 0.0
-    return _A_NORM * area / ms
-
-
-def volume_length(pa, pb, pc, pd):
-    """Normalised volume-length ratio; 1 for regular, 0 for coplanar and
-    for edges so short (below about 1e-108) that rms(e)^3 underflows."""
-    ab = _sub(pb, pa)
-    ac = _sub(pc, pa)
-    ad = _sub(pd, pa)
-    bc = _sub(pc, pb)
-    bd = _sub(pd, pb)
-    cd = _sub(pd, pc)
-    vol = abs(_dot(ab, _cross(ac, ad))) / 6.0
-    ms = (_dot(ab, ab) + _dot(ac, ac) + _dot(ad, ad)
-          + _dot(bc, bc) + _dot(bd, bd) + _dot(cd, cd)) / 6.0
-    den = ms ** 1.5
-    return _V_NORM * vol / den if den else 0.0
-
 
 _TRI_EDGES = ((0, 1), (1, 2), (0, 2))
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -124,23 +92,6 @@ def _dihedral_terms(pts):
             ys.append(np.where(dn == 0.0, np.nan, y))
             xs.append(x)
     return np.stack(ys, axis=1), np.stack(xs, axis=1)
-
-
-def _columns(*pts):
-    """The points as (3, 1) coordinate arrays: one row for a kernel."""
-    return [np.asarray(p, dtype=np.float64).reshape(3, 1) for p in pts]
-
-
-def triangle_angles(pa, pb, pc):
-    """Interior angles in degrees."""
-    return _degrees(*_triangle_terms(_columns(pa, pb, pc)))
-
-
-def dihedral_angles(pa, pb, pc, pd):
-    """The six interior dihedral angles of a tetrahedron, in degrees, at
-    the edges (0,1), (0,2), (0,3), (1,2), (1,3), (2,3); NaN at an edge of
-    length 0."""
-    return _degrees(*_dihedral_terms(_columns(pa, pb, pc, pd)))
 
 
 def relative_edge_length(pa, pb, sizing):

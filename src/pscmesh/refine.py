@@ -452,7 +452,9 @@ class Refiner:
         in turn as the Steiner point of its own dimension.  ``guards`` turns
         on ``_insert``'s rollback guards for a point that is not redirected."""
         census = Census(self.mesh, self.mesh.probe_insert(point), self.dims)
-        for low in range(1, d):
+        for low in self.dims:
+            if low >= d:
+                break
             lkey = self.rs.balls[low].find_containing(point, census.faces[low])
             if lkey is not None:
                 obj = self.rs.table[low][lkey]
@@ -478,7 +480,9 @@ class Refiner:
             return "rejected"
         rec = self.mesh.insert_point(probe[0], _KIND[d], ref, probe=probe)
         undo = self._reclassify(census, rec.created)
-        for low in range(1, d) if guards else ():
+        for low in self.dims if guards else ():
+            if low >= d:
+                break
             changed = self._changed(undo, low)
             if changed:
                 self.stats[("rollback_gamma", "rollback_sigma")[low - 1]] += 1
@@ -786,8 +790,9 @@ class Refiner:
                             "vlen_ok")}
         out["disks_ok"] = all(
             self._disk_target(d, v) is None
+            for d in {1, 2}.intersection(self.dims)
             for v in range(SHELL, len(self.mesh.points))
-            if self.mesh.meta[v].alive for d in (1, 2))
+            if self.mesh.meta[v].alive)
         protected = set(self.protected_edges)
         held = {e for q in self.mesh.tets if protected and q is not None
                 for e in combinations(sorted(q), 2) if e in protected}

@@ -65,10 +65,12 @@ Shrinking duals make reuse common; the tube check alone makes it exact.
 import math
 
 from .delaunay import _FACES, SHELL, circumcentre_triangle
-from .quality import _A_NORM, _V_NORM
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT83 = math.sqrt(8.0 / 3.0)
+# the area-length and volume-length norms: 1 for the regular elements
+_A_NORM = 4.0 / _SQRT3
+_V_NORM = 6.0 * math.sqrt(2.0)
 # a stored surface walk's tube, relative to its dual segment's length
 _WALK_TUBE = 1e-9
 
@@ -129,9 +131,10 @@ def element_size(kind, radius):
 
 
 # Shape kernels: (radius-edge ratio, area- or volume-length) from one set of
-# edge vectors, with the float operations of their references (``quality``,
-# ``tests/oracles.py::radius_edge_reference``): under glibc's ``pow``,
-# ``x ** 2`` and ``x * x`` differ in the last bit for about 1 double in 1,400.
+# edge vectors, with the float operations of their references in
+# ``tests/oracles.py`` (``radius_edge_reference``, ``area_length_reference``,
+# ``volume_length_reference``): under glibc's ``pow``, ``x ** 2`` and
+# ``x * x`` differ in the last bit for about 1 double in 1,400.
 def _triangle_shape(r2, pa, pb, pc):
     abx = pb[0] - pa[0]; aby = pb[1] - pa[1]; abz = pb[2] - pa[2]
     acx = pc[0] - pa[0]; acy = pc[1] - pa[1]; acz = pc[2] - pa[2]

@@ -27,11 +27,18 @@ vertices and embedded curves by the numpy passes the constructor once
 ran), ``parse_lines_reference`` (the line by line parser),
 ``initial_sampling_reference`` (the greedy seed pick by brute force),
 ``report_reference`` (the quality report by one scalar call per triangle,
-tet and edge) and ``radius_edge_reference`` (a record's radius-edge ratio
-as the classifiers computed it before their shape kernels).
+tet and edge, by ``triangle_angles_scalar`` and ``dihedral_angles_scalar``)
+and ``radius_edge_reference``, ``area_length_reference`` and
+``volume_length_reference`` (a record's radius-edge ratio and shape
+measure, one element at a time, as the classifiers computed them before
+their shape kernels), and ``function_table_reference`` (the line trace's
+table of functions, compiled from the source file as the trace once read
+it).
 """
 
+import inspect
 import math
+import types
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -1201,7 +1208,40 @@ def _norm3(a):
     return math.sqrt(_dot3(a, a))
 
 
-def _triangle_angles_scalar(pa, pb, pc):
+def area_length_reference(pa, pb, pc):
+    """Normalised area-length ratio ``(4/sqrt(3)) A / rms(e)^2``; 1 for
+    equilateral, 0 for collinear.  The second value of
+    ``restricted._triangle_shape`` keeps its float operations."""
+    ab = _sub3(pb, pa)
+    ac = _sub3(pc, pa)
+    bc = _sub3(pc, pb)
+    area = 0.5 * _norm3(_cross3(ab, ac))
+    ms = (_dot3(ab, ab) + _dot3(ac, ac) + _dot3(bc, bc)) / 3.0
+    if ms == 0.0:
+        return 0.0
+    return 4.0 / math.sqrt(3.0) * area / ms
+
+
+def volume_length_reference(pa, pb, pc, pd):
+    """Normalised volume-length ratio ``6 sqrt(2) V / rms(e)^3``; 1 for
+    regular, 0 for coplanar and for edges so short (below about 1e-108)
+    that rms(e)^3 underflows.  The second value of ``restricted._tet_shape``
+    keeps its float operations."""
+    ab = _sub3(pb, pa)
+    ac = _sub3(pc, pa)
+    ad = _sub3(pd, pa)
+    bc = _sub3(pc, pb)
+    bd = _sub3(pd, pb)
+    cd = _sub3(pd, pc)
+    vol = abs(_dot3(ab, _cross3(ac, ad))) / 6.0
+    ms = (_dot3(ab, ab) + _dot3(ac, ac) + _dot3(ad, ad)
+          + _dot3(bc, bc) + _dot3(bd, bd) + _dot3(cd, cd)) / 6.0
+    den = ms ** 1.5
+    return 6.0 * math.sqrt(2.0) * vol / den if den else 0.0
+
+
+def triangle_angles_scalar(pa, pb, pc):
+    """Interior angles in degrees, corners 0, 1, 2."""
     out = []
     pts = (pa, pb, pc)
     for i in range(3):
@@ -1212,7 +1252,10 @@ def _triangle_angles_scalar(pa, pb, pc):
     return out
 
 
-def _dihedral_angles_scalar(pa, pb, pc, pd):
+def dihedral_angles_scalar(pa, pb, pc, pd):
+    """The six interior dihedral angles of a tetrahedron, in degrees, at
+    the edges (0,1), (0,2), (0,3), (1,2), (1,3), (2,3); NaN at an edge of
+    length 0."""
     pts = (pa, pb, pc, pd)
     out = []
     for (i, j) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
@@ -1261,10 +1304,10 @@ def report_reference(mesh, rs, sizing):
     v_vals = [t.quality for t in rs.tets.values()]
     tri_angs = []
     for key in rs.tris:
-        tri_angs.extend(_triangle_angles_scalar(*(pts[v] for v in key)))
+        tri_angs.extend(triangle_angles_scalar(*(pts[v] for v in key)))
     dih_angs = []
     for key in rs.tets:
-        angs = _dihedral_angles_scalar(*(pts[v] for v in key))
+        angs = dihedral_angles_scalar(*(pts[v] for v in key))
         if all(math.isfinite(x) for x in angs):
             dih_angs.extend(angs)
     edges = set(rs.edges)
@@ -1280,3 +1323,25 @@ def report_reference(mesh, rs, sizing):
     rep._add_metric("dihedral_angle", dih_angs)
     rep._add_metric("rel_edge_length", h_r)
     return rep
+
+
+# ----------------------------------------------------------------------
+# the line trace's function table
+
+
+def function_table_reference(path):
+    """``tools/line_trace.py::functions`` of the module at ``path``, from
+    the code compiled afresh from the file: {(first line, qualified name):
+    line numbers} of its functions, lambdas and comprehensions."""
+    out = {}
+    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        if code.co_flags & inspect.CO_OPTIMIZED:
+            key = (code.co_firstlineno,
+                   getattr(code, "co_qualname", code.co_name))
+            out.setdefault(key, set()).update(
+                line for _start, _end, line in code.co_lines()
+                if line is not None)
+    return out

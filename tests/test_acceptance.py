@@ -14,13 +14,14 @@ from pscmesh.config import RefineConfig, SizingField
 from pscmesh.delaunay import TetMesh
 from pscmesh.models import cube, icosphere, wedge, write_benchmarks
 from pscmesh.predicates import insphere, orient3d
-from pscmesh.quality import (area_length, build_report, dihedral_angles,
-                             relative_edge_length, triangle_angles,
-                             volume_length)
+from pscmesh.quality import build_report, relative_edge_length
 from pscmesh.refine import Census, Refiner
+from pscmesh.restricted import _tet_shape, _triangle_shape
 
-from oracles import (brute_force_delaunay, distance_to_curves,
-                     distance_to_surface, rational_insphere, rational_orient3d)
+from oracles import (brute_force_delaunay, dihedral_angles_scalar,
+                     distance_to_curves, distance_to_surface, holders,
+                     rational_insphere, rational_orient3d,
+                     triangle_angles_scalar)
 from snapshots import (assert_bounds_fresh, assert_restricted_fresh,
                        assert_undone, record_rollbacks)
 
@@ -77,7 +78,7 @@ def full_certificates(r, geom):
     aud["sigma_closed"] = closed
     aud["sigma_chi2"] = chi == 2
     aud["sigma_connected"] = comps == 1
-    # the report's triangle angles are triangle_angles of every triangle
+    # the report's triangle angles are those of every triangle
     min_angle = build_report(r.mesh, r.rs, r.cfg.sizing).summary[
         "tri_angle"]["min"]
     aud["min_surface_angle_23_5"] = (not r.rs.tris) or min_angle >= 23.5
@@ -276,7 +277,7 @@ def test_criterion_5_sharp_wedge():
     assert (meta.kind, meta.ref) == ("input", col.apex_gvid)
     assert abs(d1 - d2) <= 1e-9 * max(d1, d2)
     for (a, b) in r.protected_edges:
-        assert r.mesh.edge_exists(a, b)
+        assert holders(r.mesh, a, b)
         assert (a, b) in r.rs.edges
     print(f"\nPASS criterion 5: wedge protection emitted one isosceles collar "
           f"(radius {col.radius:g}, wings equal to {abs(d1-d2):.2e} rel) and "
@@ -348,11 +349,13 @@ def test_criterion_7_rollback_exactness():
 def test_criterion_8_metric_anchors():
     eq = [(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0)]
     reg = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    assert abs(area_length(*eq) - 1.0) <= 1e-12
-    assert abs(volume_length(*reg) - 1.0) <= 1e-12
-    dih = dihedral_angles(*reg)
+    # the records' measures, the second values of the shape kernels
+    assert abs(_triangle_shape(0.0, *eq)[1] - 1.0) <= 1e-12
+    assert abs(_tet_shape(0.0, *reg)[1] - 1.0) <= 1e-12
+    dih = dihedral_angles_scalar(*reg)
     assert all(abs(a - 70.53) <= 0.01 for a in dih)
-    assert np.allclose(triangle_angles(*eq), [60.0, 60.0, 60.0], atol=1e-12)
+    assert np.allclose(triangle_angles_scalar(*eq), [60.0, 60.0, 60.0],
+                       atol=1e-12)
     print("\nPASS criterion 8: a(equilateral)=1 and v(regular)=1 within 1e-12; "
           "regular dihedral 70.53 +/- 0.01 deg; equilateral angles 60 deg")
 

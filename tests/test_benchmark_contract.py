@@ -40,21 +40,40 @@ def test_tracer_installs_and_restores_every_traced_name():
     assert refine.classify_edge is classify_edge
 
 
-def test_only_the_tracer_keeps_nearest_vertex_and_contains():
-    # a name the tracer patches but no code of the package loads lives on
-    # for the tracer alone (ROADMAP item 8); a new one fails here
-    tracer = load_tracing().install()
-    patched = {attr for _owner, attr, _fn in tracer._restore}
-    tracer.uninstall()
+def loaded_names(*dirs):
+    """The names that the code under ``dirs`` loads, as a variable or an
+    attribute."""
     loaded = set()
-    for path in (ROOT / "src" / "pscmesh").glob("*.py"):
+    for path in (p for d in dirs for p in (ROOT / d).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 loaded.add(node.attr)
-    assert patched - loaded - {"__init__"} == {"nearest_vertex", "_contains"}
+    return loaded
+
+
+def test_every_name_of_the_package_has_a_caller_outside_the_tests():
+    # every function, method and class of the package is loaded by name in
+    # src/, perfbench/ or tools/: code that only tests call lives in
+    # tests/oracles.py.  The exceptions are the two names the tracer
+    # patches but no code loads, which live on for the tracer alone
+    # (ROADMAP item 8), and models.write_benchmarks, which README's
+    # command for benchmarks/ calls; a new one fails here
+    tracer = load_tracing().install()
+    patched = {attr for _owner, attr, _fn in tracer._restore}
+    tracer.uninstall()
+    tracer_only = patched - loaded_names("src") - {"__init__"}
+    assert tracer_only == {"nearest_vertex", "_contains"}
+    defined = {node.name for path in (ROOT / "src" / "pscmesh").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))}
+    unloaded = defined - loaded_names("src", "perfbench", "tools")
+    assert unloaded == tracer_only | {"write_benchmarks"}
 
 
 def test_traced_refinement_calls_through_every_patched_driver_name(

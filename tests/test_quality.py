@@ -9,18 +9,29 @@ from hypothesis import given, settings, strategies as st
 
 from pscmesh.config import GridSizing, RefineConfig, SizingField
 from pscmesh.models import icosphere, wedge
-from pscmesh.quality import (area_length, build_report, dihedral_angles,
-                             relative_edge_length, triangle_angles,
-                             volume_length, write_report)
+from pscmesh.quality import build_report, relative_edge_length, write_report
 from pscmesh.delaunay import circumsphere_tet
 from pscmesh.refine import refine
-from pscmesh.restricted import Restricted
+from pscmesh.restricted import Restricted, _tet_shape, _triangle_shape
 
-from oracles import radius_edge_reference, random_rotation, report_reference
+from oracles import (area_length_reference, dihedral_angles_scalar,
+                     radius_edge_reference, random_rotation, report_reference,
+                     triangle_angles_scalar, volume_length_reference)
 
 EQUILATERAL = [(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0)]
 REGULAR = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 CORNER = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+# the measures the records carry: the second values of the shape kernels,
+# whose first values (the radius-edge ratios) alone read the squared
+# circumradius
+def area_length(pa, pb, pc):
+    return _triangle_shape(0.0, pa, pb, pc)[1]
+
+
+def volume_length(pa, pb, pc, pd):
+    return _tet_shape(0.0, pa, pb, pc, pd)[1]
 
 
 def test_area_length_anchors():
@@ -45,13 +56,14 @@ def test_volume_length_anchors():
 
 
 def test_angles():
-    assert np.allclose(triangle_angles(*EQUILATERAL), [60, 60, 60], atol=1e-12)
-    regs = dihedral_angles(*REGULAR)
+    assert np.allclose(triangle_angles_scalar(*EQUILATERAL), [60, 60, 60],
+                       atol=1e-12)
+    regs = dihedral_angles_scalar(*REGULAR)
     assert np.allclose(regs, [math.degrees(math.acos(1 / 3.0))] * 6, atol=1e-9)
     assert abs(regs[0] - 70.53) < 0.01
     # right-corner tet: three right dihedrals along the legs, and
     # arccos(1/sqrt(3)) along the hypotenuse-face edges
-    corner = sorted(dihedral_angles(*CORNER))
+    corner = sorted(dihedral_angles_scalar(*CORNER))
     want = sorted([90.0] * 3 + [math.degrees(math.acos(1 / math.sqrt(3)))] * 3)
     assert np.allclose(corner, want, atol=1e-9)
 
@@ -62,7 +74,7 @@ def test_dihedral_matches_face_normal_oracle():
         pts = rng.uniform(-1, 1, (4, 3))
         if abs(np.linalg.det(pts[1:] - pts[0])) < 1e-3:
             continue
-        angles = dihedral_angles(*(tuple(p) for p in pts))
+        angles = dihedral_angles_scalar(*(tuple(p) for p in pts))
         pairs = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)),
                  ((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))]
         for ang, ((i, j), (k, l)) in zip(angles, pairs):
@@ -221,7 +233,8 @@ def test_vtk_and_report_carry_the_certified_record_values(tmp_path):
     assert column("quality", 10) == [t.quality for t in tets]
     assert column("quality", 5) == [f.quality for f in tris]
     assert [f.quality for f in tris] == [
-        area_length(*(res.mesh.points[v] for v in f.key)) for f in tris]
+        area_length_reference(*(res.mesh.points[v] for v in f.key))
+        for f in tris]
     metric = dict(x.split(" = ") for x in rep.read_text().splitlines()
                   if x.startswith("metric."))
     assert float(metric["metric.volume_length.min"]) == min(
@@ -273,8 +286,8 @@ def fake_meshes(draw):
                 for k in keys[width]}
 
     rs = SimpleNamespace(edges=table(2, lambda a, b: 0.0),
-                         tris=table(3, area_length),
-                         tets=table(4, volume_length))
+                         tris=table(3, area_length_reference),
+                         tets=table(4, volume_length_reference))
     if draw(st.booleans()):
         sizing = SizingField(h0=draw(st.floats(0.05, 2.0)))
     else:

@@ -18,8 +18,8 @@ from pscmesh.refine import (BallRegistry, Census, Refiner,
 from pscmesh.restricted import Restricted
 
 from oracles import (cavity_locks_ring_walk, containing_ball_scan,
-                     distance_to_curves, distance_to_surface, random_rotation,
-                     tet_faces)
+                     distance_to_curves, distance_to_surface, holders,
+                     random_rotation, tet_faces)
 from snapshots import (assert_bounds_fresh, assert_restricted_fresh,
                        assert_undone, record_rollbacks)
 
@@ -780,9 +780,9 @@ def test_converged_run_leaves_only_blocked_violations(geom, h, seed, vlen_ok):
 def test_protected_ok_equals_one_edge_exists_scan_per_collar_edge(
         tmp_path, monkeypatch):
     # the golden wedge.psc --seed 42 run: audit's one scan of the live tets
-    # answers protected_ok as one edge_exists scan per collar edge does,
-    # also for a list with an edge the mesh lacks and one it holds that is
-    # no restricted curve edge
+    # answers protected_ok as one scan of the live tets per collar edge
+    # (oracles.holders) does, also for a list with an edge the mesh lacks
+    # and one it holds that is no restricted curve edge
     from pscmesh.cli import main
     runs = []
     audit = Refiner.audit
@@ -810,7 +810,7 @@ def test_protected_ok_equals_one_edge_exists_scan_per_collar_edge(
     wants = []
     for edges in (collar, collar + [missing], [unrestricted] + collar):
         r.protected_edges = edges
-        wants.append(all(r.mesh.edge_exists(a, b) and (a, b) in r.rs.edges
+        wants.append(all(holders(r.mesh, a, b) and (a, b) in r.rs.edges
                          for a, b in edges))
         assert audit(r)["protected_ok"] == wants[-1]
     assert wants == [True, False, False]

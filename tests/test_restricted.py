@@ -13,16 +13,17 @@ from pscmesh.delaunay import (SHELL, TetMesh, _FACES, circumcentre_triangle,
 from pscmesh.errors import PscError
 from pscmesh.geometry import PiecewiseComplex
 from pscmesh.models import cube, icosphere, wedge
-from pscmesh.quality import area_length, volume_length
 from pscmesh.refine import Census, Refiner, refine
 from pscmesh.restricted import (Restricted, _tet_shape, _triangle_shape,
                                 classify_edge, classify_facet, classify_tet,
                                 element_size, topo_disk_1, topo_disk_2)
 
-from oracles import (cavity_change_reference, circumradius_triangle,
-                     distance_to_surface, face_crossings_reference, holder,
+from oracles import (area_length_reference, cavity_change_reference,
+                     circumradius_triangle, distance_to_surface,
+                     face_crossings_reference, holder, holders,
                      nearest_among_reference, radius_edge_reference,
-                     random_rotation, umbrella_reference, winding_numbers)
+                     random_rotation, umbrella_reference,
+                     volume_length_reference, winding_numbers)
 from snapshots import assert_restricted_fresh, fresh_answer
 
 
@@ -86,17 +87,30 @@ def test_the_pinned_difference_squares_apart():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=4, max_size=4))
 @example([(0.0, 0.0, 0.0), (_X, 0.0, 0.0), (0.0, _X, 0.0), (0.0, 0.0, _X)])
+# the anchor shapes of test_quality.py: a regular tet on an equilateral
+# triangle, the right corner, a collinear triangle on a coplanar tet, and
+# two tets whose rms(e)^3 underflows to 0
+@example([(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0),
+          (-1.0, -1.0, 1.0)])
+@example([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+@example([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0),
+          (0.4, 0.4, 0.0)])
+@example([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+          (0.0, 0.0, 1.03e-149)])
+@example([(0.0, 0.0, 0.0), (1e-120, 0.0, 0.0), (0.0, 1e-120, 0.0),
+          (0.0, 0.0, 1e-120)])
 def test_shape_kernels_equal_the_per_element_references_bit_for_bit(pts):
     # the triangle kernel against circumcentre_triangle's r2, the shortest
-    # edge by x ** 2 and quality.area_length; the tet kernel against
-    # circumsphere_tet's r2, the same shortest edge and volume_length
+    # edge by x ** 2 and area_length_reference; the tet kernel against
+    # circumsphere_tet's r2, the same shortest edge and
+    # volume_length_reference
     tri = pts[:3]
     r2 = circumcentre_triangle(*tri)[1]
     assert _bits(_triangle_shape(r2, *tri)) == _bits(
-        (radius_edge_reference(r2, tri), area_length(*tri)))
+        (radius_edge_reference(r2, tri), area_length_reference(*tri)))
     r2 = circumsphere_tet(*pts)[1]
     assert _bits(_tet_shape(r2, *pts)) == _bits(
-        (radius_edge_reference(r2, pts), volume_length(*pts)))
+        (radius_edge_reference(r2, pts), volume_length_reference(*pts)))
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +152,7 @@ def test_classify_edge_far_from_curve_is_none():
     p = vids[-1]
     hit_edges = 0
     for s in vids[:-1]:
-        if m.edge_exists(min(p, s), max(p, s)):
+        if holders(m, p, s):
             hit_edges += 1
             assert classify_edge(m, geom, min(p, s), max(p, s),
                                  holder(m, p, s)) is None

@@ -5,6 +5,8 @@ setup's parts and the cascade stages in one process), ``line_trace.py``
 (the package lines the meshes never run) and ``load_cost.py`` (the parts
 of ``load_complex`` and the memory a loaded complex holds)."""
 
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +80,66 @@ def test_line_trace_reports_the_tracer_only_functions_as_never_entered(
     finally:
         sys.settrace(previous)
     assert capsys.readouterr().out == out
+
+
+# run in a fresh process on a copy of the package: trace cube(), edit every
+# file of the copy, trace it again, and compare line_trace's function
+# tables with the ones compiled from the unedited files
+EDITED_COPY = """
+import json
+import sys
+from pathlib import Path
+
+copy, tools, tests = sys.argv[1:]
+sys.path[:0] = [copy, tools, tests]
+import pscmesh  # the copy, ahead of the checkout's src/
+import line_trace
+from oracles import function_table_reference
+from pscmesh import models
+
+paths = sorted(line_trace.PACKAGE.glob("*.py"))
+files = {str(path) for path in paths}
+tables = {path.name: function_table_reference(path) for path in paths}
+
+
+def traced_report():
+    ran = {}
+    previous = sys.gettrace()
+    sys.settrace(line_trace.tracer(files, ran))
+    try:
+        models.cube()
+    finally:
+        sys.settrace(previous)
+    return line_trace.report(ran)
+
+
+before = traced_report()
+for path in paths:
+    path.write_text("# an edit after the import\\n"
+                    + path.read_text(encoding="utf-8"), encoding="utf-8")
+after = traced_report()
+same = all(line_trace.functions(module) == tables[Path(module.__file__).name]
+           for module in line_trace.modules())
+print(json.dumps({"before": before, "after": after, "same": same}))
+"""
+
+
+def test_line_trace_reads_the_spans_of_the_imported_code(tmp_path):
+    # a source file edited after the import moves no span and unmatches
+    # no traced line: the function table is the imported code's, which is
+    # also the one its unedited source compiles to
+    copy = tmp_path.resolve()
+    shutil.copytree(ROOT / "src" / "pscmesh", copy / "pscmesh")
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", EDITED_COPY, str(copy), str(ROOT / "tools"),
+         str(ROOT / "tests")], stdout=subprocess.PIPE, text=True,
+        check=True).stdout)
+    assert not any(line.startswith("models.py cube ")
+                   for line in out["before"])
+    assert any(line.startswith("models.py write_benchmarks ")
+               and line.endswith(" never") for line in out["before"])
+    assert out["after"] == out["before"]
+    assert out["same"]
 
 
 def test_load_cost_prints_every_part_within_the_total():

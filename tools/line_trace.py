@@ -16,6 +16,10 @@ is its line span.  ``lines=`` lists the lines that did not run, where a
 run of them with no line that ran in between reads ``a-b``.  A function's
 lines are those its code object lists (``co_lines()``), less its ``def``
 line; module and class bodies, which run at import, are not reported.
+The functions are found from the code the process imported (the
+functions, classes, methods and containers of each module's namespace,
+and the code nested in them), not from the files, so an edit of a file
+during a run moves none of its spans.
 The output depends on nothing but the source and the arguments, so two
 checkouts compare by ``diff``.  It backs a claim that production never
 calls some code with a measurement.
@@ -23,6 +27,7 @@ calls some code with a measurement.
     python3 tools/line_trace.py --seeds 2 crease
 """
 
+import importlib
 import inspect
 import sys
 import tempfile
@@ -36,15 +41,43 @@ import pscmesh
 PACKAGE = Path(pscmesh.__file__).resolve().parent
 
 
-def functions(path):
+def modules():
+    """The modules of the package in file order, each imported."""
+    return [importlib.import_module(
+        "pscmesh" if path.stem == "__init__" else f"pscmesh.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def functions(module):
     """{(first line, qualified name): line numbers} of the functions,
-    lambdas and comprehensions of one source file."""
+    lambdas and comprehensions of one module, from the code the process
+    imported: an edit of the file since then moves none of its lines."""
+    objs, seen, codes = list(vars(module).values()), set(), []
+    while objs:
+        obj = objs.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FunctionType):
+            codes.append(obj.__code__)
+        elif isinstance(obj, type):
+            if obj.__module__ == module.__name__:
+                objs.extend(vars(obj).values())
+        elif isinstance(obj, (staticmethod, classmethod)):
+            objs.append(obj.__func__)
+        elif isinstance(obj, property):
+            objs.extend((obj.fget, obj.fset, obj.fdel))
+        elif isinstance(obj, dict):
+            objs.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            objs.extend(obj)
     out = {}
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
-    while stack:
-        code = stack.pop()
-        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        if code.co_flags & inspect.CO_OPTIMIZED:
+    while codes:
+        code = codes.pop()
+        if code.co_filename != module.__file__:
+            continue  # imported from elsewhere
+        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        if code.co_flags & inspect.CO_OPTIMIZED:  # not a class body
             key = (code.co_firstlineno,
                    getattr(code, "co_qualname", code.co_name))
             out.setdefault(key, set()).update(
@@ -96,11 +129,12 @@ def missed_runs(lines, ran):
 def report(ran):
     """The output lines for the recorded ``ran``."""
     out = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for (first, name), lines in sorted(functions(path).items()):
-            span = f"{path.name} {name} {first}-{max(lines | {first})}"
+    for module in modules():
+        name = Path(module.__file__).name
+        for (first, qualname), lines in sorted(functions(module).items()):
+            span = f"{name} {qualname} {first}-{max(lines | {first})}"
             body = lines - {first}
-            got = ran.get((str(path), first, name))
+            got = ran.get((module.__file__, first, qualname))
             if got is None:
                 out.append(f"{span} never")
             elif body - got:
@@ -110,7 +144,7 @@ def report(ran):
 
 def main(argv=None):
     names, args = parse_args(__doc__, argv)
-    files = {str(path) for path in PACKAGE.glob("*.py")}
+    files = {module.__file__ for module in modules()}
     ran = {}
     with tempfile.TemporaryDirectory() as tmp:
         previous = sys.gettrace()
