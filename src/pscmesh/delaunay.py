@@ -16,6 +16,22 @@ a mesh with ``jitter_scale`` 0 stays valid through cospherical ties.
 ``TetMesh.points`` holds the jittered coordinates and is the
 authoritative vertex data for every downstream consumer.
 
+Cavity rule: a tet joins the cavity of p when p lies strictly inside its
+circumball, the sign of the exact ``insphere``.  Each tet stores its ball
+as ``circumsphere_tet`` gives it, (c, r2, delta): with R and C the exact
+radius and centre of its four points, |c - C| <= delta, and r2 rounds the
+square of a length rho with |rho - R| <= delta to within a relative 4e-16.
+So R - |p - C| lies within 2 delta of rho - D, D = |p - c|.  In floats,
+s = r2 - D^2 lies within 2e-15 (r2 + D^2) of rho^2 - D^2, which covers the
+rounding of r2 and of the test; rho^2 - D^2 > 4 delta rho gives
+rho - D > 2 delta, and D^2 - rho^2 > 4 delta rho + 4 delta^2 gives
+D - rho > 2 delta.  With tau = 2e-15 (r2 + D^2) + 5 delta (sqrt(r2) + delta)
+(5, not 4: rho exceeds sqrt(r2) by a relative 2e-16 at most), s > tau
+proves p inside and s < -tau proves it outside; otherwise, and wherever a
+value is infinite or NaN, ``insphere`` decides.  Each sign is the exact
+one, so the cavity is the one the exact predicate gives (Shewchuk's
+filter pattern, DCG 1997).
+
 The mesh keeps no side index from vertices to tets and answers no vertex
 query: every edge query starts from a tet its caller holds (refinement
 holds one of the cavity it has just carved), and point location (a
@@ -53,11 +69,15 @@ def _splitmix64(x):
 
 
 def circumsphere_tet(pa, pb, pc, pd):
-    """Circumcentre and squared radius of a tet: the float solve when its
-    determinant is finite and nonzero and the circumradius is within 1e6
-    shortest edges (a screen for nearly flat tets, not an error bound),
-    else the exact solve, each value correctly rounded.  Exactly coplanar
-    points give the centroid and an infinite radius."""
+    """Circumcentre c, squared radius r2 and error bound delta of a tet:
+    the float solve when its determinant is finite and nonzero and the
+    circumradius is within 1e6 shortest edges (a screen for nearly flat
+    tets, not an error bound), else the exact solve, each value correctly
+    rounded.  Exactly coplanar points give the centroid and an infinite
+    radius.  c lies within delta of the exact circumcentre of the four
+    float points, and r2 is the square of a length within delta of the
+    exact radius, rounded with a relative error below 4e-16 (the module
+    docstring); delta is infinite where no bound is proven."""
     ux = pb[0] - pa[0]; uy = pb[1] - pa[1]; uz = pb[2] - pa[2]
     vx = pc[0] - pa[0]; vy = pc[1] - pa[1]; vz = pc[2] - pa[2]
     wx = pd[0] - pa[0]; wy = pd[1] - pa[1]; wz = pd[2] - pa[2]
@@ -84,13 +104,32 @@ def circumsphere_tet(pa, pb, pc, pd):
                  (vx - ux) ** 2 + (vy - uy) ** 2 + (vz - uz) ** 2,
                  (wx - ux) ** 2 + (wy - uy) ** 2 + (wz - uz) ** 2,
                  (wx - vx) ** 2 + (wy - vy) ** 2 + (wz - vz) ** 2)
-    if r2 <= (1e6 ** 2) * min_e2 and math.isfinite(r2):
-        return (pa[0] + xx, pa[1] + xy, pa[2] + xz), r2
-    return _circumsphere_exact(pa, pb, pc, pd)
+    if not (r2 <= (1e6 ** 2) * min_e2 and math.isfinite(r2)):
+        return _circumsphere_exact(pa, pb, pc, pd)
+    cx = pa[0] + xx; cy = pa[1] + xy; cz = pa[2] + xz
+    # den's and each numerator's rounding errors, over the differences, the
+    # products and the sums, are below 8 and 12 unit roundoffs times the
+    # sums of their terms' magnitudes, which Cauchy-Schwarz bounds by
+    # 2 sqrt(3) g and sqrt(3) g sqrt(uu + vv + ww), g = |u| |v| |w|; 1e-14 g
+    # covers both factors.  g above 1e-150, with no edge below 1e-6 of the
+    # radius (the screen above), keeps an underflow's error far below both
+    g = math.sqrt(uu * vv * ww)
+    ed = 1e-14 * g
+    ad = abs(den)
+    if ad > ed and g > 1e-150:
+        # |n/d - N/D| <= (|n - N| + |n/d| |d - D|) / |D| per axis, then the
+        # rounding of the quotient and of pa + x
+        x1 = abs(xx) + abs(xy) + abs(xz)
+        delta = (ed * (3.0 * math.sqrt(uu + vv + ww) + x1) / (ad - ed)
+                 + 2.3e-16 * (x1 + abs(cx) + abs(cy) + abs(cz)))
+    else:
+        delta = math.inf
+    return (cx, cy, cz), r2, delta
 
 
 def _circumsphere_exact(*pts):
-    """``circumsphere_tet`` on integers: the same solve, rounded once."""
+    """``circumsphere_tet`` on integers: the same solve, rounded once, so
+    each centre coordinate is within half an ulp of the exact one."""
     # 1.0 rides along to read off the common scale 2**k of the lift
     (ax, ay, az, bx, by, bz, cx, cy, cz,
      dx, dy, dz, scale) = _scaled_ints([x for p in pts for x in p] + [1.0])
@@ -100,7 +139,8 @@ def _circumsphere_exact(*pts):
     vwx = vy * wz - vz * wy; vwy = vz * wx - vx * wz; vwz = vx * wy - vy * wx
     den = 2 * (ux * vwx + uy * vwy + uz * vwz)
     if den == 0:
-        return tuple(sum(p[i] for p in pts) / 4.0 for i in range(3)), math.inf
+        return (tuple(sum(p[i] for p in pts) / 4.0 for i in range(3)),
+                math.inf, math.inf)
     uu = ux * ux + uy * uy + uz * uz
     vv = vx * vx + vy * vy + vz * vz
     ww = wx * wx + wy * wy + wz * wz
@@ -109,9 +149,10 @@ def _circumsphere_exact(*pts):
     ny = uu * vwy + vv * (wz * ux - wx * uz) + ww * (uz * vx - ux * vz)
     nz = uu * vwz + vv * (wx * uy - wy * ux) + ww * (ux * vy - uy * vx)
     q = den * scale
-    return ((_round(ax * den + nx, q), _round(ay * den + ny, q),
-             _round(az * den + nz, q)),
-            _round(nx * nx + ny * ny + nz * nz, q * q))
+    c = (_round(ax * den + nx, q), _round(ay * den + ny, q),
+         _round(az * den + nz, q))
+    return (c, _round(nx * nx + ny * ny + nz * nz, q * q),
+            0.5 * (math.ulp(c[0]) + math.ulp(c[1]) + math.ulp(c[2])))
 
 
 def _round(num, den):
@@ -192,7 +233,7 @@ class TetMesh:
         # append-only: a killed tet leaves None behind, ids are never reused
         self.tets = []      # tuple4 or None
         self.neigh = []     # list4 of tet ids, -1 at the outer hull
-        self.circum = []    # (centre, r2)
+        self.circum = []    # (centre, r2, delta), circumsphere_tet
         self._last_tet = -1
         self._last_insert = None
 
@@ -327,8 +368,9 @@ class TetMesh:
 
         Returns (pj, cavity dict, boundary facets, duplicate vertex id).
         """
-        pj = self._jitter(p, len(self.points))
+        pj = px, py, pz = self._jitter(p, len(self.points))
         pts, tets, neigh = self.points, self.tets, self.neigh
+        circum, sqrt = self.circum, math.sqrt
         t0 = self.locate(pj)
         cav = {t0: None}
         stack = [t0]
@@ -337,12 +379,22 @@ class TetMesh:
             for n in neigh[t]:
                 if n == -1 or n in cav:
                     continue
-                a, b, c, d = tets[n]
-                if insphere(pts[a], pts[b], pts[c], pts[d], pj) > 0:
-                    cav[n] = None
-                    stack.append(n)
+                # the stored ball decides where it can (module docstring)
+                (cx, cy, cz), r2, delta = circum[n]
+                dx = cx - px; dy = cy - py; dz = cz - pz
+                d2 = dx * dx + dy * dy + dz * dz
+                s = r2 - d2
+                tau = 2e-15 * (r2 + d2) + 5.0 * delta * (sqrt(r2) + delta)
+                if s < -tau:
+                    continue
+                if not s > tau:
+                    a, b, c, d = tets[n]
+                    if insphere(pts[a], pts[b], pts[c], pts[d], pj) <= 0:
+                        continue
+                cav[n] = None
+                stack.append(n)
         # duplicate snap against cavity vertices, one axis at a time
-        tol, (px, py, pz) = self.snap_tol, pj
+        tol = self.snap_tol
         best = None
         for t in cav:
             for v in tets[t]:

@@ -371,13 +371,17 @@ class Refiner:
         restricted: an insertion only shrinks the Voronoi duals of kept
         faces, so a dual that missed the input still misses
         (``stats.survivors_skipped``).  The created tets are bounded in
-        ``cert`` first.  Only entries that change are written, and a stored
-        record gets its verdict (``Restricted.bad``) and is queued.
+        ``cert`` first, and with a volume their statuses are settled there
+        (``DistanceCertificate.settle``).  Only entries that change are
+        written, and a stored record gets its verdict (``Restricted.bad``)
+        and is queued.
         Returns the undo list: every write as (d, key, old), once per key;
         replaying it in reverse restores the tables.
         """
         mesh, g, cert, dims = self.mesh, self.g, self.cert, self.dims
         cert.update(mesh, created_ids)
+        if 3 in dims:
+            cert.settle(mesh, g, created_ids)
         # keys of the created tets with the handle their classifier takes
         # (a tet id, or a (tet, facet index) pair)
         handles = (None, {}, {}, {})

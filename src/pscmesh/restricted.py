@@ -11,17 +11,18 @@ carries its circumball.
 
 Classification reads the mesh and geometry and returns fresh records,
 so re-running it over an unchanged mesh reproduces identical restricted
-sets.  It writes only into a ``DistanceCertificate`` passed to it:
-``classify_tet`` stores the tet's volume status in ``cert.inside[t]``,
-and the facet and tet classifiers count into ``cert.stats``.  A record
+sets.  It writes only into a ``DistanceCertificate`` passed to it, the
+facet classifier's counts in ``cert.stats``; ``classify_tet`` reads the
+volume status that ``cert.settle`` stored in ``cert.inside[t]``.  A record
 depends on its simplex alone, not on the tet or tet id that hands the
 simplex over: every float operation runs in an order fixed by the
 simplex's vertex ids.  Duals are closed (Edelsbrunner
 & Shah, 1997): a point where a star vertex ties the simplex belongs to
 the dual, so every hit is confirmed from the Delaunay star of the simplex
 alone, with no point-location walk (``_nearest_among``).  With a
-``DistanceCertificate``, the facet and tet classifiers skip queries that
-provably find nothing; it changes no result.
+``DistanceCertificate``, the facet classifier skips queries that provably
+find nothing and the tet classifier reads a status settled through the
+cavity; neither changes a result.
 
 No simplex that touches a shell corner is restricted, and each classifier
 first rejects one, by its smallest vertex id (below ``SHELL``).  Each
@@ -90,6 +91,7 @@ class Restricted:
     - ``quality``: area-length of a triangle, volume-length of a tet, 0 for
       an edge;
     - ``tet_id``: a tet's id in the mesh, -1 below d = 3;
+    - ``cc``: a triangle's in-plane circumcentre, None for an edge or a tet;
     - ``walk``: a triangle's last surface walk (a, b, r2, ids), None for an
       edge or a tet: the dual segment a-b it walked, the squared half tube
       r2 and the ids the walk kept with its pad grown by the tube (see the
@@ -100,10 +102,10 @@ class Restricted:
     """
 
     __slots__ = ("key", "centre", "radius", "err", "ref", "rho", "quality",
-                 "tet_id", "walk", "bad", "blocked")
+                 "tet_id", "cc", "walk", "bad", "blocked")
 
     def __init__(self, key, centre, radius, err, ref, rho, quality,
-                 tet_id=-1, walk=None):
+                 tet_id=-1, walk=None, cc=None):
         self.key = key
         self.centre = centre
         self.radius = radius
@@ -112,6 +114,7 @@ class Restricted:
         self.rho = rho
         self.quality = quality
         self.tet_id = tet_id
+        self.cc = cc
         self.walk = walk
         self.blocked = False
 
@@ -205,17 +208,22 @@ class DistanceCertificate:
     reports the crossed triangles and ``_ray_parity`` the parity of their
     count.  An exact crossing lies in its triangle, at distance 0, so under
     (*) the facet's query returns no hit and the parity is 0: a tet takes
-    its neighbour's volume status.
+    its neighbour's volume status.  Elsewhere the parity of the dual edge
+    flips it.  Volume status spreads across the dual graph as the power
+    crust labels its poles (Amenta, Choi & Kolluri, SMA 2001): ``settle``
+    gives each created tet the status of a settled neighbour, across a
+    facet where (*) holds first, by a parity next, and casts a ray only
+    where no neighbour is settled.
 
     ``bound[t]`` and ``inside[t]``, t's volume status (None until
-    ``classify_tet`` settles it; a tet with a shell corner is never
-    settled), are lists indexed by tet id like ``mesh.circum``.  A killed
+    ``settle`` settles it; a tet with a shell corner is never settled),
+    are lists indexed by tet id like ``mesh.circum``.  A killed
     tet keeps its entries for an undo that restores it, and ``update``
     overwrites the ids an undone insertion created.  ``stats`` counts what
     the certificate skipped (``dual_certified``, ``volume_inherited``) and
-    the facet walks reused (``walks_reused``).  The classifiers reject a
-    simplex with a shell corner before they ask the certificate, so it
-    counts facets and tets with no shell corner alone.  c1 and c2 are the
+    the facet walks reused (``walks_reused``).  A simplex with a shell
+    corner is rejected before the certificate is asked, so it counts
+    facets and tets with no shell corner alone.  c1 and c2 are the
     stored circumcentres, usable for every tet (``circumsphere_tet``), and
     c1-c2 is what both query.
     """
@@ -241,21 +249,46 @@ class DistanceCertificate:
         return (self.bound[t1] + self.bound[t2]
                 > (1.0 + 2e-12) * math.dist(c1, c2) + 2.0 * self.pad)
 
-    def inherited(self, mesh, geom, t, centre):
-        """Volume status of tet t taken from a settled neighbour, or None
-        when none is settled.  Across a facet where (*) holds the status
-        carries over; else the first settled neighbour's is flipped when
-        their dual edge crosses the surface an odd number of times.  t has
-        no shell corner, so it has four neighbours."""
-        settled = [n for n in mesh.neigh[t] if self.inside[n] is not None]
-        for n in settled:
-            if self.clears(t, centre, n, mesh.circum[n][0]):
+    def settle(self, mesh, geom, created):
+        """Settle the volume status of the created tets with no shell
+        corner, each from a settled neighbour: first across a facet where
+        (*) holds, when some pending tet has one, taking the neighbour's
+        status; else by the parity of the dual edge from a settled
+        neighbour; else, when no pending tet has a settled neighbour, by a
+        ray (``point_in_volume``).  The candidates are taken in breadth-
+        first order: the tets settled before the call (a cavity's outer
+        neighbours) first, then each tet as it is settled.  So a cavity
+        with a settled neighbour casts no ray, and a setup casts one per
+        connected part of the tets with no shell corner."""
+        inside, neigh, circum = self.inside, mesh.neigh, mesh.circum
+        pending = {t: None for t in created if min(mesh.tets[t]) >= SHELL}
+        near = [(t, n) for t in pending for n in neigh[t]
+                if inside[n] is not None]   # (pending tet, settled one)
+        far = []    # the pairs whose facet (*) does not clear
+        i = j = 0
+        while pending:
+            if i < len(near):
+                t, n = near[i]
+                i += 1
+                if t not in pending:
+                    continue
+                if not self.clears(t, circum[t][0], n, circum[n][0]):
+                    far.append((t, n))
+                    continue
+                inside[t] = inside[n]
                 self.stats["volume_inherited"] += 1
-                return self.inside[n]
-        if not settled:
-            return None
-        n = settled[0]
-        return self.inside[n] != geom._ray_parity(mesh.circum[n][0], centre)
+            elif j < len(far):
+                t, n = far[j]
+                j += 1
+                if t not in pending:
+                    continue
+                inside[t] = inside[n] != geom._ray_parity(circum[n][0],
+                                                          circum[t][0])
+            else:
+                t = next(iter(pending))
+                inside[t] = geom.point_in_volume(circum[t][0])
+            del pending[t]
+            near += [(s, t) for s in neigh[t] if s in pending]
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +417,9 @@ def classify_facet(mesh, geom, t, i, cert=None, rec=None):
     c1-c2 passes, in exact arithmetic, and c1-c2 is the query.  With
     ``cert``, a dual edge it proves clear of the surface is not queried.
     ``rec``, the facet's current record, lends its stored walk when the
-    new dual segment lies within its tube (see the module docstring).
+    new dual segment lies within its tube (see the module docstring), and
+    the terms that depend on the facet's vertices alone: ``rho``,
+    ``quality`` and ``cc``.
     """
     quad = mesh.tets[t]
     f = _FACES[i]
@@ -412,30 +447,30 @@ def classify_facet(mesh, geom, t, i, cert=None, rec=None):
             if _nearest_among(mesh, h[0], tri, (pts[a1], pts[a2]))]
     if not hits:
         return None
-    pa, pb, pc = pts[tri[0]], pts[tri[1]], pts[tri[2]]
+    pa = pts[tri[0]]
     centre, patch_id = max(hits, key=lambda h: _d2(h[0], pa))
-    cc, r2 = circumcentre_triangle(pa, pb, pc)
-    rho, quality = _triangle_shape(r2, pa, pb, pc)
+    if rec is None:
+        pb, pc = pts[tri[1]], pts[tri[2]]
+        cc, r2 = circumcentre_triangle(pa, pb, pc)
+        rho, quality = _triangle_shape(r2, pa, pb, pc)
+    else:
+        cc, rho, quality = rec.cc, rec.rho, rec.quality
     return Restricted(tri, centre, _dist(centre, pa), _dist(centre, cc),
-                      patch_id, rho, quality, walk=walk)
+                      patch_id, rho, quality, walk=walk, cc=cc)
 
 
 def classify_tet(mesh, geom, t, cert=None):
     """Restricted tet when the circumcentre lies inside the volume (None
     when the surface is not closed: then there is no volume).
 
-    With ``cert``, a settled neighbour's status and the parity of their
-    dual edge replace the membership query (``inherited``), and t's own
-    status becomes settled.
+    With ``cert``, the status ``cert.settle`` gave t replaces the
+    membership query.
     """
     if min(mesh.tets[t]) < SHELL or not geom.surface_closed:
         return None
-    centre, r2 = mesh.circum[t]
-    inside = None if cert is None else cert.inherited(mesh, geom, t, centre)
-    if inside is None:
-        inside = geom.point_in_volume(centre)
-    if cert is not None:
-        cert.inside[t] = inside
+    centre, r2, _delta = mesh.circum[t]
+    inside = (geom.point_in_volume(centre) if cert is None
+              else cert.inside[t])
     if not inside:
         return None
     (a, b, c, d), pts = mesh.tets[t], mesh.points

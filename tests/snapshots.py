@@ -12,11 +12,13 @@ from pscmesh.restricted import classify_edge, classify_facet, classify_tet
 # classification does not repeat.  Rollback snapshots compare records by
 # identity, so they do cover ``walk``
 _FIELDS = ("key", "centre", "radius", "err", "ref", "rho", "quality",
-           "tet_id")
+           "tet_id", "cc")
 
 
 def refiner_snapshot(r):
-    """Mesh arrays by value, restricted tables by object identity."""
+    """Mesh arrays by value, restricted tables by object identity.  A
+    stored ball is (centre, r2, delta), so an undo that lost the bound the
+    cavity search reads would show."""
     m = r.mesh
     rs = r.rs
     return {

@@ -1,16 +1,18 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from pscmesh import delaunay
 from pscmesh.config import RefineConfig, SizingField
 from pscmesh.delaunay import (_FACES, SHELL, TetMesh, circumcentre_triangle,
                               circumsphere_tet)
 from pscmesh.errors import MeshError
 from pscmesh.models import icosphere, wedge
-from pscmesh.predicates import orient3d_exact
+from pscmesh.predicates import insphere_exact, orient3d_exact
 from pscmesh.refine import refine
 
 from oracles import (adjacency_errors, brute_force_delaunay, holder,
@@ -177,9 +179,17 @@ def test_insert_remove_roundtrip_restores_state():
     for p in rng.uniform(0, 1, (20, 3)):
         m.insert_point(tuple(p))
     before = _mesh_state(m)
+    balls = list(m.circum)
     rec = m.insert_point((0.41, 0.52, 0.63))
+    killed = [t for t, ball in enumerate(balls)
+              if ball is not None and m.tets[t] is None]
     m.remove_point(rec)
     assert _mesh_state(m) == before
+    # each killed tet's stored ball comes back from the journal as it was,
+    # the bound delta that the cavity search reads included
+    assert killed
+    assert all(m.circum[t] is balls[t] and len(balls[t]) == 3
+               and balls[t][2] < math.inf for t in killed)
     assert not m.meta[rec.vid].alive
     # the dead vertex keeps its id: the next insertion takes the one after
     assert m.insert_point((0.3, 0.3, 0.3)).vid == rec.vid + 1
@@ -347,6 +357,140 @@ def test_every_insertion_leaves_the_adjacency_exact(name, monkeypatch):
     assert checked.count("insert_point") >= len(result.mesh.points) - SHELL
 
 
+@pytest.mark.parametrize("name", ["crease", "sphere", "dense_surface"])
+def test_every_cavity_test_of_the_benchmark_meshes_takes_the_exact_sign(
+        name, monkeypatch):
+    # every tet that probe_insert tests for the first benchmark mesh (each
+    # neighbour of a cavity tet but the located one) is in the cavity
+    # exactly when the exact insphere puts the point inside its ball,
+    # whether its stored ball decided or insphere did; the stored balls
+    # decide nearly all.  Every ball the mesh stores has a centre within
+    # its delta of the rational circumcentre
+    wl = _workloads()
+    workload = wl.WORKLOADS[name]
+    counts = {"tests": 0, "insphere": 0, "balls": 0}
+    balls = []
+    probe, insphere = TetMesh.probe_insert, delaunay.insphere
+    solve = delaunay.circumsphere_tet
+
+    def counted(*pts):
+        counts["insphere"] += 1
+        return insphere(*pts)
+
+    def recorded(*pts):
+        balls.append((pts, solve(*pts)))
+        return balls[-1][1]
+
+    def checked(self, p):
+        out = probe(self, p)
+        pj, cav = out[0], out[1]
+        tested = {n for t in cav for n in self.neigh[t] if n != -1}
+        tested.discard(next(iter(cav)))     # the located tet
+        for n in tested:
+            pts = [self.points[v] for v in self.tets[n]]
+            assert (n in cav) == (insphere_exact(*pts, pj) > 0), n
+        counts["tests"] += len(tested)
+        return out
+
+    monkeypatch.setattr(delaunay, "insphere", counted)
+    monkeypatch.setattr(delaunay, "circumsphere_tet", recorded)
+    monkeypatch.setattr(TetMesh, "probe_insert", checked)
+    result = refine(wl.build_input(workload), wl.make_config(workload.h, 0))
+    assert result.status == "converged"
+    assert counts["tests"] > 1000
+    assert counts["insphere"] * 10 < counts["tests"]
+    for pts, (centre, _r2, delta) in balls:
+        ball = rational_circumball(*pts)
+        assert ball is not None and _bounds_centre(centre, delta, ball[0])
+        counts["balls"] += delta < math.inf
+    assert counts["balls"] > 500
+
+
+def _probe_one_ball(pts, p):
+    """Whether ``probe_insert`` puts the tet of the four points ``pts``
+    (positively oriented) in the cavity of p: a two-tet mesh with no jitter
+    and no snap, whose located tet has that tet as its one neighbour."""
+    m = TetMesh.__new__(TetMesh)
+    m.points = list(pts)
+    m.jitter_scale, m.seed, m.snap_tol = 0.0, 0, 0.0
+    m.tets = [(0, 1, 2, 3), (0, 1, 2, 3)]
+    m.neigh = [[1, -1, -1, -1], [-1, -1, -1, -1]]
+    m.circum = [None, circumsphere_tet(*pts)]
+    m.locate = lambda _p: 0
+    return 1 in m.probe_insert(p)[1]
+
+
+# points of the integer sphere x^2 + y^2 + z^2 = 25, cospherical exactly
+_SPHERE_25 = sorted({(s1 * a, s2 * b, s3 * c)
+                     for a, b, c in ((5, 0, 0), (3, 4, 0), (0, 3, 4),
+                                     (4, 0, 3), (4, 3, 0), (0, 4, 3),
+                                     (3, 0, 4), (0, 5, 0), (0, 0, 5))
+                     for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)})
+
+
+@st.composite
+def hard_balls(draw):
+    """(four points, a query point): a flat sliver (four points on a
+    circle, lifted off its plane by up to 1e-13 to 1e-3 of its radius), a
+    nearly flat tet (the fourth point over the triangle of the other
+    three) or a random one, moved and scaled as the rigid-motion tests
+    move models, with a query point within a relative 1e-16 to 1e-3 of
+    the float ball or on it; or five points of one sphere, exactly
+    cospherical, scaled by a power of two and shifted by integers."""
+    kind = draw(st.sampled_from(["sliver", "flat", "random", "cospherical"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "cospherical":
+        five = draw(st.lists(st.sampled_from(_SPHERE_25), min_size=5,
+                             max_size=5, unique=True))
+        k = draw(st.integers(-10, 10))
+        shift = draw(st.tuples(*[st.integers(-100, 100)] * 3))
+        pts = [tuple(math.ldexp(x + s, k) for x, s in zip(q, shift))
+               for q in five]
+        return pts[:4], pts[4]
+    if kind == "sliver":
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, 4))
+        lift = 10.0 ** draw(st.floats(-13.0, -3.0))
+        local = [(math.cos(a), math.sin(a), lift * rng.choice([-1.0, 1.0])
+                  * (i % 2)) for i, a in enumerate(angles)]
+    elif kind == "flat":
+        tri = rng.uniform(-1.0, 1.0, (3, 2))
+        w = rng.dirichlet((1.0, 1.0, 1.0))
+        lift = 10.0 ** draw(st.floats(-13.0, -3.0))
+        local = [(x, y, 0.0) for x, y in tri] + [(*(w @ tri), lift)]
+    else:
+        local = rng.uniform(-1.0, 1.0, (4, 3)).tolist()
+    q, _r = np.linalg.qr(rng.normal(size=(3, 3)))
+    scale = draw(st.sampled_from([1e-3, 0.37, 1.0, 25.0]))
+    shift = np.asarray(draw(st.tuples(*[st.floats(-100.0, 100.0)] * 3)))
+    pts = [tuple(((q @ np.asarray(x)) * scale + shift * scale).tolist())
+           for x in local]
+    centre, r2, _delta = circumsphere_tet(*pts)
+    assume(math.isfinite(r2))
+    d = rng.normal(size=3)
+    rel = draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-10, 1e-7, 1e-5,
+                                1e-3]))
+    r = math.sqrt(r2) * (1.0 + rel * draw(st.sampled_from([-1.0, 1.0])))
+    p = tuple((np.asarray(centre) + r * d / np.linalg.norm(d)).tolist())
+    return pts, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_balls())
+def test_the_stored_ball_decides_the_exact_sign_or_falls_back(case):
+    # slivers as flat as the crease meshes' (6V / e_max^3 down to 1e-13),
+    # cospherical 5-tuples and moved, scaled inputs: the cavity holds the
+    # tet exactly when the exact insphere puts p inside, and the stored
+    # centre lies within its delta of the rational one
+    pts, p = case
+    o = orient3d_exact(*pts)
+    assume(o != 0)
+    if o < 0:
+        pts = [pts[0], pts[1], pts[3], pts[2]]
+    assert _probe_one_ball(pts, p) == (insphere_exact(*pts, p) > 0)
+    centre, _r2, delta = circumsphere_tet(*pts)
+    assert _bounds_centre(centre, delta, rational_circumball(*pts)[0])
+
+
 def test_probe_cavity_holds_exactly_the_conflicting_tets():
     from pscmesh.predicates import insphere
     m = TetMesh(UNIT, seed=9)
@@ -455,14 +599,15 @@ def test_a_walk_that_does_not_end_raises():
 
 
 def test_circumsphere_unit_right_tet():
-    c, r2 = circumsphere_tet((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    c, r2, _delta = circumsphere_tet((0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                     (0, 0, 1))
     assert np.allclose(c, (0.5, 0.5, 0.5), atol=1e-12)
     assert abs(r2 - 0.75) < 1e-12
 
 
 def test_circumsphere_regular_tet_is_centroid():
     pts = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    c, _r2 = circumsphere_tet(*pts)
+    c, _r2, _delta = circumsphere_tet(*pts)
     assert np.allclose(c, (0, 0, 0), atol=1e-12)
 
 
@@ -470,7 +615,7 @@ def test_circumsphere_equidistance_randomized():
     rng = np.random.default_rng(12)
     for _ in range(300):
         pts = rng.uniform(-1, 1, (4, 3))
-        c, r2 = circumsphere_tet(*(tuple(p) for p in pts))
+        c, r2, _delta = circumsphere_tet(*(tuple(p) for p in pts))
         r = math.sqrt(r2)
         for p in pts:
             assert abs(math.dist(c, p) - r) <= 1e-9 * max(r, 1.0)
@@ -526,10 +671,10 @@ def test_ill_conditioned_circumsphere_is_the_rounded_exact_one(pts, k):
     # although its exact one is not; an exactly coplanar draw gives the
     # centroid
     pts = [tuple(math.ldexp(x, k) for x in p) for p in pts]
-    centre, r2 = circumsphere_tet(*pts)
+    centre, r2, delta = circumsphere_tet(*pts)
     ball = rational_circumball(*pts)
     if ball is None:
-        assert r2 == math.inf
+        assert r2 == delta == math.inf
         assert centre == tuple(sum(p[i] for p in pts) / 4.0 for i in range(3))
         return
     want_centre, want_r2 = ball
@@ -537,6 +682,16 @@ def test_ill_conditioned_circumsphere_is_the_rounded_exact_one(pts, k):
     assert _rounded(want_r2) > 1e12 * min_e2  # the float solve stands down
     assert centre == tuple(_rounded(x) for x in want_centre)
     assert r2 == _rounded(want_r2)
+    assert _bounds_centre(centre, delta, want_centre)
+
+
+def _bounds_centre(centre, delta, want):
+    """Whether ``centre`` lies within ``delta`` of the rational ``want``,
+    decided exactly (an infinite delta bounds nothing, and holds)."""
+    if delta == math.inf:
+        return True
+    return (sum((Fraction(c) - w) ** 2 for c, w in zip(centre, want))
+            <= Fraction(delta) ** 2)
 
 
 def _rounded(x):

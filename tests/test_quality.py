@@ -170,7 +170,7 @@ def test_report_single_regular_tet():
     class _Mesh:
         points = {i: p for i, p in enumerate(REGULAR)}
 
-    centre, r2 = circumsphere_tet(*REGULAR)
+    centre, r2, _delta = circumsphere_tet(*REGULAR)
     tet = Restricted((0, 1, 2, 3), centre, math.sqrt(r2), 0.0, -1,
                      radius_edge_reference(r2, REGULAR),
                      volume_length(*REGULAR), 0)

@@ -14,9 +14,10 @@ from pscmesh.errors import PscError
 from pscmesh.geometry import PiecewiseComplex
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.refine import Census, Refiner, refine
-from pscmesh.restricted import (Restricted, _tet_shape, _triangle_shape,
-                                classify_edge, classify_facet, classify_tet,
-                                element_size, topo_disk_1, topo_disk_2)
+from pscmesh.restricted import (DistanceCertificate, Restricted, _tet_shape,
+                                _triangle_shape, classify_edge,
+                                classify_facet, classify_tet, element_size,
+                                topo_disk_1, topo_disk_2)
 
 from oracles import (area_length_reference, cavity_change_reference,
                      circumradius_triangle, distance_to_surface,
@@ -692,13 +693,25 @@ refine_mod = importlib.import_module("pscmesh.refine")
 
 
 def check_certified_skips(monkeypatch):
-    """Wrap the facet and tet classifiers that ``Refiner`` calls, so that
-    every dual-edge query the certificate skips is re-run unskipped and
-    must find no hit, and every settled volume status, whether inherited,
-    flipped by a dual-edge parity or queried, must equal the membership
-    query.  Returns the counts checked, [skipped queries,
-    inherited statuses]."""
+    """Wrap the facet and tet classifiers that ``Refiner`` calls and the
+    certificate's ``settle``, so that every dual-edge query the
+    certificate skips is re-run unskipped and must find no hit, and every
+    volume status ``settle`` gives, whether inherited, flipped by a
+    dual-edge parity or queried, must equal the membership query, as must
+    each status a tet classifier reads.  Returns the counts checked,
+    [skipped queries, inherited statuses]: the latter sums what the
+    checked ``settle`` calls added to ``volume_inherited``."""
     checked = [0, 0]
+    settle = DistanceCertificate.settle
+
+    def settled(cert, mesh, geom, created):
+        before = cert.stats["volume_inherited"]
+        settle(cert, mesh, geom, created)
+        for t in created:
+            if min(mesh.tets[t]) >= SHELL:
+                assert cert.inside[t] == geom.point_in_volume(
+                    mesh.circum[t][0]), t
+        checked[1] += cert.stats["volume_inherited"] - before
 
     def facet(mesh, geom, t, i, cert=None, rec=None):
         before = cert.stats["dual_certified"]
@@ -712,17 +725,16 @@ def check_certified_skips(monkeypatch):
         return out
 
     def tet(mesh, geom, t, cert=None):
-        before = cert.stats["volume_inherited"]
         out = classify_tet(mesh, geom, t, cert=cert)
-        if cert.inside[t] is not None:
+        if min(mesh.tets[t]) >= SHELL:
             centre = mesh.circum[t][0]
             assert cert.inside[t] == (out is not None) \
                 == geom.point_in_volume(centre)
-            checked[1] += cert.stats["volume_inherited"] > before
         return out
 
     monkeypatch.setattr(refine_mod, "classify_facet", facet)
     monkeypatch.setattr(refine_mod, "classify_tet", tet)
+    monkeypatch.setattr(DistanceCertificate, "settle", settled)
     return checked
 
 
@@ -984,19 +996,21 @@ def test_census_of_every_wedge_probe_is_the_tet_derivation(monkeypatch):
 # ``dual_certified`` fell when it came to count facets with no shell corner
 # alone; sphere's ``survivors_skipped`` fell from 8026 to 2647 when the
 # edges of its curve-less input stopped being built, so stopped being
-# counted as skipped)
+# counted as skipped; ``volume_inherited`` rose from 2399 / 1092 when
+# the created tets came to settle through their cavity, across a facet
+# the certificate clears wherever one has)
 STATS = {
     "sphere": {"inserted": 162, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 0,
                "encroach_tri": 21, "disk1": 0, "disk2": 0, "type2": 43,
                "type1": 119, "blocked": 0, "dual_certified": 3529,
-               "volume_inherited": 2399, "survivors_skipped": 2647,
+               "volume_inherited": 2709, "survivors_skipped": 2647,
                "walks_reused": 904},
     "crease": {"inserted": 85, "duplicates": 0, "rejected_protected": 0,
                "rollback_gamma": 0, "rollback_sigma": 0, "encroach_edge": 1,
                "encroach_tri": 19, "disk1": 0, "disk2": 0, "type2": 27,
                "type1": 58, "blocked": 0, "dual_certified": 1554,
-               "volume_inherited": 1092, "survivors_skipped": 3953,
+               "volume_inherited": 1187, "survivors_skipped": 3953,
                "walks_reused": 369},
 }
 
@@ -1022,6 +1036,37 @@ def test_reclassify_writes_only_entries_that_change(monkeypatch, name, geom,
     assert r.run() == "converged"
     assert len(calls) > STATS[name]["inserted"]
     assert r.stats == STATS[name]
+
+
+@pytest.mark.parametrize("geom, h", [
+    (lambda: icosphere(2), 0.4),
+    (wedge, 0.35),
+], ids=["sphere", "crease"])
+def test_restricted_sets_are_fresh_after_every_insertion(monkeypatch, geom,
+                                                         h):
+    # a surviving restricted triangle that is classified again keeps the
+    # terms of its vertices alone (rho, quality, cc) from its record: after
+    # every reclassification, each record equals a fresh one field for field
+    reclassify = Refiner._reclassify
+    calls, kept = [], [0]
+
+    def checked(self, census, created_ids):
+        undo = reclassify(self, census, created_ids)
+        assert_restricted_fresh(self)
+        calls.append(len(undo))
+        return undo
+
+    def facet(mesh, geom, t, i, cert=None, rec=None):
+        out = classify_facet(mesh, geom, t, i, cert=cert, rec=rec)
+        kept[0] += rec is not None and out is not None
+        return out
+
+    monkeypatch.setattr(Refiner, "_reclassify", checked)
+    monkeypatch.setattr(refine_mod, "classify_facet", facet)
+    r = Refiner(geom(), RefineConfig(sizing=SizingField(h0=h), seed=0))
+    assert r.run() == "converged"
+    assert len(calls) > r.stats["inserted"]
+    assert kept[0] > 100
 
 
 @st.composite
@@ -1148,7 +1193,7 @@ def test_a_walk_outside_its_tube_is_not_reused():
     for shift, reused in ((0.8, True), (1.2, False)):
         stale = Restricted(rec.key, rec.centre, rec.radius, rec.err, rec.ref,
                            rec.rho, rec.quality,
-                           walk=_moved_walk(rec.walk, shift))
+                           walk=_moved_walk(rec.walk, shift), cc=rec.cc)
         before = r.stats["walks_reused"]
         out = classify_facet(mesh, geom, t, i, cert=r.cert, rec=stale)
         assert r.stats["walks_reused"] - before == reused
@@ -1191,7 +1236,8 @@ def test_a_reused_walk_keeps_what_the_walk_of_a_nearby_segment_keeps():
 def test_volume_and_surface_queries_are_mostly_certified(monkeypatch):
     # without the distance certificates this run makes 2,929
     # point_in_volume and 9,033 intersect_segment_surface calls; with
-    # them, 220 (and 310 dual-edge parities) and 2,051
+    # them, 2 (and 218 dual-edge parities) and 2,051: a ray only where a
+    # setup or a cavity has no settled tet to settle from
     calls = {"point_in_volume": 0, "intersect_segment_surface": 0}
     for name in calls:
         original = getattr(PiecewiseComplex, name)
@@ -1204,7 +1250,7 @@ def test_volume_and_surface_queries_are_mostly_certified(monkeypatch):
     r = Refiner(icosphere(2), RefineConfig(sizing=SizingField(h0=0.4), seed=0))
     r.setup()
     assert r.run() == "converged"
-    assert 0 < calls["point_in_volume"] <= 1000
+    assert 0 < calls["point_in_volume"] <= 2
     assert 0 < calls["intersect_segment_surface"] <= 4000
 
 

@@ -79,7 +79,67 @@ def test_line_trace_reports_the_tracer_only_functions_as_never_entered(
         assert sys.gettrace() is outer
     finally:
         sys.settrace(previous)
-    assert capsys.readouterr().out == out
+    assert by_function(capsys.readouterr().out) == by_function(out)
+
+
+def by_function(out):
+    """``line_trace`` output as {(module, function): (last, what)}, each
+    line number taken relative to the function's first line: the two
+    sides of a comparison agree when a file's lines shift between them."""
+    found = {}
+    for line in out.splitlines():
+        module, name, span, what = line.split()
+        first, last = map(int, span.split("-"))
+        if what != "never":
+            runs = what[len("lines="):].split(",")
+            what = ",".join("-".join(str(int(x) - first)
+                                     for x in run.split("-")) for run in runs)
+        found[module, name] = (last - first, what)
+    return found
+
+
+# run in a fresh process on a copy of the checkout's package, tools and
+# benchmark: import line_trace, prepend a line to one source file of the
+# copy, then trace the same meshes in a subprocess, which compiles the
+# edited file, and in this process, which runs the imported code
+SHIFTED_COPY = """
+import contextlib
+import io
+import json
+import subprocess
+import sys
+
+root = sys.argv[1]
+sys.path.insert(0, root + "/tools")
+import line_trace
+
+path = line_trace.PACKAGE / "delaunay.py"
+path.write_text("# an edit after the import\\n"
+                + path.read_text(encoding="utf-8"), encoding="utf-8")
+argv = ["--seeds", "1", "dense_surface"]
+sub = subprocess.run([sys.executable, root + "/tools/line_trace.py", *argv],
+                     stdout=subprocess.PIPE, text=True, check=True).stdout
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    line_trace.main(argv)
+print(json.dumps({"subprocess": sub, "in_process": out.getvalue()}))
+"""
+
+
+def test_line_trace_sides_agree_when_a_file_shifts_mid_run(tmp_path):
+    # the shift moves every span of the edited file, so the two outputs
+    # differ as text, but not function by function
+    copy = tmp_path.resolve()
+    for part in ("src/pscmesh", "tools", "perfbench"):
+        shutil.copytree(ROOT / part, copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", SHIFTED_COPY, str(copy)],
+        stdout=subprocess.PIPE, text=True, check=True).stdout)
+    sub, here = out["subprocess"], out["in_process"]
+    assert sub != here
+    assert any(line.startswith("delaunay.py ") for line in sub.splitlines())
+    assert by_function(sub) == by_function(here)
 
 
 # run in a fresh process on a copy of the package: trace cube(), edit every
