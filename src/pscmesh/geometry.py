@@ -176,8 +176,7 @@ class PiecewiseComplex:
         # every triangle-tree query grows its boxes by it, so the walk keeps
         # every triangle that an exact crossing touches (at distance 0) or
         # the disk test accepts, up to 3 _HIT_SLACK diag away (``aabb``);
-        # the tenfold margin costs skipped queries (``restricted``), never
-        # an answer
+        # the tenfold margin costs candidates, never an answer
         self.hit_pad = self.eps + 3.0 * _PAD_SLACK * self.diag
 
     def _validate(self, tri):
@@ -292,18 +291,18 @@ class PiecewiseComplex:
 
     def intersect_segment_surface(self, a, b, cands=None):
         """Hits ``[(point, patch_id), ...]`` of segment a-b with the surface:
-        the triangles it crosses (``_crosses``) at the points
-        ``_segment_triangle_point`` gives, those within eps of each other
-        (the two sides of a thin fold) merged.  ``cands`` replaces the tree
-        walk (``surface_candidates``) by a list that holds every triangle
-        the walk keeps (``restricted.Restricted.walk``): a crossing lies in
-        its triangle, at distance 0, so the hits are the walk's."""
+        one per triangle it crosses (``_crosses``), in ascending triangle
+        id, at the point ``_segment_triangle_point`` gives.  So the hits
+        are the crossings that ``_ray_parity`` counts, and two sides of a
+        thin fold give two.  ``cands`` replaces the tree walk
+        (``surface_candidates``) by a list that holds every triangle the
+        walk keeps (``restricted.Restricted.walk``): a crossing lies in its
+        triangle, at distance 0, so the hits are the walk's."""
         if cands is None:
             cands = self.surface_candidates(a, b)
-        return _dedupe_tagged([(self._segment_triangle_point(a, b, tid),
-                                self.triangles[tid][3])
-                               for tid in sorted(cands)
-                               if self._crosses(a, b, tid)], self.eps)
+        return [(self._segment_triangle_point(a, b, tid),
+                 self.triangles[tid][3])
+                for tid in sorted(cands) if self._crosses(a, b, tid)]
 
     def _segment_triangle_point(self, a, b, tid):
         """The point where segment a-b crosses triangle tid: by the float

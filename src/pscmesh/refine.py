@@ -10,9 +10,10 @@ volume tetrahedra, and run only for the complexes the input has (the d of
 A bad restricted d-simplex gets its surface-ball centre (circumcentre for
 a tet) or an off-centre.  A point that falls inside the surface ball of a
 restricted simplex of lower dimension goes to that ball's centre instead,
-which is placed by the same rule, and an insertion that changes a
-restricted complex of lower dimension is rolled back and deferred to the
-largest changed ball of that complex.
+which is placed by the same rule.  Every insertion (of a queue pop, a
+redirect, a deferral or a disk repair) that changes a restricted complex
+of lower dimension is rolled back and deferred to the largest changed
+ball of that complex.
 
 Two point-placement modes are supported: ``classical`` always inserts the
 surface-ball centre / circumcentre, while ``frontal`` prefers size-optimal
@@ -449,12 +450,11 @@ class Refiner:
         edges, kept = census.faces[1], census.kept[1]
         return any(e in edges and e not in kept for e in self.protected_edges)
 
-    def _place(self, point, d, ref, guards=False):
+    def _place(self, point, d, ref):
         """Insert the Steiner point of a d-simplex; every point enters the
         mesh here.  A point strictly inside a lower-dimensional surface ball
         (a face of its own cavity) is replaced by that ball's centre, placed
-        in turn as the Steiner point of its own dimension.  ``guards`` turns
-        on ``_insert``'s rollback guards for a point that is not redirected."""
+        in turn as the Steiner point of its own dimension."""
         census = Census(self.mesh, self.mesh.probe_insert(point), self.dims)
         for low in self.dims:
             if low >= d:
@@ -464,13 +464,13 @@ class Refiner:
                 obj = self.rs.table[low][lkey]
                 self.stats[("encroach_edge", "encroach_tri")[low - 1]] += 1
                 return self._place(obj.centre, low, obj.ref)
-        return self._insert(census, d, ref, guards)
+        return self._insert(census, d, ref)
 
-    def _insert(self, census, d, ref, guards=False):
-        """Insert ``census.probe`` as the Steiner point of a d-simplex.  With
-        ``guards``, an insertion that changes a restricted complex of
-        dimension below d is rolled back.  Returns the status, one of
-        'inserted', 'duplicate' or 'rejected'; 'inserted' covers
+    def _insert(self, census, d, ref):
+        """Insert ``census.probe`` as the Steiner point of a d-simplex; one
+        that changes a restricted complex of dimension below d is rolled
+        back (``_rollback``), whatever placed it.  Returns the status, one
+        of 'inserted', 'duplicate' or 'rejected'; 'inserted' covers
         rollback-then-deferred insertions.
         """
         if len(self.mesh.points) - SHELL >= self.cfg.max_points:
@@ -484,7 +484,7 @@ class Refiner:
             return "rejected"
         rec = self.mesh.insert_point(probe[0], _KIND[d], ref, probe=probe)
         undo = self._reclassify(census, rec.created)
-        for low in self.dims if guards else ():
+        for low in self.dims:
             if low >= d:
                 break
             changed = self._changed(undo, low)
@@ -683,7 +683,7 @@ class Refiner:
                 c2, c0, r0 = self._offcentre(d, token, witness)
                 point, ptype = select_refinement_point(token.centre, c2, c0,
                                                        r0)
-            if self._place(point, d, token.ref, guards=True) == "inserted":
+            if self._place(point, d, token.ref) == "inserted":
                 self.stats["type2" if ptype == "II" else "type1"] += 1
                 # a deferred insertion may leave this simplex untouched and
                 # still in violation: put it back in line

@@ -197,18 +197,17 @@ class DistanceCertificate:
     the nearest box of the surface tree's cover
     (``AABBTree.lower_distances``).  For two tets sharing a facet, when
 
-        l(t1) + l(t2) > (1 + 2e-12) |c1 c2| + 2 pad              (*)
+        l(t1) + l(t2) > (1 + 2e-12) |c1 c2|                      (*)
 
-    no point of the dual edge c1-c2 lies within pad + 1e-12 |c1 c2| of the
-    surface: such a point x would give d(c1) + d(c2) <= |c1 x| + |x c2| +
-    2 (pad + 1e-12 |c1 c2|), which (*) exceeds.  The pad is
-    ``geom.hit_pad`` = eps + 3e-9 diag, the one pad by which every
-    triangle-tree walk grows its boxes.  Both queries of the dual edge
-    count exact crossings (``_crosses``): ``intersect_segment_surface``
-    reports the crossed triangles and ``_ray_parity`` the parity of their
-    count.  An exact crossing lies in its triangle, at distance 0, so under
-    (*) the facet's query returns no hit and the parity is 0: a tet takes
-    its neighbour's volume status.  Elsewhere the parity of the dual edge
+    no point of the dual edge c1-c2 lies on the surface: such a point x
+    would give d(c1) + d(c2) <= |c1 x| + |x c2| = |c1 c2|, which (*)
+    exceeds; the 2e-12 covers the rounding of ``math.dist`` and of the
+    sum.  Both queries of the dual edge count exact crossings
+    (``_crosses``): ``intersect_segment_surface`` reports one hit per
+    crossed triangle and ``_ray_parity`` the parity of their count.  An
+    exact crossing lies in its triangle, at distance 0, so under (*) the
+    facet's query returns no hit and the parity is 0: a tet takes its
+    neighbour's volume status.  Elsewhere the parity of the dual edge
     flips it.  Volume status spreads across the dual graph as the power
     crust labels its poles (Amenta, Choi & Kolluri, SMA 2001): ``settle``
     gives each created tet the status of a settled neighbour, across a
@@ -230,7 +229,6 @@ class DistanceCertificate:
 
     def __init__(self, geom, stats):
         self.tree = geom.tri_tree
-        self.pad = geom.hit_pad
         self.bound = []
         self.inside = []
         self.stats = stats
@@ -247,7 +245,7 @@ class DistanceCertificate:
     def clears(self, t1, c1, t2, c2):
         """True when (*) holds for tets t1, t2 with circumcentres c1, c2."""
         return (self.bound[t1] + self.bound[t2]
-                > (1.0 + 2e-12) * math.dist(c1, c2) + 2.0 * self.pad)
+                > (1.0 + 2e-12) * math.dist(c1, c2))
 
     def settle(self, mesh, geom, created):
         """Settle the volume status of the created tets with no shell

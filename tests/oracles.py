@@ -44,6 +44,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+# the one copy, which the hard-input corpus of tools/ rotates its inputs by
+from hard_corpus import random_rotation  # noqa: F401
+
 
 # ----------------------------------------------------------------------
 # exact rational predicates
@@ -700,16 +703,6 @@ def circumradius_triangle(pa, pb, pc):
     if area2 <= 0:
         return math.inf
     return a * b * c / (4.0 * math.sqrt(area2))
-
-
-def random_rotation(rng):
-    """Haar-ish random rotation from a QR decomposition."""
-    M = rng.normal(size=(3, 3))
-    Q, R = np.linalg.qr(M)
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
 
 
 # ----------------------------------------------------------------------

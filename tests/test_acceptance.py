@@ -334,7 +334,7 @@ def test_criterion_7_rollback_exactness():
         attacked.add(e.key)
         c = np.asarray(e.centre)
         p = tuple(c + np.array([0.0, 0.05 * e.radius, 0.0]))
-        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 3, -1, guards=True)
+        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 3, -1)
         forced += 1
     assert forced >= 5
     assert len(events) >= 5, "forced scenario produced no rollbacks"

@@ -132,7 +132,7 @@ def test_rollback_is_counted_as_a_remove_point_call():
     tracing = load_tracing()
     tracer = tracing.install()
     try:
-        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 3, -1, guards=True)
+        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 3, -1)
     finally:
         tracer.uninstall()
     assert r.stats["rollback_sigma"] == 1

@@ -17,6 +17,7 @@ from pscmesh.geometry import _HIT_SLACK, PiecewiseComplex, load_complex, \
 from pscmesh.models import cube, icosphere, wedge
 from pscmesh.restricted import classify_edge
 
+from hard_corpus import rotated
 from oracles import (circle_surface_hits, crossing_point_reference,
                      crossings_reference, curve_census_reference, holder,
                      initial_sampling_reference, parity_reference,
@@ -584,6 +585,49 @@ def test_segment_surface_chord_through_sphere():
         assert math.dist(g[0], w[0]) <= 1e-9
 
 
+def _thin_fold():
+    # two triangles on the edge 0-1 whose far vertices lie 1e-10 apart, so
+    # a segment crosses them within eps of each other
+    return PiecewiseComplex([(0, 0, 0), (1, 0, 0), (0.5, 1, 0),
+                             (0.5, 1, 1e-10)], [],
+                            [(0, 1, 2, 0), (0, 1, 3, 1)])
+
+
+@pytest.mark.parametrize("geom", [_thin_fold(), icosphere(1),
+                                  rotated(cube(), 5)],
+                         ids=["thin-fold", "icosphere1", "rotated-cube"])
+def test_segment_hits_are_one_per_crossing_and_agree_with_the_parity(geom):
+    # the facet query and the volume parity ask one question of a dual
+    # edge: the hits are exactly the triangles that _crosses accepts, over
+    # every triangle, one each in ascending id, so their count has the
+    # parity of _ray_parity.  Across the thin fold both sides count
+    rng = np.random.default_rng(12)
+    lo, hi = (np.asarray(b) for b in geom.bounds)
+    mid, span = (lo + hi) / 2.0, hi - lo + geom.diag / 4.0
+    segs = [(tuple(mid + span * rng.uniform(-1, 1, 3)),
+             tuple(mid + span * rng.uniform(-1, 1, 3))) for _ in range(60)]
+    # through the vertices and edge midpoints, where crossings meet
+    for i, j, k, _p in geom.triangles[:8]:
+        for p in (geom.pts[i], np.mean([geom.pts[j], geom.pts[k]], axis=0)):
+            off = rng.uniform(-1, 1, 3) * geom.diag
+            segs.append((tuple(p - off), tuple(p + off)))
+    segs.append(((0.5, 0.01, -1.0), (0.5, 0.01, 1.0)))
+    for a, b in segs:
+        crossed = [t for t in range(len(geom.triangles))
+                   if geom._crosses(a, b, t)]
+        assert crossed == sorted(crossings_reference(a, b, geom.vertices,
+                                                     geom.triangles))
+        hits = geom.intersect_segment_surface(a, b)
+        assert hits == [(geom._segment_triangle_point(a, b, t),
+                         geom.triangles[t][3]) for t in crossed]
+        assert (len(hits) % 2 == 1) == geom._ray_parity(a, b)
+    if geom.triangles[0][3] != geom.triangles[1][3]:
+        fold = geom.intersect_segment_surface(*segs[-1])
+        assert [patch for _x, patch in fold] == [0, 1]
+        assert max(abs(u - v) for u, v in zip(fold[0][0], fold[1][0])) \
+            <= geom.eps
+
+
 def spheres(*pairs):
     """Parametrise over (icosphere subdivisions, cases).  The brute-force
     oracles loop over every triangle, so the denser spheres, whose trees are
@@ -644,14 +688,10 @@ def grazing_disks(c, tangent=False):
 
 def exact_hits(c, a, b):
     """The exact points where a-b crosses c's surface
-    (``crossings_reference``), merged within eps as the hits are."""
-    out = []
-    for t in crossings_reference(a, b, c.vertices, c.triangles):
-        y = crossing_point_reference(a, b,
+    (``crossings_reference``), one per crossed triangle as the hits are."""
+    return [crossing_point_reference(a, b,
                                      *c.vertices[list(c.triangles[t][:3])])
-        if all(max(abs(y[m] - x[m]) for m in range(3)) > c.eps for x in out):
-            out.append(y)
-    return out
+            for t in crossings_reference(a, b, c.vertices, c.triangles)]
 
 
 @spheres((1, 300), (3, 45), (4, 12))
@@ -1017,23 +1057,20 @@ TETRAHEDRON = PiecewiseComplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
                            TETRAHEDRON.triangles),
           (0.1, 0.1, -5e-324), (0.15, 0.1, 5e-324)))
 def test_segment_hits_are_the_exact_crossings(case):
-    # every hit is a triangle that the shifted segment crosses, with its
-    # patch, within 1e-9 diag of the exact crossing point; and every
-    # crossing lies that near a hit, plus the eps that merges hits
+    # the hits are the triangles that the shifted segment crosses, one
+    # each in ascending id, with its patch, within 1e-9 diag of the exact
+    # crossing point
     geom, a, b = case
     verts, tris = geom.vertices, geom.triangles
     tol = 1e-9 * geom.diag
     crossings = [(crossing_point_reference(a, b, *verts[list(tris[t][:3])]),
                   tris[t][3])
-                 for t in crossings_reference(a, b, verts, tris)]
+                 for t in sorted(crossings_reference(a, b, verts, tris))]
     hits = geom.intersect_segment_surface(a, b)
-    assert len(hits) <= len(crossings)
-    for x, patch in hits:
+    assert len(hits) == len(crossings)
+    for (x, patch), (y, p) in zip(hits, crossings):
         assert all(map(math.isfinite, x))
-        assert any(math.dist(x, y) <= tol for y, p in crossings if p == patch)
-    for y, _p in crossings:
-        assert any(max(abs(x[m] - y[m]) for m in range(3)) <= geom.eps + tol
-                   for x, _q in hits)
+        assert patch == p and math.dist(x, y) <= tol
 
 
 @settings(max_examples=150, deadline=None)

@@ -620,16 +620,62 @@ def test_no_inserted_point_lies_inside_a_lower_ball():
     insert = r._insert
     inside = []
 
-    def checked(census, d, ref, guards=False):
+    def checked(census, d, ref):
         p = census.probe[0]
         inside.extend((d, low) for low in range(1, d)
                       if containing_ball_scan(r.rs.table[low], p) is not None)
-        return insert(census, d, ref, guards)
+        return insert(census, d, ref)
 
     r._insert = checked
     assert r.run() == "converged"
     assert r.stats["encroach_tri"] > 0
     assert not inside
+
+
+def test_every_committed_insertion_keeps_the_lower_complexes():
+    # the guard holds for every point of a d-simplex, not only a queue
+    # pop's: on this input a redirected, deferred or disk-repair point
+    # once changed the restricted curves and stayed.  Each insertion
+    # snapshots the restricted key sets below its d (from the point's
+    # kind); a removal is a rollback, and the next insertion or the end
+    # of the run sees each committed one
+    base = wedge()
+    rot = random_rotation(np.random.default_rng(34877))
+    geom = PiecewiseComplex(base.vertices @ rot.T, base.segments,
+                            base.triangles)
+    r = Refiner(geom, cfg_with(0.7, seed=1, mode="classical"))
+    r.setup()
+    insert, remove = r.mesh.insert_point, r.mesh.remove_point
+    tables = r.rs.table
+    dim = {"curve": 1, "surface": 2, "interior": 3}
+    pending = []    # (d, the lower key sets) of the uncommitted insertion
+    changed = []
+
+    def lower_keys(d):
+        return [set(tables[low]) for low in r.dims if low < d]
+
+    def committed():
+        if pending:
+            d, before = pending.pop()
+            if lower_keys(d) != before:
+                changed.append(d)
+
+    def inserting(p, kind, ref, probe=None):
+        committed()
+        pending.append((dim[kind], lower_keys(dim[kind])))
+        return insert(p, kind, ref, probe=probe)
+
+    def removing(rec):
+        pending.clear()
+        return remove(rec)
+
+    r.mesh.insert_point, r.mesh.remove_point = inserting, removing
+    assert r.run() == "converged"
+    committed()
+    assert not changed
+    assert all(r.audit().values())
+    assert r.stats["rollback_gamma"] > 0
+    assert r.stats["disk1"] + r.stats["disk2"] > 0
 
 
 def test_curve_only_and_open_inputs_converge():
@@ -703,7 +749,7 @@ def test_gamma_rollback_restores_restricted_sets():
             continue  # invalidated by an earlier forced insertion
         c = np.asarray(e.centre)
         p = tuple(c + np.array([0.0, 0.05 * e.radius, 0.0]))
-        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 2, -1, guards=True)
+        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 2, -1)
     assert events, "no rollback was ever triggered"
     for before, after in events:
         assert_undone(before, after)
@@ -736,7 +782,7 @@ def test_sigma_rollback_restores_mesh_and_restricted_sets(monkeypatch):
         c = np.asarray(f.centre)
         inward = (mid - c) / np.linalg.norm(mid - c)
         p = tuple(c + 0.05 * f.radius * inward)
-        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 3, -1, guards=True)
+        r._insert(Census(r.mesh, r.mesh.probe_insert(p)), 3, -1)
     rollbacks = r.stats["rollback_gamma"] + r.stats["rollback_sigma"]
     assert r.stats["rollback_sigma"] >= 1
     assert len(events) == rollbacks

@@ -1,5 +1,6 @@
 """The scripts under ``tools/`` that compare a change with its parent:
-``mesh_digests.py`` (the meshes), ``bench_pairs.py`` (the benchmark's
+``mesh_digests.py`` (the meshes, the benchmark's or the hard-input
+corpus's), ``bench_pairs.py`` (the benchmark's
 paired statistics), ``ab_refine.py`` (setup, refine and write times, the
 setup's parts and the cascade stages in one process), ``line_trace.py``
 (the package lines the meshes never run) and ``load_cost.py`` (the parts
@@ -23,28 +24,58 @@ import ab_refine  # noqa: E402
 import bench_pairs  # noqa: E402
 
 
-def test_mesh_digests_prints_three_lines_per_mesh_and_a_summary():
+def run_digests(*argv):
+    """``mesh_digests.py``'s output for argv, checked line by line: each
+    group (a workload, or a corpus model and mode) has three lines per
+    mesh, a summary line and a totals line that sums the stats lines.
+    Returns {label: (meshes, {counter: total})} in output order."""
     out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "mesh_digests.py"), "--seeds",
-         "1", "dense_surface"], stdout=subprocess.PIPE, text=True,
-        check=True).stdout.splitlines()
-    *meshes, summary, totals = [line.split() for line in out]
-    assert summary[:3] == ["dense_surface", "summary",
-                           f"meshes={len(meshes) // 3}"]
-    assert len(meshes) % 3 == 0 and meshes
+        [sys.executable, str(ROOT / "tools" / "mesh_digests.py"), *argv],
+        stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
     stats = Refiner(cube(), RefineConfig(sizing=SizingField(h0=0.5))).stats
-    sums = dict.fromkeys(sorted(stats), 0)
-    for digest, counts, line in zip(*[iter(meshes)] * 3):
-        assert digest[0] == counts[0] == line[0] == "dense_surface"
-        assert digest[1] == counts[1] == line[1]
-        assert len(digest[3]) == 64 and counts[2] == "counts"
-        assert line[2] == "stats"
-        assert [field.split("=")[0] for field in line[3:]] == sorted(stats)
-        for field in line[3:]:
-            key, value = field.split("=")
-            sums[key] += int(value)
-    assert totals[:2] == ["dense_surface", "totals"]
-    assert totals[2:] == [f"{k}={v}" for k, v in sums.items()]
+    lines = [line.split() for line in out]
+    groups = {}
+    while lines:
+        label = lines[0][0]
+        n = next(i for i, line in enumerate(lines) if line[1] == "summary")
+        meshes, (summary, totals) = lines[:n], lines[n:n + 2]
+        lines = lines[n + 2:]
+        assert summary[:3] == [label, "summary", f"meshes={n // 3}"]
+        assert n % 3 == 0 and meshes
+        sums = dict.fromkeys(sorted(stats), 0)
+        for digest, counts, line in zip(*[iter(meshes)] * 3):
+            assert digest[0] == counts[0] == line[0] == label
+            assert digest[1] == counts[1] == line[1]
+            assert len(digest[3]) == 64 and counts[2] == "counts"
+            assert line[2] == "stats"
+            assert [field.split("=")[0] for field in line[3:]] == sorted(stats)
+            for field in line[3:]:
+                key, value = field.split("=")
+                sums[key] += int(value)
+        assert totals[:2] == [label, "totals"]
+        assert totals[2:] == [f"{k}={v}" for k, v in sums.items()]
+        assert label not in groups
+        groups[label] = (n // 3, sums)
+    return groups
+
+
+def test_mesh_digests_prints_three_lines_per_mesh_and_a_summary():
+    groups = run_digests("--seeds", "1", "dense_surface")
+    assert list(groups) == ["dense_surface"]
+
+
+def test_mesh_digests_hard_corpus_reaches_the_disk_repairs_and_rollbacks():
+    # a model runs in each mode unless --mode names one, at jitter seeds
+    # 0 .. SEEDS-1; the needle fires the 1-disk repairs, and the classical
+    # rotated wedge at h 0.7 a curve rollback at seed 1
+    groups = run_digests("--corpus", "hard", "needle", "wedge-rot-0.7",
+                         "--mode", "classical")
+    assert list(groups) == ["needle.classical", "wedge-rot-0.7.classical"]
+    assert [meshes for meshes, _sums in groups.values()] == [2, 2]
+    assert groups["needle.classical"][1]["disk1"] > 0
+    assert groups["wedge-rot-0.7.classical"][1]["rollback_gamma"] > 0
+    both = run_digests("--corpus", "hard", "--seeds", "1", "needle")
+    assert list(both) == ["needle.frontal", "needle.classical"]
 
 
 def test_line_trace_reports_the_tracer_only_functions_as_never_entered(

@@ -1,7 +1,8 @@
 """Report the lines of ``src/pscmesh`` that the benchmark meshes never run.
 
 This refines the meshes that ``mesh_digests.py`` refines, with the same
-arguments (workloads, ``--seeds``, ``--mode``) and the same steps: the
+arguments (workloads or corpus models, ``--seeds``, ``--mode``,
+``--corpus``) and the same steps: the
 input file round trip, ``refine``, ``write_vtk`` and ``write_report``.
 A ``sys.settrace`` tracer records every line that runs in a frame of the
 package, and the previous tracer is restored afterwards.  Then one line
@@ -25,6 +26,7 @@ checkouts compare by ``diff``.  It backs a claim that production never
 calls some code with a measurement.
 
     python3 tools/line_trace.py --seeds 2 crease
+    python3 tools/line_trace.py --corpus hard
 """
 
 import importlib
@@ -34,7 +36,7 @@ import tempfile
 import types
 from pathlib import Path
 
-from mesh_digests import WORKLOADS, mesh_seeds, parse_args, refine_mesh
+from mesh_digests import groups, parse_args, refine_mesh
 
 import pscmesh
 
@@ -150,11 +152,9 @@ def main(argv=None):
         previous = sys.gettrace()
         sys.settrace(tracer(files, ran))
         try:
-            for name in names:
-                for seed in range(args.seeds):
-                    for mesh_seed in mesh_seeds(WORKLOADS[name], seed):
-                        refine_mesh(WORKLOADS[name], mesh_seed, Path(tmp),
-                                    args.mode)
+            for _label, workload, mode, seeds in groups(names, args):
+                for mesh_seed in seeds:
+                    refine_mesh(workload, mesh_seed, Path(tmp), mode)
         finally:
             sys.settrace(previous)
     for line in report(ran):

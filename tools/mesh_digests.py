@@ -38,12 +38,21 @@ name, so that a change that moves the work alone shows as one differing
 line.  ``--mode classical`` refines the same meshes with the classical
 insertion rule instead of the benchmark's frontal one, so that one
 ``diff`` compares the two modes.
+
+``--corpus hard`` refines the models of ``hard_corpus.py`` instead, with
+the benchmark's settings at each model's h, from jitter seed 0 to
+``--seeds`` - 1 (default 2) and in both modes unless ``--mode`` names
+one.  Each model and mode, named ``model.mode`` in every line, prints
+its meshes' lines, its summary line and its totals line as a workload
+does.  These inputs fire the disk repairs, the rollbacks and the collar
+rejections that the benchmark meshes never reach.
 pscmesh is imported from the ``src/`` of the checkout that holds this
 script.
 
     python3 tools/mesh_digests.py > a.txt
     python3 tools/mesh_digests.py --seeds 3 crease sphere
     python3 tools/mesh_digests.py --mode classical > c.txt; diff a.txt c.txt
+    python3 tools/mesh_digests.py --corpus hard slab needle
 """
 
 import argparse
@@ -63,6 +72,8 @@ from pscmesh.quality import write_report  # noqa: E402
 from pscmesh.refine import refine  # noqa: E402
 from pscmesh.vtk_io import write_vtk  # noqa: E402
 
+from hard_corpus import CORPUS, Model  # noqa: E402
+
 sys.path.insert(0, str(ROOT / "perfbench"))
 from worker import h_rel_dev  # noqa: E402
 from workloads import (WORKLOADS, build_input, make_config,  # noqa: E402
@@ -70,13 +81,15 @@ from workloads import (WORKLOADS, build_input, make_config,  # noqa: E402
 
 
 def refine_mesh(workload, seed, tmp, mode):
-    """Refine the benchmark mesh of jitter seed ``seed`` in ``mode`` from
-    the workload's input file (written to ``tmp`` once) and write its VTK
-    and report files there; returns (config, ``RefineResult``, VTK path,
-    report path)."""
+    """Refine the mesh of jitter seed ``seed`` in ``mode`` of a benchmark
+    workload or a corpus ``Model`` from its input file (written to ``tmp``
+    once) and write its VTK and report files there; returns (config,
+    ``RefineResult``, VTK path, report path)."""
     psc = tmp / f"{workload.name}.psc"
     if not psc.exists():
-        write_complex(build_input(workload), str(psc))
+        geom = (workload.make() if isinstance(workload, Model)
+                else build_input(workload))
+        write_complex(geom, str(psc))
     cfg = dataclasses.replace(make_config(workload.h, seed), mode=mode)
     result = refine(load_complex(str(psc)), cfg)
     vtk = tmp / "mesh.vtk"
@@ -108,44 +121,66 @@ def digest(workload, seed, tmp, mode):
 
 
 def parse_args(doc, argv=None):
-    """The workload names (default: all) and the parsed ``--seeds`` and
-    ``--mode`` of a command line; ``doc``'s first line describes it."""
+    """The workload or corpus model names (default: all) and the parsed
+    ``--seeds``, ``--mode`` and ``--corpus`` of a command line, the
+    defaults of ``--seeds`` and ``--mode`` filled in; ``doc``'s first line
+    describes it."""
     ap = argparse.ArgumentParser(description=doc.split("\n")[0])
     ap.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                    help=f"of {', '.join(sorted(WORKLOADS))} (default: all)")
-    ap.add_argument("--seeds", type=int, default=10,
-                    help="benchmark seeds 0 .. SEEDS-1 (default %(default)s)")
+                    help=f"of {', '.join(sorted(WORKLOADS))}, or with "
+                    f"--corpus of {', '.join(CORPUS)} (default: all)")
+    ap.add_argument("--corpus", choices=("hard",),
+                    help="refine the hard-input corpus of hard_corpus.py")
+    ap.add_argument("--seeds", type=int,
+                    help="seeds 0 .. SEEDS-1 (default 10: benchmark seeds; "
+                    "2 with --corpus: jitter seeds)")
     ap.add_argument("--mode", choices=("frontal", "classical"),
-                    default="frontal",
-                    help="insertion rule (default %(default)s, the "
-                    "benchmark's)")
+                    help="insertion rule (default frontal, the benchmark's; "
+                    "both with --corpus)")
     args = ap.parse_args(argv)
-    names = args.workloads or sorted(WORKLOADS)
-    for name in set(names) - WORKLOADS.keys():
-        ap.error(f"unknown workload {name!r}")
+    known = CORPUS if args.corpus else WORKLOADS
+    names = args.workloads or (list(CORPUS) if args.corpus
+                               else sorted(WORKLOADS))
+    for name in set(names) - known.keys():
+        ap.error(f"unknown {'model' if args.corpus else 'workload'} {name!r}")
+    if args.seeds is None:
+        args.seeds = 2 if args.corpus else 10
+    if args.mode is None and not args.corpus:
+        args.mode = "frontal"
     return names, args
+
+
+def groups(names, args):
+    """[(label, workload or ``Model``, mode, jitter seeds)]: each benchmark
+    workload in ``args.mode``, or each corpus model in each mode."""
+    if not args.corpus:
+        return [(name, WORKLOADS[name], args.mode,
+                 [s for seed in range(args.seeds)
+                  for s in mesh_seeds(WORKLOADS[name], seed)])
+                for name in names]
+    modes = [args.mode] if args.mode else ["frontal", "classical"]
+    return [(f"{name}.{mode}", CORPUS[name], mode, list(range(args.seeds)))
+            for name in names for mode in modes]
 
 
 def main(argv=None):
     names, args = parse_args(__doc__, argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            workload = WORKLOADS[name]
+        for name, workload, mode, seeds in groups(names, args):
             meshes = []
             totals = {}
-            for seed in range(args.seeds):
-                for mesh_seed in mesh_seeds(workload, seed):
-                    status, sha, fields, stats, quality = digest(
-                        workload, mesh_seed, Path(tmp), args.mode)
-                    meshes.append(quality)
-                    for k, v in stats.items():
-                        totals[k] = totals.get(k, 0) + v
-                    print(name, mesh_seed, status, sha)
-                    print(name, mesh_seed, "counts",
-                          *(f"{k}={v}" for k, v in fields.items()))
-                    print(name, mesh_seed, "stats",
-                          *(f"{k}={stats[k]}" for k in sorted(stats)),
-                          flush=True)
+            for mesh_seed in seeds:
+                status, sha, fields, stats, quality = digest(
+                    workload, mesh_seed, Path(tmp), mode)
+                meshes.append(quality)
+                for k, v in stats.items():
+                    totals[k] = totals.get(k, 0) + v
+                print(name, mesh_seed, status, sha)
+                print(name, mesh_seed, "counts",
+                      *(f"{k}={v}" for k, v in fields.items()))
+                print(name, mesh_seed, "stats",
+                      *(f"{k}={stats[k]}" for k in sorted(stats)),
+                      flush=True)
             print(name, "summary", f"meshes={len(meshes)}",
                   f"failed={sum(q['failed'] for q in meshes)}",
                   f"inserted={sum(q['inserted'] for q in meshes)}",
